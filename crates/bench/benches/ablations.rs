@@ -164,37 +164,18 @@ fn bench_inlining_accounting(c: &mut Criterion) {
 }
 
 fn bench_dynamic_schemes(c: &mut Criterion) {
-    use bpredict::dynamic::{simulate, DynamicScheme};
-    use bpredict::Direction;
-    use trace_vm::VmConfig;
-
-    // One traced run; the bench times simulating the schemes over it.
+    // The bench times one run observed by the per-site 1-bit and 2-bit
+    // schemes.
     let all = mfwork::suite();
     let w = all.iter().find(|w| w.name == "spiff").expect("spiff");
     let program = w.compile().expect("compiles");
-    let run = Vm::with_config(
-        &program,
-        VmConfig {
-            record_branch_trace: true,
-            ..VmConfig::default()
-        },
-    )
-    .run(&w.datasets[0].inputs)
-    .expect("runs");
+    let specs = &mfdyn::site_zoo(&program)[..2];
     println!("\n{}", mfbench::dynamic_table().render());
     c.bench_function("extension_dynamic_schemes", |b| {
         b.iter(|| {
-            let one = simulate(
-                &run.branch_trace,
-                DynamicScheme::OneBit,
-                Direction::NotTaken,
-            );
-            let two = simulate(
-                &run.branch_trace,
-                DynamicScheme::TwoBit,
-                Direction::NotTaken,
-            );
-            black_box((one, two))
+            let mut zoo = mfdyn::Zoo::new(specs);
+            let run = Vm::new(&program).run_observed(&w.datasets[0].inputs, &mut zoo);
+            black_box((run, zoo.report()))
         })
     });
 }

@@ -34,7 +34,7 @@ use mfbench::{
     SuiteRuns, DYN_COLUMNS, ML_TRAIN_MARKER,
 };
 use mfdyn::DynSpec;
-use mfharness::{DiskCache, HarnessOptions, RunJob};
+use mfharness::{DiskCache, HarnessOptions, Observe, RunJob};
 use mfreport::{fmt_percent, Table};
 use trace_vm::{Backend, Input, Vm, VmConfig};
 
@@ -170,7 +170,7 @@ fn gshare_sweep(names: &[&str], specs: &[DynSpec]) -> Vec<SweepRow> {
                 d.inputs.clone(),
                 sweep_config(w.vm_config()),
             )
-            .with_zoo(specs.to_vec()),
+            .observed_by(Observe::Zoo(specs.to_vec())),
         );
         selected.push((w.name.to_string(), d.name.clone()));
     }
@@ -273,7 +273,7 @@ fn padding_experiment() -> Vec<PaddingRow> {
             let program = mflang::compile(&source).expect("synthetic program compiles");
             let mut zoo = mfdyn::Zoo::for_program(&specs, &program);
             Vm::with_config(&program, sweep_config(VmConfig::default()))
-                .run_branches(&[Input::Int(PADDING_ITERS)], &mut zoo)
+                .run_observed(&[Input::Int(PADDING_ITERS)], &mut zoo)
                 .expect("synthetic program runs");
             let report = zoo.report();
             let misp_per_iter = specs

@@ -33,7 +33,7 @@ use mfcheck::{verify_digest, verify_program, Diagnostic, Severity};
 use mfopt::Pipeline;
 use mfpredict::Proof;
 use trace_ir::Program;
-use trace_vm::{Backend, GuestValue, Input, Run, Vm, VmConfig};
+use trace_vm::{Backend, GuestValue, Input, Recorder, Run, Vm, VmConfig};
 
 const USAGE: &str = "\
 usage: mflint [FILE.mf ...] [OPTION...]
@@ -280,8 +280,9 @@ fn values_eq(a: &[GuestValue], b: &[GuestValue]) -> bool {
         })
 }
 
-/// What diverged between two runs of the same program, if anything.
-fn run_divergence(a: &Run, b: &Run) -> Option<&'static str> {
+/// What diverged between two runs of the same program and their recorded
+/// event streams, if anything.
+fn run_divergence((a, ra): (&Run, &Recorder), (b, rb): (&Run, &Recorder)) -> Option<&'static str> {
     if !values_eq(&a.output, &b.output) {
         return Some("emitted output differs");
     }
@@ -293,8 +294,8 @@ fn run_divergence(a: &Run, b: &Run) -> Option<&'static str> {
     if a.stats != b.stats {
         return Some("run statistics differ");
     }
-    if a.branch_trace != b.branch_trace {
-        return Some("branch trace differs");
+    if ra != rb {
+        return Some("recorded branch or edge stream differs");
     }
     None
 }
@@ -314,10 +315,12 @@ fn backend_diff(linted: &Linted, backend: Backend, findings: &mut Findings) {
                 backend: b,
                 ..linted.vm_config
             };
-            Vm::with_config(&linted.program, config).run(inputs)
+            let mut recorder = Recorder::default();
+            let run = Vm::with_config(&linted.program, config).run_observed(inputs, &mut recorder);
+            run.map(|run| (run, recorder))
         };
         let divergence = match (run_on(backend), run_on(other)) {
-            (Ok(a), Ok(b)) => run_divergence(&a, &b),
+            (Ok((a, ra)), Ok((b, rb))) => run_divergence((&a, &ra), (&b, &rb)),
             (Err(a), Err(b)) => (a != b).then_some("runtime errors differ"),
             (Ok(_), Err(_)) => Some("one backend faults, the other completes"),
             (Err(_), Ok(_)) => Some("one backend faults, the other completes"),

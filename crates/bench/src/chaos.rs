@@ -496,11 +496,11 @@ pub fn run_seed(seed: u64, rounds: u32, edits: bool) -> SeedOutcome {
         let inputs = [Input::Int(4 + (mix(&mut rng) % 9) as i64)];
         let mut ref_zoo = mfdyn::Zoo::for_program(&mfdyn::full_zoo(), &program);
         let reference = Vm::with_config(&program, VmConfig::default())
-            .run_branches(&inputs, &mut ref_zoo)
+            .run_observed(&inputs, &mut ref_zoo)
             .expect("reference run succeeds");
         let mut flat_zoo = mfdyn::Zoo::for_program(&mfdyn::full_zoo(), &program);
         let flat_run = flat
-            .run_branches(VmConfig::default(), &inputs, &mut flat_zoo)
+            .run_observed(VmConfig::default(), &inputs, &mut flat_zoo)
             .expect("flat run succeeds");
         if reference != flat_run {
             out.findings.push(format!(

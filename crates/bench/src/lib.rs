@@ -24,13 +24,13 @@ use std::sync::atomic::{AtomicBool, AtomicU8, Ordering};
 use std::sync::{Arc, OnceLock};
 
 use bpredict::experiment::{self, DatasetRun};
-use bpredict::{evaluate, evaluate_unpredicted, BreakConfig, Metrics, Predictor};
+use bpredict::{evaluate, evaluate_unpredicted, BreakConfig, Direction, Metrics, Predictor};
 use ifprob::CombineRule;
 use mfdyn::{DynSpec, ZooReport};
-use mfharness::{Harness, HarnessOptions, RunJob};
+use mfharness::{Harness, HarnessOptions, Observe, RunJob};
 use mfreport::{fmt_percent, fmt_value, BarChart, Table};
 use mfwork::{suite, Group, Workload};
-use trace_ir::Program;
+use trace_ir::{BranchId, Program};
 use trace_vm::{Backend, VmConfig};
 
 /// One workload's collected experiment data.
@@ -258,7 +258,7 @@ fn collect_prepared(h: &Harness, prepared: Vec<Prepared>) -> SuiteRuns {
                     d.inputs.clone(),
                     run_config(p.workload.vm_config()),
                 )
-                .with_zoo(mfdyn::full_zoo()),
+                .observed_by(Observe::Zoo(mfdyn::full_zoo())),
             );
         }
         let first = &p.workload.datasets[0];
@@ -568,18 +568,15 @@ fn collect_workload_serial(w: &Workload) -> WorkloadRuns {
     let mut runs = Vec::with_capacity(w.datasets.len());
     let mut zoo = Vec::with_capacity(w.datasets.len());
     for d in &w.datasets {
-        let run = w
-            .run(&program, d)
+        // Observed by the predictor roster, whose tallies are
+        // backend-invariant, so they must match the harness path bit for
+        // bit.
+        let mut observers = mfdyn::Zoo::for_program(&mfdyn::full_zoo(), &program);
+        let run = trace_vm::Vm::with_config(&program, w.vm_config())
+            .run_observed(&d.inputs, &mut observers)
             .unwrap_or_else(|e| panic!("{}/{}: {e}", w.name, d.name));
         check_run_profile(&program, w.name, &d.name, &run.stats);
         runs.push(DatasetRun::new(d.name.clone(), run.stats));
-        // The reference zoo pass: same program, same inputs, observed by
-        // the predictor roster. Predictor tallies are backend-invariant,
-        // so this must match the harness path bit for bit.
-        let mut observers = mfdyn::Zoo::for_program(&mfdyn::full_zoo(), &program);
-        trace_vm::Vm::with_config(&program, w.vm_config())
-            .run_branches(&d.inputs, &mut observers)
-            .unwrap_or_else(|e| panic!("{}/{} zoo pass: {e}", w.name, d.name));
         zoo.push(observers.report());
     }
     let first = &w.datasets[0];
@@ -1059,52 +1056,42 @@ pub fn crossmode_table(s: &SuiteRuns) -> Option<Table> {
     Some(t)
 }
 
-/// Static vs dynamic prediction (extension): simulate the hardware
-/// literature's 1-bit and 2-bit per-branch schemes over recorded branch
-/// traces and put them next to static profile feedback on the same runs —
-/// the comparison the paper frames against [Smith 81] / [Lee and Smith 84].
-/// A profile-seeded 2-bit hybrid is included (feedback sets the initial
-/// counter state, hardware adapts).
-///
-/// Batches traced jobs for `pairs` through `h` (full runs are required —
-/// the branch trace never goes to the disk tier). The traced pairs shared
-/// by [`dynamic_table`] and [`distribution_table`] execute once.
-fn traced_runs(
+/// Runs each suite pair in `pairs` through `h` observed by its program's
+/// [`mfdyn::site_zoo`], returning each job with its outcome. The dynamic
+/// and distribution tables submit identical jobs for the pairs they share,
+/// so those run once per harness.
+fn site_predictor_runs(
     h: &Harness,
     pairs: &[(&'static str, &'static str)],
-) -> Vec<((&'static str, &'static str), mfharness::RunOutcome)> {
+) -> Vec<(RunJob, mfharness::RunOutcome)> {
     let all = suite();
-    let vm_cfg = run_config(VmConfig {
-        record_branch_trace: true,
-        ..VmConfig::default()
-    });
-    let mut selected = Vec::new();
     let mut jobs = Vec::new();
     for &(prog, dataset) in pairs {
-        let Some(w) = all.iter().find(|w| w.name == prog) else {
-            continue;
-        };
-        let Some(d) = w.dataset(dataset) else {
+        let found = all.iter().find(|w| w.name == prog);
+        let Some((w, d)) = found.and_then(|w| Some((w, w.dataset(dataset)?))) else {
             continue;
         };
         let program = Arc::new(w.compile().expect("bundled workload compiles"));
-        jobs.push(RunJob::new(prog, dataset, program, d.inputs.clone(), vm_cfg).needing_run());
-        selected.push((prog, dataset));
+        let specs = mfdyn::site_zoo(&program).to_vec();
+        let config = run_config(VmConfig::default());
+        let job = RunJob::new(prog, dataset, program, d.inputs.clone(), config);
+        jobs.push(job.observed_by(Observe::Zoo(specs)));
     }
-    let outcomes = h.run(jobs).unwrap_or_else(|e| panic!("{e}"));
-    selected.into_iter().zip(outcomes).collect()
+    let outcomes = h.run(jobs.clone()).unwrap_or_else(|e| panic!("{e}"));
+    jobs.into_iter().zip(outcomes).collect()
 }
 
-/// Runs a fixed set of small program×dataset pairs (traces are recorded in
-/// full, so inputs are kept modest).
+/// Static vs dynamic prediction (extension): the hardware literature's
+/// 1-bit and 2-bit per-branch schemes next to static profile feedback on
+/// the same runs — the comparison the paper frames against [Smith 81] /
+/// [Lee and Smith 84] — plus the profile-seeded 2-bit hybrid. Runs a fixed
+/// set of small program×dataset pairs.
 pub fn dynamic_table() -> Table {
     dynamic_table_with(harness())
 }
 
 /// [`dynamic_table`] through an explicit harness.
 pub fn dynamic_table_with(h: &Harness) -> Table {
-    use bpredict::dynamic::{simulate, simulate_seeded, DynamicScheme};
-
     let pairs = [
         ("doduc", "tiny"),
         ("gcc", "loop_mod"),
@@ -1124,38 +1111,27 @@ pub fn dynamic_table_with(h: &Harness) -> Table {
         "I/B STATIC",
         "I/B 2-BIT",
     ]);
-    for ((prog, dataset), outcome) in traced_runs(h, &pairs) {
-        let run = outcome.run();
-
-        let self_pred = Predictor::from_counts(&run.stats.branches, bpredict::Direction::NotTaken);
-        let static_m = evaluate(&run.stats, &self_pred, cfg);
-        let one = simulate(
-            &run.branch_trace,
-            DynamicScheme::OneBit,
-            bpredict::Direction::NotTaken,
-        );
-        let two = simulate(
-            &run.branch_trace,
-            DynamicScheme::TwoBit,
-            bpredict::Direction::NotTaken,
-        );
-        let seeded = simulate_seeded(&run.branch_trace, DynamicScheme::TwoBit, &self_pred);
-        let ipb = |mispredicted: u64| {
-            let breaks = mispredicted + run.stats.events.unavoidable();
-            if breaks == 0 {
-                run.stats.total_instrs as f64
-            } else {
-                run.stats.total_instrs as f64 / breaks as f64
-            }
-        };
+    for (job, outcome) in site_predictor_runs(h, &pairs) {
+        let stats = &outcome.stats;
+        let self_pred = Predictor::from_counts(&stats.branches, bpredict::Direction::NotTaken);
+        let static_m = evaluate(stats, &self_pred, cfg);
+        let zoo = outcome
+            .zoo
+            .as_deref()
+            .expect("site jobs carry a zoo report");
+        let [one, two, seeded] =
+            mfdyn::site_zoo(&job.program).map(|spec| zoo.get(spec).expect("spec in its zoo"));
+        let correct = |c: mfdyn::ZooCounts| fmt_percent(1.0 - c.mispredict_rate());
+        let breaks = (two.mispredicted + stats.events.unavoidable()).max(1);
+        let ipb_two = stats.total_instrs as f64 / breaks as f64;
         t.row_owned(vec![
-            format!("{prog}/{dataset}"),
+            job.label(),
             fmt_percent(static_m.correct_fraction()),
-            fmt_percent(one.correct_fraction()),
-            fmt_percent(two.correct_fraction()),
-            fmt_percent(seeded.correct_fraction()),
+            correct(one),
+            correct(two),
+            correct(seeded),
             fmt_value(static_m.instrs_per_break),
-            fmt_value(ipb(two.mispredicted)),
+            fmt_value(ipb_two),
         ]);
     }
     t
@@ -1169,10 +1145,11 @@ pub fn distribution_table() -> Table {
     distribution_table_with(harness())
 }
 
-/// [`distribution_table`] through an explicit harness.
+/// [`distribution_table`] through an explicit harness. Two passes: the
+/// dynamic table's jobs supply each run's counts, then a second run per
+/// pair streams its run lengths under the self-predictor those counts
+/// define.
 pub fn distribution_table_with(h: &Harness) -> Table {
-    use bpredict::dynamic::mispredict_gaps;
-
     let pairs = [
         ("doduc", "tiny"),
         ("gcc", "loop_mod"),
@@ -1181,6 +1158,19 @@ pub fn distribution_table_with(h: &Harness) -> Table {
         ("spiff", "case1"),
         ("espresso", "ti"),
     ];
+    let counted = site_predictor_runs(h, &pairs);
+    let jobs: Vec<RunJob> = counted
+        .iter()
+        .map(|(job, outcome)| {
+            let p = Predictor::from_counts(&outcome.stats.branches, Direction::NotTaken);
+            let taken = (0..job.program.branch_info.len())
+                .map(|i| p.predict(BranchId::from_index(i)) == Direction::Taken)
+                .collect();
+            job.clone()
+                .observed_by(Observe::RunLengths(Arc::new(taken)))
+        })
+        .collect();
+    let outcomes = h.run(jobs).unwrap_or_else(|e| panic!("{e}"));
     let mut t = Table::new(&[
         "PROGRAM/DATASET",
         "MEAN",
@@ -1190,17 +1180,18 @@ pub fn distribution_table_with(h: &Harness) -> Table {
         "MAX",
         "P90/P10",
     ]);
-    for ((prog, dataset), outcome) in traced_runs(h, &pairs) {
-        let run = outcome.run();
-        let p = Predictor::from_counts(&run.stats.branches, bpredict::Direction::NotTaken);
-        let g = mispredict_gaps(&run.branch_trace, &p);
+    for outcome in outcomes {
+        let g = outcome
+            .run_lengths
+            .expect("run-length jobs carry a histogram")
+            .summary();
         let spread = if g.p10 > 0 {
             format!("{:.1}x", g.p90 as f64 / g.p10 as f64)
         } else {
             "-".to_string()
         };
         t.row_owned(vec![
-            format!("{prog}/{dataset}"),
+            outcome.label,
             fmt_value(g.mean),
             g.p10.to_string(),
             g.p50.to_string(),
@@ -1904,14 +1895,30 @@ mod tests {
         assert!(t.render().contains("doduc"));
     }
 
-    // The extension tables execute additional traced/inlined runs; they are
-    // exercised every time `repro` or `cargo bench` runs in release, and can
-    // be run here explicitly with `cargo test -p mfbench -- --ignored`.
+    /// Whether `table` renders to the FNV-64 digest the end-to-end
+    /// benchmark pins for `section` in `e2e/golden/paper.fnv`.
+    fn matches_golden(table: &Table, section: &str) -> bool {
+        let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../e2e/golden/paper.fnv");
+        let line = format!(
+            "{section} {:016x}",
+            mfharness::fnv64(table.render().as_bytes())
+        );
+        std::fs::read_to_string(path)
+            .expect("golden digests")
+            .lines()
+            .any(|l| l == line)
+    }
+
+    // The extension tables execute additional observed/inlined runs; they
+    // are exercised every time `repro` or `cargo bench` runs in release,
+    // and can be run here explicitly with
+    // `cargo test --release -p mfbench -- --ignored`.
     #[test]
-    #[ignore = "runs several traced workloads; covered by the release harness"]
+    #[ignore = "runs several observed workloads; covered by the release harness"]
     fn dynamic_table_renders() {
         let t = dynamic_table_with(&test_harness(4));
         assert!(t.len() >= 5);
+        assert!(matches_golden(&t, "dynamic"));
     }
 
     #[test]
@@ -1922,13 +1929,17 @@ mod tests {
     }
 
     #[test]
-    #[ignore = "runs several traced workloads; covered by the release harness"]
+    #[ignore = "runs several observed workloads; covered by the release harness"]
     fn distribution_table_renders() {
         let h = test_harness(4);
         let t = distribution_table_with(&h);
         assert!(t.len() >= 4);
-        // Its traced pairs are a subset of dynamic_table's; running that
-        // next reuses every shared run.
+        assert!(matches_golden(&t, "distribution"));
+        // Two passes over its six pairs: the counting jobs, then one
+        // run-length job per pair.
+        assert_eq!(h.report().computed(), 12);
+        // The counting jobs are dynamic_table's own for the pairs they
+        // share, so running that next reuses every shared run.
         let before = h.report().computed();
         let _ = dynamic_table_with(&h);
         let after = h.report().computed();

@@ -2,14 +2,14 @@
 //!
 //! Each workload's first dataset runs on both backends under a reduced
 //! fuel budget. Workloads that fit the budget must produce identical
-//! [`Run`]s and satisfy the counter invariants (`total_instrs` equals the
-//! Pixie-weighted block counts; branch counters fold exactly from the
-//! recorded trace). Workloads that exceed the budget must fault with the
+//! [`Run`]s and recorded branch streams, and satisfy the counter
+//! invariants (`total_instrs` equals the Pixie-weighted block counts;
+//! branch counters fold exactly from the recorded branches). Workloads that exceed the budget must fault with the
 //! *same* `OutOfFuel` on both backends — exercising the flat backend's
 //! precise fuel replay on real programs, not just synthetic ones.
 
 use trace_ir::{BranchId, Program};
-use trace_vm::{Backend, Run, RuntimeError, Vm, VmConfig};
+use trace_vm::{Backend, BranchEvent, Run, RuntimeError, Vm, VmConfig};
 
 /// Small enough to keep debug-build test time in check, large enough that
 /// most of the suite completes (the rest pins the out-of-fuel path).
@@ -30,10 +30,10 @@ fn assert_pixie_reconciles(program: &Program, run: &Run, what: &str) {
     );
 }
 
-fn assert_branches_match_trace(run: &Run, what: &str) {
+fn assert_branches_match_trace(run: &Run, branches: &[BranchEvent], what: &str) {
     let mut by_id: std::collections::BTreeMap<BranchId, (u64, u64)> =
         std::collections::BTreeMap::new();
-    for event in &run.branch_trace {
+    for event in branches {
         let slot = by_id.entry(event.id).or_insert((0, 0));
         slot.0 += 1;
         if event.taken {
@@ -61,20 +61,21 @@ fn workloads_agree_and_reconcile_on_both_backends() {
                 VmConfig {
                     backend,
                     fuel: TEST_FUEL,
-                    record_branch_trace: true,
                     ..w.vm_config()
                 },
             );
-            vm.run(&dataset.inputs)
+            let mut recorder = trace_vm::Recorder::default();
+            let run = vm.run_observed(&dataset.inputs, &mut recorder);
+            run.map(|run| (run, recorder.branches))
         });
         let [reference, flat] = results;
         let what = format!("{} / {}", w.name, dataset.name);
         match (reference, flat) {
             (Ok(reference), Ok(flat)) => {
                 assert_eq!(reference, flat, "{what}: Run differs between backends");
-                for run in [&reference, &flat] {
+                for (run, branches) in [&reference, &flat] {
                     assert_pixie_reconciles(&program, run, &what);
-                    assert_branches_match_trace(run, &what);
+                    assert_branches_match_trace(run, branches, &what);
                 }
                 completed += 1;
             }

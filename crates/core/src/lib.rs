@@ -51,7 +51,6 @@
 //! ```
 
 mod breaks;
-pub mod dynamic;
 pub mod experiment;
 mod metrics;
 mod predictor;

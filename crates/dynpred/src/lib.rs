@@ -5,10 +5,12 @@
 //! The 1992 paper's headline claim is that per-branch profiles from
 //! *previous* runs rival hardware dynamic prediction. This crate supplies
 //! the hardware side of that comparison: a family of online conditional
-//! branch predictors driven by the VM's [`BranchSink`] event stream —
+//! branch predictors driven by the VM's [`Observer`] event stream —
 //! always-taken and BTFN static baselines, local 1-bit and 2-bit counter
-//! tables, gshare with configurable history length and table size, and a
-//! perceptron predictor.
+//! tables, a self-seeded 2-bit table (the profile/hardware hybrid), gshare
+//! with configurable history length and table size, and a perceptron
+//! predictor. [`RunLengths`] streams the paper's other trace-order
+//! measure, the instruction run lengths between mispredicted branches.
 //!
 //! Everything is deterministic and allocation-bounded: each predictor
 //! allocates its tables once at construction (sized by `table_bits`) and
@@ -17,10 +19,10 @@
 //!
 //! Two independent implementations of the same predictor semantics exist:
 //!
-//! * the **online** path ([`Zoo`], a [`BranchSink`]) updates every
+//! * the **online** path ([`Zoo`], an [`Observer`]) updates every
 //!   predictor as branches execute, without materializing a trace;
 //! * the **golden** path ([`golden::replay`]) re-simulates a predictor
-//!   over a recorded [`BranchEvent`] trace after the fact.
+//!   over the branch events a [`trace_vm::Recorder`] kept.
 //!
 //! On a clean build the two must agree bit for bit; the fuzzer's
 //! `dynpred-consistency` oracle holds them against each other, and the
@@ -28,10 +30,14 @@
 //! update on not-taken branches, online path only) is convicted exactly by
 //! that disagreement.
 
+mod gaps;
+
 use std::sync::Arc;
 
 use trace_ir::{BranchId, Program, Terminator};
-use trace_vm::BranchSink;
+use trace_vm::Observer;
+
+pub use gaps::{GapDistribution, RunLengths};
 
 /// Smallest allowed `table_bits` for any tabled predictor.
 pub const MIN_TABLE_BITS: u32 = 1;
@@ -66,6 +72,16 @@ pub enum DynSpec {
         /// log2 of the table size.
         table_bits: u32,
     },
+    /// [`DynSpec::TwoBit`] with every entry starting in the weak state of
+    /// its own majority direction over the whole run (ties taken, as
+    /// `bpredict::Predictor::from_counts`) — the 2-bit counter seeded by a
+    /// profile of the very run it predicts. Runs both weak starts side by
+    /// side and picks per entry at [`Zoo::report`], so it needs one pass
+    /// and no profile up front.
+    SelfSeededTwoBit {
+        /// log2 of the table size.
+        table_bits: u32,
+    },
     /// Global-history XOR branch-id indexed 2-bit counter table.
     Gshare {
         /// Global history length in branches.
@@ -84,14 +100,16 @@ pub enum DynSpec {
 
 impl DynSpec {
     /// The canonical spelling: `always-taken`, `btfn`, `1bit/t12`,
-    /// `2bit/t12`, `gshare/h8/t12`, `perceptron/h12/t8`. Stable — used in
-    /// harness run keys, `BENCH_dynpred.json`, and report tables.
+    /// `2bit/t12`, `2bit-self/t12`, `gshare/h8/t12`, `perceptron/h12/t8`.
+    /// Stable — used in harness run keys, `BENCH_dynpred.json`, and report
+    /// tables.
     pub fn name(self) -> String {
         match self {
             DynSpec::AlwaysTaken => "always-taken".to_string(),
             DynSpec::Btfn => "btfn".to_string(),
             DynSpec::OneBit { table_bits } => format!("1bit/t{table_bits}"),
             DynSpec::TwoBit { table_bits } => format!("2bit/t{table_bits}"),
+            DynSpec::SelfSeededTwoBit { table_bits } => format!("2bit-self/t{table_bits}"),
             DynSpec::Gshare {
                 history,
                 table_bits,
@@ -111,7 +129,9 @@ impl DynSpec {
     pub fn validate(self) -> Result<(), String> {
         let (history, table_bits) = match self {
             DynSpec::AlwaysTaken | DynSpec::Btfn => return Ok(()),
-            DynSpec::OneBit { table_bits } | DynSpec::TwoBit { table_bits } => (1, table_bits),
+            DynSpec::OneBit { table_bits }
+            | DynSpec::TwoBit { table_bits }
+            | DynSpec::SelfSeededTwoBit { table_bits } => (1, table_bits),
             DynSpec::Gshare {
                 history,
                 table_bits,
@@ -167,6 +187,7 @@ impl std::str::FromStr for DynSpec {
                 match kind {
                     "1bit" => DynSpec::OneBit { table_bits: t()? },
                     "2bit" => DynSpec::TwoBit { table_bits: t()? },
+                    "2bit-self" => DynSpec::SelfSeededTwoBit { table_bits: t()? },
                     "gshare" => DynSpec::Gshare {
                         history: h()?,
                         table_bits: t()?,
@@ -182,19 +203,6 @@ impl std::str::FromStr for DynSpec {
         spec.validate()?;
         Ok(spec)
     }
-}
-
-/// The two-spec zoo the bench harness attaches to every profiling run for
-/// the heuristic table's dynamic columns: a classic local 2-bit table and
-/// a mid-sized gshare.
-pub fn standard_zoo() -> Vec<DynSpec> {
-    vec![
-        DynSpec::TwoBit { table_bits: 12 },
-        DynSpec::Gshare {
-            history: 8,
-            table_bits: 12,
-        },
-    ]
 }
 
 /// The full headline zoo `dynbench` evaluates: the static baselines, both
@@ -225,6 +233,22 @@ pub fn full_zoo() -> Vec<DynSpec> {
             history: 12,
             table_bits: 8,
         },
+    ]
+}
+
+/// The per-site schemes of the hardware literature the paper cites — 1-bit,
+/// 2-bit, and the self-seeded 2-bit hybrid — each with a table entry of its
+/// own for every branch site of `program`, so no two sites share state.
+pub fn site_zoo(program: &Program) -> [DynSpec; 3] {
+    let sites = program.branch_info.len().max(1 << MIN_TABLE_BITS);
+    let table_bits = sites
+        .next_power_of_two()
+        .trailing_zeros()
+        .min(MAX_TABLE_BITS);
+    [
+        DynSpec::OneBit { table_bits },
+        DynSpec::TwoBit { table_bits },
+        DynSpec::SelfSeededTwoBit { table_bits },
     ]
 }
 
@@ -368,11 +392,23 @@ fn clamp_weight(w: i32) -> i32 {
 /// Initial 2-bit counter state: weakly not-taken.
 const TWO_BIT_INIT: u8 = 1;
 
+/// One [`DynSpec::SelfSeededTwoBit`] entry: the entry's outcome tally and
+/// a counter per weak start (index 0 weakly not-taken, 1 weakly taken),
+/// each with the mispredictions it has made.
+#[derive(Clone, Copy)]
+struct SeededEntry {
+    executed: u64,
+    taken: u64,
+    counters: [u8; 2],
+    missed: [u64; 2],
+}
+
 enum State {
     AlwaysTaken,
     Btfn,
     OneBit { table: Vec<u8> },
     TwoBit { table: Vec<u8> },
+    SelfSeededTwoBit { table: Vec<SeededEntry> },
     Gshare { table: Vec<u8>, history: u64 },
     Perceptron { weights: Vec<i32>, history: u64 },
 }
@@ -393,6 +429,17 @@ impl Pred {
             },
             DynSpec::TwoBit { table_bits } => State::TwoBit {
                 table: vec![TWO_BIT_INIT; 1 << table_bits],
+            },
+            DynSpec::SelfSeededTwoBit { table_bits } => State::SelfSeededTwoBit {
+                table: vec![
+                    SeededEntry {
+                        executed: 0,
+                        taken: 0,
+                        counters: [TWO_BIT_INIT, TWO_BIT_INIT + 1],
+                        missed: [0, 0],
+                    };
+                    1 << table_bits
+                ],
             },
             DynSpec::Gshare { table_bits, .. } => State::Gshare {
                 table: vec![TWO_BIT_INIT; 1 << table_bits],
@@ -430,6 +477,20 @@ impl Pred {
                 let p = table[idx] >= 2;
                 table[idx] = two_bit_step(table[idx], taken);
                 p
+            }
+            State::SelfSeededTwoBit { table } => {
+                // Which start counts is settled only by the final tallies,
+                // so `Pred::counts` sums the mispredictions at report time.
+                let idx = id.0 as usize & (table.len() - 1);
+                let e = &mut table[idx];
+                e.executed += 1;
+                e.taken += u64::from(taken);
+                for (c, missed) in e.counters.iter_mut().zip(&mut e.missed) {
+                    *missed += u64::from((*c >= 2) != taken);
+                    *c = two_bit_step(*c, taken);
+                }
+                self.counts.executed += 1;
+                return;
             }
             State::Gshare { table, history } => {
                 let (hist_len, table_bits) = match self.spec {
@@ -488,11 +549,25 @@ impl Pred {
             self.counts.mispredicted += 1;
         }
     }
+
+    /// The tallies so far.
+    fn counts(&self) -> ZooCounts {
+        match &self.state {
+            State::SelfSeededTwoBit { table } => ZooCounts {
+                executed: self.counts.executed,
+                // Each entry counts the start its own majority picks.
+                mispredicted: (table.iter())
+                    .map(|e| e.missed[usize::from(2 * e.taken >= e.executed)])
+                    .sum(),
+            },
+            _ => self.counts,
+        }
+    }
 }
 
-/// A set of online predictors all observing one run through the VM's
-/// [`BranchSink`] hook. Attaching a zoo is pure observation: it never
-/// changes the run's output, stats, or trace.
+/// A set of online predictors all observing one run as an [`Observer`].
+/// Attaching a zoo is pure observation: it never changes the run's output
+/// or stats.
 pub struct Zoo {
     dirs: BranchDirs,
     preds: Vec<Pred>,
@@ -521,13 +596,13 @@ impl Zoo {
     /// The per-spec tallies so far.
     pub fn report(&self) -> ZooReport {
         ZooReport {
-            entries: self.preds.iter().map(|p| (p.spec, p.counts)).collect(),
+            entries: self.preds.iter().map(|p| (p.spec, p.counts())).collect(),
         }
     }
 }
 
-impl BranchSink for Zoo {
-    fn branch(&mut self, id: BranchId, taken: bool) {
+impl Observer for Zoo {
+    fn branch(&mut self, id: BranchId, taken: bool, _instrs: u64) {
         for p in &mut self.preds {
             p.observe(&self.dirs, id, taken);
         }
@@ -536,11 +611,11 @@ impl BranchSink for Zoo {
 
 pub mod golden {
     //! A second, independent implementation of every predictor, replayed
-    //! over a recorded branch trace. Deliberately written in a different
+    //! over recorded branch events. Deliberately written in a different
     //! style (sparse maps instead of dense tables, no shared update
     //! helpers, no seeded-defect hooks) so a bug in the online path cannot
     //! hide by being mirrored here. On a clean build
-    //! `golden::replay(spec, dirs, &run.branch_trace)` must equal the
+    //! `golden::replay(spec, dirs, &recorder.branches)` must equal the
     //! online [`Zoo`](crate::Zoo)'s counts for `spec` bit for bit.
 
     use std::collections::HashMap;
@@ -588,15 +663,25 @@ pub mod golden {
                     last.insert(slot, ev.taken);
                 }
             }
-            DynSpec::TwoBit { table_bits } => {
+            DynSpec::TwoBit { table_bits } | DynSpec::SelfSeededTwoBit { table_bits } => {
                 let mask = (1u64 << table_bits) - 1;
+                // The self-seeded table first counts each slot's outcomes;
+                // its counters start weakly toward the slot's majority.
+                let mut tally: HashMap<u64, (u64, u64)> = HashMap::new();
+                if matches!(spec, DynSpec::SelfSeededTwoBit { .. }) {
+                    for ev in trace {
+                        let t = tally.entry(u64::from(ev.id.0) & mask).or_default();
+                        t.0 += 1;
+                        t.1 += u64::from(ev.taken);
+                    }
+                }
                 let mut ctr: HashMap<u64, i64> = HashMap::new();
                 for ev in trace {
                     let slot = u64::from(ev.id.0) & mask;
-                    let c = ctr
-                        .get(&slot)
-                        .copied()
-                        .unwrap_or(i64::from(crate::TWO_BIT_INIT));
+                    let c = *ctr.entry(slot).or_insert_with(|| match tally.get(&slot) {
+                        Some(&(executed, taken)) => 1 + i64::from(taken * 2 >= executed),
+                        None => i64::from(crate::TWO_BIT_INIT),
+                    });
                     counts.executed += 1;
                     if (c >= 2) != ev.taken {
                         counts.mispredicted += 1;
@@ -677,18 +762,70 @@ pub mod golden {
 mod tests {
     use super::*;
     use proptest::prelude::*;
-    use trace_vm::{BranchEvent, Vm, VmConfig};
+    use trace_vm::{BranchEvent, Recorder, Vm, VmConfig};
 
     fn compile(src: &str) -> Program {
         mflang::compile(src).expect("test source compiles")
     }
 
-    fn traced_config() -> VmConfig {
+    fn test_config() -> VmConfig {
         VmConfig {
             fuel: 1_000_000,
-            record_branch_trace: true,
             ..VmConfig::default()
         }
+    }
+
+    /// Drives `specs` over one branch site's outcomes.
+    fn drive(specs: &[DynSpec], pattern: &[bool]) -> ZooReport {
+        let mut zoo = Zoo::new(specs);
+        for &taken in pattern {
+            zoo.branch(BranchId(0), taken, 0);
+        }
+        zoo.report()
+    }
+
+    const ONE_BIT: DynSpec = DynSpec::OneBit { table_bits: 4 };
+    const TWO_BIT: DynSpec = DynSpec::TwoBit { table_bits: 4 };
+    const SELF_SEEDED: DynSpec = DynSpec::SelfSeededTwoBit { table_bits: 4 };
+
+    #[test]
+    fn one_bit_tracks_last_direction() {
+        // T T T N T: misses on the cold start (predict N), on the N, and on
+        // the T after the N.
+        let c = drive(&[ONE_BIT], &[true, true, true, false, true]).entries[0].1;
+        assert_eq!((c.executed, c.mispredicted), (5, 3));
+    }
+
+    #[test]
+    fn two_bit_resists_loop_exits() {
+        // A loop branch: taken 9 times, not-taken once, repeated. From the
+        // weak not-taken start the two-bit counter misses the first
+        // iteration and then only each exit; the one-bit scheme also
+        // misses every re-entry after an exit.
+        let mut pattern = Vec::new();
+        for _ in 0..10 {
+            pattern.extend(std::iter::repeat_n(true, 9));
+            pattern.push(false);
+        }
+        let report = drive(&[ONE_BIT, TWO_BIT], &pattern);
+        let (one, two) = (report.entries[0].1, report.entries[1].1);
+        assert_eq!(two.mispredicted, 1 + 10, "cold start, then one per exit");
+        assert_eq!(one.mispredicted, 1 + 10 + 9, "plus one per re-entry");
+        assert!(two.mispredict_rate() < one.mispredict_rate());
+    }
+
+    #[test]
+    fn seeding_removes_cold_start_misses() {
+        let report = drive(&[TWO_BIT, SELF_SEEDED], &[true; 20]);
+        let (cold, warm) = (report.entries[0].1, report.entries[1].1);
+        assert_eq!(cold.mispredicted, 1);
+        assert_eq!(warm.mispredicted, 0);
+        // A not-taken-biased site seeds the other way: no miss until the
+        // taken tail, whose first two outcomes climb the counter from 0.
+        let mut pattern = vec![false; 15];
+        pattern.extend([true; 5]);
+        let seeded = drive(&[SELF_SEEDED], &pattern).entries[0].1;
+        assert_eq!(seeded.mispredicted, 2);
     }
 
     /// A loop whose branch behavior mixes a biased loop branch, an
@@ -709,19 +846,21 @@ mod tests {
     #[test]
     fn online_matches_golden_on_both_backends() {
         let program = compile(MIXED);
-        let specs = full_zoo();
+        let mut specs = full_zoo();
+        specs.push(SELF_SEEDED);
         let dirs = BranchDirs::of(&program);
         for backend in trace_vm::Backend::ALL {
             let config = VmConfig {
                 backend,
-                ..traced_config()
+                ..test_config()
             };
-            let mut zoo = Zoo::for_program(&specs, &program);
-            let run = Vm::with_config(&program, config)
-                .run_branches(&[trace_vm::Input::Int(40)], &mut zoo)
+            let mut observers = (Zoo::for_program(&specs, &program), Recorder::default());
+            Vm::with_config(&program, config)
+                .run_observed(&[trace_vm::Input::Int(40)], &mut observers)
                 .expect("clean run");
-            assert!(!run.branch_trace.is_empty());
-            let golden = golden::replay_zoo(&specs, &dirs, &run.branch_trace);
+            let (zoo, recorder) = observers;
+            assert!(!recorder.branches.is_empty());
+            let golden = golden::replay_zoo(&specs, &dirs, &recorder.branches);
             assert_eq!(zoo.report(), golden, "backend {backend}");
         }
     }
@@ -729,18 +868,18 @@ mod tests {
     #[test]
     fn attaching_a_zoo_changes_nothing_observable() {
         let program = compile(MIXED);
-        let config = traced_config();
+        let config = test_config();
         let plain = Vm::with_config(&program, config)
             .run(&[trace_vm::Input::Int(25)])
             .expect("clean run");
         let mut zoo = Zoo::for_program(&full_zoo(), &program);
         let observed = Vm::with_config(&program, config)
-            .run_branches(&[trace_vm::Input::Int(25)], &mut zoo)
+            .run_observed(&[trace_vm::Input::Int(25)], &mut zoo)
             .expect("clean run");
         assert_eq!(plain, observed);
         let report = zoo.report();
         let executed = report.entries[0].1.executed;
-        assert_eq!(executed, plain.branch_trace.len() as u64);
+        assert_eq!(executed, plain.stats.branches.total_executed());
         for (spec, counts) in &report.entries {
             assert_eq!(counts.executed, executed, "{spec}");
             assert!(counts.mispredicted <= counts.executed, "{spec}");
@@ -755,8 +894,8 @@ mod tests {
         let program =
             compile("fn main(n: int) { var i: int = 0; while (i < n) { i = i + 1; } emit(i); }");
         let mut zoo = Zoo::for_program(&full_zoo(), &program);
-        Vm::with_config(&program, traced_config())
-            .run_branches(&[trace_vm::Input::Int(500)], &mut zoo)
+        Vm::with_config(&program, test_config())
+            .run_observed(&[trace_vm::Input::Int(500)], &mut zoo)
             .expect("clean run");
         let report = zoo.report();
         for spec in [
@@ -798,8 +937,8 @@ mod tests {
             ],
             &program,
         );
-        Vm::with_config(&program, traced_config())
-            .run_branches(&[trace_vm::Input::Int(400)], &mut zoo)
+        Vm::with_config(&program, test_config())
+            .run_observed(&[trace_vm::Input::Int(400)], &mut zoo)
             .expect("clean run");
         let report = zoo.report();
         let two_bit = report.get(DynSpec::TwoBit { table_bits: 12 }).unwrap();
@@ -821,7 +960,7 @@ mod tests {
 
     #[test]
     fn spec_names_round_trip() {
-        for spec in full_zoo() {
+        for spec in full_zoo().into_iter().chain([SELF_SEEDED]) {
             let name = spec.name();
             assert_eq!(name.parse::<DynSpec>().unwrap(), spec, "{name}");
         }
@@ -842,12 +981,12 @@ mod tests {
             compile("fn main(n: int) { var i: int = 0; while (i < n) { i = i + 1; } emit(i); }");
         let spec = [DynSpec::Btfn];
         let mut with = Zoo::for_program(&spec, &program);
-        Vm::with_config(&program, traced_config())
-            .run_branches(&[trace_vm::Input::Int(100)], &mut with)
+        Vm::with_config(&program, test_config())
+            .run_observed(&[trace_vm::Input::Int(100)], &mut with)
             .expect("clean run");
         let mut without = Zoo::new(&spec);
-        Vm::with_config(&program, traced_config())
-            .run_branches(&[trace_vm::Input::Int(100)], &mut without)
+        Vm::with_config(&program, test_config())
+            .run_observed(&[trace_vm::Input::Int(100)], &mut without)
             .expect("clean run");
         let w = with.report().entries[0].1;
         let wo = without.report().entries[0].1;
@@ -894,9 +1033,8 @@ mod tests {
             let hist_len = 12u32;
             let specs = [DynSpec::Perceptron { history: hist_len, table_bits: 2 }];
             let mut zoo = Zoo::new(&specs);
-            use trace_vm::BranchSink as _;
             for (taken, id) in seq {
-                zoo.branch(BranchId(id), taken);
+                zoo.branch(BranchId(id), taken, 0);
             }
             let State::Perceptron { weights, .. } = &zoo.preds[0].state else {
                 unreachable!("spec built a perceptron");
@@ -918,14 +1056,14 @@ mod tests {
         ) {
             let trace: Vec<BranchEvent> = seq
                 .iter()
-                .map(|&(id, taken)| BranchEvent { id: BranchId(id), taken, gap: 0 })
+                .map(|&(id, taken)| BranchEvent { id: BranchId(id), taken, instrs: 0 })
                 .collect();
-            let specs = full_zoo();
+            let mut specs = full_zoo();
+            specs.push(DynSpec::SelfSeededTwoBit { table_bits: 3 });
             let dirs = BranchDirs::none();
             let mut zoo = Zoo::new(&specs);
-            use trace_vm::BranchSink as _;
             for ev in &trace {
-                zoo.branch(ev.id, ev.taken);
+                zoo.branch(ev.id, ev.taken, ev.instrs);
             }
             prop_assert_eq!(zoo.report(), golden::replay_zoo(&specs, &dirs, &trace));
         }

@@ -1,7 +1,7 @@
 //! Edge-coverage accounting.
 //!
-//! The VM reports every traversed control-flow edge through the
-//! [`trace_vm::CoverageSink`] hook; the fuzzer keys each edge by a hash of
+//! The VM reports every traversed control-flow edge to a
+//! [`trace_vm::Observer`]; the fuzzer keys each edge by a hash of
 //! the program it came from, so coverage accumulated over many distinct
 //! corpus entries lives in one global set. Ordered collections keep every
 //! derived number deterministic.
@@ -9,7 +9,7 @@
 use std::collections::BTreeSet;
 
 use trace_ir::FuncId;
-use trace_vm::CoverageSink;
+use trace_vm::Observer;
 
 /// One program-qualified control-flow edge.
 pub type Edge = (u64, u32, u32, u32);
@@ -53,12 +53,13 @@ impl CovMap {
     }
 }
 
-/// A [`CoverageSink`] that buffers one run's edges, qualified by the hash
-/// of the program under execution.
+/// An [`Observer`] that collects one run's distinct edges, qualified by
+/// the hash of the program under execution. Deduplicating on insert bounds
+/// it by the program's edge count, however long the run.
 #[derive(Debug)]
 pub struct Collector {
     case_hash: u64,
-    edges: Vec<Edge>,
+    edges: BTreeSet<Edge>,
 }
 
 impl Collector {
@@ -66,20 +67,19 @@ impl Collector {
     pub fn new(case_hash: u64) -> Self {
         Collector {
             case_hash,
-            edges: Vec::new(),
+            edges: BTreeSet::new(),
         }
     }
 
-    /// The buffered edges, deduplicated and sorted.
+    /// The distinct edges, sorted.
     pub fn into_edges(self) -> Vec<Edge> {
-        let set: BTreeSet<Edge> = self.edges.into_iter().collect();
-        set.into_iter().collect()
+        self.edges.into_iter().collect()
     }
 }
 
-impl CoverageSink for Collector {
+impl Observer for Collector {
     fn edge(&mut self, func: FuncId, from: u32, to: u32) {
-        self.edges.push((self.case_hash, func.0, from, to));
+        self.edges.insert((self.case_hash, func.0, from, to));
     }
 }
 

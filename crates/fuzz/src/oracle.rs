@@ -41,7 +41,7 @@
 //!   domain, a transfer function, or the widening is unsound.
 //! * **dynpred-consistency** — driving the online `mfdyn` predictor zoo
 //!   over the unoptimized program's branch stream (on both backends) and
-//!   replaying the recorded branch trace through the independently written
+//!   replaying the recorded branch events through the independently written
 //!   golden predictor models must produce identical per-predictor
 //!   `(executed, mispredicted)` tallies; any divergence is predictor
 //!   state-update drift, never a legitimate behavioural difference.
@@ -54,9 +54,10 @@
 //! * **flat-diff** — running the unoptimized program on the *other* VM
 //!   backend (flat when the primary is reference, and vice versa) must be
 //!   observably identical: same output/result, same `RunStats` (branch and
-//!   Pixie counters, break events, total instructions), same branch trace,
-//!   same coverage edges, and — unlike diff-opt — the *same* `RuntimeError`
-//!   on faulting runs, since both backends execute the identical program.
+//!   Pixie counters, break events, total instructions), the same recorded
+//!   edge and branch streams, and — unlike diff-opt — the *same*
+//!   `RuntimeError` on faulting runs, since both backends execute the
+//!   identical program.
 
 use std::collections::BTreeMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -72,7 +73,9 @@ use mfopt::Pipeline;
 use mfprofdb::{LockMode, OpenOptions, Persistence, ProfileStore};
 use mfprofsvc::{ProfileService, ServiceOptions};
 use trace_ir::{BranchId, Program};
-use trace_vm::{Backend, BranchCounts, GuestValue, Input, Run, RuntimeError, Vm, VmConfig};
+use trace_vm::{
+    Backend, BranchCounts, GuestValue, Input, Observer, Recorder, Run, RuntimeError, Vm, VmConfig,
+};
 
 use crate::cov::{Collector, Edge};
 use mflang::{CompileOptions, SwitchMode};
@@ -108,7 +111,6 @@ pub fn fuzz_vm_config() -> VmConfig {
         fuel: 200_000,
         max_stack: 128,
         max_alloc: 1 << 12,
-        record_branch_trace: true,
         backend: backend(),
         ..VmConfig::default()
     }
@@ -167,18 +169,16 @@ fn to_inputs(set: &[i64]) -> Vec<Input> {
     set.iter().map(|&v| Input::Int(v)).collect()
 }
 
-/// Runs the VM, converting a panic into a finding via `findings`.
-fn run_guarded(
+/// Runs the VM under `obs`, converting a panic into a finding via
+/// `findings`.
+fn run_guarded<O: Observer>(
     program: &Program,
     inputs: &[Input],
-    collector: Option<&mut Collector>,
+    obs: &mut O,
     findings: &mut Vec<(&'static str, String)>,
 ) -> Option<Result<Run, RuntimeError>> {
     let vm = Vm::with_config(program, fuzz_vm_config());
-    let outcome = catch_unwind(AssertUnwindSafe(|| match collector {
-        Some(sink) => vm.run_observed(inputs, sink),
-        None => vm.run(inputs),
-    }));
+    let outcome = catch_unwind(AssertUnwindSafe(|| vm.run_observed(inputs, obs)));
     match outcome {
         Ok(r) => Some(r),
         Err(payload) => {
@@ -192,11 +192,13 @@ fn run_guarded(
 /// predictor family, sized small so aliasing (and thus interesting state
 /// evolution) shows up even on fuzz-sized programs. Gshare and the
 /// perceptron are the history-bearing members — the ones whose online
-/// state can silently drift from the golden replay's.
-const DYNPRED_SPECS: [DynSpec; 5] = [
+/// state can silently drift from the golden replay's; the self-seeded
+/// 2-bit table is the one whose tallies settle only at the end of the run.
+const DYNPRED_SPECS: [DynSpec; 6] = [
     DynSpec::Btfn,
     DynSpec::OneBit { table_bits: 8 },
     DynSpec::TwoBit { table_bits: 8 },
+    DynSpec::SelfSeededTwoBit { table_bits: 8 },
     DynSpec::Gshare {
         history: 8,
         table_bits: 8,
@@ -207,74 +209,60 @@ const DYNPRED_SPECS: [DynSpec; 5] = [
     },
 ];
 
-/// O13: the dynamic-predictor consistency oracle. Drives a fresh online
-/// [`mfdyn::Zoo`] over the unoptimized program's branch stream — once per
-/// backend — then replays the run's recorded branch trace through the
-/// independently written golden predictor models. The online zoo and the
-/// golden replay observe the same outcome sequence, so every predictor's
-/// `(executed, mispredicted)` tallies must match exactly; a divergence
-/// means online predictor state drifted (e.g. a skipped global-history
-/// update), never a legitimate behavioural difference. Faulting runs are
-/// skipped: without a completed run there is no trace to replay.
+/// A fresh online zoo over [`DYNPRED_SPECS`] for `program`.
+fn dynpred_zoo(program: &Program) -> Zoo {
+    Zoo::with_dirs(&DYNPRED_SPECS, BranchDirs::of(program))
+}
+
+/// O13: the dynamic-predictor consistency oracle. `zoo` (a
+/// [`dynpred_zoo`]) watched a completed run of `program` on `be` beside
+/// `recorded`; replaying those branch events through the independently
+/// written golden predictor models must reproduce every predictor's
+/// `(executed, mispredicted)` tallies exactly. A divergence means online
+/// predictor state drifted (e.g. a skipped global-history update), never a
+/// legitimate behavioural difference. Each input set's primary run and
+/// its flat-diff twin are checked, so both backends are.
 fn check_dynpred_consistency(
     program: &Program,
-    inputs: &[Input],
+    be: Backend,
+    (recorded, zoo): &(Recorder, Zoo),
     findings: &mut Vec<(&'static str, String)>,
 ) {
-    let dirs = BranchDirs::of(program);
-    for be in [backend(), other_backend(backend())] {
-        let mut config = fuzz_vm_config();
-        config.backend = be;
-        let mut zoo = Zoo::with_dirs(&DYNPRED_SPECS, dirs.clone());
-        let vm = Vm::with_config(program, config);
-        let outcome = catch_unwind(AssertUnwindSafe(|| vm.run_branches(inputs, &mut zoo)));
-        let run = match outcome {
-            Ok(Ok(run)) => run,
-            Ok(Err(_)) => continue,
-            Err(payload) => {
-                findings.push(("vm-panic", panic_detail(&payload)));
-                return;
-            }
-        };
-        let online = zoo.report();
-        let replayed = golden::replay_zoo(&DYNPRED_SPECS, &dirs, &run.branch_trace);
-        for ((spec, on), (_, gold)) in online.entries.iter().zip(&replayed.entries) {
-            if on != gold {
-                findings.push((
-                    "dynpred-consistency",
-                    format!(
-                        "{} backend, {spec}: online {}/{} mispredicts vs golden replay {}/{}",
-                        be.name(),
-                        on.mispredicted,
-                        on.executed,
-                        gold.mispredicted,
-                        gold.executed,
-                    ),
-                ));
-            }
+    let replayed = golden::replay_zoo(&DYNPRED_SPECS, &BranchDirs::of(program), &recorded.branches);
+    for ((spec, on), (_, gold)) in zoo.report().entries.iter().zip(&replayed.entries) {
+        if on != gold {
+            findings.push((
+                "dynpred-consistency",
+                format!(
+                    "{} backend, {spec}: online {}/{} mispredicts vs golden replay {}/{}",
+                    be.name(),
+                    on.mispredicted,
+                    on.executed,
+                    gold.mispredicted,
+                    gold.executed,
+                ),
+            ));
         }
     }
 }
 
 /// O9: the flat-vs-reference differential. Re-runs `program` on the backend
-/// the primary runs did *not* use and demands bit-identical observations.
+/// the primary runs did *not* use and demands bit-identical observations,
+/// `recorded` being what the primary run's [`Recorder`] kept. The re-run
+/// also carries O13's zoo.
 fn check_flat_diff(
     program: &Program,
     inputs: &[Input],
     si: usize,
     primary: &Result<Run, RuntimeError>,
-    primary_edges: Option<&[Edge]>,
-    case_hash: u64,
+    recorded: &Recorder,
     findings: &mut Vec<(&'static str, String)>,
 ) {
     let mut config = fuzz_vm_config();
     config.backend = other_backend(config.backend);
     let vm = Vm::with_config(program, config);
-    let mut collector = primary_edges.map(|_| Collector::new(case_hash));
-    let outcome = catch_unwind(AssertUnwindSafe(|| match collector.as_mut() {
-        Some(sink) => vm.run_observed(inputs, sink),
-        None => vm.run(inputs),
-    }));
+    let mut observers = (Recorder::default(), dynpred_zoo(program));
+    let outcome = catch_unwind(AssertUnwindSafe(|| vm.run_observed(inputs, &mut observers)));
     let secondary = match outcome {
         Ok(r) => r,
         Err(payload) => {
@@ -282,6 +270,9 @@ fn check_flat_diff(
             return;
         }
     };
+    if secondary.is_ok() {
+        check_dynpred_consistency(program, config.backend, &observers, findings);
+    }
     match (primary, &secondary) {
         (Ok(p), Ok(s)) => {
             if let Some(diff) = runs_eq(p, s) {
@@ -290,15 +281,6 @@ fn check_flat_diff(
                 findings.push((
                     "flat-diff",
                     format!("input set {si}: {}", flat_stats_detail(p, s)),
-                ));
-            } else if p.branch_trace != s.branch_trace {
-                findings.push((
-                    "flat-diff",
-                    format!(
-                        "input set {si}: branch traces diverge ({} vs {} events)",
-                        p.branch_trace.len(),
-                        s.branch_trace.len()
-                    ),
                 ));
             }
         }
@@ -314,18 +296,18 @@ fn check_flat_diff(
             ),
         )),
     }
-    if let (Some(expected), Some(collector)) = (primary_edges, collector) {
-        let got = collector.into_edges();
-        if got != expected {
-            findings.push((
-                "flat-diff",
-                format!(
-                    "input set {si}: coverage edges diverge ({} vs {} edges)",
-                    expected.len(),
-                    got.len()
-                ),
-            ));
-        }
+    let recorder = &observers.0;
+    if recorded != recorder {
+        findings.push((
+            "flat-diff",
+            format!(
+                "input set {si}: recorded streams diverge ({} vs {} branches, {} vs {} edges)",
+                recorded.branches.len(),
+                recorder.branches.len(),
+                recorded.edges.len(),
+                recorder.edges.len()
+            ),
+        ));
     }
 }
 
@@ -364,8 +346,12 @@ fn panic_detail(payload: &(dyn std::any::Any + Send)) -> String {
 }
 
 /// The trace-replay and profile-invariant checks shared by every oracle
-/// entry point.
-fn check_run_invariants(run: &Run, findings: &mut Vec<(&'static str, String)>) {
+/// entry point; `recorded` is what the run's [`Recorder`] kept.
+fn check_run_invariants(
+    run: &Run,
+    recorded: &Recorder,
+    findings: &mut Vec<(&'static str, String)>,
+) {
     let entries: Vec<(BranchId, u64, u64)> = run.stats.branches.iter().collect();
     let issues = mfcheck::check_entries(&entries);
     if !issues.is_empty() {
@@ -379,7 +365,7 @@ fn check_run_invariants(run: &Run, findings: &mut Vec<(&'static str, String)>) {
         ));
     }
     let mut replayed = BranchCounts::new();
-    for ev in &run.branch_trace {
+    for ev in &recorded.branches {
         replayed.record(ev.id, ev.taken);
     }
     if replayed != run.stats.branches {
@@ -915,29 +901,23 @@ pub fn check_source(source: &str, input_sets: &[Vec<i64>], case_hash: u64) -> Or
     let mut unopt_counts: Vec<BranchCounts> = Vec::new();
     for (si, set) in input_sets.iter().enumerate() {
         let inputs = to_inputs(set);
-        let mut collector = Collector::new(case_hash);
-        let sink = (si == 0).then_some(&mut collector);
-        let Some(unopt) = run_guarded(&program, &inputs, sink, &mut out.findings) else {
+        let mut observers = (
+            Collector::new(case_hash),
+            (Recorder::default(), dynpred_zoo(&program)),
+        );
+        let Some(unopt) = run_guarded(&program, &inputs, &mut observers, &mut out.findings) else {
             return out;
         };
+        let (collector, watched) = observers;
         if si == 0 {
             out.edges = collector.into_edges();
         }
-        check_flat_diff(
-            &program,
-            &inputs,
-            si,
-            &unopt,
-            (si == 0).then_some(out.edges.as_slice()),
-            case_hash,
-            &mut out.findings,
-        );
-        // O13 is a full extra pair of runs; the first input set is enough
-        // for a per-case conviction signal at fuzz throughput.
-        if si == 0 {
-            check_dynpred_consistency(&program, &inputs, &mut out.findings);
+        if unopt.is_ok() {
+            check_dynpred_consistency(&program, backend(), &watched, &mut out.findings);
         }
-        let Some(opt) = run_guarded(&optimized, &inputs, None, &mut out.findings) else {
+        let recorded = watched.0;
+        check_flat_diff(&program, &inputs, si, &unopt, &recorded, &mut out.findings);
+        let Some(opt) = run_guarded(&optimized, &inputs, &mut (), &mut out.findings) else {
             return out;
         };
         match (&unopt, &opt) {
@@ -962,7 +942,7 @@ pub fn check_source(source: &str, input_sets: &[Vec<i64>], case_hash: u64) -> Or
                         break;
                     }
                 }
-                check_run_invariants(u, &mut out.findings);
+                check_run_invariants(u, &recorded, &mut out.findings);
                 check_predict_soundness(&proofs, si, u, &mut out.findings);
                 check_directive_roundtrip(&program, &u.stats.branches, &mut out.findings);
                 unopt_counts.push(u.stats.branches.clone());
@@ -985,7 +965,7 @@ pub fn check_source(source: &str, input_sets: &[Vec<i64>], case_hash: u64) -> Or
 
         // O6: switch lowering differential.
         if let Some(jt) = &jt_program {
-            let Some(jt_run) = run_guarded(jt, &inputs, None, &mut out.findings) else {
+            let Some(jt_run) = run_guarded(jt, &inputs, &mut (), &mut out.findings) else {
                 return out;
             };
             match (&unopt, &jt_run) {
@@ -1036,11 +1016,12 @@ pub fn check_ir(program: &Program, input_sets: &[Vec<i64>]) -> OracleOutcome {
 
     for (si, set) in input_sets.iter().enumerate() {
         let inputs = to_inputs(set);
-        let Some(unopt) = run_guarded(program, &inputs, None, &mut out.findings) else {
+        let mut recorded = Recorder::default();
+        let Some(unopt) = run_guarded(program, &inputs, &mut recorded, &mut out.findings) else {
             return out;
         };
-        check_flat_diff(program, &inputs, si, &unopt, None, 0, &mut out.findings);
-        let Some(opt) = run_guarded(&optimized, &inputs, None, &mut out.findings) else {
+        check_flat_diff(program, &inputs, si, &unopt, &recorded, &mut out.findings);
+        let Some(opt) = run_guarded(&optimized, &inputs, &mut (), &mut out.findings) else {
             return out;
         };
         match (&unopt, &opt) {
@@ -1049,7 +1030,7 @@ pub fn check_ir(program: &Program, input_sets: &[Vec<i64>]) -> OracleOutcome {
                     out.findings
                         .push(("diff-opt", format!("input set {si}: {diff}")));
                 }
-                check_run_invariants(u, &mut out.findings);
+                check_run_invariants(u, &recorded, &mut out.findings);
             }
             (Err(_), Err(_)) => {}
             (Ok(_), Err(e)) | (Err(e), Ok(_)) if is_resource_limit(e) => {}

@@ -1,48 +1,35 @@
 //! Backend equivalence and counter invariants over the on-disk corpus.
 //!
 //! Every corpus entry runs on both VM backends with its recorded input
-//! sets, asserting the ISSUE-4 invariants: identical [`Run`]s (output,
-//! result, stats, branch trace), identical coverage edge streams,
+//! sets, asserting the backend invariants: identical [`Run`]s (output,
+//! result, stats), identical recorded edge and branch streams,
 //! `total_instrs` reconciling with the Pixie-weighted block counts, and
-//! branch counter totals matching the recorded trace.
+//! branch counter totals matching the recorded branches.
 
 use std::path::Path;
 
 use mffuzz::corpus;
-use trace_ir::{BranchId, FuncId, Program};
-use trace_vm::{Backend, CoverageSink, Input, Run, Vm, VmConfig};
-
-/// Collects the full edge stream so the two backends' coverage callbacks
-/// can be compared event-for-event.
-#[derive(Default)]
-struct EdgeLog(Vec<(FuncId, u32, u32)>);
-
-impl CoverageSink for EdgeLog {
-    fn edge(&mut self, func: FuncId, from: u32, to: u32) {
-        self.0.push((func, from, to));
-    }
-}
+use trace_ir::{BranchId, Program};
+use trace_vm::{Backend, Input, Recorder, Run, Vm, VmConfig};
 
 fn config(backend: Backend) -> VmConfig {
     VmConfig {
         backend,
-        record_branch_trace: true,
         ..VmConfig::default()
     }
 }
 
-fn run_both(program: &Program, inputs: &[Input]) -> (Run, Run) {
+fn run_both(program: &Program, inputs: &[Input]) -> [(Run, Recorder); 2] {
     let runs = Backend::ALL.map(|backend| {
-        let mut edges = EdgeLog::default();
+        let mut recorder = Recorder::default();
         let vm = Vm::with_config(program, config(backend));
         let run = vm
-            .run_observed(inputs, &mut edges)
+            .run_observed(inputs, &mut recorder)
             .expect("corpus entry runs");
-        (run, edges.0)
+        (run, recorder)
     });
-    let [(reference, reference_edges), (flat, flat_edges)] = runs;
-    assert_eq!(reference_edges, flat_edges, "coverage edge streams differ");
-    (reference, flat)
+    assert_eq!(runs[0].1, runs[1].1, "recorded event streams differ");
+    runs
 }
 
 /// `stats.total_instrs` must equal the Pixie-weighted instruction count:
@@ -63,12 +50,12 @@ fn assert_pixie_reconciles(program: &Program, run: &Run, what: &str) {
     );
 }
 
-/// The aggregate branch counters must be exactly the recorded trace,
+/// The aggregate branch counters must be exactly the recorded branches,
 /// folded by branch id.
-fn assert_branches_match_trace(run: &Run, what: &str) {
+fn assert_branches_match_trace(run: &Run, recorder: &Recorder, what: &str) {
     let mut by_id: std::collections::BTreeMap<BranchId, (u64, u64)> =
         std::collections::BTreeMap::new();
-    for event in &run.branch_trace {
+    for event in &recorder.branches {
         let slot = by_id.entry(event.id).or_insert((0, 0));
         slot.0 += 1;
         if event.taken {
@@ -86,7 +73,7 @@ fn assert_branches_match_trace(run: &Run, what: &str) {
 /// Every dynamic predictor must tally identical `(executed, mispredicted)`
 /// counts on both backends: the predictors are pure functions of the branch
 /// outcome stream, so this is the observable-equivalence invariant extended
-/// to the `BranchSink` hook. The golden trace replay is cross-checked too,
+/// to the observer hook. The golden trace replay is cross-checked too,
 /// closing the triangle online-reference = online-flat = replayed-trace.
 #[test]
 fn predictor_zoo_agrees_on_both_backends_across_corpus() {
@@ -102,19 +89,21 @@ fn predictor_zoo_agrees_on_both_backends_across_corpus() {
             let inputs: Vec<Input> = set.iter().map(|&v| Input::Int(v)).collect();
             let what = format!("{} input set {si}", entry.name);
             let reports = Backend::ALL.map(|backend| {
-                let mut zoo = mfdyn::Zoo::with_dirs(&specs, dirs.clone());
+                let mut observers = (
+                    mfdyn::Zoo::with_dirs(&specs, dirs.clone()),
+                    Recorder::default(),
+                );
                 let vm = Vm::with_config(&program, config(backend));
-                let run = vm
-                    .run_branches(&inputs, &mut zoo)
+                vm.run_observed(&inputs, &mut observers)
                     .expect("corpus entry runs");
-                (zoo.report(), run)
+                (observers.0.report(), observers.1)
             });
-            let [(reference, reference_run), (flat, _)] = reports;
+            let [(reference, recorded), (flat, _)] = reports;
             assert_eq!(
                 reference, flat,
                 "{what}: zoo reports differ between backends"
             );
-            let replayed = mfdyn::golden::replay_zoo(&specs, &dirs, &reference_run.branch_trace);
+            let replayed = mfdyn::golden::replay_zoo(&specs, &dirs, &recorded.branches);
             assert_eq!(reference, replayed, "{what}: online zoo vs golden replay");
         }
     }
@@ -131,11 +120,11 @@ fn corpus_entries_agree_and_reconcile_on_both_backends() {
         for (si, set) in entry.input_sets.iter().enumerate() {
             let inputs: Vec<Input> = set.iter().map(|&v| Input::Int(v)).collect();
             let what = format!("{} input set {si}", entry.name);
-            let (reference, flat) = run_both(&program, &inputs);
-            assert_eq!(reference, flat, "{what}: Run differs between backends");
-            for run in [&reference, &flat] {
+            let [reference, flat] = run_both(&program, &inputs);
+            assert_eq!(reference.0, flat.0, "{what}: Run differs between backends");
+            for (run, recorder) in [&reference, &flat] {
                 assert_pixie_reconciles(&program, run, &what);
-                assert_branches_match_trace(run, &what);
+                assert_branches_match_trace(run, recorder, &what);
             }
         }
     }

@@ -154,10 +154,10 @@ impl RunCache {
                 _ => {}
             }
         }
-        // Zoo jobs never consult the disk tier: a cross-process disk hit
-        // would hand back stats without the zoo report the job exists to
-        // produce.
-        if job.need == Need::Stats && job.zoo.is_empty() {
+        // Observed jobs never consult the disk tier: a cross-process disk
+        // hit would hand back stats without the product the job exists to
+        // observe.
+        if job.need == Need::Stats && job.observe.is_none() {
             if let Some(dir) = &self.disk {
                 if let Some(stats) = self.load(&entry_path(dir, job.key), job.key) {
                     let stats = Arc::new(stats);
@@ -179,18 +179,16 @@ impl RunCache {
         None
     }
 
-    /// Records a freshly computed run and, for non-traced zoo-free runs
-    /// with a disk tier, persists its stats. (Traced runs are excluded
-    /// from disk: the trace itself is not persisted, and stats of a traced
-    /// config belong to a different key than the untraced one anyway. Zoo
-    /// jobs are excluded symmetrically with [`RunCache::lookup`].)
+    /// Records a freshly computed run and, for unobserved runs with a disk
+    /// tier, persists its stats. (Observed jobs are excluded symmetrically
+    /// with [`RunCache::lookup`].)
     pub fn insert(&self, job: &RunJob, run: &Arc<Run>) {
         self.mem
             .lock()
             .expect("cache lock")
             .insert(job.key, Entry::Full(Arc::clone(run)));
         if let Some(dir) = &self.disk {
-            if !job.config.record_branch_trace && job.zoo.is_empty() {
+            if job.observe.is_none() {
                 // Persistence is best-effort: a read-only target dir must
                 // not fail the run.
                 let dir = dir.clone();

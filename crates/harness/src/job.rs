@@ -3,7 +3,7 @@
 use std::sync::Arc;
 use std::time::Duration;
 
-use mfdyn::{DynSpec, ZooReport};
+use mfdyn::{DynSpec, RunLengths, ZooReport};
 use trace_ir::Program;
 use trace_vm::{Input, Run, RunStats, VmConfig};
 
@@ -14,10 +14,27 @@ use crate::key::RunKey;
 pub enum Need {
     /// Aggregate [`RunStats`] suffice (eligible for the disk cache).
     Stats,
-    /// The full [`Run`] — output stream and, if configured, the branch
-    /// trace. Served from memory or recomputed; never from disk.
+    /// The full [`Run`], output stream included. Served from memory or
+    /// recomputed; never from disk.
     FullRun,
 }
+
+/// An observer riding along on a job's run; what it measured comes back
+/// in [`RunOutcome::zoo`] or [`RunOutcome::run_lengths`]. It folds into
+/// [`RunJob::key`], and an observed job never touches the disk tier, which
+/// stores only stats.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub enum Observe {
+    /// The online predictor zoo over these specs ([`mfdyn::Zoo`]).
+    Zoo(Vec<DynSpec>),
+    /// Run lengths between mispredictions of a predicted-taken table
+    /// indexed by branch id ([`mfdyn::RunLengths`]).
+    RunLengths(Arc<Vec<bool>>),
+}
+
+/// What a job's observer measured: its zoo report or its run-length
+/// histogram, as [`RunOutcome`] carries them.
+pub(crate) type Observed = (Option<Arc<ZooReport>>, Option<Arc<RunLengths>>);
 
 /// One `(program, dataset, vm-config)` execution request.
 #[derive(Clone, Debug)]
@@ -34,12 +51,8 @@ pub struct RunJob {
     pub config: VmConfig,
     /// What the consumer needs back.
     pub need: Need,
-    /// Online dynamic predictors to drive over the run's branch stream —
-    /// empty for ordinary jobs. A non-empty zoo folds into [`RunJob::key`]
-    /// (by canonical spec name, in order), so runs observed by different
-    /// predictor configurations never share a cache entry, and the job is
-    /// excluded from the disk tier (the zoo report is not persisted).
-    pub zoo: Vec<DynSpec>,
+    /// The observer riding along on the run, if any.
+    pub observe: Option<Observe>,
     /// The content-addressed identity of this work.
     pub key: RunKey,
 }
@@ -61,7 +74,7 @@ impl RunJob {
             inputs,
             config,
             need: Need::Stats,
-            zoo: Vec::new(),
+            observe: None,
             key,
         }
     }
@@ -89,12 +102,18 @@ impl RunJob {
         self
     }
 
-    /// Attaches an online predictor zoo to the job and re-keys it: the
-    /// spec names become observation tags in the run key.
-    pub fn with_zoo(mut self, zoo: Vec<DynSpec>) -> Self {
-        self.zoo = zoo;
-        let tags: Vec<String> = self.zoo.iter().map(|s| s.name()).collect();
+    /// Attaches an observer to the job and re-keys it by the observer's
+    /// tags: the zoo's spec names, or the predicted directions spelled out.
+    pub fn observed_by(mut self, observe: Observe) -> Self {
+        let tags: Vec<String> = match &observe {
+            Observe::Zoo(specs) => specs.iter().map(|s| s.name()).collect(),
+            Observe::RunLengths(taken) => {
+                let bits: String = taken.iter().map(|&t| if t { '1' } else { '0' }).collect();
+                vec![format!("run-lengths/{bits}")]
+            }
+        };
         self.key = RunKey::of_tagged(&self.program, &self.inputs, &self.config, &tags);
+        self.observe = Some(observe);
         self
     }
 
@@ -141,10 +160,12 @@ pub struct RunOutcome {
     pub source: CacheSource,
     /// Wall-clock time spent producing this result (≈0 for cache hits).
     pub wall: Duration,
-    /// Per-predictor tallies for jobs submitted with a non-empty
-    /// [`RunJob::zoo`]; `None` for ordinary jobs (or when a custom
-    /// executor that does not drive zoos produced the run).
+    /// Per-predictor tallies of a job observed by [`Observe::Zoo`]; `None`
+    /// otherwise (or when a custom executor that does not drive observers
+    /// produced the run).
     pub zoo: Option<Arc<ZooReport>>,
+    /// The histogram of a job observed by [`Observe::RunLengths`], likewise.
+    pub run_lengths: Option<Arc<RunLengths>>,
 }
 
 impl RunOutcome {

@@ -18,8 +18,9 @@ use trace_vm::{Input, VmConfig};
 /// observation tags (the dynamic-predictor zoo attached to a job);
 /// version 4 added the flat backend's trace-formation configuration;
 /// version 5 added the trace config's low-confidence (version-skew
-/// degraded) site digest.
-const KEY_FORMAT_VERSION: u64 = 5;
+/// degraded) site digest; version 6 dropped the branch-trace flag, which
+/// left the VM when recording became an observer.
+const KEY_FORMAT_VERSION: u64 = 6;
 
 /// A 128-bit content fingerprint identifying one unit of run work.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -79,7 +80,6 @@ impl RunKey {
         fp.write_u64(config.fuel);
         fp.write_u64(config.max_stack as u64);
         fp.write_u64(config.max_alloc as u64);
-        fp.write_u64(u64::from(config.record_branch_trace));
         // Both backends are observably identical, but cached results should
         // still record which engine produced them — a backend-semantics bug
         // must not be able to hide behind a stale cache entry.
@@ -192,13 +192,13 @@ mod tests {
         let p1 = mflang::compile("fn main(n: int) { emit(n); }").unwrap();
         let p2 = mflang::compile("fn main(n: int) { emit(n + 1); }").unwrap();
         let cfg = VmConfig::default();
-        let traced = VmConfig {
-            record_branch_trace: true,
+        let less_fuel = VmConfig {
+            fuel: 1000,
             ..VmConfig::default()
         };
         let base = RunKey::of(&p1, &[Input::Int(1)], &cfg);
         assert_ne!(base, RunKey::of(&p2, &[Input::Int(1)], &cfg));
-        assert_ne!(base, RunKey::of(&p1, &[Input::Int(1)], &traced));
+        assert_ne!(base, RunKey::of(&p1, &[Input::Int(1)], &less_fuel));
     }
 
     #[test]

@@ -40,8 +40,10 @@ use std::time::Instant;
 use mffault::{FaultPlan, FaultVfs, RealVfs, RetryPolicy, Vfs};
 use trace_vm::{Run, RuntimeError};
 
+use job::Observed;
+
 pub use cache::{CacheCounters, CacheHit, CacheRobustness, RunCache};
-pub use job::{CacheSource, Need, RunJob, RunOutcome};
+pub use job::{CacheSource, Need, Observe, RunJob, RunOutcome};
 pub use key::{fnv64, Fingerprint, RunKey};
 pub use pool::{default_workers, run_indexed, run_indexed_supervised, PoolStats};
 pub use report::{HarnessReport, RobustnessReport, RunRecord};
@@ -174,11 +176,11 @@ pub struct Harness {
     busy_ns: AtomicU64,
     panics: AtomicU64,
     quarantine: Mutex<HashMap<RunKey, (String, String)>>,
-    /// Predictor-zoo reports keyed by job key — the in-process companion
-    /// to the memo table for jobs with a non-empty [`RunJob::zoo`]. Never
-    /// persisted (zoo jobs bypass the disk tier), so a memo hit can always
-    /// find its report here.
-    zoo_memo: Mutex<HashMap<RunKey, Arc<mfdyn::ZooReport>>>,
+    /// Observer products keyed by job key — the in-process companion to
+    /// the memo table for jobs with a [`RunJob::observe`] observer. Never
+    /// persisted (observed jobs bypass the disk tier), so a memo hit can
+    /// always find its product here.
+    observed_memo: Mutex<HashMap<RunKey, Observed>>,
 }
 
 impl Harness {
@@ -209,7 +211,7 @@ impl Harness {
             busy_ns: AtomicU64::new(0),
             panics: AtomicU64::new(0),
             quarantine: Mutex::new(HashMap::new()),
-            zoo_memo: Mutex::new(HashMap::new()),
+            observed_memo: Mutex::new(HashMap::new()),
         }
     }
 
@@ -246,27 +248,35 @@ impl Harness {
     /// execution (the strongest [`Need`] wins); cache hits skip execution
     /// entirely. The returned vector is index-aligned with `batch`.
     ///
-    /// Jobs with a non-empty [`RunJob::zoo`] run with the `mfdyn` online
-    /// predictors attached (pure observation — stats are bit-identical to
-    /// an unobserved run) and come back with [`RunOutcome::zoo`] filled.
+    /// Jobs with a [`RunJob::observe`] observer run with it attached (pure
+    /// observation — stats are bit-identical to an unobserved run) and come
+    /// back with what it measured.
     pub fn run(&self, batch: Vec<RunJob>) -> Result<Vec<RunOutcome>, HarnessError> {
         self.run_with(batch, |job| self.exec_default(job))
     }
 
-    /// The default executor: a plain VM run, or — when the job carries a
-    /// predictor zoo — a [`trace_vm::Vm::run_branches`] run with the zoo
-    /// attached, its report parked in the zoo memo for outcome assembly.
+    /// The default executor: a plain VM run, or — when the job carries an
+    /// observer — a [`trace_vm::Vm::run_observed`] run with it attached,
+    /// its product parked in the observed memo for outcome assembly.
     fn exec_default(&self, job: &RunJob) -> Result<Run, RuntimeError> {
-        if job.zoo.is_empty() {
-            return trace_vm::run_program(&job.program, job.config, &job.inputs);
-        }
-        let mut zoo = mfdyn::Zoo::for_program(&job.zoo, &job.program);
-        let run = trace_vm::Vm::with_config(&job.program, job.config)
-            .run_branches(&job.inputs, &mut zoo)?;
-        self.zoo_memo
+        let vm = trace_vm::Vm::with_config(&job.program, job.config);
+        let (run, observed) = match &job.observe {
+            None => return vm.run(&job.inputs),
+            Some(Observe::Zoo(specs)) => {
+                let mut zoo = mfdyn::Zoo::for_program(specs, &job.program);
+                let run = vm.run_observed(&job.inputs, &mut zoo)?;
+                (run, (Some(Arc::new(zoo.report())), None))
+            }
+            Some(Observe::RunLengths(taken)) => {
+                let mut lengths = mfdyn::RunLengths::new(taken);
+                let run = vm.run_observed(&job.inputs, &mut lengths)?;
+                (run, (None, Some(Arc::new(lengths))))
+            }
+        };
+        self.observed_memo
             .lock()
-            .expect("zoo memo lock")
-            .insert(job.key, Arc::new(zoo.report()));
+            .expect("observed memo lock")
+            .insert(job.key, observed);
         Ok(run)
     }
 
@@ -334,6 +344,7 @@ impl Harness {
                     source: hit.source,
                     wall: std::time::Duration::ZERO,
                     zoo: None,
+                    run_lengths: None,
                 })),
                 None => {
                     to_run.push(i);
@@ -396,6 +407,7 @@ impl Harness {
                             source: CacheSource::Computed,
                             wall,
                             zoo: None,
+                            run_lengths: None,
                         });
                     }
                 }
@@ -410,15 +422,16 @@ impl Harness {
             .map(|o| o.expect("every unique job resolved"))
             .collect();
 
-        // Zoo jobs collect their predictor reports from the zoo memo —
+        // Observed jobs collect their products from the observed memo —
         // filled by the default executor on compute, and still present for
-        // memo hits (zoo jobs never come from disk). A custom executor
-        // that ignores zoos simply leaves the field `None`.
+        // memo hits (observed jobs never come from disk). A custom executor
+        // that ignores observers simply leaves the field `None`.
         {
-            let zoo_memo = self.zoo_memo.lock().expect("zoo memo lock");
+            let memo = self.observed_memo.lock().expect("observed memo lock");
             for (job, outcome) in unique.iter().zip(&mut outcomes) {
-                if !job.zoo.is_empty() {
-                    outcome.zoo = zoo_memo.get(&job.key).cloned();
+                if job.observe.is_some() {
+                    (outcome.zoo, outcome.run_lengths) =
+                        memo.get(&job.key).cloned().unwrap_or_default();
                 }
             }
         }
@@ -648,14 +661,14 @@ mod tests {
     fn zoo_jobs_carry_reports_and_identical_stats() {
         let harness = Harness::in_memory();
         let plain = job(LOOPY, vec![Input::Int(60)]);
-        let zooed = job(LOOPY, vec![Input::Int(60)]).with_zoo(mfdyn::standard_zoo());
+        let zooed = job(LOOPY, vec![Input::Int(60)]).observed_by(Observe::Zoo(mfdyn::full_zoo()));
         assert_ne!(plain.key, zooed.key, "zoo must perturb the key");
         let outcomes = harness.run(vec![plain, zooed.clone()]).unwrap();
         // Observation is pure: both jobs measured the same run.
         assert_eq!(outcomes[0].stats, outcomes[1].stats);
         assert!(outcomes[0].zoo.is_none());
         let report = outcomes[1].zoo.as_ref().expect("zoo job has a report");
-        assert_eq!(report.entries.len(), mfdyn::standard_zoo().len());
+        assert_eq!(report.entries.len(), mfdyn::full_zoo().len());
         for (spec, counts) in &report.entries {
             assert!(counts.executed > 0, "{spec} saw no branches");
             assert!(counts.mispredicted <= counts.executed);
@@ -670,6 +683,7 @@ mod tests {
     fn zoo_jobs_bypass_the_disk_tier() {
         let dir = std::env::temp_dir().join(format!("mfharness-zoo-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
+        let zoo = || Observe::Zoo(mfdyn::full_zoo());
         let options = || HarnessOptions {
             jobs: Some(2),
             disk_cache: DiskCache::Dir(dir.clone()),
@@ -677,18 +691,41 @@ mod tests {
         };
         let first = Harness::new(options());
         first
-            .run_one(job(LOOPY, vec![Input::Int(35)]).with_zoo(mfdyn::standard_zoo()))
+            .run_one(job(LOOPY, vec![Input::Int(35)]).observed_by(zoo()))
             .unwrap();
         // A second harness over the same directory (a fresh process, in
         // effect) must recompute the zoo job rather than taking a stats
         // hit that would lose the report.
         let second = Harness::new(options());
         let outcome = second
-            .run_one(job(LOOPY, vec![Input::Int(35)]).with_zoo(mfdyn::standard_zoo()))
+            .run_one(job(LOOPY, vec![Input::Int(35)]).observed_by(zoo()))
             .unwrap();
         assert_eq!(outcome.source, CacheSource::Computed);
         assert!(outcome.zoo.is_some());
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn run_length_jobs_are_keyed_by_their_predictions() {
+        let observed = |taken: bool| {
+            let taken = Arc::new(vec![taken; 2]);
+            job(LOOPY, vec![Input::Int(45)]).observed_by(Observe::RunLengths(taken))
+        };
+        let (all, none) = (observed(true), observed(false));
+        assert_ne!(all.key, none.key);
+        let outcomes = Harness::in_memory()
+            .run(vec![job(LOOPY, vec![Input::Int(45)]), all, none])
+            .unwrap();
+        assert_eq!(outcomes[0].stats, outcomes[1].stats);
+        assert!(outcomes[0].run_lengths.is_none() && outcomes[1].zoo.is_none());
+        let [a, b] = [1, 2].map(|i| {
+            outcomes[i]
+                .run_lengths
+                .as_ref()
+                .expect("a histogram")
+                .summary()
+        });
+        assert!(a.count > 0 && b.count > 0 && a != b);
     }
 
     #[test]

@@ -10,8 +10,7 @@ use super::FlatProgram;
 use crate::counters::{PixieCounts, RunStats};
 use crate::error::RuntimeError;
 use crate::machine::{
-    eval_binop, eval_unop, want_float, want_int, BranchEvent, CoverageSink, Run, VmConfig,
-    ENTRY_EDGE_FROM,
+    eval_binop, eval_unop, want_float, want_int, Observer, Run, VmConfig, ENTRY_EDGE_FROM,
 };
 use crate::value::{ArrayData, GuestValue, HeapObject, Input};
 
@@ -31,7 +30,7 @@ struct FlatFrame {
     indirect: bool,
 }
 
-pub(super) struct FlatInterp<'f, 'o> {
+pub(super) struct FlatInterp<'f, 'o, O: Observer> {
     fp: &'f FlatProgram,
     config: VmConfig,
     heap: Vec<HeapObject>,
@@ -48,10 +47,7 @@ pub(super) struct FlatInterp<'f, 'o> {
     /// the hot loop free of the reference backend's per-branch map lookup.
     branch_hits: Vec<(u64, u64)>,
     fuel_used: u64,
-    branch_trace: Vec<BranchEvent>,
-    last_branch_fuel: u64,
-    pub(super) observer: Option<&'o mut dyn CoverageSink>,
-    pub(super) branch_sink: Option<&'o mut dyn crate::BranchSink>,
+    obs: &'o mut O,
 }
 
 fn want_ref(v: GuestValue) -> Result<u32, RuntimeError> {
@@ -72,8 +68,8 @@ fn check_index(index: i64, len: usize) -> Result<usize, RuntimeError> {
     }
 }
 
-impl<'f, 'o> FlatInterp<'f, 'o> {
-    pub(super) fn new(fp: &'f FlatProgram, config: VmConfig) -> Self {
+impl<'f, 'o, O: Observer> FlatInterp<'f, 'o, O> {
+    pub(super) fn new(fp: &'f FlatProgram, config: VmConfig, obs: &'o mut O) -> Self {
         let heap = fp
             .const_arrays
             .iter()
@@ -97,10 +93,7 @@ impl<'f, 'o> FlatInterp<'f, 'o> {
             pixie: vec![0; fp.block_shape.iter().sum()],
             branch_hits: vec![(0, 0); fp.branch_ids.len()],
             fuel_used: 0,
-            branch_trace: Vec::new(),
-            last_branch_fuel: 0,
-            observer: None,
-            branch_sink: None,
+            obs,
         }
     }
 
@@ -118,9 +111,7 @@ impl<'f, 'o> FlatInterp<'f, 'o> {
             cost,
         } = self.fp.heads[eh as usize];
         self.pixie[slot as usize] += 1;
-        if let Some(obs) = self.observer.as_mut() {
-            obs.edge(FuncId(func), *cur_block, block);
-        }
+        self.obs.edge(FuncId(func), *cur_block, block);
         *cur_block = block;
         self.fuel_used += u64::from(cost);
         if self.fuel_used > self.config.fuel {
@@ -178,9 +169,7 @@ impl<'f, 'o> FlatInterp<'f, 'o> {
                     cost,
                 } => {
                     self.pixie[slot as usize] += 1;
-                    if let Some(obs) = self.observer.as_mut() {
-                        obs.edge(FuncId(func), cur_block, block);
-                    }
+                    self.obs.edge(FuncId(func), cur_block, block);
                     cur_block = block;
                     self.fuel_used += u64::from(cost);
                     if self.fuel_used > self.config.fuel {
@@ -1050,7 +1039,6 @@ impl<'f, 'o> FlatInterp<'f, 'o> {
             output: self.output,
             result,
             stats: self.stats,
-            branch_trace: self.branch_trace,
         })
     }
 
@@ -1302,14 +1290,13 @@ impl<'f, 'o> FlatInterp<'f, 'o> {
         self.output.push(v);
     }
 
-    /// Records a conditional branch (counters and optional trace) and
-    /// returns the chosen arm's edge head. Mirrors the reference
-    /// terminator arm, including the seeded-defect hooks that perturb only
-    /// the aggregate counters.
+    /// Records a conditional branch (observer and counters) and returns the
+    /// chosen arm's edge head. Mirrors the reference terminator arm,
+    /// including the seeded-defect hooks that perturb only the aggregate
+    /// counters.
     fn record_branch(&mut self, slot: u32, is_taken: bool, tk: u32, nt: u32) -> u32 {
-        if let Some(sink) = self.branch_sink.as_mut() {
-            sink.branch(self.fp.branch_ids[slot as usize], is_taken);
-        }
+        self.obs
+            .branch(self.fp.branch_ids[slot as usize], is_taken, self.fuel_used);
         #[cfg(feature = "seeded-defects")]
         let recorded = if mfdefect::active("vm-branch-count-polarity") {
             Some(!is_taken)
@@ -1326,14 +1313,6 @@ impl<'f, 'o> FlatInterp<'f, 'o> {
             if direction {
                 hit.1 += 1;
             }
-        }
-        if self.config.record_branch_trace {
-            self.branch_trace.push(BranchEvent {
-                id: self.fp.branch_ids[slot as usize],
-                taken: is_taken,
-                gap: self.fuel_used - self.last_branch_fuel,
-            });
-            self.last_branch_fuel = self.fuel_used;
         }
         if is_taken {
             tk

@@ -43,8 +43,8 @@
 //! # Fuel accounting
 //!
 //! The reference interpreter charges 1 fuel before each instruction and each
-//! terminator, and a branch's recorded `gap` reads the fuel counter at the
-//! branch. To be observably identical while charging in bulk, each block
+//! terminator, and the instruction count an [`crate::Observer`] sees at a
+//! branch reads the fuel counter there. To be observably identical while charging in bulk, each block
 //! copy's instruction list is split into *segments* that end after every
 //! call (the call included) with the terminator closing the last segment.
 //! The copy's [`EdgeHead`] charges the first segment; a [`FlatOp::Resume`]
@@ -75,7 +75,7 @@ use self::ops::{EdgeHead, FlatOp};
 pub use self::trace::{confidence_digest, TraceConfig};
 use crate::counters::BranchCounts;
 use crate::error::RuntimeError;
-use crate::machine::{CoverageSink, Run, VmConfig};
+use crate::machine::{Observer, Run, VmConfig};
 use crate::value::{GuestValue, Input};
 
 /// Per-table jump-table targets, resolved to edge heads.
@@ -182,42 +182,32 @@ impl FlatProgram {
     /// Returns a [`RuntimeError`] on any dynamic fault, exactly as the
     /// reference backend does.
     pub fn run(&self, config: VmConfig, inputs: &[Input]) -> Result<Run, RuntimeError> {
-        FlatInterp::new(self, config).run(inputs)
+        self.run_observed(config, inputs, &mut ())
     }
 
-    /// [`FlatProgram::run`], reporting every traversed control-flow edge to
-    /// `sink` — the flat-backend equivalent of [`crate::Vm::run_observed`].
+    /// [`FlatProgram::run`], reporting every edge and branch to `obs` — the
+    /// flat-backend equivalent of [`crate::Vm::run_observed`].
     ///
     /// # Errors
     ///
     /// Returns a [`RuntimeError`] on any dynamic fault, exactly as the
     /// reference backend does.
-    pub fn run_observed(
+    pub fn run_observed<O: Observer>(
         &self,
         config: VmConfig,
         inputs: &[Input],
-        sink: &mut dyn CoverageSink,
+        obs: &mut O,
     ) -> Result<Run, RuntimeError> {
-        let mut interp = FlatInterp::new(self, config);
-        interp.observer = Some(sink);
-        interp.run(inputs)
+        FlatInterp::new(self, config, obs).run(inputs)
     }
 
-    /// [`FlatProgram::run`], streaming every conditional branch outcome to
-    /// `sink` — the flat-backend equivalent of [`crate::Vm::run_branches`].
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`RuntimeError`] on any dynamic fault, exactly as the
-    /// reference backend does.
-    pub fn run_branches(
+    /// The former name of [`FlatProgram::run_observed`].
+    pub fn run_branches<O: Observer>(
         &self,
         config: VmConfig,
         inputs: &[Input],
-        sink: &mut dyn crate::BranchSink,
+        obs: &mut O,
     ) -> Result<Run, RuntimeError> {
-        let mut interp = FlatInterp::new(self, config);
-        interp.branch_sink = Some(sink);
-        interp.run(inputs)
+        self.run_observed(config, inputs, obs)
     }
 }

@@ -50,6 +50,6 @@ pub use counters::{BranchCounts, BreakEvents, PixieCounts, RunStats};
 pub use error::RuntimeError;
 pub use flat::{confidence_digest, FlatProgram, TraceConfig};
 pub use machine::{
-    run_program, Backend, BranchEvent, BranchSink, CoverageSink, Run, Vm, VmConfig, ENTRY_EDGE_FROM,
+    run_program, Backend, BranchEvent, Observer, Recorder, Run, Vm, VmConfig, ENTRY_EDGE_FROM,
 };
 pub use value::{GuestValue, Input};

@@ -1,6 +1,6 @@
 //! The interpreter itself.
 
-use trace_ir::{BinOp, FuncId, Instr, Program, Reg, Terminator, UnOp, Value};
+use trace_ir::{BinOp, BranchId, FuncId, Instr, Program, Reg, Terminator, UnOp, Value};
 
 use crate::counters::{PixieCounts, RunStats};
 use crate::error::RuntimeError;
@@ -9,7 +9,7 @@ use crate::value::{ArrayData, GuestValue, HeapObject, Input};
 /// Which execution engine runs the program.
 ///
 /// Both backends are observably identical — same [`Run`] (output, result,
-/// stats, branch trace), same coverage edges, same [`RuntimeError`]s at the
+/// stats), same [`Observer`] event stream, same [`RuntimeError`]s at the
 /// same fault points — so the choice is purely a throughput/diagnosability
 /// trade-off. The equivalence is enforced by the fuzzer's flat-vs-reference
 /// differential oracle and by test batteries over the corpus and workloads.
@@ -69,12 +69,6 @@ pub struct VmConfig {
     pub max_stack: usize,
     /// Maximum elements in one array allocation.
     pub max_alloc: i64,
-    /// Record the full ordered branch outcome trace in
-    /// [`Run::branch_trace`]. Off by default: traces cost 24 bytes per
-    /// dynamic branch, and only the trace-order analyses (dynamic-scheme
-    /// simulation, mispredict-gap distribution) need the ordering —
-    /// aggregate counts always suffice for static prediction.
-    pub record_branch_trace: bool,
     /// The execution engine. Semantically irrelevant (both backends are
     /// observably identical), but part of the harness run key so cached
     /// results record which engine produced them.
@@ -91,7 +85,6 @@ impl Default for VmConfig {
             fuel: 20_000_000_000,
             max_stack: 1 << 16,
             max_alloc: 1 << 26,
-            record_branch_trace: false,
             backend: Backend::Reference,
             trace: crate::TraceConfig::default(),
         }
@@ -108,53 +101,85 @@ pub struct Run {
     pub result: Option<GuestValue>,
     /// All counters (IFPROBBER, MFPixie, break events, total instructions).
     pub stats: RunStats,
-    /// The ordered branch outcome trace — empty unless
-    /// [`VmConfig::record_branch_trace`] was set.
-    pub branch_trace: Vec<BranchEvent>,
 }
 
-/// Receives one callback per control-flow edge the interpreter traverses —
-/// the lightweight coverage hook the fuzzer's feedback loop attaches via
-/// [`Vm::run_observed`]. Ordinary runs carry no sink and pay only a
-/// per-block-entry `Option` test.
-pub trait CoverageSink {
-    /// Control entered `to` in `func`, coming from block `from` of the same
-    /// function — or from [`ENTRY_EDGE_FROM`] when `func` was just entered
-    /// (program start or a call).
-    fn edge(&mut self, func: FuncId, from: u32, to: u32);
+/// Watches a run from inside the interpreter loop: every traversed
+/// control-flow edge and every executed conditional branch, in program
+/// order, on either backend through [`Vm::run_observed`] or
+/// [`crate::FlatProgram::run_observed`].
+///
+/// Both methods default to no-ops and the interpreters are generic over the
+/// observer, so `()` — what [`Vm::run`] passes — compiles to the
+/// unobserved loop, and an observer pays only for the methods it
+/// overrides. Observing changes nothing the run reports. `branch` always
+/// carries the true direction control flow follows, even when a seeded
+/// defect perturbs the aggregate counters, so a replay of the recorded
+/// events can convict such a defect.
+pub trait Observer {
+    /// Control entered block `to` of `func`, coming from block `from` of
+    /// the same function — or from [`ENTRY_EDGE_FROM`] when `func` was
+    /// just entered (program start or a call).
+    fn edge(&mut self, func: FuncId, from: u32, to: u32) {
+        let _ = (func, from, to);
+    }
+
+    /// Conditional branch `id` executed and went `taken`. `instrs` is the
+    /// guest-instruction count at the branch, its own transfer included,
+    /// so two branches' counts differ by the instruction run between them.
+    fn branch(&mut self, id: BranchId, taken: bool, instrs: u64) {
+        let _ = (id, taken, instrs);
+    }
 }
 
-/// The `from` pseudo-block [`CoverageSink::edge`] reports for function
-/// entry edges.
+/// The unobserved run.
+impl Observer for () {}
+
+/// Two observers watching one run, `.0` before `.1` at every event.
+impl<A: Observer, B: Observer> Observer for (A, B) {
+    fn edge(&mut self, func: FuncId, from: u32, to: u32) {
+        self.0.edge(func, from, to);
+        self.1.edge(func, from, to);
+    }
+
+    fn branch(&mut self, id: BranchId, taken: bool, instrs: u64) {
+        self.0.branch(id, taken, instrs);
+        self.1.branch(id, taken, instrs);
+    }
+}
+
+/// The `from` pseudo-block [`Observer::edge`] reports for function entry
+/// edges.
 pub const ENTRY_EDGE_FROM: u32 = u32::MAX;
 
-/// Receives one callback per executed conditional branch, in program
-/// order, with the *actual* outcome — the event stream online dynamic
-/// predictors (`mfdyn`) consume via [`Vm::run_branches`]. Mirrors
-/// [`CoverageSink`]: ordinary runs carry no sink and pay only an `Option`
-/// test per branch, and attaching one changes nothing the run observes
-/// (output, stats, trace). The callback always reports the true direction
-/// control flow follows, even when a seeded defect perturbs the aggregate
-/// counters, so an online predictor and a golden replay of the recorded
-/// trace must agree on a clean build.
-pub trait BranchSink {
-    /// Branch `id` executed and went `taken`.
-    fn branch(&mut self, id: trace_ir::BranchId, taken: bool);
-}
-
-/// One entry of the recorded branch trace.
+/// One executed conditional branch, as a [`Recorder`] keeps it.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct BranchEvent {
     /// The source-level branch that executed.
-    pub id: trace_ir::BranchId,
+    pub id: BranchId,
     /// Whether it was taken.
     pub taken: bool,
-    /// RISC-level instructions executed since the previous conditional
-    /// branch (inclusive of this branch's own transfer) — the run length
-    /// the paper notes matters for ILP ("far more ILP will be available if
-    /// one has 80 instructions followed by two mispredicted branches than
-    /// 40, a mispredicted branch, 40, a mispredicted branch").
-    pub gap: u64,
+    /// The guest-instruction count at the branch ([`Observer::branch`]).
+    pub instrs: u64,
+}
+
+/// An [`Observer`] that keeps every edge and branch in order. Memory grows
+/// with the run, so it is for tests and differential checks.
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
+pub struct Recorder {
+    /// `(func, from, to)` per traversed edge.
+    pub edges: Vec<(FuncId, u32, u32)>,
+    /// Every executed conditional branch.
+    pub branches: Vec<BranchEvent>,
+}
+
+impl Observer for Recorder {
+    fn edge(&mut self, func: FuncId, from: u32, to: u32) {
+        self.edges.push((func, from, to));
+    }
+
+    fn branch(&mut self, id: BranchId, taken: bool, instrs: u64) {
+        self.branches.push(BranchEvent { id, taken, instrs });
+    }
 }
 
 impl Run {
@@ -237,54 +262,25 @@ impl<'p> Vm<'p> {
     /// Returns a [`RuntimeError`] on any dynamic fault (bad types, bounds,
     /// division by zero, fuel/stack exhaustion, entry arity mismatch).
     pub fn run(&self, inputs: &[Input]) -> Result<Run, RuntimeError> {
-        match self.config.backend {
-            Backend::Reference => Interp::new(self.program, self.config).run(inputs),
-            Backend::Flat => self.flat().run(self.config, inputs),
-        }
+        self.run_observed(inputs, &mut ())
     }
 
-    /// [`Vm::run`], with every traversed control-flow edge reported to
-    /// `sink`. Identical semantics and counters; only observation is added.
+    /// [`Vm::run`], with every edge and branch reported to `obs` as it
+    /// executes. Identical semantics and counters; only observation is
+    /// added.
     ///
     /// # Errors
     ///
     /// Returns a [`RuntimeError`] on any dynamic fault, exactly as
     /// [`Vm::run`] does.
-    pub fn run_observed(
+    pub fn run_observed<O: Observer>(
         &self,
         inputs: &[Input],
-        sink: &mut dyn CoverageSink,
+        obs: &mut O,
     ) -> Result<Run, RuntimeError> {
         match self.config.backend {
-            Backend::Reference => {
-                let mut interp = Interp::new(self.program, self.config);
-                interp.observer = Some(sink);
-                interp.run(inputs)
-            }
-            Backend::Flat => self.flat().run_observed(self.config, inputs, sink),
-        }
-    }
-
-    /// [`Vm::run`], with every conditional branch outcome streamed to
-    /// `sink` as it executes. Identical semantics and counters; only
-    /// observation is added.
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`RuntimeError`] on any dynamic fault, exactly as
-    /// [`Vm::run`] does.
-    pub fn run_branches(
-        &self,
-        inputs: &[Input],
-        sink: &mut dyn BranchSink,
-    ) -> Result<Run, RuntimeError> {
-        match self.config.backend {
-            Backend::Reference => {
-                let mut interp = Interp::new(self.program, self.config);
-                interp.branch_sink = Some(sink);
-                interp.run(inputs)
-            }
-            Backend::Flat => self.flat().run_branches(self.config, inputs, sink),
+            Backend::Reference => Interp::new(self.program, self.config, obs).run(inputs),
+            Backend::Flat => self.flat().run_observed(self.config, inputs, obs),
         }
     }
 }
@@ -320,7 +316,7 @@ const _: () = {
     assert_send_sync::<RuntimeError>();
 };
 
-struct Interp<'p, 'o> {
+struct Interp<'p, 'o, O: Observer> {
     program: &'p Program,
     config: VmConfig,
     heap: Vec<HeapObject>,
@@ -329,14 +325,11 @@ struct Interp<'p, 'o> {
     output: Vec<GuestValue>,
     stats: RunStats,
     fuel_used: u64,
-    branch_trace: Vec<BranchEvent>,
-    last_branch_fuel: u64,
-    observer: Option<&'o mut dyn CoverageSink>,
-    branch_sink: Option<&'o mut dyn BranchSink>,
+    obs: &'o mut O,
 }
 
-impl<'p, 'o> Interp<'p, 'o> {
-    fn new(program: &'p Program, config: VmConfig) -> Self {
+impl<'p, 'o, O: Observer> Interp<'p, 'o, O> {
+    fn new(program: &'p Program, config: VmConfig, obs: &'o mut O) -> Self {
         // Interned constant arrays are mapped into the heap by reference:
         // `Arc::clone` per array, never a payload copy (they are read-only,
         // so the copy-on-write in `Store` can never trigger for them).
@@ -360,16 +353,7 @@ impl<'p, 'o> Interp<'p, 'o> {
                 ..RunStats::default()
             },
             fuel_used: 0,
-            branch_trace: Vec::new(),
-            last_branch_fuel: 0,
-            observer: None,
-            branch_sink: None,
-        }
-    }
-
-    fn observe_edge(&mut self, func: FuncId, from: u32, to: u32) {
-        if let Some(obs) = self.observer.as_mut() {
-            obs.edge(func, from, to);
+            obs,
         }
     }
 
@@ -401,7 +385,7 @@ impl<'p, 'o> Interp<'p, 'o> {
             is_entry: true,
         });
         self.stats.pixie.blocks[entry.index()][0] += 1;
-        self.observe_edge(entry, ENTRY_EDGE_FROM, 0);
+        self.obs.edge(entry, ENTRY_EDGE_FROM, 0);
 
         // `program` is a plain reborrow of the &'p Program, so instruction
         // references below do not conflict with `&mut self` calls.
@@ -434,7 +418,6 @@ impl<'p, 'o> Interp<'p, 'o> {
             output: self.output,
             result,
             stats: self.stats,
-            branch_trace: self.branch_trace,
         })
     }
 
@@ -666,7 +649,7 @@ impl<'p, 'o> Interp<'p, 'o> {
             is_entry: false,
         });
         self.stats.pixie.blocks[callee.index()][0] += 1;
-        self.observe_edge(callee, ENTRY_EDGE_FROM, 0);
+        self.obs.edge(callee, ENTRY_EDGE_FROM, 0);
         Ok(())
     }
 
@@ -689,11 +672,9 @@ impl<'p, 'o> Interp<'p, 'o> {
             } => {
                 let c = self.int(*cond)?;
                 let is_taken = c != 0;
-                if let Some(sink) = self.branch_sink.as_mut() {
-                    sink.branch(*id, is_taken);
-                }
+                self.obs.branch(*id, is_taken, self.fuel_used);
                 // Seeded-defect hooks perturb only the aggregate counters;
-                // control flow and the recorded trace stay correct, so the
+                // control flow and the observed events stay correct, so the
                 // trace-replay oracle can convict them.
                 #[cfg(feature = "seeded-defects")]
                 let recorded = if mfdefect::active("vm-branch-count-polarity") {
@@ -707,14 +688,6 @@ impl<'p, 'o> Interp<'p, 'o> {
                 let recorded = Some(is_taken);
                 if let Some(direction) = recorded {
                     self.stats.branches.record(*id, direction);
-                }
-                if self.config.record_branch_trace {
-                    self.branch_trace.push(BranchEvent {
-                        id: *id,
-                        taken: is_taken,
-                        gap: self.fuel_used - self.last_branch_fuel,
-                    });
-                    self.last_branch_fuel = self.fuel_used;
                 }
                 let target = if is_taken { taken } else { not_taken };
                 self.enter_block(target.index());
@@ -760,7 +733,7 @@ impl<'p, 'o> Interp<'p, 'o> {
         frame.block = block;
         frame.ip = 0;
         self.stats.pixie.blocks[func.index()][block] += 1;
-        self.observe_edge(func, from, block as u32);
+        self.obs.edge(func, from, block as u32);
     }
 
     fn exec_unop(&mut self, op: UnOp, src: Reg) -> Result<GuestValue, RuntimeError> {

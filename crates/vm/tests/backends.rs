@@ -6,19 +6,22 @@
 
 use trace_ir::builder::{FunctionBuilder, ProgramBuilder};
 use trace_ir::{BinOp, BranchKind, Program};
-use trace_vm::{Backend, Input, Run, RuntimeError, Vm, VmConfig};
+use trace_vm::{Backend, Input, Recorder, Run, RuntimeError, Vm, VmConfig};
 
 fn config(backend: Backend, fuel: u64) -> VmConfig {
     VmConfig {
         backend,
         fuel,
-        record_branch_trace: true,
         ..VmConfig::default()
     }
 }
 
-fn run_on(program: &Program, backend: Backend, fuel: u64) -> Result<Run, RuntimeError> {
-    Vm::with_config(program, config(backend, fuel)).run(&[Input::Int(4)])
+/// The run, with the edge and branch streams it reported.
+fn run_on(program: &Program, backend: Backend, fuel: u64) -> (Result<Run, RuntimeError>, Recorder) {
+    let mut recorder = Recorder::default();
+    let run = Vm::with_config(program, config(backend, fuel))
+        .run_observed(&[Input::Int(4)], &mut recorder);
+    (run, recorder)
 }
 
 /// `main(n) { s = 0; i = 0; do { s = s + helper(i); i = i + 1 } while
@@ -85,8 +88,8 @@ fn div_fault_program() -> Program {
 }
 
 /// Sweeps every fuel limit in `0..=upper` and asserts both backends return
-/// the *same* `Result` — identical `Run`s (stats, traces, output) on
-/// success and identical errors on faults.
+/// the *same* `Result` and recorded streams — identical `Run`s on success,
+/// identical errors on faults.
 fn assert_fuel_sweep_identical(program: &Program, upper: u64, what: &str) {
     for fuel in 0..=upper {
         let reference = run_on(program, Backend::Reference, fuel);
@@ -99,15 +102,16 @@ fn assert_fuel_sweep_identical(program: &Program, upper: u64, what: &str) {
 fn fuel_sweep_identical_across_call_loop() {
     let program = call_loop_program();
     let full = run_on(&program, Backend::Reference, u64::MAX)
+        .0
         .expect("completes with ample fuel")
         .stats
         .total_instrs;
     assert!(full > 10, "call_loop too small to sweep");
     assert_fuel_sweep_identical(&program, full + 1, "call_loop");
     // The sweep's top end must actually complete, and one below must not.
-    assert!(run_on(&program, Backend::Flat, full).is_ok());
+    assert!(run_on(&program, Backend::Flat, full).0.is_ok());
     assert_eq!(
-        run_on(&program, Backend::Flat, full - 1),
+        run_on(&program, Backend::Flat, full - 1).0,
         Err(RuntimeError::OutOfFuel { limit: full - 1 })
     );
 }
@@ -120,11 +124,11 @@ fn fuel_sweep_identical_with_mid_block_fault() {
     assert_fuel_sweep_identical(&program, 20, "div_fault_sweep");
     // With ample fuel both backends must report the division fault itself.
     assert_eq!(
-        run_on(&program, Backend::Flat, u64::MAX),
+        run_on(&program, Backend::Flat, u64::MAX).0,
         Err(RuntimeError::DivideByZero)
     );
     assert_eq!(
-        run_on(&program, Backend::Reference, u64::MAX),
+        run_on(&program, Backend::Reference, u64::MAX).0,
         Err(RuntimeError::DivideByZero)
     );
 }

@@ -464,21 +464,19 @@ fn negative_array_length_faults() {
 }
 
 #[test]
-fn branch_trace_gaps_sum_close_to_total() {
-    use trace_vm::VmConfig;
+fn branch_instr_counts_rise_to_near_total() {
     let p = sum_loop_program();
-    let run = Vm::with_config(
-        &p,
-        VmConfig {
-            record_branch_trace: true,
-            ..VmConfig::default()
-        },
-    )
-    .run(&[Input::Int(40)])
-    .unwrap();
-    let gap_sum: u64 = run.branch_trace.iter().map(|e| e.gap).sum();
-    // Gaps cover everything from the start through the final branch; only
-    // the post-loop tail (emit + return) is outside any gap.
-    assert!(gap_sum <= run.stats.total_instrs);
-    assert!(gap_sum + 10 >= run.stats.total_instrs);
+    let mut recorder = trace_vm::Recorder::default();
+    let run = Vm::new(&p)
+        .run_observed(&[Input::Int(40)], &mut recorder)
+        .unwrap();
+    assert!(recorder
+        .branches
+        .windows(2)
+        .all(|w| w[0].instrs < w[1].instrs));
+    // The last branch's count covers everything but the post-loop tail
+    // (emit + return).
+    let last = recorder.branches.last().expect("the loop branches").instrs;
+    assert!(last <= run.stats.total_instrs);
+    assert!(last + 10 >= run.stats.total_instrs);
 }

@@ -10,26 +10,31 @@ use proptest::prelude::*;
 
 use trace_ir::builder::{FunctionBuilder, ProgramBuilder};
 use trace_ir::{BinOp, BranchKind, Program};
-use trace_vm::{Backend, FlatProgram, Input, Run, RuntimeError, TraceConfig, Vm, VmConfig};
+use trace_vm::{
+    Backend, FlatProgram, Input, Recorder, Run, RuntimeError, TraceConfig, Vm, VmConfig,
+};
 
 fn config(backend: Backend, fuel: u64, trace: TraceConfig) -> VmConfig {
     VmConfig {
         backend,
         fuel,
-        record_branch_trace: true,
         trace,
         ..VmConfig::default()
     }
 }
 
+/// The run, with the edge and branch streams it reported.
 fn run_with(
     program: &Program,
     backend: Backend,
     fuel: u64,
     trace: TraceConfig,
     input: i64,
-) -> Result<Run, RuntimeError> {
-    Vm::with_config(program, config(backend, fuel, trace)).run(&[Input::Int(input)])
+) -> (Result<Run, RuntimeError>, Recorder) {
+    let mut recorder = Recorder::default();
+    let run = Vm::with_config(program, config(backend, fuel, trace))
+        .run_observed(&[Input::Int(input)], &mut recorder);
+    (run, recorder)
 }
 
 /// A loop around a diamond whose merge block carries real work — the shape
@@ -134,8 +139,8 @@ fn diamond_merge_block_is_tail_duplicated() {
 }
 
 /// Sweeps every fuel limit in `0..=upper` at every budget and asserts both
-/// backends return the same `Result` — identical `Run`s (stats, traces,
-/// output) on success, identical errors on faults.
+/// backends return the same `Result` and recorded streams — identical
+/// `Run`s on success, identical errors on faults.
 fn assert_sweep_identical(program: &Program, input: i64, upper: u64, what: &str) {
     for &budget in BUDGETS {
         let trace = trace_on(budget);
@@ -155,13 +160,16 @@ fn fuel_sweep_identical_through_tail_duplicated_merge() {
     // Denominator never hits zero: a clean run at every fuel boundary.
     let program = diamond_loop_program(2, 1_000);
     let full = run_with(&program, Backend::Reference, u64::MAX, trace_on(192), 6)
+        .0
         .expect("completes with ample fuel")
         .stats
         .total_instrs;
     assert_sweep_identical(&program, 6, full + 1, "diamond_clean");
-    assert!(run_with(&program, Backend::Flat, full, trace_on(192), 6).is_ok());
+    assert!(run_with(&program, Backend::Flat, full, trace_on(192), 6)
+        .0
+        .is_ok());
     assert_eq!(
-        run_with(&program, Backend::Flat, full - 1, trace_on(192), 6),
+        run_with(&program, Backend::Flat, full - 1, trace_on(192), 6).0,
         Err(RuntimeError::OutOfFuel { limit: full - 1 })
     );
 }
@@ -175,13 +183,13 @@ fn divide_by_zero_mid_trace_outranks_nothing_and_races_fuel() {
     let program = diamond_loop_program(2, 3);
     for &budget in BUDGETS {
         assert_eq!(
-            run_with(&program, Backend::Flat, u64::MAX, trace_on(budget), 10),
+            run_with(&program, Backend::Flat, u64::MAX, trace_on(budget), 10).0,
             Err(RuntimeError::DivideByZero),
             "budget {budget}"
         );
     }
     assert_eq!(
-        run_with(&program, Backend::Reference, u64::MAX, trace_on(0), 10),
+        run_with(&program, Backend::Reference, u64::MAX, trace_on(0), 10).0,
         Err(RuntimeError::DivideByZero)
     );
     // The faulting run is short; 120 comfortably covers it, so the sweep
@@ -215,7 +223,7 @@ fn low_confidence_sites_predict_as_if_unprofiled() {
     let none = FlatProgram::compile_with_confidence(&program, Some(&profile), &[], tcfg);
     assert_eq!(format!("{none:?}"), format!("{trusted:?}"));
     // Layout choices never change observable behavior.
-    let reference = run_with(&program, Backend::Reference, u64::MAX, tcfg, 9);
+    let reference = run_with(&program, Backend::Reference, u64::MAX, tcfg, 9).0;
     for fp in [&trusted, &unprofiled, &degraded] {
         assert_eq!(
             fp.run(config(Backend::Flat, u64::MAX, tcfg), &[Input::Int(9)]),
@@ -256,9 +264,9 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     /// Trace formation preserves the full observable `Run` — output,
-    /// result, `RunStats`, branch trace — at *any* tail-duplication
-    /// budget, for clean runs, mid-run division faults, and fuel faults
-    /// alike.
+    /// result, `RunStats`, the edge and branch streams — at *any*
+    /// tail-duplication budget, for clean runs, mid-run division faults,
+    /// and fuel faults alike.
     #[test]
     fn run_stats_preserved_at_any_budget(
         pads in 0u32..6,
@@ -274,7 +282,7 @@ proptest! {
         prop_assert_eq!(&reference, &flat);
 
         // And again under a fuel limit that lands somewhere mid-run.
-        let spent = match &reference {
+        let spent = match &reference.0 {
             Ok(run) => run.stats.total_instrs,
             Err(_) => 64,
         };

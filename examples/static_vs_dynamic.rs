@@ -2,19 +2,21 @@
 //! paper's introduction frames (static: free at run time, whole-program
 //! knowledge; dynamic: adapts while running, costs hardware).
 //!
-//! Records a full branch trace, then compares: the loop heuristic, profile
-//! feedback from a different dataset, self-prediction (the static bound),
-//! 1-bit and 2-bit hardware counters, and the profile-seeded 2-bit hybrid.
+//! Observes the test run's branch stream, then compares: the loop
+//! heuristic, profile feedback from a different dataset, self-prediction
+//! (the static bound), 1-bit and 2-bit hardware counters, and the 2-bit
+//! hybrid seeded by the run's own profile.
 //!
 //! ```text
 //! cargo run --release --example static_vs_dynamic
 //! ```
 
+use fisher92::ir::BranchId;
 use fisher92::lang::compile;
-use fisher92::predict::dynamic::{mispredict_gaps, simulate, simulate_seeded, DynamicScheme};
 use fisher92::predict::{evaluate, BreakConfig, Direction, Predictor};
 use fisher92::report::Table;
-use fisher92::vm::{Input, Vm, VmConfig};
+use fisher92::vm::{Input, Vm};
+use mfdyn::{RunLengths, Zoo};
 
 const SOURCE: &str = r#"
 // A hash-join-ish kernel: build a table from one array, probe with another.
@@ -76,31 +78,30 @@ fn keys(seed: i64, n: usize, range: i64) -> Vec<i64> {
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let program = compile(SOURCE)?;
-    let run_traced = |build: Vec<i64>, probes: Vec<i64>| {
-        Vm::with_config(
-            &program,
-            VmConfig {
-                record_branch_trace: true,
-                ..VmConfig::default()
-            },
-        )
-        .run(&[Input::Ints(build), Input::Ints(probes)])
-    };
+    let vm = Vm::new(&program);
 
-    // Train on a miss-heavy workload, test on a hit-heavy one.
-    let train = run_traced(keys(1, 1500, 100_000), keys(2, 8_000, 1_000_000))?;
-    let test = run_traced(keys(3, 1500, 100_000), keys(4, 20_000, 120_000))?;
+    // Train on a miss-heavy workload, test on a hit-heavy one — observed by
+    // the hardware schemes (one table entry per branch site) and by the
+    // run lengths between the training profile's mispredictions.
+    let train = vm.run(&[keys(1, 1500, 100_000), keys(2, 8_000, 1_000_000)].map(Input::Ints))?;
+    let from_train = Predictor::from_counts(&train.stats.branches, Direction::NotTaken);
+    let specs = mfdyn::site_zoo(&program);
+    let train_taken: Vec<bool> = (0..program.branch_info.len())
+        .map(|i| from_train.predict(BranchId::from_index(i)) == Direction::Taken)
+        .collect();
+    let mut observers = (Zoo::new(&specs), RunLengths::new(&train_taken));
+    let test_inputs = [keys(3, 1500, 100_000), keys(4, 20_000, 120_000)].map(Input::Ints);
+    let test = vm.run_observed(&test_inputs, &mut observers)?;
+    let (zoo, lengths) = (observers.0.report(), observers.1);
 
     let cfg = BreakConfig::fig2();
     let mut t = Table::new(&["PREDICTOR", "KIND", "% CORRECT", "INSTRS/BREAK"]);
-    let trace = &test.branch_trace;
     let unavoidable = test.stats.events.unavoidable();
     let ipb = |mispredicts: u64| {
         test.stats.total_instrs as f64 / (mispredicts + unavoidable).max(1) as f64
     };
 
     let heuristic = Predictor::heuristic(&program);
-    let from_train = Predictor::from_counts(&train.stats.branches, Direction::NotTaken);
     let oracle = Predictor::from_counts(&test.stats.branches, Direction::NotTaken);
     for (name, p) in [
         ("loop heuristic", &heuristic),
@@ -115,30 +116,25 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             format!("{:.1}", m.instrs_per_break),
         ]);
     }
-    for (name, r) in [
-        (
-            "1-bit counters",
-            simulate(trace, DynamicScheme::OneBit, Direction::NotTaken),
-        ),
-        (
-            "2-bit counters",
-            simulate(trace, DynamicScheme::TwoBit, Direction::NotTaken),
-        ),
-        (
-            "2-bit seeded by profile",
-            simulate_seeded(trace, DynamicScheme::TwoBit, &from_train),
-        ),
-    ] {
+    for (name, spec) in [
+        "1-bit counters",
+        "2-bit counters",
+        "2-bit seeded by own profile",
+    ]
+    .into_iter()
+    .zip(specs)
+    {
+        let r = zoo.get(spec).expect("spec in zoo");
         t.row_owned(vec![
             name.to_string(),
             "dynamic".to_string(),
-            format!("{:.1}%", r.correct_fraction() * 100.0),
+            format!("{:.1}%", r.percent_correct()),
             format!("{:.1}", ipb(r.mispredicted)),
         ]);
     }
     print!("{}", t.render());
 
-    let gaps = mispredict_gaps(trace, &from_train);
+    let gaps = lengths.summary();
     println!(
         "\nrun lengths between mispredicts (profile predictor): \
          mean {:.0}, p10 {}, median {}, p90 {} — {}x p90/p10 spread",

@@ -1,42 +1,52 @@
 //! Tests for the two extensions beyond the paper's own measurements:
-//! dynamic-scheme simulation over recorded traces, and procedure inlining.
+//! dynamic-scheme simulation over observed branch streams, and procedure
+//! inlining.
 
 use fisher92::lang::compile;
 use fisher92::opt::Inliner;
-use fisher92::predict::dynamic::{simulate, simulate_seeded, DynamicScheme};
 use fisher92::predict::{evaluate, BreakConfig, Direction, Predictor};
-use fisher92::vm::{Input, Vm, VmConfig};
+use fisher92::vm::{Input, Observer, Recorder, Run, Vm};
 use fisher92::workloads::suite;
+use mfdyn::{Zoo, ZooCounts};
 
-fn traced_run(name: &str, dataset: &str) -> (trace_ir::Program, fisher92::vm::Run) {
-    let all = suite();
-    let w = all.iter().find(|w| w.name == name).expect("workload");
-    let program = w.compile().expect("compiles");
+/// One run of a suite dataset, watched by `obs`.
+fn observed_run(name: &str, dataset: &str, obs: &mut impl Observer) -> Run {
+    let w = suite()
+        .into_iter()
+        .find(|w| w.name == name)
+        .expect("workload");
     let d = w.dataset(dataset).expect("dataset");
-    let run = Vm::with_config(
-        &program,
-        VmConfig {
-            record_branch_trace: true,
-            ..VmConfig::default()
-        },
-    )
-    .run(&d.inputs)
-    .expect("runs");
-    (program, run)
+    let program = w.compile().expect("compiles");
+    Vm::new(&program)
+        .run_observed(&d.inputs, obs)
+        .expect("runs")
+}
+
+/// Per-site 1-bit, 2-bit and self-seeded 2-bit tallies over one run, with
+/// the run.
+fn site_predictors(name: &str, dataset: &str) -> ([ZooCounts; 3], Run) {
+    let w = suite()
+        .into_iter()
+        .find(|w| w.name == name)
+        .expect("workload");
+    let specs = mfdyn::site_zoo(&w.compile().expect("compiles"));
+    let mut zoo = Zoo::new(&specs);
+    let run = observed_run(name, dataset, &mut zoo);
+    let report = zoo.report();
+    (specs.map(|s| report.get(s).expect("spec in zoo")), run)
 }
 
 #[test]
 fn trace_agrees_with_aggregate_counts() {
-    let (_, run) = traced_run("spiff", "case3");
-    assert_eq!(
-        run.branch_trace.len() as u64,
-        run.stats.branches.total_executed()
-    );
-    let taken = run.branch_trace.iter().filter(|e| e.taken).count() as u64;
+    let mut recorder = Recorder::default();
+    let run = observed_run("spiff", "case3", &mut recorder);
+    let trace = &recorder.branches;
+    assert_eq!(trace.len() as u64, run.stats.branches.total_executed());
+    let taken = trace.iter().filter(|e| e.taken).count() as u64;
     assert_eq!(taken, run.stats.branches.total_taken());
     // Per-branch reconciliation.
     let mut per: std::collections::HashMap<_, (u64, u64)> = Default::default();
-    for ev in &run.branch_trace {
+    for ev in trace {
         let e = per.entry(ev.id).or_insert((0, 0));
         e.0 += 1;
         e.1 += u64::from(ev.taken);
@@ -48,11 +58,17 @@ fn trace_agrees_with_aggregate_counts() {
 
 #[test]
 fn trace_recording_off_by_default() {
-    let all = suite();
-    let w = all.iter().find(|w| w.name == "spiff").expect("spiff");
-    let program = w.compile().expect("compiles");
-    let run = w.run(&program, &w.datasets[2]).expect("runs");
-    assert!(run.branch_trace.is_empty());
+    // A plain run keeps no trace; recording is an observer, and attaching
+    // one changes nothing the run reports.
+    let w = suite()
+        .into_iter()
+        .find(|w| w.name == "spiff")
+        .expect("spiff");
+    let plain = w.run(&w.compile().expect("compiles"), &w.datasets[2]);
+    let mut recorder = Recorder::default();
+    let observed = observed_run("spiff", &w.datasets[2].name, &mut recorder);
+    assert_eq!(plain.expect("runs"), observed);
+    assert!(!recorder.branches.is_empty());
 }
 
 #[test]
@@ -61,45 +77,28 @@ fn dynamic_schemes_order_as_in_the_literature() {
     // 2-bit — the relationship the hardware literature reports and the
     // paper leans on.
     for (name, dataset) in [("doduc", "tiny"), ("spiff", "case1"), ("mfcom", "c_metric")] {
-        let (_, run) = traced_run(name, dataset);
-        let one = simulate(
-            &run.branch_trace,
-            DynamicScheme::OneBit,
-            Direction::NotTaken,
-        );
-        let two = simulate(
-            &run.branch_trace,
-            DynamicScheme::TwoBit,
-            Direction::NotTaken,
-        );
+        let ([one, two, _], run) = site_predictors(name, dataset);
         assert!(
-            two.correct_fraction() >= one.correct_fraction(),
+            two.mispredict_rate() <= one.mispredict_rate(),
             "{name}: 2-bit ({}) should beat 1-bit ({})",
-            two.correct_fraction(),
-            one.correct_fraction()
+            two.percent_correct(),
+            one.percent_correct()
         );
         let self_pred = Predictor::from_counts(&run.stats.branches, Direction::NotTaken);
         let static_m = evaluate(&run.stats, &self_pred, BreakConfig::fig2());
-        let gap = (static_m.correct_fraction() - two.correct_fraction()).abs();
+        let gap = (static_m.correct_fraction() - (1.0 - two.mispredict_rate())).abs();
         assert!(
             gap < 0.08,
             "{name}: static ({:.3}) and 2-bit ({:.3}) should be comparable",
             static_m.correct_fraction(),
-            two.correct_fraction()
+            1.0 - two.mispredict_rate()
         );
     }
 }
 
 #[test]
 fn profile_seeding_never_hurts_much() {
-    let (_, run) = traced_run("gcc", "loop_mod");
-    let self_pred = Predictor::from_counts(&run.stats.branches, Direction::NotTaken);
-    let cold = simulate(
-        &run.branch_trace,
-        DynamicScheme::TwoBit,
-        Direction::NotTaken,
-    );
-    let warm = simulate_seeded(&run.branch_trace, DynamicScheme::TwoBit, &self_pred);
+    let ([_, cold, warm], _) = site_predictors("gcc", "loop_mod");
     assert!(warm.mispredicted <= cold.mispredicted);
 }
 
