@@ -179,7 +179,7 @@ fn gshare_sweep(names: &[&str], specs: &[DynSpec]) -> Vec<SweepRow> {
         .into_iter()
         .zip(outcomes)
         .map(|((program, dataset), outcome)| {
-            let report = outcome.zoo.as_deref().expect("zoo jobs carry a report");
+            let report = outcome.zoo().expect("zoo jobs carry a report");
             let rates = specs
                 .iter()
                 .map(|&spec| {

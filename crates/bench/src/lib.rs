@@ -282,8 +282,7 @@ fn collect_prepared(h: &Harness, prepared: Vec<Prepared>) -> SuiteRuns {
             runs.push(DatasetRun::new(d.name.clone(), (*outcome.stats).clone()));
             zoo.push(
                 outcome
-                    .zoo
-                    .as_deref()
+                    .zoo()
                     .expect("zoo jobs always carry a report")
                     .clone(),
             );
@@ -1115,10 +1114,7 @@ pub fn dynamic_table_with(h: &Harness) -> Table {
         let stats = &outcome.stats;
         let self_pred = Predictor::from_counts(&stats.branches, bpredict::Direction::NotTaken);
         let static_m = evaluate(stats, &self_pred, cfg);
-        let zoo = outcome
-            .zoo
-            .as_deref()
-            .expect("site jobs carry a zoo report");
+        let zoo = outcome.zoo().expect("site jobs carry a zoo report");
         let [one, two, seeded] =
             mfdyn::site_zoo(&job.program).map(|spec| zoo.get(spec).expect("spec in its zoo"));
         let correct = |c: mfdyn::ZooCounts| fmt_percent(1.0 - c.mispredict_rate());
@@ -1182,7 +1178,7 @@ pub fn distribution_table_with(h: &Harness) -> Table {
     ]);
     for outcome in outcomes {
         let g = outcome
-            .run_lengths
+            .run_lengths()
             .expect("run-length jobs carry a histogram")
             .summary();
         let spread = if g.p10 > 0 {
@@ -1244,17 +1240,14 @@ pub fn inlining_table_with(h: &Harness) -> Table {
         let mut inlined = (*base).clone();
         Inliner::default().run(&mut inlined);
         let config = run_config(VmConfig::default());
-        jobs.push(RunJob::new(prog, dataset, base, d.inputs.clone(), config).needing_run());
-        jobs.push(
-            RunJob::new(
-                format!("{prog}:inlined"),
-                dataset,
-                Arc::new(inlined),
-                d.inputs.clone(),
-                config,
-            )
-            .needing_run(),
-        );
+        jobs.push(RunJob::new(prog, dataset, base, d.inputs.clone(), config));
+        jobs.push(RunJob::new(
+            format!("{prog}:inlined"),
+            dataset,
+            Arc::new(inlined),
+            d.inputs.clone(),
+            config,
+        ));
         selected.push((prog, dataset));
     }
     let outcomes = h.run(jobs).unwrap_or_else(|e| panic!("{e}"));
@@ -1262,7 +1255,7 @@ pub fn inlining_table_with(h: &Harness) -> Table {
     for (prog, dataset) in selected {
         let base_run = outcomes.next().expect("base outcome");
         let in_run = outcomes.next().expect("inlined outcome");
-        let (base_run, in_run) = (base_run.run(), in_run.run());
+        let (base_run, in_run) = (&base_run.run, &in_run.run);
         assert_eq!(base_run.output, in_run.output, "{prog}: inlining broke it");
         let m = |stats: &trace_vm::RunStats| {
             let p = Predictor::from_counts(&stats.branches, bpredict::Direction::NotTaken);
@@ -1520,6 +1513,22 @@ mod tests {
         })
     }
 
+    /// A fresh, empty cache directory for the test named `tag`.
+    fn fresh_cache_dir(tag: &str) -> std::path::PathBuf {
+        let dir = std::env::temp_dir().join(format!("mfbench-{tag}-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        dir
+    }
+
+    /// A new harness — a new process, in effect — over the disk tier `dir`.
+    fn disk_harness(dir: &std::path::Path) -> Harness {
+        Harness::new(HarnessOptions {
+            jobs: Some(2),
+            disk_cache: DiskCache::Dir(dir.to_path_buf()),
+            ..HarnessOptions::default()
+        })
+    }
+
     fn quick() -> &'static SuiteRuns {
         static RUNS: OnceLock<SuiteRuns> = OnceLock::new();
         // An isolated in-memory harness: tests must not read or write the
@@ -1744,6 +1753,24 @@ mod tests {
         assert_eq!(fig2_rows(&first, false), fig2_rows(&second, false));
     }
 
+    /// A second process over a primed disk tier runs nothing — zoo jobs
+    /// included — and renders the same tables.
+    #[test]
+    fn warm_tables_equal_cold_tables() {
+        let dir = fresh_cache_dir("warm-tables");
+        let cold = collect_subset_with(&disk_harness(&dir), QUICK);
+        let h = disk_harness(&dir);
+        let warm = collect_subset_with(&h, QUICK);
+        assert_eq!(h.report().computed(), 0);
+        assert_eq!(table1(&warm).render(), table1(&cold).render());
+        assert_eq!(
+            heuristic_table(&warm).render(),
+            heuristic_table(&cold).render()
+        );
+        assert_eq!(dyn_table(&warm).render(), dyn_table(&cold).render());
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
     #[test]
     fn dyn_rows_have_expected_shape() {
         let s = quick();
@@ -1924,14 +1951,22 @@ mod tests {
     #[test]
     #[ignore = "runs inlined workload builds; covered by the release harness"]
     fn inlining_table_renders() {
-        let t = inlining_table_with(&test_harness(4));
+        let dir = fresh_cache_dir("inlining");
+        let t = inlining_table_with(&disk_harness(&dir));
         assert!(t.len() >= 4);
+        assert!(matches_golden(&t, "inline"));
+        // A new process renders it again from the disk tier alone.
+        let h = disk_harness(&dir);
+        assert_eq!(inlining_table_with(&h).render(), t.render());
+        assert_eq!(h.report().computed(), 0);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
     #[ignore = "runs several observed workloads; covered by the release harness"]
     fn distribution_table_renders() {
-        let h = test_harness(4);
+        let dir = fresh_cache_dir("distribution");
+        let h = disk_harness(&dir);
         let t = distribution_table_with(&h);
         assert!(t.len() >= 4);
         assert!(matches_golden(&t, "distribution"));
@@ -1944,5 +1979,10 @@ mod tests {
         let _ = dynamic_table_with(&h);
         let after = h.report().computed();
         assert_eq!(after - before, 1, "only mfcom/c_metric is new");
+        // A new process renders it again from the disk tier alone.
+        let h = disk_harness(&dir);
+        assert_eq!(distribution_table_with(&h).render(), t.render());
+        assert_eq!(h.report().computed(), 0);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -33,6 +33,24 @@ impl RunLengths {
         }
     }
 
+    /// What the observer measured: the instruction count at the last
+    /// misprediction and the histogram as `length -> runs`. With the
+    /// predictions, these are all [`RunLengths::resume`] needs to rebuild
+    /// an equal observer.
+    pub fn measured(&self) -> (u64, &BTreeMap<u64, u64>) {
+        (self.last, &self.histogram)
+    }
+
+    /// The observer [`RunLengths::new`]`(predict_taken)` would be after
+    /// measuring `last` and `histogram` ([`RunLengths::measured`]).
+    pub fn resume(predict_taken: &[bool], last: u64, histogram: BTreeMap<u64, u64>) -> Self {
+        RunLengths {
+            predict_taken: predict_taken.to_vec(),
+            last,
+            histogram,
+        }
+    }
+
     /// Count, mean and percentiles of the runs so far.
     pub fn summary(&self) -> GapDistribution {
         let Some(&max) = self.histogram.keys().next_back() else {

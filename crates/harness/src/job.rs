@@ -9,20 +9,9 @@ use trace_vm::{Input, Run, RunStats, VmConfig};
 
 use crate::key::RunKey;
 
-/// What a job's consumer needs back.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
-pub enum Need {
-    /// Aggregate [`RunStats`] suffice (eligible for the disk cache).
-    Stats,
-    /// The full [`Run`], output stream included. Served from memory or
-    /// recomputed; never from disk.
-    FullRun,
-}
-
-/// An observer riding along on a job's run; what it measured comes back
-/// in [`RunOutcome::zoo`] or [`RunOutcome::run_lengths`]. It folds into
-/// [`RunJob::key`], and an observed job never touches the disk tier, which
-/// stores only stats.
+/// An observer riding along on a job's run; what it measured comes back in
+/// [`RunOutcome::observed`]. It folds into [`RunJob::key`], and both cache
+/// tiers hold the product together with the run.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum Observe {
     /// The online predictor zoo over these specs ([`mfdyn::Zoo`]).
@@ -32,9 +21,30 @@ pub enum Observe {
     RunLengths(Arc<Vec<bool>>),
 }
 
-/// What a job's observer measured: its zoo report or its run-length
-/// histogram, as [`RunOutcome`] carries them.
-pub(crate) type Observed = (Option<Arc<ZooReport>>, Option<Arc<RunLengths>>);
+/// What a job's observer measured: the product of its [`Observe`], or
+/// nothing for an unobserved job.
+#[derive(Clone, Debug, PartialEq)]
+pub enum Observed {
+    /// No observer rode along (or an executor did not drive it).
+    Nothing,
+    /// The per-predictor tallies of an [`Observe::Zoo`] job.
+    Zoo(Arc<ZooReport>),
+    /// The histogram of an [`Observe::RunLengths`] job.
+    RunLengths(Arc<RunLengths>),
+}
+
+impl Observed {
+    /// Whether this is the product `observe` yields — the condition for
+    /// caching it under that job's key.
+    pub(crate) fn answers(&self, observe: Option<&Observe>) -> bool {
+        matches!(
+            (self, observe),
+            (Observed::Nothing, None)
+                | (Observed::Zoo(_), Some(Observe::Zoo(_)))
+                | (Observed::RunLengths(_), Some(Observe::RunLengths(_)))
+        )
+    }
+}
 
 /// One `(program, dataset, vm-config)` execution request.
 #[derive(Clone, Debug)]
@@ -49,8 +59,6 @@ pub struct RunJob {
     pub inputs: Vec<Input>,
     /// VM resource/measurement configuration.
     pub config: VmConfig,
-    /// What the consumer needs back.
-    pub need: Need,
     /// The observer riding along on the run, if any.
     pub observe: Option<Observe>,
     /// The content-addressed identity of this work.
@@ -58,7 +66,7 @@ pub struct RunJob {
 }
 
 impl RunJob {
-    /// Builds a stats-level job; the key is computed from the arguments.
+    /// Builds an unobserved job; the key is computed from the arguments.
     pub fn new(
         program_name: impl Into<String>,
         dataset: impl Into<String>,
@@ -73,7 +81,6 @@ impl RunJob {
             program,
             inputs,
             config,
-            need: Need::Stats,
             observe: None,
             key,
         }
@@ -94,12 +101,6 @@ impl RunJob {
             dataset.inputs.clone(),
             workload.vm_config(),
         )
-    }
-
-    /// Upgrades the job to require the full [`Run`].
-    pub fn needing_run(mut self) -> Self {
-        self.need = Need::FullRun;
-        self
     }
 
     /// Attaches an observer to the job and re-keys it by the observer's
@@ -152,31 +153,34 @@ pub struct RunOutcome {
     pub label: String,
     /// The job's content key.
     pub key: RunKey,
-    /// Everything the VM measured.
+    /// Everything the VM measured (the run's own stats).
     pub stats: Arc<RunStats>,
-    /// The full run — present when the job asked for [`Need::FullRun`].
-    pub run: Option<Arc<Run>>,
+    /// The full run: output stream, result and stats.
+    pub run: Arc<Run>,
     /// Where the result came from.
     pub source: CacheSource,
     /// Wall-clock time spent producing this result (≈0 for cache hits).
     pub wall: Duration,
-    /// Per-predictor tallies of a job observed by [`Observe::Zoo`]; `None`
-    /// otherwise (or when a custom executor that does not drive observers
-    /// produced the run).
-    pub zoo: Option<Arc<ZooReport>>,
-    /// The histogram of a job observed by [`Observe::RunLengths`], likewise.
-    pub run_lengths: Option<Arc<RunLengths>>,
+    /// What the job's observer measured.
+    pub observed: Observed,
 }
 
 impl RunOutcome {
-    /// The full run, which [`Need::FullRun`] jobs are guaranteed to have.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the job was submitted with [`Need::Stats`].
-    pub fn run(&self) -> &Arc<Run> {
-        self.run
-            .as_ref()
-            .expect("job was submitted with Need::Stats; no full run retained")
+    /// The tallies of a job observed by [`Observe::Zoo`]; `None` otherwise
+    /// (or when a custom executor that does not drive observers produced
+    /// the run).
+    pub fn zoo(&self) -> Option<&ZooReport> {
+        match &self.observed {
+            Observed::Zoo(report) => Some(report),
+            _ => None,
+        }
+    }
+
+    /// The histogram of a job observed by [`Observe::RunLengths`], likewise.
+    pub fn run_lengths(&self) -> Option<&RunLengths> {
+        match &self.observed {
+            Observed::RunLengths(lengths) => Some(lengths),
+            _ => None,
+        }
     }
 }

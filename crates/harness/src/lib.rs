@@ -3,11 +3,15 @@
 //! Every measured run in the evaluation matrix — `(program, dataset,
 //! vm-config)` — is a [`RunJob`] with a stable content-addressed
 //! [`RunKey`]. A [`Harness`] deduplicates submitted jobs, serves repeats
-//! from a two-tier cache (in-process memo table plus an optional on-disk
-//! store of [`trace_vm::RunStats`]), and executes the remainder on a
-//! dependency-free work-stealing thread pool. Results always come back in
-//! submission order, so downstream tables and figures are bit-identical
-//! whether the matrix ran on one worker or eight.
+//! from a two-tier cache, and executes the remainder on a dependency-free
+//! work-stealing thread pool. Both tiers — an in-process memo table and an
+//! optional on-disk store — hold a job's whole outcome: the
+//! [`trace_vm::Run`] (output, result, stats) and what its [`Observe`]
+//! observer measured, so a warm process re-runs nothing. The whole
+//! matrix takes about 1.5 MiB on disk, mostly the output streams of
+//! compress and uncompress; the directory is never evicted. Results always
+//! come back in submission order, so downstream tables and figures are
+//! bit-identical whether the matrix ran on one worker or eight.
 //!
 //! Knobs (also surfaced as `repro` flags):
 //!
@@ -40,10 +44,8 @@ use std::time::Instant;
 use mffault::{FaultPlan, FaultVfs, RealVfs, RetryPolicy, Vfs};
 use trace_vm::{Run, RuntimeError};
 
-use job::Observed;
-
 pub use cache::{CacheCounters, CacheHit, CacheRobustness, RunCache};
-pub use job::{CacheSource, Need, Observe, RunJob, RunOutcome};
+pub use job::{CacheSource, Observe, Observed, RunJob, RunOutcome};
 pub use key::{fnv64, Fingerprint, RunKey};
 pub use pool::{default_workers, run_indexed, run_indexed_supervised, PoolStats};
 pub use report::{HarnessReport, RobustnessReport, RunRecord};
@@ -128,6 +130,26 @@ pub fn default_cache_dir() -> PathBuf {
     target.join("mfharness-cache")
 }
 
+/// The default executor: a plain VM run, or — when the job carries an
+/// observer — a [`trace_vm::Vm::run_observed`] run with it attached,
+/// returned with what it measured.
+fn exec_default(job: &RunJob) -> Result<(Run, Observed), RuntimeError> {
+    let vm = trace_vm::Vm::with_config(&job.program, job.config);
+    Ok(match &job.observe {
+        None => (vm.run(&job.inputs)?, Observed::Nothing),
+        Some(Observe::Zoo(specs)) => {
+            let mut zoo = mfdyn::Zoo::for_program(specs, &job.program);
+            let run = vm.run_observed(&job.inputs, &mut zoo)?;
+            (run, Observed::Zoo(Arc::new(zoo.report())))
+        }
+        Some(Observe::RunLengths(taken)) => {
+            let mut lengths = mfdyn::RunLengths::new(taken);
+            let run = vm.run_observed(&job.inputs, &mut lengths)?;
+            (run, Observed::RunLengths(Arc::new(lengths)))
+        }
+    })
+}
+
 /// A run failed; carries the failing job's label and the VM error.
 #[derive(Debug)]
 pub enum HarnessError {
@@ -176,11 +198,6 @@ pub struct Harness {
     busy_ns: AtomicU64,
     panics: AtomicU64,
     quarantine: Mutex<HashMap<RunKey, (String, String)>>,
-    /// Observer products keyed by job key — the in-process companion to
-    /// the memo table for jobs with a [`RunJob::observe`] observer. Never
-    /// persisted (observed jobs bypass the disk tier), so a memo hit can
-    /// always find its product here.
-    observed_memo: Mutex<HashMap<RunKey, Observed>>,
 }
 
 impl Harness {
@@ -211,7 +228,6 @@ impl Harness {
             busy_ns: AtomicU64::new(0),
             panics: AtomicU64::new(0),
             quarantine: Mutex::new(HashMap::new()),
-            observed_memo: Mutex::new(HashMap::new()),
         }
     }
 
@@ -245,66 +261,37 @@ impl Harness {
     }
 
     /// Executes a batch. Jobs with equal keys are collapsed to one
-    /// execution (the strongest [`Need`] wins); cache hits skip execution
-    /// entirely. The returned vector is index-aligned with `batch`.
+    /// execution; cache hits skip execution entirely. The returned vector
+    /// is index-aligned with `batch`.
     ///
     /// Jobs with a [`RunJob::observe`] observer run with it attached (pure
     /// observation — stats are bit-identical to an unobserved run) and come
     /// back with what it measured.
     pub fn run(&self, batch: Vec<RunJob>) -> Result<Vec<RunOutcome>, HarnessError> {
-        self.run_with(batch, |job| self.exec_default(job))
-    }
-
-    /// The default executor: a plain VM run, or — when the job carries an
-    /// observer — a [`trace_vm::Vm::run_observed`] run with it attached,
-    /// its product parked in the observed memo for outcome assembly.
-    fn exec_default(&self, job: &RunJob) -> Result<Run, RuntimeError> {
-        let vm = trace_vm::Vm::with_config(&job.program, job.config);
-        let (run, observed) = match &job.observe {
-            None => return vm.run(&job.inputs),
-            Some(Observe::Zoo(specs)) => {
-                let mut zoo = mfdyn::Zoo::for_program(specs, &job.program);
-                let run = vm.run_observed(&job.inputs, &mut zoo)?;
-                (run, (Some(Arc::new(zoo.report())), None))
-            }
-            Some(Observe::RunLengths(taken)) => {
-                let mut lengths = mfdyn::RunLengths::new(taken);
-                let run = vm.run_observed(&job.inputs, &mut lengths)?;
-                (run, (None, Some(Arc::new(lengths))))
-            }
-        };
-        self.observed_memo
-            .lock()
-            .expect("observed memo lock")
-            .insert(job.key, observed);
-        Ok(run)
+        self.run_with(batch, exec_default)
     }
 
     /// [`Harness::run`] with an explicit executor — the seam supervision
-    /// tests (and alternative backends) plug into. `exec` runs on pool
-    /// workers under `catch_unwind`; a panic inside it becomes
-    /// [`HarnessError::Panicked`] and quarantines the job's key rather
-    /// than killing the pool or poisoning the harness.
+    /// tests (and alternative backends) plug into. `exec` returns the run
+    /// and its observer's product ([`Observed::Nothing`] from an executor
+    /// that does not drive observers, which leaves an observed job
+    /// uncached). It runs on pool workers under `catch_unwind`; a panic
+    /// inside it becomes [`HarnessError::Panicked`] and quarantines the
+    /// job's key rather than killing the pool or poisoning the harness.
     pub fn run_with<E>(&self, batch: Vec<RunJob>, exec: E) -> Result<Vec<RunOutcome>, HarnessError>
     where
-        E: Fn(&RunJob) -> Result<Run, RuntimeError> + Sync,
+        E: Fn(&RunJob) -> Result<(Run, Observed), RuntimeError> + Sync,
     {
         self.jobs_submitted
             .fetch_add(batch.len() as u64, Ordering::Relaxed);
 
-        // Deduplicate: first occurrence of a key owns the work; later
-        // occurrences only strengthen its Need.
+        // Deduplicate: the first occurrence of a key owns the work.
         let mut unique: Vec<RunJob> = Vec::new();
         let mut index_of: HashMap<RunKey, usize> = HashMap::new();
         let mut fanout: Vec<usize> = Vec::with_capacity(batch.len());
         for job in batch {
             match index_of.get(&job.key) {
-                Some(&i) => {
-                    if job.need > unique[i].need {
-                        unique[i].need = job.need;
-                    }
-                    fanout.push(i);
-                }
+                Some(&i) => fanout.push(i),
                 None => {
                     let i = unique.len();
                     index_of.insert(job.key, i);
@@ -343,8 +330,7 @@ impl Harness {
                     run: hit.run,
                     source: hit.source,
                     wall: std::time::Duration::ZERO,
-                    zoo: None,
-                    run_lengths: None,
+                    observed: hit.observed,
                 })),
                 None => {
                     to_run.push(i);
@@ -357,8 +343,7 @@ impl Harness {
             let (executed, stats) = pool::run_indexed_supervised(self.jobs, to_run.len(), |slot| {
                 let job = &unique[to_run[slot]];
                 let t0 = Instant::now();
-                let result = exec(job);
-                (result.map(Arc::new), t0.elapsed())
+                (exec(job), t0.elapsed())
             });
             self.workers_seen
                 .fetch_max(stats.workers, Ordering::Relaxed);
@@ -397,17 +382,17 @@ impl Harness {
                             });
                         }
                     }
-                    Ok((Ok(run), wall)) => {
-                        self.cache.insert(job, &run);
+                    Ok((Ok((run, observed)), wall)) => {
+                        let run = Arc::new(run);
+                        self.cache.insert_observed(job, &run, observed.clone());
                         resolved[i] = Some(RunOutcome {
                             label: job.label(),
                             key: job.key,
                             stats: Arc::new(run.stats.clone()),
-                            run: Some(run),
+                            run,
                             source: CacheSource::Computed,
                             wall,
-                            zoo: None,
-                            run_lengths: None,
+                            observed,
                         });
                     }
                 }
@@ -417,24 +402,10 @@ impl Harness {
             }
         }
 
-        let mut outcomes: Vec<RunOutcome> = resolved
+        let outcomes: Vec<RunOutcome> = resolved
             .into_iter()
             .map(|o| o.expect("every unique job resolved"))
             .collect();
-
-        // Observed jobs collect their products from the observed memo —
-        // filled by the default executor on compute, and still present for
-        // memo hits (observed jobs never come from disk). A custom executor
-        // that ignores observers simply leaves the field `None`.
-        {
-            let memo = self.observed_memo.lock().expect("observed memo lock");
-            for (job, outcome) in unique.iter().zip(&mut outcomes) {
-                if job.observe.is_some() {
-                    (outcome.zoo, outcome.run_lengths) =
-                        memo.get(&job.key).cloned().unwrap_or_default();
-                }
-            }
-        }
 
         // Verification digests: one per distinct program (many unique jobs
         // share one `Arc<Program>` across datasets). Cache hits are
@@ -551,16 +522,16 @@ mod tests {
     }
 
     #[test]
-    fn stats_hit_does_not_satisfy_full_run_need() {
-        // A Stats-only memo entry (simulating a disk load) must not be
-        // handed to a FullRun consumer.
+    fn every_hit_carries_the_full_run() {
+        // Computed or served from memory, an outcome holds the whole run:
+        // output and result as well as the stats.
         let harness = Harness::in_memory();
-        let stats_job = job(LOOPY, vec![Input::Int(30)]);
-        harness.run_one(stats_job.clone()).unwrap();
-        let full = harness.run_one(stats_job.needing_run()).unwrap();
-        // Memo table keeps the full Run, so this is served from memory
-        // *with* the run present.
-        assert!(full.run.is_some());
+        let computed = harness.run_one(job(LOOPY, vec![Input::Int(30)])).unwrap();
+        let hit = harness.run_one(job(LOOPY, vec![Input::Int(30)])).unwrap();
+        assert_eq!(hit.source, CacheSource::Memory);
+        assert!(!computed.run.output.is_empty());
+        assert_eq!(hit.run, computed.run);
+        assert_eq!(*hit.stats, hit.run.stats);
     }
 
     #[test]
@@ -630,6 +601,7 @@ mod tests {
                     panic!("injected poison");
                 }
                 trace_vm::run_program(&j.program, j.config, &j.inputs)
+                    .map(|r| (r, Observed::Nothing))
             })
             .unwrap_err();
         match &err {
@@ -666,8 +638,8 @@ mod tests {
         let outcomes = harness.run(vec![plain, zooed.clone()]).unwrap();
         // Observation is pure: both jobs measured the same run.
         assert_eq!(outcomes[0].stats, outcomes[1].stats);
-        assert!(outcomes[0].zoo.is_none());
-        let report = outcomes[1].zoo.as_ref().expect("zoo job has a report");
+        assert!(outcomes[0].zoo().is_none());
+        let report = outcomes[1].zoo().expect("zoo job has a report");
         assert_eq!(report.entries.len(), mfdyn::full_zoo().len());
         for (spec, counts) in &report.entries {
             assert!(counts.executed > 0, "{spec} saw no branches");
@@ -676,33 +648,25 @@ mod tests {
         // A memo hit still finds its zoo report.
         let again = harness.run_one(zooed).unwrap();
         assert_eq!(again.source, CacheSource::Memory);
-        assert_eq!(again.zoo.as_deref(), Some(report.as_ref()));
+        assert_eq!(again.zoo(), Some(report));
     }
 
     #[test]
-    fn zoo_jobs_bypass_the_disk_tier() {
-        let dir = std::env::temp_dir().join(format!("mfharness-zoo-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        let zoo = || Observe::Zoo(mfdyn::full_zoo());
-        let options = || HarnessOptions {
-            jobs: Some(2),
-            disk_cache: DiskCache::Dir(dir.clone()),
-            ..HarnessOptions::default()
+    fn executors_that_skip_the_observer_leave_the_job_uncached() {
+        let harness = Harness::in_memory();
+        let observed =
+            job(LOOPY, vec![Input::Int(15)]).observed_by(Observe::Zoo(mfdyn::full_zoo()));
+        let unobserving = |j: &RunJob| {
+            trace_vm::run_program(&j.program, j.config, &j.inputs).map(|r| (r, Observed::Nothing))
         };
-        let first = Harness::new(options());
-        first
-            .run_one(job(LOOPY, vec![Input::Int(35)]).observed_by(zoo()))
+        let first = harness
+            .run_with(vec![observed.clone()], unobserving)
             .unwrap();
-        // A second harness over the same directory (a fresh process, in
-        // effect) must recompute the zoo job rather than taking a stats
-        // hit that would lose the report.
-        let second = Harness::new(options());
-        let outcome = second
-            .run_one(job(LOOPY, vec![Input::Int(35)]).observed_by(zoo()))
-            .unwrap();
-        assert_eq!(outcome.source, CacheSource::Computed);
-        assert!(outcome.zoo.is_some());
-        let _ = std::fs::remove_dir_all(&dir);
+        assert!(first[0].zoo().is_none());
+        // No entry without its product: the next run computes the report.
+        let second = harness.run_one(observed).unwrap();
+        assert_eq!(second.source, CacheSource::Computed);
+        assert!(second.zoo().is_some());
     }
 
     #[test]
@@ -717,14 +681,8 @@ mod tests {
             .run(vec![job(LOOPY, vec![Input::Int(45)]), all, none])
             .unwrap();
         assert_eq!(outcomes[0].stats, outcomes[1].stats);
-        assert!(outcomes[0].run_lengths.is_none() && outcomes[1].zoo.is_none());
-        let [a, b] = [1, 2].map(|i| {
-            outcomes[i]
-                .run_lengths
-                .as_ref()
-                .expect("a histogram")
-                .summary()
-        });
+        assert!(outcomes[0].run_lengths().is_none() && outcomes[1].zoo().is_none());
+        let [a, b] = [1, 2].map(|i| outcomes[i].run_lengths().expect("a histogram").summary());
         assert!(a.count > 0 && b.count > 0 && a != b);
     }
 

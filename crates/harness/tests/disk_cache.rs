@@ -1,16 +1,21 @@
 //! The persistent cache tier, end to end: hits survive a "process
-//! restart" (a fresh `Harness` over the same directory), key changes
-//! invalidate, and damaged files degrade to misses.
+//! restart" (a fresh `Harness` over the same directory) for every kind of
+//! outcome, key changes invalidate, and damaged files degrade to misses.
 
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
-use mfharness::{CacheSource, DiskCache, Harness, HarnessOptions, RunJob};
+use mfharness::{CacheSource, DiskCache, Harness, HarnessOptions, Observe, RunJob};
 use trace_ir::Program;
 use trace_vm::{Input, VmConfig};
 
 const LOOPY: &str = "fn main(n: int) { var i: int = 0; var acc: int = 0; \
     while (i < n) { if (i % 2 == 0) { acc = acc + i; } i = i + 1; } emit(acc); }";
+
+/// Emits integers and floats and returns a count: an outcome with a
+/// non-empty output stream and a result.
+const CHATTY: &str = "fn main(n: int) -> int { var i: int = 0; var x: float = 0.5; \
+    while (i < n) { if (i % 3 == 0) { emit(i); x = x * 1.5; emit(x); } i = i + 1; } return i; }";
 
 fn temp_dir(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("mfharness-it-{tag}-{}", std::process::id()));
@@ -54,6 +59,69 @@ fn warm_cache_survives_a_restart_with_identical_stats() {
     let report = warm.report();
     assert_eq!(report.cache.disk_hits, 1);
     assert!(report.hit_rate() > 0.0);
+
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// An unobserved job, a zoo job and a run-length job of one run.
+fn every_kind(program: &Arc<Program>, n: i64) -> Vec<RunJob> {
+    let plain = job(program, n);
+    let taken = Arc::new(vec![true; program.branch_info.len()]);
+    vec![
+        plain.clone(),
+        plain.clone().observed_by(Observe::Zoo(mfdyn::full_zoo())),
+        plain.observed_by(Observe::RunLengths(taken)),
+    ]
+}
+
+#[test]
+fn every_outcome_kind_survives_a_restart() {
+    let dir = temp_dir("kinds");
+    let program = Arc::new(mflang::compile(CHATTY).unwrap());
+    let cold = disk_harness(&dir).run(every_kind(&program, 40)).unwrap();
+    assert!(cold.iter().all(|o| o.source == CacheSource::Computed));
+    assert!(!cold[0].run.output.is_empty() && cold[0].run.result.is_some());
+
+    let warm = disk_harness(&dir);
+    let served = warm.run(every_kind(&program, 40)).unwrap();
+    for (then, now) in cold.iter().zip(&served) {
+        assert_eq!(now.source, CacheSource::Disk, "{}", now.label);
+        assert_eq!(now.run, then.run, "{}", now.label);
+        assert_eq!(*now.stats, then.run.stats);
+    }
+    assert!(served[1].zoo().is_some() && served[2].run_lengths().is_some());
+    assert_eq!(served[1].zoo(), cold[1].zoo());
+    assert_eq!(served[2].run_lengths(), cold[2].run_lengths());
+    let report = warm.report();
+    assert_eq!((report.computed(), report.cache.disk_hits), (0, 3));
+
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn observed_and_unobserved_twins_never_share_an_entry() {
+    let dir = temp_dir("twins");
+    let program = Arc::new(mflang::compile(CHATTY).unwrap());
+    let [plain, zoo, _] = <[RunJob; 3]>::try_from(every_kind(&program, 50)).unwrap();
+    let entry = |j: &RunJob| dir.join(format!("{}.bin", j.key.hex()));
+
+    // The zoo job's entry copied onto its plain twin's path is refused ...
+    disk_harness(&dir).run_one(zoo.clone()).unwrap();
+    std::fs::copy(entry(&zoo), entry(&plain)).unwrap();
+    let harness = disk_harness(&dir);
+    assert_eq!(
+        harness.run_one(plain.clone()).unwrap().source,
+        CacheSource::Computed
+    );
+    assert_eq!(harness.report().robustness.cache_corrupt_misses, 1);
+
+    // ... and so is the plain entry that recomputation wrote, copied back.
+    std::fs::copy(entry(&plain), entry(&zoo)).unwrap();
+    let harness = disk_harness(&dir);
+    let outcome = harness.run_one(zoo).unwrap();
+    assert_eq!(outcome.source, CacheSource::Computed);
+    assert!(outcome.zoo().is_some());
+    assert_eq!(harness.report().robustness.cache_corrupt_misses, 1);
 
     let _ = std::fs::remove_dir_all(&dir);
 }

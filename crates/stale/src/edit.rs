@@ -10,14 +10,44 @@ fn is_ident(b: u8) -> bool {
     b.is_ascii_alphanumeric() || b == b'_'
 }
 
-/// Replace every whole-word occurrence of identifier `from` with `to`.
-/// Renames the definition *and* every call site, which is exactly the
-/// "rename-only" edit the remapper must fully salvage.
+/// The length of the string literal, char literal or comment starting at
+/// byte `i`, if one does; an unterminated one runs to the end of the
+/// source. Comments are recognized first, so a quote inside one opens
+/// nothing.
+fn opaque_len(bytes: &[u8], i: usize) -> Option<usize> {
+    let rest = &bytes[i..];
+    Some(match rest {
+        [b'/', b'/', ..] => rest.iter().position(|&b| b == b'\n').unwrap_or(rest.len()),
+        [b'/', b'*', tail @ ..] => tail
+            .windows(2)
+            .position(|w| w == b"*/")
+            .map_or(rest.len(), |at| at + 4),
+        [quote @ (b'"' | b'\''), ..] => {
+            let mut j = 1;
+            while j < rest.len() && rest[j] != *quote {
+                j += if rest[j] == b'\\' { 2 } else { 1 };
+            }
+            (j + 1).min(rest.len())
+        }
+        _ => return None,
+    })
+}
+
+/// Replace every whole-word occurrence of identifier `from` with `to`
+/// outside string literals, char literals and comments. Renames the
+/// definition *and* every call site, which is exactly the "rename-only"
+/// edit the remapper must fully salvage; a literal that happens to spell
+/// the name is data and keeps its bytes.
 pub fn rename_fn(source: &str, from: &str, to: &str) -> String {
     let bytes = source.as_bytes();
     let mut out = String::with_capacity(source.len());
     let mut i = 0;
     while i < bytes.len() {
+        if let Some(len) = opaque_len(bytes, i) {
+            out.push_str(&source[i..i + len]);
+            i += len;
+            continue;
+        }
         if source[i..].starts_with(from) {
             let before_ok = i == 0 || !is_ident(bytes[i - 1]);
             let end = i + from.len();
@@ -116,6 +146,46 @@ mod tests {
         assert!(out.contains("fn g(x: int)"));
         assert!(out.contains("return frob(x)"), "frob must not become grob");
         assert!(out.contains("fn frob(y: int)"));
+    }
+
+    #[test]
+    fn rename_skips_literals_and_comments() {
+        let src =
+            "// f's helper: calls f\nfn f(c: int) -> int { /* f \"in\" f */ return c + 'f'; }\n\
+                   fn main() { emit(f('\\'')); emit(f(\"f\\\"f\"[0])); }";
+        let want =
+            "// f's helper: calls f\nfn g(c: int) -> int { /* f \"in\" f */ return c + 'f'; }\n\
+                    fn main() { emit(g('\\'')); emit(g(\"f\\\"f\"[0])); }";
+        assert_eq!(rename_fn(src, "f", "g"), want);
+    }
+
+    /// li's builtin table is a string naming `cons`, `car` and `cdr`:
+    /// renaming the function `cons` must leave it, and the program's
+    /// behaviour, alone — so every branch site survives the remap.
+    #[test]
+    fn renaming_lis_cons_keeps_its_builtin_table() {
+        let li = mfwork::suite()
+            .into_iter()
+            .find(|w| w.name == "li")
+            .expect("li is in the suite")
+            .source;
+        let at = li.find("\"+ - * /").expect("li's builtin table");
+        let table = &li[at..at + li[at + 1..].find('"').unwrap() + 2];
+        assert!(table.contains(" cons car cdr "), "{table}");
+        let renamed = rename_fn(&li, "cons", "kons");
+        assert!(renamed.contains(table), "the builtin table changed");
+        assert!(renamed.contains("fn kons(") && !renamed.contains("fn cons("));
+
+        let old_fps = crate::site_fingerprints(&mflang::compile(&li).unwrap());
+        let new_fps = crate::site_fingerprints(&mflang::compile(&renamed).unwrap());
+        let counts: Vec<_> = old_fps
+            .keys()
+            .enumerate()
+            .map(|(i, &id)| (id, 10 + i as u64, i as u64))
+            .collect();
+        let report = crate::remap_counts(&counts, &old_fps, &new_fps).report;
+        assert_eq!(report.matched + report.salvaged, counts.len(), "{report}");
+        assert_eq!((report.orphaned, report.degraded), (0, 0), "{report}");
     }
 
     #[test]
