@@ -33,14 +33,20 @@ use mfwork::{suite, Group, Workload};
 use trace_ir::{BranchId, Program};
 use trace_vm::{Backend, VmConfig};
 
-/// One workload's collected experiment data.
+/// One workload's collected experiment data: the profiling build and
+/// everything measured on it, so whatever persists or reinterprets the
+/// counts ([`record_suite_svc`], [`suite_skew`]) reads the branch sites
+/// from the build that produced them.
 #[derive(Clone, Debug)]
 pub struct WorkloadRuns {
     /// Program name.
     pub name: String,
     /// FORTRAN/FP or C/integer.
     pub group: Group,
-    /// One profiled run per dataset (profiling build: optimization off).
+    /// The profiling build (optimization off) every run in `runs`
+    /// executed; its branch ids key their counters.
+    pub program: Arc<Program>,
+    /// One profiled run per dataset, on `program`.
     pub runs: Vec<DatasetRun>,
     /// Dynamic instructions of the *optimized* build on the first dataset
     /// (for Table 1).
@@ -293,6 +299,7 @@ fn collect_prepared(h: &Harness, prepared: Vec<Prepared>) -> SuiteRuns {
         workloads.push(WorkloadRuns {
             name: p.workload.name.to_string(),
             group: p.workload.group,
+            program: p.program,
             runs,
             opt_instrs_first: opt.stats.total_instrs,
             base_instrs_first,
@@ -313,57 +320,21 @@ pub fn collect() -> SuiteRuns {
     collect_with(harness())
 }
 
-/// Structural site fingerprints for one suite workload, recomputed from
-/// its bundled source (compilation is cheap next to the runs the counts
-/// came from). Empty for a name not in the suite.
-fn workload_fingerprints(name: &str) -> std::collections::BTreeMap<trace_ir::BranchId, u64> {
-    suite()
-        .into_iter()
-        .find(|w| w.name == name)
-        .map(|w| {
-            let program = w.compile().expect("bundled workload compiles");
-            mfstale::site_fingerprints(&program)
-        })
-        .unwrap_or_default()
-}
-
-/// Appends every collected run's branch counters to the profile database,
-/// one record per program × dataset labelled `program/dataset`, each
-/// frame carrying the program's structural site fingerprints so a later
-/// `repro --profile-db` can reuse the counts across a program edit
-/// (see `mfstale`). Returns `(committed, in_memory_only)` record counts;
-/// `Err` only on an injected crash point (never from a probabilistic
-/// fault plan).
-pub fn record_suite(
-    store: &mut mfprofdb::ProfileStore,
-    s: &SuiteRuns,
-) -> Result<(usize, usize), mfprofdb::DbError> {
-    let (mut committed, mut degraded) = (0usize, 0usize);
-    for w in &s.workloads {
-        let fps = workload_fingerprints(&w.name);
-        for r in &w.runs {
-            let label = format!("{}/{}", w.name, r.dataset);
-            match store.append_with_fps(&label, &r.stats.branches, &fps)? {
-                mfprofdb::Persistence::Committed => committed += 1,
-                mfprofdb::Persistence::Degraded => degraded += 1,
-            }
-        }
-    }
-    Ok((committed, degraded))
-}
-
-/// [`record_suite`] against the sharded profile service: every run is
-/// enqueued (fingerprints riding along), then one `flush` group-commits
-/// the whole suite — a single append+sync per touched shard instead of
-/// one per run. Returns `(committed, in_memory_only)` record counts;
-/// `Err` only on an injected crash point (never from a probabilistic
-/// fault plan).
+/// Appends every collected run's branch counters to the sharded profile
+/// service, one record per program × dataset labelled `program/dataset`.
+/// Each record carries the structural site fingerprints of the build the
+/// counts were measured on ([`WorkloadRuns::program`]), so a later
+/// `repro --profile-db` can reuse them across a program edit (see
+/// `mfstale`). Every run is enqueued, then one `flush` group-commits the
+/// whole suite: a single append+sync per touched shard instead of one per
+/// run. Returns `(committed, in_memory_only)` record counts; `Err` only on
+/// an injected crash point (never from a probabilistic fault plan).
 pub fn record_suite_svc(
     svc: &mfprofsvc::ProfileService,
     s: &SuiteRuns,
 ) -> Result<(usize, usize), mfprofsvc::DbError> {
     for w in &s.workloads {
-        let fps = workload_fingerprints(&w.name);
+        let fps = mfstale::site_fingerprints(&w.program);
         for r in &w.runs {
             let label = format!("{}/{}", w.name, r.dataset);
             svc.enqueue_with_fps(&label, &r.stats.branches, &fps)?;
@@ -420,20 +391,20 @@ impl SuiteSkew {
     }
 }
 
-/// Assesses how a prior profile database's counts carry over to the suite
-/// programs as they compile now — the read half of version-skew-tolerant
-/// reuse (`repro --profile-db` across a program edit).
+/// Assesses how a prior profile database's counts carry over to this
+/// generation's builds — the read half of version-skew-tolerant reuse
+/// (`repro --profile-db` across a program edit).
 ///
 /// `prior` and `prior_fps` come from
 /// [`mfprofsvc::ProfileService::merged_totals`] and
 /// [`mfprofsvc::ProfileService::merged_fingerprints_by_dataset`] *before*
 /// this generation's runs are recorded. Per workload, every prior
 /// `workload/dataset` record is remapped by structural fingerprint onto
-/// the freshly compiled program ([`ifprob::combine_skewed`]); sites no
-/// record could feed degrade to the static tier
-/// ([`mfpredict::static_tier`]) and are excluded from steering trace
-/// formation. Workloads with no prior records are skipped — that is the
-/// first-generation case, not an error.
+/// [`WorkloadRuns::program`], the build this generation measured and will
+/// record ([`ifprob::combine_skewed`]); sites no record could feed degrade
+/// to the static tier ([`mfpredict::static_tier`]) and are excluded from
+/// steering trace formation. Workloads with no prior records are skipped —
+/// that is the first-generation case, not an error.
 ///
 /// # Errors
 ///
@@ -448,7 +419,6 @@ pub fn suite_skew(
     use trace_ir::BranchId;
     use trace_vm::{confidence_digest, FlatProgram, TraceConfig};
 
-    let all = suite();
     let mut out = SuiteSkew::default();
     for w in &s.workloads {
         let prefix = format!("{}/", w.name);
@@ -460,11 +430,8 @@ pub fn suite_skew(
         if datasets.is_empty() {
             continue;
         }
-        let Some(workload) = all.iter().find(|x| x.name == w.name) else {
-            continue;
-        };
-        let program = workload.compile().expect("bundled workload compiles");
-        let new_fps = mfstale::site_fingerprints(&program);
+        let program = &w.program;
+        let new_fps = mfstale::site_fingerprints(program);
         // Stored fingerprints, unioned across the workload's datasets
         // (they all describe the same program; later records win).
         let mut old_fps: std::collections::BTreeMap<BranchId, u64> = Default::default();
@@ -508,8 +475,8 @@ pub fn suite_skew(
             ..TraceConfig::default()
         };
         let compiled =
-            FlatProgram::compile_with_confidence(&program, Some(&profile), &skewed.degraded, tcfg);
-        let fallback = mfpredict::static_tier(&program, &skewed.degraded);
+            FlatProgram::compile_with_confidence(program, Some(&profile), &skewed.degraded, tcfg);
+        let fallback = mfpredict::static_tier(program, &skewed.degraded);
         out.total.merge(&skewed.report);
         out.workloads.push(WorkloadSkew {
             name: w.name.clone(),
@@ -552,7 +519,7 @@ pub fn collect_subset_with(h: &Harness, names: &[&str]) -> SuiteRuns {
 // --------------------------------------------------------------------
 
 fn collect_workload_serial(w: &Workload) -> WorkloadRuns {
-    let program = w.compile().expect("bundled workload compiles");
+    let program = Arc::new(w.compile().expect("bundled workload compiles"));
     let optimized = if verify_each_enabled() {
         w.compile_optimized_verified()
             .unwrap_or_else(|e| panic!("{}: {e}", w.name))
@@ -587,6 +554,7 @@ fn collect_workload_serial(w: &Workload) -> WorkloadRuns {
     WorkloadRuns {
         name: w.name.to_string(),
         group: w.group,
+        program,
         runs,
         opt_instrs_first: opt_run.stats.total_instrs,
         base_instrs_first,
@@ -1852,6 +1820,39 @@ mod tests {
         }
     }
 
+    /// Every recorded `program/dataset` record carries exactly the
+    /// fingerprints of the build its counts were measured on — also when
+    /// that build is not what the bundled source compiles to today.
+    #[test]
+    fn recorded_fingerprints_come_from_the_profiling_build() {
+        use std::collections::BTreeMap;
+
+        let mut s = quick().clone();
+        let doduc = s.workloads.iter_mut().find(|w| w.name == "doduc").unwrap();
+        let mut edited = suite().into_iter().find(|w| w.name == "doduc").unwrap();
+        edited.source = mfstale::edit::append_fn(
+            &edited.source,
+            "fn spare(x: int) -> int { if (x < 3) { return 1; } return 0; }",
+        );
+        let bundled = mfstale::site_fingerprints(&doduc.program);
+        doduc.program = Arc::new(edited.compile().unwrap());
+        assert_ne!(mfstale::site_fingerprints(&doduc.program), bundled);
+
+        let svc = mem_service();
+        record_suite_svc(&svc, &s).unwrap();
+        let mut want = BTreeMap::new();
+        for w in &s.workloads {
+            let fps: BTreeMap<u32, u64> = mfstale::site_fingerprints(&w.program)
+                .into_iter()
+                .map(|(id, fp)| (id.0, fp))
+                .collect();
+            for r in &w.runs {
+                want.insert(format!("{}/{}", w.name, r.dataset), fps.clone());
+            }
+        }
+        assert_eq!(svc.merged_fingerprints_by_dataset().unwrap(), want);
+    }
+
     /// A database written by a fingerprint-free (legacy) writer still
     /// remaps — by id, flagged unverified — and an empty database skips
     /// every workload (the first-generation case).
@@ -1888,19 +1889,13 @@ mod tests {
         // those degrade to the static tier.
         let mut never_executed = 0usize;
         for w in &s.workloads {
-            let program = suite()
-                .into_iter()
-                .find(|x| x.name == w.name)
-                .unwrap()
-                .compile()
-                .unwrap();
             let mut fed = std::collections::BTreeSet::new();
             for r in &w.runs {
                 for (id, _, _) in r.stats.branches.iter() {
                     fed.insert(id);
                 }
             }
-            never_executed += mfstale::site_fingerprints(&program)
+            never_executed += mfstale::site_fingerprints(&w.program)
                 .keys()
                 .filter(|id| !fed.contains(id))
                 .count();

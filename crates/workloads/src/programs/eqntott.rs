@@ -217,7 +217,8 @@ pub fn gen_adder(bits: usize) -> String {
             d
         };
         let nd = deps.len();
-        let mut terms = Vec::new();
+        write!(out, "z{stage} = ").expect("write");
+        let mut terms = 0;
         for assign in 0..(1u32 << nd) {
             // Compute the adder output for this assignment.
             let bit = |c: char, assign: u32| -> u64 {
@@ -239,24 +240,25 @@ pub fn gen_adder(bits: usize) -> String {
             }
             let value = if stage == bits { carry_out } else { sum_bit };
             if value == 1 {
-                let term: Vec<String> = deps
-                    .iter()
-                    .enumerate()
-                    .map(|(i, &d)| {
-                        if (assign >> i) & 1 == 1 {
-                            d.to_string()
-                        } else {
-                            format!("!{d}")
-                        }
-                    })
-                    .collect();
-                terms.push(term.join("&"));
+                if terms > 0 {
+                    out.push_str(" | ");
+                }
+                terms += 1;
+                for (i, &d) in deps.iter().enumerate() {
+                    if i > 0 {
+                        out.push('&');
+                    }
+                    if (assign >> i) & 1 == 0 {
+                        out.push('!');
+                    }
+                    out.push(d);
+                }
             }
         }
-        if terms.is_empty() {
-            terms.push(format!("{c}&!{c}", c = cin)); // constant false
+        if terms == 0 {
+            write!(out, "{cin}&!{cin}").expect("write"); // constant false
         }
-        writeln!(out, "z{stage} = {} ;", terms.join(" | ")).expect("write");
+        out.push_str(" ;\n");
     }
     out
 }

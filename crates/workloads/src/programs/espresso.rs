@@ -177,6 +177,7 @@ fn main(data: [int], header: int) {
 
 /// A generated PLA: header word plus packed cube data.
 fn gen_pla(seed: u64, nvars: u32, n_on: usize, n_off: usize) -> Vec<i64> {
+    assert!(nvars <= 12, "minterm budget: 2^nvars <= 4096");
     let mut g = Lcg::new(seed);
     let full = (1u64 << nvars) - 1;
 
@@ -191,17 +192,24 @@ fn gen_pla(seed: u64, nvars: u32, n_on: usize, n_off: usize) -> Vec<i64> {
         let val = g.next_u64() & mask;
         on.push((mask as i64, val as i64));
     }
-    // OFF cubes: minterms not intersecting any ON cube.
+    // OFF cubes: distinct minterms not intersecting any ON cube. `open[m]`
+    // holds while minterm `m` is uncovered and not yet drawn; once none is
+    // open no later draw could be accepted, so the loop stops early (the
+    // generator is dropped after it, so the skipped draws are unobservable).
     let covered = |m: u64| {
         on.iter()
             .any(|&(mask, val)| (m ^ val as u64) & mask as u64 == 0)
     };
+    let mut open: Vec<bool> = (0..=full).map(|m| !covered(m)).collect();
+    let mut left = open.iter().filter(|&&o| o).count();
     let mut off: Vec<(i64, i64)> = Vec::new();
     let mut guard = 0;
-    while off.len() < n_off && guard < 200_000 {
+    while off.len() < n_off && left > 0 && guard < 200_000 {
         guard += 1;
-        let m = g.next_u64() & full;
-        if !covered(m) && !off.iter().any(|&(_, v)| v == m as i64) {
+        let m = (g.next_u64() & full) as usize;
+        if open[m] {
+            open[m] = false;
+            left -= 1;
             off.push((full as i64, m as i64));
         }
     }
@@ -244,6 +252,83 @@ mod tests {
     use trace_vm::Vm;
 
     use super::*;
+
+    /// The reference generator [`gen_pla`] replaced: the same draws, but
+    /// each one scanned against every ON cube and every OFF minterm so far,
+    /// and no early stop.
+    fn gen_pla_scan(seed: u64, nvars: u32, n_on: usize, n_off: usize) -> Vec<i64> {
+        let mut g = Lcg::new(seed);
+        let full = (1u64 << nvars) - 1;
+        let mut on: Vec<(i64, i64)> = Vec::new();
+        for _ in 0..n_on {
+            let specified = g.range(2, nvars as i64) as u32;
+            let mut mask = 0u64;
+            while mask.count_ones() < specified {
+                mask |= 1 << g.below(u64::from(nvars));
+            }
+            let val = g.next_u64() & mask;
+            on.push((mask as i64, val as i64));
+        }
+        let covered = |m: u64| {
+            on.iter()
+                .any(|&(mask, val)| (m ^ val as u64) & mask as u64 == 0)
+        };
+        let mut off: Vec<(i64, i64)> = Vec::new();
+        let mut guard = 0;
+        while off.len() < n_off && guard < 200_000 {
+            guard += 1;
+            let m = g.next_u64() & full;
+            if !covered(m) && !off.iter().any(|&(_, v)| v == m as i64) {
+                off.push((full as i64, m as i64));
+            }
+        }
+        let mut data = vec![i64::from(nvars), on.len() as i64, off.len() as i64];
+        for (m, v) in on.iter().chain(off.iter()) {
+            data.push(*m);
+            data.push(*v);
+        }
+        data
+    }
+
+    #[test]
+    fn gen_pla_matches_the_scanning_reference() {
+        for (seed, nvars, n_on, n_off) in [
+            (301, 10, 90, 220),
+            (302, 12, 60, 320),
+            (303, 9, 130, 160),
+            (304, 12, 140, 300),
+        ] {
+            assert_eq!(
+                gen_pla(seed, nvars, n_on, n_off),
+                gen_pla_scan(seed, nvars, n_on, n_off),
+                "dataset parameters ({seed}, {nvars}, {n_on}, {n_off})"
+            );
+        }
+        // Sparse, moderate and dense ON sets. The dense one asks for every
+        // minterm, so it always exhausts the uncovered ones: the early stop,
+        // or an empty OFF set once the ON cubes cover everything.
+        let (mut early, mut empty) = (0, 0);
+        for seed in 1..=2 {
+            for nvars in 2..=12u32 {
+                let n = nvars as usize;
+                for (n_on, n_off) in [(2, 8), (n, 64), (12 * n, 1 << n)] {
+                    let want = gen_pla_scan(seed, nvars, n_on, n_off);
+                    assert_eq!(
+                        gen_pla(seed, nvars, n_on, n_off),
+                        want,
+                        "({seed}, {nvars}, {n_on}, {n_off})"
+                    );
+                    let got_off = want[2] as usize;
+                    empty += usize::from(got_off == 0);
+                    early += usize::from(got_off > 0 && got_off < n_off);
+                }
+            }
+        }
+        assert!(
+            early > 0 && empty > 0,
+            "early stops {early}, empty OFF sets {empty}"
+        );
+    }
 
     fn run_pla(data: Vec<i64>) -> Vec<i64> {
         let p = mflang::compile(ESPRESSO).unwrap();
