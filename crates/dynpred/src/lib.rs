@@ -12,23 +12,26 @@
 //! predictor. [`RunLengths`] streams the paper's other trace-order
 //! measure, the instruction run lengths between mispredicted branches.
 //!
-//! Everything is deterministic and allocation-bounded: each predictor
-//! allocates its tables once at construction (sized by `table_bits`) and
-//! never allocates on the hot path, so a [`Zoo`] can be attached to any
-//! run — including fuzz runs — without perturbing behavior or memory use.
+//! Everything is deterministic and allocation-bounded: a [`Zoo`]
+//! allocates once at construction — each predictor's tables (sized by
+//! `table_bits`), the perceptron's outcome window, and a fixed block of
+//! 4,096 pending events (16 KiB) — and never allocates on the hot path, so
+//! it can be attached to any run, including fuzz runs, without perturbing
+//! behavior or memory use.
 //!
 //! Two independent implementations of the same predictor semantics exist:
 //!
-//! * the **online** path ([`Zoo`], an [`Observer`]) updates every
-//!   predictor as branches execute, without materializing a trace;
+//! * the **online** path ([`Zoo`], an [`Observer`]) buffers branch events
+//!   in its block as they execute and runs each predictor over a full
+//!   block in a loop of its own, never holding more than one block;
 //! * the **golden** path ([`golden::replay`]) re-simulates a predictor
 //!   over the branch events a [`trace_vm::Recorder`] kept.
 //!
 //! On a clean build the two must agree bit for bit; the fuzzer's
 //! `dynpred-consistency` oracle holds them against each other, and the
-//! seeded defect `dynpred-history-not-updated` (gshare skips its history
-//! update on not-taken branches, online path only) is convicted exactly by
-//! that disagreement.
+//! seeded defect `dynpred-history-not-updated` (the gshare tables' shared
+//! history skips its update on not-taken branches, online path only) is
+//! convicted exactly by that disagreement.
 
 mod gaps;
 
@@ -48,8 +51,9 @@ pub const MAX_TABLE_BITS: u32 = 24;
 pub const MAX_HISTORY: u32 = 63;
 
 /// Perceptron weights saturate at ±[`WEIGHT_LIMIT`], the classic 8-bit
-/// hardware budget. Clamping keeps every weight (and therefore every dot
-/// product, at most `(MAX_HISTORY + 1) × WEIGHT_LIMIT`) far inside `i32`.
+/// hardware budget. Clamping keeps every weight, and therefore every dot
+/// product (at most `(MAX_HISTORY + 1) × WEIGHT_LIMIT` = 8,128), inside
+/// `i16`, the online perceptron's lane type.
 pub const WEIGHT_LIMIT: i32 = 127;
 
 /// One predictor configuration — the unit the characterization harness
@@ -384,13 +388,20 @@ pub fn perceptron_theta(history: u32) -> i32 {
     ((193 * history + 1400) / 100) as i32
 }
 
-#[inline]
-fn clamp_weight(w: i32) -> i32 {
-    w.clamp(-WEIGHT_LIMIT, WEIGHT_LIMIT)
-}
-
 /// Initial 2-bit counter state: weakly not-taken.
 const TWO_BIT_INIT: u8 = 1;
+
+/// Branch events a [`Zoo`] buffers before its predictors run over them.
+const BLOCK: usize = 4096;
+
+/// Perceptron weights sit in chunks of this many `i16` lanes.
+const LANES: usize = 16;
+
+/// Chunks in the longest perceptron row: [`MAX_HISTORY`] inputs and a bias.
+const MAX_CHUNKS: usize = (MAX_HISTORY as usize + 1).div_ceil(LANES);
+
+/// [`WEIGHT_LIMIT`] in lane arithmetic.
+const LANE_LIMIT: i16 = WEIGHT_LIMIT as i16;
 
 /// One [`DynSpec::SelfSeededTwoBit`] entry: the entry's outcome tally and
 /// a counter per weak start (index 0 weakly not-taken, 1 weakly taken),
@@ -403,34 +414,36 @@ struct SeededEntry {
     missed: [u64; 2],
 }
 
-enum State {
-    AlwaysTaken,
-    Btfn,
-    OneBit { table: Vec<u8> },
-    TwoBit { table: Vec<u8> },
-    SelfSeededTwoBit { table: Vec<SeededEntry> },
-    Gshare { table: Vec<u8>, history: u64 },
-    Perceptron { weights: Vec<i32>, history: u64 },
+/// A block event's branch id and direction, unpacked from `id << 1 | taken`.
+#[inline(always)]
+fn unpack(ev: u32) -> (usize, bool) {
+    ((ev >> 1) as usize, ev & 1 != 0)
 }
 
-struct Pred {
-    spec: DynSpec,
-    state: State,
-    counts: ZooCounts,
+/// Every predictor but gshare, with its misprediction tally.
+enum Pred {
+    AlwaysTaken { missed: u64 },
+    Btfn { missed: u64 },
+    OneBit { table: Vec<u8>, missed: u64 },
+    TwoBit { table: Vec<u8>, missed: u64 },
+    SelfSeededTwoBit { table: Vec<SeededEntry> },
+    Perceptron(Box<Perceptron>),
 }
 
 impl Pred {
     fn new(spec: DynSpec) -> Self {
-        let state = match spec {
-            DynSpec::AlwaysTaken => State::AlwaysTaken,
-            DynSpec::Btfn => State::Btfn,
-            DynSpec::OneBit { table_bits } => State::OneBit {
+        match spec {
+            DynSpec::AlwaysTaken => Pred::AlwaysTaken { missed: 0 },
+            DynSpec::Btfn => Pred::Btfn { missed: 0 },
+            DynSpec::OneBit { table_bits } => Pred::OneBit {
                 table: vec![0; 1 << table_bits],
+                missed: 0,
             },
-            DynSpec::TwoBit { table_bits } => State::TwoBit {
+            DynSpec::TwoBit { table_bits } => Pred::TwoBit {
                 table: vec![TWO_BIT_INIT; 1 << table_bits],
+                missed: 0,
             },
-            DynSpec::SelfSeededTwoBit { table_bits } => State::SelfSeededTwoBit {
+            DynSpec::SelfSeededTwoBit { table_bits } => Pred::SelfSeededTwoBit {
                 table: vec![
                     SeededEntry {
                         executed: 0,
@@ -441,136 +454,280 @@ impl Pred {
                     1 << table_bits
                 ],
             },
-            DynSpec::Gshare { table_bits, .. } => State::Gshare {
-                table: vec![TWO_BIT_INIT; 1 << table_bits],
-                history: 0,
-            },
             DynSpec::Perceptron {
                 history,
                 table_bits,
-            } => State::Perceptron {
-                weights: vec![0; (1 << table_bits) * (history as usize + 1)],
-                history: 0,
-            },
-        };
-        Pred {
-            spec,
-            state,
-            counts: ZooCounts::default(),
+            } => Pred::Perceptron(Box::new(Perceptron::new(history, table_bits))),
+            DynSpec::Gshare { .. } => unreachable!("gshare tables live in Gshares"),
         }
     }
 
-    /// Predicts, tallies, and trains on one executed branch. This is the
-    /// hot path: no allocation, no hashing, just table arithmetic.
-    fn observe(&mut self, dirs: &BranchDirs, id: BranchId, taken: bool) {
-        let predicted = match &mut self.state {
-            State::AlwaysTaken => true,
-            State::Btfn => dirs.is_backward(id),
-            State::OneBit { table } => {
-                let idx = id.0 as usize & (table.len() - 1);
-                let p = table[idx] != 0;
-                table[idx] = u8::from(taken);
-                p
+    /// Predicts, tallies, and trains on a block of events, in order. This
+    /// is the hot path: one loop per predictor, its table and tally in
+    /// locals, no allocation, no hashing.
+    fn run(&mut self, block: &[u32], dirs: &BranchDirs) {
+        match self {
+            Pred::AlwaysTaken { missed } => {
+                *missed += block
+                    .iter()
+                    .map(|&ev| u64::from(!unpack(ev).1))
+                    .sum::<u64>();
             }
-            State::TwoBit { table } => {
-                let idx = id.0 as usize & (table.len() - 1);
-                let p = table[idx] >= 2;
-                table[idx] = two_bit_step(table[idx], taken);
-                p
+            Pred::Btfn { missed } => {
+                let backward = &dirs.backward[..];
+                *missed += (block.iter())
+                    .map(|&ev| {
+                        let (id, taken) = unpack(ev);
+                        u64::from(backward.get(id).copied().unwrap_or(false) != taken)
+                    })
+                    .sum::<u64>();
             }
-            State::SelfSeededTwoBit { table } => {
-                // Which start counts is settled only by the final tallies,
-                // so `Pred::counts` sums the mispredictions at report time.
-                let idx = id.0 as usize & (table.len() - 1);
-                let e = &mut table[idx];
-                e.executed += 1;
-                e.taken += u64::from(taken);
-                for (c, missed) in e.counters.iter_mut().zip(&mut e.missed) {
-                    *missed += u64::from((*c >= 2) != taken);
+            Pred::OneBit { table, missed } => {
+                let (mask, mut m) = (table.len() - 1, 0);
+                let table = &mut table[..];
+                for &ev in block {
+                    let (id, taken) = unpack(ev);
+                    let last = &mut table[id & mask];
+                    m += u64::from((*last != 0) != taken);
+                    *last = u8::from(taken);
+                }
+                *missed += m;
+            }
+            Pred::TwoBit { table, missed } => {
+                let (mask, mut m) = (table.len() - 1, 0);
+                let table = &mut table[..];
+                for &ev in block {
+                    let (id, taken) = unpack(ev);
+                    let c = &mut table[id & mask];
+                    m += u64::from((*c >= 2) != taken);
                     *c = two_bit_step(*c, taken);
                 }
-                self.counts.executed += 1;
-                return;
+                *missed += m;
             }
-            State::Gshare { table, history } => {
-                let (hist_len, table_bits) = match self.spec {
-                    DynSpec::Gshare {
-                        history,
-                        table_bits,
-                    } => (history, table_bits),
-                    _ => unreachable!("state/spec agree by construction"),
-                };
-                let idx = gshare_index(id, *history, table_bits);
-                let p = table[idx] >= 2;
-                table[idx] = two_bit_step(table[idx], taken);
-                // The seeded defect skips the history update on not-taken
-                // branches, so the online predictor's indices drift away
-                // from the golden replay's — the dynpred-consistency
-                // oracle's conviction signal.
-                #[cfg(feature = "seeded-defects")]
-                let skip_update = mfdefect::active("dynpred-history-not-updated") && !taken;
-                #[cfg(not(feature = "seeded-defects"))]
-                let skip_update = false;
-                if !skip_update {
-                    *history = ((*history << 1) | u64::from(taken)) & ((1u64 << hist_len) - 1);
-                }
-                p
-            }
-            State::Perceptron { weights, history } => {
-                let (hist_len, table_bits) = match self.spec {
-                    DynSpec::Perceptron {
-                        history,
-                        table_bits,
-                    } => (history, table_bits),
-                    _ => unreachable!("state/spec agree by construction"),
-                };
-                let h = hist_len as usize;
-                let idx = id.0 as usize & ((1 << table_bits) - 1);
-                let w = &mut weights[idx * (h + 1)..][..h + 1];
-                let mut y = w[0];
-                for (i, wi) in w[1..].iter().enumerate() {
-                    y += if (*history >> i) & 1 == 1 { *wi } else { -*wi };
-                }
-                let p = y >= 0;
-                if p != taken || y.abs() <= perceptron_theta(hist_len) {
-                    let t = if taken { 1 } else { -1 };
-                    w[0] = clamp_weight(w[0] + t);
-                    for (i, wi) in w[1..].iter_mut().enumerate() {
-                        let x = if (*history >> i) & 1 == 1 { 1 } else { -1 };
-                        *wi = clamp_weight(*wi + t * x);
+            Pred::SelfSeededTwoBit { table } => {
+                // Which start counts is settled only by the final tallies,
+                // so `Pred::missed` sums the mispredictions at report time.
+                let mask = table.len() - 1;
+                let table = &mut table[..];
+                for &ev in block {
+                    let (id, taken) = unpack(ev);
+                    let e = &mut table[id & mask];
+                    e.executed += 1;
+                    e.taken += u64::from(taken);
+                    for (c, missed) in e.counters.iter_mut().zip(&mut e.missed) {
+                        *missed += u64::from((*c >= 2) != taken);
+                        *c = two_bit_step(*c, taken);
                     }
                 }
-                *history = ((*history << 1) | u64::from(taken)) & ((1u64 << hist_len) - 1);
-                p
             }
-        };
-        self.counts.executed += 1;
-        if predicted != taken {
-            self.counts.mispredicted += 1;
+            Pred::Perceptron(p) => p.run(block),
         }
     }
 
-    /// The tallies so far.
-    fn counts(&self) -> ZooCounts {
-        match &self.state {
-            State::SelfSeededTwoBit { table } => ZooCounts {
-                executed: self.counts.executed,
-                // Each entry counts the start its own majority picks.
-                mispredicted: (table.iter())
-                    .map(|e| e.missed[usize::from(2 * e.taken >= e.executed)])
-                    .sum(),
-            },
-            _ => self.counts,
+    /// The mispredictions so far.
+    fn missed(&self) -> u64 {
+        match self {
+            Pred::AlwaysTaken { missed }
+            | Pred::Btfn { missed }
+            | Pred::OneBit { missed, .. }
+            | Pred::TwoBit { missed, .. } => *missed,
+            // Each entry counts the start its own majority picks.
+            Pred::SelfSeededTwoBit { table } => (table.iter())
+                .map(|e| e.missed[usize::from(2 * e.taken >= e.executed)])
+                .sum(),
+            Pred::Perceptron(p) => p.missed,
         }
     }
+}
+
+/// A [`DynSpec::Perceptron`] table. Each row is `chunks` = ⌈(h+1)/16⌉
+/// chunks of [`LANES`] weights, so every history length runs the same
+/// loops: lane `l < h` weighs the outcome `h − l` branches back, lane `h`
+/// is the bias, and later lanes carry no input and stay 0.
+/// Weights never leave ±[`WEIGHT_LIMIT`], so a lane product is at most
+/// 127, a lane sum over [`MAX_CHUNKS`] chunks 508 and the dot product
+/// 8,128: `i16` lane arithmetic is exact, and the lane loops vectorize.
+struct Perceptron {
+    history: usize,
+    theta: i32,
+    chunks: usize,
+    rows: Vec<[i16; LANES]>,
+    /// Per chunk: all ones on the lanes that read the window, else 0.
+    reads: [[i16; LANES]; MAX_CHUNKS],
+    /// Per chunk: 1 on the bias lane, else 0.
+    bias: [[i16; LANES]; MAX_CHUNKS],
+    /// The ±1 outcomes of the `history` branches before the block, then
+    /// the block's own, then padding only lanes masked off by `reads` see.
+    /// The input of event `i` lane `l` is `window[i + l]`.
+    window: Vec<i16>,
+    missed: u64,
+}
+
+impl Perceptron {
+    fn new(history: u32, table_bits: u32) -> Self {
+        let h = history as usize;
+        let chunks = (h + 1).div_ceil(LANES);
+        let mut reads = [[0; LANES]; MAX_CHUNKS];
+        for lane in 0..h {
+            reads[lane / LANES][lane % LANES] = -1;
+        }
+        let mut bias = [[0; LANES]; MAX_CHUNKS];
+        bias[h / LANES][h % LANES] = 1;
+        Perceptron {
+            history: h,
+            theta: perceptron_theta(history),
+            chunks,
+            rows: vec![[0; LANES]; chunks << table_bits],
+            reads,
+            bias,
+            // A cold history reads as all not-taken.
+            window: vec![-1; h + BLOCK + chunks * LANES],
+            missed: 0,
+        }
+    }
+
+    fn run(&mut self, block: &[u32]) {
+        let (h, chunks, theta) = (self.history, self.chunks, self.theta);
+        for (x, &ev) in self.window[h..].iter_mut().zip(block) {
+            *x = if unpack(ev).1 { 1 } else { -1 };
+        }
+        let masks = self.reads[..chunks].iter().zip(&self.bias[..chunks]);
+        let (window, rows) = (&self.window[..], &mut self.rows[..]);
+        let (mask, mut missed) = (rows.len() / chunks - 1, 0);
+        for (i, &ev) in block.iter().enumerate() {
+            let (id, taken) = unpack(ev);
+            let row = &mut rows[(id & mask) * chunks..][..chunks];
+            let (inputs, _) = window[i..i + chunks * LANES].as_chunks::<LANES>();
+            let mut dot = [0i16; LANES];
+            for (w, (win, (reads, bias))) in row.iter().zip(inputs.iter().zip(masks.clone())) {
+                let x = lane_inputs(win, reads, bias);
+                for l in 0..LANES {
+                    dot[l] += w[l] * x[l];
+                }
+            }
+            let y = i32::from(dot.iter().sum::<i16>());
+            let predicted = y >= 0;
+            missed += u64::from(predicted != taken);
+            if predicted != taken || y.abs() <= theta {
+                let t = if taken { 1 } else { -1 };
+                for (w, (win, (reads, bias))) in
+                    row.iter_mut().zip(inputs.iter().zip(masks.clone()))
+                {
+                    let x = lane_inputs(win, reads, bias);
+                    for l in 0..LANES {
+                        w[l] = (w[l] + t * x[l]).clamp(-LANE_LIMIT, LANE_LIMIT);
+                    }
+                }
+            }
+        }
+        self.missed += missed;
+        self.window.copy_within(block.len()..block.len() + h, 0);
+    }
+}
+
+/// One chunk's perceptron inputs: the window's ±1 outcomes on the lanes
+/// that read it, 1 on the bias lane, 0 elsewhere.
+#[inline(always)]
+fn lane_inputs(window: &[i16; LANES], reads: &[i16; LANES], bias: &[i16; LANES]) -> [i16; LANES] {
+    std::array::from_fn(|l| (window[l] & reads[l]) | bias[l])
+}
+
+/// A zoo's gshare tables, run in one pass over each block: every table
+/// indexes with the same global history register, masked to its own
+/// length.
+#[derive(Default)]
+struct Gshares {
+    /// The latest 64 outcomes, newest in bit 0.
+    history: u64,
+    tables: Vec<GshareTable>,
+}
+
+struct GshareTable {
+    counters: Vec<u8>,
+    table_bits: u32,
+    history_mask: u64,
+    missed: u64,
+}
+
+impl Gshares {
+    /// Adds a table for `history` (at most `table_bits`, see [`effective`]).
+    fn push(&mut self, history: u32, table_bits: u32) -> usize {
+        self.tables.push(GshareTable {
+            counters: vec![TWO_BIT_INIT; 1 << table_bits],
+            table_bits,
+            history_mask: (1u64 << history) - 1,
+            missed: 0,
+        });
+        self.tables.len() - 1
+    }
+
+    fn run(&mut self, block: &[u32]) {
+        // The seeded defect skips the history update on not-taken
+        // branches, so the online predictors' indices drift away from the
+        // golden replay's — the dynpred-consistency oracle's conviction
+        // signal.
+        #[cfg(feature = "seeded-defects")]
+        let skip_not_taken = mfdefect::active("dynpred-history-not-updated");
+        #[cfg(not(feature = "seeded-defects"))]
+        let skip_not_taken = false;
+        let mut history = self.history;
+        for &ev in block {
+            let (id, taken) = unpack(ev);
+            for t in &mut self.tables {
+                let c = &mut t.counters
+                    [gshare_index(BranchId(id as u32), history & t.history_mask, t.table_bits)];
+                t.missed += u64::from((*c >= 2) != taken);
+                *c = two_bit_step(*c, taken);
+            }
+            if taken || !skip_not_taken {
+                history = (history << 1) | u64::from(taken);
+            }
+        }
+        self.history = history;
+    }
+}
+
+/// The spec whose predictor computes `spec`'s tallies. [`gshare_index`]
+/// keeps only `table_bits` of the history, so a longer gshare history is
+/// the same predictor as one of exactly `table_bits`.
+fn effective(spec: DynSpec) -> DynSpec {
+    match spec {
+        DynSpec::Gshare {
+            history,
+            table_bits,
+        } => DynSpec::Gshare {
+            history: history.min(table_bits),
+            table_bits,
+        },
+        spec => spec,
+    }
+}
+
+/// Where a spec's tally lives in a [`Zoo`].
+#[derive(Clone, Copy)]
+enum Slot {
+    Pred(usize),
+    Gshare(usize),
 }
 
 /// A set of online predictors all observing one run as an [`Observer`].
 /// Attaching a zoo is pure observation: it never changes the run's output
 /// or stats.
+///
+/// [`Observer::branch`] only appends the event to a fixed block; when the
+/// block fills, and at [`Zoo::report`], each predictor runs over the whole
+/// block in a loop of its own. The block packs an event into 32 bits as
+/// `id << 1 | taken`, so branch ids must stay below 2^31, as a program's
+/// dense ids (indices into its `branch_info`) always do.
 pub struct Zoo {
     dirs: BranchDirs,
+    /// Pending events, `id << 1 | taken`; never longer than [`BLOCK`].
+    block: Vec<u32>,
+    /// Events the predictors have run over.
+    executed: u64,
+    specs: Vec<(DynSpec, Slot)>,
     preds: Vec<Pred>,
+    gshares: Gshares,
 }
 
 impl Zoo {
@@ -585,26 +742,83 @@ impl Zoo {
         Zoo::with_dirs(specs, BranchDirs::of(program))
     }
 
-    /// A zoo with explicit [`BranchDirs`].
+    /// A zoo with explicit [`BranchDirs`]. Specs that compute the same
+    /// tallies share one predictor: a gshare whose history exceeds its
+    /// `table_bits` is the one whose history equals them.
     pub fn with_dirs(specs: &[DynSpec], dirs: BranchDirs) -> Self {
-        Zoo {
+        let mut zoo = Zoo {
             dirs,
-            preds: specs.iter().map(|&s| Pred::new(s)).collect(),
+            block: Vec::with_capacity(BLOCK),
+            executed: 0,
+            specs: Vec::with_capacity(specs.len()),
+            preds: Vec::new(),
+            gshares: Gshares::default(),
+        };
+        for &spec in specs {
+            let same = zoo
+                .specs
+                .iter()
+                .find(|&&(s, _)| effective(s) == effective(spec));
+            let slot = if let Some(&(_, slot)) = same {
+                slot
+            } else if let DynSpec::Gshare {
+                history,
+                table_bits,
+            } = effective(spec)
+            {
+                Slot::Gshare(zoo.gshares.push(history, table_bits))
+            } else {
+                zoo.preds.push(Pred::new(spec));
+                Slot::Pred(zoo.preds.len() - 1)
+            };
+            zoo.specs.push((spec, slot));
         }
+        zoo
+    }
+
+    /// Runs every predictor over the pending events. Out of line, so what
+    /// inlines into the interpreter's branch handling is a push and a test.
+    #[inline(never)]
+    fn drain(&mut self) {
+        for p in &mut self.preds {
+            p.run(&self.block, &self.dirs);
+        }
+        if !self.gshares.tables.is_empty() {
+            self.gshares.run(&self.block);
+        }
+        self.executed += self.block.len() as u64;
+        self.block.clear();
     }
 
     /// The per-spec tallies so far.
-    pub fn report(&self) -> ZooReport {
+    pub fn report(&mut self) -> ZooReport {
+        self.drain();
+        let executed = self.executed;
         ZooReport {
-            entries: self.preds.iter().map(|p| (p.spec, p.counts())).collect(),
+            entries: (self.specs.iter())
+                .map(|&(spec, slot)| {
+                    let mispredicted = match slot {
+                        Slot::Pred(i) => self.preds[i].missed(),
+                        Slot::Gshare(i) => self.gshares.tables[i].missed,
+                    };
+                    let counts = ZooCounts {
+                        executed,
+                        mispredicted,
+                    };
+                    (spec, counts)
+                })
+                .collect(),
         }
     }
 }
 
 impl Observer for Zoo {
+    #[inline]
     fn branch(&mut self, id: BranchId, taken: bool, _instrs: u64) {
-        for p in &mut self.preds {
-            p.observe(&self.dirs, id, taken);
+        debug_assert!(id.0 < 1 << 31, "branch id {} does not pack", id.0);
+        self.block.push((id.0 << 1) | u32::from(taken));
+        if self.block.len() == BLOCK {
+            self.drain();
         }
     }
 }
@@ -858,7 +1072,7 @@ mod tests {
             Vm::with_config(&program, config)
                 .run_observed(&[trace_vm::Input::Int(40)], &mut observers)
                 .expect("clean run");
-            let (zoo, recorder) = observers;
+            let (mut zoo, recorder) = observers;
             assert!(!recorder.branches.is_empty());
             let golden = golden::replay_zoo(&specs, &dirs, &recorder.branches);
             assert_eq!(zoo.report(), golden, "backend {backend}");
@@ -1025,26 +1239,32 @@ mod tests {
         }
 
         /// Satellite: perceptron weight updates clamp to ±WEIGHT_LIMIT, so
-        /// neither a weight nor the dot product can overflow i32.
+        /// no weight, lane sum or dot product can overflow `i16`, and the
+        /// lanes past the bias never train.
         #[test]
         fn perceptron_weights_never_overflow(
             seq in prop::collection::vec((arb_bool(), 0u32..4), 1..200),
+            history in 1..MAX_HISTORY + 1,
         ) {
-            let hist_len = 12u32;
-            let specs = [DynSpec::Perceptron { history: hist_len, table_bits: 2 }];
+            let specs = [DynSpec::Perceptron { history, table_bits: 2 }];
             let mut zoo = Zoo::new(&specs);
             for (taken, id) in seq {
                 zoo.branch(BranchId(id), taken, 0);
             }
-            let State::Perceptron { weights, .. } = &zoo.preds[0].state else {
+            zoo.report();
+            let Pred::Perceptron(p) = &zoo.preds[0] else {
                 unreachable!("spec built a perceptron");
             };
-            for &w in weights {
-                prop_assert!(w.abs() <= WEIGHT_LIMIT, "weight {w} escaped the clamp");
+            let row_lanes = p.chunks * LANES;
+            for (lane, &w) in p.rows.iter().flatten().enumerate() {
+                prop_assert!(i32::from(w).abs() <= WEIGHT_LIMIT, "weight {w} escaped the clamp");
+                if lane % row_lanes > history as usize {
+                    prop_assert_eq!(w, 0, "lane {} carries no input", lane % row_lanes);
+                }
             }
             // The dot product bound the clamp guarantees:
-            let max_dot = (i64::from(hist_len) + 1) * i64::from(WEIGHT_LIMIT);
-            prop_assert!(max_dot < i64::from(i32::MAX));
+            let max_dot = (MAX_CHUNKS * LANES) as i32 * WEIGHT_LIMIT;
+            prop_assert!(max_dot <= i32::from(i16::MAX));
         }
 
         /// Online and golden agree on arbitrary synthetic traces, for every
@@ -1063,6 +1283,119 @@ mod tests {
             let dirs = BranchDirs::none();
             let mut zoo = Zoo::new(&specs);
             for ev in &trace {
+                zoo.branch(ev.id, ev.taken, ev.instrs);
+            }
+            prop_assert_eq!(zoo.report(), golden::replay_zoo(&specs, &dirs, &trace));
+        }
+
+        /// The golden model keeps only `table_bits` of a gshare's history,
+        /// as [`gshare_index`] does: the aliasing the online zoo exploits
+        /// by computing such specs once.
+        #[test]
+        fn golden_gshare_history_beyond_table_bits_is_ignored(
+            seq in prop::collection::vec((0u32..64, arb_bool()), 0..400),
+            table_bits in 1u32..11,
+            extra in 0..MAX_HISTORY + 1,
+        ) {
+            let trace: Vec<BranchEvent> = seq
+                .iter()
+                .map(|&(id, taken)| BranchEvent { id: BranchId(id), taken, instrs: 0 })
+                .collect();
+            let dirs = BranchDirs::none();
+            let history = (table_bits + extra).min(MAX_HISTORY);
+            prop_assert_eq!(
+                golden::replay(DynSpec::Gshare { history, table_bits }, &dirs, &trace),
+                golden::replay(DynSpec::Gshare { history: table_bits, table_bits }, &dirs, &trace),
+            );
+        }
+    }
+
+    /// A roster that puts every perceptron chunk count, a gshare history
+    /// longer than its table and one sharing its predictor beside the full
+    /// zoo.
+    fn block_roster() -> Vec<DynSpec> {
+        let mut specs = full_zoo();
+        specs.push(DynSpec::SelfSeededTwoBit { table_bits: 3 });
+        for history in [1, 15, 16, 17, 63] {
+            specs.push(DynSpec::Perceptron {
+                history,
+                table_bits: 3,
+            });
+        }
+        for history in [20, 6, 3] {
+            specs.push(DynSpec::Gshare {
+                history,
+                table_bits: 6,
+            });
+        }
+        specs
+    }
+
+    /// `len` events over 40 branch sites from a SplitMix64 stream: each
+    /// site is a biased coin, a counted loop, or a copy of the previous
+    /// outcome, so the history predictors have something to learn.
+    fn synthetic_trace(seed: u64, len: usize) -> (BranchDirs, Vec<BranchEvent>) {
+        let mut state = seed;
+        let mut next = move || {
+            state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            z ^ (z >> 31)
+        };
+        let sites: Vec<(u64, u64)> = (0..40).map(|_| (next() % 3, next() % 9)).collect();
+        let backward = (0..40).map(|_| next() % 2 == 0).collect();
+        let mut trips = [0u64; 40];
+        let mut last = false;
+        let trace = (0..len)
+            .map(|_| {
+                let id = (next() % 40) as usize;
+                let (kind, k) = sites[id];
+                let taken = match kind {
+                    0 => next() % 8 < k,
+                    1 => {
+                        trips[id] += 1;
+                        trips[id] % (k + 2) != 0
+                    }
+                    _ => last,
+                };
+                last = taken;
+                BranchEvent {
+                    id: BranchId(id as u32),
+                    taken,
+                    instrs: 0,
+                }
+            })
+            .collect();
+        (
+            BranchDirs {
+                backward: Arc::new(backward),
+            },
+            trace,
+        )
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(16))]
+
+        /// Online and golden agree across block boundaries: up to three
+        /// full blocks and a remainder, with a report at an arbitrary cut
+        /// after which the zoo keeps observing.
+        #[test]
+        fn online_matches_golden_across_blocks(
+            seed in 0..u64::MAX,
+            len in 0..4 * BLOCK,
+            cut in 0..4 * BLOCK,
+        ) {
+            let (dirs, trace) = synthetic_trace(seed, len);
+            let cut = cut.min(len);
+            let specs = block_roster();
+            let mut zoo = Zoo::with_dirs(&specs, dirs.clone());
+            for ev in &trace[..cut] {
+                zoo.branch(ev.id, ev.taken, ev.instrs);
+            }
+            prop_assert_eq!(zoo.report(), golden::replay_zoo(&specs, &dirs, &trace[..cut]));
+            for ev in &trace[cut..] {
                 zoo.branch(ev.id, ev.taken, ev.instrs);
             }
             prop_assert_eq!(zoo.report(), golden::replay_zoo(&specs, &dirs, &trace));

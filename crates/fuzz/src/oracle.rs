@@ -225,7 +225,7 @@ fn dynpred_zoo(program: &Program) -> Zoo {
 fn check_dynpred_consistency(
     program: &Program,
     be: Backend,
-    (recorded, zoo): &(Recorder, Zoo),
+    (recorded, zoo): &mut (Recorder, Zoo),
     findings: &mut Vec<(&'static str, String)>,
 ) {
     let replayed = golden::replay_zoo(&DYNPRED_SPECS, &BranchDirs::of(program), &recorded.branches);
@@ -271,7 +271,7 @@ fn check_flat_diff(
         }
     };
     if secondary.is_ok() {
-        check_dynpred_consistency(program, config.backend, &observers, findings);
+        check_dynpred_consistency(program, config.backend, &mut observers, findings);
     }
     match (primary, &secondary) {
         (Ok(p), Ok(s)) => {
@@ -908,12 +908,12 @@ pub fn check_source(source: &str, input_sets: &[Vec<i64>], case_hash: u64) -> Or
         let Some(unopt) = run_guarded(&program, &inputs, &mut observers, &mut out.findings) else {
             return out;
         };
-        let (collector, watched) = observers;
+        let (collector, mut watched) = observers;
         if si == 0 {
             out.edges = collector.into_edges();
         }
         if unopt.is_ok() {
-            check_dynpred_consistency(&program, backend(), &watched, &mut out.findings);
+            check_dynpred_consistency(&program, backend(), &mut watched, &mut out.findings);
         }
         let recorded = watched.0;
         check_flat_diff(&program, &inputs, si, &unopt, &recorded, &mut out.findings);
