@@ -1,7 +1,7 @@
 //! `chaos` — the full-pipeline chaos battery (see `mfbench::chaos`).
 //!
 //! Runs seeded filesystem fault storms through the whole stack — profile
-//! service, version-skew remap, trace-formed flat backend, dynamic
+//! service, version-skew remap, profile-laid-out flat backend, dynamic
 //! predictor zoo — with program edits injected between rounds, and
 //! reports every invariant violation.
 //!

@@ -121,13 +121,14 @@ impl Row {
         self.flat_ips / self.reference_ips
     }
 
-    /// Layout speedup of the real-profile flat build over default BTFN.
+    /// Layout speedup of the real-profile flat build over the unprofiled
+    /// block-order layout.
     fn profile_layout_speedup(&self) -> f64 {
         self.profile_flat_ips / self.flat_ips
     }
 
-    /// Layout speedup of the ML pseudo-profile flat build over default
-    /// BTFN.
+    /// Layout speedup of the ML pseudo-profile flat build over the
+    /// unprofiled block-order layout.
     fn ml_layout_speedup(&self) -> f64 {
         self.ml_flat_ips / self.flat_ips
     }
@@ -395,8 +396,9 @@ fn main() -> ExitCode {
     }
     // The paper's cross-cut: how the flat backend's win relates to branch
     // density. Short runs between mispredicted branches mean control-heavy
-    // code (edge-head fusion territory); long runs mean straight-line
-    // arithmetic (pair/superinstruction territory).
+    // code, where edge heads and fused compare-branches save the most;
+    // long runs mean straight-line arithmetic, where only the saved
+    // per-instruction dispatch and fuel work remain.
     eprintln!("\nspeedup vs instructions-per-mispredict (profile-predicted):");
     eprintln!(
         "{:<12} {:>16} {:>9}",

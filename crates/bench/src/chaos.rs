@@ -1,6 +1,6 @@
 //! Full-pipeline chaos battery: profile collection → sharded profile
 //! service under a seeded filesystem fault storm → version-skew remap →
-//! trace-formed flat backend → dynamic-predictor zoo, with program edits
+//! profile-laid-out flat backend → dynamic-predictor zoo, with program edits
 //! injected between accumulation rounds.
 //!
 //! Each seed gets a private in-memory filesystem wrapped in a
@@ -8,7 +8,7 @@
 //! from the seed (short writes, `ENOSPC`, transients, torn renames — no
 //! hard crashes, so one accessor lives through the whole storm). Rounds
 //! alternate running the guest program, remapping whatever profile
-//! survived onto the *current* program text, steering trace formation
+//! survived onto the *current* program text, steering flat block layout
 //! with it, and recording the fresh run back through the service. Between
 //! rounds the battery may edit the program (rename a function, delete
 //! dead code, flip a comparison, append a function), which is exactly the
@@ -17,9 +17,9 @@
 //! A violation of any invariant below is a **finding**; the battery (and
 //! the `chaos` binary) reports it and exits non-zero:
 //!
-//! 1. **Science is fault-free.** Every round, the flat backend — traces
-//!    grown along the storm-surviving profile, degraded sites demoted to
-//!    BTFN — must be bit-identical (output, result, every counter) to the
+//! 1. **Science is fault-free.** Every round, the flat backend — blocks
+//!    laid out along the storm-surviving profile, degraded sites carrying
+//!    no counts — must be bit-identical (output, result, every counter) to the
 //!    reference backend on the same program and inputs, and the online
 //!    predictor zoo must tally identically over both backends.
 //! 2. **Every degradation is attributed.** Each recorded dataset is
@@ -47,7 +47,7 @@ use mffault::{FaultPlan, FaultVfs, MemVfs, RetryPolicy, Vfs};
 use mfprofsvc::{Persistence, ProfileService, ServiceOptions};
 use mfstale::{edit, remap_counts, site_fingerprints};
 use trace_ir::BranchId;
-use trace_vm::{confidence_digest, FlatProgram, Input, TraceConfig, Vm, VmConfig};
+use trace_vm::{FlatProgram, Input, Vm, VmConfig};
 
 /// The guest program the battery runs and edits. Every `if` arm contains
 /// a call or an `emit`, so each predicate lowers to a real conditional
@@ -138,8 +138,8 @@ pub struct RoundStats {
     pub degraded: usize,
     /// Merged unverified tally.
     pub unverified: usize,
-    /// Sites compiled at low confidence (degraded in *every* prior
-    /// dataset) this round.
+    /// Sites degraded in *every* prior dataset this round: no record feeds
+    /// them, so they lay out as if unprofiled.
     pub low_confidence: usize,
 }
 
@@ -473,26 +473,15 @@ pub fn run_seed(seed: u64, rounds: u32, edits: bool) -> SeedOutcome {
                 });
             }
         }
-        let low_conf: Vec<BranchId> = low.map(|s| s.into_iter().collect()).unwrap_or_default();
-        stats.low_confidence = low_conf.len();
-        let profile: Option<trace_vm::BranchCounts> = if combined.is_empty() {
-            None
-        } else {
-            Some(
-                combined
-                    .into_iter()
-                    .map(|(id, (e, t))| (id, e, t))
-                    .collect(),
-            )
-        };
+        stats.low_confidence = low.map_or(0, |s| s.len());
+        // An empty profile (nothing survived) lays out as `compile` does.
+        let profile: trace_vm::BranchCounts = combined
+            .into_iter()
+            .map(|(id, (e, t))| (id, e, t))
+            .collect();
 
         // ----- science: flat (profile-steered) vs reference, zoo'd -----
-        let tcfg = TraceConfig {
-            confidence_digest: confidence_digest(&low_conf),
-            ..TraceConfig::default()
-        };
-        let flat =
-            FlatProgram::compile_with_confidence(&program, profile.as_ref(), &low_conf, tcfg);
+        let flat = FlatProgram::compile_with_profile(&program, &profile);
         let inputs = [Input::Int(4 + (mix(&mut rng) % 9) as i64)];
         let mut ref_zoo = mfdyn::Zoo::for_program(&mfdyn::full_zoo(), &program);
         let reference = Vm::with_config(&program, VmConfig::default())

@@ -367,9 +367,8 @@ pub struct WorkloadSkew {
     /// Live sites no prior record could feed, with their static-tier
     /// fallback prediction (interval proof → ML model → BTFN).
     pub fallback: Vec<(trace_ir::BranchId, bool, mfpredict::StaticTierSource)>,
-    /// Op count of the flat-backend compilation steered by the remapped
-    /// profile with the degraded sites held to BTFN
-    /// ([`trace_vm::FlatProgram::compile_with_confidence`]).
+    /// Op count of the flat-backend compilation laid out along the
+    /// remapped profile ([`trace_vm::FlatProgram::compile_with_profile`]).
     pub op_count: usize,
 }
 
@@ -402,9 +401,9 @@ impl SuiteSkew {
 /// `workload/dataset` record is remapped by structural fingerprint onto
 /// [`WorkloadRuns::program`], the build this generation measured and will
 /// record ([`ifprob::combine_skewed`]); sites no record could feed degrade
-/// to the static tier ([`mfpredict::static_tier`]) and are excluded from
-/// steering trace formation. Workloads with no prior records are skipped —
-/// that is the first-generation case, not an error.
+/// to the static tier ([`mfpredict::static_tier`]) and carry no counts, so
+/// they lay out as if unprofiled. Workloads with no prior records are
+/// skipped — that is the first-generation case, not an error.
 ///
 /// # Errors
 ///
@@ -417,7 +416,7 @@ pub fn suite_skew(
     s: &SuiteRuns,
 ) -> Result<SuiteSkew, ifprob::CombineError> {
     use trace_ir::BranchId;
-    use trace_vm::{confidence_digest, FlatProgram, TraceConfig};
+    use trace_vm::FlatProgram;
 
     let mut out = SuiteSkew::default();
     for w in &s.workloads {
@@ -462,20 +461,15 @@ pub fn suite_skew(
         }
         let refs: Vec<&trace_vm::BranchCounts> = profiles.iter().collect();
         let skewed = ifprob::combine_skewed(&refs, &old_fps, &new_fps, CombineRule::Scaled)?;
-        // The integer-count remap of the summed prior records steers trace
-        // formation; a site is in `skewed.degraded` exactly when the sum
-        // feeds it nothing, so the two views agree on the degraded set.
+        // The integer-count remap of the summed prior records steers block
+        // layout; a site is in `skewed.degraded` exactly when the sum feeds
+        // it nothing, so the two views agree on the degraded set.
         let summed_entries: Vec<(BranchId, u64, u64)> =
             summed.into_iter().map(|(id, (e, t))| (id, e, t)).collect();
         let remap = mfstale::remap_counts(&summed_entries, &old_fps, &new_fps);
         debug_assert_eq!(remap.degraded, skewed.degraded);
         let profile: trace_vm::BranchCounts = remap.counts.into_iter().collect();
-        let tcfg = TraceConfig {
-            confidence_digest: confidence_digest(&skewed.degraded),
-            ..TraceConfig::default()
-        };
-        let compiled =
-            FlatProgram::compile_with_confidence(program, Some(&profile), &skewed.degraded, tcfg);
+        let compiled = FlatProgram::compile_with_profile(program, &profile);
         let fallback = mfpredict::static_tier(program, &skewed.degraded);
         out.total.merge(&skewed.report);
         out.workloads.push(WorkloadSkew {

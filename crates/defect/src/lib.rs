@@ -65,11 +65,6 @@ pub const KNOWN: &[&str] = &[
     // on not-taken branches, so its table indices drift away from the
     // golden trace replay's and the mispredict counts disagree.
     "dynpred-history-not-updated",
-    // trace-vm flat backend: the first conditional side exit emitted into a
-    // tail-duplicated trace block tallies into the previous branch-counter
-    // slot (control flow and the recorded trace stay correct — only the
-    // flat-vs-reference aggregate-count differential sees it).
-    "vm-trace-sidexit-counter-drift",
     // mfstale: site fingerprints hash every comparison operator as Eq, so
     // an edit that flips an operator (`<` to `<=`) leaves the fingerprint
     // unchanged and the remap wrongly salvages the old counts onto the
@@ -81,8 +76,7 @@ static ACTIVE_COUNT: AtomicUsize = AtomicUsize::new(0);
 
 // One flag per KNOWN entry, same order. `AtomicBool::new(false)` is not
 // const-cloneable, hence the explicit list sized by a compile-time check.
-static FLAGS: [AtomicBool; 15] = [
-    AtomicBool::new(false),
+static FLAGS: [AtomicBool; 14] = [
     AtomicBool::new(false),
     AtomicBool::new(false),
     AtomicBool::new(false),

@@ -112,7 +112,6 @@ pub fn fuzz_vm_config() -> VmConfig {
         max_stack: 128,
         max_alloc: 1 << 12,
         backend: backend(),
-        ..VmConfig::default()
     }
 }
 

@@ -1,6 +1,6 @@
 //! The mutation gauntlet: every seeded defect must be caught.
 //!
-//! The product crates compile fifteen known bugs behind their (off by
+//! The product crates compile fourteen known bugs behind their (off by
 //! default) `seeded-defects` features, dormant until armed through the
 //! process-global `mfdefect` registry. This test arms each defect in turn
 //! and asserts the fuzzer finds it — through the *expected* oracle —
@@ -43,7 +43,6 @@ const GAUNTLET: &[(&str, u64, &[&str])] = &[
         1000,
         &["dynpred-consistency"],
     ),
-    ("vm-trace-sidexit-counter-drift", 2000, &["flat-diff"]),
     ("stale-fingerprint-ignores-operator", 1000, &["stale-remap"]),
 ];
 

@@ -19,8 +19,9 @@ use trace_vm::{Input, VmConfig};
 /// version 4 added the flat backend's trace-formation configuration;
 /// version 5 added the trace config's low-confidence (version-skew
 /// degraded) site digest; version 6 dropped the branch-trace flag, which
-/// left the VM when recording became an observer.
-const KEY_FORMAT_VERSION: u64 = 6;
+/// left the VM when recording became an observer; version 7 dropped the
+/// trace configuration, which left the VM with trace formation.
+const KEY_FORMAT_VERSION: u64 = 7;
 
 /// A 128-bit content fingerprint identifying one unit of run work.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -84,14 +85,6 @@ impl RunKey {
         // still record which engine produced them — a backend-semantics bug
         // must not be able to hide behind a stale cache entry.
         fp.write_str(config.backend.name());
-        // Trace formation never changes observable stats either, but the
-        // same no-hiding-behind-the-cache rule applies to the trace config.
-        fp.write_u64(u64::from(config.trace.enabled));
-        fp.write_u64(u64::from(config.trace.tail_dup_budget));
-        // A profile degraded by a version-skew remap compiles differently
-        // (degraded sites predict BTFN); the digest of that site set keys
-        // the compilation.
-        fp.write_u64(config.trace.confidence_digest);
         fp.write_u64(tags.len() as u64);
         for tag in tags {
             fp.write_str(tag);
@@ -213,37 +206,6 @@ mod tests {
             RunKey::of(&program, &[Input::Int(1)], &reference),
             RunKey::of(&program, &[Input::Int(1)], &flat)
         );
-    }
-
-    #[test]
-    fn trace_config_perturbs_the_key() {
-        let program = mflang::compile("fn main(n: int) { emit(n); }").unwrap();
-        let base = VmConfig::default();
-        let untraced = VmConfig {
-            trace: trace_vm::TraceConfig {
-                enabled: false,
-                ..trace_vm::TraceConfig::default()
-            },
-            ..VmConfig::default()
-        };
-        let bigger_budget = VmConfig {
-            trace: trace_vm::TraceConfig {
-                tail_dup_budget: 1024,
-                ..trace_vm::TraceConfig::default()
-            },
-            ..VmConfig::default()
-        };
-        let degraded = VmConfig {
-            trace: trace_vm::TraceConfig {
-                confidence_digest: trace_vm::confidence_digest(&[trace_ir::BranchId(0)]),
-                ..trace_vm::TraceConfig::default()
-            },
-            ..VmConfig::default()
-        };
-        let k = RunKey::of(&program, &[Input::Int(1)], &base);
-        assert_ne!(k, RunKey::of(&program, &[Input::Int(1)], &untraced));
-        assert_ne!(k, RunKey::of(&program, &[Input::Int(1)], &bigger_budget));
-        assert_ne!(k, RunKey::of(&program, &[Input::Int(1)], &degraded));
     }
 
     #[test]

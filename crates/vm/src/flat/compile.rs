@@ -1,29 +1,23 @@
-//! IR → flat-code compilation: trace-planned emission, intra-block fusion,
-//! pair peepholing, implied-branch elimination, and fuel-cost assignment.
+//! IR → flat-code compilation: block layout, intra-block fusion, and
+//! fuel-cost assignment.
 
-use std::collections::{BTreeSet, HashMap};
+use std::collections::HashMap;
 use std::sync::Arc;
 
-use trace_ir::{BinOp, Block, BranchId, Function, Instr, Program, Terminator, Value};
+use trace_ir::{Block, BlockId, BranchId, Function, Instr, Program, Terminator, Value};
 
+use super::layout::block_order;
 use super::ops::{
-    components, pack2, specialize_binop, specialize_cmp_branch, specialize_const_binop,
-    specialize_pair_b_mov, specialize_pair_bb, specialize_pair_mov_b, unop_half, EdgeHead, FlatOp,
-    MOV_CODE, NONE,
+    components, specialize_binop, specialize_cmp_branch, specialize_const_binop, EdgeHead, FlatOp,
+    NONE,
 };
-use super::trace::{plan_traces, EdgeCond, Facts, Link, PlannedCopy, TraceConfig};
 use super::{FlatFunc, FlatProgram, TableData};
 use crate::counters::BranchCounts;
 use crate::value::GuestValue;
-use mfcheck::Cfg;
 
 pub(super) struct Flattener<'p> {
     program: &'p Program,
     profile: Option<&'p BranchCounts>,
-    /// Branch sites whose profile counts are not trusted (degraded by a
-    /// version-skew remap): trace growth treats them as unprofiled.
-    low_confidence: BTreeSet<BranchId>,
-    tcfg: TraceConfig,
     code: Vec<FlatOp>,
     heads: Vec<EdgeHead>,
     consts: Vec<GuestValue>,
@@ -33,32 +27,13 @@ pub(super) struct Flattener<'p> {
     funcs: Vec<FlatFunc>,
     branch_ids: Vec<BranchId>,
     branch_slots: HashMap<u32, u32>,
-    /// Seeded defect `vm-trace-sidexit-counter-drift` fires on the first
-    /// eligible side exit only.
-    #[cfg(feature = "seeded-defects")]
-    drift_done: bool,
 }
 
 impl<'p> Flattener<'p> {
-    pub(super) fn new(
-        program: &'p Program,
-        profile: Option<&'p BranchCounts>,
-        tcfg: TraceConfig,
-    ) -> Self {
-        Self::with_confidence(program, profile, &[], tcfg)
-    }
-
-    pub(super) fn with_confidence(
-        program: &'p Program,
-        profile: Option<&'p BranchCounts>,
-        low_confidence: &[BranchId],
-        tcfg: TraceConfig,
-    ) -> Self {
+    pub(super) fn new(program: &'p Program, profile: Option<&'p BranchCounts>) -> Self {
         Flattener {
             program,
             profile,
-            low_confidence: low_confidence.iter().copied().collect(),
-            tcfg,
             code: Vec::new(),
             heads: Vec::new(),
             consts: Vec::new(),
@@ -68,8 +43,6 @@ impl<'p> Flattener<'p> {
             funcs: Vec::new(),
             branch_ids: Vec::new(),
             branch_slots: HashMap::new(),
-            #[cfg(feature = "seeded-defects")]
-            drift_done: false,
         }
     }
 
@@ -86,45 +59,6 @@ impl<'p> Flattener<'p> {
             .map(|f| f.num_regs as usize)
             .sum::<usize>()
             .min(1 << 14);
-        if std::env::var_os("MFVM_DEBUG_OPS").is_some() {
-            let mut hist: HashMap<&'static str, usize> = HashMap::new();
-            for op in &self.code {
-                let name: &'static str = match op {
-                    FlatOp::PairFMulFAdd { .. } => "PairFMulFAdd",
-                    FlatOp::PairFMulFSub { .. } => "PairFMulFSub",
-                    FlatOp::PairFMulFMul { .. } => "PairFMulFMul",
-                    FlatOp::PairFAddFSub { .. } => "PairFAddFSub",
-                    o if components(o) == 2
-                        && matches!(super::ops::generalize(*o), FlatOp::PairBB { .. }) =>
-                    {
-                        "PairBB-other"
-                    }
-                    FlatOp::PairUB { .. } => "PairUB",
-                    FlatOp::PairBU { .. } => "PairBU",
-                    FlatOp::PairUU { .. } => "PairUU",
-                    FlatOp::PairLL { .. } => "PairLL",
-                    FlatOp::PairLB { .. } => "PairLB",
-                    FlatOp::PairBL { .. } => "PairBL",
-                    FlatOp::ImpliedBranch { .. } => "ImpliedBranch",
-                    FlatOp::ImpliedCmpBranch { .. } => "ImpliedCmpBranch",
-                    FlatOp::Unop { .. } => "Unop",
-                    FlatOp::Mov { .. } => "Mov",
-                    FlatOp::LoadConst { .. } => "LoadConst",
-                    o if matches!(super::ops::generalize(*o), FlatOp::ConstBinop { .. }) => {
-                        "ConstBinop*"
-                    }
-                    o if matches!(super::ops::generalize(*o), FlatOp::Binop { .. }) => "Binop*",
-                    o if matches!(super::ops::generalize(*o), FlatOp::CmpBranch { .. }) => {
-                        "CmpBranch*"
-                    }
-                    _ => "other",
-                };
-                *hist.entry(name).or_insert(0) += 1;
-            }
-            let mut rows: Vec<_> = hist.into_iter().collect();
-            rows.sort_by_key(|&(_, n)| std::cmp::Reverse(n));
-            eprintln!("MFVM op histogram ({} ops): {rows:?}", self.code.len());
-        }
         FlatProgram {
             code: self.code,
             heads: self.heads,
@@ -177,92 +111,24 @@ impl<'p> Flattener<'p> {
     }
 
     fn flatten_function(&mut self, fi: usize, func: &Function, pixie_base: u32) {
-        let cfg = Cfg::new(func);
-        let traces = plan_traces(func, self.profile, self.tcfg, &self.low_confidence);
-
-        // Assign an edge-head index to every planned copy up front so
-        // terminators can name forward targets without a patch pass, and
-        // count emitted copies per block for the fact-flow tests below.
+        // One edge head per block, indexed by block, assigned up front so
+        // terminators can name forward targets without a patch pass.
         let head_base = self.heads.len() as u32;
-        let mut canonical_eh = vec![u32::MAX; func.blocks.len()];
-        let mut copies_per_block = vec![0u32; func.blocks.len()];
-        let mut idx = 0u32;
-        for t in &traces {
-            for c in &t.copies {
-                if !c.dup {
-                    canonical_eh[c.block] = head_base + idx;
-                }
-                copies_per_block[c.block] += 1;
-                self.heads.push(EdgeHead {
-                    body: 0,
-                    slot: pixie_base + c.block as u32,
-                    func: fi as u32,
-                    block: c.block as u32,
-                    cost: 0,
-                });
-                idx += 1;
-            }
-        }
-        debug_assert!(canonical_eh.iter().all(|&e| e != u32::MAX));
-
+        self.heads
+            .extend((0..func.blocks.len() as u32).map(|b| EdgeHead {
+                body: 0,
+                slot: pixie_base + b,
+                func: fi as u32,
+                block: b,
+                cost: 0,
+            }));
         let mut entry_pc = 0u32;
-        let mut idx = 0u32;
-        for t in &traces {
-            let mut facts = Facts::new();
-            for (pos, c) in t.copies.iter().enumerate() {
-                let eh = head_base + idx;
-                idx += 1;
-                let chain = t.copies.get(pos + 1).map(|n| (n, eh + 1));
-                let is_entry_copy = !c.dup && c.block == 0;
-                if is_entry_copy {
-                    entry_pc = self.code.len() as u32;
-                }
-                let edge_cond = self.emit_copy(fi, func, c, eh, chain, &canonical_eh, &mut facts);
-
-                // Decide what the next copy may assume. Accumulated facts
-                // survive only when this copy's exit is provably the sole
-                // entrance of the next copy; the branch-edge constraint
-                // additionally needs an unambiguous arm direction.
-                if let Some((next, _)) = chain {
-                    let link = c.link.expect("chained copies carry a link");
-                    let (accum_ok, edge_ok) = if next.dup {
-                        // A duplicate is reachable only through this link arm.
-                        (true, matches!(link, Link::Branch(_)))
-                    } else {
-                        let preds = cfg.preds(trace_ir::BlockId(next.block as u32));
-                        let sole_pred = !preds.is_empty()
-                            && preds.iter().all(|p| p.index() == c.block)
-                            && next.block != 0;
-                        let arms_distinct = match &func.blocks[c.block].term {
-                            Terminator::Branch {
-                                taken, not_taken, ..
-                            } => taken != not_taken,
-                            _ => false,
-                        };
-                        (
-                            sole_pred && copies_per_block[c.block] == 1,
-                            sole_pred && arms_distinct && matches!(link, Link::Branch(_)),
-                        )
-                    };
-                    if !accum_ok {
-                        facts = Facts::new();
-                    }
-                    match (link, edge_cond) {
-                        (Link::Branch(dir), Some(cond)) if edge_ok => {
-                            facts.apply_edge(cond, dir);
-                        }
-                        // Even without an edge constraint, a fused compare
-                        // terminator wrote its destination register, so
-                        // surviving facts about it are stale.
-                        (_, Some(EdgeCond::Cmp { dst, .. })) if accum_ok => {
-                            facts.kill(dst);
-                        }
-                        _ => {}
-                    }
-                }
+        for bi in block_order(func, self.profile) {
+            if bi == 0 {
+                entry_pc = self.code.len() as u32;
             }
+            self.emit_block(fi, func, bi, head_base);
         }
-
         self.funcs.push(FlatFunc {
             entry_pc,
             num_regs: func.num_regs,
@@ -271,34 +137,22 @@ impl<'p> Flattener<'p> {
         });
     }
 
-    /// Emits one planned copy of a block: straight-line ops (with the two
-    /// intra-block fusion patterns and pair peepholing), then the
-    /// terminator (implied-branch elimination, seeded defects, edge-head
-    /// arm resolution), then assigns bulk fuel costs to the copy's
-    /// segments. Returns the terminator's edge condition, if conditional.
-    #[allow(clippy::too_many_arguments)]
-    fn emit_copy(
-        &mut self,
-        fi: usize,
-        func: &Function,
-        copy: &PlannedCopy,
-        eh: u32,
-        chain: Option<(&PlannedCopy, u32)>,
-        canonical_eh: &[u32],
-        facts: &mut Facts,
-    ) -> Option<EdgeCond> {
-        let bi = copy.block;
+    /// Emits one block: straight-line ops (with the two intra-block fusion
+    /// patterns), then the terminator, then assigns bulk fuel costs to the
+    /// block's segments.
+    fn emit_block(&mut self, fi: usize, func: &Function, bi: usize, head_base: u32) {
         let block: &Block = &func.blocks[bi];
         let instrs = &block.instrs;
-        let is_entry_copy = !copy.dup && bi == 0;
-        let track_facts = self.tcfg.enabled;
+        let eh = head_base + bi as u32;
+        let head = |t: &BlockId| head_base + t.0;
+        let is_entry = bi == 0;
 
         let mut buf: Vec<FlatOp> = Vec::with_capacity(instrs.len() + 2);
-        if is_entry_copy {
+        if is_entry {
             buf.push(FlatOp::BlockHead {
                 slot: self.heads[eh as usize].slot,
                 func: fi as u32,
-                block: bi as u32,
+                block: 0,
                 cost: 0,
             });
         }
@@ -320,9 +174,6 @@ impl<'p> Flattener<'p> {
                 i += 1;
                 continue;
             }
-            if track_facts {
-                facts.step(&instrs[i]);
-            }
             match &instrs[i] {
                 Instr::Const { dst, value } => {
                     let cidx = self.intern(*value);
@@ -337,9 +188,6 @@ impl<'p> Flattener<'p> {
                     }) = instrs.get(i + 1)
                     {
                         if Some(i + 1) != fused_last && rhs == dst {
-                            if track_facts {
-                                facts.step(&instrs[i + 1]);
-                            }
                             buf.push(specialize_const_binop(*op, bdst.0, lhs.0, dst.0, cidx));
                             i += 2;
                             continue;
@@ -435,110 +283,41 @@ impl<'p> Flattener<'p> {
             i += 1;
         }
 
-        // Resolves a terminator arm to an edge head: the arm chaining to a
-        // tail duplicate lands on the duplicate's private head, every other
-        // reference lands on the target block's canonical copy.
-        let resolve = |arm_block: usize, arm_is_link: bool| -> u32 {
-            match chain {
-                Some((n, neh)) if n.dup && arm_is_link => neh,
-                _ => canonical_eh[arm_block],
-            }
-        };
-
-        let mut edge_cond = None;
         match &block.term {
-            Terminator::Jump(t) => {
-                buf.push(FlatOp::JumpHead {
-                    eh: resolve(t.index(), matches!(copy.link, Some(Link::Jump))),
-                });
-            }
+            Terminator::Jump(t) => buf.push(FlatOp::JumpHead { eh: head(t) }),
             Terminator::Branch {
                 cond,
                 id,
                 taken,
                 not_taken,
             } => {
-                #[allow(unused_mut)]
-                let mut slot = self.branch_slot(*id);
-                // Seeded defect: the first conditional side exit emitted
-                // into a tail-duplicated copy tallies into the previous
-                // branch slot. Control flow is untouched — only the
-                // flat-vs-reference branch-count differential can see it.
-                #[cfg(feature = "seeded-defects")]
-                if copy.dup
-                    && !self.drift_done
-                    && slot > 0
-                    && mfdefect::active("vm-trace-sidexit-counter-drift")
-                {
-                    slot -= 1;
-                    self.drift_done = true;
-                }
+                let slot = self.branch_slot(*id);
                 if let Some(fl) = fused_last {
                     let Instr::Binop { dst, op, lhs, rhs } = &instrs[fl] else {
                         unreachable!("pattern A reserves only comparison Binops");
                     };
-                    edge_cond = Some(EdgeCond::Cmp {
-                        op: *op,
-                        dst: dst.0,
-                        lhs: lhs.0,
-                        rhs: rhs.0,
-                    });
-                    let implied = if track_facts {
-                        facts.query_cmp(*op, lhs.0, rhs.0)
-                    } else {
-                        None
-                    };
-                    if let Some(val) = implied {
-                        let arm = if val { taken } else { not_taken };
-                        let arm_is_link = copy.link == Some(Link::Branch(val));
-                        buf.push(FlatOp::ImpliedCmpBranch {
-                            dst: dst.0,
-                            val: val as u32,
-                            slot,
-                            eh: resolve(arm.index(), arm_is_link),
-                        });
-                    } else {
-                        #[allow(unused_mut)]
-                        let (mut tk, mut nt) = (
-                            resolve(taken.index(), copy.link == Some(Link::Branch(true))),
-                            resolve(not_taken.index(), copy.link == Some(Link::Branch(false))),
-                        );
-                        // Seeded defect: swap the fused branch's control
-                        // targets. Recording still follows the comparison
-                        // result, so only the flat-vs-reference differential
-                        // sees the divergence.
-                        #[cfg(feature = "seeded-defects")]
-                        if mfdefect::active("vm-flat-fuse-swapped-arms") {
-                            std::mem::swap(&mut tk, &mut nt);
-                        }
-                        buf.push(specialize_cmp_branch(
-                            *op,
-                            (dst.0, lhs.0, rhs.0),
-                            (slot, tk, nt),
-                        ));
+                    #[allow(unused_mut)]
+                    let (mut tk, mut nt) = (head(taken), head(not_taken));
+                    // Seeded defect: swap the fused branch's control
+                    // targets. Recording still follows the comparison
+                    // result, so only the flat-vs-reference differential
+                    // sees the divergence.
+                    #[cfg(feature = "seeded-defects")]
+                    if mfdefect::active("vm-flat-fuse-swapped-arms") {
+                        std::mem::swap(&mut tk, &mut nt);
                     }
+                    buf.push(specialize_cmp_branch(
+                        *op,
+                        (dst.0, lhs.0, rhs.0),
+                        (slot, tk, nt),
+                    ));
                 } else {
-                    edge_cond = Some(EdgeCond::Truthy { cond: cond.0 });
-                    let implied = if track_facts {
-                        facts.query_truthy(cond.0)
-                    } else {
-                        None
-                    };
-                    if let Some(val) = implied {
-                        let arm = if val { taken } else { not_taken };
-                        buf.push(FlatOp::ImpliedBranch {
-                            slot,
-                            taken: val as u32,
-                            eh: resolve(arm.index(), copy.link == Some(Link::Branch(val))),
-                        });
-                    } else {
-                        buf.push(FlatOp::Branch {
-                            cond: cond.0,
-                            slot,
-                            tk: resolve(taken.index(), copy.link == Some(Link::Branch(true))),
-                            nt: resolve(not_taken.index(), copy.link == Some(Link::Branch(false))),
-                        });
-                    }
+                    buf.push(FlatOp::Branch {
+                        cond: cond.0,
+                        slot,
+                        tk: head(taken),
+                        nt: head(not_taken),
+                    });
                 }
             }
             Terminator::JumpTable {
@@ -548,8 +327,8 @@ impl<'p> Flattener<'p> {
             } => {
                 let ti = self.tables.len() as u32;
                 self.tables.push(TableData {
-                    targets: targets.iter().map(|t| canonical_eh[t.index()]).collect(),
-                    default: resolve(default.index(), matches!(copy.link, Some(Link::Table))),
+                    targets: targets.iter().map(head).collect(),
+                    default: head(default),
                 });
                 buf.push(FlatOp::JumpTable {
                     index: index.0,
@@ -561,22 +340,20 @@ impl<'p> Flattener<'p> {
             }),
         }
 
-        let buf = peephole_pairs(buf);
-
-        // Append to the code stream and assign bulk fuel: the copy's first
+        // Append to the code stream and assign bulk fuel: the block's first
         // segment charges at its edge head (and the entry `BlockHead`),
         // each later segment at the `Resume` op that opens it. Segment
         // boundaries fall after every call, exactly as the reference
         // backend's per-instruction accounting implies.
         let start = self.code.len();
-        self.heads[eh as usize].body = (start + usize::from(is_entry_copy)) as u32;
+        self.heads[eh as usize].body = (start + usize::from(is_entry)) as u32;
         self.code.extend(buf);
         let mut sink: Option<usize> = None; // None = head, Some(pc) = Resume
         let mut acc = 0u32;
         let mut total = 0u32;
         for j in start..self.code.len() {
             if matches!(self.code[j], FlatOp::Resume { .. }) {
-                self.assign_cost(eh, start, sink, acc, is_entry_copy);
+                self.assign_cost(eh, start, sink, acc, is_entry);
                 sink = Some(j);
                 acc = 0;
             } else {
@@ -585,14 +362,12 @@ impl<'p> Flattener<'p> {
                 total += c;
             }
         }
-        self.assign_cost(eh, start, sink, acc, is_entry_copy);
+        self.assign_cost(eh, start, sink, acc, is_entry);
         debug_assert_eq!(
             total as usize,
             instrs.len() + 1,
-            "copy of block {bi} must cover its component count"
+            "block {bi} must cover its component count"
         );
-
-        edge_cond
     }
 
     fn assign_cost(&mut self, eh: u32, start: usize, sink: Option<usize>, cost: u32, entry: bool) {
@@ -601,7 +376,7 @@ impl<'p> Flattener<'p> {
                 self.heads[eh as usize].cost = cost;
                 if entry {
                     let FlatOp::BlockHead { cost: c, .. } = &mut self.code[start] else {
-                        unreachable!("entry copy starts with its BlockHead");
+                        unreachable!("the entry block starts with its BlockHead");
                     };
                     *c = cost;
                 }
@@ -612,151 +387,6 @@ impl<'p> Flattener<'p> {
                 };
                 *c = cost;
             }
-        }
-    }
-}
-
-/// Extracts `(op, dst, lhs, rhs)` from any single-component binop form.
-fn as_binop(op: &FlatOp) -> Option<(BinOp, u32, u32, u32)> {
-    match super::ops::generalize(*op) {
-        FlatOp::Binop { op, dst, lhs, rhs } => Some((op, dst, lhs, rhs)),
-        _ => None,
-    }
-}
-
-/// Merges adjacent one-component ALU/load ops into paired superinstructions
-/// (one dispatch for two reference instructions). Pairing never crosses a
-/// call, branch, or fused op — those are not pairable — so segment shapes
-/// and trap order are unchanged: a pair executes its first half to
-/// completion before starting the second.
-fn peephole_pairs(buf: Vec<FlatOp>) -> Vec<FlatOp> {
-    let mut out = Vec::with_capacity(buf.len());
-    let mut i = 0;
-    while i < buf.len() {
-        if i + 1 < buf.len() {
-            if let Some(p) = try_pair(&buf[i], &buf[i + 1]) {
-                out.push(p);
-                i += 2;
-                continue;
-            }
-        }
-        out.push(buf[i]);
-        i += 1;
-    }
-    out
-}
-
-fn try_pair(a: &FlatOp, b: &FlatOp) -> Option<FlatOp> {
-    use FlatOp::Load;
-    // Unary halves first: a `Unop`, `Mov`, or `LoadConst` in either slot
-    // pairs with any other unary half or any plain `Binop`.
-    match (unop_half(a), unop_half(b)) {
-        (Some((o1, d1, s1)), Some((o2, d2, s2))) => {
-            if o1 == MOV_CODE && o2 == MOV_CODE {
-                return Some(FlatOp::PairMovMov { d1, s1, d2, s2 });
-            }
-            return Some(FlatOp::PairUU {
-                ops: pack2(o1, o2),
-                d1,
-                s1,
-                d2,
-                s2,
-            });
-        }
-        (Some((o1, d1, s1)), None) => {
-            if let Some((o2, d2, l2, r2)) = as_binop(b) {
-                if o1 == MOV_CODE {
-                    return Some(specialize_pair_mov_b(o2, (d1, s1), (d2, l2, r2)));
-                }
-                return Some(FlatOp::PairUB {
-                    ops: pack2(o1, o2 as u32),
-                    d1,
-                    s1,
-                    d2,
-                    l2,
-                    r2,
-                });
-            }
-        }
-        (None, Some((o2, d2, s2))) => {
-            if let Some((o1, d1, l1, r1)) = as_binop(a) {
-                if o2 == MOV_CODE {
-                    return Some(specialize_pair_b_mov(o1, (d1, l1, r1), (d2, s2)));
-                }
-                return Some(FlatOp::PairBU {
-                    ops: pack2(o1 as u32, o2),
-                    d1,
-                    l1,
-                    r1,
-                    d2,
-                    s2,
-                });
-            }
-        }
-        (None, None) => {}
-    }
-    match (a, b) {
-        (
-            &Load {
-                dst: ld1,
-                arr: arr1,
-                index: idx1,
-            },
-            &Load {
-                dst: ld2,
-                arr: arr2,
-                index: idx2,
-            },
-        ) => Some(FlatOp::PairLL {
-            ld1,
-            arr1,
-            idx1,
-            ld2,
-            arr2,
-            idx2,
-        }),
-        (
-            &Load {
-                dst: ld,
-                arr,
-                index,
-            },
-            second,
-        ) => {
-            let (o2, d2, l2, r2) = as_binop(second)?;
-            Some(FlatOp::PairLB {
-                ops: pack2(0, o2 as u32),
-                ld,
-                arr,
-                idx: index,
-                d2,
-                l2,
-                r2,
-            })
-        }
-        (
-            first,
-            &Load {
-                dst: ld,
-                arr,
-                index,
-            },
-        ) => {
-            let (o1, d1, l1, r1) = as_binop(first)?;
-            Some(FlatOp::PairBL {
-                ops: pack2(o1 as u32, 0),
-                d1,
-                l1,
-                r1,
-                ld,
-                arr,
-                idx: index,
-            })
-        }
-        (first, second) => {
-            let (o1, d1, l1, r1) = as_binop(first)?;
-            let (o2, d2, l2, r2) = as_binop(second)?;
-            Some(specialize_pair_bb(o1, o2, (d1, l1, r1), (d2, l2, r2)))
         }
     }
 }

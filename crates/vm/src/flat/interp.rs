@@ -5,7 +5,7 @@ use std::sync::Arc;
 
 use trace_ir::{BinOp, FuncId};
 
-use super::ops::{generalize, EdgeHead, FlatOp, BINOPS, CONST_CODE, MOV_CODE, NONE, UNOPS};
+use super::ops::{generalize, EdgeHead, FlatOp, NONE};
 use super::FlatProgram;
 use crate::counters::{PixieCounts, RunStats};
 use crate::error::RuntimeError;
@@ -347,19 +347,6 @@ impl<'f, 'o, O: Observer> FlatInterp<'f, 'o, O> {
                         self.op_cmp_branch(BinOp::FGe, (dst, lhs, rhs), (slot, tk, nt), base)?;
                     pc = self.enter(eh, base, &mut cur_block)?;
                 }
-                FlatOp::ImpliedBranch { slot, taken, eh } => {
-                    // The trace optimizer proved the direction; the branch
-                    // is still recorded exactly like a conditional one.
-                    let eh = self.record_branch(slot, taken != 0, eh, eh);
-                    pc = self.enter(eh, base, &mut cur_block)?;
-                }
-                FlatOp::ImpliedCmpBranch { dst, val, slot, eh } => {
-                    // An implied fused compare: the outcome is known, so the
-                    // comparison degenerates to writing its 0/1 result.
-                    self.regs[base + dst as usize] = GuestValue::Int(i64::from(val));
-                    let eh = self.record_branch(slot, val != 0, eh, eh);
-                    pc = self.enter(eh, base, &mut cur_block)?;
-                }
                 FlatOp::JumpTable { index, table } => {
                     self.stats.events.indirect_jumps += 1;
                     let i = want_int(self.regs[base + index as usize])?;
@@ -581,423 +568,6 @@ impl<'f, 'o, O: Observer> FlatInterp<'f, 'o, O> {
                     cdst,
                     cidx,
                 } => self.op_const_binop(BinOp::FDiv, dst, lhs, cdst, cidx, base)?,
-                // Paired superinstructions: two reference instructions per
-                // dispatch, executed strictly in order. Generic forms unpack
-                // the operator table; specialized forms carry literals.
-                FlatOp::PairBB {
-                    ops,
-                    d1,
-                    l1,
-                    r1,
-                    d2,
-                    l2,
-                    r2,
-                } => {
-                    self.op_binop(BINOPS[(ops & 0xff) as usize], d1, l1, r1, base)?;
-                    self.op_binop(BINOPS[(ops >> 8) as usize], d2, l2, r2, base)?;
-                }
-                FlatOp::PairUB {
-                    ops,
-                    d1,
-                    s1,
-                    d2,
-                    l2,
-                    r2,
-                } => {
-                    self.op_uhalf(ops & 0xff, d1, s1, base)?;
-                    self.op_binop(BINOPS[(ops >> 8) as usize], d2, l2, r2, base)?;
-                }
-                FlatOp::PairBU {
-                    ops,
-                    d1,
-                    l1,
-                    r1,
-                    d2,
-                    s2,
-                } => {
-                    self.op_binop(BINOPS[(ops & 0xff) as usize], d1, l1, r1, base)?;
-                    self.op_uhalf(ops >> 8, d2, s2, base)?;
-                }
-                FlatOp::PairUU {
-                    ops,
-                    d1,
-                    s1,
-                    d2,
-                    s2,
-                } => {
-                    self.op_uhalf(ops & 0xff, d1, s1, base)?;
-                    self.op_uhalf(ops >> 8, d2, s2, base)?;
-                }
-                FlatOp::PairBL {
-                    ops,
-                    d1,
-                    l1,
-                    r1,
-                    ld,
-                    arr,
-                    idx,
-                } => {
-                    self.op_binop(BINOPS[(ops & 0xff) as usize], d1, l1, r1, base)?;
-                    self.op_load(ld, arr, idx, base)?;
-                }
-                FlatOp::PairLB {
-                    ops,
-                    ld,
-                    arr,
-                    idx,
-                    d2,
-                    l2,
-                    r2,
-                } => {
-                    self.op_load(ld, arr, idx, base)?;
-                    self.op_binop(BINOPS[(ops >> 8) as usize], d2, l2, r2, base)?;
-                }
-                FlatOp::PairLL {
-                    ld1,
-                    arr1,
-                    idx1,
-                    ld2,
-                    arr2,
-                    idx2,
-                } => {
-                    self.op_load(ld1, arr1, idx1, base)?;
-                    self.op_load(ld2, arr2, idx2, base)?;
-                }
-                FlatOp::PairFAddFAdd {
-                    d1,
-                    l1,
-                    r1,
-                    d2,
-                    l2,
-                    r2,
-                } => {
-                    self.op_binop(BinOp::FAdd, d1, l1, r1, base)?;
-                    self.op_binop(BinOp::FAdd, d2, l2, r2, base)?;
-                }
-                FlatOp::PairFAddFSub {
-                    d1,
-                    l1,
-                    r1,
-                    d2,
-                    l2,
-                    r2,
-                } => {
-                    self.op_binop(BinOp::FAdd, d1, l1, r1, base)?;
-                    self.op_binop(BinOp::FSub, d2, l2, r2, base)?;
-                }
-                FlatOp::PairFAddFMul {
-                    d1,
-                    l1,
-                    r1,
-                    d2,
-                    l2,
-                    r2,
-                } => {
-                    self.op_binop(BinOp::FAdd, d1, l1, r1, base)?;
-                    self.op_binop(BinOp::FMul, d2, l2, r2, base)?;
-                }
-                FlatOp::PairFAddFDiv {
-                    d1,
-                    l1,
-                    r1,
-                    d2,
-                    l2,
-                    r2,
-                } => {
-                    self.op_binop(BinOp::FAdd, d1, l1, r1, base)?;
-                    self.op_binop(BinOp::FDiv, d2, l2, r2, base)?;
-                }
-                FlatOp::PairFSubFAdd {
-                    d1,
-                    l1,
-                    r1,
-                    d2,
-                    l2,
-                    r2,
-                } => {
-                    self.op_binop(BinOp::FSub, d1, l1, r1, base)?;
-                    self.op_binop(BinOp::FAdd, d2, l2, r2, base)?;
-                }
-                FlatOp::PairFSubFSub {
-                    d1,
-                    l1,
-                    r1,
-                    d2,
-                    l2,
-                    r2,
-                } => {
-                    self.op_binop(BinOp::FSub, d1, l1, r1, base)?;
-                    self.op_binop(BinOp::FSub, d2, l2, r2, base)?;
-                }
-                FlatOp::PairFSubFMul {
-                    d1,
-                    l1,
-                    r1,
-                    d2,
-                    l2,
-                    r2,
-                } => {
-                    self.op_binop(BinOp::FSub, d1, l1, r1, base)?;
-                    self.op_binop(BinOp::FMul, d2, l2, r2, base)?;
-                }
-                FlatOp::PairFSubFDiv {
-                    d1,
-                    l1,
-                    r1,
-                    d2,
-                    l2,
-                    r2,
-                } => {
-                    self.op_binop(BinOp::FSub, d1, l1, r1, base)?;
-                    self.op_binop(BinOp::FDiv, d2, l2, r2, base)?;
-                }
-                FlatOp::PairFMulFAdd {
-                    d1,
-                    l1,
-                    r1,
-                    d2,
-                    l2,
-                    r2,
-                } => {
-                    self.op_binop(BinOp::FMul, d1, l1, r1, base)?;
-                    self.op_binop(BinOp::FAdd, d2, l2, r2, base)?;
-                }
-                FlatOp::PairFMulFSub {
-                    d1,
-                    l1,
-                    r1,
-                    d2,
-                    l2,
-                    r2,
-                } => {
-                    self.op_binop(BinOp::FMul, d1, l1, r1, base)?;
-                    self.op_binop(BinOp::FSub, d2, l2, r2, base)?;
-                }
-                FlatOp::PairFMulFMul {
-                    d1,
-                    l1,
-                    r1,
-                    d2,
-                    l2,
-                    r2,
-                } => {
-                    self.op_binop(BinOp::FMul, d1, l1, r1, base)?;
-                    self.op_binop(BinOp::FMul, d2, l2, r2, base)?;
-                }
-                FlatOp::PairFMulFDiv {
-                    d1,
-                    l1,
-                    r1,
-                    d2,
-                    l2,
-                    r2,
-                } => {
-                    self.op_binop(BinOp::FMul, d1, l1, r1, base)?;
-                    self.op_binop(BinOp::FDiv, d2, l2, r2, base)?;
-                }
-                FlatOp::PairFDivFAdd {
-                    d1,
-                    l1,
-                    r1,
-                    d2,
-                    l2,
-                    r2,
-                } => {
-                    self.op_binop(BinOp::FDiv, d1, l1, r1, base)?;
-                    self.op_binop(BinOp::FAdd, d2, l2, r2, base)?;
-                }
-                FlatOp::PairFDivFSub {
-                    d1,
-                    l1,
-                    r1,
-                    d2,
-                    l2,
-                    r2,
-                } => {
-                    self.op_binop(BinOp::FDiv, d1, l1, r1, base)?;
-                    self.op_binop(BinOp::FSub, d2, l2, r2, base)?;
-                }
-                FlatOp::PairFDivFMul {
-                    d1,
-                    l1,
-                    r1,
-                    d2,
-                    l2,
-                    r2,
-                } => {
-                    self.op_binop(BinOp::FDiv, d1, l1, r1, base)?;
-                    self.op_binop(BinOp::FMul, d2, l2, r2, base)?;
-                }
-                FlatOp::PairFDivFDiv {
-                    d1,
-                    l1,
-                    r1,
-                    d2,
-                    l2,
-                    r2,
-                } => {
-                    self.op_binop(BinOp::FDiv, d1, l1, r1, base)?;
-                    self.op_binop(BinOp::FDiv, d2, l2, r2, base)?;
-                }
-                FlatOp::PairAddAdd {
-                    d1,
-                    l1,
-                    r1,
-                    d2,
-                    l2,
-                    r2,
-                } => {
-                    self.op_binop(BinOp::Add, d1, l1, r1, base)?;
-                    self.op_binop(BinOp::Add, d2, l2, r2, base)?;
-                }
-                FlatOp::PairAddSub {
-                    d1,
-                    l1,
-                    r1,
-                    d2,
-                    l2,
-                    r2,
-                } => {
-                    self.op_binop(BinOp::Add, d1, l1, r1, base)?;
-                    self.op_binop(BinOp::Sub, d2, l2, r2, base)?;
-                }
-                FlatOp::PairAddMul {
-                    d1,
-                    l1,
-                    r1,
-                    d2,
-                    l2,
-                    r2,
-                } => {
-                    self.op_binop(BinOp::Add, d1, l1, r1, base)?;
-                    self.op_binop(BinOp::Mul, d2, l2, r2, base)?;
-                }
-                FlatOp::PairSubAdd {
-                    d1,
-                    l1,
-                    r1,
-                    d2,
-                    l2,
-                    r2,
-                } => {
-                    self.op_binop(BinOp::Sub, d1, l1, r1, base)?;
-                    self.op_binop(BinOp::Add, d2, l2, r2, base)?;
-                }
-                FlatOp::PairSubSub {
-                    d1,
-                    l1,
-                    r1,
-                    d2,
-                    l2,
-                    r2,
-                } => {
-                    self.op_binop(BinOp::Sub, d1, l1, r1, base)?;
-                    self.op_binop(BinOp::Sub, d2, l2, r2, base)?;
-                }
-                FlatOp::PairSubMul {
-                    d1,
-                    l1,
-                    r1,
-                    d2,
-                    l2,
-                    r2,
-                } => {
-                    self.op_binop(BinOp::Sub, d1, l1, r1, base)?;
-                    self.op_binop(BinOp::Mul, d2, l2, r2, base)?;
-                }
-                FlatOp::PairMulAdd {
-                    d1,
-                    l1,
-                    r1,
-                    d2,
-                    l2,
-                    r2,
-                } => {
-                    self.op_binop(BinOp::Mul, d1, l1, r1, base)?;
-                    self.op_binop(BinOp::Add, d2, l2, r2, base)?;
-                }
-                FlatOp::PairMulSub {
-                    d1,
-                    l1,
-                    r1,
-                    d2,
-                    l2,
-                    r2,
-                } => {
-                    self.op_binop(BinOp::Mul, d1, l1, r1, base)?;
-                    self.op_binop(BinOp::Sub, d2, l2, r2, base)?;
-                }
-                FlatOp::PairMulMul {
-                    d1,
-                    l1,
-                    r1,
-                    d2,
-                    l2,
-                    r2,
-                } => {
-                    self.op_binop(BinOp::Mul, d1, l1, r1, base)?;
-                    self.op_binop(BinOp::Mul, d2, l2, r2, base)?;
-                }
-                FlatOp::PairMovFAdd { d1, s1, d2, l2, r2 } => {
-                    self.op_mov(d1, s1, base);
-                    self.op_binop(BinOp::FAdd, d2, l2, r2, base)?;
-                }
-                FlatOp::PairMovFSub { d1, s1, d2, l2, r2 } => {
-                    self.op_mov(d1, s1, base);
-                    self.op_binop(BinOp::FSub, d2, l2, r2, base)?;
-                }
-                FlatOp::PairMovFMul { d1, s1, d2, l2, r2 } => {
-                    self.op_mov(d1, s1, base);
-                    self.op_binop(BinOp::FMul, d2, l2, r2, base)?;
-                }
-                FlatOp::PairMovFDiv { d1, s1, d2, l2, r2 } => {
-                    self.op_mov(d1, s1, base);
-                    self.op_binop(BinOp::FDiv, d2, l2, r2, base)?;
-                }
-                FlatOp::PairMovAdd { d1, s1, d2, l2, r2 } => {
-                    self.op_mov(d1, s1, base);
-                    self.op_binop(BinOp::Add, d2, l2, r2, base)?;
-                }
-                FlatOp::PairMovSub { d1, s1, d2, l2, r2 } => {
-                    self.op_mov(d1, s1, base);
-                    self.op_binop(BinOp::Sub, d2, l2, r2, base)?;
-                }
-                FlatOp::PairMovMul { d1, s1, d2, l2, r2 } => {
-                    self.op_mov(d1, s1, base);
-                    self.op_binop(BinOp::Mul, d2, l2, r2, base)?;
-                }
-                FlatOp::PairFAddMov { d1, l1, r1, d2, s2 } => {
-                    self.op_binop(BinOp::FAdd, d1, l1, r1, base)?;
-                    self.op_mov(d2, s2, base);
-                }
-                FlatOp::PairFSubMov { d1, l1, r1, d2, s2 } => {
-                    self.op_binop(BinOp::FSub, d1, l1, r1, base)?;
-                    self.op_mov(d2, s2, base);
-                }
-                FlatOp::PairFMulMov { d1, l1, r1, d2, s2 } => {
-                    self.op_binop(BinOp::FMul, d1, l1, r1, base)?;
-                    self.op_mov(d2, s2, base);
-                }
-                FlatOp::PairFDivMov { d1, l1, r1, d2, s2 } => {
-                    self.op_binop(BinOp::FDiv, d1, l1, r1, base)?;
-                    self.op_mov(d2, s2, base);
-                }
-                FlatOp::PairAddMov { d1, l1, r1, d2, s2 } => {
-                    self.op_binop(BinOp::Add, d1, l1, r1, base)?;
-                    self.op_mov(d2, s2, base);
-                }
-                FlatOp::PairSubMov { d1, l1, r1, d2, s2 } => {
-                    self.op_binop(BinOp::Sub, d1, l1, r1, base)?;
-                    self.op_mov(d2, s2, base);
-                }
-                FlatOp::PairMulMov { d1, l1, r1, d2, s2 } => {
-                    self.op_binop(BinOp::Mul, d1, l1, r1, base)?;
-                    self.op_mov(d2, s2, base);
-                }
-                FlatOp::PairMovMov { d1, s1, d2, s2 } => {
-                    self.op_mov(d1, s1, base);
-                    self.op_mov(d2, s2, base);
-                }
                 FlatOp::Select {
                     dst,
                     cond,
@@ -1082,24 +652,6 @@ impl<'f, 'o, O: Observer> FlatInterp<'f, 'o, O> {
     #[inline(always)]
     fn op_mov(&mut self, dst: u32, src: u32, base: usize) {
         self.regs[base + dst as usize] = self.regs[base + src as usize];
-    }
-
-    /// Executes the unary half of a generic pair: a real [`UNOPS`] index or
-    /// one of the pseudo codes ([`MOV_CODE`], [`CONST_CODE`]) the pair
-    /// peephole packs for moves and constant loads.
-    #[inline(always)]
-    fn op_uhalf(&mut self, code: u32, dst: u32, s: u32, base: usize) -> Result<(), RuntimeError> {
-        match code {
-            MOV_CODE => {
-                self.op_mov(dst, s, base);
-                Ok(())
-            }
-            CONST_CODE => {
-                self.op_load_const(dst, s, base);
-                Ok(())
-            }
-            c => self.op_unop(UNOPS[c as usize], dst, s, base),
-        }
     }
 
     #[inline(always)]
@@ -1388,7 +940,7 @@ impl<'f, 'o, O: Observer> FlatInterp<'f, 'o, O> {
 
     /// Precise replay of one fuel segment whose bulk charge overshot the
     /// limit: the charge is rolled back and the segment re-executes charging
-    /// one fuel per component (fused ops and pairs decompose) with the limit
+    /// one fuel per component (fused ops decompose) with the limit
     /// checked before each, reproducing the reference backend's exact fault
     /// point and error — a `DivideByZero` or `TypeMismatch` mid-segment
     /// preempts `OutOfFuel` just as it would per-instruction.
@@ -1426,157 +978,6 @@ impl<'f, 'o, O: Observer> FlatInterp<'f, 'o, O> {
                         Err(e) => return e,
                     }
                 }
-                // Pairs replay their halves as the two reference
-                // instructions they stand for.
-                FlatOp::PairBB {
-                    ops,
-                    d1,
-                    l1,
-                    r1,
-                    d2,
-                    l2,
-                    r2,
-                } => {
-                    if let Err(e) = self.spend() {
-                        return e;
-                    }
-                    if let Err(e) = self.op_binop(BINOPS[(ops & 0xff) as usize], d1, l1, r1, base) {
-                        return e;
-                    }
-                    if let Err(e) = self.spend() {
-                        return e;
-                    }
-                    if let Err(e) = self.op_binop(BINOPS[(ops >> 8) as usize], d2, l2, r2, base) {
-                        return e;
-                    }
-                }
-                FlatOp::PairUB {
-                    ops,
-                    d1,
-                    s1,
-                    d2,
-                    l2,
-                    r2,
-                } => {
-                    if let Err(e) = self.spend() {
-                        return e;
-                    }
-                    if let Err(e) = self.op_uhalf(ops & 0xff, d1, s1, base) {
-                        return e;
-                    }
-                    if let Err(e) = self.spend() {
-                        return e;
-                    }
-                    if let Err(e) = self.op_binop(BINOPS[(ops >> 8) as usize], d2, l2, r2, base) {
-                        return e;
-                    }
-                }
-                FlatOp::PairBU {
-                    ops,
-                    d1,
-                    l1,
-                    r1,
-                    d2,
-                    s2,
-                } => {
-                    if let Err(e) = self.spend() {
-                        return e;
-                    }
-                    if let Err(e) = self.op_binop(BINOPS[(ops & 0xff) as usize], d1, l1, r1, base) {
-                        return e;
-                    }
-                    if let Err(e) = self.spend() {
-                        return e;
-                    }
-                    if let Err(e) = self.op_uhalf(ops >> 8, d2, s2, base) {
-                        return e;
-                    }
-                }
-                FlatOp::PairUU {
-                    ops,
-                    d1,
-                    s1,
-                    d2,
-                    s2,
-                } => {
-                    if let Err(e) = self.spend() {
-                        return e;
-                    }
-                    if let Err(e) = self.op_uhalf(ops & 0xff, d1, s1, base) {
-                        return e;
-                    }
-                    if let Err(e) = self.spend() {
-                        return e;
-                    }
-                    if let Err(e) = self.op_uhalf(ops >> 8, d2, s2, base) {
-                        return e;
-                    }
-                }
-                FlatOp::PairBL {
-                    ops,
-                    d1,
-                    l1,
-                    r1,
-                    ld,
-                    arr,
-                    idx,
-                } => {
-                    if let Err(e) = self.spend() {
-                        return e;
-                    }
-                    if let Err(e) = self.op_binop(BINOPS[(ops & 0xff) as usize], d1, l1, r1, base) {
-                        return e;
-                    }
-                    if let Err(e) = self.spend() {
-                        return e;
-                    }
-                    if let Err(e) = self.op_load(ld, arr, idx, base) {
-                        return e;
-                    }
-                }
-                FlatOp::PairLB {
-                    ops,
-                    ld,
-                    arr,
-                    idx,
-                    d2,
-                    l2,
-                    r2,
-                } => {
-                    if let Err(e) = self.spend() {
-                        return e;
-                    }
-                    if let Err(e) = self.op_load(ld, arr, idx, base) {
-                        return e;
-                    }
-                    if let Err(e) = self.spend() {
-                        return e;
-                    }
-                    if let Err(e) = self.op_binop(BINOPS[(ops >> 8) as usize], d2, l2, r2, base) {
-                        return e;
-                    }
-                }
-                FlatOp::PairLL {
-                    ld1,
-                    arr1,
-                    idx1,
-                    ld2,
-                    arr2,
-                    idx2,
-                } => {
-                    if let Err(e) = self.spend() {
-                        return e;
-                    }
-                    if let Err(e) = self.op_load(ld1, arr1, idx1, base) {
-                        return e;
-                    }
-                    if let Err(e) = self.spend() {
-                        return e;
-                    }
-                    if let Err(e) = self.op_load(ld2, arr2, idx2, base) {
-                        return e;
-                    }
-                }
                 FlatOp::CmpBranch {
                     op, dst, lhs, rhs, ..
                 } => {
@@ -1596,24 +997,10 @@ impl<'f, 'o, O: Observer> FlatInterp<'f, 'o, O> {
                         Ok(()) => unreachable!("fuel replay must trip at the final component"),
                     };
                 }
-                FlatOp::ImpliedCmpBranch { dst, val, .. } => {
-                    // The implied comparison still costs its component and
-                    // still writes its result before the branch component
-                    // trips the limit.
-                    if let Err(e) = self.spend() {
-                        return e;
-                    }
-                    self.regs[base + dst as usize] = GuestValue::Int(i64::from(val));
-                    return match self.spend() {
-                        Err(e) => e,
-                        Ok(()) => unreachable!("fuel replay must trip at the final component"),
-                    };
-                }
                 FlatOp::Call { .. }
                 | FlatOp::CallIndirect { .. }
                 | FlatOp::JumpHead { .. }
                 | FlatOp::Branch { .. }
-                | FlatOp::ImpliedBranch { .. }
                 | FlatOp::JumpTable { .. }
                 | FlatOp::Return { .. } => {
                     return match self.spend() {

@@ -1,6 +1,5 @@
 //! The flat bytecode backend: a validated [`Program`] is linearized into
-//! profile-guided superblock traces and executed by a direct-dispatch
-//! interpreter.
+//! one op stream and executed by a direct-dispatch interpreter.
 //!
 //! The reference interpreter in [`crate::machine`] walks the structured IR:
 //! every step re-resolves `functions[f].blocks[b].instrs[ip]`, charges fuel,
@@ -9,29 +8,21 @@
 //! the hot loop:
 //!
 //! * **Linear code.** Blocks become runs of u32-operand [`FlatOp`]s in one
-//!   `Vec`; control transfers name [`EdgeHead`]s — per-emitted-copy records
+//!   `Vec`; control transfers name [`EdgeHead`]s — per-block records
 //!   holding the target's code offset plus its Pixie slot, coverage-edge
 //!   coordinates, and bulk fuel cost — so dispatch is `code[pc]` with no
 //!   pointer chasing and landing on a block is a single table read.
-//! * **Superblock traces.** Compilation grows traces greedily along the
-//!   profile's predicted arms (`2·taken > executed`; backward-taken /
-//!   forward-not-taken without a profile), seeded at loop headers found by
-//!   `mfcheck`'s dominator/loop analysis. Side-entrance blocks on a trace
-//!   are *tail-duplicated* under a per-function size budget so the hot path
-//!   stays straight-line; every block also keeps one canonical copy that
-//!   off-trace edges land on. See [`TraceConfig`].
-//! * **Trace-scoped optimization.** Within a trace, a facts engine tracks
-//!   comparison outcomes across copies; a compare whose outcome is implied
-//!   by an earlier compare or taken edge collapses into a side-exit-free
-//!   implied branch that still records its counters. Facts only flow along
-//!   edges that are provably the sole entrance of the next copy.
+//! * **Block layout.** Each function's blocks are emitted once, in greedy
+//!   fall-through chains: in block order, or along the profile's majority
+//!   arms when compiled with [`FlatProgram::compile_with_profile`]. Layout
+//!   never changes observable behavior.
 //! * **Fused superinstructions.** A comparison `Binop` feeding the block's
-//!   conditional branch becomes one `CmpBranch` op, `Const` + `Binop` (the
-//!   constant on the right-hand side) becomes one `ConstBinop`, and
-//!   adjacent single-component ALU/load ops pair into two-in-one dispatch
-//!   ops (e.g. the FP kernels' mul+add). Fusion is transparent: fused ops
-//!   still write their intermediate destination registers and decompose
-//!   back into their components for fuel accounting.
+//!   conditional branch becomes one `CmpBranch` op, and `Const` + `Binop`
+//!   (the constant on the right-hand side) becomes one `ConstBinop`. The
+//!   hot operators get variants of their own that carry the operator as a
+//!   literal. Fusion is transparent: fused ops still write their
+//!   intermediate destination registers and decompose back into their
+//!   components for fuel accounting.
 //! * **Block-level fuel.** Fuel is charged in bulk at each edge head (and
 //!   after each call returns) from pre-computed segment costs instead of
 //!   once per instruction; see "Fuel accounting" below.
@@ -40,14 +31,17 @@
 //!   call reserves a window at the top and a return truncates it — no
 //!   per-call allocation.
 //!
+//! DESIGN.md §14 records what each mechanism is worth.
+//!
 //! # Fuel accounting
 //!
 //! The reference interpreter charges 1 fuel before each instruction and each
 //! terminator, and the instruction count an [`crate::Observer`] sees at a
-//! branch reads the fuel counter there. To be observably identical while charging in bulk, each block
-//! copy's instruction list is split into *segments* that end after every
+//! branch reads the fuel counter there. To be observably identical while
+//! charging in bulk, each block's instruction list is split into
+//! *segments* that end after every
 //! call (the call included) with the terminator closing the last segment.
-//! The copy's [`EdgeHead`] charges the first segment; a [`FlatOp::Resume`]
+//! The block's [`EdgeHead`] charges the first segment; a [`FlatOp::Resume`]
 //! placed after each call op charges the next segment when the callee
 //! returns. Control only leaves a segment at its final component (a call or
 //! the terminator), so at every control transfer — in particular at every
@@ -62,8 +56,8 @@
 
 mod compile;
 mod interp;
+mod layout;
 mod ops;
-mod trace;
 
 use std::sync::Arc;
 
@@ -72,7 +66,6 @@ use trace_ir::{BranchId, Program};
 use self::compile::Flattener;
 use self::interp::FlatInterp;
 use self::ops::{EdgeHead, FlatOp};
-pub use self::trace::{confidence_digest, TraceConfig};
 use crate::counters::BranchCounts;
 use crate::error::RuntimeError;
 use crate::machine::{Observer, Run, VmConfig};
@@ -97,12 +90,12 @@ struct FlatFunc {
 /// A [`Program`] pre-compiled for the flat backend.
 ///
 /// Compile once, run many times: compilation is deterministic for a given
-/// program, profile, and [`TraceConfig`], and running never mutates the
-/// compiled artifact.
+/// program and profile, and running never mutates the compiled artifact.
 #[derive(Debug)]
 pub struct FlatProgram {
     code: Vec<FlatOp>,
-    /// One entry per emitted block copy; control transfers index this table.
+    /// One entry per block, in function then block order; control
+    /// transfers index this table.
     heads: Vec<EdgeHead>,
     consts: Vec<GuestValue>,
     args: Vec<u32>,
@@ -124,52 +117,23 @@ pub struct FlatProgram {
 }
 
 impl FlatProgram {
-    /// Compiles `program` with default trace formation and no profile
-    /// (BTFN-predicted trace growth).
+    /// Compiles `program` with no profile: each function's blocks are laid
+    /// out in block order, every conditional branch falling through to its
+    /// not-taken arm.
     pub fn compile(program: &Program) -> Self {
-        Self::compile_with(program, None, TraceConfig::default())
+        Flattener::new(program, None).build()
     }
 
-    /// Compiles `program` growing traces along the profile's likelier
-    /// branch arms: an arm is predicted taken when `2·taken > executed` in
-    /// `profile`. Trace selection never changes observable behavior.
+    /// Compiles `program` laying blocks out along the profile's likelier
+    /// branch arms: an arm is predicted taken when `profile` saw it taken
+    /// on a strict majority of the site's executions. Layout never changes
+    /// observable behavior.
     pub fn compile_with_profile(program: &Program, profile: &BranchCounts) -> Self {
-        Self::compile_with(program, Some(profile), TraceConfig::default())
-    }
-
-    /// Compiles `program` with explicit trace configuration and an optional
-    /// profile driving trace growth (BTFN when absent). With
-    /// `trace.enabled == false` this degenerates to PR 4's greedy
-    /// fall-through layout: no duplication, no implied branches.
-    pub fn compile_with(
-        program: &Program,
-        profile: Option<&BranchCounts>,
-        trace: TraceConfig,
-    ) -> Self {
-        Flattener::new(program, profile, trace).build()
-    }
-
-    /// [`FlatProgram::compile_with`] for profiles reused across a program
-    /// edit: sites in `low_confidence` (the degraded list of a
-    /// version-skew remap — see `mfstale`) keep their counters but are
-    /// *not* trusted to steer trace growth; they predict by
-    /// backward-taken/forward-not-taken exactly as if unprofiled. Callers
-    /// should set `trace.confidence_digest` to
-    /// [`confidence_digest`]`(low_confidence)` so run keys distinguish the
-    /// degraded compilation. An empty `low_confidence` compiles
-    /// identically to [`FlatProgram::compile_with`].
-    pub fn compile_with_confidence(
-        program: &Program,
-        profile: Option<&BranchCounts>,
-        low_confidence: &[BranchId],
-        trace: TraceConfig,
-    ) -> Self {
-        Flattener::with_confidence(program, profile, low_confidence, trace).build()
+        Flattener::new(program, Some(profile)).build()
     }
 
     /// Number of ops in the compiled code stream (diagnostics and benchmark
-    /// metadata; fused patterns make this smaller than the IR op count,
-    /// tail duplication pushes the other way).
+    /// metadata; fused patterns make this smaller than the IR op count).
     pub fn op_count(&self) -> usize {
         self.code.len()
     }

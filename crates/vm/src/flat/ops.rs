@@ -11,17 +11,14 @@ use trace_ir::{BinOp, UnOp};
 /// Sentinel operand meaning "absent" (no return register / no return value).
 pub(crate) const NONE: u32 = u32::MAX;
 
-/// Per-copy entry bookkeeping for one emitted block copy. Every control
-/// transfer (jump, branch arm, jump-table entry) names an `EdgeHead` instead
-/// of a raw code offset; taking the edge bumps the target's Pixie slot,
-/// reports the coverage edge, bulk-charges the first fuel segment, and lands
-/// at `body` — all without dispatching a separate block-head op.
-///
-/// Tail-duplicated copies of a block get their own `EdgeHead` with the same
-/// `slot`/`func`/`block` (observably identical) but a private `body`.
+/// Entry bookkeeping for one emitted block. Every control transfer (jump,
+/// branch arm, jump-table entry) names an `EdgeHead` instead of a raw code
+/// offset; taking the edge bumps the target's Pixie slot, reports the
+/// coverage edge, bulk-charges the first fuel segment, and lands at `body`
+/// — all without dispatching a separate block-head op.
 #[derive(Clone, Copy, Debug)]
 pub(crate) struct EdgeHead {
-    /// Code offset of the copy's first body op.
+    /// Code offset of the block's first body op.
     pub body: u32,
     /// Dense Pixie counter slot of the block.
     pub slot: u32,
@@ -29,12 +26,15 @@ pub(crate) struct EdgeHead {
     pub func: u32,
     /// Source-level block id (coverage-edge reporting).
     pub block: u32,
-    /// Bulk fuel cost of the copy's first segment.
+    /// Bulk fuel cost of the block's first segment.
     pub cost: u32,
 }
 
-/// One op of the flat code stream.
+/// One op of the flat code stream. The widest variant needs 28 bytes; the
+/// alignment pads every op to 32 so that no op straddles a cache line. The
+/// packed 28-byte layout measured up to 5% slower on integer workloads.
 #[derive(Clone, Copy, Debug)]
+#[repr(align(32))]
 pub(crate) enum FlatOp {
     /// Function-entry bookkeeping: bumps the Pixie counter, reports the
     /// entry coverage edge, then bulk-charges the entry block's first fuel
@@ -241,390 +241,6 @@ pub(crate) enum FlatOp {
         cdst: u32,
         cidx: u32,
     },
-    /// Generic paired superinstruction: two adjacent one-component ops
-    /// executed under a single dispatch, strictly in order (the first op
-    /// completes — including any trap — before the second starts). `ops`
-    /// packs both operators ([`pack2`]); the specialized `Pair*` variants
-    /// below carry the measured-hot operator combinations as literals.
-    PairBB {
-        ops: u32,
-        d1: u32,
-        l1: u32,
-        r1: u32,
-        d2: u32,
-        l2: u32,
-        r2: u32,
-    },
-    /// Unary half then `Binop` (see [`FlatOp::PairBB`]). The unary half's
-    /// packed code is a [`UNOPS`] index or one of the pseudo codes
-    /// ([`MOV_CODE`], [`CONST_CODE`]), so moves and constant loads pair
-    /// too.
-    PairUB {
-        ops: u32,
-        d1: u32,
-        s1: u32,
-        d2: u32,
-        l2: u32,
-        r2: u32,
-    },
-    /// `Binop` then unary half (see [`FlatOp::PairUB`]).
-    PairBU {
-        ops: u32,
-        d1: u32,
-        l1: u32,
-        r1: u32,
-        d2: u32,
-        s2: u32,
-    },
-    /// Unary half then unary half (see [`FlatOp::PairUB`]).
-    PairUU {
-        ops: u32,
-        d1: u32,
-        s1: u32,
-        d2: u32,
-        s2: u32,
-    },
-    /// `Binop` then `Load` (see [`FlatOp::PairBB`]) — the indexed
-    /// address-compute + load idiom of the FP kernels.
-    PairBL {
-        ops: u32,
-        d1: u32,
-        l1: u32,
-        r1: u32,
-        ld: u32,
-        arr: u32,
-        idx: u32,
-    },
-    /// `Load` then `Binop` (see [`FlatOp::PairBB`]).
-    PairLB {
-        ops: u32,
-        ld: u32,
-        arr: u32,
-        idx: u32,
-        d2: u32,
-        l2: u32,
-        r2: u32,
-    },
-    /// `Load` then `Load` (see [`FlatOp::PairBB`]).
-    PairLL {
-        ld1: u32,
-        arr1: u32,
-        idx1: u32,
-        ld2: u32,
-        arr2: u32,
-        idx2: u32,
-    },
-    /// Specialized literal-operator pairs for the hot float/int arithmetic
-    /// combinations (multiply-add and friends); [`generalize`] maps each
-    /// back to [`FlatOp::PairBB`].
-    PairFAddFAdd {
-        d1: u32,
-        l1: u32,
-        r1: u32,
-        d2: u32,
-        l2: u32,
-        r2: u32,
-    },
-    PairFAddFSub {
-        d1: u32,
-        l1: u32,
-        r1: u32,
-        d2: u32,
-        l2: u32,
-        r2: u32,
-    },
-    PairFAddFMul {
-        d1: u32,
-        l1: u32,
-        r1: u32,
-        d2: u32,
-        l2: u32,
-        r2: u32,
-    },
-    PairFAddFDiv {
-        d1: u32,
-        l1: u32,
-        r1: u32,
-        d2: u32,
-        l2: u32,
-        r2: u32,
-    },
-    PairFSubFAdd {
-        d1: u32,
-        l1: u32,
-        r1: u32,
-        d2: u32,
-        l2: u32,
-        r2: u32,
-    },
-    PairFSubFSub {
-        d1: u32,
-        l1: u32,
-        r1: u32,
-        d2: u32,
-        l2: u32,
-        r2: u32,
-    },
-    PairFSubFMul {
-        d1: u32,
-        l1: u32,
-        r1: u32,
-        d2: u32,
-        l2: u32,
-        r2: u32,
-    },
-    PairFSubFDiv {
-        d1: u32,
-        l1: u32,
-        r1: u32,
-        d2: u32,
-        l2: u32,
-        r2: u32,
-    },
-    PairFMulFAdd {
-        d1: u32,
-        l1: u32,
-        r1: u32,
-        d2: u32,
-        l2: u32,
-        r2: u32,
-    },
-    PairFMulFSub {
-        d1: u32,
-        l1: u32,
-        r1: u32,
-        d2: u32,
-        l2: u32,
-        r2: u32,
-    },
-    PairFMulFMul {
-        d1: u32,
-        l1: u32,
-        r1: u32,
-        d2: u32,
-        l2: u32,
-        r2: u32,
-    },
-    PairFMulFDiv {
-        d1: u32,
-        l1: u32,
-        r1: u32,
-        d2: u32,
-        l2: u32,
-        r2: u32,
-    },
-    PairFDivFAdd {
-        d1: u32,
-        l1: u32,
-        r1: u32,
-        d2: u32,
-        l2: u32,
-        r2: u32,
-    },
-    PairFDivFSub {
-        d1: u32,
-        l1: u32,
-        r1: u32,
-        d2: u32,
-        l2: u32,
-        r2: u32,
-    },
-    PairFDivFMul {
-        d1: u32,
-        l1: u32,
-        r1: u32,
-        d2: u32,
-        l2: u32,
-        r2: u32,
-    },
-    PairFDivFDiv {
-        d1: u32,
-        l1: u32,
-        r1: u32,
-        d2: u32,
-        l2: u32,
-        r2: u32,
-    },
-    PairAddAdd {
-        d1: u32,
-        l1: u32,
-        r1: u32,
-        d2: u32,
-        l2: u32,
-        r2: u32,
-    },
-    PairAddSub {
-        d1: u32,
-        l1: u32,
-        r1: u32,
-        d2: u32,
-        l2: u32,
-        r2: u32,
-    },
-    PairAddMul {
-        d1: u32,
-        l1: u32,
-        r1: u32,
-        d2: u32,
-        l2: u32,
-        r2: u32,
-    },
-    PairSubAdd {
-        d1: u32,
-        l1: u32,
-        r1: u32,
-        d2: u32,
-        l2: u32,
-        r2: u32,
-    },
-    PairSubSub {
-        d1: u32,
-        l1: u32,
-        r1: u32,
-        d2: u32,
-        l2: u32,
-        r2: u32,
-    },
-    PairSubMul {
-        d1: u32,
-        l1: u32,
-        r1: u32,
-        d2: u32,
-        l2: u32,
-        r2: u32,
-    },
-    PairMulAdd {
-        d1: u32,
-        l1: u32,
-        r1: u32,
-        d2: u32,
-        l2: u32,
-        r2: u32,
-    },
-    PairMulSub {
-        d1: u32,
-        l1: u32,
-        r1: u32,
-        d2: u32,
-        l2: u32,
-        r2: u32,
-    },
-    PairMulMul {
-        d1: u32,
-        l1: u32,
-        r1: u32,
-        d2: u32,
-        l2: u32,
-        r2: u32,
-    },
-    /// Specialized move-involving pairs — a register move fused before
-    /// or after a hot arithmetic op (plus the move/move shuffle), operator
-    /// as a literal. [`generalize`] maps each back to the generic packed
-    /// form with [`MOV_CODE`] in the unary slot.
-    PairMovFAdd {
-        d1: u32,
-        s1: u32,
-        d2: u32,
-        l2: u32,
-        r2: u32,
-    },
-    PairMovFSub {
-        d1: u32,
-        s1: u32,
-        d2: u32,
-        l2: u32,
-        r2: u32,
-    },
-    PairMovFMul {
-        d1: u32,
-        s1: u32,
-        d2: u32,
-        l2: u32,
-        r2: u32,
-    },
-    PairMovFDiv {
-        d1: u32,
-        s1: u32,
-        d2: u32,
-        l2: u32,
-        r2: u32,
-    },
-    PairMovAdd {
-        d1: u32,
-        s1: u32,
-        d2: u32,
-        l2: u32,
-        r2: u32,
-    },
-    PairMovSub {
-        d1: u32,
-        s1: u32,
-        d2: u32,
-        l2: u32,
-        r2: u32,
-    },
-    PairMovMul {
-        d1: u32,
-        s1: u32,
-        d2: u32,
-        l2: u32,
-        r2: u32,
-    },
-    PairFAddMov {
-        d1: u32,
-        l1: u32,
-        r1: u32,
-        d2: u32,
-        s2: u32,
-    },
-    PairFSubMov {
-        d1: u32,
-        l1: u32,
-        r1: u32,
-        d2: u32,
-        s2: u32,
-    },
-    PairFMulMov {
-        d1: u32,
-        l1: u32,
-        r1: u32,
-        d2: u32,
-        s2: u32,
-    },
-    PairFDivMov {
-        d1: u32,
-        l1: u32,
-        r1: u32,
-        d2: u32,
-        s2: u32,
-    },
-    PairAddMov {
-        d1: u32,
-        l1: u32,
-        r1: u32,
-        d2: u32,
-        s2: u32,
-    },
-    PairSubMov {
-        d1: u32,
-        l1: u32,
-        r1: u32,
-        d2: u32,
-        s2: u32,
-    },
-    PairMulMov {
-        d1: u32,
-        l1: u32,
-        r1: u32,
-        d2: u32,
-        s2: u32,
-    },
-    PairMovMov {
-        d1: u32,
-        s1: u32,
-        d2: u32,
-        s2: u32,
-    },
     Select {
         dst: u32,
         cond: u32,
@@ -685,7 +301,7 @@ pub(crate) enum FlatOp {
         ret: u32,
     },
     /// Unconditional transfer through an [`EdgeHead`] (counts one jump
-    /// event, then enters the target copy).
+    /// event, then enters the target block).
     JumpHead {
         eh: u32,
     },
@@ -807,25 +423,6 @@ pub(crate) enum FlatOp {
         tk: u32,
         nt: u32,
     },
-    /// A conditional branch whose direction the trace optimizer proved from
-    /// facts established earlier on the (single-entry) trace path: records
-    /// the branch exactly like [`FlatOp::Branch`] but transfers
-    /// unconditionally — a side-exit-free fallthrough. One fuel component.
-    ImpliedBranch {
-        slot: u32,
-        taken: u32,
-        eh: u32,
-    },
-    /// An implied [`FlatOp::CmpBranch`]: the comparison's outcome (`val`,
-    /// 0 or 1) is known, so `dst` is written directly and the branch
-    /// transfers unconditionally. Two fuel components (compare + branch),
-    /// like the fused form it replaces.
-    ImpliedCmpBranch {
-        dst: u32,
-        val: u32,
-        slot: u32,
-        eh: u32,
-    },
     /// `table` indexes the shared table pool; entries are edge heads.
     JumpTable {
         index: u32,
@@ -834,52 +431,6 @@ pub(crate) enum FlatOp {
     Return {
         src: u32,
     },
-}
-
-/// Packs two operator codes into one `u32` operand (low byte = first op).
-pub(crate) fn pack2(a: u32, b: u32) -> u32 {
-    debug_assert!(a < 256 && b < 256);
-    a | (b << 8)
-}
-
-/// `BinOp` variants in declaration order — decode table for packed
-/// operator codes (`op as u32` is the inverse).
-pub(crate) const BINOPS: [BinOp; 28] = {
-    use BinOp::*;
-    [
-        Add, Sub, Mul, Div, Rem, FAdd, FSub, FMul, FDiv, And, Or, Xor, Shl, Shr, Eq, Ne, Lt, Le,
-        Gt, Ge, FEq, FNe, FLt, FLe, FGt, FGe, FMin, FMax,
-    ]
-};
-
-/// `UnOp` variants in declaration order (see [`BINOPS`]).
-pub(crate) const UNOPS: [UnOp; 14] = {
-    use UnOp::*;
-    [
-        Neg, FNeg, Not, LNot, IntToFloat, FloatToInt, Sqrt, Sin, Cos, Exp, Log, Floor, Abs, FAbs,
-    ]
-};
-
-/// Pseudo operator code extending the packed unary-op byte space past the
-/// real [`UNOPS`] table: a register-to-register move riding in a pair's
-/// unary slot (`src` is a register; a move can never trap).
-pub(crate) const MOV_CODE: u32 = UNOPS.len() as u32;
-
-/// Pseudo operator code for a constant load riding in a pair's unary slot
-/// (`src` is a constant-pool index; a constant load can never trap).
-pub(crate) const CONST_CODE: u32 = UNOPS.len() as u32 + 1;
-
-/// Views an op as a pairable unary half — `(code, dst, src)`, where `code`
-/// indexes [`UNOPS`] or is one of the pseudo codes and `src` is a register
-/// ([`FlatOp::Unop`]/[`FlatOp::Mov`]) or a constant-pool index
-/// ([`FlatOp::LoadConst`]).
-pub(crate) fn unop_half(op: &FlatOp) -> Option<(u32, u32, u32)> {
-    match *op {
-        FlatOp::Unop { op, dst, src } => Some((op as u32, dst, src)),
-        FlatOp::Mov { dst, src } => Some((MOV_CODE, dst, src)),
-        FlatOp::LoadConst { dst, cidx } => Some((CONST_CODE, dst, cidx)),
-        _ => None,
-    }
 }
 
 /// Emits the constant-op specialization of a `Binop` when one exists for
@@ -995,133 +546,7 @@ pub(crate) fn specialize_cmp_branch(
     }
 }
 
-/// Emits the literal-operator specialization of a `Binop`+`Binop` pair when
-/// one exists for the combination, the generic packed form otherwise.
-/// Inverse of [`generalize`].
-pub(crate) fn specialize_pair_bb(
-    op1: BinOp,
-    op2: BinOp,
-    (d1, l1, r1): (u32, u32, u32),
-    (d2, l2, r2): (u32, u32, u32),
-) -> FlatOp {
-    macro_rules! p {
-        ($variant:ident) => {
-            FlatOp::$variant {
-                d1,
-                l1,
-                r1,
-                d2,
-                l2,
-                r2,
-            }
-        };
-    }
-    use BinOp::*;
-    match (op1, op2) {
-        (FAdd, FAdd) => p!(PairFAddFAdd),
-        (FAdd, FSub) => p!(PairFAddFSub),
-        (FAdd, FMul) => p!(PairFAddFMul),
-        (FAdd, FDiv) => p!(PairFAddFDiv),
-        (FSub, FAdd) => p!(PairFSubFAdd),
-        (FSub, FSub) => p!(PairFSubFSub),
-        (FSub, FMul) => p!(PairFSubFMul),
-        (FSub, FDiv) => p!(PairFSubFDiv),
-        (FMul, FAdd) => p!(PairFMulFAdd),
-        (FMul, FSub) => p!(PairFMulFSub),
-        (FMul, FMul) => p!(PairFMulFMul),
-        (FMul, FDiv) => p!(PairFMulFDiv),
-        (FDiv, FAdd) => p!(PairFDivFAdd),
-        (FDiv, FSub) => p!(PairFDivFSub),
-        (FDiv, FMul) => p!(PairFDivFMul),
-        (FDiv, FDiv) => p!(PairFDivFDiv),
-        (Add, Add) => p!(PairAddAdd),
-        (Add, Sub) => p!(PairAddSub),
-        (Add, Mul) => p!(PairAddMul),
-        (Sub, Add) => p!(PairSubAdd),
-        (Sub, Sub) => p!(PairSubSub),
-        (Sub, Mul) => p!(PairSubMul),
-        (Mul, Add) => p!(PairMulAdd),
-        (Mul, Sub) => p!(PairMulSub),
-        (Mul, Mul) => p!(PairMulMul),
-        _ => FlatOp::PairBB {
-            ops: pack2(op1 as u32, op2 as u32),
-            d1,
-            l1,
-            r1,
-            d2,
-            l2,
-            r2,
-        },
-    }
-}
-
-/// Emits the literal-operator specialization of a `Mov`+`Binop` pair when
-/// one exists, the generic packed form otherwise. Inverse of
-/// [`generalize`].
-pub(crate) fn specialize_pair_mov_b(
-    op: BinOp,
-    (d1, s1): (u32, u32),
-    (d2, l2, r2): (u32, u32, u32),
-) -> FlatOp {
-    macro_rules! p {
-        ($variant:ident) => {
-            FlatOp::$variant { d1, s1, d2, l2, r2 }
-        };
-    }
-    use BinOp::*;
-    match op {
-        FAdd => p!(PairMovFAdd),
-        FSub => p!(PairMovFSub),
-        FMul => p!(PairMovFMul),
-        FDiv => p!(PairMovFDiv),
-        Add => p!(PairMovAdd),
-        Sub => p!(PairMovSub),
-        Mul => p!(PairMovMul),
-        _ => FlatOp::PairUB {
-            ops: pack2(MOV_CODE, op as u32),
-            d1,
-            s1,
-            d2,
-            l2,
-            r2,
-        },
-    }
-}
-
-/// Emits the literal-operator specialization of a `Binop`+`Mov` pair when
-/// one exists, the generic packed form otherwise. Inverse of
-/// [`generalize`].
-pub(crate) fn specialize_pair_b_mov(
-    op: BinOp,
-    (d1, l1, r1): (u32, u32, u32),
-    (d2, s2): (u32, u32),
-) -> FlatOp {
-    macro_rules! p {
-        ($variant:ident) => {
-            FlatOp::$variant { d1, l1, r1, d2, s2 }
-        };
-    }
-    use BinOp::*;
-    match op {
-        FAdd => p!(PairFAddMov),
-        FSub => p!(PairFSubMov),
-        FMul => p!(PairFMulMov),
-        FDiv => p!(PairFDivMov),
-        Add => p!(PairAddMov),
-        Sub => p!(PairSubMov),
-        Mul => p!(PairMulMov),
-        _ => FlatOp::PairBU {
-            ops: pack2(op as u32, MOV_CODE),
-            d1,
-            l1,
-            r1,
-            d2,
-            s2,
-        },
-    }
-}
-
-/// Maps every constant-op/literal-pair specialization back to its generic
+/// Maps every constant-op specialization back to its generic
 /// form (identity on everything else). The cold fuel-replay path matches on
 /// generic forms only, so it cannot drift from the hot loop's specialized
 /// arms, which call the same helpers.
@@ -1158,19 +583,6 @@ pub(crate) fn generalize(op: FlatOp) -> FlatOp {
                 slot: $slot,
                 tk: $tk,
                 nt: $nt,
-            }
-        };
-    }
-    macro_rules! pbb {
-        ($op1:ident, $op2:ident, $d1:ident, $l1:ident, $r1:ident, $d2:ident, $l2:ident, $r2:ident) => {
-            PairBB {
-                ops: pack2(BinOp::$op1 as u32, BinOp::$op2 as u32),
-                d1: $d1,
-                l1: $l1,
-                r1: $r1,
-                d2: $d2,
-                l2: $l2,
-                r2: $r2,
             }
         };
     }
@@ -1369,333 +781,14 @@ pub(crate) fn generalize(op: FlatOp) -> FlatOp {
             tk,
             nt,
         } => cbr!(FGe, dst, lhs, rhs, slot, tk, nt),
-        PairFAddFAdd {
-            d1,
-            l1,
-            r1,
-            d2,
-            l2,
-            r2,
-        } => pbb!(FAdd, FAdd, d1, l1, r1, d2, l2, r2),
-        PairFAddFSub {
-            d1,
-            l1,
-            r1,
-            d2,
-            l2,
-            r2,
-        } => pbb!(FAdd, FSub, d1, l1, r1, d2, l2, r2),
-        PairFAddFMul {
-            d1,
-            l1,
-            r1,
-            d2,
-            l2,
-            r2,
-        } => pbb!(FAdd, FMul, d1, l1, r1, d2, l2, r2),
-        PairFAddFDiv {
-            d1,
-            l1,
-            r1,
-            d2,
-            l2,
-            r2,
-        } => pbb!(FAdd, FDiv, d1, l1, r1, d2, l2, r2),
-        PairFSubFAdd {
-            d1,
-            l1,
-            r1,
-            d2,
-            l2,
-            r2,
-        } => pbb!(FSub, FAdd, d1, l1, r1, d2, l2, r2),
-        PairFSubFSub {
-            d1,
-            l1,
-            r1,
-            d2,
-            l2,
-            r2,
-        } => pbb!(FSub, FSub, d1, l1, r1, d2, l2, r2),
-        PairFSubFMul {
-            d1,
-            l1,
-            r1,
-            d2,
-            l2,
-            r2,
-        } => pbb!(FSub, FMul, d1, l1, r1, d2, l2, r2),
-        PairFSubFDiv {
-            d1,
-            l1,
-            r1,
-            d2,
-            l2,
-            r2,
-        } => pbb!(FSub, FDiv, d1, l1, r1, d2, l2, r2),
-        PairFMulFAdd {
-            d1,
-            l1,
-            r1,
-            d2,
-            l2,
-            r2,
-        } => pbb!(FMul, FAdd, d1, l1, r1, d2, l2, r2),
-        PairFMulFSub {
-            d1,
-            l1,
-            r1,
-            d2,
-            l2,
-            r2,
-        } => pbb!(FMul, FSub, d1, l1, r1, d2, l2, r2),
-        PairFMulFMul {
-            d1,
-            l1,
-            r1,
-            d2,
-            l2,
-            r2,
-        } => pbb!(FMul, FMul, d1, l1, r1, d2, l2, r2),
-        PairFMulFDiv {
-            d1,
-            l1,
-            r1,
-            d2,
-            l2,
-            r2,
-        } => pbb!(FMul, FDiv, d1, l1, r1, d2, l2, r2),
-        PairFDivFAdd {
-            d1,
-            l1,
-            r1,
-            d2,
-            l2,
-            r2,
-        } => pbb!(FDiv, FAdd, d1, l1, r1, d2, l2, r2),
-        PairFDivFSub {
-            d1,
-            l1,
-            r1,
-            d2,
-            l2,
-            r2,
-        } => pbb!(FDiv, FSub, d1, l1, r1, d2, l2, r2),
-        PairFDivFMul {
-            d1,
-            l1,
-            r1,
-            d2,
-            l2,
-            r2,
-        } => pbb!(FDiv, FMul, d1, l1, r1, d2, l2, r2),
-        PairFDivFDiv {
-            d1,
-            l1,
-            r1,
-            d2,
-            l2,
-            r2,
-        } => pbb!(FDiv, FDiv, d1, l1, r1, d2, l2, r2),
-        PairAddAdd {
-            d1,
-            l1,
-            r1,
-            d2,
-            l2,
-            r2,
-        } => pbb!(Add, Add, d1, l1, r1, d2, l2, r2),
-        PairAddSub {
-            d1,
-            l1,
-            r1,
-            d2,
-            l2,
-            r2,
-        } => pbb!(Add, Sub, d1, l1, r1, d2, l2, r2),
-        PairAddMul {
-            d1,
-            l1,
-            r1,
-            d2,
-            l2,
-            r2,
-        } => pbb!(Add, Mul, d1, l1, r1, d2, l2, r2),
-        PairSubAdd {
-            d1,
-            l1,
-            r1,
-            d2,
-            l2,
-            r2,
-        } => pbb!(Sub, Add, d1, l1, r1, d2, l2, r2),
-        PairSubSub {
-            d1,
-            l1,
-            r1,
-            d2,
-            l2,
-            r2,
-        } => pbb!(Sub, Sub, d1, l1, r1, d2, l2, r2),
-        PairSubMul {
-            d1,
-            l1,
-            r1,
-            d2,
-            l2,
-            r2,
-        } => pbb!(Sub, Mul, d1, l1, r1, d2, l2, r2),
-        PairMulAdd {
-            d1,
-            l1,
-            r1,
-            d2,
-            l2,
-            r2,
-        } => pbb!(Mul, Add, d1, l1, r1, d2, l2, r2),
-        PairMulSub {
-            d1,
-            l1,
-            r1,
-            d2,
-            l2,
-            r2,
-        } => pbb!(Mul, Sub, d1, l1, r1, d2, l2, r2),
-        PairMulMul {
-            d1,
-            l1,
-            r1,
-            d2,
-            l2,
-            r2,
-        } => pbb!(Mul, Mul, d1, l1, r1, d2, l2, r2),
-        PairMovFAdd { d1, s1, d2, l2, r2 } => PairUB {
-            ops: pack2(MOV_CODE, BinOp::FAdd as u32),
-            d1,
-            s1,
-            d2,
-            l2,
-            r2,
-        },
-        PairMovFSub { d1, s1, d2, l2, r2 } => PairUB {
-            ops: pack2(MOV_CODE, BinOp::FSub as u32),
-            d1,
-            s1,
-            d2,
-            l2,
-            r2,
-        },
-        PairMovFMul { d1, s1, d2, l2, r2 } => PairUB {
-            ops: pack2(MOV_CODE, BinOp::FMul as u32),
-            d1,
-            s1,
-            d2,
-            l2,
-            r2,
-        },
-        PairMovFDiv { d1, s1, d2, l2, r2 } => PairUB {
-            ops: pack2(MOV_CODE, BinOp::FDiv as u32),
-            d1,
-            s1,
-            d2,
-            l2,
-            r2,
-        },
-        PairMovAdd { d1, s1, d2, l2, r2 } => PairUB {
-            ops: pack2(MOV_CODE, BinOp::Add as u32),
-            d1,
-            s1,
-            d2,
-            l2,
-            r2,
-        },
-        PairMovSub { d1, s1, d2, l2, r2 } => PairUB {
-            ops: pack2(MOV_CODE, BinOp::Sub as u32),
-            d1,
-            s1,
-            d2,
-            l2,
-            r2,
-        },
-        PairMovMul { d1, s1, d2, l2, r2 } => PairUB {
-            ops: pack2(MOV_CODE, BinOp::Mul as u32),
-            d1,
-            s1,
-            d2,
-            l2,
-            r2,
-        },
-        PairFAddMov { d1, l1, r1, d2, s2 } => PairBU {
-            ops: pack2(BinOp::FAdd as u32, MOV_CODE),
-            d1,
-            l1,
-            r1,
-            d2,
-            s2,
-        },
-        PairFSubMov { d1, l1, r1, d2, s2 } => PairBU {
-            ops: pack2(BinOp::FSub as u32, MOV_CODE),
-            d1,
-            l1,
-            r1,
-            d2,
-            s2,
-        },
-        PairFMulMov { d1, l1, r1, d2, s2 } => PairBU {
-            ops: pack2(BinOp::FMul as u32, MOV_CODE),
-            d1,
-            l1,
-            r1,
-            d2,
-            s2,
-        },
-        PairFDivMov { d1, l1, r1, d2, s2 } => PairBU {
-            ops: pack2(BinOp::FDiv as u32, MOV_CODE),
-            d1,
-            l1,
-            r1,
-            d2,
-            s2,
-        },
-        PairAddMov { d1, l1, r1, d2, s2 } => PairBU {
-            ops: pack2(BinOp::Add as u32, MOV_CODE),
-            d1,
-            l1,
-            r1,
-            d2,
-            s2,
-        },
-        PairSubMov { d1, l1, r1, d2, s2 } => PairBU {
-            ops: pack2(BinOp::Sub as u32, MOV_CODE),
-            d1,
-            l1,
-            r1,
-            d2,
-            s2,
-        },
-        PairMulMov { d1, l1, r1, d2, s2 } => PairBU {
-            ops: pack2(BinOp::Mul as u32, MOV_CODE),
-            d1,
-            l1,
-            r1,
-            d2,
-            s2,
-        },
-        PairMovMov { d1, s1, d2, s2 } => PairUU {
-            ops: pack2(MOV_CODE, MOV_CODE),
-            d1,
-            s1,
-            d2,
-            s2,
-        },
         other => other,
     }
 }
 
 /// Fuel components of one emitted op — the number of reference-backend
-/// instructions it stands for. Fused ops (`ConstBinop*`, pairs,
-/// `CmpBranch*`, `ImpliedCmpBranch`) cover two; `BlockHead`/`Resume` are
-/// bookkeeping, not instructions; everything else is one.
+/// instructions it stands for. Fused ops (`ConstBinop*`, `CmpBranch*`)
+/// cover two; `BlockHead`/`Resume` are bookkeeping, not instructions;
+/// everything else is one.
 pub(crate) fn components(op: &FlatOp) -> u32 {
     use FlatOp::*;
     match op {
@@ -1715,53 +808,6 @@ pub(crate) fn components(op: &FlatOp) -> u32 {
         | ConstBinopFSub { .. }
         | ConstBinopFMul { .. }
         | ConstBinopFDiv { .. }
-        | PairBB { .. }
-        | PairUB { .. }
-        | PairBU { .. }
-        | PairUU { .. }
-        | PairBL { .. }
-        | PairLB { .. }
-        | PairLL { .. }
-        | PairFAddFAdd { .. }
-        | PairFAddFSub { .. }
-        | PairFAddFMul { .. }
-        | PairFAddFDiv { .. }
-        | PairFSubFAdd { .. }
-        | PairFSubFSub { .. }
-        | PairFSubFMul { .. }
-        | PairFSubFDiv { .. }
-        | PairFMulFAdd { .. }
-        | PairFMulFSub { .. }
-        | PairFMulFMul { .. }
-        | PairFMulFDiv { .. }
-        | PairFDivFAdd { .. }
-        | PairFDivFSub { .. }
-        | PairFDivFMul { .. }
-        | PairFDivFDiv { .. }
-        | PairAddAdd { .. }
-        | PairAddSub { .. }
-        | PairAddMul { .. }
-        | PairSubAdd { .. }
-        | PairSubSub { .. }
-        | PairSubMul { .. }
-        | PairMulAdd { .. }
-        | PairMulSub { .. }
-        | PairMulMul { .. }
-        | PairMovFAdd { .. }
-        | PairMovFSub { .. }
-        | PairMovFMul { .. }
-        | PairMovFDiv { .. }
-        | PairMovAdd { .. }
-        | PairMovSub { .. }
-        | PairMovMul { .. }
-        | PairFAddMov { .. }
-        | PairFSubMov { .. }
-        | PairFMulMov { .. }
-        | PairFDivMov { .. }
-        | PairAddMov { .. }
-        | PairSubMov { .. }
-        | PairMulMov { .. }
-        | PairMovMov { .. }
         | CmpBranch { .. }
         | CmpBranchEq { .. }
         | CmpBranchNe { .. }
@@ -1774,8 +820,7 @@ pub(crate) fn components(op: &FlatOp) -> u32 {
         | CmpBranchFLt { .. }
         | CmpBranchFLe { .. }
         | CmpBranchFGt { .. }
-        | CmpBranchFGe { .. }
-        | ImpliedCmpBranch { .. } => 2,
+        | CmpBranchFGe { .. } => 2,
         _ => 1,
     }
 }
@@ -1786,38 +831,46 @@ mod tests {
 
     #[test]
     fn flat_op_stays_one_half_cache_line() {
-        assert!(std::mem::size_of::<FlatOp>() <= 32);
+        assert_eq!(std::mem::size_of::<FlatOp>(), 32);
     }
 
+    /// Every operator's specialized form generalizes back to the generic
+    /// form it came from, operands intact: the fuel replay relies on it.
     #[test]
     fn op_code_tables_round_trip() {
-        for (i, &op) in BINOPS.iter().enumerate() {
-            assert_eq!(op as usize, i);
-        }
-        for (i, &op) in UNOPS.iter().enumerate() {
-            assert_eq!(op as usize, i);
-        }
-    }
-
-    #[test]
-    fn specialized_pairs_generalize_to_packed_bb() {
-        let p = specialize_pair_bb(BinOp::FMul, BinOp::FAdd, (1, 2, 3), (4, 5, 6));
-        assert!(matches!(p, FlatOp::PairFMulFAdd { .. }));
-        match generalize(p) {
-            FlatOp::PairBB {
-                ops,
-                d1,
-                l1,
-                r1,
-                d2,
-                l2,
-                r2,
-            } => {
-                assert_eq!(ops, pack2(BinOp::FMul as u32, BinOp::FAdd as u32));
-                assert_eq!((d1, l1, r1, d2, l2, r2), (1, 2, 3, 4, 5, 6));
+        use BinOp::*;
+        let all = [
+            Add, Sub, Mul, Div, Rem, FAdd, FSub, FMul, FDiv, And, Or, Xor, Shl, Shr, Eq, Ne, Lt,
+            Le, Gt, Ge, FEq, FNe, FLt, FLe, FGt, FGe, FMin, FMax,
+        ];
+        for op in all {
+            let b = specialize_binop(op, 1, 2, 3);
+            assert!(
+                matches!(generalize(b), FlatOp::Binop { op: o, dst: 1, lhs: 2, rhs: 3 } if o == op),
+                "{op:?}"
+            );
+            assert_eq!(components(&b), 1);
+            let c = specialize_const_binop(op, 1, 2, 3, 4);
+            assert!(
+                matches!(
+                    generalize(c),
+                    FlatOp::ConstBinop { op: o, dst: 1, lhs: 2, cdst: 3, cidx: 4 } if o == op
+                ),
+                "{op:?}"
+            );
+            assert_eq!(components(&c), 2);
+            if op.is_comparison() {
+                let r = specialize_cmp_branch(op, (1, 2, 3), (4, 5, 6));
+                assert!(
+                    matches!(
+                        generalize(r),
+                        FlatOp::CmpBranch { op: o, dst: 1, lhs: 2, rhs: 3, slot: 4, tk: 5, nt: 6 }
+                            if o == op
+                    ),
+                    "{op:?}"
+                );
+                assert_eq!(components(&r), 2);
             }
-            other => panic!("expected PairBB, got {other:?}"),
         }
-        assert_eq!(components(&p), 2);
     }
 }

@@ -48,7 +48,7 @@ mod value;
 
 pub use counters::{BranchCounts, BreakEvents, PixieCounts, RunStats};
 pub use error::RuntimeError;
-pub use flat::{confidence_digest, FlatProgram, TraceConfig};
+pub use flat::FlatProgram;
 pub use machine::{
     run_program, Backend, BranchEvent, Observer, Recorder, Run, Vm, VmConfig, ENTRY_EDGE_FROM,
 };

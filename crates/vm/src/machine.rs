@@ -73,10 +73,6 @@ pub struct VmConfig {
     /// observably identical), but part of the harness run key so cached
     /// results record which engine produced them.
     pub backend: Backend,
-    /// Trace-formation configuration for [`Backend::Flat`] compilation.
-    /// Semantically irrelevant (trace selection never changes observable
-    /// behavior), but part of the harness run key.
-    pub trace: crate::TraceConfig,
 }
 
 impl Default for VmConfig {
@@ -86,7 +82,6 @@ impl Default for VmConfig {
             max_stack: 1 << 16,
             max_alloc: 1 << 26,
             backend: Backend::Reference,
-            trace: crate::TraceConfig::default(),
         }
     }
 }
@@ -247,9 +242,8 @@ impl<'p> Vm<'p> {
     }
 
     fn flat(&self) -> &crate::flat::FlatProgram {
-        self.flat.get_or_init(|| {
-            crate::flat::FlatProgram::compile_with(self.program, None, self.config.trace)
-        })
+        self.flat
+            .get_or_init(|| crate::flat::FlatProgram::compile(self.program))
     }
 
     /// Runs the program's entry function on `inputs`.

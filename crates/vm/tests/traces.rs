@@ -1,61 +1,65 @@
-//! Trace-formation boundary tests: tail-duplicated superblock code must be
-//! observably identical to the reference backend at every fuel limit and
-//! every tail-duplication budget, including runtime faults that fire inside
-//! a *duplicated* copy of a merge block (mid-trace side-exit territory).
+//! Layout boundary tests: flat code must be observably identical to the
+//! reference backend at every fuel limit under either block layout,
+//! including runtime faults that fire inside a loop's merge block.
 //!
-//! The deterministic tests pin the interesting boundaries; the property
-//! test sweeps generated diamond-loop programs across arbitrary budgets.
+//! Every check runs against two compilations of the same program:
+//! [`FlatProgram::compile`] (blocks in order, every branch falling through
+//! to its not-taken arm) and [`FlatProgram::compile_with_profile`] with a
+//! profile that reverses both branches' chain order. The deterministic
+//! tests pin the interesting boundaries; the property test sweeps
+//! generated diamond-loop programs across arbitrary fuel limits.
 
 use proptest::prelude::*;
 
 use trace_ir::builder::{FunctionBuilder, ProgramBuilder};
-use trace_ir::{BinOp, BranchKind, Program};
+use trace_ir::{BinOp, BranchId, BranchKind, Program};
 use trace_vm::{
-    Backend, FlatProgram, Input, Recorder, Run, RuntimeError, TraceConfig, Vm, VmConfig,
+    Backend, BranchCounts, FlatProgram, Input, Recorder, Run, RuntimeError, Vm, VmConfig,
 };
 
-fn config(backend: Backend, fuel: u64, trace: TraceConfig) -> VmConfig {
+/// A run's result, with the edge and branch streams it reported.
+type Observed = (Result<Run, RuntimeError>, Recorder);
+
+fn config(backend: Backend, fuel: u64) -> VmConfig {
     VmConfig {
         backend,
         fuel,
-        trace,
         ..VmConfig::default()
     }
 }
 
-/// The run, with the edge and branch streams it reported.
-fn run_with(
-    program: &Program,
-    backend: Backend,
-    fuel: u64,
-    trace: TraceConfig,
-    input: i64,
-) -> (Result<Run, RuntimeError>, Recorder) {
+fn run_reference(program: &Program, fuel: u64, input: i64) -> Observed {
     let mut recorder = Recorder::default();
-    let run = Vm::with_config(program, config(backend, fuel, trace))
+    let run = Vm::with_config(program, config(Backend::Reference, fuel))
         .run_observed(&[Input::Int(input)], &mut recorder);
     (run, recorder)
 }
 
-/// A loop around a diamond whose merge block carries real work — the shape
-/// trace formation tail-duplicates: both arm traces want the merge block,
-/// so one gets the canonical copy and the other a duplicate (budget
-/// permitting).
+fn run_flat(flat: &FlatProgram, fuel: u64, input: i64) -> Observed {
+    let mut recorder = Recorder::default();
+    let run = flat.run_observed(
+        config(Backend::Flat, fuel),
+        &[Input::Int(input)],
+        &mut recorder,
+    );
+    (run, recorder)
+}
+
+/// A loop around a diamond whose merge block carries real work.
 ///
 /// ```text
 /// main(n):
 ///   i = 0; s = 0
-///   head:  odd = i & 1; branch odd -> a | b
+///   head:  odd = i & 1; branch odd -> a | b          (br0)
 ///   a:     t = s * 2;  jump join
 ///   b:     t = s + 3;  jump join
 ///   join:  <pads adds> s = t + i; q = 100 / (den_base - i); s = s + q
-///          i = i + 1; branch (i < n) -> head | exit
+///          i = i + 1; branch (i < n) -> head | exit  (br1)
 ///   exit:  emit s; return s
 /// ```
 ///
 /// The division faults when the loop reaches `i == den_base`, i.e. inside
-/// the merge block's code — in whichever *copy* the faulting iteration's
-/// arm routed through.
+/// the merge block's code, which both arms reach.
 fn diamond_loop_program(pads: u32, den_base: i64) -> Program {
     let mut pb = ProgramBuilder::new();
     let mut f = FunctionBuilder::new("main", 1);
@@ -112,183 +116,125 @@ fn diamond_loop_program(pads: u32, den_base: i64) -> Program {
     pb.finish("main").unwrap()
 }
 
-const BUDGETS: &[u32] = &[0, 1, 8, 192, 10_000];
-
-fn trace_on(tail_dup_budget: u32) -> TraceConfig {
-    TraceConfig {
-        enabled: true,
-        tail_dup_budget,
-        ..TraceConfig::default()
-    }
+/// The program under both layouts. Unprofiled, the chains are
+/// `entry head b join exit` and `a`; the profile takes both branches
+/// (the diamond to `a`, the loop back to `head`), which chains
+/// `entry head a join`, then `b`, then `exit`.
+fn layouts(program: &Program) -> [(&'static str, FlatProgram); 2] {
+    let mut reversed = BranchCounts::new();
+    reversed.add(BranchId(0), 100, 100);
+    reversed.add(BranchId(1), 100, 99);
+    [
+        ("block order", FlatProgram::compile(program)),
+        (
+            "reversed profile",
+            FlatProgram::compile_with_profile(program, &reversed),
+        ),
+    ]
 }
 
-#[test]
-fn diamond_merge_block_is_tail_duplicated() {
-    // The merge block must actually be duplicated once the budget covers
-    // it — otherwise the sweeps below exercise nothing. Budget 0 forbids
-    // all duplication; an ample budget must grow the emitted code.
-    let program = diamond_loop_program(3, 1_000);
-    let no_dup = FlatProgram::compile_with(&program, None, trace_on(0));
-    let dup = FlatProgram::compile_with(&program, None, trace_on(10_000));
-    assert!(
-        dup.op_count() > no_dup.op_count(),
-        "tail duplication did not fire: {} ops with budget 0 vs {} ample",
-        no_dup.op_count(),
-        dup.op_count()
-    );
-}
-
-/// Sweeps every fuel limit in `0..=upper` at every budget and asserts both
-/// backends return the same `Result` and recorded streams — identical
+/// Sweeps every fuel limit in `0..=upper` under both layouts and asserts
+/// both backends return the same `Result` and recorded streams — identical
 /// `Run`s on success, identical errors on faults.
 fn assert_sweep_identical(program: &Program, input: i64, upper: u64, what: &str) {
-    for &budget in BUDGETS {
-        let trace = trace_on(budget);
+    for (layout, flat) in layouts(program) {
         for fuel in 0..=upper {
-            let reference = run_with(program, Backend::Reference, fuel, trace, input);
-            let flat = run_with(program, Backend::Flat, fuel, trace, input);
             assert_eq!(
-                reference, flat,
-                "{what}: results differ at fuel {fuel}, budget {budget}"
+                run_reference(program, fuel, input),
+                run_flat(&flat, fuel, input),
+                "{what}: results differ at fuel {fuel}, {layout}"
             );
         }
     }
 }
 
 #[test]
-fn fuel_sweep_identical_through_tail_duplicated_merge() {
+fn fuel_sweep_identical_through_diamond_merge() {
     // Denominator never hits zero: a clean run at every fuel boundary.
     let program = diamond_loop_program(2, 1_000);
-    let full = run_with(&program, Backend::Reference, u64::MAX, trace_on(192), 6)
+    let full = run_reference(&program, u64::MAX, 6)
         .0
         .expect("completes with ample fuel")
         .stats
         .total_instrs;
     assert_sweep_identical(&program, 6, full + 1, "diamond_clean");
-    assert!(run_with(&program, Backend::Flat, full, trace_on(192), 6)
-        .0
-        .is_ok());
-    assert_eq!(
-        run_with(&program, Backend::Flat, full - 1, trace_on(192), 6).0,
-        Err(RuntimeError::OutOfFuel { limit: full - 1 })
-    );
+    for (layout, flat) in layouts(&program) {
+        assert!(run_flat(&flat, full, 6).0.is_ok(), "{layout}");
+        assert_eq!(
+            run_flat(&flat, full - 1, 6).0,
+            Err(RuntimeError::OutOfFuel { limit: full - 1 }),
+            "{layout}"
+        );
+    }
 }
 
 #[test]
 fn divide_by_zero_mid_trace_outranks_nothing_and_races_fuel() {
-    // The 4th iteration (i == 3, an odd iteration, so the *duplicated*
-    // path through one arm) divides by zero inside the merge block. Low
-    // fuel limits must fault OutOfFuel first; ample limits must surface
-    // the division fault — identically on both backends, at every budget.
+    // The 4th iteration (i == 3, an odd iteration through arm `a`) divides
+    // by zero inside the merge block. Low fuel limits must fault
+    // OutOfFuel first; ample limits must surface the division fault —
+    // identically on both backends, under both layouts.
     let program = diamond_loop_program(2, 3);
-    for &budget in BUDGETS {
-        assert_eq!(
-            run_with(&program, Backend::Flat, u64::MAX, trace_on(budget), 10).0,
-            Err(RuntimeError::DivideByZero),
-            "budget {budget}"
-        );
-    }
     assert_eq!(
-        run_with(&program, Backend::Reference, u64::MAX, trace_on(0), 10).0,
+        run_reference(&program, u64::MAX, 10).0,
         Err(RuntimeError::DivideByZero)
     );
+    for (layout, flat) in layouts(&program) {
+        assert_eq!(
+            run_flat(&flat, u64::MAX, 10).0,
+            Err(RuntimeError::DivideByZero),
+            "{layout}"
+        );
+    }
     // The faulting run is short; 120 comfortably covers it, so the sweep
-    // crosses the fuel-vs-division precedence boundary at every budget.
+    // crosses the fuel-vs-division precedence boundary under both layouts.
     assert_sweep_identical(&program, 10, 120, "diamond_div_fault");
 }
 
 #[test]
-fn low_confidence_sites_predict_as_if_unprofiled() {
-    use trace_ir::BranchId;
+fn near_max_profile_counts_lay_out_without_overflow() {
+    // A profile database accepts counts up to u64::MAX; the layout's
+    // majority test must not overflow on them (a debug build would panic)
+    // and must still predict the majority arm.
     let program = diamond_loop_program(3, 1_000);
-    // A profile that contradicts BTFN on both sites: the forward diamond
-    // branch always taken, the backward loop edge never taken.
-    let mut profile = trace_vm::BranchCounts::new();
-    profile.add(BranchId(0), 100, 100);
-    profile.add(BranchId(1), 100, 0);
-    let tcfg = trace_on(192);
-    let trusted = FlatProgram::compile_with(&program, Some(&profile), tcfg);
-    let unprofiled = FlatProgram::compile_with(&program, None, tcfg);
-    let degraded = FlatProgram::compile_with_confidence(
-        &program,
-        Some(&profile),
-        &[BranchId(0), BranchId(1)],
-        tcfg,
+    let mut profile = BranchCounts::new();
+    profile.add(BranchId(0), u64::MAX, u64::MAX - 1);
+    profile.add(BranchId(1), u64::MAX, u64::MAX - 1);
+    let flat = FlatProgram::compile_with_profile(&program, &profile);
+    let [(_, unprofiled), (_, reversed)] = layouts(&program);
+    assert_eq!(format!("{flat:?}"), format!("{reversed:?}"));
+    assert_ne!(format!("{flat:?}"), format!("{unprofiled:?}"));
+    assert_eq!(
+        run_flat(&flat, u64::MAX, 9),
+        run_reference(&program, u64::MAX, 9)
     );
-    // Degrading every profiled site reproduces the unprofiled compilation
-    // exactly; trusting the contrarian profile does not.
-    assert_eq!(format!("{degraded:?}"), format!("{unprofiled:?}"));
-    assert_ne!(format!("{degraded:?}"), format!("{trusted:?}"));
-    // An empty low-confidence set is the plain profiled compilation.
-    let none = FlatProgram::compile_with_confidence(&program, Some(&profile), &[], tcfg);
-    assert_eq!(format!("{none:?}"), format!("{trusted:?}"));
-    // Layout choices never change observable behavior.
-    let reference = run_with(&program, Backend::Reference, u64::MAX, tcfg, 9).0;
-    for fp in [&trusted, &unprofiled, &degraded] {
-        assert_eq!(
-            fp.run(config(Backend::Flat, u64::MAX, tcfg), &[Input::Int(9)]),
-            reference
-        );
-    }
-}
-
-#[test]
-fn confidence_digest_is_canonical() {
-    use trace_ir::BranchId;
-    use trace_vm::confidence_digest;
-    assert_eq!(confidence_digest(&[]), 0);
-    let a = confidence_digest(&[BranchId(1), BranchId(2)]);
-    let b = confidence_digest(&[BranchId(2), BranchId(1), BranchId(2)]);
-    assert_eq!(a, b, "digest must be order- and duplicate-insensitive");
-    assert_ne!(a, 0);
-    assert_ne!(a, confidence_digest(&[BranchId(1)]));
-}
-
-#[test]
-fn disabling_traces_is_observably_identical_too() {
-    let program = diamond_loop_program(4, 1_000);
-    let off = TraceConfig {
-        enabled: false,
-        tail_dup_budget: 192,
-        ..TraceConfig::default()
-    };
-    let on = trace_on(192);
-    let a = run_with(&program, Backend::Flat, u64::MAX, off, 9);
-    let b = run_with(&program, Backend::Flat, u64::MAX, on, 9);
-    let r = run_with(&program, Backend::Reference, u64::MAX, on, 9);
-    assert_eq!(a, b);
-    assert_eq!(a, r);
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// Trace formation preserves the full observable `Run` — output,
-    /// result, `RunStats`, the edge and branch streams — at *any*
-    /// tail-duplication budget, for clean runs, mid-run division faults,
-    /// and fuel faults alike.
+    /// Either layout preserves the full observable `Run` — output, result,
+    /// `RunStats`, the edge and branch streams — at *any* fuel budget, for
+    /// clean runs, mid-run division faults, and fuel faults alike.
     #[test]
     fn run_stats_preserved_at_any_budget(
         pads in 0u32..6,
         den_base in 2i64..40,
         input in 1i64..12,
-        budget in 0u32..512,
         fuel_divisor in 1u64..4,
     ) {
         let program = diamond_loop_program(pads, den_base);
-        let trace = trace_on(budget);
-        let reference = run_with(&program, Backend::Reference, u64::MAX, trace, input);
-        let flat = run_with(&program, Backend::Flat, u64::MAX, trace, input);
-        prop_assert_eq!(&reference, &flat);
-
-        // And again under a fuel limit that lands somewhere mid-run.
+        let reference = run_reference(&program, u64::MAX, input);
+        // A fuel limit that lands somewhere mid-run.
         let spent = match &reference.0 {
             Ok(run) => run.stats.total_instrs,
             Err(_) => 64,
         };
         let fuel = (spent / fuel_divisor).max(1);
-        let reference = run_with(&program, Backend::Reference, fuel, trace, input);
-        let flat = run_with(&program, Backend::Flat, fuel, trace, input);
-        prop_assert_eq!(reference, flat);
+        let limited = run_reference(&program, fuel, input);
+        for (_, flat) in layouts(&program) {
+            prop_assert_eq!(&reference, &run_flat(&flat, u64::MAX, input));
+            prop_assert_eq!(&limited, &run_flat(&flat, fuel, input));
+        }
     }
 }
