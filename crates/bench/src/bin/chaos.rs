@@ -75,13 +75,13 @@ fn main() -> ExitCode {
     let report = run_battery(&cfg);
 
     if let Some(path) = &out_path {
-        if let Err(e) = std::fs::write(path, report.to_json()) {
+        if let Err(e) = std::fs::write(path, report.to_json().render()) {
             eprintln!("chaos: cannot write {path}: {e}");
             return ExitCode::from(2);
         }
     }
     if json {
-        print!("{}", report.to_json());
+        print!("{}", report.to_json().render());
     } else {
         println!(
             "chaos battery: {} seeds x {} rounds (edits {})",

@@ -30,11 +30,12 @@ use std::process::ExitCode;
 use std::sync::Arc;
 
 use mfbench::{
-    collect, collect_subset, configure_harness, dyn_geomeans, dyn_rows, dyn_table, harness, DynRow,
-    SuiteRuns, DYN_COLUMNS, ML_TRAIN_MARKER,
+    collect, collect_subset, configure_harness, dyn_geomeans, dyn_row_json, dyn_rows, dyn_table,
+    harness, ipm_json, DynRow, SuiteRuns, DYN_COLUMNS, ML_TRAIN_MARKER,
 };
 use mfdyn::DynSpec;
 use mfharness::{DiskCache, HarnessOptions, Observe, RunJob};
+use mfreport::json::Json;
 use mfreport::{fmt_percent, Table};
 use trace_vm::{Backend, Input, Vm, VmConfig};
 
@@ -301,8 +302,14 @@ fn padding_table(rows: &[PaddingRow]) -> Table {
     t
 }
 
-fn json_f64(v: f64) -> String {
-    format!("{v:.4}")
+/// A result row: the `head` members, then one rate per label, to four
+/// decimals.
+fn rate_row(head: Vec<(&str, Json)>, labels: &[String], rates: &[f64]) -> Json {
+    let rates = labels.iter().zip(rates);
+    Json::object(
+        head.into_iter()
+            .chain(rates.map(|(l, &v)| (l.as_str(), Json::Fixed(v, 4)))),
+    )
 }
 
 /// The whole result set as the committed `BENCH_dynpred.json` schema.
@@ -313,86 +320,33 @@ fn results_json(
     history: &[SweepRow],
     tables: &[SweepRow],
     padding: &[PaddingRow],
-) -> String {
-    let mut out = String::new();
-    out.push_str("{\n");
-    out.push_str(&format!("  \"quick\": {quick},\n"));
-    out.push_str(&format!(
-        "  \"columns\": [{}],\n",
-        DYN_COLUMNS
-            .iter()
-            .map(|c| format!("\"{c}\""))
-            .collect::<Vec<_>>()
-            .join(", ")
-    ));
-    let cell = |v: &Option<f64>| match v {
-        Some(v) => json_f64(*v),
-        None => "null".to_string(),
-    };
-    let headline: Vec<String> = rows
-        .iter()
-        .map(|r| {
-            format!(
-                "    {{\"program\": \"{}\", \"dataset\": \"{}\", \"ipm\": [{}]}}",
-                r.program,
-                r.dataset,
-                r.ipm.iter().map(cell).collect::<Vec<_>>().join(", ")
-            )
-        })
-        .collect();
-    out.push_str(&format!(
-        "  \"headline\": [\n{}\n  ],\n",
-        headline.join(",\n")
-    ));
-    out.push_str(&format!(
-        "  \"geomean\": [{}],\n",
-        geomeans.iter().map(cell).collect::<Vec<_>>().join(", ")
-    ));
-    let sweep_json = |rows: &[SweepRow], labels: &[String]| -> String {
-        rows.iter()
-            .map(|r| {
-                let pairs: Vec<String> = labels
-                    .iter()
-                    .zip(&r.rates)
-                    .map(|(l, v)| format!("\"{l}\": {}", json_f64(*v)))
-                    .collect();
-                format!(
-                    "    {{\"program\": \"{}\", \"dataset\": \"{}\", {}}}",
-                    r.program,
-                    r.dataset,
-                    pairs.join(", ")
-                )
-            })
-            .collect::<Vec<_>>()
-            .join(",\n")
-    };
+) -> Json {
     let h_labels: Vec<String> = HISTORIES.iter().map(|h| format!("h{h}")).collect();
     let t_labels: Vec<String> = TABLE_BITS.iter().map(|t| format!("t{t}")).collect();
-    out.push_str(&format!(
-        "  \"history_sweep\": [\n{}\n  ],\n",
-        sweep_json(history, &h_labels)
-    ));
-    out.push_str(&format!(
-        "  \"table_sweep\": [\n{}\n  ],\n",
-        sweep_json(tables, &t_labels)
-    ));
-    let padding_rows: Vec<String> = padding
+    let sweep = |rows: &[SweepRow], labels: &[String]| {
+        Json::array(rows.iter().map(|r| {
+            let head = vec![
+                ("program", r.program.as_str().into()),
+                ("dataset", r.dataset.as_str().into()),
+            ];
+            rate_row(head, labels, &r.rates)
+        }))
+    };
+    let padding = padding
         .iter()
-        .map(|r| {
-            let pairs: Vec<String> = h_labels
-                .iter()
-                .zip(&r.misp_per_iter)
-                .map(|(l, v)| format!("\"{l}\": {}", json_f64(*v)))
-                .collect();
-            format!("    {{\"pad\": {}, {}}}", r.pad, pairs.join(", "))
-        })
-        .collect();
-    out.push_str(&format!(
-        "  \"padding\": [\n{}\n  ]\n",
-        padding_rows.join(",\n")
-    ));
-    out.push_str("}\n");
-    out
+        .map(|r| rate_row(vec![("pad", r.pad.into())], &h_labels, &r.misp_per_iter));
+    Json::object([
+        ("quick", quick.into()),
+        ("columns", Json::array(DYN_COLUMNS)),
+        ("headline", Json::array(rows.iter().map(dyn_row_json))),
+        (
+            "geomean",
+            Json::array(geomeans.iter().map(|&v| ipm_json(v))),
+        ),
+        ("history_sweep", sweep(history, &h_labels)),
+        ("table_sweep", sweep(tables, &t_labels)),
+        ("padding", Json::array(padding)),
+    ])
 }
 
 /// `--gate`: structural and directional sanity over the computed results.
@@ -582,7 +536,7 @@ fn main() -> ExitCode {
         &padding_rows,
     );
     if let Some(path) = &options.out {
-        if let Err(e) = std::fs::write(path, &json) {
+        if let Err(e) = std::fs::write(path, json.render()) {
             eprintln!("dynbench: writing {} failed: {e}", path.display());
             return ExitCode::from(2);
         }

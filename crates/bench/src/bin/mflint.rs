@@ -32,6 +32,7 @@ use ifprob::directives;
 use mfcheck::{verify_digest, verify_program, Diagnostic, Severity};
 use mfopt::Pipeline;
 use mfpredict::Proof;
+use mfreport::json::Json;
 use trace_ir::Program;
 use trace_vm::{Backend, GuestValue, Input, Recorder, Run, Vm, VmConfig};
 
@@ -541,7 +542,7 @@ fn main() -> ExitCode {
         if findings.warnings == 1 { "" } else { "s" },
     );
     if let Some(path) = &options.json_metrics {
-        if let Err(e) = std::fs::write(path, metrics_json(&linted, &findings)) {
+        if let Err(e) = std::fs::write(path, metrics_json(&linted, &findings).render()) {
             eprintln!("mflint: writing {} failed: {e}", path.display());
             return ExitCode::from(2);
         }
@@ -554,62 +555,28 @@ fn main() -> ExitCode {
     }
 }
 
-/// Minimal JSON string escaper, same dialect as the other drivers'
-/// hand-rolled metrics writers.
-fn json_str(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
-
 /// The `--json-metrics` body: totals, per-code diagnostic counts (sorted
 /// by code, so the key order is stable), and each linted program's
 /// verification digest as a hex string — the same digest `repro
 /// --verify-each` stamps on run records, so a lint run and a collection
 /// run over the same program can be cross-checked.
-fn metrics_json(linted: &[Linted], findings: &Findings) -> String {
-    let mut out = String::with_capacity(512 + linted.len() * 96);
-    out.push_str("{\n");
-    out.push_str("  \"tool\": \"mflint\",\n");
-    out.push_str(&format!(
-        "  \"programs_checked\": {},\n  \"errors\": {},\n  \"warnings\": {},\n",
-        linted.len(),
-        findings.errors,
-        findings.warnings
-    ));
-    let codes: Vec<String> = findings
-        .per_code
-        .iter()
-        .map(|(code, n)| format!("    {}: {n}", json_str(code)))
-        .collect();
-    out.push_str(&format!(
-        "  \"diagnostics\": {{\n{}\n  }},\n",
-        codes.join(",\n")
-    ));
-    if findings.per_code.is_empty() {
-        // No codes: collapse the object to avoid a dangling blank line.
-        out = out.replace("  \"diagnostics\": {\n\n  },\n", "  \"diagnostics\": {},\n");
-    }
-    out.push_str("  \"programs\": [\n");
-    for (i, l) in linted.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"origin\": {}, \"verify_digest\": \"{:#018x}\"}}{}\n",
-            json_str(&l.origin),
-            verify_digest(&l.program),
-            if i + 1 < linted.len() { "," } else { "" }
-        ));
-    }
-    out.push_str("  ]\n}\n");
-    out
+fn metrics_json(linted: &[Linted], findings: &Findings) -> Json {
+    let codes = findings.per_code.iter().map(|(&code, &n)| (code, n.into()));
+    let programs = linted.iter().map(|l| {
+        let digest = format!("{:#018x}", verify_digest(&l.program));
+        Json::object([
+            ("origin", l.origin.as_str().into()),
+            ("verify_digest", digest.into()),
+        ])
+    });
+    Json::object([
+        ("tool", "mflint".into()),
+        ("programs_checked", linted.len().into()),
+        ("errors", findings.errors.into()),
+        ("warnings", findings.warnings.into()),
+        ("diagnostics", Json::object(codes)),
+        ("programs", Json::array(programs)),
+    ])
 }
 
 #[cfg(test)]

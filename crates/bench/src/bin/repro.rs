@@ -20,10 +20,10 @@ use std::sync::Arc;
 
 use mfbench::{
     collect, combination_table, configure_harness, coverage_table, crossmode_table,
-    distribution_table, dyn_table, dynamic_table, fig1_chart, fig2_chart, fig2_rows, fig3_chart,
-    fig3_rows, harness, heuristic_rows, heuristic_table, inlining_table, percent_correct_table,
-    percent_taken_table, record_suite_svc, selects_table, suite_skew, table1, table2, table3,
-    SuiteRuns, SuiteSkew,
+    distribution_table, dyn_table, dyn_table_json, dynamic_table, fig1_chart, fig2_chart,
+    fig2_rows, fig3_chart, fig3_rows, harness, heuristic_table, heuristic_table_json,
+    inlining_table, percent_correct_table, percent_taken_table, record_suite_svc, selects_table,
+    skew_json, suite_skew, table1, table2, table3, SuiteRuns, SuiteSkew,
 };
 use mffault::{FaultPlan, FaultVfs, RealVfs, RetryPolicy, Vfs};
 use mfharness::{DiskCache, HarnessOptions};
@@ -576,157 +576,27 @@ fn profile_db_summary(
     false
 }
 
-/// Minimal JSON string escaper for table cells (quotes, backslashes,
-/// control characters).
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
-/// The heuristic table as a JSON object with an explicit, stable column
-/// order (`mfbench::HEURISTIC_COLUMNS`): consumers key cells by position
-/// in `columns`, never by guessing at render-time alignment.
-fn heuristic_table_json(s: &SuiteRuns) -> String {
-    let columns: Vec<String> = mfbench::HEURISTIC_COLUMNS
-        .iter()
-        .map(|c| format!("\"{}\"", json_escape(c)))
-        .collect();
-    let rows: Vec<String> = heuristic_rows(s)
-        .iter()
-        .map(|row| {
-            let cells: Vec<String> = row
-                .iter()
-                .map(|c| format!("\"{}\"", json_escape(c)))
-                .collect();
-            format!("      [{}]", cells.join(", "))
-        })
-        .collect();
-    format!(
-        "{{\n    \"columns\": [{}],\n    \"rows\": [\n{}\n    ]\n  }}",
-        columns.join(", "),
-        rows.join(",\n")
-    )
-}
-
-/// The dynamic-predictor headline as a JSON object: column order is
-/// `mfbench::DYN_COLUMNS`, cells are instrs-per-mispredict (null where a
-/// predictor is out of scope, e.g. the ML column on its own training
-/// workloads), and `geomean` aggregates each column across rows.
-fn dyn_table_json(s: &SuiteRuns) -> String {
-    let columns: Vec<String> = mfbench::DYN_COLUMNS
-        .iter()
-        .map(|c| format!("\"{}\"", json_escape(c)))
-        .collect();
-    let cell = |v: &Option<f64>| match v {
-        Some(v) => format!("{v:.4}"),
-        None => "null".to_string(),
-    };
-    let rows_data = mfbench::dyn_rows(s);
-    let rows: Vec<String> = rows_data
-        .iter()
-        .map(|row| {
-            let cells: Vec<String> = row.ipm.iter().map(cell).collect();
-            format!(
-                "      {{\"program\": \"{}\", \"dataset\": \"{}\", \"ipm\": [{}]}}",
-                json_escape(&row.program),
-                json_escape(&row.dataset),
-                cells.join(", ")
-            )
-        })
-        .collect();
-    let geomean: Vec<String> = mfbench::dyn_geomeans(&rows_data).iter().map(cell).collect();
-    format!(
-        "{{\n    \"columns\": [{}],\n    \"rows\": [\n{}\n    ],\n    \"geomean\": [{}]\n  }}",
-        columns.join(", "),
-        rows.join(",\n"),
-        geomean.join(", ")
-    )
-}
-
-/// The version-skew assessment as a JSON object: the suite-wide
-/// [`mfstale::SkewReport`] tallies plus per-workload rows. The key set —
-/// `first_generation`, `matched`, `salvaged`, `degraded`, `orphaned`,
-/// `unverified`, `reuse_fraction`, `workloads` — is the schema contract
-/// the chaos-smoke CI job checks.
-fn skew_json(skew: Option<&SuiteSkew>) -> String {
-    let Some(skew) = skew else {
-        return "{\n    \"first_generation\": true\n  }".to_string();
-    };
-    let t = &skew.total;
-    let workloads: Vec<String> = skew
-        .workloads
-        .iter()
-        .map(|w| {
-            format!(
-                "      {{\"name\": \"{}\", \"prior_datasets\": {}, \"matched\": {}, \
-                 \"salvaged\": {}, \"degraded\": {}, \"orphaned\": {}, \"unverified\": {}, \
-                 \"fallback_sites\": {}, \"op_count\": {}}}",
-                json_escape(&w.name),
-                w.prior_datasets,
-                w.report.matched,
-                w.report.salvaged,
-                w.report.degraded,
-                w.report.orphaned,
-                w.report.unverified,
-                w.fallback.len(),
-                w.op_count
-            )
-        })
-        .collect();
-    format!(
-        "{{\n    \"first_generation\": false,\n    \"matched\": {},\n    \"salvaged\": {},\n    \
-         \"degraded\": {},\n    \"orphaned\": {},\n    \"unverified\": {},\n    \
-         \"reuse_fraction\": {:.6},\n    \"workloads\": [\n{}\n    ]\n  }}",
-        t.matched,
-        t.salvaged,
-        t.degraded,
-        t.orphaned,
-        t.unverified,
-        t.reuse_fraction(),
-        workloads.join(",\n")
-    )
-}
-
 /// Writes the harness report to `--json-metrics` (when requested) and turns
 /// a write failure into a failing exit code. When the suite was collected,
 /// the heuristic table (mispredict rate per strategy), the dynamic
 /// predictor headline, and — under `--profile-db` — the version-skew
-/// assessment are spliced in as additive `heuristic_table`, `dyn_table`,
-/// and `skew` keys.
+/// assessment follow as additive `heuristic_table`, `dyn_table`, and
+/// `skew` members.
 fn write_json_metrics(
     options: &Options,
     s: Option<&SuiteRuns>,
     skew: Option<&SuiteSkew>,
 ) -> ExitCode {
     if let Some(path) = &options.json_metrics {
-        let report = harness().report();
-        let mut body = report.to_json();
+        let mut body = harness().report().to_json();
         if let Some(s) = s {
-            let trimmed = body.trim_end().strip_suffix('}').map(str::to_string);
-            if let Some(prefix) = trimmed {
-                let skew_part = if options.profile_db.is_some() {
-                    format!(",\n  \"skew\": {}", skew_json(skew))
-                } else {
-                    String::new()
-                };
-                body = format!(
-                    "{},\n  \"heuristic_table\": {},\n  \"dyn_table\": {}{}\n}}\n",
-                    prefix.trim_end(),
-                    heuristic_table_json(s),
-                    dyn_table_json(s),
-                    skew_part
-                );
+            body.push("heuristic_table", heuristic_table_json(s));
+            body.push("dyn_table", dyn_table_json(s));
+            if options.profile_db.is_some() {
+                body.push("skew", skew_json(skew));
             }
         }
-        if let Err(e) = std::fs::write(path, body) {
+        if let Err(e) = std::fs::write(path, body.render()) {
             eprintln!("repro: writing {} failed: {e}", path.display());
             return ExitCode::from(2);
         }

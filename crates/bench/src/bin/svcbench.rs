@@ -35,6 +35,7 @@ use std::time::{Duration, Instant};
 use mffault::{RealVfs, Vfs};
 use mfprofdb::{OpenOptions, ProfileStore};
 use mfprofsvc::{ProfileService, ServiceOptions};
+use mfreport::json::Json;
 use trace_ir::BranchId;
 use trace_vm::BranchCounts;
 
@@ -548,49 +549,33 @@ fn run_config(options: &Options, sites: u64, shards: u32, low_memory: bool) -> R
     Ok(row)
 }
 
-fn json_report(rows: &[Row], options: &Options) -> String {
-    let mut out = String::new();
-    out.push_str("{\n");
-    out.push_str("  \"benchmark\": \"profile-service\",\n");
-    out.push_str(&format!(
-        "  \"mode\": \"{}\",\n",
-        if options.quick { "quick" } else { "full" }
-    ));
-    out.push_str(&format!("  \"writers\": {},\n", options.writers));
-    out.push_str(&format!("  \"ops_per_writer\": {},\n", options.ops));
-    out.push_str("  \"runs\": [\n");
-    for (i, r) in rows.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"sites\": {}, \"config\": \"{}\", \"shards\": {}, \
-             \"low_memory\": {}, \"ops\": {}, \"ops_per_sec\": {:.1}, \
-             \"p50_us\": {:.1}, \"p99_us\": {:.1}, \"recovery_ms\": {:.2}, \
-             \"warmup_ms\": {:.0}, \"db_bytes\": {}}}{}\n",
-            r.sites,
-            r.config(),
-            r.shards,
-            r.low_memory,
-            r.ops,
-            r.ops_per_sec(),
-            r.p50_us,
-            r.p99_us,
-            r.recovery_ms,
-            r.warmup_ms,
-            r.db_bytes,
-            if i + 1 == rows.len() { "" } else { "," }
-        ));
-    }
-    out.push_str("  ],\n");
-    out.push_str("  \"speedups_vs_single_log\": {\n");
-    let speedups = speedups(rows);
-    for (i, (sites, shards, ratio)) in speedups.iter().enumerate() {
-        out.push_str(&format!(
-            "    \"{sites}x{shards}\": {ratio:.3}{}\n",
-            if i + 1 == speedups.len() { "" } else { "," }
-        ));
-    }
-    out.push_str("  }\n");
-    out.push_str("}\n");
-    out
+fn json_report(rows: &[Row], options: &Options) -> Json {
+    let runs = rows.iter().map(|r| {
+        Json::object([
+            ("sites", r.sites.into()),
+            ("config", r.config().into()),
+            ("shards", r.shards.into()),
+            ("low_memory", r.low_memory.into()),
+            ("ops", r.ops.into()),
+            ("ops_per_sec", Json::Fixed(r.ops_per_sec(), 1)),
+            ("p50_us", Json::Fixed(r.p50_us, 1)),
+            ("p99_us", Json::Fixed(r.p99_us, 1)),
+            ("recovery_ms", Json::Fixed(r.recovery_ms, 2)),
+            ("warmup_ms", Json::Fixed(r.warmup_ms, 0)),
+            ("db_bytes", r.db_bytes.into()),
+        ])
+    });
+    let speedups = speedups(rows)
+        .into_iter()
+        .map(|(sites, shards, ratio)| (format!("{sites}x{shards}"), Json::Fixed(ratio, 3)));
+    Json::object([
+        ("benchmark", "profile-service".into()),
+        ("mode", if options.quick { "quick" } else { "full" }.into()),
+        ("writers", options.writers.into()),
+        ("ops_per_writer", options.ops.into()),
+        ("runs", Json::array(runs)),
+        ("speedups_vs_single_log", Json::object(speedups)),
+    ])
 }
 
 /// `(sites, shards, sharded/single-log ops-per-sec ratio)` for every
@@ -645,7 +630,7 @@ fn main() -> ExitCode {
     }
 
     let report = json_report(&rows, &options);
-    if let Err(e) = std::fs::write(&options.out, &report) {
+    if let Err(e) = std::fs::write(&options.out, report.render()) {
         eprintln!("svcbench: writing {} failed: {e}", options.out.display());
         return ExitCode::from(2);
     }

@@ -28,6 +28,7 @@ use std::path::PathBuf;
 use std::process::ExitCode;
 use std::time::Instant;
 
+use mfreport::json::Json;
 use mfwork::{suite, Workload};
 use trace_vm::{Backend, BranchCounts, FlatProgram, Input, Vm, VmConfig};
 
@@ -277,56 +278,50 @@ fn geomean(values: impl Iterator<Item = f64>) -> f64 {
     }
 }
 
-fn json_report(rows: &[Row], mode: &str) -> String {
-    let mut out = String::new();
-    out.push_str("{\n");
-    out.push_str("  \"benchmark\": \"vm-backends\",\n");
-    out.push_str(&format!("  \"mode\": \"{mode}\",\n"));
-    out.push_str("  \"unit\": \"guest_instrs_per_sec\",\n");
-    out.push_str("  \"workloads\": [\n");
-    for (i, r) in rows.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"name\": \"{}\", \"dataset\": \"{}\", \"guest_instrs\": {}, \
-             \"reference_ips\": {:.0}, \"flat_ips\": {:.0}, \"speedup\": {:.3}, \
-             \"profile_flat_ips\": {:.0}, \"ml_flat_ips\": {:.0}, \
-             \"profile_layout_speedup\": {:.3}, \"ml_layout_speedup\": {:.3}, \
-             \"profile_mispredicts\": {}, \"instrs_per_mispredict\": {:.1}}}{}\n",
-            r.name,
-            r.dataset,
-            r.guest_instrs,
-            r.reference_ips,
-            r.flat_ips,
-            r.speedup(),
-            r.profile_flat_ips,
-            r.ml_flat_ips,
-            r.profile_layout_speedup(),
-            r.ml_layout_speedup(),
-            r.profile_mispredicts,
-            r.instrs_per_mispredict(),
-            if i + 1 == rows.len() { "" } else { "," }
-        ));
-    }
-    out.push_str("  ],\n");
-    let speedups: Vec<f64> = rows.iter().map(Row::speedup).collect();
-    let min = speedups.iter().copied().fold(f64::INFINITY, f64::min);
-    out.push_str(&format!(
-        "  \"geomean_profile_layout_speedup\": {:.3},\n",
-        geomean(rows.iter().map(Row::profile_layout_speedup))
-    ));
-    out.push_str(&format!(
-        "  \"geomean_ml_layout_speedup\": {:.3},\n",
-        geomean(rows.iter().map(Row::ml_layout_speedup))
-    ));
-    out.push_str(&format!(
-        "  \"geomean_speedup\": {:.3},\n",
-        geomean(speedups.iter().copied())
-    ));
-    out.push_str(&format!(
-        "  \"min_speedup\": {:.3}\n",
-        if min.is_finite() { min } else { 0.0 }
-    ));
-    out.push_str("}\n");
-    out
+fn json_report(rows: &[Row], mode: &str) -> Json {
+    let workloads = rows.iter().map(|r| {
+        Json::object([
+            ("name", r.name.as_str().into()),
+            ("dataset", r.dataset.as_str().into()),
+            ("guest_instrs", r.guest_instrs.into()),
+            ("reference_ips", Json::Fixed(r.reference_ips, 0)),
+            ("flat_ips", Json::Fixed(r.flat_ips, 0)),
+            ("speedup", Json::Fixed(r.speedup(), 3)),
+            ("profile_flat_ips", Json::Fixed(r.profile_flat_ips, 0)),
+            ("ml_flat_ips", Json::Fixed(r.ml_flat_ips, 0)),
+            (
+                "profile_layout_speedup",
+                Json::Fixed(r.profile_layout_speedup(), 3),
+            ),
+            ("ml_layout_speedup", Json::Fixed(r.ml_layout_speedup(), 3)),
+            ("profile_mispredicts", r.profile_mispredicts.into()),
+            (
+                "instrs_per_mispredict",
+                Json::Fixed(r.instrs_per_mispredict(), 1),
+            ),
+        ])
+    });
+    let min = rows.iter().map(Row::speedup).fold(f64::INFINITY, f64::min);
+    let geomean_of = |f: fn(&Row) -> f64| Json::Fixed(geomean(rows.iter().map(f)), 3);
+    Json::object([
+        ("benchmark", "vm-backends".into()),
+        ("mode", mode.into()),
+        ("unit", "guest_instrs_per_sec".into()),
+        ("workloads", Json::array(workloads)),
+        (
+            "geomean_profile_layout_speedup",
+            geomean_of(Row::profile_layout_speedup),
+        ),
+        (
+            "geomean_ml_layout_speedup",
+            geomean_of(Row::ml_layout_speedup),
+        ),
+        ("geomean_speedup", geomean_of(Row::speedup)),
+        (
+            "min_speedup",
+            Json::Fixed(if min.is_finite() { min } else { 0.0 }, 3),
+        ),
+    ])
 }
 
 fn main() -> ExitCode {
@@ -390,7 +385,7 @@ fn main() -> ExitCode {
     }
 
     let report = json_report(&rows, if options.quick { "quick" } else { "full" });
-    if let Err(e) = std::fs::write(&options.out, &report) {
+    if let Err(e) = std::fs::write(&options.out, report.render()) {
         eprintln!("vmbench: writing {} failed: {e}", options.out.display());
         return ExitCode::from(2);
     }

@@ -45,6 +45,7 @@ use std::sync::{Arc, Mutex};
 
 use mffault::{FaultPlan, FaultVfs, MemVfs, RetryPolicy, Vfs};
 use mfprofsvc::{Persistence, ProfileService, ServiceOptions};
+use mfreport::json::Json;
 use mfstale::{edit, remap_counts, site_fingerprints};
 use trace_ir::BranchId;
 use trace_vm::{FlatProgram, Input, Vm, VmConfig};
@@ -185,86 +186,40 @@ impl ChaosReport {
 
     /// Deterministic JSON (no timings, no host facts): equal configs give
     /// byte-identical reports at any `--jobs` level.
-    pub fn to_json(&self) -> String {
-        let mut s = String::from("{\n  \"outcomes\": [\n");
-        for (i, o) in self.outcomes.iter().enumerate() {
-            s.push_str("    {");
-            s.push_str(&format!("\"seed\": {}, ", o.seed));
-            s.push_str(&format!(
-                "\"service_unavailable\": {}, ",
-                o.service_unavailable
-            ));
-            s.push_str(&format!(
-                "\"edits\": [{}], ",
-                o.edits
-                    .iter()
-                    .map(|e| format!("\"{}\"", json_escape(e)))
-                    .collect::<Vec<_>>()
-                    .join(", ")
-            ));
-            s.push_str("\"rounds\": [");
-            for (j, r) in o.rounds.iter().enumerate() {
-                s.push_str(&format!(
-                    "{{\"round\": {}, \"edit\": \"{}\", \"prior_datasets\": {}, \
-                     \"matched\": {}, \"salvaged\": {}, \"orphaned\": {}, \
-                     \"degraded\": {}, \"unverified\": {}, \"low_confidence\": {}}}",
-                    r.round,
-                    json_escape(&r.edit),
-                    r.prior_datasets,
-                    r.matched,
-                    r.salvaged,
-                    r.orphaned,
-                    r.degraded,
-                    r.unverified,
-                    r.low_confidence
-                ));
-                if j + 1 < o.rounds.len() {
-                    s.push_str(", ");
-                }
-            }
-            s.push_str("], ");
-            s.push_str(&format!("\"committed\": {}, ", o.committed));
-            s.push_str(&format!("\"degraded_acks\": {}, ", o.degraded_acks));
-            s.push_str(&format!(
-                "\"profile_read_failures\": {}, ",
-                o.profile_read_failures
-            ));
-            s.push_str(&format!("\"record_failures\": {}, ", o.record_failures));
-            s.push_str(&format!(
-                "\"maintenance_failures\": {}, ",
-                o.maintenance_failures
-            ));
-            s.push_str(&format!(
-                "\"findings\": [{}]",
-                o.findings
-                    .iter()
-                    .map(|f| format!("\"{}\"", json_escape(f)))
-                    .collect::<Vec<_>>()
-                    .join(", ")
-            ));
-            s.push('}');
-            if i + 1 < self.outcomes.len() {
-                s.push(',');
-            }
-            s.push('\n');
-        }
-        s.push_str("  ],\n");
-        s.push_str(&format!("  \"findings\": {}\n", self.findings()));
-        s.push_str("}\n");
-        s
+    pub fn to_json(&self) -> Json {
+        let strings = |v: &[String]| Json::array(v.iter().map(String::as_str));
+        let outcomes = self.outcomes.iter().map(|o| {
+            let rounds = o.rounds.iter().map(|r| {
+                Json::object([
+                    ("round", r.round.into()),
+                    ("edit", r.edit.as_str().into()),
+                    ("prior_datasets", r.prior_datasets.into()),
+                    ("matched", r.matched.into()),
+                    ("salvaged", r.salvaged.into()),
+                    ("orphaned", r.orphaned.into()),
+                    ("degraded", r.degraded.into()),
+                    ("unverified", r.unverified.into()),
+                    ("low_confidence", r.low_confidence.into()),
+                ])
+            });
+            Json::object([
+                ("seed", o.seed.into()),
+                ("service_unavailable", o.service_unavailable.into()),
+                ("edits", strings(&o.edits)),
+                ("rounds", Json::array(rounds)),
+                ("committed", o.committed.into()),
+                ("degraded_acks", o.degraded_acks.into()),
+                ("profile_read_failures", o.profile_read_failures.into()),
+                ("record_failures", o.record_failures.into()),
+                ("maintenance_failures", o.maintenance_failures.into()),
+                ("findings", strings(&o.findings)),
+            ])
+        });
+        Json::object([
+            ("outcomes", Json::array(outcomes)),
+            ("findings", self.findings().into()),
+        ])
     }
-}
-
-fn json_escape(s: &str) -> String {
-    s.chars()
-        .flat_map(|c| match c {
-            '"' => "\\\"".chars().collect::<Vec<_>>(),
-            '\\' => "\\\\".chars().collect(),
-            '\n' => "\\n".chars().collect(),
-            c if (c as u32) < 0x20 => format!("\\u{:04x}", c as u32).chars().collect(),
-            c => vec![c],
-        })
-        .collect()
 }
 
 /// splitmix64 — the battery's only randomness, fully seed-determined.
@@ -746,7 +701,7 @@ mod tests {
     #[test]
     fn json_report_is_schema_stable() {
         let report = run_battery(&cfg(1, 2, 1, true));
-        let json = report.to_json();
+        let json = report.to_json().render();
         for key in [
             "\"outcomes\"",
             "\"seed\"",

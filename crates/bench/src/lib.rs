@@ -8,8 +8,8 @@
 //! mispredictions on a recorded run are fully determined by the per-branch
 //! counts, so nothing is ever re-executed per predictor).
 //!
-//! The `repro` binary prints everything; the Criterion benches under
-//! `benches/` time each experiment's computation.
+//! The `repro` binary prints everything; `vmbench`, `dynbench` and
+//! `svcbench` measure the machinery behind it.
 //!
 //! All guest execution is routed through one process-global
 //! [`mfharness::Harness`]: runs are deduplicated by content key, repeats
@@ -28,6 +28,7 @@ use bpredict::{evaluate, evaluate_unpredicted, BreakConfig, Direction, Metrics, 
 use ifprob::CombineRule;
 use mfdyn::{DynSpec, ZooReport};
 use mfharness::{Harness, HarnessOptions, Observe, RunJob};
+use mfreport::json::Json;
 use mfreport::{fmt_percent, fmt_value, BarChart, Table};
 use mfwork::{suite, Group, Workload};
 use trace_ir::{BranchId, Program};
@@ -388,6 +389,42 @@ impl SuiteSkew {
     pub fn is_identity(&self) -> bool {
         self.total.is_identity()
     }
+}
+
+/// The version-skew assessment as the `skew` object of `repro
+/// --json-metrics`: the suite-wide [`mfstale::SkewReport`] tallies plus
+/// per-workload rows, or only `first_generation: true` when there was no
+/// prior generation. The key set — `first_generation`, `matched`,
+/// `salvaged`, `degraded`, `orphaned`, `unverified`, `reuse_fraction`,
+/// `workloads` — is the schema contract the crash-matrix CI job checks.
+pub fn skew_json(skew: Option<&SuiteSkew>) -> Json {
+    let Some(skew) = skew else {
+        return Json::object([("first_generation", true.into())]);
+    };
+    let t = &skew.total;
+    let workloads = skew.workloads.iter().map(|w| {
+        Json::object([
+            ("name", w.name.as_str().into()),
+            ("prior_datasets", w.prior_datasets.into()),
+            ("matched", w.report.matched.into()),
+            ("salvaged", w.report.salvaged.into()),
+            ("degraded", w.report.degraded.into()),
+            ("orphaned", w.report.orphaned.into()),
+            ("unverified", w.report.unverified.into()),
+            ("fallback_sites", w.fallback.len().into()),
+            ("op_count", w.op_count.into()),
+        ])
+    });
+    Json::object([
+        ("first_generation", false.into()),
+        ("matched", t.matched.into()),
+        ("salvaged", t.salvaged.into()),
+        ("degraded", t.degraded.into()),
+        ("orphaned", t.orphaned.into()),
+        ("unverified", t.unverified.into()),
+        ("reuse_fraction", Json::Fixed(t.reuse_fraction(), 6)),
+        ("workloads", Json::array(workloads)),
+    ])
 }
 
 /// Assesses how a prior profile database's counts carry over to this
@@ -974,6 +1011,19 @@ pub fn heuristic_table(s: &SuiteRuns) -> Table {
     t
 }
 
+/// The heuristic table as the `heuristic_table` object of `repro
+/// --json-metrics`: consumers key cells by position in `columns`
+/// ([`HEURISTIC_COLUMNS`]), never by guessing at render-time alignment.
+pub fn heuristic_table_json(s: &SuiteRuns) -> Json {
+    Json::object([
+        ("columns", Json::array(HEURISTIC_COLUMNS)),
+        (
+            "rows",
+            Json::array(heuristic_rows(s).into_iter().map(Json::array)),
+        ),
+    ])
+}
+
 /// Select-instruction ratios (the paper: under 0.2–0.7% of executed
 /// instructions).
 pub fn selects_table(s: &SuiteRuns) -> Table {
@@ -1435,6 +1485,36 @@ pub fn dyn_geomeans(rows: &[DynRow]) -> Vec<Option<f64>> {
         .collect()
 }
 
+/// One dynamic-predictor cell as JSON: instructions per mispredict to
+/// four decimals, `null` where the cell is not reported.
+pub fn ipm_json(v: Option<f64>) -> Json {
+    v.map_or(Json::Null, |v| Json::Fixed(v, 4))
+}
+
+/// One headline row as JSON, shared by [`dyn_table_json`] and
+/// `BENCH_dynpred.json`'s `headline`.
+pub fn dyn_row_json(r: &DynRow) -> Json {
+    Json::object([
+        ("program", r.program.as_str().into()),
+        ("dataset", r.dataset.as_str().into()),
+        ("ipm", Json::array(r.ipm.iter().map(|&v| ipm_json(v)))),
+    ])
+}
+
+/// The dynamic-predictor headline as the `dyn_table` object of `repro
+/// --json-metrics`: cells in [`DYN_COLUMNS`] order (null where a predictor
+/// is out of scope, e.g. the ML column on its own training workloads),
+/// and `geomean` aggregating each column across rows.
+pub fn dyn_table_json(s: &SuiteRuns) -> Json {
+    let rows = dyn_rows(s);
+    let geomean = dyn_geomeans(&rows).into_iter().map(ipm_json);
+    Json::object([
+        ("columns", Json::array(DYN_COLUMNS)),
+        ("rows", Json::array(rows.iter().map(dyn_row_json))),
+        ("geomean", Json::array(geomean)),
+    ])
+}
+
 /// The dynamic-predictor headline: instructions per mispredicted branch,
 /// profile feedback vs each online predictor, with a closing geomean row.
 pub fn dyn_table(s: &SuiteRuns) -> Table {
@@ -1758,6 +1838,37 @@ mod tests {
     }
 
     #[test]
+    fn table_json_has_one_cell_per_column() {
+        fn items<'a>(v: &'a Json, key: &str) -> &'a [Json] {
+            match v {
+                Json::Object(members) => match members.iter().find(|(k, _)| k == key) {
+                    Some((_, Json::Array(items))) => items,
+                    other => panic!("{key}: {other:?}"),
+                },
+                other => panic!("not an object: {other:?}"),
+            }
+        }
+        let s = quick();
+        let heuristic = heuristic_table_json(s);
+        let columns = items(&heuristic, "columns").len();
+        assert_eq!(columns, HEURISTIC_COLUMNS.len());
+        assert!(!items(&heuristic, "rows").is_empty());
+        for row in items(&heuristic, "rows") {
+            assert!(
+                matches!(row, Json::Array(cells) if cells.len() == columns),
+                "{row:?}"
+            );
+        }
+        let dyn_json = dyn_table_json(s);
+        let columns = items(&dyn_json, "columns").len();
+        assert_eq!(items(&dyn_json, "rows").len(), dyn_rows(s).len());
+        for row in items(&dyn_json, "rows") {
+            assert_eq!(items(row, "ipm").len(), columns);
+        }
+        assert_eq!(items(&dyn_json, "geomean").len(), columns);
+    }
+
+    #[test]
     fn zoo_reports_cover_every_dataset() {
         let s = quick();
         for w in &s.workloads {
@@ -1926,8 +2037,8 @@ mod tests {
     }
 
     // The extension tables execute additional observed/inlined runs; they
-    // are exercised every time `repro` or `cargo bench` runs in release,
-    // and can be run here explicitly with
+    // are exercised every time `repro` runs in release, and can be run
+    // here explicitly with
     // `cargo test --release -p mfbench -- --ignored`.
     #[test]
     #[ignore = "runs several observed workloads; covered by the release harness"]

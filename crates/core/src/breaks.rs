@@ -11,8 +11,8 @@
 /// * **Direct calls and returns** are avoidable via inlining; Figure 1 shows
 ///   both conventions (black vs white bars).
 /// * **Unconditional jumps** are avoidable via code layout; the paper
-///   assumes a good ILP compiler eliminates them and never counts them. The
-///   flag exists for the ablation measuring what that assumption is worth.
+///   assumes a good ILP compiler eliminates them and never counts them, so
+///   no convention here does either.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct BreakConfig {
     /// When true, only mispredicted conditional branches break; when false,
@@ -20,8 +20,6 @@ pub struct BreakConfig {
     pub predict: bool,
     /// Count direct calls and their returns as breaks.
     pub direct_calls: bool,
-    /// Count unconditional jumps as breaks.
-    pub jumps: bool,
 }
 
 impl BreakConfig {
@@ -31,7 +29,6 @@ impl BreakConfig {
         BreakConfig {
             predict: false,
             direct_calls: false,
-            jumps: false,
         }
     }
 
@@ -50,7 +47,6 @@ impl BreakConfig {
         BreakConfig {
             predict: true,
             direct_calls: false,
-            jumps: false,
         }
     }
 
@@ -83,6 +79,5 @@ mod tests {
         assert!(BreakConfig::fig2().predict);
         assert!(BreakConfig::fig2_with_calls().direct_calls);
         assert_eq!(BreakConfig::default(), BreakConfig::fig2());
-        assert!(!BreakConfig::fig2().jumps, "the paper never counts jumps");
     }
 }

@@ -43,9 +43,6 @@ fn finish(stats: &RunStats, config: BreakConfig, mispredicted: u64) -> Metrics {
     if config.direct_calls {
         breaks += events.call_return_traffic();
     }
-    if config.jumps {
-        breaks += events.jumps;
-    }
     let instrs = stats.total_instrs;
     Metrics {
         instrs,
@@ -159,15 +156,6 @@ mod tests {
         assert_eq!(m.unavoidable, 7);
         let m = evaluate(&s, &Predictor::default(), BreakConfig::fig2_with_calls());
         assert_eq!(m.breaks, 27);
-        let m = evaluate(
-            &s,
-            &Predictor::default(),
-            BreakConfig {
-                jumps: true,
-                ..BreakConfig::fig2()
-            },
-        );
-        assert_eq!(m.breaks, 107);
     }
 
     #[test]

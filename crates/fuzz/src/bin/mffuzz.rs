@@ -185,7 +185,7 @@ fn main() -> ExitCode {
     );
 
     if let Some(path) = &options.json_metrics {
-        if let Err(e) = std::fs::write(path, report.to_json()) {
+        if let Err(e) = std::fs::write(path, report.to_json().render()) {
             eprintln!("mffuzz: writing {} failed: {e}", path.display());
             return ExitCode::from(2);
         }

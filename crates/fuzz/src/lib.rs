@@ -33,6 +33,7 @@ pub mod rng;
 
 use std::time::{Duration, Instant};
 
+use mfreport::json::Json;
 use trace_vm::BranchCounts;
 
 pub use corpus::CorpusEntry;
@@ -203,65 +204,28 @@ impl FuzzReport {
         table
     }
 
-    /// Serializes the report as JSON, in the same hand-rolled style as
-    /// `mfharness::HarnessReport::to_json`.
-    pub fn to_json(&self) -> String {
-        let mut out = String::with_capacity(512 + self.findings.len() * 160);
-        out.push_str("{\n");
-        out.push_str(&format!(
-            "  \"seed\": {},\n  \"iterations\": {},\n  \"coverage_edges\": {},\n",
-            self.seed, self.iterations, self.coverage_edges
-        ));
-        out.push_str(&format!(
-            "  \"corpus_size\": {},\n  \"corpus_added\": {},\n",
-            self.corpus_size, self.corpus_added
-        ));
-        out.push_str(&format!(
-            "  \"workers\": {},\n  \"wall_seconds\": {},\n  \"execs_per_sec\": {},\n",
-            self.workers,
-            json_f64(self.elapsed.as_secs_f64()),
-            json_f64(self.execs_per_sec())
-        ));
-        out.push_str("  \"findings\": [\n");
-        for (i, f) in self.findings.iter().enumerate() {
-            out.push_str(&format!(
-                "    {{\"iteration\": {}, \"oracle\": {}, \"kind\": \"{}\", \"detail\": {}}}{}\n",
-                f.iteration,
-                json_str(&f.oracle),
-                f.kind.name(),
-                json_str(&f.detail),
-                if i + 1 < self.findings.len() { "," } else { "" }
-            ));
-        }
-        out.push_str("  ]\n}\n");
-        out
+    /// The full report, timing included, as a JSON value.
+    pub fn to_json(&self) -> Json {
+        let findings = self.findings.iter().map(|f| {
+            Json::object([
+                ("iteration", f.iteration.into()),
+                ("oracle", f.oracle.as_str().into()),
+                ("kind", f.kind.name().into()),
+                ("detail", f.detail.as_str().into()),
+            ])
+        });
+        Json::object([
+            ("seed", self.seed.into()),
+            ("iterations", self.iterations.into()),
+            ("coverage_edges", self.coverage_edges.into()),
+            ("corpus_size", self.corpus_size.into()),
+            ("corpus_added", self.corpus_added.into()),
+            ("workers", self.workers.into()),
+            ("wall_seconds", self.elapsed.as_secs_f64().into()),
+            ("execs_per_sec", self.execs_per_sec().into()),
+            ("findings", Json::array(findings)),
+        ])
     }
-}
-
-fn json_f64(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v:?}")
-    } else {
-        "null".to_string()
-    }
-}
-
-fn json_str(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
 }
 
 /// What one iteration hands back for index-order merging.
@@ -541,7 +505,7 @@ mod tests {
     fn report_serializes() {
         mfdefect::clear();
         let report = Fuzzer::new(quick_config(64), Vec::new()).run();
-        let json = report.to_json();
+        let json = report.to_json().render();
         assert!(json.contains("\"findings\": ["));
         assert_eq!(json.matches('{').count(), json.matches('}').count());
         assert!(report.summary_table().render().contains("coverage edges"));

@@ -566,7 +566,10 @@ mod tests {
         assert_eq!(report.verified(), 2);
         assert_eq!(report.verified_clean(), 2);
         assert!(report.summary_table().render().contains("runs verified"));
-        assert!(report.to_json().contains("\"verify_digest\": \"0x"));
+        assert!(report
+            .to_json()
+            .render()
+            .contains("\"verify_digest\": \"0x"));
     }
 
     #[test]
@@ -577,7 +580,10 @@ mod tests {
         assert_eq!(report.records[0].verify_digest, None);
         assert_eq!(report.verified(), 0);
         assert!(!report.summary_table().render().contains("runs verified"));
-        assert!(report.to_json().contains("\"verify_digest\": null"));
+        assert!(report
+            .to_json()
+            .render()
+            .contains("\"verify_digest\": null"));
     }
 
     #[test]
@@ -624,7 +630,7 @@ mod tests {
         let report = harness.report();
         assert_eq!(report.robustness.panics, 1);
         assert_eq!(report.robustness.quarantined, vec!["test/d0".to_string()]);
-        assert!(report.to_json().contains("\"robustness\""));
+        assert!(report.to_json().render().contains("\"robustness\""));
 
         std::panic::set_hook(prev);
     }

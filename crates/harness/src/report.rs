@@ -3,10 +3,11 @@
 //! Every job the harness completes contributes a [`RunRecord`]; the
 //! accumulated [`HarnessReport`] summarizes throughput, cache behavior,
 //! and worker utilization, renders as an mfreport table, and serializes
-//! to JSON with a hand-rolled (dependency-free) emitter.
+//! through mfreport's JSON writer.
 
 use std::time::Duration;
 
+use mfreport::json::Json;
 use mfreport::Table;
 
 use crate::cache::CacheCounters;
@@ -215,100 +216,58 @@ impl HarnessReport {
             .count() as u64
     }
 
-    /// Serializes the full report (summary plus per-run records) as JSON.
-    pub fn to_json(&self) -> String {
-        let mut out = String::with_capacity(1024 + self.records.len() * 128);
-        out.push_str("{\n");
-        out.push_str(&format!(
-            "  \"jobs_submitted\": {},\n  \"unique_jobs\": {},\n  \"runs_computed\": {},\n",
-            self.jobs_submitted,
-            self.unique_jobs,
-            self.computed()
-        ));
-        out.push_str(&format!(
-            "  \"cache\": {{\"memory_hits\": {}, \"disk_hits\": {}, \"misses\": {}, \"hit_rate\": {}}},\n",
-            self.cache.mem_hits,
-            self.cache.disk_hits,
-            self.cache.misses,
-            json_f64(self.hit_rate())
-        ));
-        out.push_str(&format!(
-            "  \"workers\": {},\n  \"pool_wall_seconds\": {},\n  \"worker_busy_seconds\": {},\n  \"worker_utilization\": {},\n",
-            self.workers,
-            json_f64(self.wall.as_secs_f64()),
-            json_f64(self.busy.as_secs_f64()),
-            json_f64(self.utilization())
-        ));
-        out.push_str(&format!(
-            "  \"guest_instructions\": {},\n  \"guest_instrs_per_sec\": {},\n",
-            self.guest_instrs(),
-            json_f64(self.guest_instrs_per_sec())
-        ));
-        let quarantined: Vec<String> = self
-            .robustness
-            .quarantined
-            .iter()
-            .map(|l| json_str(l))
-            .collect();
-        out.push_str(&format!(
-            "  \"robustness\": {{\"panics\": {}, \"quarantined\": [{}], \"io_retries\": {}, \"cache_store_failures\": {}, \"cache_corrupt_misses\": {}}},\n",
-            self.robustness.panics,
-            quarantined.join(", "),
-            self.robustness.io_retries,
-            self.robustness.cache_store_failures,
-            self.robustness.cache_corrupt_misses
-        ));
-        out.push_str("  \"runs\": [\n");
-        for (i, record) in self.records.iter().enumerate() {
-            // u64 digests exceed JSON-number precision; emit hex strings.
-            let verify = match record.verify_digest {
-                Some(d) => format!("\"{d:#018x}\""),
-                None => "null".to_string(),
-            };
-            out.push_str(&format!(
-                "    {{\"label\": {}, \"key\": \"{}\", \"guest_instructions\": {}, \"wall_seconds\": {}, \"source\": \"{}\", \"verify_digest\": {}}}{}\n",
-                json_str(&record.label),
-                record.key,
-                record.guest_instrs,
-                json_f64(record.wall.as_secs_f64()),
-                record.source.name(),
-                verify,
-                if i + 1 < self.records.len() { "," } else { "" }
-            ));
-        }
-        out.push_str("  ]\n}\n");
-        out
+    /// The full report (summary plus per-run records) as a JSON value.
+    pub fn to_json(&self) -> Json {
+        let r = &self.robustness;
+        let runs = self.records.iter().map(|record| {
+            Json::object([
+                ("label", record.label.as_str().into()),
+                ("key", record.key.to_string().into()),
+                ("guest_instructions", record.guest_instrs.into()),
+                ("wall_seconds", record.wall.as_secs_f64().into()),
+                ("source", record.source.name().into()),
+                // u64 digests exceed JSON-number precision; emit hex strings.
+                (
+                    "verify_digest",
+                    record.verify_digest.map(|d| format!("{d:#018x}")).into(),
+                ),
+            ])
+        });
+        Json::object([
+            ("jobs_submitted", self.jobs_submitted.into()),
+            ("unique_jobs", self.unique_jobs.into()),
+            ("runs_computed", self.computed().into()),
+            (
+                "cache",
+                Json::object([
+                    ("memory_hits", self.cache.mem_hits.into()),
+                    ("disk_hits", self.cache.disk_hits.into()),
+                    ("misses", self.cache.misses.into()),
+                    ("hit_rate", self.hit_rate().into()),
+                ]),
+            ),
+            ("workers", self.workers.into()),
+            ("pool_wall_seconds", self.wall.as_secs_f64().into()),
+            ("worker_busy_seconds", self.busy.as_secs_f64().into()),
+            ("worker_utilization", self.utilization().into()),
+            ("guest_instructions", self.guest_instrs().into()),
+            ("guest_instrs_per_sec", self.guest_instrs_per_sec().into()),
+            (
+                "robustness",
+                Json::object([
+                    ("panics", r.panics.into()),
+                    (
+                        "quarantined",
+                        Json::array(r.quarantined.iter().map(String::as_str)),
+                    ),
+                    ("io_retries", r.io_retries.into()),
+                    ("cache_store_failures", r.cache_store_failures.into()),
+                    ("cache_corrupt_misses", r.cache_corrupt_misses.into()),
+                ]),
+            ),
+            ("runs", Json::array(runs)),
+        ])
     }
-}
-
-/// JSON number formatting: finite floats only (NaN/inf become null).
-fn json_f64(v: f64) -> String {
-    if v.is_finite() {
-        // `{:?}` keeps enough digits to round-trip and always includes a
-        // decimal point or exponent.
-        format!("{v:?}")
-    } else {
-        "null".to_string()
-    }
-}
-
-/// Minimal JSON string escaping for labels (ASCII control, quote, slash).
-fn json_str(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
 }
 
 #[cfg(test)]
@@ -368,7 +327,7 @@ mod tests {
 
     #[test]
     fn json_is_well_formed_enough() {
-        let json = sample().to_json();
+        let json = sample().to_json().render();
         assert!(json.starts_with("{\n"));
         assert!(json.trim_end().ends_with('}'));
         assert_eq!(json.matches("\"label\"").count(), 2);
@@ -378,18 +337,12 @@ mod tests {
     }
 
     #[test]
-    fn json_escapes_control_characters() {
-        assert_eq!(json_str("a\"b\\c\n"), "\"a\\\"b\\\\c\\n\"");
-        assert_eq!(json_str("\u{1}"), "\"\\u0001\"");
-        assert_eq!(json_f64(f64::NAN), "null");
-    }
-
-    #[test]
     fn robustness_rows_appear_only_when_noisy() {
         let mut report = sample();
         assert!(!report.summary_table().render().contains("runs panicked"));
         assert!(report
             .to_json()
+            .render()
             .contains("\"robustness\": {\"panics\": 0, \"quarantined\": []"));
         report.robustness = RobustnessReport {
             panics: 1,
@@ -401,7 +354,7 @@ mod tests {
         let rendered = report.summary_table().render();
         assert!(rendered.contains("runs panicked (quarantined)"));
         assert!(rendered.contains("io retries"));
-        let json = report.to_json();
+        let json = report.to_json().render();
         assert!(
             json.contains("\"quarantined\": [\"doduc/train\"]"),
             "{json}"
@@ -414,6 +367,6 @@ mod tests {
         let report = HarnessReport::default();
         assert_eq!(report.hit_rate(), 0.0);
         assert_eq!(report.utilization(), 0.0);
-        assert!(report.to_json().contains("\"runs\": [\n  ]"));
+        assert!(report.to_json().render().contains("\"runs\": []"));
     }
 }

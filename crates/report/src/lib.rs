@@ -4,7 +4,8 @@
 //!
 //! ASCII rendering for the reproduced tables and figures: aligned tables
 //! (Tables 1–3) and horizontal paired bar charts (Figures 1–3, which in the
-//! paper are black/white bar pairs per program×dataset).
+//! paper are black/white bar pairs per program×dataset). Machine-readable
+//! reports go through the one JSON writer in [`json`].
 //!
 //! ```
 //! use mfreport::Table;
@@ -16,6 +17,8 @@
 //! assert!(text.contains("tomcatv"));
 //! assert!(text.lines().count() >= 4);
 //! ```
+
+pub mod json;
 
 /// A simple aligned ASCII table.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
