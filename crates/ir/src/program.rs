@@ -1,6 +1,6 @@
 //! Program, function and block containers.
 
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use crate::id::{BlockId, BranchId, FuncId, GlobalId, Reg};
@@ -198,10 +198,11 @@ impl Program {
             .sum()
     }
 
-    /// Returns, for every function, the set of live branch ids it still
-    /// contains. Useful for comparing compilations.
-    pub fn live_branches(&self) -> HashMap<BranchId, FuncId> {
-        let mut map = HashMap::new();
+    /// Every live branch id, mapped to the last function that contains it
+    /// (an inlined program repeats a callee's ids in its callers). Ordered
+    /// by id, so anything reported from it is the same in every process.
+    pub fn live_branches(&self) -> BTreeMap<BranchId, FuncId> {
+        let mut map = BTreeMap::new();
         for (fi, f) in self.functions.iter().enumerate() {
             for b in &f.blocks {
                 if let Terminator::Branch { id, .. } = b.term {

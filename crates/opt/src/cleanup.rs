@@ -3,7 +3,7 @@
 
 use std::collections::HashSet;
 
-use trace_ir::{BlockId, Function, Reg, Terminator};
+use trace_ir::{BlockId, Function, Terminator};
 
 use mfcheck::reachable_blocks;
 
@@ -97,17 +97,14 @@ pub fn remove_unreachable(func: &mut Function) -> bool {
 /// paper's Table 1 pass). Returns true if anything changed.
 pub fn dead_code(func: &mut Function) -> bool {
     let mut changed = false;
+    let mut used = vec![false; func.num_regs as usize];
     loop {
-        let mut used: HashSet<Reg> = HashSet::new();
+        used.fill(false);
         for block in &func.blocks {
             for instr in &block.instrs {
-                instr.for_each_use(|r| {
-                    used.insert(r);
-                });
+                instr.for_each_use(|r| used[r.index()] = true);
             }
-            block.term.for_each_use(|r| {
-                used.insert(r);
-            });
+            block.term.for_each_use(|r| used[r.index()] = true);
         }
         let mut removed = false;
         for block in &mut func.blocks {
@@ -119,7 +116,7 @@ pub fn dead_code(func: &mut Function) -> bool {
                 {
                     return false;
                 }
-                instr.has_side_effects() || instr.dst().is_none_or(|dst| used.contains(&dst))
+                instr.has_side_effects() || instr.dst().is_none_or(|dst| used[dst.index()])
             });
             removed |= block.instrs.len() != before;
         }

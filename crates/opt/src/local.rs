@@ -1,4 +1,11 @@
 //! Block-local copy propagation and common-subexpression elimination.
+//!
+//! Both passes give every register a definition *version*, bumped each time
+//! an instruction writes it. A remembered fact (a copy, an available
+//! expression) records the versions of the registers it depends on, and is
+//! matched only while they are all current. Redefining a register thus
+//! retires every fact that mentions it without visiting them, so each pass
+//! is linear in the block's length.
 
 use std::collections::HashMap;
 
@@ -7,71 +14,61 @@ use trace_ir::{BinOp, Function, Instr, Reg, UnOp};
 /// Rewrites operand registers through `Mov` chains within each block.
 /// Returns true if anything changed.
 ///
-/// The mapping is invalidated whenever either side of a copy is redefined,
-/// so multi-definition registers (mutable guest variables) are handled
-/// soundly. Propagation never crosses block boundaries.
+/// A copy `dst <- src` is stored with `src`'s version and used only while
+/// `src` keeps it; redefining `dst` drops its entry. So multi-definition
+/// registers (mutable guest variables) are handled soundly at O(1) per
+/// instruction. Propagation never crosses block boundaries.
 pub fn copy_propagate(func: &mut Function) -> bool {
+    let mut version = vec![0u32; func.num_regs as usize];
+    let mut copies: HashMap<Reg, (Reg, u32)> = HashMap::new();
     let mut changed = false;
     for block in &mut func.blocks {
-        let mut copies: HashMap<Reg, Reg> = HashMap::new();
+        copies.clear();
         for instr in &mut block.instrs {
             // Rewrite uses through the current copy map.
-            let rewritten = rewrite_uses(instr, &copies);
-            changed |= rewritten;
-            // A new definition kills every mapping involving the dst.
+            changed |= rewrite_uses(instr, |r| copy_source(&copies, &version, r));
             if let Some(dst) = instr.dst() {
+                // Retires every copy of dst (by version) and dst's own.
+                version[dst.index()] += 1;
                 copies.remove(&dst);
-                copies.retain(|_, src| *src != dst);
-            }
-            if let Instr::Mov { dst, src } = instr {
-                if dst != src {
-                    copies.insert(*dst, *src);
+                if let Instr::Mov { src, .. } = *instr {
+                    if src != dst {
+                        copies.insert(dst, (src, version[src.index()]));
+                    }
                 }
             }
         }
         // Terminators read registers too.
-        let mut term_regs = Vec::new();
-        block.term.for_each_use(|r| term_regs.push(r));
-        if term_regs.iter().any(|r| copies.contains_key(r)) {
-            match &mut block.term {
-                trace_ir::Terminator::Branch { cond, .. } => {
-                    if let Some(&s) = copies.get(cond) {
-                        *cond = s;
-                        changed = true;
-                    }
-                }
-                trace_ir::Terminator::JumpTable { index, .. } => {
-                    if let Some(&s) = copies.get(index) {
-                        *index = s;
-                        changed = true;
-                    }
-                }
-                trace_ir::Terminator::Return { value: Some(v) } => {
-                    if let Some(&s) = copies.get(v) {
-                        *v = s;
-                        changed = true;
-                    }
-                }
-                _ => {}
-            }
-        }
+        block.term.map_regs(|r| {
+            let s = copy_source(&copies, &version, r);
+            changed |= s.is_some();
+            s.unwrap_or(r)
+        });
     }
     changed
 }
 
-fn rewrite_uses(instr: &mut Instr, copies: &HashMap<Reg, Reg>) -> bool {
-    let sub = |r: &mut Reg, changed: &mut bool| {
-        if let Some(&s) = copies.get(r) {
+/// The register `r` is a current copy of, if any.
+fn copy_source(copies: &HashMap<Reg, (Reg, u32)>, version: &[u32], r: Reg) -> Option<Reg> {
+    copies
+        .get(&r)
+        .filter(|&&(s, v)| version[s.index()] == v)
+        .map(|&(s, _)| s)
+}
+
+fn rewrite_uses(instr: &mut Instr, source: impl Fn(Reg) -> Option<Reg>) -> bool {
+    let mut changed = false;
+    let mut sub = |r: &mut Reg| {
+        if let Some(s) = source(*r) {
             *r = s;
-            *changed = true;
+            changed = true;
         }
     };
-    let mut changed = false;
     match instr {
-        Instr::Unop { src, .. } | Instr::Mov { src, .. } => sub(src, &mut changed),
+        Instr::Unop { src, .. } | Instr::Mov { src, .. } => sub(src),
         Instr::Binop { lhs, rhs, .. } => {
-            sub(lhs, &mut changed);
-            sub(rhs, &mut changed);
+            sub(lhs);
+            sub(rhs);
         }
         Instr::Select {
             cond,
@@ -79,34 +76,28 @@ fn rewrite_uses(instr: &mut Instr, copies: &HashMap<Reg, Reg>) -> bool {
             if_false,
             ..
         } => {
-            sub(cond, &mut changed);
-            sub(if_true, &mut changed);
-            sub(if_false, &mut changed);
+            sub(cond);
+            sub(if_true);
+            sub(if_false);
         }
         Instr::Load { arr, index, .. } => {
-            sub(arr, &mut changed);
-            sub(index, &mut changed);
+            sub(arr);
+            sub(index);
         }
         Instr::Store { arr, index, src } => {
-            sub(arr, &mut changed);
-            sub(index, &mut changed);
-            sub(src, &mut changed);
+            sub(arr);
+            sub(index);
+            sub(src);
         }
-        Instr::NewIntArray { len, .. } | Instr::NewFloatArray { len, .. } => sub(len, &mut changed),
-        Instr::ArrayLen { arr, .. } => sub(arr, &mut changed),
-        Instr::GlobalSet { src, .. } => sub(src, &mut changed),
-        Instr::Call { args, .. } => {
-            for a in args {
-                sub(a, &mut changed);
-            }
-        }
+        Instr::NewIntArray { len, .. } | Instr::NewFloatArray { len, .. } => sub(len),
+        Instr::ArrayLen { arr, .. } => sub(arr),
+        Instr::GlobalSet { src, .. } => sub(src),
+        Instr::Call { args, .. } => args.iter_mut().for_each(sub),
         Instr::CallIndirect { target, args, .. } => {
-            sub(target, &mut changed);
-            for a in args {
-                sub(a, &mut changed);
-            }
+            sub(target);
+            args.iter_mut().for_each(sub);
         }
-        Instr::Emit { src } => sub(src, &mut changed),
+        Instr::Emit { src } => sub(src),
         Instr::Const { .. }
         | Instr::ConstArray { .. }
         | Instr::GlobalGet { .. }
@@ -115,57 +106,51 @@ fn rewrite_uses(instr: &mut Instr, copies: &HashMap<Reg, Reg>) -> bool {
     changed
 }
 
-#[derive(Clone, PartialEq, Eq, Hash)]
+/// A pure ALU expression: its operator and each operand's register and
+/// version.
+#[derive(Clone, Copy, PartialEq, Eq, Hash)]
 enum ExprKey {
-    Bin(BinOp, Reg, Reg),
-    Un(UnOp, Reg),
-}
-
-impl ExprKey {
-    fn uses(&self, r: Reg) -> bool {
-        match self {
-            ExprKey::Bin(_, a, b) => *a == r || *b == r,
-            ExprKey::Un(_, a) => *a == r,
-        }
-    }
+    Bin(BinOp, (Reg, u32), (Reg, u32)),
+    Un(UnOp, (Reg, u32)),
 }
 
 /// Replaces repeated pure ALU computations within a block with a `Mov` from
 /// the first result. Returns true if anything changed.
 ///
+/// An expression is keyed by its operands *and their versions*, and stored
+/// with the version of the register that holds its result. A lookup built
+/// from the current versions cannot match an expression whose operand was
+/// redefined since, and a match whose result register was redefined is
+/// ignored; `r = r op x` therefore never becomes reusable. Each
+/// instruction costs O(1).
+///
 /// Loads are not CSE'd (stores and calls may alias), and trapping operations
 /// are eligible only because re-using an earlier identical divide preserves
 /// the trap.
 pub fn local_cse(func: &mut Function) -> bool {
+    let mut version = vec![0u32; func.num_regs as usize];
+    let mut available: HashMap<ExprKey, (Reg, u32)> = HashMap::new();
     let mut changed = false;
     for block in &mut func.blocks {
-        let mut available: HashMap<ExprKey, Reg> = HashMap::new();
+        available.clear();
         for instr in &mut block.instrs {
-            let key = match instr {
-                Instr::Binop { op, lhs, rhs, .. } => Some(ExprKey::Bin(*op, *lhs, *rhs)),
-                Instr::Unop { op, src, .. } => Some(ExprKey::Un(*op, *src)),
+            let at = |r: Reg| (r, version[r.index()]);
+            let key = match *instr {
+                Instr::Binop { op, lhs, rhs, .. } => Some(ExprKey::Bin(op, at(lhs), at(rhs))),
+                Instr::Unop { op, src, .. } => Some(ExprKey::Un(op, at(src))),
                 _ => None,
             };
-            let hit = key.as_ref().and_then(|k| available.get(k).copied());
-            match (hit, instr.dst()) {
-                (Some(prev), Some(dst)) => {
-                    *instr = Instr::Mov { dst, src: prev };
-                    changed = true;
-                    // Redefinition invalidates expressions using or
-                    // producing dst; the reused value lives on in `prev`.
-                    available.retain(|k, v| *v != dst && !k.uses(dst));
-                }
-                (None, Some(dst)) => {
-                    available.retain(|k, v| *v != dst && !k.uses(dst));
-                    if let Some(k) = key {
-                        // `r = r op x` computes a value that is immediately
-                        // clobbered by its own definition — not reusable.
-                        if !k.uses(dst) {
-                            available.insert(k, dst);
-                        }
-                    }
-                }
-                (_, None) => {}
+            let Some(dst) = instr.dst() else { continue };
+            let hit = key
+                .and_then(|k| available.get(&k))
+                .filter(|&&(r, v)| version[r.index()] == v)
+                .map(|&(r, _)| r);
+            version[dst.index()] += 1;
+            if let Some(prev) = hit {
+                *instr = Instr::Mov { dst, src: prev };
+                changed = true;
+            } else if let Some(k) = key {
+                available.insert(k, (dst, version[dst.index()]));
             }
         }
     }
@@ -176,7 +161,7 @@ pub fn local_cse(func: &mut Function) -> bool {
 mod tests {
     use super::*;
     use trace_ir::builder::{FunctionBuilder, ProgramBuilder};
-    use trace_ir::Program;
+    use trace_ir::{BranchKind, Program, Terminator};
 
     fn build(f: FunctionBuilder) -> Program {
         let mut pb = ProgramBuilder::new();
@@ -254,6 +239,97 @@ mod tests {
         assert!(matches!(
             p.functions[0].blocks[0].instrs[2],
             Instr::Binop { .. }
+        ));
+    }
+
+    // The version rule. Lowered code rarely reaches these shapes (copy
+    // propagation runs first and the lowerer assigns through `Mov`), so
+    // the fuzzer does not guard them; these tests do.
+
+    #[test]
+    fn cse_invalidated_by_result_redefinition() {
+        let mut f = FunctionBuilder::new("main", 2);
+        let a = f.binop(BinOp::Add, f.param(0), f.param(1));
+        f.mov_to(a, f.param(0)); // the available result is clobbered
+        let b = f.binop(BinOp::Add, f.param(0), f.param(1));
+        f.emit_value(a);
+        f.emit_value(b);
+        f.ret(None);
+        let mut p = build(f);
+        assert!(!local_cse(&mut p.functions[0]));
+        assert!(matches!(
+            p.functions[0].blocks[0].instrs[2],
+            Instr::Binop { .. }
+        ));
+    }
+
+    #[test]
+    fn cse_never_reuses_self_update() {
+        // `r = r + x` twice: the second add reads the first one's result,
+        // so it is a different expression.
+        let mut f = FunctionBuilder::new("main", 2);
+        let (r, x) = (f.param(0), f.param(1));
+        for _ in 0..2 {
+            f.push(Instr::Binop {
+                dst: r,
+                op: BinOp::Add,
+                lhs: r,
+                rhs: x,
+            });
+        }
+        f.emit_value(r);
+        f.ret(None);
+        let mut p = build(f);
+        assert!(!local_cse(&mut p.functions[0]));
+        let instrs = &p.functions[0].blocks[0].instrs;
+        assert!(instrs[..2].iter().all(|i| matches!(i, Instr::Binop { .. })));
+    }
+
+    #[test]
+    fn terminator_skips_copy_of_redefined_source() {
+        let mut f = FunctionBuilder::new("main", 2);
+        let x = f.mov(f.param(0));
+        f.mov_to(f.param(0), f.param(1)); // x's source is redefined
+        let (t, e) = (f.new_block(), f.new_block());
+        f.branch(x, t, e, 1, BranchKind::If);
+        f.switch_to(t);
+        f.ret(None);
+        f.switch_to(e);
+        f.ret(None);
+        let mut p = build(f);
+        assert!(!copy_propagate(&mut p.functions[0]));
+        assert!(matches!(
+            p.functions[0].blocks[0].term,
+            Terminator::Branch { cond, .. } if cond == x
+        ));
+    }
+
+    #[test]
+    fn mov_chain_survives_redefined_middle() {
+        // p0 -> a -> b, then a is recomputed: b still holds p0, and later
+        // uses of a read a itself.
+        let mut f = FunctionBuilder::new("main", 2);
+        let (p0, p1) = (f.param(0), f.param(1));
+        let a = f.mov(p0);
+        let b = f.mov(a);
+        f.push(Instr::Binop {
+            dst: a,
+            op: BinOp::Add,
+            lhs: p1,
+            rhs: p1,
+        });
+        let c = f.mov(b);
+        let s = f.binop(BinOp::Add, a, c);
+        f.emit_value(s);
+        f.ret(None);
+        let mut p = build(f);
+        assert!(copy_propagate(&mut p.functions[0]));
+        let instrs = &p.functions[0].blocks[0].instrs;
+        assert_eq!(instrs[1], Instr::Mov { dst: b, src: p0 });
+        assert_eq!(instrs[3], Instr::Mov { dst: c, src: p0 });
+        assert!(matches!(
+            instrs[4],
+            Instr::Binop { lhs, rhs, .. } if lhs == a && rhs == p0
         ));
     }
 }

@@ -140,7 +140,7 @@ const WIDEN_FALLBACK_JOINS: u32 = 8;
 /// should never fire; it bounds the cost on adversarial fuzz inputs.
 const MAX_BLOCK_VISITS: usize = 50_000;
 
-fn analyze_function(func: &Function, func_id: FuncId, out: &mut ProgramProofs) {
+pub(crate) fn analyze_function(func: &Function, func_id: FuncId, out: &mut ProgramProofs) {
     let n = func.blocks.len();
     if n == 0 {
         return;

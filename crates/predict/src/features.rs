@@ -73,7 +73,7 @@ pub fn extract(program: &Program, proofs: &ProgramProofs) -> Vec<BranchFeatures>
     out
 }
 
-fn extract_function(
+pub(crate) fn extract_function(
     program: &Program,
     func: &Function,
     proofs: &ProgramProofs,

@@ -35,7 +35,9 @@ pub use features::{extract, BranchFeatures, FEATURE_NAMES, FEATURE_VERSION, NUM_
 pub use interval::Interval;
 pub use model::{train, Model, ModelError, Sample, TrainConfig, COMMITTED_MODEL_PATH};
 
-use trace_ir::{BranchId, Program};
+use std::collections::{BTreeMap, BTreeSet};
+
+use trace_ir::{BranchId, FuncId, Function, Program, Terminator};
 
 /// The training half of the workload suite (even suite indices). The
 /// committed model has seen profiles from these programs only.
@@ -109,16 +111,43 @@ pub enum StaticTierSource {
 /// all-zero fallback model) drops to **BTFN**. Sites that are not live
 /// branches of `program` are skipped; duplicates collapse. Results are
 /// sorted by site id.
+///
+/// The cost follows the functions that hold the wanted sites: only they
+/// are analyzed and have features extracted, and a call with no live site
+/// analyzes nothing. They are found from the terminators, not from
+/// `branch_info`, because an inlined program repeats a callee's ids in
+/// every caller; as in a whole-program [`analyze`] + [`extract`], a
+/// repeated site takes its proof and features from its last occurrence.
 pub fn static_tier(
     program: &Program,
     sites: &[BranchId],
 ) -> Vec<(BranchId, bool, StaticTierSource)> {
-    let proofs = analyze(program);
-    let feats = extract(program, &proofs);
-    let by_id: std::collections::BTreeMap<BranchId, &BranchFeatures> =
-        feats.iter().map(|f| (f.id, f)).collect();
+    let wanted: BTreeSet<BranchId> = sites.iter().copied().collect();
+    let funcs: Vec<(FuncId, &Function)> = program
+        .functions
+        .iter()
+        .enumerate()
+        .filter(|(_, f)| {
+            f.blocks
+                .iter()
+                .any(|b| matches!(b.term, Terminator::Branch { id, .. } if wanted.contains(&id)))
+        })
+        .map(|(i, f)| (FuncId::from_index(i), f))
+        .collect();
+    if funcs.is_empty() {
+        return Vec::new();
+    }
+    let mut proofs = ProgramProofs::default();
+    for &(fid, func) in &funcs {
+        analyze::analyze_function(func, fid, &mut proofs);
+    }
+    let mut feats = Vec::new();
+    for &(_, func) in &funcs {
+        features::extract_function(program, func, &proofs, &mut feats);
+    }
+    // Later entries win, so a repeated site keeps its last occurrence.
+    let by_id: BTreeMap<BranchId, &BranchFeatures> = feats.iter().map(|f| (f.id, f)).collect();
     let model = model::Model::committed();
-    let wanted: std::collections::BTreeSet<BranchId> = sites.iter().copied().collect();
     let mut out = Vec::new();
     for id in wanted {
         let Some(f) = by_id.get(&id) else { continue };
