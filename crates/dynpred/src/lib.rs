@@ -17,13 +17,20 @@
 //! `table_bits`), the perceptron's outcome window, and a fixed block of
 //! 4,096 pending events (16 KiB) — and never allocates on the hot path, so
 //! it can be attached to any run, including fuzz runs, without perturbing
-//! behavior or memory use.
+//! behavior or memory use. [`Zoo::observe_beside`] adds, for the length of
+//! one run, a helper thread and three handoff blocks of 16,384 events
+//! (192 KiB), and nothing else.
 //!
 //! Two independent implementations of the same predictor semantics exist:
 //!
-//! * the **online** path ([`Zoo`], an [`Observer`]) buffers branch events
-//!   in its block as they execute and runs each predictor over a full
-//!   block in a loop of its own, never holding more than one block;
+//! * the **online** path ([`Zoo`]) runs each predictor over a block of
+//!   branch events in a loop of its own. Observed inline (the zoo as an
+//!   [`Observer`]), it buffers events in its one block as they execute and
+//!   runs the predictors on the VM's thread whenever the block fills.
+//!   Observed beside the run ([`Zoo::observe_beside`], what the harness
+//!   does), the VM thread packs events into a handoff block and a helper
+//!   thread runs the predictors over each full one, in order, while the VM
+//!   fills the next;
 //! * the **golden** path ([`golden::replay`]) re-simulates a predictor
 //!   over the branch events a [`trace_vm::Recorder`] kept.
 //!
@@ -35,6 +42,7 @@
 
 mod gaps;
 
+use std::sync::mpsc::{self, Receiver, SyncSender};
 use std::sync::Arc;
 
 use trace_ir::{BranchId, Program, Terminator};
@@ -392,7 +400,18 @@ pub fn perceptron_theta(history: u32) -> i32 {
 const TWO_BIT_INIT: u8 = 1;
 
 /// Branch events a [`Zoo`] buffers before its predictors run over them.
+/// The predictors always run over at most this many events at a time.
 const BLOCK: usize = 4096;
+
+/// Branch events a [`Feed`] packs into one handoff block (64 KiB). A
+/// handoff costs two channel operations and may wake the helper thread,
+/// so it is larger than [`BLOCK`].
+const HANDOFF: usize = 4 * BLOCK;
+
+/// Handoff blocks in one [`Zoo::observe_beside`] run: the VM thread fills
+/// one while the helper thread runs the predictors over another, and the
+/// third absorbs a stretch of branches denser than the helper's pace.
+const HANDOFF_BLOCKS: usize = 3;
 
 /// Perceptron weights sit in chunks of this many `i16` lanes.
 const LANES: usize = 16;
@@ -412,6 +431,13 @@ struct SeededEntry {
     taken: u64,
     counters: [u8; 2],
     missed: [u64; 2],
+}
+
+/// A branch event as a block holds it: `id << 1 | taken`.
+#[inline(always)]
+fn pack(id: BranchId, taken: bool) -> u32 {
+    debug_assert!(id.0 < 1 << 31, "branch id {} does not pack", id.0);
+    (id.0 << 1) | u32::from(taken)
 }
 
 /// A block event's branch id and direction, unpacked from `id << 1 | taken`.
@@ -710,24 +736,48 @@ enum Slot {
     Gshare(usize),
 }
 
-/// A set of online predictors all observing one run as an [`Observer`].
-/// Attaching a zoo is pure observation: it never changes the run's output
-/// or stats.
+/// A zoo's predictors and the count of events they have run over: all
+/// that a run of events updates, and all that the helper thread of
+/// [`Zoo::observe_beside`] borrows.
+struct Predictors {
+    dirs: BranchDirs,
+    executed: u64,
+    preds: Vec<Pred>,
+    gshares: Gshares,
+}
+
+impl Predictors {
+    /// Runs every predictor over `events`, in order, [`BLOCK`] events at a
+    /// time.
+    fn run(&mut self, events: &[u32]) {
+        for block in events.chunks(BLOCK) {
+            for p in &mut self.preds {
+                p.run(block, &self.dirs);
+            }
+            if !self.gshares.tables.is_empty() {
+                self.gshares.run(block);
+            }
+        }
+        self.executed += events.len() as u64;
+    }
+}
+
+/// A set of online predictors all observing one run. Attaching a zoo is
+/// pure observation: it never changes the run's output or stats.
 ///
+/// Observed inline (the zoo as the run's [`Observer`]),
 /// [`Observer::branch`] only appends the event to a fixed block; when the
 /// block fills, and at [`Zoo::report`], each predictor runs over the whole
-/// block in a loop of its own. The block packs an event into 32 bits as
+/// block in a loop of its own, on the run's thread. A run observed through
+/// [`Zoo::observe_beside`] hands its events to a helper thread instead, in
+/// handoff blocks. Either way a block packs an event into 32 bits as
 /// `id << 1 | taken`, so branch ids must stay below 2^31, as a program's
 /// dense ids (indices into its `branch_info`) always do.
 pub struct Zoo {
-    dirs: BranchDirs,
     /// Pending events, `id << 1 | taken`; never longer than [`BLOCK`].
     block: Vec<u32>,
-    /// Events the predictors have run over.
-    executed: u64,
     specs: Vec<(DynSpec, Slot)>,
-    preds: Vec<Pred>,
-    gshares: Gshares,
+    predictors: Predictors,
 }
 
 impl Zoo {
@@ -747,13 +797,16 @@ impl Zoo {
     /// `table_bits` is the one whose history equals them.
     pub fn with_dirs(specs: &[DynSpec], dirs: BranchDirs) -> Self {
         let mut zoo = Zoo {
-            dirs,
             block: Vec::with_capacity(BLOCK),
-            executed: 0,
             specs: Vec::with_capacity(specs.len()),
-            preds: Vec::new(),
-            gshares: Gshares::default(),
+            predictors: Predictors {
+                dirs,
+                executed: 0,
+                preds: Vec::new(),
+                gshares: Gshares::default(),
+            },
         };
+        let p = &mut zoo.predictors;
         for &spec in specs {
             let same = zoo
                 .specs
@@ -766,10 +819,10 @@ impl Zoo {
                 table_bits,
             } = effective(spec)
             {
-                Slot::Gshare(zoo.gshares.push(history, table_bits))
+                Slot::Gshare(p.gshares.push(history, table_bits))
             } else {
-                zoo.preds.push(Pred::new(spec));
-                Slot::Pred(zoo.preds.len() - 1)
+                p.preds.push(Pred::new(spec));
+                Slot::Pred(p.preds.len() - 1)
             };
             zoo.specs.push((spec, slot));
         }
@@ -780,29 +833,76 @@ impl Zoo {
     /// inlines into the interpreter's branch handling is a push and a test.
     #[inline(never)]
     fn drain(&mut self) {
-        for p in &mut self.preds {
-            p.run(&self.block, &self.dirs);
-        }
-        if !self.gshares.tables.is_empty() {
-            self.gshares.run(&self.block);
-        }
-        self.executed += self.block.len() as u64;
+        self.predictors.run(&self.block);
         self.block.clear();
+    }
+
+    /// Runs `run` on this thread with a [`Feed`] to observe it through,
+    /// while a helper thread runs the predictors over the events the feed
+    /// hands over, in order. When `run` returns, the feed hands over its
+    /// last, partial block and the helper is joined, so the zoo has then
+    /// seen every event exactly as if it had observed the run inline:
+    /// [`Zoo::report`] gives the same tallies. Events observed inline
+    /// before the call run first.
+    ///
+    /// The run holds three handoff blocks of 16,384 events (192 KiB). It
+    /// waits for the helper only when it fills a block while the helper
+    /// still holds both others.
+    ///
+    /// # Panics
+    ///
+    /// Re-raises a panic of `run` once the helper has stopped, and a panic
+    /// of the helper once `run` has returned; panics if the helper thread
+    /// cannot be spawned. After a panic the zoo's tallies are meaningless.
+    pub fn observe_beside<T>(&mut self, run: impl FnOnce(&mut Feed) -> T) -> T {
+        self.drain();
+        let predictors = &mut self.predictors;
+        std::thread::scope(|scope| {
+            // Neither channel can ever hold more blocks than exist, so no
+            // send waits.
+            let (full, queue) = mpsc::sync_channel::<Vec<u32>>(HANDOFF_BLOCKS);
+            let (spare, empty) = mpsc::sync_channel(HANDOFF_BLOCKS);
+            for _ in 1..HANDOFF_BLOCKS {
+                let block = Vec::with_capacity(HANDOFF);
+                spare.send(block).expect("room for every block");
+            }
+            let helper = scope.spawn(move || {
+                for mut block in queue {
+                    predictors.run(&block);
+                    block.clear();
+                    // The feed takes no block back after the last one.
+                    let _ = spare.send(block);
+                }
+            });
+            // The feed lives in this frame, so an unwinding `run` drops it,
+            // which ends the helper's queue: the scope's join cannot hang.
+            let mut feed = Feed {
+                block: Vec::with_capacity(HANDOFF),
+                full,
+                empty,
+            };
+            let out = run(&mut feed);
+            feed.finish();
+            match helper.join() {
+                Ok(()) => out,
+                Err(panic) => std::panic::resume_unwind(panic),
+            }
+        })
     }
 
     /// The per-spec tallies so far.
     pub fn report(&mut self) -> ZooReport {
         self.drain();
-        let executed = self.executed;
+        let p = &self.predictors;
         ZooReport {
             entries: (self.specs.iter())
                 .map(|&(spec, slot)| {
                     let mispredicted = match slot {
-                        Slot::Pred(i) => self.preds[i].missed(),
-                        Slot::Gshare(i) => self.gshares.tables[i].missed,
+                        Slot::Pred(i) => p.preds[i].missed(),
+                        Slot::Gshare(i) => p.gshares.tables[i].missed,
                     };
                     let counts = ZooCounts {
-                        executed,
+                        executed: p.executed,
                         mispredicted,
                     };
                     (spec, counts)
@@ -815,10 +915,54 @@ impl Zoo {
 impl Observer for Zoo {
     #[inline]
     fn branch(&mut self, id: BranchId, taken: bool, _instrs: u64) {
-        debug_assert!(id.0 < 1 << 31, "branch id {} does not pack", id.0);
-        self.block.push((id.0 << 1) | u32::from(taken));
+        self.block.push(pack(id, taken));
         if self.block.len() == BLOCK {
             self.drain();
+        }
+    }
+}
+
+/// The run's side of [`Zoo::observe_beside`]: an [`Observer`] that packs
+/// each branch into a handoff block and, when the block fills, swaps it
+/// for an empty one from the helper thread. Observation costs the run a
+/// push and a test per branch, and two channel operations per 16,384
+/// branches.
+pub struct Feed {
+    block: Vec<u32>,
+    full: SyncSender<Vec<u32>>,
+    empty: Receiver<Vec<u32>>,
+}
+
+impl Feed {
+    /// Swaps the full block for an empty one from the helper, waiting
+    /// while the helper holds all the others, and sends it on. If the
+    /// helper has died, the events are dropped: the run goes on
+    /// unobserved, and [`Zoo::observe_beside`] re-raises the helper's panic
+    /// at its end.
+    #[inline(never)]
+    fn hand_off(&mut self) {
+        match self.empty.recv() {
+            Ok(empty) => {
+                let full = std::mem::replace(&mut self.block, empty);
+                let _ = self.full.send(full);
+            }
+            Err(_) => self.block.clear(),
+        }
+    }
+
+    /// Sends the last, partial block; dropping the feed then ends the
+    /// helper's queue.
+    fn finish(mut self) {
+        let _ = self.full.send(std::mem::take(&mut self.block));
+    }
+}
+
+impl Observer for Feed {
+    #[inline]
+    fn branch(&mut self, id: BranchId, taken: bool, _instrs: u64) {
+        self.block.push(pack(id, taken));
+        if self.block.len() == HANDOFF {
+            self.hand_off();
         }
     }
 }
@@ -1252,7 +1396,7 @@ mod tests {
                 zoo.branch(BranchId(id), taken, 0);
             }
             zoo.report();
-            let Pred::Perceptron(p) = &zoo.preds[0] else {
+            let Pred::Perceptron(p) = &zoo.predictors.preds[0] else {
                 unreachable!("spec built a perceptron");
             };
             let row_lanes = p.chunks * LANES;
@@ -1400,5 +1544,83 @@ mod tests {
             }
             prop_assert_eq!(zoo.report(), golden::replay_zoo(&specs, &dirs, &trace));
         }
+    }
+
+    /// Up to three handoff blocks and a remainder: none, one event, one
+    /// short of another block, or anything short of it.
+    fn handoff_len() -> impl Strategy<Value = usize> {
+        let remainder = prop_oneof![Just(0), Just(1), Just(HANDOFF - 1), 0..HANDOFF];
+        (0..4usize, remainder).prop_map(|(blocks, remainder)| blocks * HANDOFF + remainder)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(8))]
+
+        /// Events observed beside a run reach the predictors in order, once
+        /// each, and after those observed inline before: a prefix observed
+        /// inline, a middle observed through `observe_beside` and a suffix
+        /// observed inline again give the golden replay's tallies after the
+        /// middle and after the suffix.
+        #[test]
+        fn pipelined_delivery_matches_golden(
+            prefix in 0..2 * BLOCK,
+            middle in handoff_len(),
+            suffix in 0..BLOCK,
+            seed in 0..u64::MAX,
+        ) {
+            let (dirs, trace) = synthetic_trace(seed, prefix + middle + suffix);
+            let seen = prefix + middle;
+            let specs = block_roster();
+            let mut zoo = Zoo::with_dirs(&specs, dirs.clone());
+            for ev in &trace[..prefix] {
+                zoo.branch(ev.id, ev.taken, ev.instrs);
+            }
+            zoo.observe_beside(|feed| {
+                for ev in &trace[prefix..seen] {
+                    feed.branch(ev.id, ev.taken, ev.instrs);
+                }
+            });
+            prop_assert_eq!(zoo.report(), golden::replay_zoo(&specs, &dirs, &trace[..seen]));
+            for ev in &trace[seen..] {
+                zoo.branch(ev.id, ev.taken, ev.instrs);
+            }
+            prop_assert_eq!(zoo.report(), golden::replay_zoo(&specs, &dirs, &trace));
+        }
+    }
+
+    /// Feeds two and a half handoff blocks of a synthetic trace.
+    fn feed_some(feed: &mut Feed) {
+        let (_, trace) = synthetic_trace(7, 5 * HANDOFF / 2);
+        for ev in &trace {
+            feed.branch(ev.id, ev.taken, ev.instrs);
+        }
+    }
+
+    #[test]
+    fn a_run_that_fails_beside_the_zoo_returns_its_error() {
+        let mut zoo = Zoo::new(&full_zoo());
+        let out: Result<(), &str> = zoo.observe_beside(|feed| {
+            feed_some(feed);
+            Err("guest faulted")
+        });
+        assert_eq!(out, Err("guest faulted"));
+        // The events before the error reached the predictors.
+        assert_eq!(zoo.report().entries[0].1.executed, 5 * HANDOFF as u64 / 2);
+    }
+
+    #[test]
+    fn a_run_that_panics_beside_the_zoo_re_raises_the_panic() {
+        let prev = std::panic::take_hook();
+        std::panic::set_hook(Box::new(|_| {}));
+        let mut zoo = Zoo::new(&full_zoo());
+        let panicked = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            zoo.observe_beside(|feed| {
+                feed_some(feed);
+                panic!("guest panicked");
+            })
+        }));
+        std::panic::set_hook(prev);
+        let payload = panicked.expect_err("the panic comes back");
+        assert_eq!(payload.downcast_ref::<&str>(), Some(&"guest panicked"));
     }
 }

@@ -40,7 +40,8 @@
 //!   zero Pixie count. Any observed contradiction means the abstract
 //!   domain, a transfer function, or the widening is unsound.
 //! * **dynpred-consistency** — driving the online `mfdyn` predictor zoo
-//!   over the unoptimized program's branch stream (on both backends) and
+//!   over the unoptimized program's branch stream (on both backends, fed
+//!   inline on one and through a helper thread on the other) and
 //!   replaying the recorded branch events through the independently written
 //!   golden predictor models must produce identical per-predictor
 //!   `(executed, mispredicted)` tallies; any divergence is predictor
@@ -220,11 +221,14 @@ fn dynpred_zoo(program: &Program) -> Zoo {
 /// `(executed, mispredicted)` tallies exactly. A divergence means online
 /// predictor state drifted (e.g. a skipped global-history update), never a
 /// legitimate behavioural difference. Each input set's primary run and
-/// its flat-diff twin are checked, so both backends are.
+/// its flat-diff twin are checked, so both backends are, and both ways of
+/// delivering events: the primary run's zoo observes inline, the twin's
+/// through a helper thread ([`Zoo::observe_beside`]).
 fn check_dynpred_consistency(
     program: &Program,
     be: Backend,
-    (recorded, zoo): &mut (Recorder, Zoo),
+    recorded: &Recorder,
+    zoo: &mut Zoo,
     findings: &mut Vec<(&'static str, String)>,
 ) {
     let replayed = golden::replay_zoo(&DYNPRED_SPECS, &BranchDirs::of(program), &recorded.branches);
@@ -248,7 +252,7 @@ fn check_dynpred_consistency(
 /// O9: the flat-vs-reference differential. Re-runs `program` on the backend
 /// the primary runs did *not* use and demands bit-identical observations,
 /// `recorded` being what the primary run's [`Recorder`] kept. The re-run
-/// also carries O13's zoo.
+/// also carries O13's zoo, observing beside it on a helper thread.
 fn check_flat_diff(
     program: &Program,
     inputs: &[Input],
@@ -260,8 +264,10 @@ fn check_flat_diff(
     let mut config = fuzz_vm_config();
     config.backend = other_backend(config.backend);
     let vm = Vm::with_config(program, config);
-    let mut observers = (Recorder::default(), dynpred_zoo(program));
-    let outcome = catch_unwind(AssertUnwindSafe(|| vm.run_observed(inputs, &mut observers)));
+    let (mut recorder, mut zoo) = (Recorder::default(), dynpred_zoo(program));
+    let outcome = catch_unwind(AssertUnwindSafe(|| {
+        zoo.observe_beside(|feed| vm.run_observed(inputs, &mut (&mut recorder, feed)))
+    }));
     let secondary = match outcome {
         Ok(r) => r,
         Err(payload) => {
@@ -270,7 +276,7 @@ fn check_flat_diff(
         }
     };
     if secondary.is_ok() {
-        check_dynpred_consistency(program, config.backend, &mut observers, findings);
+        check_dynpred_consistency(program, config.backend, &recorder, &mut zoo, findings);
     }
     match (primary, &secondary) {
         (Ok(p), Ok(s)) => {
@@ -295,8 +301,7 @@ fn check_flat_diff(
             ),
         )),
     }
-    let recorder = &observers.0;
-    if recorded != recorder {
+    if *recorded != recorder {
         findings.push((
             "flat-diff",
             format!(
@@ -907,14 +912,13 @@ pub fn check_source(source: &str, input_sets: &[Vec<i64>], case_hash: u64) -> Or
         let Some(unopt) = run_guarded(&program, &inputs, &mut observers, &mut out.findings) else {
             return out;
         };
-        let (collector, mut watched) = observers;
+        let (collector, (recorded, mut zoo)) = observers;
         if si == 0 {
             out.edges = collector.into_edges();
         }
         if unopt.is_ok() {
-            check_dynpred_consistency(&program, backend(), &mut watched, &mut out.findings);
+            check_dynpred_consistency(&program, backend(), &recorded, &mut zoo, &mut out.findings);
         }
-        let recorded = watched.0;
         check_flat_diff(&program, &inputs, si, &unopt, &recorded, &mut out.findings);
         let Some(opt) = run_guarded(&optimized, &inputs, &mut (), &mut out.findings) else {
             return out;

@@ -132,14 +132,15 @@ pub fn default_cache_dir() -> PathBuf {
 
 /// The default executor: a plain VM run, or — when the job carries an
 /// observer — a [`trace_vm::Vm::run_observed`] run with it attached,
-/// returned with what it measured.
+/// returned with what it measured. A zoo's predictors run on a helper
+/// thread beside the VM ([`mfdyn::Zoo::observe_beside`]).
 fn exec_default(job: &RunJob) -> Result<(Run, Observed), RuntimeError> {
     let vm = trace_vm::Vm::with_config(&job.program, job.config);
     Ok(match &job.observe {
         None => (vm.run(&job.inputs)?, Observed::Nothing),
         Some(Observe::Zoo(specs)) => {
             let mut zoo = mfdyn::Zoo::for_program(specs, &job.program);
-            let run = vm.run_observed(&job.inputs, &mut zoo)?;
+            let run = zoo.observe_beside(|feed| vm.run_observed(&job.inputs, feed))?;
             (run, Observed::Zoo(Arc::new(zoo.report())))
         }
         Some(Observe::RunLengths(taken)) => {
@@ -631,6 +632,71 @@ mod tests {
         assert_eq!(report.robustness.panics, 1);
         assert_eq!(report.robustness.quarantined, vec!["test/d0".to_string()]);
         assert!(report.to_json().render().contains("\"robustness\""));
+
+        std::panic::set_hook(prev);
+    }
+
+    #[test]
+    fn zoo_job_out_of_fuel_fails_with_its_label() {
+        // The guest runs out of fuel after tens of thousands of branches,
+        // with handoff blocks in flight to the zoo's helper thread.
+        let mut starved = job(LOOPY, vec![Input::Int(1_000_000)]);
+        starved.config.fuel = 200_000;
+        let starved = starved.observed_by(Observe::Zoo(mfdyn::full_zoo()));
+        match Harness::in_memory().run_one(starved).unwrap_err() {
+            HarnessError::Run { label, error } => {
+                assert_eq!(label, "test/d0");
+                assert_eq!(error, RuntimeError::OutOfFuel { limit: 200_000 });
+            }
+            other => panic!("expected Run, got {other}"),
+        }
+    }
+
+    #[test]
+    fn panic_beside_a_zoo_is_quarantined_not_fatal() {
+        let prev = std::panic::take_hook();
+        std::panic::set_hook(Box::new(|_| {}));
+
+        let harness = Harness::new(HarnessOptions {
+            jobs: Some(2),
+            disk_cache: DiskCache::Off,
+            ..HarnessOptions::default()
+        });
+        let zooed =
+            |n| job(LOOPY, vec![Input::Int(n)]).observed_by(Observe::Zoo(mfdyn::full_zoo()));
+        let bad = zooed(9_000);
+        let bad_key = bad.key;
+        let err = harness
+            .run_with(vec![zooed(8_000), bad], |j| {
+                if j.key != bad_key {
+                    return exec_default(j);
+                }
+                // The run completes, its blocks reach the helper, and then
+                // the executor panics before the zoo's tail is handed over.
+                let vm = trace_vm::Vm::with_config(&j.program, j.config);
+                let mut zoo = mfdyn::Zoo::for_program(&mfdyn::full_zoo(), &j.program);
+                zoo.observe_beside(|feed| {
+                    vm.run_observed(&j.inputs, feed).expect("clean run");
+                    panic!("injected poison beside the zoo");
+                })
+            })
+            .unwrap_err();
+        assert!(
+            matches!(&err, HarnessError::Panicked { detail, .. } if detail.contains("injected poison")),
+            "{err}"
+        );
+        assert_eq!(harness.quarantined(), vec!["test/d0".to_string()]);
+
+        // The next zoo batch on the same harness computes, and its tallies
+        // equal a zoo observing the same run inline.
+        let next = zooed(20_000);
+        let outcome = harness.run_one(next.clone()).unwrap();
+        assert_eq!(outcome.source, CacheSource::Computed);
+        let mut inline = mfdyn::Zoo::for_program(&mfdyn::full_zoo(), &next.program);
+        trace_vm::Vm::with_config(&next.program, next.config)
+            .run_observed(&next.inputs, &mut inline)
+            .unwrap();
+        assert_eq!(outcome.zoo(), Some(&inline.report()));
 
         std::panic::set_hook(prev);
     }

@@ -129,6 +129,19 @@ pub trait Observer {
 /// The unobserved run.
 impl Observer for () {}
 
+/// An observer lent to a run, so a pair can hold observers owned elsewhere.
+impl<O: Observer + ?Sized> Observer for &mut O {
+    #[inline]
+    fn edge(&mut self, func: FuncId, from: u32, to: u32) {
+        (**self).edge(func, from, to);
+    }
+
+    #[inline]
+    fn branch(&mut self, id: BranchId, taken: bool, instrs: u64) {
+        (**self).branch(id, taken, instrs);
+    }
+}
+
 /// Two observers watching one run, `.0` before `.1` at every event.
 impl<A: Observer, B: Observer> Observer for (A, B) {
     fn edge(&mut self, func: FuncId, from: u32, to: u32) {
