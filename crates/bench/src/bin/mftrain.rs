@@ -253,10 +253,12 @@ fn soundness_failures(s: &SuiteRuns, data: &[WorkloadData]) -> usize {
 }
 
 fn run(options: &Options) -> Result<ExitCode, String> {
+    // `--jobs` overrides `MFHARNESS_JOBS` and keeps every other
+    // `MFHARNESS_*` setting, as `harness()` would read them.
     if let Some(jobs) = options.jobs {
         configure_harness(HarnessOptions {
             jobs: Some(jobs),
-            ..Default::default()
+            ..HarnessOptions::from_env()
         });
     }
     let s = collect_with(harness());

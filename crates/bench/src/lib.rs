@@ -223,17 +223,24 @@ fn ml_predictor(program: &Program, analysis: &mfpredict::ProgramProofs) -> Predi
     )
 }
 
+/// The optimized build of a workload: the standard pipeline over a copy
+/// of its profiling build `program`, so the source compiles once. Under
+/// `--verify-each` the verifier runs between passes.
+fn optimize(name: &str, program: &Program) -> Program {
+    let mut optimized = program.clone();
+    if verify_each_enabled() {
+        mfopt::Pipeline::standard()
+            .run_checked(&mut optimized)
+            .unwrap_or_else(|defect| panic!("{name}: {defect}"));
+    } else {
+        mfopt::Pipeline::standard().run(&mut optimized);
+    }
+    optimized
+}
+
 fn prepare(workload: Workload) -> Prepared {
     let program = Arc::new(workload.compile().expect("bundled workload compiles"));
-    let optimized = Arc::new(if verify_each_enabled() {
-        workload
-            .compile_optimized_verified()
-            .unwrap_or_else(|e| panic!("{}: {e}", workload.name))
-    } else {
-        workload
-            .compile_optimized()
-            .expect("bundled workload optimizes")
-    });
+    let optimized = Arc::new(optimize(workload.name, &program));
     let heuristic = Predictor::heuristic(&program);
     let btfn = Predictor::static_heuristic(&program);
     let analysis = mfpredict::analyze(&program);
@@ -551,12 +558,7 @@ pub fn collect_subset_with(h: &Harness, names: &[&str]) -> SuiteRuns {
 
 fn collect_workload_serial(w: &Workload) -> WorkloadRuns {
     let program = Arc::new(w.compile().expect("bundled workload compiles"));
-    let optimized = if verify_each_enabled() {
-        w.compile_optimized_verified()
-            .unwrap_or_else(|e| panic!("{}: {e}", w.name))
-    } else {
-        w.compile_optimized().expect("bundled workload optimizes")
-    };
+    let optimized = optimize(w.name, &program);
     let heuristic = Predictor::heuristic(&program);
     let btfn = Predictor::static_heuristic(&program);
     let analysis = mfpredict::analyze(&program);
@@ -1724,6 +1726,37 @@ mod tests {
         for (x, y) in a.runs.iter().zip(&b.runs) {
             assert_eq!(x.stats, y.stats);
         }
+    }
+
+    #[test]
+    fn builds_share_a_key_only_when_they_are_one_program() {
+        // The profiling, optimized and inlined builds of all 15 programs,
+        // keyed with one input list and one configuration, so only the
+        // program differs. compress and uncompress are one guest program,
+        // and inlining leaves the call-free fpppp, tomcatv and lfk as they
+        // are: 45 builds, 39 distinct programs.
+        let cfg = VmConfig::default();
+        let mut builds = Vec::new();
+        for w in suite() {
+            let program = w.compile().unwrap();
+            let optimized = optimize(w.name, &program);
+            assert_eq!(optimized, w.compile_optimized().unwrap(), "{}", w.name);
+            let mut inlined = program.clone();
+            mfopt::Inliner::default().run(&mut inlined);
+            builds.extend([program, optimized, inlined]);
+        }
+        let keys: Vec<_> = builds
+            .iter()
+            .map(|b| mfharness::RunKey::of(b, &[], &cfg))
+            .collect();
+        for i in 0..builds.len() {
+            for j in i + 1..builds.len() {
+                let one_program = builds[i] == builds[j];
+                assert_eq!(keys[i] == keys[j], one_program, "builds {i} and {j}");
+            }
+        }
+        let distinct: std::collections::BTreeSet<_> = keys.iter().collect();
+        assert_eq!(distinct.len(), 39);
     }
 
     #[test]

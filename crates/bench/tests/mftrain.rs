@@ -3,13 +3,19 @@
 //! byte-identical across worker counts and across consecutive runs.
 //! This is the repro contract behind the committed in-tree artifact —
 //! CI retrains from scratch and compares bytes (`mftrain --check`).
+//!
+//! Each test gives its runs a private run cache, so its time does not
+//! depend on what earlier commands left in the shared one: its first run
+//! collects the whole suite, and its second is served from disk.
 
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
 
-fn mftrain(args: &[&str]) -> Output {
+/// Runs `mftrain` over the run cache `cache`, which one test's runs share.
+fn mftrain(cache: &Path, args: &[&str]) -> Output {
     Command::new(env!("CARGO_BIN_EXE_mftrain"))
         .args(args)
+        .env("MFHARNESS_CACHE", cache)
         .output()
         .expect("mftrain runs")
 }
@@ -24,20 +30,24 @@ fn stderr(out: &Output) -> String {
 
 #[test]
 fn features_and_artifact_are_jobs_invariant() {
+    let cache = temp_path("cache-jobs");
     let f1 = temp_path("feat-j1.tsv");
     let f8 = temp_path("feat-j8.tsv");
     let m1 = temp_path("model-j1.bin");
     let m8 = temp_path("model-j8.bin");
 
     for (jobs, feat, model) in [("1", &f1, &m1), ("8", &f8, &m8)] {
-        let out = mftrain(&[
-            "--jobs",
-            jobs,
-            "--features",
-            feat.to_str().unwrap(),
-            "--out",
-            model.to_str().unwrap(),
-        ]);
+        let out = mftrain(
+            &cache,
+            &[
+                "--jobs",
+                jobs,
+                "--features",
+                feat.to_str().unwrap(),
+                "--out",
+                model.to_str().unwrap(),
+            ],
+        );
         assert_eq!(out.status.code(), Some(0), "stderr: {}", stderr(&out));
     }
 
@@ -59,14 +69,16 @@ fn features_and_artifact_are_jobs_invariant() {
     for p in [f1, f8, m1, m8] {
         let _ = std::fs::remove_file(p);
     }
+    let _ = std::fs::remove_dir_all(cache);
 }
 
 #[test]
 fn consecutive_runs_reproduce_the_artifact() {
+    let cache = temp_path("cache-runs");
     let a = temp_path("model-run-a.bin");
     let b = temp_path("model-run-b.bin");
     for model in [&a, &b] {
-        let out = mftrain(&["--jobs", "2", "--out", model.to_str().unwrap()]);
+        let out = mftrain(&cache, &["--jobs", "2", "--out", model.to_str().unwrap()]);
         assert_eq!(out.status.code(), Some(0), "stderr: {}", stderr(&out));
     }
     let bytes_a = std::fs::read(&a).expect("first run artifact");
@@ -83,4 +95,5 @@ fn consecutive_runs_reproduce_the_artifact() {
 
     let _ = std::fs::remove_file(a);
     let _ = std::fs::remove_file(b);
+    let _ = std::fs::remove_dir_all(cache);
 }

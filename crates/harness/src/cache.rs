@@ -4,7 +4,7 @@
 //! (output, result and stats) and what its observer measured
 //! ([`Observed`]). The in-process memo table holds them as [`Arc`]s; the
 //! optional on-disk tier persists each as `<cache-dir>/<runkey-hex>.bin` in
-//! a small self-describing binary format. Keys cover the lowered IR,
+//! a small self-describing binary format. Keys cover the whole program,
 //! inputs, VM configuration and observer (see [`crate::key`]), so
 //! invalidation is automatic: changed work gets a new key and simply never
 //! finds the old entry. Corrupted, truncated, or version-skewed files are

@@ -1,13 +1,20 @@
 //! Content-addressed run keys.
 //!
 //! A [`RunKey`] is a 128-bit fingerprint of everything that determines a
-//! run's statistics: the lowered IR (its canonical text rendering), the
-//! dataset inputs, and the semantics-relevant [`VmConfig`] fields. Two jobs
-//! with equal keys are the same unit of work and may share one execution;
-//! a changed program (re-lowered IR), dataset, or VM configuration changes
-//! the key and thereby invalidates every cached artifact for the old one.
+//! run's statistics: the [`Program`] value, the dataset inputs, and the
+//! semantics-relevant [`VmConfig`] fields. The program enters through its
+//! derived `Hash`, so every field counts — instructions, constants, the
+//! contents of the constant arrays (string literals), names and branch
+//! lines — where its `Display` form leaves the constant arrays out. Two
+//! jobs with equal keys are the same unit of work and may share one
+//! execution; a changed program, dataset, or VM configuration changes the
+//! key and thereby invalidates every cached artifact for the old one.
+//!
+//! std does not promise a stable `Hash` stream across toolchains, so a
+//! toolchain update may change keys, which costs one recomputation.
 
 use std::fmt;
+use std::hash::{Hash, Hasher};
 
 use trace_ir::Program;
 use trace_vm::{Input, VmConfig};
@@ -20,8 +27,10 @@ use trace_vm::{Input, VmConfig};
 /// version 5 added the trace config's low-confidence (version-skew
 /// degraded) site digest; version 6 dropped the branch-trace flag, which
 /// left the VM when recording became an observer; version 7 dropped the
-/// trace configuration, which left the VM with trace formation.
-const KEY_FORMAT_VERSION: u64 = 7;
+/// trace configuration, which left the VM with trace formation; version 8
+/// hashes the `Program` value word by word instead of FNV over its text
+/// rendering, which also brings the constant arrays into the key.
+const KEY_FORMAT_VERSION: u64 = 8;
 
 /// A 128-bit content fingerprint identifying one unit of run work.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -47,10 +56,7 @@ impl RunKey {
     ) -> Self {
         let mut fp = Fingerprint::new();
         fp.write_u64(KEY_FORMAT_VERSION);
-        // The IR's Display form is canonical and covers every instruction,
-        // terminator, and branch id — a re-lowered or re-optimized program
-        // renders differently and gets a fresh key.
-        fp.write_str(&program.to_string());
+        program.hash(&mut fp);
         fp.write_u64(inputs.len() as u64);
         for input in inputs {
             match input {
@@ -84,12 +90,9 @@ impl RunKey {
         // Both backends are observably identical, but cached results should
         // still record which engine produced them — a backend-semantics bug
         // must not be able to hide behind a stale cache entry.
-        fp.write_str(config.backend.name());
-        fp.write_u64(tags.len() as u64);
-        for tag in tags {
-            fp.write_str(tag);
-        }
-        RunKey(fp.finish())
+        config.backend.name().hash(&mut fp);
+        tags.hash(&mut fp);
+        RunKey(fp.finish128())
     }
 
     /// The key as a fixed-width hex string (cache file stem).
@@ -104,49 +107,94 @@ impl fmt::Display for RunKey {
     }
 }
 
-/// Two independent FNV-1a 64-bit streams over the same bytes, concatenated
-/// into 128 bits. Dependency-free and plenty for content addressing a few
-/// hundred cache entries.
+/// Two 64-bit lanes over a stream of 64-bit words, concatenated into 128
+/// bits. Each lane takes one multiply–xorshift step per word, with its own
+/// multiplier (lane b sees the word rotated by 32 bits), and ends with the
+/// murmur3 64-bit finalizer.
+///
+/// As a [`Hasher`], an integer of any width is one word, and a byte slice
+/// is taken eight bytes per word, zero-padded, followed by its length.
+/// Without the length `"abc"` and `"abc\0"` would collide, because std
+/// hashes a `str` as its bytes plus `0xff`. Dependency-free and plenty for
+/// content addressing a few hundred cache entries; it is no defence
+/// against crafted collisions.
 pub struct Fingerprint {
     a: u64,
     b: u64,
 }
 
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
+const LANE_A: u64 = 0x9e37_79b9_7f4a_7c15;
+const LANE_B: u64 = 0xc2b2_ae3d_27d4_eb4f;
 
 impl Fingerprint {
     /// Starts a fresh fingerprint.
     pub fn new() -> Self {
         Fingerprint {
-            a: FNV_OFFSET,
-            // A distinct offset basis decorrelates the second stream.
-            b: FNV_OFFSET ^ 0x9e37_79b9_7f4a_7c15,
+            a: 0x243f_6a88_85a3_08d3,
+            b: 0x1319_8a2e_0370_7344,
         }
     }
 
-    /// Feeds raw bytes.
-    pub fn write(&mut self, bytes: &[u8]) {
-        for &byte in bytes {
-            self.a = (self.a ^ u64::from(byte)).wrapping_mul(FNV_PRIME);
-            self.b = (self.b ^ u64::from(byte)).wrapping_mul(FNV_PRIME.rotate_left(1));
-        }
-    }
-
-    /// Feeds one little-endian u64.
-    pub fn write_u64(&mut self, v: u64) {
-        self.write(&v.to_le_bytes());
-    }
-
-    /// Feeds a length-prefixed string.
-    pub fn write_str(&mut self, s: &str) {
-        self.write_u64(s.len() as u64);
-        self.write(s.as_bytes());
+    fn word(&mut self, w: u64) {
+        self.a = (self.a ^ w).wrapping_mul(LANE_A);
+        self.a ^= self.a >> 31;
+        self.b = (self.b ^ w.rotate_left(32)).wrapping_mul(LANE_B);
+        self.b ^= self.b >> 31;
     }
 
     /// The combined 128-bit digest.
-    pub fn finish(&self) -> u128 {
-        (u128::from(self.a) << 64) | u128::from(self.b)
+    pub fn finish128(&self) -> u128 {
+        (u128::from(fmix64(self.a)) << 64) | u128::from(fmix64(self.b))
+    }
+}
+
+/// The murmur3 64-bit finalizer: every input bit reaches every output bit.
+fn fmix64(mut h: u64) -> u64 {
+    h ^= h >> 33;
+    h = h.wrapping_mul(0xff51_afd7_ed55_8ccd);
+    h ^= h >> 33;
+    h = h.wrapping_mul(0xc4ce_b9fe_1a85_ec53);
+    h ^ (h >> 33)
+}
+
+impl Hasher for Fingerprint {
+    fn write(&mut self, bytes: &[u8]) {
+        let mut words = bytes.chunks_exact(8);
+        for w in &mut words {
+            self.word(u64::from_le_bytes(w.try_into().expect("an 8-byte chunk")));
+        }
+        let tail = words.remainder();
+        if !tail.is_empty() {
+            let mut w = [0; 8];
+            w[..tail.len()].copy_from_slice(tail);
+            self.word(u64::from_le_bytes(w));
+        }
+        self.word(bytes.len() as u64);
+    }
+
+    fn write_u8(&mut self, i: u8) {
+        self.word(u64::from(i));
+    }
+
+    fn write_u16(&mut self, i: u16) {
+        self.word(u64::from(i));
+    }
+
+    fn write_u32(&mut self, i: u32) {
+        self.word(u64::from(i));
+    }
+
+    fn write_u64(&mut self, i: u64) {
+        self.word(i);
+    }
+
+    fn write_usize(&mut self, i: usize) {
+        self.word(i as u64);
+    }
+
+    /// The first lane of [`Fingerprint::finish128`].
+    fn finish(&self) -> u64 {
+        (self.finish128() >> 64) as u64
     }
 }
 
@@ -155,6 +203,9 @@ impl Default for Fingerprint {
         Fingerprint::new()
     }
 }
+
+const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
 
 /// FNV-1a 64 over a byte slice — used as the cache file checksum.
 pub fn fnv64(bytes: &[u8]) -> u64 {
@@ -168,6 +219,67 @@ pub fn fnv64(bytes: &[u8]) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::Arc;
+    use trace_ir::{Instr, Value};
+
+    /// A string literal (a constant array) and a float constant.
+    const LITERAL: &str = "fn main(n: int) { var s: [int] = \"abc\"; var x: float = 0.0; \
+        emit(s[n]); emit(x); }";
+
+    /// `value`'s fingerprint, through its `Hash` impl.
+    fn digest(value: impl Hash) -> u128 {
+        let mut fp = Fingerprint::new();
+        value.hash(&mut fp);
+        fp.finish128()
+    }
+
+    #[test]
+    fn byte_slices_carry_their_length() {
+        // std hashes a str as its bytes plus 0xff, and zero padding makes
+        // both byte strings one word: only the length tells them apart.
+        assert_ne!(digest("abc"), digest("abc\0"));
+        let raw = |bytes: &[u8]| {
+            let mut fp = Fingerprint::new();
+            fp.write(bytes);
+            fp.finish128()
+        };
+        assert_ne!(raw(b"abc"), raw(b"abc\0"));
+    }
+
+    #[test]
+    fn the_key_follows_every_field_of_the_program() {
+        let program = mflang::compile(LITERAL).unwrap();
+        let key = |p: &Program| RunKey::of(p, &[Input::Int(0)], &VmConfig::default());
+        let base = key(&program);
+        let again = mflang::compile(LITERAL).unwrap();
+        assert_eq!(base, key(&again), "two compiles of one source");
+
+        let mut literal = program.clone();
+        Arc::make_mut(&mut literal.const_arrays[0])[0] = i64::from(b'x');
+        assert_ne!(base, key(&literal), "one const-array element");
+
+        let mut negative_zero = program.clone();
+        let zero = negative_zero
+            .functions
+            .iter_mut()
+            .flat_map(|f| &mut f.blocks)
+            .flat_map(|b| &mut b.instrs)
+            .find_map(|i| match i {
+                Instr::Const {
+                    value: value @ Value::Float(_),
+                    ..
+                } => Some(value),
+                _ => None,
+            })
+            .expect("a float constant");
+        *zero = Value::Float(-0.0);
+        assert_eq!(negative_zero, program, "PartialEq equates 0.0 and -0.0");
+        assert_ne!(base, key(&negative_zero), "the bits of one float constant");
+
+        let mut renamed = program.clone();
+        renamed.functions[0].name.push('2');
+        assert_ne!(base, key(&renamed), "one function name");
+    }
 
     #[test]
     fn distinct_inputs_distinct_keys() {

@@ -7,7 +7,7 @@ use std::sync::Arc;
 
 use mfharness::{CacheSource, DiskCache, Harness, HarnessOptions, Observe, RunJob};
 use trace_ir::Program;
-use trace_vm::{Input, VmConfig};
+use trace_vm::{GuestValue, Input, VmConfig};
 
 const LOOPY: &str = "fn main(n: int) { var i: int = 0; var acc: int = 0; \
     while (i < n) { if (i % 2 == 0) { acc = acc + i; } i = i + 1; } emit(acc); }";
@@ -146,6 +146,27 @@ fn changed_inputs_and_relowered_ir_miss() {
     // The original is still served from disk.
     let same = warm.run_one(job(&program, 500)).unwrap();
     assert_eq!(same.source, CacheSource::Disk);
+
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn programs_differing_only_in_a_string_literal_never_share_an_entry() {
+    let dir = temp_dir("literal");
+    let literal = |text: &str| {
+        let source = format!("fn main(n: int) {{ var s: [int] = \"{text}\"; emit(s[n]); }}");
+        Arc::new(mflang::compile(&source).unwrap())
+    };
+    let (abc, xbc) = (literal("abc"), literal("xbc"));
+    assert_ne!(job(&abc, 0).key, job(&xbc, 0).key);
+
+    let first = disk_harness(&dir).run_one(job(&abc, 0)).unwrap();
+    assert_eq!(first.run.output, [GuestValue::Int(97)]);
+    // The next process over the same directory asks for the other
+    // literal: it must run it, not serve the first one's output.
+    let second = disk_harness(&dir).run_one(job(&xbc, 0)).unwrap();
+    assert_eq!(second.source, CacheSource::Computed);
+    assert_eq!(second.run.output, [GuestValue::Int(120)]);
 
     let _ = std::fs::remove_dir_all(&dir);
 }

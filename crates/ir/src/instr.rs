@@ -5,6 +5,8 @@
 //! Terminators model the control transfers the paper classifies as potential
 //! *breaks in control*.
 
+use std::hash::{Hash, Hasher};
+
 use crate::id::{BlockId, BranchId, FuncId, GlobalId, Reg};
 
 /// An immediate constant.
@@ -41,6 +43,24 @@ impl Value {
     /// (non-zero integer). Floats are never used as branch conditions.
     pub fn is_truthy(self) -> bool {
         matches!(self, Value::Int(i) if i != 0)
+    }
+}
+
+/// Hashes a tag and then the payload's bits, so `0.0` and `-0.0`, equal
+/// under `PartialEq`, hash apart: a run key must tell two programs apart
+/// when one divides by `0.0` and the other by `-0.0`.
+impl Hash for Value {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        match *self {
+            Value::Int(i) => {
+                state.write_u8(0);
+                state.write_i64(i);
+            }
+            Value::Float(f) => {
+                state.write_u8(1);
+                state.write_u64(f.to_bits());
+            }
+        }
     }
 }
 
@@ -173,7 +193,7 @@ impl BinOp {
 /// Each executed `Instr` counts as exactly one instruction in the
 /// instructions-per-break metrics, matching the paper's use of Trace
 /// RISC-level operation counts.
-#[derive(Clone, Debug, PartialEq)]
+#[derive(Clone, Debug, PartialEq, Hash)]
 #[allow(missing_docs)] // field/variant names mirror the construct itself
 pub enum Instr {
     /// `dst = value` — load an immediate.
@@ -403,7 +423,7 @@ impl Instr {
 
 /// A block terminator: the control transfers the paper's break-in-control
 /// taxonomy classifies.
-#[derive(Clone, Debug, PartialEq)]
+#[derive(Clone, Debug, PartialEq, Hash)]
 #[allow(missing_docs)] // field/variant names mirror the construct itself
 pub enum Terminator {
     /// Unconditional jump — an *avoidable* break (a good ILP compiler

@@ -37,7 +37,7 @@ pub struct BranchInfo {
 }
 
 /// A basic block: straight-line instructions plus one terminator.
-#[derive(Clone, Debug, PartialEq)]
+#[derive(Clone, Debug, PartialEq, Hash)]
 pub struct Block {
     /// Straight-line RISC operations.
     pub instrs: Vec<Instr>,
@@ -67,7 +67,7 @@ impl Block {
 /// Block order is meaningful: it reflects source layout, so "backward branch"
 /// (taken-target index ≤ current index) identifies loop back-edges for the
 /// heuristic predictor baseline.
-#[derive(Clone, Debug, PartialEq)]
+#[derive(Clone, Debug, PartialEq, Hash)]
 pub struct Function {
     /// Function name (unique within a program).
     pub name: String,
@@ -129,7 +129,7 @@ impl Function {
 
 /// A whole program: functions, global slots, interned constant arrays, and
 /// the branch-info table.
-#[derive(Clone, Debug, PartialEq, Default)]
+#[derive(Clone, Debug, PartialEq, Default, Hash)]
 pub struct Program {
     /// All functions; indices are [`FuncId`]s.
     pub functions: Vec<Function>,

@@ -110,24 +110,6 @@ impl Workload {
         Ok(p)
     }
 
-    /// [`Workload::compile_optimized`] with the semantic verifier run
-    /// between passes. Same transformations, same output program — plus a
-    /// typed error naming the pass that introduced a defect, if any ever
-    /// does.
-    ///
-    /// # Errors
-    ///
-    /// [`VerifiedCompileError::Compile`] if the guest source fails to
-    /// compile, [`VerifiedCompileError::Pipeline`] if the verifier
-    /// attributes a semantic defect to an optimization pass.
-    pub fn compile_optimized_verified(&self) -> Result<Program, VerifiedCompileError> {
-        let mut p = self.compile().map_err(VerifiedCompileError::Compile)?;
-        Pipeline::standard()
-            .run_checked(&mut p)
-            .map_err(|d| VerifiedCompileError::Pipeline(Box::new(d)))?;
-        Ok(p)
-    }
-
     /// The canonical VM configuration for measured runs of this workload.
     /// External runners (e.g. the mfharness scheduler) must use this so
     /// their statistics are bit-identical to [`Workload::run`].
@@ -155,26 +137,6 @@ impl Workload {
         self.datasets.iter().find(|d| d.name == name)
     }
 }
-
-/// Why [`Workload::compile_optimized_verified`] failed.
-#[derive(Debug)]
-pub enum VerifiedCompileError {
-    /// The guest source failed to compile.
-    Compile(CompileError),
-    /// The semantic verifier attributed a defect to an optimization pass.
-    Pipeline(Box<mfopt::PassDefect>),
-}
-
-impl std::fmt::Display for VerifiedCompileError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            VerifiedCompileError::Compile(e) => write!(f, "compile error: {e}"),
-            VerifiedCompileError::Pipeline(d) => write!(f, "{d}"),
-        }
-    }
-}
-
-impl std::error::Error for VerifiedCompileError {}
 
 /// The full program sample base, in Table 2 order (FORTRAN/FP first).
 pub fn suite() -> Vec<Workload> {
@@ -258,7 +220,8 @@ mod tests {
     fn verified_compile_matches_unverified_on_one_workload() {
         let w = suite().into_iter().find(|w| w.name == "spiff").unwrap();
         let plain = w.compile_optimized().unwrap();
-        let verified = w.compile_optimized_verified().unwrap();
+        let mut verified = w.compile().unwrap();
+        Pipeline::standard().run_checked(&mut verified).unwrap();
         assert_eq!(plain, verified, "verification must not change the output");
     }
 
