@@ -163,16 +163,14 @@ fn gshare_sweep(names: &[&str], specs: &[DynSpec]) -> Vec<SweepRow> {
     for w in all.iter().filter(|w| names.contains(&w.name)) {
         let d = &w.datasets[0];
         let program = Arc::new(w.compile().expect("bundled workload compiles"));
-        jobs.push(
-            RunJob::new(
-                w.name,
-                d.name.clone(),
-                program,
-                d.inputs.clone(),
-                sweep_config(w.vm_config()),
-            )
-            .observed_by(Observe::Zoo(specs.to_vec())),
-        );
+        jobs.push(RunJob::with_observer(
+            w.name,
+            d.name.clone(),
+            program,
+            d.inputs.clone(),
+            sweep_config(w.vm_config()),
+            Observe::Zoo(specs.to_vec()),
+        ));
         selected.push((w.name.to_string(), d.name.clone()));
     }
     let outcomes = harness().run(jobs).unwrap_or_else(|e| panic!("{e}"));

@@ -20,9 +20,10 @@
 //! wall time from reopen to the first durable group commit.
 //!
 //! The single-log baseline drives `mfprofdb::ProfileStore` behind one
-//! mutex — one append+sync per record, the pre-sharding architecture.
-//! The service rows drive `mfprofsvc::ProfileService` — concurrent
-//! per-shard commits with batched group commit.
+//! mutex — one append+sync per record, the pre-sharding architecture,
+//! on the same segment-log engine as every shard. The service rows
+//! drive `mfprofsvc::ProfileService` — concurrent per-shard commits with
+//! batched group commit.
 //!
 //! Exit status: 0 on success, 1 when a `--gate` ratio is not met, 2 on
 //! usage or I/O errors.
@@ -67,7 +68,7 @@ exit status: 0 ok, 1 gate not met, 2 usage/IO error";
 /// warmup is 1000 records, not millions.
 const WARM_RECORD_SITES: u64 = 100_000;
 /// Warmup records buffered between flushes: bounds peak memory to a few
-/// records regardless of database scale (the low-memory config).
+/// records regardless of database scale.
 const WARM_FLUSH_EVERY: u64 = 4;
 
 struct Options {
@@ -197,7 +198,6 @@ struct Row {
     sites: u64,
     /// 0 = the single-log `ProfileStore` baseline.
     shards: u32,
-    low_memory: bool,
     ops: u64,
     wall_secs: f64,
     p50_us: f64,
@@ -212,10 +212,9 @@ impl Row {
         self.ops as f64 / self.wall_secs.max(1e-9)
     }
     fn config(&self) -> String {
-        match (self.shards, self.low_memory) {
-            (0, _) => "single-log".to_string(),
-            (n, false) => format!("shards-{n}"),
-            (n, true) => format!("shards-{n}-lowmem"),
+        match self.shards {
+            0 => "single-log".to_string(),
+            n => format!("shards-{n}"),
         }
     }
 }
@@ -286,10 +285,9 @@ fn percentile_us(sorted: &[f64], p: f64) -> f64 {
     sorted[rank.min(sorted.len()) - 1]
 }
 
-fn svc_options(shards: u32, low_memory: bool) -> ServiceOptions {
+fn svc_options(shards: u32) -> ServiceOptions {
     ServiceOptions {
         shards,
-        max_batch: if low_memory { 4 } else { 64 },
         ..ServiceOptions::default()
     }
 }
@@ -321,7 +319,7 @@ fn warm_db(root: &Path, sites: u64, shards: u32) -> Result<(PathBuf, f64), Strin
             return Err(format!("baseline warmup degraded at {}", dir.display()));
         }
     } else {
-        let svc = ProfileService::open(vfs, &dir, svc_options(shards, false))
+        let svc = ProfileService::open(vfs, &dir, svc_options(shards))
             .map_err(|e| format!("open service {}: {e}", dir.display()))?;
         for r in 0..records {
             svc.enqueue(&format!("warm/{}", r % 7), &warm_counts(r, sites))
@@ -374,12 +372,11 @@ fn bench_service(
     sites: u64,
     writers: usize,
     ops_per_writer: u64,
-    low_memory: bool,
     probe_timeout: Duration,
 ) -> Result<(f64, Vec<f64>, f64), String> {
     let vfs: Arc<dyn Vfs> = Arc::new(RealVfs);
     let svc = Arc::new(
-        ProfileService::open(Arc::clone(&vfs), dir, svc_options(shards, low_memory))
+        ProfileService::open(Arc::clone(&vfs), dir, svc_options(shards))
             .map_err(|e| format!("open: {e}"))?,
     );
     let barrier = Arc::new(Barrier::new(writers + 1));
@@ -420,7 +417,7 @@ fn bench_service(
     let dir = dir.to_path_buf();
     let recovery_ms = with_watchdog(probe_timeout, "service recovery probe", move || {
         let t = Instant::now();
-        let svc = ProfileService::open(vfs, &dir, svc_options(shards, low_memory))
+        let svc = ProfileService::open(vfs, &dir, svc_options(shards))
             .map_err(|e| format!("reopen: {e}"))?;
         // One submission spread over enough sites to touch (and so
         // repair) every shard with overwhelming probability.
@@ -503,7 +500,7 @@ fn bench_single_log(
     Ok((wall_secs, latencies, recovery_ms))
 }
 
-fn run_config(options: &Options, sites: u64, shards: u32, low_memory: bool) -> Result<Row, String> {
+fn run_config(options: &Options, sites: u64, shards: u32) -> Result<Row, String> {
     let (dir, warmup_ms) = warm_db(&options.root, sites, shards)?;
     let (wall_secs, mut latencies, recovery_ms) = if shards == 0 {
         bench_single_log(
@@ -520,7 +517,6 @@ fn run_config(options: &Options, sites: u64, shards: u32, low_memory: bool) -> R
             sites,
             options.writers,
             options.ops,
-            low_memory,
             options.probe_timeout,
         )?
     };
@@ -528,7 +524,6 @@ fn run_config(options: &Options, sites: u64, shards: u32, low_memory: bool) -> R
     let row = Row {
         sites,
         shards,
-        low_memory,
         ops: options.writers as u64 * options.ops,
         wall_secs,
         p50_us: percentile_us(&latencies, 50.0),
@@ -555,7 +550,6 @@ fn json_report(rows: &[Row], options: &Options) -> Json {
             ("sites", r.sites.into()),
             ("config", r.config().into()),
             ("shards", r.shards.into()),
-            ("low_memory", r.low_memory.into()),
             ("ops", r.ops.into()),
             ("ops_per_sec", Json::Fixed(r.ops_per_sec(), 1)),
             ("p50_us", Json::Fixed(r.p50_us, 1)),
@@ -579,12 +573,12 @@ fn json_report(rows: &[Row], options: &Options) -> Json {
 }
 
 /// `(sites, shards, sharded/single-log ops-per-sec ratio)` for every
-/// scale that has both a baseline and a (non-low-memory) sharded row.
+/// scale that has both a baseline and a sharded row.
 fn speedups(rows: &[Row]) -> Vec<(u64, u32, f64)> {
     let mut out = Vec::new();
     for base in rows.iter().filter(|r| r.shards == 0) {
         for r in rows {
-            if r.sites == base.sites && r.shards > 0 && !r.low_memory {
+            if r.sites == base.sites && r.shards > 0 {
                 out.push((r.sites, r.shards, r.ops_per_sec() / base.ops_per_sec()));
             }
         }
@@ -609,17 +603,8 @@ fn main() -> ExitCode {
     let mut rows = Vec::new();
     for &sites in &options.sites {
         // Baseline first: the speedup denominators.
-        let mut configs: Vec<(u32, bool)> = vec![(0, false)];
-        configs.extend(options.shards.iter().map(|&s| (s, false)));
-        // One low-memory variant per sweep: the largest shard count at
-        // this scale with a tiny group-commit batch cap.
-        if !options.quick {
-            if let Some(&s) = options.shards.iter().max() {
-                configs.push((s, true));
-            }
-        }
-        for (shards, low_memory) in configs {
-            match run_config(&options, sites, shards, low_memory) {
+        for shards in std::iter::once(0).chain(options.shards.iter().copied()) {
+            match run_config(&options, sites, shards) {
                 Ok(row) => rows.push(row),
                 Err(e) => {
                     eprintln!("svcbench: {sites} sites, {shards} shards: {e}");

@@ -264,16 +264,14 @@ fn collect_prepared(h: &Harness, prepared: Vec<Prepared>) -> SuiteRuns {
     let mut jobs = Vec::new();
     for p in &prepared {
         for d in &p.workload.datasets {
-            jobs.push(
-                RunJob::new(
-                    p.workload.name,
-                    d.name.clone(),
-                    Arc::clone(&p.program),
-                    d.inputs.clone(),
-                    run_config(p.workload.vm_config()),
-                )
-                .observed_by(Observe::Zoo(mfdyn::full_zoo())),
-            );
+            jobs.push(RunJob::with_observer(
+                p.workload.name,
+                d.name.clone(),
+                Arc::clone(&p.program),
+                d.inputs.clone(),
+                run_config(p.workload.vm_config()),
+                Observe::Zoo(mfdyn::full_zoo()),
+            ));
         }
         let first = &p.workload.datasets[0];
         jobs.push(RunJob::new(
@@ -1087,8 +1085,14 @@ fn site_predictor_runs(
         let program = Arc::new(w.compile().expect("bundled workload compiles"));
         let specs = mfdyn::site_zoo(&program).to_vec();
         let config = run_config(VmConfig::default());
-        let job = RunJob::new(prog, dataset, program, d.inputs.clone(), config);
-        jobs.push(job.observed_by(Observe::Zoo(specs)));
+        jobs.push(RunJob::with_observer(
+            prog,
+            dataset,
+            program,
+            d.inputs.clone(),
+            config,
+            Observe::Zoo(specs),
+        ));
     }
     let outcomes = h.run(jobs.clone()).unwrap_or_else(|e| panic!("{e}"));
     jobs.into_iter().zip(outcomes).collect()
@@ -1176,8 +1180,14 @@ pub fn distribution_table_with(h: &Harness) -> Table {
             let taken = (0..job.program.branch_info.len())
                 .map(|i| p.predict(BranchId::from_index(i)) == Direction::Taken)
                 .collect();
-            job.clone()
-                .observed_by(Observe::RunLengths(Arc::new(taken)))
+            RunJob::with_observer(
+                job.program_name.clone(),
+                job.dataset.clone(),
+                Arc::clone(&job.program),
+                job.inputs.clone(),
+                job.config,
+                Observe::RunLengths(Arc::new(taken)),
+            )
         })
         .collect();
     let outcomes = h.run(jobs).unwrap_or_else(|e| panic!("{e}"));

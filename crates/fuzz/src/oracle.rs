@@ -71,7 +71,7 @@ use ifprob::{combine, CombineRule};
 use mfdyn::{golden, BranchDirs, DynSpec, Zoo};
 use mffault::{FaultPlan, FaultVfs, MemVfs, RetryPolicy, Vfs};
 use mfopt::Pipeline;
-use mfprofdb::{LockMode, OpenOptions, Persistence, ProfileStore};
+use mfprofdb::{OpenOptions, Persistence, ProfileStore};
 use mfprofsvc::{ProfileService, ServiceOptions};
 use trace_ir::{BranchId, Program};
 use trace_vm::{
@@ -505,10 +505,6 @@ pub fn check_profdb_roundtrip(
     if profiles.is_empty() {
         return;
     }
-    let opts = || OpenOptions {
-        lock: LockMode::None,
-        ..OpenOptions::default()
-    };
     let dataset = |i: usize| format!("ds{i:02}");
     let expected: BTreeMap<String, Vec<(u32, u64, u64)>> = profiles
         .iter()
@@ -535,7 +531,7 @@ pub fn check_profdb_roundtrip(
     // Round trip: append every dataset, reopen, compact, reopen again.
     // Each view must reproduce the raw per-branch counts exactly.
     let vfs: Arc<dyn Vfs> = Arc::new(MemVfs::new());
-    let mut store = ProfileStore::open(Arc::clone(&vfs), "/oracle-db", opts())
+    let mut store = ProfileStore::open(Arc::clone(&vfs), "/oracle-db", OpenOptions::default())
         .expect("no fault plan, so open cannot crash");
     if !fill(&mut store) {
         findings.push((
@@ -549,8 +545,9 @@ pub fn check_profdb_roundtrip(
     }
     drop(store);
     for compacted in [false, true] {
-        let mut reopened = ProfileStore::open(Arc::clone(&vfs), "/oracle-db", opts())
-            .expect("no fault plan, so open cannot crash");
+        let mut reopened =
+            ProfileStore::open(Arc::clone(&vfs), "/oracle-db", OpenOptions::default())
+                .expect("no fault plan, so open cannot crash");
         if reopened.raw_totals() != expected {
             findings.push((
                 "profdb-roundtrip",
@@ -589,7 +586,7 @@ pub fn check_profdb_roundtrip(
         return; // no trailing count word to corrupt
     }
     let vfs: Arc<dyn Vfs> = Arc::new(MemVfs::new());
-    let mut store = ProfileStore::open(Arc::clone(&vfs), "/oracle-db", opts())
+    let mut store = ProfileStore::open(Arc::clone(&vfs), "/oracle-db", OpenOptions::default())
         .expect("no fault plan, so open cannot crash");
     if !fill(&mut store) {
         return; // already reported above on an identical store
@@ -605,7 +602,7 @@ pub fn check_profdb_roundtrip(
     vfs.write(&segment, &bytes)
         .expect("in-memory segment is writable");
 
-    let salvaged = ProfileStore::open(Arc::clone(&vfs), "/oracle-db", opts())
+    let salvaged = ProfileStore::open(Arc::clone(&vfs), "/oracle-db", OpenOptions::default())
         .expect("no fault plan, so open cannot crash");
     let mut pruned = expected;
     pruned.remove(&dataset(profiles.len() - 1));

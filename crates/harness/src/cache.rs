@@ -736,11 +736,25 @@ mod tests {
     #[test]
     fn forged_lengths_are_counted_misses() {
         let program = Arc::new(mflang::compile("fn main() { emit(1); }").unwrap());
-        let plain = RunJob::new("forged", "d0", program, Vec::new(), VmConfig::default());
-        let zoo = plain.clone().observed_by(Observe::Zoo(zoo_specs()));
-        let lengths = plain
-            .clone()
-            .observed_by(Observe::RunLengths(predictions()));
+        let plain = RunJob::new(
+            "forged",
+            "d0",
+            Arc::clone(&program),
+            Vec::new(),
+            VmConfig::default(),
+        );
+        let observed = |observe| {
+            RunJob::with_observer(
+                "forged",
+                "d0",
+                Arc::clone(&program),
+                Vec::new(),
+                VmConfig::default(),
+                observe,
+            )
+        };
+        let zoo = observed(Observe::Zoo(zoo_specs()));
+        let lengths = observed(Observe::RunLengths(predictions()));
         let words = |ws: &[u64]| -> Vec<u8> { ws.iter().flat_map(|w| w.to_le_bytes()).collect() };
         // Empty stats (ten words) and output (one), no result, a product.
         let product = |tag: u8, rest: &[u64]| [words(&[0; 11]), vec![0, tag], words(rest)].concat();

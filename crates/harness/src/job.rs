@@ -86,26 +86,17 @@ impl RunJob {
         }
     }
 
-    /// Builds a job for one dataset of a workload, using the workload's
-    /// canonical VM configuration so harness runs are bit-identical to
-    /// [`mfwork::Workload::run`].
-    pub fn from_workload(
-        workload: &mfwork::Workload,
-        program: &Arc<Program>,
-        dataset: &mfwork::Dataset,
+    /// Builds a job with `observe` riding along, keyed once by the
+    /// observer's tags as well: the zoo's spec names, or the predicted
+    /// directions spelled out.
+    pub fn with_observer(
+        program_name: impl Into<String>,
+        dataset: impl Into<String>,
+        program: Arc<Program>,
+        inputs: Vec<Input>,
+        config: VmConfig,
+        observe: Observe,
     ) -> Self {
-        RunJob::new(
-            workload.name,
-            dataset.name.clone(),
-            Arc::clone(program),
-            dataset.inputs.clone(),
-            workload.vm_config(),
-        )
-    }
-
-    /// Attaches an observer to the job and re-keys it by the observer's
-    /// tags: the zoo's spec names, or the predicted directions spelled out.
-    pub fn observed_by(mut self, observe: Observe) -> Self {
         let tags: Vec<String> = match &observe {
             Observe::Zoo(specs) => specs.iter().map(|s| s.name()).collect(),
             Observe::RunLengths(taken) => {
@@ -113,9 +104,16 @@ impl RunJob {
                 vec![format!("run-lengths/{bits}")]
             }
         };
-        self.key = RunKey::of_tagged(&self.program, &self.inputs, &self.config, &tags);
-        self.observe = Some(observe);
-        self
+        let key = RunKey::of_tagged(&program, &inputs, &config, &tags);
+        RunJob {
+            program_name: program_name.into(),
+            dataset: dataset.into(),
+            program,
+            inputs,
+            config,
+            observe: Some(observe),
+            key,
+        }
     }
 
     /// `program/dataset` display label.

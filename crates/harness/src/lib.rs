@@ -492,6 +492,11 @@ mod tests {
         RunJob::new("test", "d0", program, inputs, VmConfig::default())
     }
 
+    fn observed_job(source: &str, inputs: Vec<Input>, observe: Observe) -> RunJob {
+        let program = Arc::new(mflang::compile(source).unwrap());
+        RunJob::with_observer("test", "d0", program, inputs, VmConfig::default(), observe)
+    }
+
     const LOOPY: &str = "fn main(n: int) { var i: int = 0; var acc: int = 0; \
         while (i < n) { if (i % 3 == 0) { acc = acc + i; } i = i + 1; } emit(acc); }";
 
@@ -640,9 +645,17 @@ mod tests {
     fn zoo_job_out_of_fuel_fails_with_its_label() {
         // The guest runs out of fuel after tens of thousands of branches,
         // with handoff blocks in flight to the zoo's helper thread.
-        let mut starved = job(LOOPY, vec![Input::Int(1_000_000)]);
-        starved.config.fuel = 200_000;
-        let starved = starved.observed_by(Observe::Zoo(mfdyn::full_zoo()));
+        let starved = RunJob::with_observer(
+            "test",
+            "d0",
+            Arc::new(mflang::compile(LOOPY).unwrap()),
+            vec![Input::Int(1_000_000)],
+            VmConfig {
+                fuel: 200_000,
+                ..VmConfig::default()
+            },
+            Observe::Zoo(mfdyn::full_zoo()),
+        );
         match Harness::in_memory().run_one(starved).unwrap_err() {
             HarnessError::Run { label, error } => {
                 assert_eq!(label, "test/d0");
@@ -662,8 +675,7 @@ mod tests {
             disk_cache: DiskCache::Off,
             ..HarnessOptions::default()
         });
-        let zooed =
-            |n| job(LOOPY, vec![Input::Int(n)]).observed_by(Observe::Zoo(mfdyn::full_zoo()));
+        let zooed = |n| observed_job(LOOPY, vec![Input::Int(n)], Observe::Zoo(mfdyn::full_zoo()));
         let bad = zooed(9_000);
         let bad_key = bad.key;
         let err = harness
@@ -705,7 +717,7 @@ mod tests {
     fn zoo_jobs_carry_reports_and_identical_stats() {
         let harness = Harness::in_memory();
         let plain = job(LOOPY, vec![Input::Int(60)]);
-        let zooed = job(LOOPY, vec![Input::Int(60)]).observed_by(Observe::Zoo(mfdyn::full_zoo()));
+        let zooed = observed_job(LOOPY, vec![Input::Int(60)], Observe::Zoo(mfdyn::full_zoo()));
         assert_ne!(plain.key, zooed.key, "zoo must perturb the key");
         let outcomes = harness.run(vec![plain, zooed.clone()]).unwrap();
         // Observation is pure: both jobs measured the same run.
@@ -726,8 +738,7 @@ mod tests {
     #[test]
     fn executors_that_skip_the_observer_leave_the_job_uncached() {
         let harness = Harness::in_memory();
-        let observed =
-            job(LOOPY, vec![Input::Int(15)]).observed_by(Observe::Zoo(mfdyn::full_zoo()));
+        let observed = observed_job(LOOPY, vec![Input::Int(15)], Observe::Zoo(mfdyn::full_zoo()));
         let unobserving = |j: &RunJob| {
             trace_vm::run_program(&j.program, j.config, &j.inputs).map(|r| (r, Observed::Nothing))
         };
@@ -745,7 +756,7 @@ mod tests {
     fn run_length_jobs_are_keyed_by_their_predictions() {
         let observed = |taken: bool| {
             let taken = Arc::new(vec![taken; 2]);
-            job(LOOPY, vec![Input::Int(45)]).observed_by(Observe::RunLengths(taken))
+            observed_job(LOOPY, vec![Input::Int(45)], Observe::RunLengths(taken))
         };
         let (all, none) = (observed(true), observed(false));
         assert_ne!(all.key, none.key);

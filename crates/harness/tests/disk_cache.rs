@@ -65,12 +65,21 @@ fn warm_cache_survives_a_restart_with_identical_stats() {
 
 /// An unobserved job, a zoo job and a run-length job of one run.
 fn every_kind(program: &Arc<Program>, n: i64) -> Vec<RunJob> {
-    let plain = job(program, n);
+    let observed = |observe| {
+        RunJob::with_observer(
+            "it",
+            format!("n{n}"),
+            Arc::clone(program),
+            vec![Input::Int(n)],
+            VmConfig::default(),
+            observe,
+        )
+    };
     let taken = Arc::new(vec![true; program.branch_info.len()]);
     vec![
-        plain.clone(),
-        plain.clone().observed_by(Observe::Zoo(mfdyn::full_zoo())),
-        plain.observed_by(Observe::RunLengths(taken)),
+        job(program, n),
+        observed(Observe::Zoo(mfdyn::full_zoo())),
+        observed(Observe::RunLengths(taken)),
     ]
 }
 

@@ -1,8 +1,10 @@
 //! The segment-file codec.
 //!
 //! A segment is a checksummed header followed by length-prefixed,
-//! individually checksummed frames (one frame per appended run profile,
-//! or one frame per group-committed *batch* of run profiles):
+//! individually checksummed frames. Every writer appends *batch* frames
+//! (one per committed chunk of run profiles; a `ProfileStore` append is
+//! a one-record batch). Single-run frames come from older single-log
+//! databases: they stay readable, and no writer produces them:
 //!
 //! ```text
 //! header  = "MFPD" version:u8 generation:u64 folds_through:u64
@@ -35,8 +37,10 @@
 //! batch granularity — a torn group commit can never resurface as a
 //! partial batch.
 //!
-//! The codec is public: `mfprofsvc` shard logs speak the same format, so
-//! any shard directory is also a readable `mfprofdb` database.
+//! The codec is public. Every log, the single-writer store's and each
+//! `mfprofsvc` shard's, is written by the one [`crate::SegmentLog`]
+//! engine, so any shard directory is also a readable `mfprofdb`
+//! database.
 
 /// Segment-header magic.
 pub const MAGIC: &[u8; 4] = b"MFPD";
@@ -165,7 +169,8 @@ fn seal_frame(payload: Vec<u8>) -> Vec<u8> {
 
 /// Encodes one record as a single-run frame. Fingerprint-free records
 /// produce v1 frames byte-for-byte; records carrying fingerprints produce
-/// v2 frames.
+/// v2 frames. No log appends these; the encoder rebuilds the older
+/// single-log layout, whose reading must keep working, for tests.
 pub fn encode_frame(record: &ProfileRecord) -> Vec<u8> {
     let mut payload = Vec::with_capacity(1 + record_body_len(record));
     if record.fps.is_empty() {

@@ -8,77 +8,51 @@
 //! mid-append, crashes mid-compaction, and concurrent writers.
 //!
 //! Layout: a directory of segment files (`seg-<generation>.mfdb`), each
-//! an append-only log of checksummed frames — one frame per appended run
-//! profile (see [`format`](self) internals). The write protocol is
-//! append-then-sync; a sync acknowledgment is the commit point.
-//! Recovery salvages the longest valid frame prefix of each surviving
-//! segment and truncates the torn tail. Compaction folds all records
-//! into one frame per dataset in a new segment whose header supersedes
-//! (`folds_through`) every older generation — written to a temp name,
-//! synced, then renamed, and validated by a committed-length field so a
-//! torn copy can never masquerade as a complete compaction.
+//! an append-only log of checksummed frames (see [`format`]). One engine,
+//! [`SegmentLog`], owns the write protocol for every writer: a commit
+//! appends one batch frame per chunk and pays one sync, whose
+//! acknowledgment is the commit point; recovery salvages the longest
+//! valid frame prefix of each segment and truncates the torn tail;
+//! compaction folds the records into one per dataset in a new segment
+//! whose header supersedes (`folds_through`) every older generation —
+//! written to a temp name, synced, then renamed, and validated by a
+//! committed-length field so a torn copy can never masquerade as a
+//! complete compaction. `mfprofsvc` runs one log per shard.
 //!
-//! A `LOCK` file serializes writers (bounded deterministic backoff, with
-//! liveness-checked staleness detection so a crashed writer's lock does
-//! not wedge the database forever). Every failure that is not a crash
-//! degrades the store to in-memory accumulation with a surfaced warning
-//! — opening or appending never panics and never loses the current
-//! process's data.
+//! [`ProfileStore`] is the single-writer database on that engine: it
+//! takes the log's `LOCK` file for its whole lifetime (a dead holder's
+//! lock is stolen), commits each appended run as a one-record batch
+//! frame, and keeps the accumulated views in memory. Every failure that
+//! is not a crash degrades the store to in-memory accumulation with a
+//! surfaced warning — opening or appending never panics and never loses
+//! the current process's data.
 //!
 //! All I/O goes through [`mffault::Vfs`], so the crash battery can
 //! enumerate every crash-point deterministically on an in-memory
 //! filesystem.
 
 pub mod format;
+mod log;
 
 use std::collections::BTreeMap;
 use std::fmt;
 use std::io;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
-use std::time::Duration;
 
-use mffault::{is_crash, RetryPolicy, Vfs};
+use mffault::{RetryPolicy, Vfs};
 use trace_ir::BranchId;
 use trace_vm::BranchCounts;
 
 pub use format::ProfileRecord;
-
-/// Name of the writer-serialization lock file.
-const LOCK_FILE: &str = "LOCK";
-
-/// How [`ProfileStore::open`] should handle the writer lock.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum LockMode {
-    /// Try to acquire; on contention back off deterministically, then
-    /// check the holder's liveness and steal a dead holder's lock.
-    Acquire {
-        /// Retries after the first attempt.
-        attempts: u32,
-        /// Backoff before retry `i` is `base * (i + 1)`.
-        base: Duration,
-    },
-    /// Take the lock unconditionally — for crash-recovery tests, where
-    /// the previous holder is known dead.
-    Steal,
-    /// Skip locking entirely (single-accessor callers).
-    None,
-}
-
-impl Default for LockMode {
-    fn default() -> Self {
-        LockMode::Acquire {
-            attempts: 5,
-            base: Duration::from_millis(2),
-        }
-    }
-}
+use log::MAX_FRAME_BYTES;
+pub use log::{LockCfg, SegmentLog};
 
 /// Open-time knobs.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct OpenOptions {
-    /// Writer-lock handling.
-    pub lock: LockMode,
+    /// How the store takes its writer lock.
+    pub lock: LockCfg,
     /// Bounded retry for transient I/O faults.
     pub retry: RetryPolicy,
 }
@@ -115,6 +89,15 @@ impl std::error::Error for DbError {
     }
 }
 
+/// Classifies an I/O result: crashes become `DbError`, everything else
+/// stays for the caller's degrade-or-proceed policy.
+pub fn crash_check<T>(op: &'static str, result: io::Result<T>) -> Result<io::Result<T>, DbError> {
+    match result {
+        Err(e) if mffault::is_crash(&e) => Err(DbError { op, source: e }),
+        other => Ok(other),
+    }
+}
+
 /// Observability counters for one store's lifetime.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct StoreCounters {
@@ -132,84 +115,159 @@ pub struct StoreCounters {
     pub compactions: u64,
 }
 
+// -- folds -----------------------------------------------------------------
+
 /// Per-dataset raw accumulation: branch id → (executed, taken), summed
 /// saturating so even nonsense counts (from a seeded defect) cannot trip
 /// an arithmetic invariant while being compared against expectations.
-type RawFold = BTreeMap<String, BTreeMap<u32, (u64, u64)>>;
+pub type RawFold = BTreeMap<String, BTreeMap<u32, (u64, u64)>>;
 
-#[derive(Debug)]
-struct Persist {
-    segment: PathBuf,
-    generation: u64,
-    /// Acknowledged byte length of the active segment; the repair target
-    /// after a failed append.
-    committed_len: u64,
+/// Structural fingerprints folded across records (last writer wins per
+/// branch id — fingerprints describe a program, not a dataset's counts).
+pub type FpFold = BTreeMap<u32, u64>;
+
+/// Fingerprints folded per dataset label. A store can hold several
+/// distinct *programs* (each numbering its branches from zero), so folds
+/// that feed back into stored records must never mix labels.
+pub type FpFoldByDataset = BTreeMap<String, FpFold>;
+
+/// Adds one record's counters into `fold`.
+pub fn fold_record(fold: &mut RawFold, record: &ProfileRecord) {
+    let per_dataset = fold.entry(record.dataset.clone()).or_default();
+    for &(id, e, t) in &record.entries {
+        let slot = per_dataset.entry(id).or_insert((0, 0));
+        slot.0 = slot.0.saturating_add(e);
+        slot.1 = slot.1.saturating_add(t);
+    }
 }
 
-/// The crash-safe profile store. See the crate docs for the protocol.
+/// Folds one record's fingerprints into `fps` (last writer wins).
+pub fn fold_fps(fps: &mut FpFold, record: &ProfileRecord) {
+    for &(id, fp) in &record.fps {
+        fps.insert(id, fp);
+    }
+}
+
+/// Folds one record's fingerprints under its own dataset label.
+pub fn fold_fps_by_dataset(by_ds: &mut FpFoldByDataset, record: &ProfileRecord) {
+    if record.fps.is_empty() {
+        return;
+    }
+    fold_fps(by_ds.entry(record.dataset.clone()).or_default(), record);
+}
+
+/// One folded record per dataset, each carrying the folded fingerprint of
+/// every site *its own program* counts — so compaction and migration
+/// never shed the fingerprints the skew remapper needs later, and never
+/// smear one program's fingerprints onto another dataset's record.
+pub fn fold_to_records(fold: &RawFold, fps: &FpFoldByDataset) -> Vec<ProfileRecord> {
+    fold.iter()
+        .map(|(ds, m)| ProfileRecord {
+            dataset: ds.clone(),
+            entries: m.iter().map(|(&id, &(e, t))| (id, e, t)).collect(),
+            fps: fps
+                .get(ds)
+                .map(|f| f.iter().map(|(&id, &fp)| (id, fp)).collect())
+                .unwrap_or_default(),
+        })
+        .collect()
+}
+
+/// Splits records into chunks whose encoded size stays under one batch
+/// frame, cutting oversized records (a 100M-site fold) into sub-records
+/// — safe because accumulation sums per `(dataset, branch)`.
+pub fn chunk_records(records: &[ProfileRecord]) -> Vec<Vec<ProfileRecord>> {
+    let max = MAX_FRAME_BYTES;
+    let mut chunks: Vec<Vec<ProfileRecord>> = Vec::new();
+    let mut chunk: Vec<ProfileRecord> = Vec::new();
+    let mut chunk_bytes = 0usize;
+    let push = |r: ProfileRecord,
+                chunks: &mut Vec<Vec<ProfileRecord>>,
+                chunk: &mut Vec<ProfileRecord>,
+                chunk_bytes: &mut usize| {
+        let len = format::record_body_len(&r);
+        if !chunk.is_empty() && *chunk_bytes + len > max {
+            chunks.push(std::mem::take(chunk));
+            *chunk_bytes = 0;
+        }
+        *chunk_bytes += len;
+        chunk.push(r);
+    };
+    for r in records {
+        if format::record_body_len(r) <= max {
+            push(r.clone(), &mut chunks, &mut chunk, &mut chunk_bytes);
+            continue;
+        }
+        // An entry costs 20 bytes, plus 12 more when it drags its
+        // fingerprint along.
+        let entry_cost = if r.fps.is_empty() { 20 } else { 32 };
+        let per = ((max - 12 - r.dataset.len()).max(entry_cost) / entry_cost).max(1);
+        let fp_of: BTreeMap<u32, u64> = r.fps.iter().copied().collect();
+        for part in r.entries.chunks(per) {
+            push(
+                ProfileRecord {
+                    dataset: r.dataset.clone(),
+                    entries: part.to_vec(),
+                    // Each fingerprint travels with its own entries.
+                    fps: part
+                        .iter()
+                        .filter_map(|&(id, _, _)| fp_of.get(&id).map(|&fp| (id, fp)))
+                        .collect(),
+                },
+                &mut chunks,
+                &mut chunk,
+                &mut chunk_bytes,
+            );
+        }
+    }
+    if !chunk.is_empty() {
+        chunks.push(chunk);
+    }
+    chunks
+}
+
+// -- the store -------------------------------------------------------------
+
+/// The crash-safe single-writer profile store. See the crate docs.
 #[derive(Debug)]
 pub struct ProfileStore {
-    vfs: Arc<dyn Vfs>,
-    dir: PathBuf,
-    retry: RetryPolicy,
-    persist: Option<Persist>,
-    locked: bool,
+    log: SegmentLog,
+    lock: LockCfg,
     records: Vec<ProfileRecord>,
     fold: RawFold,
     /// Program-wide structural fingerprints folded across every record
     /// that carried them (last writer wins per branch id). Fingerprints
     /// describe the *program*, not a dataset, so one map serves all.
-    fps: BTreeMap<u32, u64>,
-    warnings: Vec<String>,
-    counters: StoreCounters,
-}
-
-/// Classifies an I/O result: crashes become `DbError`, everything else
-/// stays for the caller's degrade-or-proceed policy.
-fn crash_check<T>(op: &'static str, result: io::Result<T>) -> Result<io::Result<T>, DbError> {
-    match result {
-        Err(e) if is_crash(&e) => Err(DbError { op, source: e }),
-        other => Ok(other),
-    }
+    fps: FpFold,
+    salvaged_records: u64,
 }
 
 impl ProfileStore {
-    /// Opens (or creates) the database at `dir`. Returns `Err` only on an
-    /// injected crash; every real failure yields a degraded, in-memory
-    /// store with a warning in [`ProfileStore::warnings`].
+    /// Opens (or creates) the database at `dir`: takes the log's writer
+    /// lock for the store's lifetime, scans and repairs the log under
+    /// that lock and loads what it salvaged. Returns `Err` only on an injected
+    /// crash; every real failure yields a degraded, in-memory store with
+    /// a warning in [`ProfileStore::warnings`].
     pub fn open(
         vfs: Arc<dyn Vfs>,
         dir: impl Into<PathBuf>,
         options: OpenOptions,
     ) -> Result<Self, DbError> {
-        let dir = dir.into();
+        let mut salvaged = Vec::new();
+        let log = SegmentLog::open_held(vfs, dir, options.retry, &options.lock, |batch| {
+            salvaged.extend(batch)
+        })?;
         let mut store = ProfileStore {
-            vfs,
-            dir,
-            retry: options.retry,
-            persist: None,
-            locked: false,
-            records: Vec::new(),
+            log,
+            lock: options.lock,
+            records: Vec::with_capacity(salvaged.len()),
             fold: RawFold::new(),
-            fps: BTreeMap::new(),
-            warnings: Vec::new(),
-            counters: StoreCounters::default(),
+            fps: FpFold::new(),
+            salvaged_records: salvaged.len() as u64,
         };
-
-        let made = store.io("create db directory", |vfs, dir| vfs.create_dir_all(dir))?;
-        if let Err(e) = made {
-            store.degrade(format!(
-                "profile db directory {} unavailable ({e}); accumulating in memory only",
-                store.dir.display()
-            ));
-            return Ok(store);
+        for record in salvaged {
+            store.ingest(record);
         }
-
-        if !store.acquire_lock(options.lock)? {
-            return Ok(store);
-        }
-
-        store.recover()?;
         Ok(store)
     }
 
@@ -217,37 +275,41 @@ impl ProfileStore {
 
     /// False once the store fell back to in-memory accumulation.
     pub fn is_persistent(&self) -> bool {
-        self.persist.is_some()
+        self.log.is_persistent()
     }
 
     /// True when appends no longer reach disk.
     pub fn is_degraded(&self) -> bool {
-        self.persist.is_none()
+        !self.is_persistent()
     }
 
     /// Everything that went wrong so far, in order, human-readable.
     pub fn warnings(&self) -> &[String] {
-        &self.warnings
+        self.log.warnings()
     }
 
     /// Lifetime counters.
     pub fn counters(&self) -> StoreCounters {
-        self.counters
+        StoreCounters {
+            salvaged_records: self.salvaged_records,
+            ..self.log.counters()
+        }
     }
 
     /// The database directory.
     pub fn dir(&self) -> &Path {
-        &self.dir
+        self.log.dir()
     }
 
     /// The active segment file, when persistent.
     pub fn active_segment(&self) -> Option<&Path> {
-        self.persist.as_ref().map(|p| p.segment.as_path())
+        self.log.active_segment()
     }
 
     /// Every record currently in the store (recovered + appended), in
     /// log order. After a compaction this is one folded record per
-    /// dataset followed by any later appends.
+    /// dataset (cut into frame-sized parts when larger) followed by any
+    /// later appends.
     pub fn records(&self) -> &[ProfileRecord] {
         &self.records
     }
@@ -309,8 +371,9 @@ impl ProfileStore {
     }
 
     /// [`ProfileStore::append`] carrying the structural site fingerprints
-    /// of the program the counts were gathered on. Fingerprinted records
-    /// write v2 frames; an empty map writes a legacy frame byte-for-byte.
+    /// of the program the counts were gathered on. The record commits as
+    /// a one-record batch frame: v2 when it carries fingerprints, v1
+    /// byte-for-byte when the map is empty.
     pub fn append_with_fps(
         &mut self,
         dataset: &str,
@@ -322,462 +385,35 @@ impl ProfileStore {
             entries: counts.iter().map(|(id, e, t)| (id.0, e, t)).collect(),
             fps: fps.iter().map(|(&id, &fp)| (id.0, fp)).collect(),
         };
-        let persistence = self.persist_record(&record)?;
+        let persistence =
+            self.log
+                .commit_batch_keep(std::slice::from_ref(&record), &self.lock, true)?;
         self.ingest(record);
         Ok(persistence)
     }
 
-    fn persist_record(&mut self, record: &ProfileRecord) -> Result<Persistence, DbError> {
-        let Some(persist) = &self.persist else {
-            self.counters.degraded_appends += 1;
-            return Ok(Persistence::Degraded);
-        };
-        let segment = persist.segment.clone();
-        let committed_len = persist.committed_len;
-        let frame = format::encode_frame(record);
-
-        let appended = self.io("append frame", |vfs, _| vfs.append(&segment, &frame))?;
-        let synced = match appended {
-            Ok(()) => self.io("sync segment", |vfs, _| vfs.sync(&segment))?,
-            Err(e) => Err(e),
-        };
-        match synced {
-            Ok(()) => {
-                let persist = self.persist.as_mut().expect("still persistent");
-                persist.committed_len += frame.len() as u64;
-                self.counters.committed_appends += 1;
-                Ok(Persistence::Committed)
-            }
-            Err(e) => {
-                // Repair: cut the segment back to the last acknowledged
-                // byte so a partial frame cannot linger ahead of future
-                // appends, then degrade.
-                let repaired = self.io("truncate torn append", |vfs, _| {
-                    vfs.truncate(&segment, committed_len)
-                })?;
-                let detail = match repaired {
-                    Ok(()) => String::new(),
-                    Err(re) => format!(" (tail repair also failed: {re})"),
-                };
-                self.degrade(format!(
-                    "append to {} failed ({e}){detail}; accumulating in memory from here on",
-                    segment.display()
-                ));
-                self.counters.degraded_appends += 1;
-                Ok(Persistence::Degraded)
-            }
-        }
-    }
-
-    /// Folds every record into one frame per dataset inside a fresh
-    /// segment that supersedes all current generations. On any real
-    /// failure the store keeps running on the current segment.
+    /// Folds every record into one per dataset inside a fresh segment
+    /// that supersedes all current generations. On any real failure the
+    /// store keeps running on the current segment.
     pub fn compact(&mut self) -> Result<(), DbError> {
-        let Some(persist) = &self.persist else {
-            return Ok(());
-        };
-        let generation = persist.generation;
-        let new_gen = generation + 1;
-        let final_path = self.segment_path(new_gen);
-        let tmp = self.dir.join(format!("compact-{new_gen}.tmp"));
-
-        // One folded record per dataset, via the same accumulation path
-        // the in-memory database uses (BTreeMap order ⇒ deterministic).
-        let folded: Vec<ProfileRecord> = self
-            .fold
-            .iter()
-            .map(|(ds, m)| ProfileRecord {
-                dataset: ds.clone(),
-                entries: m.iter().map(|(&id, &(e, t))| (id, e, t)).collect(),
-                // Fingerprints survive compaction: each folded record
-                // carries the folded fingerprint of every site it counts.
-                fps: m
-                    .keys()
-                    .filter_map(|id| self.fps.get(id).map(|&fp| (*id, fp)))
-                    .collect(),
-            })
-            .collect();
-        let mut buf = Vec::new();
-        for r in &folded {
-            buf.extend_from_slice(&format::encode_frame(r));
-        }
-        let header = format::encode_header(&format::SegmentHeader {
-            generation: new_gen,
-            folds_through: generation,
-            base_len: (format::HEADER_LEN + buf.len()) as u64,
-        });
-        let mut segment_bytes = header;
-        segment_bytes.extend_from_slice(&buf);
-        let total_len = segment_bytes.len() as u64;
-
-        let staged = self.io("write compaction", |vfs, _| vfs.write(&tmp, &segment_bytes))?;
-        let staged = match staged {
-            Ok(()) => self.io("sync compaction", |vfs, _| vfs.sync(&tmp))?,
-            Err(e) => Err(e),
-        };
-        let renamed = match staged {
-            Ok(()) => self.io("publish compaction", |vfs, _| vfs.rename(&tmp, &final_path))?,
-            Err(e) => Err(e),
-        };
-        match renamed {
-            Ok(()) => {
-                let old: Vec<PathBuf> = self
-                    .list_segments()?
-                    .into_iter()
-                    .filter(|(gen, _)| *gen <= generation)
-                    .map(|(_, p)| p)
-                    .collect();
-                for path in old {
-                    // Best-effort: a survivor is superseded by
-                    // `folds_through` at the next open anyway.
-                    let _ =
-                        self.io("remove superseded segment", |vfs, _| vfs.remove_file(&path))?;
-                }
-                self.persist = Some(Persist {
-                    segment: final_path,
-                    generation: new_gen,
-                    committed_len: total_len,
-                });
-                self.records = folded;
-                self.counters.compactions += 1;
-                Ok(())
-            }
-            Err(e) => {
-                // A torn publish may have left a partial destination; it
-                // is self-invalidating (file shorter than its header's
-                // base_len), but clean it up eagerly when we can. If a
-                // complete copy landed despite the error, it *will* be
-                // honored at the next open — so it must go, or this
-                // store's future appends (to the old segment) would be
-                // superseded behind our back.
-                let _ = self.io("remove staged compaction", |vfs, _| vfs.remove_file(&tmp))?;
-                if self.vfs.exists(&final_path) {
-                    let removed = self.io("remove torn compaction", |vfs, _| {
-                        vfs.remove_file(&final_path)
-                    })?;
-                    if removed.is_err() {
-                        self.degrade(format!(
-                            "compaction to {} tore and could not be cleaned up; \
-                             accumulating in memory from here on",
-                            final_path.display()
-                        ));
-                        return Ok(());
-                    }
-                }
-                self.warnings.push(format!(
-                    "compaction failed ({e}); continuing on the current segment"
-                ));
-                Ok(())
-            }
-        }
-    }
-
-    // -- internals -------------------------------------------------------
-
-    fn io<T>(
-        &mut self,
-        op: &'static str,
-        f: impl FnMut(&dyn Vfs, &Path) -> io::Result<T>,
-    ) -> Result<io::Result<T>, DbError> {
-        let mut f = f;
-        let vfs = Arc::clone(&self.vfs);
-        let (result, used) = mffault::retry(self.retry, || f(vfs.as_ref(), &self.dir));
-        self.counters.io_retries += u64::from(used);
-        crash_check(op, result)
-    }
-
-    fn degrade(&mut self, warning: String) {
-        self.persist = None;
-        self.warnings.push(warning);
-    }
-
-    fn ingest(&mut self, record: ProfileRecord) {
-        let per_dataset = self.fold.entry(record.dataset.clone()).or_default();
-        for &(id, e, t) in &record.entries {
-            let slot = per_dataset.entry(id).or_insert((0, 0));
-            slot.0 = slot.0.saturating_add(e);
-            slot.1 = slot.1.saturating_add(t);
-        }
-        for &(id, fp) in &record.fps {
-            self.fps.insert(id, fp); // log order ⇒ last writer wins
-        }
-        self.records.push(record);
-    }
-
-    fn segment_path(&self, generation: u64) -> PathBuf {
-        self.dir.join(format!("seg-{generation:08}.mfdb"))
-    }
-
-    /// Segment files present, as `(generation-from-name, path)`, sorted.
-    fn list_segments(&mut self) -> Result<Vec<(u64, PathBuf)>, DbError> {
-        let entries = self.io("scan segments", |vfs, dir| vfs.read_dir(dir))?;
-        let entries = match entries {
-            Ok(e) => e,
-            Err(_) => return Ok(Vec::new()),
-        };
-        let mut segments = Vec::new();
-        for path in entries {
-            let Some(name) = path.file_name().and_then(|n| n.to_str()) else {
-                continue;
-            };
-            if let Some(gen) = name
-                .strip_prefix("seg-")
-                .and_then(|r| r.strip_suffix(".mfdb"))
-                .and_then(|g| g.parse::<u64>().ok())
-            {
-                segments.push((gen, path));
-            }
-        }
-        segments.sort();
-        Ok(segments)
-    }
-
-    fn acquire_lock(&mut self, mode: LockMode) -> Result<bool, DbError> {
-        let lock_path = self.dir.join(LOCK_FILE);
-        let content = std::process::id().to_string().into_bytes();
-        let try_create = |store: &mut Self| -> Result<io::Result<()>, DbError> {
-            store.io("acquire lock", |vfs, _| {
-                vfs.create_new(&lock_path, &content)
-            })
-        };
-        match mode {
-            LockMode::None => Ok(true),
-            LockMode::Steal => {
-                let _ = self.io("steal lock", |vfs, _| vfs.remove_file(&lock_path))?;
-                match try_create(self)? {
-                    Ok(()) => {
-                        self.locked = true;
-                        Ok(true)
-                    }
-                    Err(e) => {
-                        self.degrade(format!(
-                            "could not take profile db lock {} ({e}); \
-                             accumulating in memory only",
-                            lock_path.display()
-                        ));
-                        Ok(false)
-                    }
-                }
-            }
-            LockMode::Acquire { attempts, base } => {
-                for attempt in 0..=attempts {
-                    match try_create(self)? {
-                        Ok(()) => {
-                            self.locked = true;
-                            return Ok(true);
-                        }
-                        Err(e) if e.kind() == io::ErrorKind::AlreadyExists => {
-                            if attempt < attempts && !base.is_zero() {
-                                std::thread::sleep(base.saturating_mul(attempt + 1));
-                            }
-                        }
-                        Err(e) => {
-                            self.degrade(format!(
-                                "could not create profile db lock {} ({e}); \
-                                 accumulating in memory only",
-                                lock_path.display()
-                            ));
-                            return Ok(false);
-                        }
-                    }
-                }
-                // Contended beyond the backoff budget: a live holder wins;
-                // a dead one (crashed writer) forfeits. An unreadable or
-                // unparseable lock means a torn lock write — its writer
-                // died mid-create, so it is stale too.
-                let holder = self
-                    .io("read lock", |vfs, _| vfs.read(&lock_path))?
-                    .ok()
-                    .and_then(|bytes| String::from_utf8(bytes).ok())
-                    .and_then(|s| s.trim().parse::<u32>().ok());
-                let stale = match holder {
-                    Some(pid) => pid != std::process::id() && !pid_alive(pid),
-                    None => true,
-                };
-                if !stale {
-                    self.degrade(format!(
-                        "profile db {} is locked by a live writer (pid {:?}); \
-                         accumulating in memory only",
-                        self.dir.display(),
-                        holder
-                    ));
-                    return Ok(false);
-                }
-                self.warnings.push(format!(
-                    "profile db lock {} was held by a dead writer; stealing it",
-                    lock_path.display()
-                ));
-                let _ = self.io("steal stale lock", |vfs, _| vfs.remove_file(&lock_path))?;
-                match try_create(self)? {
-                    Ok(()) => {
-                        self.locked = true;
-                        Ok(true)
-                    }
-                    Err(e) => {
-                        self.degrade(format!(
-                            "could not steal stale profile db lock {} ({e}); \
-                             accumulating in memory only",
-                            lock_path.display()
-                        ));
-                        Ok(false)
-                    }
-                }
-            }
-        }
-    }
-
-    /// Scans, salvages, and selects the active segment; creates the first
-    /// segment on a fresh database.
-    fn recover(&mut self) -> Result<(), DbError> {
-        // Sweep compaction leftovers.
-        let leftovers = self.io("scan db directory", |vfs, dir| vfs.read_dir(dir))?;
-        if let Ok(entries) = leftovers {
-            for path in entries {
-                let is_tmp = path
-                    .file_name()
-                    .and_then(|n| n.to_str())
-                    .is_some_and(|n| n.starts_with("compact-") && n.ends_with(".tmp"));
-                if is_tmp {
-                    let _ = self.io("remove stale compaction tmp", |vfs, _| {
-                        vfs.remove_file(&path)
-                    })?;
-                }
-            }
-        }
-
-        // Read every segment's header; collect parsed ones, discard the
-        // unparseable (torn creation — nothing in them was ever acked).
-        let mut parsed: Vec<(format::SegmentHeader, PathBuf, Vec<u8>)> = Vec::new();
-        for (_, path) in self.list_segments()? {
-            let bytes = match self.io("read segment", |vfs, _| vfs.read(&path))? {
-                Ok(b) => b,
-                Err(_) => continue,
-            };
-            match format::decode_header(&bytes) {
-                Some(h) if bytes.len() as u64 >= h.base_len => parsed.push((h, path, bytes)),
-                _ => {
-                    self.warnings.push(format!(
-                        "discarding segment {} (torn or foreign header)",
-                        path.display()
-                    ));
-                    let _ = self.io("remove torn segment", |vfs, _| vfs.remove_file(&path))?;
-                }
-            }
-        }
-
-        // A compacted segment supersedes every generation <= its
-        // folds_through mark; apply the strongest mark present.
-        let folds_through = parsed.iter().map(|(h, _, _)| h.folds_through).max();
-        if let Some(f) = folds_through {
-            let (keep, superseded): (Vec<_>, Vec<_>) =
-                parsed.into_iter().partition(|(h, _, _)| h.generation > f);
-            for (_, path, _) in superseded {
-                let _ = self.io("remove superseded segment", |vfs, _| vfs.remove_file(&path))?;
-            }
-            parsed = keep;
-        }
-        parsed.sort_by_key(|(h, _, _)| h.generation);
-
-        // Salvage frames, oldest generation first; truncate torn tails.
-        let mut active: Option<Persist> = None;
-        for (header, path, bytes) in &parsed {
-            let body = &bytes[format::HEADER_LEN..];
-            let (records, valid_body) = format::walk_frames(body);
-            let valid_len = (format::HEADER_LEN + valid_body) as u64;
-            if valid_len < bytes.len() as u64 {
-                let dropped = bytes.len() as u64 - valid_len;
-                self.counters.truncated_bytes += dropped;
-                self.warnings.push(format!(
-                    "salvaged {} of {} bytes from {} (torn tail of {dropped} bytes truncated)",
-                    valid_len,
-                    bytes.len(),
-                    path.display()
-                ));
-                let truncated =
-                    self.io("truncate torn tail", |vfs, _| vfs.truncate(path, valid_len))?;
-                if truncated.is_err() {
-                    // Appending after unremovable garbage would corrupt
-                    // the log; this open stays read-only-in-memory.
-                    self.counters.salvaged_records += records.len() as u64;
-                    for r in records {
-                        self.ingest(r);
-                    }
-                    self.degrade(format!(
-                        "could not truncate torn tail of {}; accumulating in memory only",
-                        path.display()
-                    ));
-                    return Ok(());
-                }
-            }
-            self.counters.salvaged_records += records.len() as u64;
-            for r in records {
-                self.ingest(r);
-            }
-            active = Some(Persist {
-                segment: path.clone(),
-                generation: header.generation,
-                committed_len: valid_len,
-            });
-        }
-
-        match active {
-            Some(persist) => self.persist = Some(persist),
-            None => {
-                // Fresh database (or everything was torn): start a new
-                // generation above any mark we saw.
-                let generation = folds_through.unwrap_or(0) + 1;
-                let path = self.segment_path(generation);
-                let header = format::encode_header(&format::SegmentHeader {
-                    generation,
-                    folds_through: folds_through.unwrap_or(0),
-                    base_len: format::HEADER_LEN as u64,
-                });
-                let wrote = self.io("create segment", |vfs, _| vfs.write(&path, &header))?;
-                let wrote = match wrote {
-                    Ok(()) => self.io("sync new segment", |vfs, _| vfs.sync(&path))?,
-                    Err(e) => Err(e),
-                };
-                match wrote {
-                    Ok(()) => {
-                        self.persist = Some(Persist {
-                            segment: path,
-                            generation,
-                            committed_len: format::HEADER_LEN as u64,
-                        });
-                    }
-                    Err(e) => self.degrade(format!(
-                        "could not create segment {} ({e}); accumulating in memory only",
-                        path.display()
-                    )),
-                }
-            }
+        if let Some(batches) = self.log.compact(&self.lock)? {
+            self.records = batches.into_iter().flatten().collect();
         }
         Ok(())
     }
-}
 
-impl Drop for ProfileStore {
-    fn drop(&mut self) {
-        if self.locked {
-            let lock_path = self.dir.join(LOCK_FILE);
-            let _ = self.vfs.remove_file(&lock_path);
-        }
+    fn ingest(&mut self, record: ProfileRecord) {
+        fold_record(&mut self.fold, &record);
+        fold_fps(&mut self.fps, &record); // log order ⇒ last writer wins
+        self.records.push(record);
     }
-}
-
-/// Best-effort liveness check for a lock holder. Where `/proc` is absent
-/// the holder is assumed alive (conservative: degrade rather than steal).
-fn pid_alive(pid: u32) -> bool {
-    if !Path::new("/proc").exists() {
-        return true;
-    }
-    Path::new(&format!("/proc/{pid}")).exists()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use mffault::MemVfs;
+    use std::time::Duration;
     use trace_ir::BranchId;
 
     fn counts(rows: &[(u32, u64, u64)]) -> BranchCounts {
@@ -788,7 +424,10 @@ mod tests {
 
     fn steal_opts() -> OpenOptions {
         OpenOptions {
-            lock: LockMode::Steal,
+            lock: LockCfg {
+                steal: true,
+                ..LockCfg::default()
+            },
             retry: RetryPolicy::none(),
         }
     }
@@ -944,9 +583,10 @@ mod tests {
     fn lock_contention_degrades_and_releases() {
         let mem: Arc<dyn Vfs> = Arc::new(MemVfs::new());
         let acquire = OpenOptions {
-            lock: LockMode::Acquire {
+            lock: LockCfg {
                 attempts: 2,
                 base: Duration::ZERO,
+                steal: false,
             },
             retry: RetryPolicy::none(),
         };
@@ -974,16 +614,17 @@ mod tests {
         mem.create_dir_all(Path::new(DIR)).unwrap();
         // A pid far above any live one on this machine, and a torn lock.
         for lock_content in [&b"999999999"[..], &b"\xFF\xFEgarbage"[..]] {
-            let _ = mem.remove_file(&Path::new(DIR).join(LOCK_FILE));
-            mem.create_new(&Path::new(DIR).join(LOCK_FILE), lock_content)
+            let _ = mem.remove_file(&Path::new(DIR).join("LOCK"));
+            mem.create_new(&Path::new(DIR).join("LOCK"), lock_content)
                 .unwrap();
             let store = ProfileStore::open(
                 mem.clone() as Arc<dyn Vfs>,
                 DIR,
                 OpenOptions {
-                    lock: LockMode::Acquire {
+                    lock: LockCfg {
                         attempts: 1,
                         base: Duration::ZERO,
+                        steal: false,
                     },
                     retry: RetryPolicy::none(),
                 },
@@ -992,5 +633,26 @@ mod tests {
             assert!(store.is_persistent(), "{:?}", store.warnings());
             assert!(store.warnings().iter().any(|w| w.contains("dead writer")));
         }
+    }
+
+    #[test]
+    fn chunking_splits_oversized_records_without_losing_counts() {
+        let big = ProfileRecord {
+            dataset: "huge".into(),
+            entries: (0..500_000u32).map(|i| (i, 2, 1)).collect(),
+            ..Default::default()
+        };
+        let chunks = chunk_records(std::slice::from_ref(&big));
+        assert!(chunks.len() > 1, "10MB of entries spans multiple frames");
+        let mut fold = RawFold::new();
+        for c in &chunks {
+            for r in c {
+                assert!(format::record_body_len(r) <= MAX_FRAME_BYTES);
+                fold_record(&mut fold, r);
+            }
+        }
+        let mut expected = RawFold::new();
+        fold_record(&mut expected, &big);
+        assert_eq!(fold, expected);
     }
 }

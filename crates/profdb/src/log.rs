@@ -1,28 +1,37 @@
-//! One shard's append-only log writer.
+//! The segment-log engine: the one implementation of the write protocol.
 //!
-//! A shard directory is a plain `mfprofdb` segment directory — same
-//! header, same frames, same salvage rules — so any shard can be opened
-//! and inspected by the base store's tooling. What differs is the write
-//! discipline: the service commits *batches* (one [`format`] batch frame
-//! per chunk, one sync per commit) and holds the shard's `LOCK` file
-//! only for the duration of a commit, so two live writers interleave
-//! instead of one monopolizing the database for its whole lifetime.
+//! A log directory holds segment files (`seg-<generation>.mfdb`) in the
+//! [`format`] codec. Every commit appends a batch as one-or-more batch
+//! frames and pays ONE sync; the sync acknowledgment is the commit point,
+//! and a failed append or sync is cut back to the last acknowledged byte.
+//! Compaction folds the active segment into one record per dataset in a
+//! new segment whose header supersedes (`folds_through`) every older
+//! generation — written to a temp name, synced, then renamed.
 //!
-//! Opening a shard is a read-only scan: recovery repair (torn-tail
-//! truncation, superseded-segment removal) is deferred to the first
-//! commit, under the lock, so a pure reader never mutates the directory
-//! a concurrent writer is streaming into.
+//! Writers serialize on a pid-stamped `LOCK` file (bounded deterministic
+//! backoff; a dead or torn holder's lock is stolen). A log may take it
+//! per commit and drop it when idle (the service's shards, so two live
+//! writers interleave), or hold it for its lifetime
+//! ([`SegmentLog::open_held`], the single-writer [`crate::ProfileStore`]).
+//!
+//! Opening a log is a read-only scan: recovery repair (torn-tail
+//! truncation, removal of superseded and torn segments, creating the
+//! first segment) is deferred until the lock is held, so a pure reader
+//! never mutates the directory a concurrent writer is streaming into.
+//! Every failure that is not an injected crash degrades the log to
+//! in-memory acknowledgment with a surfaced warning.
 
 use std::io;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use std::time::Duration;
 
-use mffault::{is_crash, RetryPolicy, Vfs};
-use mfprofdb::format;
-use mfprofdb::{DbError, Persistence, ProfileRecord, StoreCounters};
+use mffault::{RetryPolicy, Vfs};
 
-/// Name of the per-shard, per-commit writer lock file.
+use crate::format;
+use crate::{crash_check, DbError, Persistence, ProfileRecord, StoreCounters};
+
+/// Name of the writer lock file.
 const LOCK_FILE: &str = "LOCK";
 
 /// Target encoded size of one batch frame; commits larger than this are
@@ -30,7 +39,7 @@ const LOCK_FILE: &str = "LOCK";
 /// `MAX_PAYLOAD` so a frame is never rejected for size.
 pub(crate) const MAX_FRAME_BYTES: usize = 4 << 20;
 
-/// Per-commit lock acquisition policy.
+/// How a writer takes the `LOCK` file.
 #[derive(Clone, Copy, Debug)]
 pub struct LockCfg {
     /// Retries after the first attempt.
@@ -39,8 +48,8 @@ pub struct LockCfg {
     /// `base * (i + 1)`.
     pub base: Duration,
     /// Remove any existing lock before acquiring — for crash-recovery
-    /// paths where the previous holder is known dead (same contract as
-    /// `mfprofdb::LockMode::Steal`). Never set with live peers.
+    /// paths where the previous holder is known dead. Never set with
+    /// live peers.
     pub steal: bool,
 }
 
@@ -54,7 +63,7 @@ impl Default for LockCfg {
     }
 }
 
-/// How a per-commit lock acquisition ended.
+/// How a lock acquisition ended.
 enum LockOutcome {
     /// We hold the lock.
     Acquired,
@@ -74,16 +83,16 @@ struct Persist {
     committed_len: u64,
 }
 
-/// One shard's log writer/reader. See the module docs for the protocol.
+/// One segment log's writer/reader. See the module docs for the protocol.
 #[derive(Debug)]
-pub struct ShardLog {
+pub struct SegmentLog {
     vfs: Arc<dyn Vfs>,
     dir: PathBuf,
     retry: RetryPolicy,
     persist: Option<Persist>,
     /// True while this writer holds the on-disk LOCK file. The hot
     /// path keeps the lock across back-to-back group commits and drops
-    /// it the moment the shard goes idle, so a burst pays the
+    /// it the moment the log goes idle, so a burst pays the
     /// create/remove churn once instead of per commit.
     holding: bool,
     /// True when `committed_len` is known to match the file. Only
@@ -98,11 +107,10 @@ pub struct ShardLog {
     counters: StoreCounters,
 }
 
-impl Drop for ShardLog {
-    /// Best-effort release of a lock still held at teardown (a burst
-    /// interrupted by drop): plain unlink, no retries, errors ignored —
-    /// a leftover lock file is stolen by the next writer's liveness
-    /// check anyway.
+impl Drop for SegmentLog {
+    /// Best-effort release of a lock still held at teardown: plain
+    /// unlink, no retries, errors ignored — a leftover lock file is
+    /// stolen by the next writer's liveness check anyway.
     fn drop(&mut self) {
         if self.holding {
             let _ = self.vfs.remove_file(&self.dir.join(LOCK_FILE));
@@ -110,15 +118,8 @@ impl Drop for ShardLog {
     }
 }
 
-fn crash_check<T>(op: &'static str, result: io::Result<T>) -> Result<io::Result<T>, DbError> {
-    match result {
-        Err(e) if is_crash(&e) => Err(DbError { op, source: e }),
-        other => Ok(other),
-    }
-}
-
-/// Best-effort liveness check for a lock holder (see `mfprofdb`): where
-/// `/proc` is absent the holder is assumed alive.
+/// Best-effort liveness check for a lock holder. Where `/proc` is absent
+/// the holder is assumed alive (conservative: degrade rather than steal).
 fn pid_alive(pid: u32) -> bool {
     if !Path::new("/proc").exists() {
         return true;
@@ -126,18 +127,63 @@ fn pid_alive(pid: u32) -> bool {
     Path::new(&format!("/proc/{pid}")).exists()
 }
 
-impl ShardLog {
-    /// Opens the shard at `dir` with a read-only scan. Returns `Err`
-    /// only on an injected crash; a missing or unreadable directory
-    /// yields a degraded shard with a warning.
+/// A `(header, path, bytes)` segment read by the scan.
+type Segment = (format::SegmentHeader, PathBuf, Vec<u8>);
+
+impl SegmentLog {
+    /// Opens the log at `dir` with a read-only scan. Returns `Err` only
+    /// on an injected crash; a missing or unreadable directory yields a
+    /// degraded log with a warning.
     pub fn open(
         vfs: Arc<dyn Vfs>,
         dir: impl Into<PathBuf>,
         retry: RetryPolicy,
     ) -> Result<Self, DbError> {
-        let mut log = ShardLog {
+        let mut log = SegmentLog::unscanned(vfs, dir.into(), retry)?;
+        if log.is_persistent() {
+            log.rescan(false, |_| {})?;
+        }
+        Ok(log)
+    }
+
+    /// Opens the log at `dir` holding its lock until the log is dropped
+    /// — the single-writer discipline — then scans and repairs it under
+    /// that lock, handing every salvaged batch to `visit` in log order.
+    /// A lock that cannot be taken degrades the log and nothing is read.
+    /// Returns `Err` only on an injected crash.
+    pub fn open_held(
+        vfs: Arc<dyn Vfs>,
+        dir: impl Into<PathBuf>,
+        retry: RetryPolicy,
+        lock: &LockCfg,
+        visit: impl FnMut(Vec<ProfileRecord>),
+    ) -> Result<Self, DbError> {
+        let mut log = SegmentLog::unscanned(vfs, dir.into(), retry)?;
+        if !log.is_persistent() {
+            return Ok(log);
+        }
+        match log.acquire_lock(lock)? {
+            LockOutcome::Acquired => {
+                log.holding = true;
+                log.rescan(true, visit)?;
+                log.tail_valid = log.persist.is_some();
+            }
+            LockOutcome::Contended(reason) | LockOutcome::Broken(reason) => {
+                log.degrade(format!(
+                    "could not lock {} ({reason}); accumulating in memory only",
+                    log.dir.display()
+                ));
+            }
+        }
+        Ok(log)
+    }
+
+    /// A log whose directory exists, not yet scanned; degraded when the
+    /// directory cannot be created.
+    fn unscanned(vfs: Arc<dyn Vfs>, dir: PathBuf, retry: RetryPolicy) -> Result<Self, DbError> {
+        let mut log = SegmentLog {
             vfs,
-            dir: dir.into(),
+            dir,
             retry,
             persist: None,
             holding: false,
@@ -147,21 +193,19 @@ impl ShardLog {
             warnings: Vec::new(),
             counters: StoreCounters::default(),
         };
-        let made = log.io("create shard directory", |vfs, dir| vfs.create_dir_all(dir))?;
+        let made = log.io("create db directory", |vfs, dir| vfs.create_dir_all(dir))?;
         if let Err(e) = made {
             log.degrade(format!(
-                "shard directory {} unavailable ({e}); accumulating in memory only",
+                "profile db directory {} unavailable ({e}); accumulating in memory only",
                 log.dir.display()
             ));
-            return Ok(log);
         }
-        log.rescan(false)?;
         Ok(log)
     }
 
     // -- accessors -------------------------------------------------------
 
-    /// False once this shard fell back to in-memory accumulation.
+    /// False once this log fell back to in-memory accumulation.
     pub fn is_persistent(&self) -> bool {
         self.dead.is_none()
     }
@@ -176,9 +220,14 @@ impl ShardLog {
         self.counters
     }
 
-    /// The shard directory.
+    /// The log directory.
     pub fn dir(&self) -> &Path {
         &self.dir
+    }
+
+    /// The segment commits append to, when known.
+    pub fn active_segment(&self) -> Option<&Path> {
+        self.persist.as_ref().map(|p| p.segment.as_path())
     }
 
     /// Records acknowledged `Degraded` (memory only), in commit order.
@@ -187,19 +236,19 @@ impl ShardLog {
     }
 
     /// True when the open-time scan found at least one intact segment.
-    pub(crate) fn has_segments(&self) -> bool {
+    pub fn has_segments(&self) -> bool {
         self.persist.is_some()
     }
 
-    /// Push this shard into sticky in-memory degradation (the service
+    /// Pushes this log into sticky in-memory degradation (the service
     /// uses this when a migration fails around it).
-    pub(crate) fn force_degrade(&mut self, reason: String) {
+    pub fn force_degrade(&mut self, reason: String) {
         self.degrade(reason);
     }
 
     /// Paths of the segment files currently present, best-effort (no
     /// retry, no crash classification — cleanup use only).
-    pub(crate) fn segment_files(&self) -> Vec<PathBuf> {
+    pub fn segment_files(&self) -> Vec<PathBuf> {
         let Ok(entries) = self.vfs.read_dir(&self.dir) else {
             return Vec::new();
         };
@@ -227,14 +276,13 @@ impl ShardLog {
         Ok(batches)
     }
 
-    /// Visitor form of [`ShardLog::read_batches`] — folds a
-    /// multi-gigabyte shard without materializing every record at once.
+    /// Visitor form of [`SegmentLog::read_batches`] — folds a
+    /// multi-gigabyte log without materializing every record at once.
     pub fn visit_batches(
         &mut self,
         mut visit: impl FnMut(Vec<ProfileRecord>),
     ) -> Result<(), DbError> {
-        for (_, path, bytes) in self.scan_segments()? {
-            let _ = path;
+        for (_, _, bytes) in self.scan_segments()?.0 {
             format::walk_batches(&bytes[format::HEADER_LEN..], &mut visit);
         }
         Ok(())
@@ -242,7 +290,7 @@ impl ShardLog {
 
     // -- the write path --------------------------------------------------
 
-    /// Commits `records` as one atomic batch: acquire the shard lock,
+    /// Commits `records` as one atomic batch: acquire the lock,
     /// validate (and if necessary repair) the tail, append the batch as
     /// one-or-more batch frames, sync ONCE, release the lock. The sync
     /// acknowledgment is the commit point for the whole batch. Returns
@@ -255,13 +303,13 @@ impl ShardLog {
         self.commit_batch_keep(records, lock, false)
     }
 
-    /// [`ShardLog::commit_batch`], but with `keep` the lock stays held
+    /// [`SegmentLog::commit_batch`], but with `keep` the lock stays held
     /// after the commit: the next commit from this writer skips the
     /// lock-file churn and the tail re-validation (nobody else may
-    /// append under our lock). The hot submit path uses this during
-    /// bursts and calls [`ShardLog::release_if_held`] once the shard
-    /// goes idle, so a waiting peer is never starved for longer than
-    /// one burst.
+    /// append under our lock). The service's hot submit path uses this
+    /// during bursts and calls [`SegmentLog::release_if_held`] once the
+    /// shard goes idle, so a waiting peer is never starved for longer
+    /// than one burst.
     pub fn commit_batch_keep(
         &mut self,
         records: &[ProfileRecord],
@@ -281,11 +329,11 @@ impl ShardLog {
                     self.tail_valid = false;
                 }
                 LockOutcome::Contended(reason) => {
-                    // Contention by a live peer is not a shard failure:
+                    // Contention by a live peer is not a log failure:
                     // this batch stays in memory, the next one retries
                     // the lock.
                     self.warnings.push(format!(
-                        "shard {} lock contended ({reason}); batch kept in memory",
+                        "{} lock contended ({reason}); batch kept in memory",
                         self.dir.display()
                     ));
                     return self.ack_degraded(records);
@@ -295,7 +343,7 @@ impl ShardLog {
                     // any other I/O failure, so what reaches disk stays
                     // an exact prefix of what was acknowledged durable.
                     self.degrade(format!(
-                        "shard {} lock unusable ({reason}); \
+                        "{} lock unusable ({reason}); \
                          accumulating in memory from here on",
                         self.dir.display()
                     ));
@@ -310,9 +358,9 @@ impl ShardLog {
         result
     }
 
-    /// Releases the shard lock if this writer still holds it (the end
-    /// of a hot burst). A failed release is sticky degradation, exactly
-    /// as on the per-commit path. `Err` only on an injected crash.
+    /// Releases the lock if this writer still holds it (the end of a
+    /// hot burst). A failed release is sticky degradation, exactly as on
+    /// the per-commit path. `Err` only on an injected crash.
     pub fn release_if_held(&mut self) -> Result<(), DbError> {
         if !self.holding {
             return Ok(());
@@ -322,7 +370,7 @@ impl ShardLog {
         let released = self.release_lock()?;
         if let Err(e) = released {
             self.degrade(format!(
-                "could not release shard lock in {} ({e}); degrading",
+                "could not release lock in {} ({e}); degrading",
                 self.dir.display()
             ));
         }
@@ -367,7 +415,7 @@ impl ShardLog {
 
         // Seeded defect: acknowledge the batch as durable immediately
         // after the append, before the sync confirms it — the classic
-        // group-commit bug this service's oracle exists to convict.
+        // group-commit bug the service's oracle exists to convict.
         #[cfg(feature = "seeded-defects")]
         let ack_early = mfdefect::active("profsvc-batch-ack-early") && appended.is_ok();
         #[cfg(not(feature = "seeded-defects"))]
@@ -410,15 +458,19 @@ impl ShardLog {
         }
     }
 
-    /// Folds everything (disk + memory) into one frame per dataset in a
-    /// fresh superseding segment — same tmp → sync → rename protocol as
-    /// the base store. Holds the shard lock across the publish.
-    pub fn compact(&mut self, lock: &LockCfg) -> Result<(), DbError> {
+    /// Folds the active segment into one record per dataset in a fresh
+    /// superseding segment (tmp → sync → rename), under the lock — the
+    /// held one, or one taken for the compaction. Returns the batches
+    /// the new segment holds when it was published, `None` when the
+    /// compaction was skipped or failed (the log keeps running on the
+    /// current segment). `Err` only on an injected crash.
+    pub fn compact(&mut self, lock: &LockCfg) -> Result<Option<Vec<Vec<ProfileRecord>>>, DbError> {
         if self.dead.is_some() {
-            return Ok(());
+            return Ok(None);
         }
         if self.holding {
-            // Mid-burst compaction stays under the already-held lock.
+            // Mid-burst (or lifetime-held) compaction stays under the
+            // already-held lock.
             return self.compact_locked();
         }
         match self.acquire_lock(lock)? {
@@ -429,10 +481,10 @@ impl ShardLog {
             LockOutcome::Contended(reason) | LockOutcome::Broken(reason) => {
                 // Compaction is optional work: never degrade for it.
                 self.warnings.push(format!(
-                    "shard {} lock unavailable ({reason}); compaction skipped",
+                    "{} lock unavailable ({reason}); compaction skipped",
                     self.dir.display()
                 ));
-                return Ok(());
+                return Ok(None);
             }
         }
         let result = self.compact_locked();
@@ -444,10 +496,10 @@ impl ShardLog {
         result
     }
 
-    fn compact_locked(&mut self) -> Result<(), DbError> {
+    fn compact_locked(&mut self) -> Result<Option<Vec<Vec<ProfileRecord>>>, DbError> {
         self.ensure_tail()?;
         let Some(persist) = &self.persist else {
-            return Ok(());
+            return Ok(None);
         };
         let generation = persist.generation;
         let segment = persist.segment.clone();
@@ -462,7 +514,7 @@ impl ShardLog {
             Err(e) => {
                 self.warnings
                     .push(format!("compaction read failed ({e}); skipped"));
-                return Ok(());
+                return Ok(None);
             }
         };
         format::walk_batches(&bytes[format::HEADER_LEN..], |batch| {
@@ -471,11 +523,11 @@ impl ShardLog {
                 crate::fold_fps_by_dataset(&mut fps, &r);
             }
         });
-        let folded = crate::fold_to_records(&fold, &fps);
+        let chunks = crate::chunk_records(&crate::fold_to_records(&fold, &fps));
 
         let mut buf = Vec::new();
-        for chunk in crate::chunk_records(&folded) {
-            buf.extend_from_slice(&format::encode_batch_frame(&chunk));
+        for chunk in &chunks {
+            buf.extend_from_slice(&format::encode_batch_frame(chunk));
         }
         let header = format::encode_header(&format::SegmentHeader {
             generation: new_gen,
@@ -497,6 +549,8 @@ impl ShardLog {
         };
         match renamed {
             Ok(()) => {
+                // Best-effort: a survivor is superseded by
+                // `folds_through` and removed at the next repair.
                 let _ = self.io("remove superseded segment", |vfs, _| {
                     vfs.remove_file(&segment)
                 })?;
@@ -506,9 +560,16 @@ impl ShardLog {
                     committed_len: total_len,
                 });
                 self.counters.compactions += 1;
-                Ok(())
+                Ok(Some(chunks))
             }
             Err(e) => {
+                // A torn publish may have left a partial destination; it
+                // is self-invalidating (file shorter than its header's
+                // base_len), but clean it up eagerly when we can. If a
+                // complete copy landed despite the error, it *will* be
+                // honored at the next open — so it must go, or future
+                // appends (to the old segment) would be superseded
+                // behind our back.
                 let _ = self.io("remove staged compaction", |vfs, _| vfs.remove_file(&tmp))?;
                 if self.vfs.exists(&final_path) {
                     let removed = self.io("remove torn compaction", |vfs, _| {
@@ -520,13 +581,13 @@ impl ShardLog {
                              accumulating in memory from here on",
                             final_path.display()
                         ));
-                        return Ok(());
+                        return Ok(None);
                     }
                 }
                 self.warnings.push(format!(
                     "compaction failed ({e}); continuing on the current segment"
                 ));
-                Ok(())
+                Ok(None)
             }
         }
     }
@@ -551,15 +612,15 @@ impl ShardLog {
         self.warnings.push(warning);
     }
 
-    /// Acquire the per-commit lock. `Err` only on an injected crash.
+    /// Acquires the lock. `Err` only on an injected crash.
     fn acquire_lock(&mut self, lock: &LockCfg) -> Result<LockOutcome, DbError> {
         let lock_path = self.dir.join(LOCK_FILE);
         let content = std::process::id().to_string().into_bytes();
         if lock.steal {
-            let _ = self.io("steal shard lock", |vfs, _| vfs.remove_file(&lock_path))?;
+            let _ = self.io("steal lock", |vfs, _| vfs.remove_file(&lock_path))?;
         }
         for attempt in 0..=lock.attempts {
-            let created = self.io("acquire shard lock", |vfs, _| {
+            let created = self.io("acquire lock", |vfs, _| {
                 vfs.create_new(&lock_path, &content)
             })?;
             match created {
@@ -577,7 +638,7 @@ impl ShardLog {
         // Backoff budget exhausted: a live holder wins this round; a
         // dead (or torn, unparseable) one forfeits its lock.
         let holder = self
-            .io("read shard lock", |vfs, _| vfs.read(&lock_path))?
+            .io("read lock", |vfs, _| vfs.read(&lock_path))?
             .ok()
             .and_then(|bytes| String::from_utf8(bytes).ok())
             .and_then(|s| s.trim().parse::<u32>().ok());
@@ -587,17 +648,15 @@ impl ShardLog {
         };
         if !stale {
             return Ok(LockOutcome::Contended(format!(
-                "held by live writer (pid {holder:?})"
+                "locked by a live writer (pid {holder:?})"
             )));
         }
         self.warnings.push(format!(
-            "shard lock {} was held by a dead writer; stealing it",
+            "lock {} was held by a dead writer; stealing it",
             lock_path.display()
         ));
-        let _ = self.io("steal stale shard lock", |vfs, _| {
-            vfs.remove_file(&lock_path)
-        })?;
-        let created = self.io("acquire stolen shard lock", |vfs, _| {
+        let _ = self.io("steal stale lock", |vfs, _| vfs.remove_file(&lock_path))?;
+        let created = self.io("acquire stolen lock", |vfs, _| {
             vfs.create_new(&lock_path, &content)
         })?;
         Ok(match created {
@@ -613,7 +672,7 @@ impl ShardLog {
 
     fn release_lock(&mut self) -> Result<io::Result<()>, DbError> {
         let lock_path = self.dir.join(LOCK_FILE);
-        self.io("release shard lock", |vfs, _| vfs.remove_file(&lock_path))
+        self.io("release lock", |vfs, _| vfs.remove_file(&lock_path))
     }
 
     /// Under the lock: make sure the active segment exists and our
@@ -636,36 +695,36 @@ impl ShardLog {
                 }
             }
         }
-        self.rescan(true)?;
+        self.rescan(true, |_| {})?;
         self.tail_valid = self.persist.is_some();
         Ok(())
     }
 
-    /// Scans the shard's segments; with `repair`, truncates torn tails,
-    /// removes superseded/torn segments, and creates the first segment
-    /// of a fresh shard. `repair` must only be used under the lock.
-    fn rescan(&mut self, repair: bool) -> Result<(), DbError> {
+    /// Scans the log's segments, handing each valid batch to `visit`;
+    /// with `repair`, sweeps compaction leftovers, removes superseded and
+    /// torn segments, truncates torn tails, and creates the first segment
+    /// of a fresh log. `repair` must only be used under the lock.
+    fn rescan(
+        &mut self,
+        repair: bool,
+        mut visit: impl FnMut(Vec<ProfileRecord>),
+    ) -> Result<(), DbError> {
+        let (parsed, skipped) = self.scan_segments()?;
         if repair {
-            let leftovers = self.io("scan shard directory", |vfs, dir| vfs.read_dir(dir))?;
-            if let Ok(entries) = leftovers {
-                for path in entries {
-                    let is_tmp = path
-                        .file_name()
-                        .and_then(|n| n.to_str())
-                        .is_some_and(|n| n.starts_with("compact-") && n.ends_with(".tmp"));
-                    if is_tmp {
-                        let _ = self.io("remove stale compaction tmp", |vfs, _| {
-                            vfs.remove_file(&path)
-                        })?;
-                    }
-                }
+            let leftovers = self.io("scan db directory", |vfs, dir| vfs.read_dir(dir))?;
+            let tmps = leftovers.unwrap_or_default().into_iter().filter(|path| {
+                path.file_name()
+                    .and_then(|n| n.to_str())
+                    .is_some_and(|n| n.starts_with("compact-") && n.ends_with(".tmp"))
+            });
+            for path in tmps.chain(skipped) {
+                let _ = self.io("remove stale file", |vfs, _| vfs.remove_file(&path))?;
             }
         }
-        let parsed = self.scan_segments()?;
         let max_gen = parsed.iter().map(|(h, _, _)| h.generation).max();
         let mut active: Option<Persist> = None;
         for (header, path, bytes) in &parsed {
-            let valid_body = format::walk_batches(&bytes[format::HEADER_LEN..], |_| {});
+            let valid_body = format::walk_batches(&bytes[format::HEADER_LEN..], &mut visit);
             let valid_len = (format::HEADER_LEN + valid_body) as u64;
             if valid_len < bytes.len() as u64 && repair {
                 let dropped = bytes.len() as u64 - valid_len;
@@ -679,6 +738,8 @@ impl ShardLog {
                 let truncated =
                     self.io("truncate torn tail", |vfs, _| vfs.truncate(path, valid_len))?;
                 if truncated.is_err() {
+                    // Appending after unremovable garbage would corrupt
+                    // the log.
                     self.degrade(format!(
                         "could not truncate torn tail of {}; accumulating in memory only",
                         path.display()
@@ -726,18 +787,19 @@ impl ShardLog {
         Ok(())
     }
 
-    /// Reads every parseable, non-superseded segment: `(header, path,
-    /// bytes)` sorted by generation. Torn creations (file shorter than
-    /// its own `base_len`) and superseded generations are skipped (and
-    /// removed when a writer rescans under the lock — callers of the
-    /// read-only path never mutate).
-    fn scan_segments(&mut self) -> Result<Vec<(format::SegmentHeader, PathBuf, Vec<u8>)>, DbError> {
+    /// Reads every segment file: the parseable, non-superseded ones as
+    /// `(header, path, bytes)` sorted by generation, and the paths of
+    /// the rest — torn creations (file shorter than its own `base_len`,
+    /// or no valid header) and superseded generations, which a repairing
+    /// rescan removes. Never mutates the directory.
+    fn scan_segments(&mut self) -> Result<(Vec<Segment>, Vec<PathBuf>), DbError> {
         let entries = self.io("scan segments", |vfs, dir| vfs.read_dir(dir))?;
         let entries = match entries {
             Ok(e) => e,
-            Err(_) => return Ok(Vec::new()),
+            Err(_) => return Ok((Vec::new(), Vec::new())),
         };
         let mut parsed = Vec::new();
+        let mut skipped = Vec::new();
         for path in entries {
             let Some(name) = path.file_name().and_then(|n| n.to_str()) else {
                 continue;
@@ -756,18 +818,21 @@ impl ShardLog {
             };
             match format::decode_header(&bytes) {
                 Some(h) if bytes.len() as u64 >= h.base_len => parsed.push((h, path, bytes)),
-                _ => continue,
+                _ => skipped.push(path),
             }
         }
         let folds_through = parsed.iter().map(|(h, _, _)| h.folds_through).max();
         if let Some(f) = folds_through {
-            parsed.retain(|(h, _, _)| h.generation > f);
+            let (keep, superseded): (Vec<_>, Vec<_>) =
+                parsed.into_iter().partition(|(h, _, _)| h.generation > f);
+            parsed = keep;
+            skipped.extend(superseded.into_iter().map(|(_, path, _)| path));
         }
         parsed.sort_by_key(|(h, _, _)| h.generation);
-        Ok(parsed)
+        Ok((parsed, skipped))
     }
 }
 
-pub(crate) fn segment_path(dir: &Path, generation: u64) -> PathBuf {
+fn segment_path(dir: &Path, generation: u64) -> PathBuf {
     dir.join(format!("seg-{generation:08}.mfdb"))
 }

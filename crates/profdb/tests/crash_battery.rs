@@ -16,7 +16,7 @@ use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use mffault::{FaultPlan, FaultVfs, MemVfs, RetryPolicy, Vfs};
-use mfprofdb::{LockMode, OpenOptions, Persistence, ProfileStore};
+use mfprofdb::{LockCfg, OpenOptions, Persistence, ProfileStore};
 use trace_ir::BranchId;
 use trace_vm::BranchCounts;
 
@@ -47,7 +47,10 @@ fn counts(rows: &[(u32, u64, u64)]) -> BranchCounts {
 
 fn steal_opts() -> OpenOptions {
     OpenOptions {
-        lock: LockMode::Steal,
+        lock: LockCfg {
+            steal: true,
+            ..LockCfg::default()
+        },
         retry: RetryPolicy::none(),
     }
 }
@@ -80,7 +83,10 @@ struct ScriptRun {
 
 fn run_script(vfs: Arc<dyn Vfs>, retry: RetryPolicy) -> ScriptRun {
     let options = OpenOptions {
-        lock: LockMode::Steal,
+        lock: LockCfg {
+            steal: true,
+            ..LockCfg::default()
+        },
         retry,
     };
     let mut acked = 0;

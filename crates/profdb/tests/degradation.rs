@@ -6,7 +6,7 @@
 use std::sync::Arc;
 
 use mffault::{FaultPlan, FaultVfs, MemVfs, RetryPolicy, Vfs};
-use mfprofdb::{LockMode, OpenOptions, Persistence, ProfileStore};
+use mfprofdb::{LockCfg, OpenOptions, Persistence, ProfileStore};
 use trace_ir::BranchId;
 use trace_vm::BranchCounts;
 
@@ -20,7 +20,10 @@ fn counts(rows: &[(u32, u64, u64)]) -> BranchCounts {
 
 fn opts() -> OpenOptions {
     OpenOptions {
-        lock: LockMode::Steal,
+        lock: LockCfg {
+            steal: true,
+            ..LockCfg::default()
+        },
         retry: RetryPolicy::none(),
     }
 }
@@ -136,7 +139,10 @@ fn transient_faults_are_absorbed_by_retry_without_degrading() {
         fv.clone() as Arc<dyn Vfs>,
         DIR,
         OpenOptions {
-            lock: LockMode::Steal,
+            lock: LockCfg {
+                steal: true,
+                ..LockCfg::default()
+            },
             retry: RetryPolicy::immediate(4),
         },
     )

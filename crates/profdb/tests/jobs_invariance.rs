@@ -9,7 +9,7 @@ use std::sync::Arc;
 
 use mffault::{MemVfs, RetryPolicy, Vfs};
 use mfharness::{DiskCache, Harness, HarnessOptions, RunJob};
-use mfprofdb::{LockMode, OpenOptions, Persistence, ProfileStore};
+use mfprofdb::{OpenOptions, Persistence, ProfileStore};
 use trace_vm::{Input, VmConfig};
 
 const BRANCHY: &str = "fn main(n: int) { var i: int = 0; var acc: int = 0; \
@@ -21,8 +21,8 @@ fn open(mem: &Arc<MemVfs>) -> ProfileStore {
         Arc::clone(mem) as Arc<dyn Vfs>,
         "/db",
         OpenOptions {
-            lock: LockMode::None,
             retry: RetryPolicy::none(),
+            ..OpenOptions::default()
         },
     )
     .expect("fault-free open")

@@ -3,16 +3,18 @@
 //! # mfprofsvc — the sharded multi-writer profile service
 //!
 //! [`mfprofdb`] made one writer crash-safe; this crate makes *many*
-//! writers fast without giving that up. The segment log is
-//! hash-partitioned by branch id into N independent shard logs
-//! (`shard-000/ … shard-NNN/`, each a plain `mfprofdb` segment
-//! directory), so writers touching different shards never contend.
-//! Within a shard, concurrent submissions coalesce into **group
-//! commits**: the first waiter becomes the leader, drains the queue,
-//! appends the whole batch as atomic batch frames, and pays ONE sync
-//! for everyone. A batch is one checksummed frame, so a crash mid-commit
-//! recovers to an exact prefix of acknowledged batches — never a
-//! partial batch.
+//! writers fast without giving that up. The database is hash-partitioned
+//! by branch id into N independent shard logs (`shard-000/ … shard-NNN/`,
+//! each a plain `mfprofdb` segment directory driven by the same
+//! [`mfprofdb::SegmentLog`] engine as the single-writer store), so
+//! writers touching different shards never contend. A shard takes its
+//! `LOCK` per group commit and drops it once idle, so two live processes
+//! interleave. Within a shard, concurrent submissions coalesce into
+//! **group commits**: the first waiter becomes the leader, drains the
+//! queue, appends the whole batch as atomic batch frames, and pays ONE
+//! sync for everyone. A batch is one checksummed frame, so a crash
+//! mid-commit recovers to an exact prefix of acknowledged batches —
+//! never a partial batch.
 //!
 //! Readers are snapshot-isolated: a merged read takes a point-in-time
 //! copy of each shard's segment and salvages it in memory, never
@@ -21,30 +23,31 @@
 //!
 //! The shard count is pinned in a checksummed `MANIFEST` at the
 //! database root. A directory holding an old single-log database (no
-//! manifest, root `seg-*.mfdb` files) opens read-only and migrates to
-//! the sharded layout on its first write; the manifest write is the
-//! migration's commit point, so a crash mid-migration leaves the legacy
-//! database untouched and the migration simply retries.
+//! manifest, root `seg-*.mfdb` files, as `mfprofdb::ProfileStore`
+//! writes) opens read-only and migrates to the sharded layout on its
+//! first write; the manifest write is the migration's commit point, so a
+//! crash mid-migration leaves the legacy database untouched and the
+//! migration simply retries.
 //!
 //! All I/O goes through [`mffault::Vfs`]; the crash battery extends
 //! per-shard and across a crash mid-group-commit.
-
-mod shard;
 
 use std::collections::BTreeMap;
 use std::io;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, RwLock};
-use std::time::Duration;
 
 use mffault::{RetryPolicy, Vfs};
 use mfprofdb::format;
+use mfprofdb::{
+    chunk_records, fold_fps, fold_fps_by_dataset, fold_record, fold_to_records, FpFold,
+    FpFoldByDataset, RawFold, SegmentLog,
+};
 use trace_ir::BranchId;
 use trace_vm::BranchCounts;
 
-pub use mfprofdb::{DbError, Persistence, ProfileRecord, StoreCounters};
-pub use shard::{LockCfg, ShardLog};
+pub use mfprofdb::{DbError, LockCfg, Persistence, ProfileRecord, StoreCounters};
 
 /// Name of the root manifest file that pins the shard count.
 const MANIFEST_FILE: &str = "MANIFEST";
@@ -55,114 +58,9 @@ const MANIFEST_VERSION: u8 = 1;
 /// Encoded manifest size: magic + version + shard_count + checksum.
 const MANIFEST_LEN: usize = 17;
 
-/// Per-dataset raw accumulation: branch id → (executed, taken), summed
-/// saturating (same currency as the base store).
-pub(crate) type RawFold = BTreeMap<String, BTreeMap<u32, (u64, u64)>>;
-
 /// What [`ProfileService::merged_totals`] returns: per-dataset sorted
 /// `(branch, executed, taken)` triples.
 pub type MergedTotals = BTreeMap<String, Vec<(u32, u64, u64)>>;
-
-/// Structural fingerprints folded across records (last writer wins per
-/// branch id — fingerprints describe a program, not a dataset's counts).
-pub(crate) type FpFold = BTreeMap<u32, u64>;
-
-/// Fingerprints folded per dataset label. A store can hold several
-/// distinct *programs* (each numbering its branches from zero), so folds
-/// that feed back into stored records must never mix labels.
-pub(crate) type FpFoldByDataset = BTreeMap<String, FpFold>;
-
-pub(crate) fn fold_record(fold: &mut RawFold, record: &ProfileRecord) {
-    let per_dataset = fold.entry(record.dataset.clone()).or_default();
-    for &(id, e, t) in &record.entries {
-        let slot = per_dataset.entry(id).or_insert((0, 0));
-        slot.0 = slot.0.saturating_add(e);
-        slot.1 = slot.1.saturating_add(t);
-    }
-}
-
-pub(crate) fn fold_fps(fps: &mut FpFold, record: &ProfileRecord) {
-    for &(id, fp) in &record.fps {
-        fps.insert(id, fp);
-    }
-}
-
-pub(crate) fn fold_fps_by_dataset(by_ds: &mut FpFoldByDataset, record: &ProfileRecord) {
-    if record.fps.is_empty() {
-        return;
-    }
-    fold_fps(by_ds.entry(record.dataset.clone()).or_default(), record);
-}
-
-/// One folded record per dataset, each carrying the folded fingerprint of
-/// every site *its own program* counts — so compaction and migration
-/// never shed the fingerprints the skew remapper needs later, and never
-/// smear one program's fingerprints onto another dataset's record.
-pub(crate) fn fold_to_records(fold: &RawFold, fps: &FpFoldByDataset) -> Vec<ProfileRecord> {
-    fold.iter()
-        .map(|(ds, m)| ProfileRecord {
-            dataset: ds.clone(),
-            entries: m.iter().map(|(&id, &(e, t))| (id, e, t)).collect(),
-            fps: fps
-                .get(ds)
-                .map(|f| f.iter().map(|(&id, &fp)| (id, fp)).collect())
-                .unwrap_or_default(),
-        })
-        .collect()
-}
-
-/// Splits records into chunks whose encoded size stays under one batch
-/// frame, cutting oversized records (a 100M-site fold) into sub-records
-/// — safe because accumulation sums per `(dataset, branch)`.
-pub(crate) fn chunk_records(records: &[ProfileRecord]) -> Vec<Vec<ProfileRecord>> {
-    let max = shard::MAX_FRAME_BYTES;
-    let mut chunks: Vec<Vec<ProfileRecord>> = Vec::new();
-    let mut chunk: Vec<ProfileRecord> = Vec::new();
-    let mut chunk_bytes = 0usize;
-    let push = |r: ProfileRecord,
-                chunks: &mut Vec<Vec<ProfileRecord>>,
-                chunk: &mut Vec<ProfileRecord>,
-                chunk_bytes: &mut usize| {
-        let len = format::record_body_len(&r);
-        if !chunk.is_empty() && *chunk_bytes + len > max {
-            chunks.push(std::mem::take(chunk));
-            *chunk_bytes = 0;
-        }
-        *chunk_bytes += len;
-        chunk.push(r);
-    };
-    for r in records {
-        if format::record_body_len(r) <= max {
-            push(r.clone(), &mut chunks, &mut chunk, &mut chunk_bytes);
-            continue;
-        }
-        // An entry costs 20 bytes, plus 12 more when it drags its
-        // fingerprint along.
-        let entry_cost = if r.fps.is_empty() { 20 } else { 32 };
-        let per = ((max - 12 - r.dataset.len()).max(entry_cost) / entry_cost).max(1);
-        let fp_of: BTreeMap<u32, u64> = r.fps.iter().copied().collect();
-        for part in r.entries.chunks(per) {
-            push(
-                ProfileRecord {
-                    dataset: r.dataset.clone(),
-                    entries: part.to_vec(),
-                    // Each fingerprint travels with its own entries.
-                    fps: part
-                        .iter()
-                        .filter_map(|&(id, _, _)| fp_of.get(&id).map(|&fp| (id, fp)))
-                        .collect(),
-                },
-                &mut chunks,
-                &mut chunk,
-                &mut chunk_bytes,
-            );
-        }
-    }
-    if !chunk.is_empty() {
-        chunks.push(chunk);
-    }
-    chunks
-}
 
 /// The shard a branch's counters land in. Pure function of the branch
 /// id and the manifest's shard count, so every writer and reader agrees
@@ -206,14 +104,6 @@ pub struct ServiceOptions {
     pub lock: LockCfg,
     /// Bounded retry for transient I/O faults.
     pub retry: RetryPolicy,
-    /// Extra window a group-commit leader waits for more submissions to
-    /// coalesce before paying the sync. Zero (the default) still
-    /// batches: everything that queued while the previous commit was
-    /// syncing rides the next one.
-    pub flush_interval: Duration,
-    /// Commit as soon as this many submissions are pending, regardless
-    /// of the flush interval.
-    pub max_batch: usize,
 }
 
 impl Default for ServiceOptions {
@@ -222,8 +112,6 @@ impl Default for ServiceOptions {
             shards: 8,
             lock: LockCfg::default(),
             retry: RetryPolicy::default(),
-            flush_interval: Duration::ZERO,
-            max_batch: 64,
         }
     }
 }
@@ -243,7 +131,7 @@ pub struct SvcCounters {
 struct ShardCell {
     queue: Mutex<QueueState>,
     cv: Condvar,
-    log: Mutex<ShardLog>,
+    log: Mutex<SegmentLog>,
     dir: PathBuf,
 }
 
@@ -260,7 +148,7 @@ struct QueueState {
 }
 
 struct LegacyInner {
-    log: ShardLog,
+    log: SegmentLog,
     /// Enqueued-but-unflushed submissions (only reachable once a
     /// migration has failed and the service is memory-bound).
     pending: Vec<(u64, ProfileRecord)>,
@@ -319,7 +207,7 @@ impl ProfileService {
             dir,
             opts: options,
             mode: RwLock::new(Mode::Legacy(Box::new(Mutex::new(LegacyInner {
-                log: ShardLog::open(
+                log: SegmentLog::open(
                     Arc::new(mffault::MemVfs::new()),
                     "/placeholder",
                     RetryPolicy::none(),
@@ -343,7 +231,8 @@ impl ProfileService {
                 // Sharded database. Root segments can only be leftovers
                 // of a migration that crashed after its commit point.
                 let cells = svc.open_shards(shards)?;
-                let probe = ShardLog::open(Arc::clone(&svc.vfs), svc.dir.clone(), svc.opts.retry)?;
+                let probe =
+                    SegmentLog::open(Arc::clone(&svc.vfs), svc.dir.clone(), svc.opts.retry)?;
                 if probe.has_segments() {
                     svc.warn(format!(
                         "stale pre-migration segments present in {}; ignored",
@@ -369,7 +258,7 @@ impl ProfileService {
     }
 
     fn open_without_manifest(&self) -> Result<Mode, DbError> {
-        let mut log = ShardLog::open(Arc::clone(&self.vfs), self.dir.clone(), self.opts.retry)?;
+        let mut log = SegmentLog::open(Arc::clone(&self.vfs), self.dir.clone(), self.opts.retry)?;
         if log.has_segments() || !log.is_persistent() {
             // Legacy data, or an unusable directory: either way the
             // write path decides later (migrate, or accumulate in
@@ -410,7 +299,7 @@ impl ProfileService {
         let mut cells = Vec::with_capacity(shards as usize);
         for i in 0..shards {
             let sdir = self.shard_dir(i);
-            let log = ShardLog::open(Arc::clone(&self.vfs), sdir.clone(), self.opts.retry)?;
+            let log = SegmentLog::open(Arc::clone(&self.vfs), sdir.clone(), self.opts.retry)?;
             cells.push(Arc::new(ShardCell {
                 queue: Mutex::new(QueueState::default()),
                 cv: Condvar::new(),
@@ -431,10 +320,7 @@ impl ProfileService {
         mut f: impl FnMut(&dyn Vfs) -> io::Result<T>,
     ) -> Result<io::Result<T>, DbError> {
         let (result, _) = mffault::retry(self.opts.retry, || f(self.vfs.as_ref()));
-        match result {
-            Err(e) if mffault::is_crash(&e) => Err(DbError { op, source: e }),
-            other => Ok(other),
-        }
+        mfprofdb::crash_check(op, result)
     }
 
     fn warn(&self, w: String) {
@@ -653,15 +539,8 @@ impl ProfileService {
             }
             if !q.leader {
                 q.leader = true;
-                if !self.opts.flush_interval.is_zero() && q.pending.len() < self.opts.max_batch {
-                    // Batching window: let more submissions pile on
-                    // before paying the sync.
-                    let (guard, _) = cell
-                        .cv
-                        .wait_timeout(q, self.opts.flush_interval)
-                        .expect("queue lock");
-                    q = guard;
-                }
+                // Everything that queued while the previous commit was
+                // syncing rides this one.
                 let batch = std::mem::take(&mut q.pending);
                 drop(q);
                 let records: Vec<ProfileRecord> = batch.iter().map(|(_, r)| r.clone()).collect();
@@ -874,7 +753,7 @@ impl ProfileService {
         }
 
         // Best-effort cleanup of the superseded legacy segments.
-        let root = ShardLog::open(Arc::clone(&self.vfs), self.dir.clone(), self.opts.retry)?;
+        let root = SegmentLog::open(Arc::clone(&self.vfs), self.dir.clone(), self.opts.retry)?;
         for path in root.segment_files() {
             let _ = self.io("remove legacy segment", |vfs| vfs.remove_file(&path))?;
         }
@@ -1077,6 +956,7 @@ pub(crate) fn split_record(record: &ProfileRecord, shards: u32) -> Vec<(u32, Pro
 mod tests {
     use super::*;
     use mffault::MemVfs;
+    use std::time::Duration;
 
     fn counts(rows: &[(u32, u64, u64)]) -> BranchCounts {
         rows.iter()
@@ -1093,7 +973,6 @@ mod tests {
                 steal: false,
             },
             retry: RetryPolicy::none(),
-            ..ServiceOptions::default()
         }
     }
 
@@ -1176,8 +1055,8 @@ mod tests {
                 Arc::clone(&mem),
                 DIR,
                 mfprofdb::OpenOptions {
-                    lock: mfprofdb::LockMode::None,
                     retry: RetryPolicy::none(),
+                    ..mfprofdb::OpenOptions::default()
                 },
             )
             .unwrap();
@@ -1299,8 +1178,8 @@ mod tests {
                 Arc::clone(&mem),
                 DIR,
                 mfprofdb::OpenOptions {
-                    lock: mfprofdb::LockMode::None,
                     retry: RetryPolicy::none(),
+                    ..mfprofdb::OpenOptions::default()
                 },
             )
             .unwrap();
@@ -1316,25 +1195,87 @@ mod tests {
         assert_eq!(merged.get(&2), Some(&22));
     }
 
-    #[test]
-    fn chunking_splits_oversized_records_without_losing_counts() {
-        let big = ProfileRecord {
-            dataset: "huge".into(),
-            entries: (0..500_000u32).map(|i| (i, 2, 1)).collect(),
-            ..Default::default()
-        };
-        let chunks = chunk_records(std::slice::from_ref(&big));
-        assert!(chunks.len() > 1, "10MB of entries spans multiple frames");
-        let mut fold = RawFold::new();
-        for c in &chunks {
-            for r in c {
-                assert!(format::record_body_len(r) <= shard::MAX_FRAME_BYTES);
-                fold_record(&mut fold, r);
-            }
+    /// A single-log database of single-run frames: v1 and v2 run frames,
+    /// with and without fingerprints, plus an empty dataset-presence
+    /// record. No writer appends single-run frames, so this builder is
+    /// the only source of that layout.
+    fn single_run_frame_layout(mem: &Arc<dyn Vfs>) -> Vec<ProfileRecord> {
+        let record =
+            |dataset: &str, entries: &[(u32, u64, u64)], fps: &[(u32, u64)]| ProfileRecord {
+                dataset: dataset.into(),
+                entries: entries.to_vec(),
+                fps: fps.to_vec(),
+            };
+        let records = vec![
+            record("train", &[(0, 10, 4), (3, 5, 5)], &[]),
+            record("train", &[(0, 2, 1), (7, 1, 0)], &[(0, 0xA0), (7, 0xA7)]),
+            record("ref", &[(3, 9, 0)], &[(3, 0xA3)]),
+            record("ref", &[], &[]),
+        ];
+        let mut bytes = format::encode_header(&format::SegmentHeader {
+            generation: 1,
+            folds_through: 0,
+            base_len: format::HEADER_LEN as u64,
+        });
+        for r in &records {
+            bytes.extend_from_slice(&format::encode_frame(r));
         }
-        let mut expected = RawFold::new();
-        fold_record(&mut expected, &big);
-        assert_eq!(fold, expected);
+        mem.create_dir_all(Path::new(DIR)).unwrap();
+        mem.write(&Path::new(DIR).join("seg-00000001.mfdb"), &bytes)
+            .unwrap();
+        records
+    }
+
+    #[test]
+    fn single_run_frame_layout_opens_grows_and_migrates() {
+        let totals: MergedTotals = [
+            ("ref".to_string(), vec![(3, 9, 0)]),
+            ("train".to_string(), vec![(0, 12, 5), (3, 5, 5), (7, 1, 0)]),
+        ]
+        .into_iter()
+        .collect();
+        let fps: BTreeMap<u32, u64> = [(0, 0xA0), (3, 0xA3), (7, 0xA7)].into_iter().collect();
+        let store_opts = mfprofdb::OpenOptions {
+            retry: RetryPolicy::none(),
+            ..mfprofdb::OpenOptions::default()
+        };
+
+        // The store reads it, then grows and compacts it.
+        let mem: Arc<dyn Vfs> = Arc::new(MemVfs::new());
+        let records = single_run_frame_layout(&mem);
+        let mut store = mfprofdb::ProfileStore::open(Arc::clone(&mem), DIR, store_opts).unwrap();
+        assert!(store.is_persistent(), "{:?}", store.warnings());
+        assert_eq!(store.records(), &records[..]);
+        assert_eq!(store.raw_totals(), totals);
+        assert_eq!(store.fingerprints(), &fps);
+        assert_eq!(
+            store.append("train", &counts(&[(3, 1, 1)])).unwrap(),
+            Persistence::Committed
+        );
+        store.compact().unwrap();
+        assert_eq!(store.counters().compactions, 1);
+        assert_eq!(store.records().len(), 2, "one folded record per dataset");
+        let grown = store.raw_totals();
+        assert_eq!(grown["train"], vec![(0, 12, 5), (3, 6, 6), (7, 1, 0)]);
+        drop(store);
+        let reopened = mfprofdb::ProfileStore::open(Arc::clone(&mem), DIR, store_opts).unwrap();
+        assert_eq!(reopened.raw_totals(), grown);
+        assert_eq!(reopened.fingerprints(), &fps);
+
+        // The service reads it as a legacy database and migrates it on
+        // its first flush without changing a count.
+        let mem: Arc<dyn Vfs> = Arc::new(MemVfs::new());
+        single_run_frame_layout(&mem);
+        let svc = ProfileService::open(Arc::clone(&mem), DIR, opts(4)).unwrap();
+        assert_eq!(svc.shard_count(), 0, "legacy opens read-only");
+        assert_eq!(svc.merged_totals().unwrap(), totals);
+        assert!(svc.flush().unwrap().is_empty());
+        assert_eq!(svc.shard_count(), 4, "migrated");
+        assert_eq!(svc.merged_totals().unwrap(), totals);
+        assert_eq!(svc.merged_fingerprints().unwrap(), fps);
+        drop(svc);
+        let svc = ProfileService::open(Arc::clone(&mem), DIR, opts(4)).unwrap();
+        assert_eq!(svc.merged_totals().unwrap(), totals);
     }
 
     #[test]

@@ -32,7 +32,6 @@ fn opts() -> ServiceOptions {
             steal: false,
         },
         retry: RetryPolicy::none(),
-        ..ServiceOptions::default()
     }
 }
 

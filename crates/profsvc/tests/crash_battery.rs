@@ -55,7 +55,6 @@ fn opts(steal: bool, retry: RetryPolicy) -> ServiceOptions {
             steal,
         },
         retry,
-        ..ServiceOptions::default()
     }
 }
 
@@ -243,8 +242,8 @@ fn prepopulate_legacy(mem: &Arc<MemVfs>) -> Fold {
         mem.clone() as Arc<dyn Vfs>,
         DIR,
         mfprofdb::OpenOptions {
-            lock: mfprofdb::LockMode::None,
             retry: RetryPolicy::none(),
+            ..mfprofdb::OpenOptions::default()
         },
     )
     .unwrap();

@@ -32,7 +32,6 @@ fn opts(steal: bool) -> ServiceOptions {
             steal,
         },
         retry: RetryPolicy::none(),
-        ..ServiceOptions::default()
     }
 }
 
