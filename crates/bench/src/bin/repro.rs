@@ -77,15 +77,12 @@ options:
                       verification digest
   --profile-db DIR    append every collected run's branch profile to the
                       crash-safe sharded profile database at DIR (created
-                      on first use; repeat invocations accumulate; an old
-                      single-log database migrates on first write) and
-                      print a persistence summary
+                      on first use; repeat invocations accumulate and
+                      compact; an old single-log database is served in
+                      place as one shard) and print a persistence summary
   --shards N          shard count for a NEWLY created profile database
                       (default: 8); an existing database keeps the count
                       pinned in its manifest
-  --compact-every N   fold the profile database's history only once it
-                      holds at least N committed batches (default: 1,
-                      i.e. compact on every invocation that recorded)
   --io-retries N      bounded retries for transient I/O faults in the
                       run cache and profile db (default: 2)
   --fault-seed N      deterministically inject I/O faults into the run
@@ -102,7 +99,6 @@ struct Options {
     verify_each: bool,
     profile_db: Option<PathBuf>,
     shards: Option<u32>,
-    compact_every: Option<u64>,
     io_retries: Option<u32>,
     fault_seed: Option<u64>,
 }
@@ -121,7 +117,6 @@ fn parse_args(args: &[String]) -> Result<Option<Options>, String> {
         verify_each: false,
         profile_db: None,
         shards: None,
-        compact_every: None,
         io_retries: None,
         fault_seed: None,
     };
@@ -170,16 +165,6 @@ fn parse_args(args: &[String]) -> Result<Option<Options>, String> {
                     return Err("--shards must be at least 1".to_string());
                 }
                 options.shards = Some(n);
-            }
-            "--compact-every" => {
-                let v = value(&mut iter)?;
-                let n: u64 = v.parse().map_err(|_| {
-                    format!("--compact-every expects a positive integer, got '{v}'")
-                })?;
-                if n == 0 {
-                    return Err("--compact-every must be at least 1".to_string());
-                }
-                options.compact_every = Some(n);
             }
             "--io-retries" => {
                 let v = value(&mut iter)?;
@@ -292,20 +277,10 @@ fn main() -> ExitCode {
             committed + in_memory
         );
         // Fold the accumulated history so the database stays bounded
-        // across repeat invocations — by default on every run, or only
-        // once at least `--compact-every` batches piled up.
-        let threshold = options.compact_every.unwrap_or(1);
-        let batches = db
-            .svc
-            .total_batches()
+        // across repeat invocations.
+        db.svc
+            .compact()
             .expect("probabilistic fault plans never include crash points");
-        if batches >= threshold {
-            db.svc
-                .compact()
-                .expect("probabilistic fault plans never include crash points");
-        } else {
-            eprintln!("profile db: compaction deferred ({batches} of {threshold} batches)");
-        }
     }
 
     if want("--table1") {
@@ -440,8 +415,8 @@ struct DbSession {
 /// Opens the `--profile-db` sharded service, with fault injection and
 /// retry budget matching the harness's own I/O discipline. `--shards`
 /// applies only when the database is created here; an existing manifest
-/// wins, and an old single-log database opens read-only and migrates on
-/// the first write.
+/// wins, and an old single-log database is served in place as one
+/// shard.
 fn open_profile_db(dir: &Path, options: &Options, harness_options: &HarnessOptions) -> DbSession {
     let vfs: Arc<dyn Vfs> = match harness_options.fault_seed {
         Some(seed) => Arc::new(FaultVfs::new(
@@ -524,7 +499,6 @@ fn profile_db_summary(
     println!("  io retries               {}", c.io_retries);
     println!("  compactions              {}", c.compactions);
     println!("  group commits            {}", svc.group_commits);
-    println!("  records migrated         {}", svc.migrated_records);
     println!("\nProfile reuse (version skew):");
     if db.prior.is_empty() {
         println!("  first generation (no prior runs)");

@@ -105,9 +105,6 @@ fn repro_profile_db_flag_values_are_validated() {
         &["--shards", "0"][..],
         &["--shards", "lots"][..],
         &["--shards"][..],
-        &["--compact-every", "0"][..],
-        &["--compact-every", "sometimes"][..],
-        &["--compact-every"][..],
     ] {
         let out = repro(args);
         assert_eq!(
@@ -130,8 +127,6 @@ fn repro_profile_db_to_a_writable_dir_exits_zero() {
         dir.to_str().unwrap(),
         "--shards",
         "4",
-        "--compact-every",
-        "5",
     ]);
     assert_eq!(out.status.code(), Some(0), "stderr: {}", stderr(&out));
     let stdout = String::from_utf8_lossy(&out.stdout).into_owned();

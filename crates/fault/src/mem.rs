@@ -33,11 +33,6 @@ impl MemVfs {
     pub fn new() -> Self {
         MemVfs::default()
     }
-
-    /// Number of files present (not directories).
-    pub fn file_count(&self) -> usize {
-        self.state.lock().expect("memvfs lock").files.len()
-    }
 }
 
 fn not_found(path: &Path) -> io::Error {

@@ -85,11 +85,6 @@ impl FunctionBuilder {
         self.current = block;
     }
 
-    /// The currently selected block.
-    pub fn current_block(&self) -> BlockId {
-        self.current
-    }
-
     /// True if the current block already has a terminator.
     pub fn current_terminated(&self) -> bool {
         self.blocks[self.current.index()].1.is_some()

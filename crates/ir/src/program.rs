@@ -94,15 +94,6 @@ impl Function {
         &self.blocks[id.index()]
     }
 
-    /// Mutable block lookup.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `id` is out of range.
-    pub fn block_mut(&mut self, id: BlockId) -> &mut Block {
-        &mut self.blocks[id.index()]
-    }
-
     /// Iterates `(BlockId, &Block)` pairs in layout order.
     pub fn iter_blocks(&self) -> impl Iterator<Item = (BlockId, &Block)> {
         self.blocks

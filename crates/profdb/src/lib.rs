@@ -129,7 +129,7 @@ pub type FpFold = BTreeMap<u32, u64>;
 /// Fingerprints folded per dataset label. A store can hold several
 /// distinct *programs* (each numbering its branches from zero), so folds
 /// that feed back into stored records must never mix labels.
-pub type FpFoldByDataset = BTreeMap<String, FpFold>;
+type FpFoldByDataset = BTreeMap<String, FpFold>;
 
 /// Adds one record's counters into `fold`.
 pub fn fold_record(fold: &mut RawFold, record: &ProfileRecord) {
@@ -149,7 +149,7 @@ pub fn fold_fps(fps: &mut FpFold, record: &ProfileRecord) {
 }
 
 /// Folds one record's fingerprints under its own dataset label.
-pub fn fold_fps_by_dataset(by_ds: &mut FpFoldByDataset, record: &ProfileRecord) {
+fn fold_fps_by_dataset(by_ds: &mut FpFoldByDataset, record: &ProfileRecord) {
     if record.fps.is_empty() {
         return;
     }
@@ -157,10 +157,10 @@ pub fn fold_fps_by_dataset(by_ds: &mut FpFoldByDataset, record: &ProfileRecord) 
 }
 
 /// One folded record per dataset, each carrying the folded fingerprint of
-/// every site *its own program* counts — so compaction and migration
-/// never shed the fingerprints the skew remapper needs later, and never
-/// smear one program's fingerprints onto another dataset's record.
-pub fn fold_to_records(fold: &RawFold, fps: &FpFoldByDataset) -> Vec<ProfileRecord> {
+/// every site *its own program* counts — so compaction never sheds the
+/// fingerprints the skew remapper needs later, and never smears one
+/// program's fingerprints onto another dataset's record.
+fn fold_to_records(fold: &RawFold, fps: &FpFoldByDataset) -> Vec<ProfileRecord> {
     fold.iter()
         .map(|(ds, m)| ProfileRecord {
             dataset: ds.clone(),
@@ -176,7 +176,7 @@ pub fn fold_to_records(fold: &RawFold, fps: &FpFoldByDataset) -> Vec<ProfileReco
 /// Splits records into chunks whose encoded size stays under one batch
 /// frame, cutting oversized records (a 100M-site fold) into sub-records
 /// — safe because accumulation sums per `(dataset, branch)`.
-pub fn chunk_records(records: &[ProfileRecord]) -> Vec<Vec<ProfileRecord>> {
+fn chunk_records(records: &[ProfileRecord]) -> Vec<Vec<ProfileRecord>> {
     let max = MAX_FRAME_BYTES;
     let mut chunks: Vec<Vec<ProfileRecord>> = Vec::new();
     let mut chunk: Vec<ProfileRecord> = Vec::new();
@@ -606,6 +606,32 @@ mod tests {
         drop(second);
         let third = ProfileStore::open(mem, DIR, acquire).unwrap();
         assert!(third.is_persistent(), "{:?}", third.warnings());
+    }
+
+    #[test]
+    fn a_degraded_store_holds_each_record_once() {
+        let fv: Arc<dyn Vfs> = Arc::new(mffault::FaultVfs::new(
+            Arc::new(MemVfs::new()),
+            mffault::FaultPlan::deny_writes(),
+        ));
+        let mut store = ProfileStore::open(fv, DIR, steal_opts()).unwrap();
+        assert!(store.is_degraded());
+        for i in 0..4u32 {
+            let ds = format!("ds{i}");
+            assert_eq!(
+                store.append(&ds, &counts(&[(i, 5, 2)])).unwrap(),
+                Persistence::Degraded
+            );
+        }
+        for i in 0..4u32 {
+            let copies = store
+                .records()
+                .iter()
+                .chain(store.log.memory_records())
+                .filter(|r| r.dataset == format!("ds{i}"))
+                .count();
+            assert_eq!(copies, 1, "record ds{i} is held {copies} times");
+        }
     }
 
     #[test]

@@ -103,6 +103,9 @@ pub struct SegmentLog {
     dead: Option<String>,
     /// Records acknowledged `Degraded` — kept so reads still see them.
     memory: Vec<ProfileRecord>,
+    /// False for a log held for its owner's lifetime: that owner keeps
+    /// every record it commits, so `memory` stays empty.
+    keep_degraded: bool,
     warnings: Vec<String>,
     counters: StoreCounters,
 }
@@ -159,6 +162,7 @@ impl SegmentLog {
         visit: impl FnMut(Vec<ProfileRecord>),
     ) -> Result<Self, DbError> {
         let mut log = SegmentLog::unscanned(vfs, dir.into(), retry)?;
+        log.keep_degraded = false;
         if !log.is_persistent() {
             return Ok(log);
         }
@@ -190,6 +194,7 @@ impl SegmentLog {
             tail_valid: false,
             dead: None,
             memory: Vec::new(),
+            keep_degraded: true,
             warnings: Vec::new(),
             counters: StoreCounters::default(),
         };
@@ -231,6 +236,8 @@ impl SegmentLog {
     }
 
     /// Records acknowledged `Degraded` (memory only), in commit order.
+    /// Always empty for a log opened with [`SegmentLog::open_held`],
+    /// whose owner keeps its own copy.
     pub fn memory_records(&self) -> &[ProfileRecord] {
         &self.memory
     }
@@ -241,25 +248,9 @@ impl SegmentLog {
     }
 
     /// Pushes this log into sticky in-memory degradation (the service
-    /// uses this when a migration fails around it).
+    /// uses this when a fresh database's manifest cannot be written).
     pub fn force_degrade(&mut self, reason: String) {
         self.degrade(reason);
-    }
-
-    /// Paths of the segment files currently present, best-effort (no
-    /// retry, no crash classification — cleanup use only).
-    pub fn segment_files(&self) -> Vec<PathBuf> {
-        let Ok(entries) = self.vfs.read_dir(&self.dir) else {
-            return Vec::new();
-        };
-        entries
-            .into_iter()
-            .filter(|p| {
-                p.file_name()
-                    .and_then(|n| n.to_str())
-                    .is_some_and(|n| n.starts_with("seg-") && n.ends_with(".mfdb"))
-            })
-            .collect()
     }
 
     // -- the read path ---------------------------------------------------
@@ -379,7 +370,9 @@ impl SegmentLog {
 
     fn ack_degraded(&mut self, records: &[ProfileRecord]) -> Result<Persistence, DbError> {
         self.counters.degraded_appends += records.len() as u64;
-        self.memory.extend(records.iter().cloned());
+        if self.keep_degraded {
+            self.memory.extend(records.iter().cloned());
+        }
         Ok(Persistence::Degraded)
     }
 

@@ -3,7 +3,7 @@
 //! # mfprofsvc — the sharded multi-writer profile service
 //!
 //! [`mfprofdb`] made one writer crash-safe; this crate makes *many*
-//! writers fast without giving that up. The database is hash-partitioned
+//! writers fast without giving that up. A new database is hash-partitioned
 //! by branch id into N independent shard logs (`shard-000/ … shard-NNN/`,
 //! each a plain `mfprofdb` segment directory driven by the same
 //! [`mfprofdb::SegmentLog`] engine as the single-writer store), so
@@ -22,12 +22,14 @@
 //! while writers stream.
 //!
 //! The shard count is pinned in a checksummed `MANIFEST` at the
-//! database root. A directory holding an old single-log database (no
-//! manifest, root `seg-*.mfdb` files, as `mfprofdb::ProfileStore`
-//! writes) opens read-only and migrates to the sharded layout on its
-//! first write; the manifest write is the migration's commit point, so a
-//! crash mid-migration leaves the legacy database untouched and the
-//! migration simply retries.
+//! database root. A manifest-less directory that holds a single-log
+//! database (root `seg-*.mfdb` files, as `mfprofdb::ProfileStore`
+//! writes) is served in place as one shard: the root log takes group
+//! commits and compactions under the same per-commit `LOCK` as any
+//! shard, so while a `ProfileStore` holds that lock the service's writes
+//! are acknowledged `Degraded` (kept in memory) instead of racing it. A
+//! directory that cannot be made persistent, or a fresh one whose
+//! manifest cannot be written, is one in-memory shard.
 //!
 //! All I/O goes through [`mffault::Vfs`]; the crash battery extends
 //! per-shard and across a crash mid-group-commit.
@@ -36,14 +38,11 @@ use std::collections::BTreeMap;
 use std::io;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex, RwLock};
+use std::sync::{Arc, Condvar, Mutex};
 
 use mffault::{RetryPolicy, Vfs};
 use mfprofdb::format;
-use mfprofdb::{
-    chunk_records, fold_fps, fold_fps_by_dataset, fold_record, fold_to_records, FpFold,
-    FpFoldByDataset, RawFold, SegmentLog,
-};
+use mfprofdb::{fold_fps, fold_record, FpFold, RawFold, SegmentLog};
 use trace_ir::BranchId;
 use trace_vm::BranchCounts;
 
@@ -97,8 +96,8 @@ fn decode_manifest(bytes: &[u8]) -> Option<u32> {
 /// Open-time knobs for the service.
 #[derive(Clone, Copy, Debug)]
 pub struct ServiceOptions {
-    /// Shard count for a fresh database (and the migration target for a
-    /// legacy one). An existing manifest always wins.
+    /// Shard count for a new database. An existing manifest always wins,
+    /// and a single-log database is served in place as one shard.
     pub shards: u32,
     /// Per-commit shard-lock policy.
     pub lock: LockCfg,
@@ -119,12 +118,10 @@ impl Default for ServiceOptions {
 /// Aggregated lifetime counters for the whole service.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct SvcCounters {
-    /// Summed per-shard (or legacy-log) store counters.
+    /// Summed per-shard store counters.
     pub store: StoreCounters,
     /// Group commits that reached the disk path (one sync each).
     pub group_commits: u64,
-    /// Records carried over by a legacy → sharded migration.
-    pub migrated_records: u64,
 }
 
 /// One shard's group-commit queue plus its log.
@@ -132,7 +129,16 @@ struct ShardCell {
     queue: Mutex<QueueState>,
     cv: Condvar,
     log: Mutex<SegmentLog>,
-    dir: PathBuf,
+}
+
+impl ShardCell {
+    fn new(log: SegmentLog) -> Self {
+        ShardCell {
+            queue: Mutex::new(QueueState::default()),
+            cv: Condvar::new(),
+            log: Mutex::new(log),
+        }
+    }
 }
 
 #[derive(Default)]
@@ -147,31 +153,17 @@ struct QueueState {
     dead: Option<String>,
 }
 
-struct LegacyInner {
-    log: SegmentLog,
-    /// Enqueued-but-unflushed submissions (only reachable once a
-    /// migration has failed and the service is memory-bound).
-    pending: Vec<(u64, ProfileRecord)>,
-}
-
-enum Mode {
-    /// Old single-log database (or an unusable directory): read-only
-    /// until the first write migrates it.
-    Legacy(Box<Mutex<LegacyInner>>),
-    /// Hash-partitioned shard logs per the manifest.
-    Sharded(Vec<Arc<ShardCell>>),
-}
-
 /// The sharded multi-writer profile service. See the crate docs.
 pub struct ProfileService {
-    vfs: Arc<dyn Vfs>,
     dir: PathBuf,
-    opts: ServiceOptions,
-    mode: RwLock<Mode>,
+    lock: LockCfg,
+    /// The shard logs in shard order: the manifest's shard directories,
+    /// or the root alone for a database served in place.
+    cells: Vec<ShardCell>,
     next_sid: AtomicU64,
     group_commits: AtomicU64,
-    migrated_records: AtomicU64,
-    svc_warnings: Mutex<Vec<String>>,
+    /// Warnings raised while opening, ahead of every shard's own.
+    open_warnings: Vec<String>,
 }
 
 fn crash_err(op: &'static str, reason: &str) -> DbError {
@@ -189,142 +181,112 @@ fn worst(a: Persistence, b: Persistence) -> Persistence {
     }
 }
 
+/// One retried service-level I/O operation, classified like a log's.
+fn io<T>(
+    retry: RetryPolicy,
+    op: &'static str,
+    f: impl FnMut() -> io::Result<T>,
+) -> Result<io::Result<T>, DbError> {
+    mfprofdb::crash_check(op, mffault::retry(retry, f).0)
+}
+
+fn open_shards(
+    vfs: &Arc<dyn Vfs>,
+    dir: &Path,
+    shards: u32,
+    retry: RetryPolicy,
+) -> Result<Vec<SegmentLog>, DbError> {
+    (0..shards)
+        .map(|i| SegmentLog::open(Arc::clone(vfs), dir.join(format!("shard-{i:03}")), retry))
+        .collect()
+}
+
+/// The logs of a directory without a valid manifest: a single-log
+/// database, or a directory that cannot be made persistent, is its own
+/// root log; a fresh one gets the manifest, then its shards.
+fn open_without_manifest(
+    vfs: &Arc<dyn Vfs>,
+    dir: &Path,
+    options: &ServiceOptions,
+) -> Result<Vec<SegmentLog>, DbError> {
+    let mut root = SegmentLog::open(Arc::clone(vfs), dir, options.retry)?;
+    if root.has_segments() || !root.is_persistent() {
+        return Ok(vec![root]);
+    }
+    let shards = options.shards.max(1);
+    let path = dir.join(MANIFEST_FILE);
+    let bytes = encode_manifest(shards);
+    let written = match io(options.retry, "write manifest", || vfs.write(&path, &bytes))? {
+        Ok(()) => io(options.retry, "sync manifest", || vfs.sync(&path))?,
+        Err(e) => Err(e),
+    };
+    match written {
+        Ok(()) => open_shards(vfs, dir, shards, options.retry),
+        Err(e) => {
+            // The manifest may have landed despite the error, and would
+            // then hide the root at the next open: nothing written to
+            // the root now may be acknowledged durable.
+            root.force_degrade(format!(
+                "could not write manifest in {} ({e}); accumulating in memory only",
+                dir.display()
+            ));
+            Ok(vec![root])
+        }
+    }
+}
+
 impl ProfileService {
     /// Opens (or creates) the service at `dir`. A fresh directory is
-    /// initialized with `options.shards` shards; a manifest pins the
-    /// count thereafter; a manifest-less directory with root segments
-    /// opens as a read-only legacy database that migrates on first
-    /// write. Returns `Err` only on an injected crash — every real
-    /// failure degrades with a warning, like the base store.
+    /// initialized with `options.shards` shards and a manifest pins the
+    /// count thereafter; a manifest-less directory with root segments is
+    /// served in place as one shard. Returns `Err` only on an injected
+    /// crash — every real failure degrades with a warning, like the base
+    /// store.
     pub fn open(
         vfs: Arc<dyn Vfs>,
         dir: impl Into<PathBuf>,
         options: ServiceOptions,
     ) -> Result<Self, DbError> {
         let dir = dir.into();
-        let svc = ProfileService {
-            vfs,
-            dir,
-            opts: options,
-            mode: RwLock::new(Mode::Legacy(Box::new(Mutex::new(LegacyInner {
-                log: SegmentLog::open(
-                    Arc::new(mffault::MemVfs::new()),
-                    "/placeholder",
-                    RetryPolicy::none(),
-                )?,
-                pending: Vec::new(),
-            })))),
-            next_sid: AtomicU64::new(1),
-            group_commits: AtomicU64::new(0),
-            migrated_records: AtomicU64::new(0),
-            svc_warnings: Mutex::new(Vec::new()),
-        };
-
-        let manifest_path = svc.dir.join(MANIFEST_FILE);
-        let manifest = svc
-            .io("read manifest", |vfs| vfs.read(&manifest_path))?
+        let mut open_warnings = Vec::new();
+        let manifest_path = dir.join(MANIFEST_FILE);
+        let manifest = io(options.retry, "read manifest", || vfs.read(&manifest_path))?
             .ok()
             .map(|bytes| decode_manifest(&bytes));
-
-        let mode = match manifest {
+        let logs = match manifest {
             Some(Some(shards)) => {
-                // Sharded database. Root segments can only be leftovers
-                // of a migration that crashed after its commit point.
-                let cells = svc.open_shards(shards)?;
-                let probe =
-                    SegmentLog::open(Arc::clone(&svc.vfs), svc.dir.clone(), svc.opts.retry)?;
-                if probe.has_segments() {
-                    svc.warn(format!(
-                        "stale pre-migration segments present in {}; ignored",
-                        svc.dir.display()
+                let logs = open_shards(&vfs, &dir, shards, options.retry)?;
+                // Root segments beside a manifest are never read (an
+                // earlier version's move of a single-log database into
+                // shards, cut off after the manifest, left them): say so.
+                if SegmentLog::open(Arc::clone(&vfs), dir.clone(), options.retry)?.has_segments() {
+                    open_warnings.push(format!(
+                        "stale root segments present in {}; ignored",
+                        dir.display()
                     ));
                 }
-                Mode::Sharded(cells)
+                logs
             }
-            Some(None) => {
-                // Manifest exists but does not decode: a torn manifest
-                // write. With legacy segments present the migration
-                // never committed — stay legacy; otherwise re-initialize.
-                svc.warn(format!(
-                    "corrupt manifest in {}; ignoring it",
-                    svc.dir.display()
-                ));
-                svc.open_without_manifest()?
+            manifest => {
+                if manifest.is_some() {
+                    // A torn manifest write: the fresh database it began
+                    // never committed a record.
+                    open_warnings.push(format!(
+                        "corrupt manifest in {}; ignoring it",
+                        dir.display()
+                    ));
+                }
+                open_without_manifest(&vfs, &dir, &options)?
             }
-            None => svc.open_without_manifest()?,
         };
-        *svc.mode.write().expect("mode lock") = mode;
-        Ok(svc)
-    }
-
-    fn open_without_manifest(&self) -> Result<Mode, DbError> {
-        let mut log = SegmentLog::open(Arc::clone(&self.vfs), self.dir.clone(), self.opts.retry)?;
-        if log.has_segments() || !log.is_persistent() {
-            // Legacy data, or an unusable directory: either way the
-            // write path decides later (migrate, or accumulate in
-            // memory).
-            return Ok(Mode::Legacy(Box::new(Mutex::new(LegacyInner {
-                log,
-                pending: Vec::new(),
-            }))));
-        }
-        // Fresh database: commit the shard count first, then lay out
-        // the shards.
-        match self.write_manifest(self.opts.shards.max(1))? {
-            Ok(()) => Ok(Mode::Sharded(self.open_shards(self.opts.shards.max(1))?)),
-            Err(e) => {
-                log.force_degrade(format!(
-                    "could not write manifest in {} ({e}); accumulating in memory only",
-                    self.dir.display()
-                ));
-                Ok(Mode::Legacy(Box::new(Mutex::new(LegacyInner {
-                    log,
-                    pending: Vec::new(),
-                }))))
-            }
-        }
-    }
-
-    fn write_manifest(&self, shards: u32) -> Result<io::Result<()>, DbError> {
-        let path = self.dir.join(MANIFEST_FILE);
-        let bytes = encode_manifest(shards);
-        let wrote = self.io("write manifest", |vfs| vfs.write(&path, &bytes))?;
-        match wrote {
-            Ok(()) => self.io("sync manifest", |vfs| vfs.sync(&path)),
-            Err(e) => Ok(Err(e)),
-        }
-    }
-
-    fn open_shards(&self, shards: u32) -> Result<Vec<Arc<ShardCell>>, DbError> {
-        let mut cells = Vec::with_capacity(shards as usize);
-        for i in 0..shards {
-            let sdir = self.shard_dir(i);
-            let log = SegmentLog::open(Arc::clone(&self.vfs), sdir.clone(), self.opts.retry)?;
-            cells.push(Arc::new(ShardCell {
-                queue: Mutex::new(QueueState::default()),
-                cv: Condvar::new(),
-                log: Mutex::new(log),
-                dir: sdir,
-            }));
-        }
-        Ok(cells)
-    }
-
-    fn shard_dir(&self, i: u32) -> PathBuf {
-        self.dir.join(format!("shard-{i:03}"))
-    }
-
-    fn io<T>(
-        &self,
-        op: &'static str,
-        mut f: impl FnMut(&dyn Vfs) -> io::Result<T>,
-    ) -> Result<io::Result<T>, DbError> {
-        let (result, _) = mffault::retry(self.opts.retry, || f(self.vfs.as_ref()));
-        mfprofdb::crash_check(op, result)
-    }
-
-    fn warn(&self, w: String) {
-        self.svc_warnings.lock().expect("warnings lock").push(w);
+        Ok(ProfileService {
+            dir,
+            lock: options.lock,
+            cells: logs.into_iter().map(ShardCell::new).collect(),
+            next_sid: AtomicU64::new(1),
+            group_commits: AtomicU64::new(0),
+            open_warnings,
+        })
     }
 
     // -- accessors -------------------------------------------------------
@@ -334,39 +296,24 @@ impl ProfileService {
         &self.dir
     }
 
-    /// Shard count per the manifest; 0 while still in (read-only)
-    /// legacy mode.
+    /// Shard count per the manifest; 1 for a database served in place.
     pub fn shard_count(&self) -> u32 {
-        match &*self.mode.read().expect("mode lock") {
-            Mode::Sharded(cells) => cells.len() as u32,
-            Mode::Legacy(_) => 0,
-        }
+        self.cells.len() as u32
     }
 
-    /// False once any shard (or the legacy log) fell back to in-memory
-    /// accumulation.
+    /// False once any shard fell back to in-memory accumulation.
     pub fn is_persistent(&self) -> bool {
-        match &*self.mode.read().expect("mode lock") {
-            Mode::Sharded(cells) => cells
-                .iter()
-                .all(|c| c.log.lock().expect("log lock").is_persistent()),
-            Mode::Legacy(inner) => inner.lock().expect("legacy lock").log.is_persistent(),
-        }
+        self.cells
+            .iter()
+            .all(|c| c.log.lock().expect("log lock").is_persistent())
     }
 
-    /// Everything that went wrong so far: service-level warnings first,
+    /// Everything that went wrong so far: the open's warnings first,
     /// then each shard's, in shard order.
     pub fn warnings(&self) -> Vec<String> {
-        let mut out = self.svc_warnings.lock().expect("warnings lock").clone();
-        match &*self.mode.read().expect("mode lock") {
-            Mode::Sharded(cells) => {
-                for c in cells {
-                    out.extend(c.log.lock().expect("log lock").warnings().to_vec());
-                }
-            }
-            Mode::Legacy(inner) => {
-                out.extend(inner.lock().expect("legacy lock").log.warnings().to_vec());
-            }
+        let mut out = self.open_warnings.clone();
+        for c in &self.cells {
+            out.extend_from_slice(c.log.lock().expect("log lock").warnings());
         }
         out
     }
@@ -374,26 +321,18 @@ impl ProfileService {
     /// Aggregated lifetime counters.
     pub fn counters(&self) -> SvcCounters {
         let mut store = StoreCounters::default();
-        let mut add = |c: StoreCounters| {
+        for cell in &self.cells {
+            let c = cell.log.lock().expect("log lock").counters();
             store.committed_appends += c.committed_appends;
             store.degraded_appends += c.degraded_appends;
             store.salvaged_records += c.salvaged_records;
             store.truncated_bytes += c.truncated_bytes;
             store.io_retries += c.io_retries;
             store.compactions += c.compactions;
-        };
-        match &*self.mode.read().expect("mode lock") {
-            Mode::Sharded(cells) => {
-                for c in cells {
-                    add(c.log.lock().expect("log lock").counters());
-                }
-            }
-            Mode::Legacy(inner) => add(inner.lock().expect("legacy lock").log.counters()),
         }
         SvcCounters {
             store,
             group_commits: self.group_commits.load(Ordering::Relaxed),
-            migrated_records: self.migrated_records.load(Ordering::Relaxed),
         }
     }
 
@@ -421,24 +360,12 @@ impl ProfileService {
     ) -> Result<Persistence, DbError> {
         let record = record_of(dataset, counts, fps);
         let sid = self.next_sid.fetch_add(1, Ordering::Relaxed);
-        self.ensure_sharded()?;
-        let mode = self.mode.read().expect("mode lock");
-        match &*mode {
-            Mode::Sharded(cells) => {
-                let parts = split_record(&record, cells.len() as u32);
-                let mut overall = Persistence::Committed;
-                for (shard, part) in parts {
-                    let p = self.submit_part(&cells[shard as usize], sid, part)?;
-                    overall = worst(overall, p);
-                }
-                Ok(overall)
-            }
-            Mode::Legacy(inner) => {
-                // Migration failed: memory-bound accumulation.
-                let mut li = inner.lock().expect("legacy lock");
-                li.log.commit_batch(&[record], &self.opts.lock)
-            }
+        let mut overall = Persistence::Committed;
+        for (shard, part) in split_record(&record, self.shard_count()) {
+            let p = self.submit_part(&self.cells[shard as usize], sid, part)?;
+            overall = worst(overall, p);
         }
+        Ok(overall)
     }
 
     /// Deterministic two-phase submit, for single-threaded drivers (the
@@ -458,19 +385,9 @@ impl ProfileService {
     ) -> Result<u64, DbError> {
         let record = record_of(dataset, counts, fps);
         let sid = self.next_sid.fetch_add(1, Ordering::Relaxed);
-        self.ensure_sharded()?;
-        let mode = self.mode.read().expect("mode lock");
-        match &*mode {
-            Mode::Sharded(cells) => {
-                for (shard, part) in split_record(&record, cells.len() as u32) {
-                    let mut q = cells[shard as usize].queue.lock().expect("queue lock");
-                    q.pending.push((sid, part));
-                }
-            }
-            Mode::Legacy(inner) => {
-                let mut li = inner.lock().expect("legacy lock");
-                li.pending.push((sid, record));
-            }
+        for (shard, part) in split_record(&record, self.shard_count()) {
+            let mut q = self.cells[shard as usize].queue.lock().expect("queue lock");
+            q.pending.push((sid, part));
         }
         Ok(sid)
     }
@@ -479,44 +396,25 @@ impl ProfileService {
     /// shard order — deterministic under fault injection). Returns each
     /// flushed submission's worst persistence across its shard parts.
     pub fn flush(&self) -> Result<BTreeMap<u64, Persistence>, DbError> {
-        self.ensure_sharded()?;
-        let mode = self.mode.read().expect("mode lock");
         let mut acks: BTreeMap<u64, Persistence> = BTreeMap::new();
-        match &*mode {
-            Mode::Sharded(cells) => {
-                for cell in cells {
-                    let batch = {
-                        let mut q = cell.queue.lock().expect("queue lock");
-                        std::mem::take(&mut q.pending)
-                    };
-                    if batch.is_empty() {
-                        continue;
-                    }
-                    let records: Vec<ProfileRecord> =
-                        batch.iter().map(|(_, r)| r.clone()).collect();
-                    let p = cell
-                        .log
-                        .lock()
-                        .expect("log lock")
-                        .commit_batch(&records, &self.opts.lock)?;
-                    self.group_commits.fetch_add(1, Ordering::Relaxed);
-                    for (sid, _) in batch {
-                        let slot = acks.entry(sid).or_insert(Persistence::Committed);
-                        *slot = worst(*slot, p);
-                    }
-                }
+        for cell in &self.cells {
+            let batch = {
+                let mut q = cell.queue.lock().expect("queue lock");
+                std::mem::take(&mut q.pending)
+            };
+            if batch.is_empty() {
+                continue;
             }
-            Mode::Legacy(inner) => {
-                let mut li = inner.lock().expect("legacy lock");
-                let batch = std::mem::take(&mut li.pending);
-                if !batch.is_empty() {
-                    let records: Vec<ProfileRecord> =
-                        batch.iter().map(|(_, r)| r.clone()).collect();
-                    let p = li.log.commit_batch(&records, &self.opts.lock)?;
-                    for (sid, _) in batch {
-                        acks.insert(sid, p);
-                    }
-                }
+            let records: Vec<ProfileRecord> = batch.iter().map(|(_, r)| r.clone()).collect();
+            let p = cell
+                .log
+                .lock()
+                .expect("log lock")
+                .commit_batch(&records, &self.lock)?;
+            self.group_commits.fetch_add(1, Ordering::Relaxed);
+            for (sid, _) in batch {
+                let slot = acks.entry(sid).or_insert(Persistence::Committed);
+                *slot = worst(*slot, p);
             }
         }
         Ok(acks)
@@ -547,11 +445,11 @@ impl ProfileService {
                 // Keep the shard lock hot: back-to-back group commits
                 // within a burst skip the lock-file churn; the lock is
                 // dropped below the moment the queue drains.
-                let result = cell.log.lock().expect("log lock").commit_batch_keep(
-                    &records,
-                    &self.opts.lock,
-                    true,
-                );
+                let result = cell
+                    .log
+                    .lock()
+                    .expect("log lock")
+                    .commit_batch_keep(&records, &self.lock, true);
                 q = cell.queue.lock().expect("queue lock");
                 q.leader = false;
                 match result {
@@ -588,181 +486,12 @@ impl ProfileService {
     }
 
     /// Compacts every shard (fold to one frame per dataset in a
-    /// superseding segment). A no-op in legacy mode.
+    /// superseding segment).
     pub fn compact(&self) -> Result<(), DbError> {
-        let mode = self.mode.read().expect("mode lock");
-        if let Mode::Sharded(cells) = &*mode {
-            for cell in cells {
-                cell.log
-                    .lock()
-                    .expect("log lock")
-                    .compact(&self.opts.lock)?;
-            }
+        for cell in &self.cells {
+            cell.log.lock().expect("log lock").compact(&self.lock)?;
         }
         Ok(())
-    }
-
-    // -- migration -------------------------------------------------------
-
-    /// Upgrade to sharded mode if this is still an (intact) legacy
-    /// database. Failed migrations leave the service in memory-bound
-    /// legacy mode; a crash leaves the legacy database untouched.
-    fn ensure_sharded(&self) -> Result<(), DbError> {
-        {
-            let mode = self.mode.read().expect("mode lock");
-            match &*mode {
-                Mode::Sharded(_) => return Ok(()),
-                Mode::Legacy(inner) => {
-                    if !inner.lock().expect("legacy lock").log.is_persistent() {
-                        return Ok(()); // already broken: stay memory-bound
-                    }
-                }
-            }
-        }
-        let mut mode = self.mode.write().expect("mode lock");
-        let Mode::Legacy(inner) = &*mode else {
-            return Ok(()); // raced: someone else migrated
-        };
-        let li = inner.lock().expect("legacy lock");
-        if !li.log.is_persistent() {
-            return Ok(());
-        }
-        drop(li);
-        match self.migrate(mode.deref_legacy())? {
-            Ok(cells) => {
-                *mode = Mode::Sharded(cells);
-                Ok(())
-            }
-            Err(reason) => {
-                let Mode::Legacy(inner) = &*mode else {
-                    unreachable!("mode still legacy under write lock");
-                };
-                inner
-                    .lock()
-                    .expect("legacy lock")
-                    .log
-                    .force_degrade(format!(
-                        "legacy migration of {} failed ({reason}); \
-                         accumulating in memory only",
-                        self.dir.display()
-                    ));
-                Ok(())
-            }
-        }
-    }
-
-    /// The migration proper: wipe shard dirs, replay the legacy fold
-    /// into the shards, commit the manifest, drop the legacy segments.
-    /// `Ok(Err(reason))` on a real failure (caller degrades), `Err` on
-    /// an injected crash.
-    fn migrate(
-        &self,
-        legacy: &Mutex<LegacyInner>,
-    ) -> Result<Result<Vec<Arc<ShardCell>>, String>, DbError> {
-        let shards = self.opts.shards.max(1);
-        let mut li = legacy.lock().expect("legacy lock");
-        let mut fold = RawFold::new();
-        let mut fps = FpFoldByDataset::new();
-        li.log.visit_batches(|batch| {
-            for r in batch {
-                fold_record(&mut fold, &r);
-                fold_fps_by_dataset(&mut fps, &r);
-            }
-        })?;
-        let legacy_records = fold_to_records(&fold, &fps);
-        drop(li);
-
-        // A previous migration may have crashed after partially filling
-        // shard dirs (but before the manifest commit): wipe them so the
-        // replay cannot double-count.
-        for i in 0..shards {
-            let sdir = self.shard_dir(i);
-            if !self.vfs.exists(&sdir) {
-                continue;
-            }
-            let entries = match self.io("scan shard dir", |vfs| vfs.read_dir(&sdir))? {
-                Ok(e) => e,
-                Err(e) => return Ok(Err(format!("cannot scan {}: {e}", sdir.display()))),
-            };
-            for path in entries {
-                if self
-                    .io("wipe shard file", |vfs| vfs.remove_file(&path))?
-                    .is_err()
-                {
-                    return Ok(Err(format!("cannot wipe {}", path.display())));
-                }
-            }
-        }
-
-        let cells = self.open_shards(shards)?;
-        let mut migrated = 0u64;
-        // Split the fold per shard and replay it as normal batch
-        // commits; every record must land durably before the manifest
-        // makes the migration visible.
-        for (i, cell) in cells.iter().enumerate() {
-            let mut per_shard: Vec<ProfileRecord> = Vec::new();
-            for r in &legacy_records {
-                let entries: Vec<(u32, u64, u64)> = r
-                    .entries
-                    .iter()
-                    .copied()
-                    .filter(|&(id, _, _)| shard_of(id, shards) == i as u32)
-                    .collect();
-                let fps: Vec<(u32, u64)> = r
-                    .fps
-                    .iter()
-                    .copied()
-                    .filter(|&(id, _)| shard_of(id, shards) == i as u32)
-                    .collect();
-                let goes_here = if r.entries.is_empty() {
-                    i == 0 // dataset presence with no counters → shard 0
-                } else {
-                    !entries.is_empty() || !fps.is_empty()
-                };
-                if goes_here {
-                    per_shard.push(ProfileRecord {
-                        dataset: r.dataset.clone(),
-                        entries,
-                        fps,
-                    });
-                }
-            }
-            if per_shard.is_empty() {
-                continue;
-            }
-            migrated += per_shard.len() as u64;
-            for chunk in chunk_records(&per_shard) {
-                let mut log = cell.log.lock().expect("log lock");
-                match log.commit_batch(&chunk, &self.opts.lock)? {
-                    Persistence::Committed => {}
-                    Persistence::Degraded => {
-                        return Ok(Err(format!(
-                            "shard {} would not accept the replay",
-                            cell.dir.display()
-                        )));
-                    }
-                }
-            }
-        }
-
-        // The commit point: once the manifest is durable the service is
-        // sharded; a crash any earlier leaves a manifest-less legacy
-        // database and the migration retries.
-        if let Err(e) = self.write_manifest(shards)? {
-            return Ok(Err(format!("manifest write failed: {e}")));
-        }
-
-        // Best-effort cleanup of the superseded legacy segments.
-        let root = SegmentLog::open(Arc::clone(&self.vfs), self.dir.clone(), self.opts.retry)?;
-        for path in root.segment_files() {
-            let _ = self.io("remove legacy segment", |vfs| vfs.remove_file(&path))?;
-        }
-        self.migrated_records.fetch_add(migrated, Ordering::Relaxed);
-        self.warn(format!(
-            "migrated legacy database {} to {shards} shards ({migrated} folded records)",
-            self.dir.display()
-        ));
-        Ok(Ok(cells))
     }
 
     // -- the read path ---------------------------------------------------
@@ -831,83 +560,27 @@ impl ProfileService {
     }
 
     fn visit_all(&self, mut visit: impl FnMut(&ProfileRecord)) -> Result<(), DbError> {
-        let mode = self.mode.read().expect("mode lock");
-        match &*mode {
-            Mode::Sharded(cells) => {
-                for cell in cells {
-                    let mut log = cell.log.lock().expect("log lock");
-                    log.visit_batches(|batch| {
-                        for r in &batch {
-                            visit(r);
-                        }
-                    })?;
-                    for r in log.memory_records() {
-                        visit(r);
-                    }
-                }
-            }
-            Mode::Legacy(inner) => {
-                let mut li = inner.lock().expect("legacy lock");
-                li.log.visit_batches(|batch| {
-                    for r in &batch {
-                        visit(r);
-                    }
-                })?;
-                for r in li.log.memory_records() {
+        for cell in &self.cells {
+            let mut log = cell.log.lock().expect("log lock");
+            log.visit_batches(|batch| {
+                for r in &batch {
                     visit(r);
                 }
+            })?;
+            for r in log.memory_records() {
+                visit(r);
             }
         }
         Ok(())
-    }
-
-    /// Total committed batches on disk across every shard (or the legacy
-    /// log). Compaction policy input: a compacted database is one batch
-    /// per shard, so growth beyond the shard count measures accumulated,
-    /// foldable history.
-    pub fn total_batches(&self) -> Result<u64, DbError> {
-        let mode = self.mode.read().expect("mode lock");
-        let mut n = 0u64;
-        match &*mode {
-            Mode::Sharded(cells) => {
-                for cell in cells {
-                    cell.log
-                        .lock()
-                        .expect("log lock")
-                        .visit_batches(|_| n += 1)?;
-                }
-            }
-            Mode::Legacy(inner) => {
-                inner
-                    .lock()
-                    .expect("legacy lock")
-                    .log
-                    .visit_batches(|_| n += 1)?;
-            }
-        }
-        Ok(n)
     }
 
     /// The committed batches currently on disk in shard `i`, in log
     /// order — the granularity at which recovery may cut. Test/battery
     /// API.
     pub fn shard_batches(&self, i: u32) -> Result<Vec<Vec<ProfileRecord>>, DbError> {
-        let mode = self.mode.read().expect("mode lock");
-        match &*mode {
-            Mode::Sharded(cells) => match cells.get(i as usize) {
-                Some(cell) => cell.log.lock().expect("log lock").read_batches(),
-                None => Ok(Vec::new()),
-            },
-            Mode::Legacy(_) => Ok(Vec::new()),
-        }
-    }
-}
-
-impl Mode {
-    fn deref_legacy(&self) -> &Mutex<LegacyInner> {
-        match self {
-            Mode::Legacy(inner) => inner,
-            Mode::Sharded(_) => unreachable!("caller checked legacy"),
+        match self.cells.get(i as usize) {
+            Some(cell) => cell.log.lock().expect("log lock").read_batches(),
+            None => Ok(Vec::new()),
         }
     }
 }
@@ -1046,50 +719,140 @@ mod tests {
         assert!(svc.counters().store.committed_appends >= 3);
     }
 
-    #[test]
-    fn legacy_database_migrates_on_first_write() {
-        let mem: Arc<dyn Vfs> = Arc::new(MemVfs::new());
-        // Build an old single-log database with the base store.
-        {
-            let mut store = mfprofdb::ProfileStore::open(
-                Arc::clone(&mem),
-                DIR,
-                mfprofdb::OpenOptions {
-                    retry: RetryPolicy::none(),
-                    ..mfprofdb::OpenOptions::default()
-                },
-            )
-            .unwrap();
-            store
-                .append("train", &counts(&[(0, 10, 4), (9, 3, 3)]))
-                .unwrap();
-            store.append("ref", &counts(&[(2, 5, 0)])).unwrap();
+    fn store_opts() -> mfprofdb::OpenOptions {
+        mfprofdb::OpenOptions {
+            retry: RetryPolicy::none(),
+            ..mfprofdb::OpenOptions::default()
         }
-        let svc = ProfileService::open(Arc::clone(&mem), DIR, opts(4)).unwrap();
-        assert_eq!(svc.shard_count(), 0, "legacy opens read-only");
-        let before = svc.merged_totals().unwrap();
-        assert_eq!(before["train"], vec![(0, 10, 4), (9, 3, 3)]);
+    }
 
-        // First write migrates, preserves the fold, and adds the new data.
+    /// Serves the single-log database at `DIR` in place and checks it
+    /// reads `before` with `fps` at open; after a `submit` and an
+    /// `enqueue`+`flush` of `train` branch 0 (one taken execution each),
+    /// `after`; the same after a compaction and after a reopen; all as
+    /// one shard, creating neither a manifest nor a shard directory, so
+    /// the store still reads it.
+    fn serve_in_place(
+        mem: &Arc<dyn Vfs>,
+        before: &MergedTotals,
+        after: &MergedTotals,
+        fps: &BTreeMap<u32, u64>,
+    ) {
+        let svc = ProfileService::open(Arc::clone(mem), DIR, opts(4)).unwrap();
+        assert_eq!(svc.shard_count(), 1, "served in place as one shard");
+        assert!(svc.is_persistent(), "{:?}", svc.warnings());
+        assert_eq!(&svc.merged_totals().unwrap(), before);
+        assert_eq!(&svc.merged_fingerprints().unwrap(), fps);
+
+        let one = counts(&[(0, 1, 1)]);
+        assert_eq!(svc.submit("train", &one).unwrap(), Persistence::Committed);
+        let sid = svc.enqueue("train", &one).unwrap();
+        assert_eq!(svc.flush().unwrap()[&sid], Persistence::Committed);
+        assert_eq!(&svc.merged_totals().unwrap(), after);
+        assert_eq!(&svc.merged_fingerprints().unwrap(), fps);
+
+        svc.compact().unwrap();
+        assert_eq!(svc.counters().store.compactions, 1);
+        assert_eq!(svc.shard_batches(0).unwrap().len(), 1, "one folded batch");
+        assert_eq!(&svc.merged_totals().unwrap(), after);
+        assert_eq!(&svc.merged_fingerprints().unwrap(), fps);
+
+        drop(svc);
+        let svc = ProfileService::open(Arc::clone(mem), DIR, opts(4)).unwrap();
+        assert_eq!(svc.shard_count(), 1);
+        assert_eq!(&svc.merged_totals().unwrap(), after);
+        assert_eq!(&svc.merged_fingerprints().unwrap(), fps);
+        drop(svc);
+
+        for path in mem.read_dir(Path::new(DIR)).unwrap() {
+            let name = path.file_name().unwrap().to_string_lossy();
+            assert!(
+                name != MANIFEST_FILE && !name.starts_with("shard-"),
+                "serving in place created {name}"
+            );
+        }
+        let store = mfprofdb::ProfileStore::open(Arc::clone(mem), DIR, store_opts()).unwrap();
+        assert_eq!(&store.raw_totals(), after);
+        assert_eq!(store.fingerprints(), fps);
+    }
+
+    type Rows = [(u32, u64, u64)];
+
+    fn totals(datasets: &[(&str, &Rows)]) -> MergedTotals {
+        datasets
+            .iter()
+            .map(|&(ds, rows)| (ds.to_string(), rows.to_vec()))
+            .collect()
+    }
+
+    #[test]
+    fn single_log_database_is_served_in_place() {
+        let mem: Arc<dyn Vfs> = Arc::new(MemVfs::new());
+        let mut store = mfprofdb::ProfileStore::open(Arc::clone(&mem), DIR, store_opts()).unwrap();
+        store
+            .append("train", &counts(&[(0, 10, 4), (9, 3, 3)]))
+            .unwrap();
+        store.append("ref", &counts(&[(2, 5, 0)])).unwrap();
+        drop(store);
+        serve_in_place(
+            &mem,
+            &totals(&[("ref", &[(2, 5, 0)]), ("train", &[(0, 10, 4), (9, 3, 3)])]),
+            &totals(&[("ref", &[(2, 5, 0)]), ("train", &[(0, 12, 6), (9, 3, 3)])]),
+            &BTreeMap::new(),
+        );
+    }
+
+    #[test]
+    fn fingerprints_survive_serving_in_place() {
+        let mem: Arc<dyn Vfs> = Arc::new(MemVfs::new());
+        let fps: BTreeMap<BranchId, u64> =
+            [(BranchId(1), 11), (BranchId(2), 22)].into_iter().collect();
+        let mut store = mfprofdb::ProfileStore::open(Arc::clone(&mem), DIR, store_opts()).unwrap();
+        store
+            .append_with_fps("train", &counts(&[(1, 4, 2), (2, 9, 9)]), &fps)
+            .unwrap();
+        drop(store);
+        serve_in_place(
+            &mem,
+            &totals(&[("train", &[(1, 4, 2), (2, 9, 9)])]),
+            &totals(&[("train", &[(0, 2, 2), (1, 4, 2), (2, 9, 9)])]),
+            &[(1, 11), (2, 22)].into_iter().collect(),
+        );
+    }
+
+    #[test]
+    fn a_live_store_keeps_its_single_log_database() {
+        let mem: Arc<dyn Vfs> = Arc::new(MemVfs::new());
+        let mut store = mfprofdb::ProfileStore::open(Arc::clone(&mem), DIR, store_opts()).unwrap();
+        store.append("train", &counts(&[(0, 10, 4)])).unwrap();
+        let segment = store.active_segment().unwrap().to_path_buf();
+        let bytes = mem.read(&segment).unwrap();
+
+        // The store holds the root's lock for its lifetime: the service
+        // keeps its write in memory and leaves the store's segment alone.
+        let svc = ProfileService::open(Arc::clone(&mem), DIR, opts(4)).unwrap();
+        assert_eq!(svc.shard_count(), 1);
         assert_eq!(
             svc.submit("train", &counts(&[(0, 1, 1)])).unwrap(),
+            Persistence::Degraded
+        );
+        assert_eq!(svc.merged_totals().unwrap()["train"], vec![(0, 11, 5)]);
+        assert_eq!(mem.read(&segment).unwrap(), bytes, "store's segment intact");
+        assert_eq!(
+            store.append("train", &counts(&[(0, 3, 3)])).unwrap(),
             Persistence::Committed
         );
-        assert_eq!(svc.shard_count(), 4);
-        assert!(svc.counters().migrated_records > 0);
-        let after = svc.merged_totals().unwrap();
-        assert_eq!(after["train"], vec![(0, 11, 5), (9, 3, 3)]);
-        assert_eq!(after["ref"], vec![(2, 5, 0)]);
-        assert!(
-            !mem.exists(Path::new("/svc/seg-00000001.mfdb")),
-            "legacy segment cleaned up"
-        );
+        drop(store);
 
-        // Reopen sees the sharded database.
+        assert_eq!(
+            svc.submit("train", &counts(&[(0, 2, 2)])).unwrap(),
+            Persistence::Committed
+        );
+        assert_eq!(svc.merged_totals().unwrap()["train"], vec![(0, 16, 10)]);
         drop(svc);
+        // Only the write acknowledged in memory is gone.
         let svc = ProfileService::open(Arc::clone(&mem), DIR, opts(4)).unwrap();
-        assert_eq!(svc.shard_count(), 4);
-        assert_eq!(svc.merged_totals().unwrap(), after);
+        assert_eq!(svc.merged_totals().unwrap()["train"], vec![(0, 15, 9)]);
     }
 
     #[test]
@@ -1167,34 +930,6 @@ mod tests {
         assert_eq!(svc.merged_fingerprints_by_dataset().unwrap(), by_ds);
     }
 
-    #[test]
-    fn fingerprints_survive_legacy_migration() {
-        let mem: Arc<dyn Vfs> = Arc::new(MemVfs::new());
-        let fps: BTreeMap<BranchId, u64> =
-            [(BranchId(1), 11), (BranchId(2), 22)].into_iter().collect();
-        {
-            // Write a fingerprinted single-log (legacy layout) database.
-            let mut store = mfprofdb::ProfileStore::open(
-                Arc::clone(&mem),
-                DIR,
-                mfprofdb::OpenOptions {
-                    retry: RetryPolicy::none(),
-                    ..mfprofdb::OpenOptions::default()
-                },
-            )
-            .unwrap();
-            store
-                .append_with_fps("train", &counts(&[(1, 4, 2), (2, 9, 9)]), &fps)
-                .unwrap();
-        }
-        let svc = ProfileService::open(Arc::clone(&mem), DIR, opts(4)).unwrap();
-        svc.submit("train", &counts(&[(1, 1, 1)])).unwrap(); // triggers migration
-        assert_eq!(svc.shard_count(), 4);
-        let merged = svc.merged_fingerprints().unwrap();
-        assert_eq!(merged.get(&1), Some(&11));
-        assert_eq!(merged.get(&2), Some(&22));
-    }
-
     /// A single-log database of single-run frames: v1 and v2 run frames,
     /// with and without fingerprints, plus an empty dataset-presence
     /// record. No writer appends single-run frames, so this builder is
@@ -1227,7 +962,7 @@ mod tests {
     }
 
     #[test]
-    fn single_run_frame_layout_opens_grows_and_migrates() {
+    fn single_run_frame_layout_opens_grows_and_is_served_in_place() {
         let totals: MergedTotals = [
             ("ref".to_string(), vec![(3, 9, 0)]),
             ("train".to_string(), vec![(0, 12, 5), (3, 5, 5), (7, 1, 0)]),
@@ -1235,15 +970,11 @@ mod tests {
         .into_iter()
         .collect();
         let fps: BTreeMap<u32, u64> = [(0, 0xA0), (3, 0xA3), (7, 0xA7)].into_iter().collect();
-        let store_opts = mfprofdb::OpenOptions {
-            retry: RetryPolicy::none(),
-            ..mfprofdb::OpenOptions::default()
-        };
 
         // The store reads it, then grows and compacts it.
         let mem: Arc<dyn Vfs> = Arc::new(MemVfs::new());
         let records = single_run_frame_layout(&mem);
-        let mut store = mfprofdb::ProfileStore::open(Arc::clone(&mem), DIR, store_opts).unwrap();
+        let mut store = mfprofdb::ProfileStore::open(Arc::clone(&mem), DIR, store_opts()).unwrap();
         assert!(store.is_persistent(), "{:?}", store.warnings());
         assert_eq!(store.records(), &records[..]);
         assert_eq!(store.raw_totals(), totals);
@@ -1258,24 +989,16 @@ mod tests {
         let grown = store.raw_totals();
         assert_eq!(grown["train"], vec![(0, 12, 5), (3, 6, 6), (7, 1, 0)]);
         drop(store);
-        let reopened = mfprofdb::ProfileStore::open(Arc::clone(&mem), DIR, store_opts).unwrap();
+        let reopened = mfprofdb::ProfileStore::open(Arc::clone(&mem), DIR, store_opts()).unwrap();
         assert_eq!(reopened.raw_totals(), grown);
         assert_eq!(reopened.fingerprints(), &fps);
 
-        // The service reads it as a legacy database and migrates it on
-        // its first flush without changing a count.
+        // The service serves it in place.
         let mem: Arc<dyn Vfs> = Arc::new(MemVfs::new());
         single_run_frame_layout(&mem);
-        let svc = ProfileService::open(Arc::clone(&mem), DIR, opts(4)).unwrap();
-        assert_eq!(svc.shard_count(), 0, "legacy opens read-only");
-        assert_eq!(svc.merged_totals().unwrap(), totals);
-        assert!(svc.flush().unwrap().is_empty());
-        assert_eq!(svc.shard_count(), 4, "migrated");
-        assert_eq!(svc.merged_totals().unwrap(), totals);
-        assert_eq!(svc.merged_fingerprints().unwrap(), fps);
-        drop(svc);
-        let svc = ProfileService::open(Arc::clone(&mem), DIR, opts(4)).unwrap();
-        assert_eq!(svc.merged_totals().unwrap(), totals);
+        let mut after = totals.clone();
+        after.insert("train".to_string(), vec![(0, 14, 7), (3, 5, 5), (7, 1, 0)]);
+        serve_in_place(&mem, &totals, &after, &fps);
     }
 
     #[test]

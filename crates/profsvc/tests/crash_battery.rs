@@ -8,8 +8,9 @@
 //! prefix of its committed batch sequence — at batch granularity, so a
 //! crash mid-group-commit can never surface a partial batch — bounded
 //! below by the flushes whose acks were returned. A second script
-//! starts from a legacy single-log database so the crash points also
-//! land inside the migration protocol and a compaction.
+//! starts from a single-log database, which the service serves in place
+//! as one shard, so the crash points also land inside a compaction of a
+//! log the single-writer store wrote.
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -234,10 +235,11 @@ fn every_crash_point_recovers_exact_per_shard_batch_prefixes() {
     }
 }
 
-/// Builds the legacy single-log database the migration script starts
-/// from. Runs on the raw memory filesystem, so its operations are not
-/// part of the crash-point enumeration.
-fn prepopulate_legacy(mem: &Arc<MemVfs>) -> Fold {
+/// Builds the single-log database the in-place script starts from and
+/// returns its batches (one per append). Runs on the raw memory
+/// filesystem, so its operations are not part of the crash-point
+/// enumeration.
+fn prepopulate_single_log(mem: &Arc<MemVfs>) -> Vec<Vec<ProfileRecord>> {
     let mut store = mfprofdb::ProfileStore::open(
         mem.clone() as Arc<dyn Vfs>,
         DIR,
@@ -247,62 +249,60 @@ fn prepopulate_legacy(mem: &Arc<MemVfs>) -> Fold {
         },
     )
     .unwrap();
-    store
-        .append("train", &counts(&[(0, 100, 40), (6, 30, 30)]))
-        .unwrap();
-    store.append("legacy", &counts(&[(8, 9, 9)])).unwrap();
-    drop(store);
-    let mut fold = Fold::new();
-    fold.insert("train".into(), vec![(0, 100, 40), (6, 30, 30)]);
-    fold.insert("legacy".into(), vec![(8, 9, 9)]);
-    fold
+    let appends: [Submission; 2] = [
+        ("train", &[(0, 100, 40), (6, 30, 30)]),
+        ("prior", &[(8, 9, 9)]),
+    ];
+    for (ds, rows) in appends {
+        store.append(ds, &counts(rows)).unwrap();
+    }
+    appends.iter().map(|sub| vec![record_of(sub)]).collect()
 }
 
-/// The slice of the legacy fold the migration sends to `shard`, as
-/// batches (for folding).
-fn legacy_shard_records(legacy: &Fold, shard: u32) -> Vec<Vec<ProfileRecord>> {
-    let mut records = Vec::new();
-    for (ds, rows) in legacy {
-        let entries: Vec<(u32, u64, u64)> = rows
-            .iter()
-            .copied()
-            .filter(|&(id, _, _)| shard_of(id, SHARDS) == shard)
-            .collect();
-        if !entries.is_empty() || (rows.is_empty() && shard == 0) {
-            records.push(ProfileRecord {
-                dataset: ds.clone(),
+fn record_of(&(ds, rows): &Submission) -> ProfileRecord {
+    ProfileRecord {
+        dataset: ds.to_string(),
+        entries: rows.to_vec(),
+        ..Default::default()
+    }
+}
+
+/// The batches a single-log database holds after the first `m` flushes
+/// on top of `stored`: one batch per flush, or, with `compacted =
+/// Some(c)`, one folded batch of `stored` and the first `c` flushes (a
+/// record per dataset, in dataset order) followed by flushes `c..m`.
+fn single_log_batches(
+    stored: &[Vec<ProfileRecord>],
+    m: usize,
+    compacted: Option<usize>,
+) -> Vec<Vec<ProfileRecord>> {
+    let flushes = FLUSHES
+        .iter()
+        .map(|subs| subs.iter().map(record_of).collect());
+    let mut batches: Vec<Vec<ProfileRecord>> = stored.iter().cloned().chain(flushes).collect();
+    batches.truncate(stored.len() + m);
+    if let Some(c) = compacted {
+        let later = batches.split_off(stored.len() + c);
+        let folded = fold_of(&batches)
+            .into_iter()
+            .map(|(dataset, entries)| ProfileRecord {
+                dataset,
                 entries,
                 ..Default::default()
-            });
-        }
+            })
+            .collect();
+        batches = vec![folded];
+        batches.extend(later);
     }
-    vec![records]
-}
-
-fn merge_folds(a: &Fold, b: &Fold) -> Fold {
-    let mut merged: BTreeMap<String, BTreeMap<u32, (u64, u64)>> = BTreeMap::new();
-    for f in [a, b] {
-        for (ds, rows) in f {
-            let per = merged.entry(ds.clone()).or_default();
-            for &(id, e, t) in rows {
-                let slot = per.entry(id).or_insert((0, 0));
-                slot.0 += e;
-                slot.1 += t;
-            }
-        }
-    }
-    merged
-        .into_iter()
-        .map(|(ds, m)| (ds, m.into_iter().map(|(id, (e, t))| (id, e, t)).collect()))
-        .collect()
+    batches
 }
 
 #[test]
-fn every_crash_point_during_migration_and_compaction_recovers_a_prefix() {
+fn every_crash_point_in_a_single_log_database_recovers_a_prefix() {
     const COMPACT_AFTER: usize = 3;
     // Profiling pass.
     let mem = Arc::new(MemVfs::new());
-    let legacy_fold = prepopulate_legacy(&mem);
+    let stored = prepopulate_single_log(&mem);
     let fv = Arc::new(FaultVfs::new(
         mem.clone() as Arc<dyn Vfs>,
         FaultPlan::none(),
@@ -314,17 +314,17 @@ fn every_crash_point_during_migration_and_compaction_recovers_a_prefix() {
     );
     assert_eq!(clean.acked, FLUSHES.len());
     let svc = clean.svc.expect("fault-free script completes");
-    assert_eq!(svc.shard_count(), SHARDS, "migration happened");
+    assert_eq!(svc.shard_count(), 1, "served in place");
     assert_eq!(
-        svc.merged_totals().unwrap(),
-        merge_folds(&legacy_fold, &expected_merged(FLUSHES.len()))
+        svc.shard_batches(0).unwrap(),
+        single_log_batches(&stored, FLUSHES.len(), Some(COMPACT_AFTER))
     );
     drop(svc);
     let total_ops = fv.op_count();
 
     for k in 0..total_ops {
         let mem = Arc::new(MemVfs::new());
-        let legacy_fold = prepopulate_legacy(&mem);
+        let stored = prepopulate_single_log(&mem);
         let fv = Arc::new(FaultVfs::new(
             mem.clone() as Arc<dyn Vfs>,
             FaultPlan::crash_at(k),
@@ -336,41 +336,33 @@ fn every_crash_point_during_migration_and_compaction_recovers_a_prefix() {
         );
         drop(crashed.svc);
         assert!(fv.crashed(), "op {k} of {total_ops} never fired");
+        assert!(
+            !mem.exists(&std::path::Path::new(DIR).join("MANIFEST")),
+            "crash at op {k}: a manifest appeared"
+        );
 
+        // The single log holds the store's batches plus an exact prefix
+        // of the flushes, batch for batch: unfolded before the
+        // compaction published, folded through it afterwards.
         let recovered = reopen(mem);
-        let got = recovered.merged_totals().unwrap();
-        if recovered.shard_count() == 0 {
-            // Crash before the migration's manifest commit: the legacy
-            // database must be exactly intact.
-            assert_eq!(
-                got, legacy_fold,
-                "crash at op {k}: legacy database damaged pre-commit"
-            );
-        } else {
-            // Post-commit: each shard independently holds its slice of
-            // the legacy fold plus an exact prefix of its flush parts
-            // (fold granularity — a compaction may have folded
-            // batches). A flush is atomic per shard, not across shards.
-            let mut union = Vec::new();
-            for shard in 0..SHARDS {
-                let batches = recovered.shard_batches(shard).unwrap();
-                union.extend(batches.iter().cloned());
-                let shard_got = fold_of(&batches);
-                let matched = (crashed.acked..=crashed.issued).find(|&m| {
-                    let mut want = legacy_shard_records(&legacy_fold, shard);
-                    want.extend(expected_batches(shard, m));
-                    shard_got == fold_of(&want)
-                });
-                assert!(
-                    matched.is_some(),
-                    "crash at op {k}: shard {shard} is not legacy + a \
-                     committed prefix (acked {} / issued {}): {shard_got:?}",
-                    crashed.acked,
-                    crashed.issued
-                );
-            }
-            assert_eq!(got, fold_of(&union), "crash at op {k}: merge ≠ union");
-        }
+        assert_eq!(recovered.shard_count(), 1);
+        let got = recovered.shard_batches(0).unwrap();
+        let matched = (crashed.acked..=crashed.issued).any(|m| {
+            (m <= COMPACT_AFTER && got == single_log_batches(&stored, m, None))
+                || (m >= COMPACT_AFTER
+                    && got == single_log_batches(&stored, m, Some(COMPACT_AFTER)))
+        });
+        assert!(
+            matched,
+            "crash at op {k}: not the store's batches plus a committed \
+             prefix (acked {} / issued {}): {got:?}",
+            crashed.acked, crashed.issued
+        );
+        assert_eq!(
+            recovered.merged_totals().unwrap(),
+            fold_of(&got),
+            "crash at op {k}: merge ≠ the log's fold"
+        );
     }
 }
 

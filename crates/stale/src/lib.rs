@@ -28,7 +28,7 @@
 
 use std::collections::BTreeMap;
 
-use trace_ir::{BranchId, Program};
+use trace_ir::BranchId;
 
 pub mod edit;
 mod fingerprint;
@@ -226,19 +226,10 @@ pub fn remap_counts(
     }
 }
 
-/// [`remap_counts`] against a program: computes the target fingerprints
-/// and remaps in one step.
-pub fn remap_onto_program(
-    old_entries: &[(BranchId, u64, u64)],
-    old_fps: &BTreeMap<BranchId, SiteFp>,
-    program: &Program,
-) -> RemapOutcome {
-    remap_counts(old_entries, old_fps, &site_fingerprints(program))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use trace_ir::Program;
 
     fn compile(src: &str) -> Program {
         mflang::compile(src).expect("test source compiles")

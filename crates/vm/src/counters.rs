@@ -173,24 +173,6 @@ impl PixieCounts {
         }
         total
     }
-
-    /// Per-function dynamic instruction counts, in function order.
-    pub fn per_function_instrs(&self, program: &Program) -> Vec<(String, u64)> {
-        program
-            .functions
-            .iter()
-            .enumerate()
-            .map(|(f, func)| {
-                let total = func
-                    .blocks
-                    .iter()
-                    .enumerate()
-                    .map(|(b, block)| self.blocks[f][b] * block.instr_cost())
-                    .sum();
-                (func.name.clone(), total)
-            })
-            .collect()
-    }
 }
 
 /// Everything measured during one run.

@@ -159,15 +159,6 @@ pub fn suite() -> Vec<Workload> {
     ]
 }
 
-/// The workloads with more than one dataset — the population Figures 2 & 3
-/// are computed over.
-pub fn multi_dataset_suite() -> Vec<Workload> {
-    suite()
-        .into_iter()
-        .filter(|w| w.datasets.len() >= 2)
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
