@@ -1,8 +1,6 @@
 //! Control-flow graph with predecessor/successor views and a reverse
 //! postorder, the substrate every other analysis builds on.
 
-use std::collections::HashMap;
-
 use trace_ir::{BlockId, Function, Instr, Reg, Value};
 
 /// A function's control-flow graph.
@@ -137,25 +135,43 @@ pub fn reachable_blocks(func: &Function) -> Vec<bool> {
 /// observe zero instead of the constant. Callers must establish that
 /// property first — [`crate::uninitialized_uses`] decides it, and
 /// `mfopt::fold_constants` refuses to fold functions that fail it.
-pub fn single_def_consts(func: &Function) -> HashMap<Reg, Value> {
-    let mut def_count: HashMap<Reg, u32> = HashMap::new();
-    let mut const_def: HashMap<Reg, Value> = HashMap::new();
+pub fn single_def_consts(func: &Function) -> RegConsts {
+    let regs = func.num_regs as usize;
     // Parameters are defined at entry.
-    for p in 0..func.num_params {
-        def_count.insert(Reg(p), 1);
+    let mut defs = vec![0u32; regs];
+    for d in defs.iter_mut().take(func.num_params as usize) {
+        *d = 1;
     }
+    let mut consts = vec![None; regs];
     for block in &func.blocks {
         for instr in &block.instrs {
             if let Some(dst) = instr.dst() {
-                *def_count.entry(dst).or_insert(0) += 1;
+                defs[dst.index()] += 1;
                 if let Instr::Const { value, .. } = instr {
-                    const_def.insert(dst, *value);
+                    consts[dst.index()] = Some(*value);
                 }
             }
         }
     }
-    const_def.retain(|reg, _| def_count.get(reg) == Some(&1));
-    const_def
+    for (c, &d) in consts.iter_mut().zip(&defs) {
+        if d != 1 {
+            *c = None;
+        }
+    }
+    RegConsts(consts)
+}
+
+/// The result of [`single_def_consts`]: one slot per register of the
+/// function, holding the constant of each single-definition `Const`
+/// register.
+#[derive(Clone, Debug, PartialEq)]
+pub struct RegConsts(Vec<Option<Value>>);
+
+impl RegConsts {
+    /// The constant `reg` always holds once defined, if it is one.
+    pub fn get(&self, reg: &Reg) -> Option<&Value> {
+        self.0.get(reg.index())?.as_ref()
+    }
 }
 
 #[cfg(test)]
@@ -239,6 +255,6 @@ mod tests {
         f.ret(None);
         let p = build(f);
         let consts = single_def_consts(&p.functions[0]);
-        assert!(!consts.contains_key(&p0));
+        assert_eq!(consts.get(&p0), None);
     }
 }

@@ -13,8 +13,9 @@
 //! * **Analyses** — [`Cfg`] (predecessor/successor views and reverse
 //!   postorder), [`DomTree`] (Cooper–Harvey–Kennedy dominators),
 //!   [`LoopForest`] (natural loops, nesting, irreducibility), and a
-//!   gen/kill bitset dataflow [`engine`] instantiated as [`liveness`],
-//!   [`reaching_defs`], and [`definite_init`].
+//!   gen/kill bitset dataflow [`engine`] instantiated as [`liveness`] and
+//!   [`definite_init`]. The fixpoint ([`solve`]) allocates nothing, and
+//!   [`single_def_consts`] is a dense per-register table ([`RegConsts`]).
 //! * **Semantic verifier** — [`verify_program`] layers dataflow-backed
 //!   diagnostics (use-before-def, dead stores, unreachable blocks,
 //!   degenerate terminators) on top of the IR's structural validation,
@@ -33,11 +34,10 @@ mod loops;
 mod profile;
 mod verify;
 
-pub use cfg::{reachable_blocks, single_def_consts, Cfg};
+pub use cfg::{reachable_blocks, single_def_consts, Cfg, RegConsts};
 pub use dataflow::{
-    all_uses_initialized, definite_init, liveness, reaching_defs, solve, uninitialized_uses,
-    BitSet, DefSite, DefiniteInit, Direction, GenKill, Liveness, Meet, ReachingDefs, Solution,
-    UninitUse,
+    all_uses_initialized, definite_init, liveness, solve, uninitialized_uses, BitSet, DefiniteInit,
+    Direction, GenKill, Liveness, Meet, Solution, UninitUse,
 };
 pub use dom::DomTree;
 pub use loops::{LoopForest, NaturalLoop};

@@ -86,12 +86,13 @@ pub fn is_clean(diags: &[Diagnostic]) -> bool {
 /// validation — out-of-range references may panic here.
 pub fn verify_function(program: &Program, func_id: FuncId) -> Vec<Diagnostic> {
     let func = &program.functions[func_id.index()];
+    let cfg = Cfg::new(func);
     let mut diags = Vec::new();
 
     // Use-before-def: a read no definition is guaranteed to reach. The VM
     // would hand such a read a default value, silently diverging from
     // source semantics, so this is an error.
-    for u in uninitialized_uses(func) {
+    for u in uninitialized_uses(func, &cfg) {
         diags.push(Diagnostic {
             severity: Severity::Error,
             code: "use-before-def",
@@ -101,8 +102,6 @@ pub fn verify_function(program: &Program, func_id: FuncId) -> Vec<Diagnostic> {
             instr: u.instr,
         });
     }
-
-    let cfg = Cfg::new(func);
 
     // Unreachable blocks: no path from the entry executes them.
     for (bi, _) in func.iter_blocks() {
@@ -121,9 +120,10 @@ pub fn verify_function(program: &Program, func_id: FuncId) -> Vec<Diagnostic> {
     // Dead stores: side-effect-free definitions whose value no later use
     // can observe. Backward scan per reachable block from live-out.
     let live = liveness(func, &cfg);
+    let mut live_now = BitSet::empty(func.num_regs as usize);
     for &bi in cfg.rpo() {
         let block = &func.blocks[bi.index()];
-        let mut live_now: BitSet = live.live_out[bi.index()].clone();
+        live_now.clone_from(&live.live_out[bi.index()]);
         block.term.for_each_use(|r| {
             live_now.insert(r.index());
         });

@@ -179,6 +179,13 @@ pub fn harness() -> &'static Harness {
 /// A workload with its compiled artifacts, ready to submit.
 struct Prepared {
     workload: Workload,
+    build: Build,
+}
+
+/// What preparing a guest program yields: its builds and static
+/// predictors. Workloads that run one source share one `Build`.
+#[derive(Clone)]
+struct Build {
     program: Arc<Program>,
     optimized: Arc<Program>,
     heuristic: Predictor,
@@ -238,23 +245,42 @@ fn optimize(name: &str, program: &Program) -> Program {
     optimized
 }
 
-fn prepare(workload: Workload) -> Prepared {
-    let program = Arc::new(workload.compile().expect("bundled workload compiles"));
-    let optimized = Arc::new(optimize(workload.name, &program));
-    let heuristic = Predictor::heuristic(&program);
-    let btfn = Predictor::static_heuristic(&program);
-    let analysis = mfpredict::analyze(&program);
-    let proof = proof_predictor(&analysis, &btfn);
-    let ml = ml_predictor(&program, &analysis);
-    Prepared {
-        workload,
-        program,
-        optimized,
-        heuristic,
-        btfn,
-        proof,
-        ml,
+impl Build {
+    fn of(workload: &Workload) -> Build {
+        let program = Arc::new(workload.compile().expect("bundled workload compiles"));
+        let optimized = Arc::new(optimize(workload.name, &program));
+        let heuristic = Predictor::heuristic(&program);
+        let btfn = Predictor::static_heuristic(&program);
+        let analysis = mfpredict::analyze(&program);
+        let proof = proof_predictor(&analysis, &btfn);
+        let ml = ml_predictor(&program, &analysis);
+        Build {
+            program,
+            optimized,
+            heuristic,
+            btfn,
+            proof,
+            ml,
+        }
     }
+}
+
+/// Prepares each workload, building every distinct source once: compress
+/// and uncompress are one guest program, so they share its builds and
+/// predictors (the `Arc`s point at one program).
+fn prepare(workloads: impl IntoIterator<Item = Workload>) -> Vec<Prepared> {
+    let mut prepared: Vec<Prepared> = Vec::new();
+    for workload in workloads {
+        let build = match prepared
+            .iter()
+            .find(|p| p.workload.source == workload.source)
+        {
+            Some(twin) => twin.build.clone(),
+            None => Build::of(&workload),
+        };
+        prepared.push(Prepared { workload, build });
+    }
+    prepared
 }
 
 /// Submits the whole batch — every dataset of every prepared workload,
@@ -267,7 +293,7 @@ fn collect_prepared(h: &Harness, prepared: Vec<Prepared>) -> SuiteRuns {
             jobs.push(RunJob::with_observer(
                 p.workload.name,
                 d.name.clone(),
-                Arc::clone(&p.program),
+                Arc::clone(&p.build.program),
                 d.inputs.clone(),
                 run_config(p.workload.vm_config()),
                 Observe::Zoo(mfdyn::full_zoo()),
@@ -277,7 +303,7 @@ fn collect_prepared(h: &Harness, prepared: Vec<Prepared>) -> SuiteRuns {
         jobs.push(RunJob::new(
             format!("{}:optimized", p.workload.name),
             first.name.clone(),
-            Arc::clone(&p.optimized),
+            Arc::clone(&p.build.optimized),
             first.inputs.clone(),
             run_config(p.workload.vm_config()),
         ));
@@ -285,12 +311,12 @@ fn collect_prepared(h: &Harness, prepared: Vec<Prepared>) -> SuiteRuns {
     let outcomes = h.run(jobs).unwrap_or_else(|e| panic!("{e}"));
     let mut outcomes = outcomes.into_iter();
     let mut workloads = Vec::with_capacity(prepared.len());
-    for p in prepared {
-        let mut runs = Vec::with_capacity(p.workload.datasets.len());
-        let mut zoo = Vec::with_capacity(p.workload.datasets.len());
-        for d in &p.workload.datasets {
+    for Prepared { workload, build } in prepared {
+        let mut runs = Vec::with_capacity(workload.datasets.len());
+        let mut zoo = Vec::with_capacity(workload.datasets.len());
+        for d in &workload.datasets {
             let outcome = outcomes.next().expect("one outcome per dataset job");
-            check_run_profile(&p.program, p.workload.name, &d.name, &outcome.stats);
+            check_run_profile(&build.program, workload.name, &d.name, &outcome.stats);
             runs.push(DatasetRun::new(d.name.clone(), (*outcome.stats).clone()));
             zoo.push(
                 outcome
@@ -303,17 +329,17 @@ fn collect_prepared(h: &Harness, prepared: Vec<Prepared>) -> SuiteRuns {
         let base_instrs_first = runs[0].stats.total_instrs;
         let select_ratio = runs[0].stats.select_ratio();
         workloads.push(WorkloadRuns {
-            name: p.workload.name.to_string(),
-            group: p.workload.group,
-            program: p.program,
+            name: workload.name.to_string(),
+            group: workload.group,
+            program: build.program,
             runs,
             opt_instrs_first: opt.stats.total_instrs,
             base_instrs_first,
             select_ratio,
-            heuristic: p.heuristic,
-            btfn: p.btfn,
-            proof: p.proof,
-            ml: p.ml,
+            heuristic: build.heuristic,
+            btfn: build.btfn,
+            proof: build.proof,
+            ml: build.ml,
             zoo,
         });
     }
@@ -528,7 +554,7 @@ pub fn suite_skew(
 /// [`collect`] through an explicit harness (tests use this to pin worker
 /// counts and cache modes).
 pub fn collect_with(h: &Harness) -> SuiteRuns {
-    collect_prepared(h, suite().into_iter().map(prepare).collect())
+    collect_prepared(h, prepare(suite()))
 }
 
 /// Runs a named subset (used by tests and the quick bench profile).
@@ -540,11 +566,7 @@ pub fn collect_subset(names: &[&str]) -> SuiteRuns {
 pub fn collect_subset_with(h: &Harness, names: &[&str]) -> SuiteRuns {
     collect_prepared(
         h,
-        suite()
-            .into_iter()
-            .filter(|w| names.contains(&w.name))
-            .map(prepare)
-            .collect(),
+        prepare(suite().into_iter().filter(|w| names.contains(&w.name))),
     )
 }
 
@@ -1767,6 +1789,53 @@ mod tests {
         }
         let distinct: std::collections::BTreeSet<_> = keys.iter().collect();
         assert_eq!(distinct.len(), 39);
+    }
+
+    /// compress and uncompress are one guest program: a collection
+    /// prepares it once, so both workloads carry one build, and every
+    /// table renders as the serial path's per-workload preparation
+    /// renders it.
+    #[test]
+    fn one_guest_program_is_prepared_once() {
+        let names = &["compress", "uncompress"];
+        let shared = collect_subset_with(&test_harness(2), names);
+        let serial = collect_subset_serial(names);
+        let [a, b] = &shared.workloads[..] else {
+            panic!("two workloads");
+        };
+        assert!(Arc::ptr_eq(&a.program, &b.program));
+        assert!(!Arc::ptr_eq(
+            &serial.workloads[0].program,
+            &serial.workloads[1].program
+        ));
+        assert_eq!(table1(&shared).render(), table1(&serial).render());
+        assert_eq!(table3(&shared).render(), table3(&serial).render());
+        let crossmode = |s: &SuiteRuns| crossmode_table(s).expect("both modes").render();
+        assert_eq!(crossmode(&shared), crossmode(&serial));
+        for group in [Group::FortranFp, Group::CInteger] {
+            assert_eq!(fig1_rows(&shared, group), fig1_rows(&serial, group));
+        }
+        for spice_only in [true, false] {
+            assert_eq!(
+                fig2_rows(&shared, spice_only),
+                fig2_rows(&serial, spice_only)
+            );
+            assert_eq!(
+                fig3_rows(&shared, spice_only),
+                fig3_rows(&serial, spice_only)
+            );
+        }
+        for table in [
+            percent_taken_table,
+            combination_table,
+            heuristic_table,
+            selects_table,
+            coverage_table,
+            percent_correct_table,
+            dyn_table,
+        ] {
+            assert_eq!(table(&shared).render(), table(&serial).render());
+        }
     }
 
     #[test]

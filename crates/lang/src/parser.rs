@@ -27,8 +27,11 @@ impl Parser {
         self.tokens[self.pos].line
     }
 
+    /// Takes the current token out and advances past it. The parser never
+    /// looks back (`pos` only grows), so the `Eof` left in its slot is
+    /// never read.
     fn bump(&mut self) -> TokenKind {
-        let t = self.tokens[self.pos].kind.clone();
+        let t = std::mem::replace(&mut self.tokens[self.pos].kind, TokenKind::Eof);
         if !matches!(t, TokenKind::Eof) {
             self.pos += 1;
         }
@@ -79,13 +82,13 @@ impl Parser {
 
     fn expect_ident(&mut self) -> Result<String, CompileError> {
         match self.peek() {
-            TokenKind::Ident(s) if !is_reserved(s) => {
-                let s = s.clone();
-                self.bump();
-                Ok(s)
-            }
-            other => Err(self.error(format!("expected identifier, found {other}"))),
+            TokenKind::Ident(s) if !is_reserved(s) => {}
+            other => return Err(self.error(format!("expected identifier, found {other}"))),
         }
+        let TokenKind::Ident(s) = self.bump() else {
+            unreachable!("the current token is an identifier")
+        };
+        Ok(s)
     }
 
     fn items(&mut self) -> Result<Vec<Item>, CompileError> {

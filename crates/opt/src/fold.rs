@@ -14,10 +14,15 @@ use mfcheck::{all_uses_initialized, single_def_consts};
 /// value, not the constant. Functions that fail definite-initialization
 /// are therefore left untouched (the verifier reports them as
 /// `use-before-def` errors; the lowerer never produces such code).
+/// [`crate::Pipeline`] checks a function until it passes, then trusts it
+/// for the rest of the run and calls the same fold body unchecked.
 pub fn fold_constants(func: &mut Function) -> bool {
-    if !all_uses_initialized(func) {
-        return false;
-    }
+    all_uses_initialized(func) && fold_initialized(func)
+}
+
+/// [`fold_constants`] for a function already known to pass definite
+/// initialization.
+pub(crate) fn fold_initialized(func: &mut Function) -> bool {
     let consts = single_def_consts(func);
     let mut changed = false;
 

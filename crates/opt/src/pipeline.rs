@@ -10,10 +10,10 @@ use std::fmt;
 
 use trace_ir::{Function, Program};
 
-use mfcheck::{Diagnostic, Severity};
+use mfcheck::{all_uses_initialized, Diagnostic, Severity};
 
 use crate::cleanup::{dead_code, jump_thread, remove_unreachable};
-use crate::fold::fold_constants;
+use crate::fold::fold_initialized;
 use crate::local::{copy_propagate, local_cse};
 
 /// One intraprocedural optimization pass: rewrites a function in place
@@ -67,12 +67,58 @@ impl fmt::Display for PassDefect {
 
 impl std::error::Error for PassDefect {}
 
+/// How the pipeline runs one of its passes.
+#[derive(Clone, Copy, Debug)]
+enum Pass {
+    /// [`crate::fold_constants`], whose definite-initialization
+    /// precondition the pipeline tracks per function.
+    Fold,
+    /// A standard pass; each preserves definite initialization.
+    Standard(PassFn),
+    /// A pass added with [`Pipeline::with_pass`], trusted with nothing.
+    Custom(PassFn),
+}
+
+impl Pass {
+    /// Runs the pass over `func`. `initialized` says `func` is known to
+    /// pass definite initialization in this run: fold sets it the first
+    /// time the check passes and skips the check while it holds, and a
+    /// custom pass that changes `func` clears it.
+    fn apply(self, func: &mut Function, initialized: &mut bool) -> bool {
+        match self {
+            Pass::Fold => {
+                *initialized = *initialized || all_uses_initialized(func);
+                *initialized && fold_initialized(func)
+            }
+            Pass::Standard(pass) => pass(func),
+            Pass::Custom(pass) => {
+                let changed = pass(func);
+                *initialized &= !changed;
+                changed
+            }
+        }
+    }
+}
+
 /// An ordered sequence of optimization passes run to a fixpoint (bounded by
 /// a round limit).
+///
+/// Constant folding is only sound in a function whose every use is
+/// definitely initialized, and deciding that takes a dataflow solve. A run
+/// checks each function until it passes and then trusts it for the rest
+/// of the run: every standard pass preserves definite initialization
+/// (they only rewrite a use to a register read or written earlier in its
+/// block, delete definitions nobody reads, or remove and shorten paths),
+/// so the answer cannot change. A function that fails is checked again at
+/// every fold, since dead-code elimination may delete its uninitialized
+/// read, and a pass added with [`Pipeline::with_pass`] drops the
+/// function's trust whenever it reports a change. The verifier's
+/// `use-before-def` check in [`Pipeline::run_checked`] and the pass
+/// property tests guard the claim.
 #[derive(Clone, Debug)]
 pub struct Pipeline {
     rounds: u32,
-    passes: Vec<(&'static str, PassFn)>,
+    passes: Vec<(&'static str, Pass)>,
     verify_each: bool,
 }
 
@@ -109,12 +155,12 @@ impl Pipeline {
         Pipeline {
             rounds: 4,
             passes: vec![
-                ("fold-constants", fold_constants as PassFn),
-                ("copy-propagate", copy_propagate),
-                ("local-cse", local_cse),
-                ("jump-thread", jump_thread),
-                ("remove-unreachable", remove_unreachable),
-                ("dead-code", dead_code),
+                ("fold-constants", Pass::Fold),
+                ("copy-propagate", Pass::Standard(copy_propagate)),
+                ("local-cse", Pass::Standard(local_cse)),
+                ("jump-thread", Pass::Standard(jump_thread)),
+                ("remove-unreachable", Pass::Standard(remove_unreachable)),
+                ("dead-code", Pass::Standard(dead_code)),
             ],
             verify_each: false,
         }
@@ -148,9 +194,11 @@ impl Pipeline {
 
     /// Appends a custom pass to the end of each round's pass sequence.
     /// Used by tests (and ablations) to splice experimental rewrites into
-    /// the managed, verified pipeline.
+    /// the managed, verified pipeline. A custom pass may break definite
+    /// initialization, so the next fold after it reports a change checks
+    /// the function again.
     pub fn with_pass(mut self, name: &'static str, pass: PassFn) -> Self {
-        self.passes.push((name, pass));
+        self.passes.push((name, Pass::Custom(pass)));
         self
     }
 
@@ -183,12 +231,13 @@ impl Pipeline {
                 .run_checked(program)
                 .unwrap_or_else(|defect| panic!("{defect}"));
         }
+        let mut initialized = vec![false; program.functions.len()];
         let mut any = false;
         for _ in 0..self.rounds {
             let mut changed = false;
-            for func in &mut program.functions {
+            for (func, initialized) in program.functions.iter_mut().zip(&mut initialized) {
                 for &(_, pass) in &self.passes {
-                    changed |= pass(func);
+                    changed |= pass.apply(func, initialized);
                 }
             }
             any |= changed;
@@ -227,12 +276,13 @@ impl Pipeline {
                 diagnostics: input_errors,
             });
         }
+        let mut initialized = vec![false; program.functions.len()];
         let mut any = false;
         for round in 1..=self.rounds {
             let mut changed = false;
-            for fi in 0..program.functions.len() {
+            for (fi, initialized) in initialized.iter_mut().enumerate() {
                 for &(name, pass) in &self.passes {
-                    if !pass(&mut program.functions[fi]) {
+                    if !pass.apply(&mut program.functions[fi], initialized) {
                         continue;
                     }
                     changed = true;
@@ -259,7 +309,8 @@ impl Pipeline {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use trace_ir::Instr;
+    use trace_ir::builder::{FunctionBuilder, ProgramBuilder};
+    use trace_ir::{BinOp, BranchKind, Instr};
 
     #[test]
     fn none_pipeline_is_identity() {
@@ -360,6 +411,98 @@ mod tests {
         let err = std::panic::catch_unwind(move || pipeline.run(&mut p)).unwrap_err();
         let msg = err.downcast_ref::<String>().cloned().unwrap_or_default();
         assert!(msg.contains("clobber"), "{msg}");
+    }
+
+    #[test]
+    fn a_function_that_fails_definite_init_is_checked_again() {
+        // `x` is never defined, and its only read feeds a result nobody
+        // uses. Round 1 refuses to fold and dead-code removes the read;
+        // round 2 must check again, pass, and fold the constant branch.
+        let mut f = FunctionBuilder::new("main", 0);
+        let x = f.new_reg();
+        let one = f.const_int(1);
+        let _unused = f.binop(BinOp::Add, x, one);
+        let zero = f.const_int(0);
+        let t = f.new_block();
+        let e = f.new_block();
+        f.branch(zero, t, e, 1, BranchKind::If);
+        f.switch_to(t);
+        f.emit_value(one);
+        f.ret(None);
+        f.switch_to(e);
+        f.ret(None);
+        let mut pb = ProgramBuilder::new();
+        pb.add_function(f.finish());
+        let p = pb.finish("main").unwrap();
+        assert!(!mfcheck::all_uses_initialized(&p.functions[0]));
+
+        let mut one_round = p.clone();
+        Pipeline::standard().rounds(1).run(&mut one_round);
+        assert_eq!(one_round.static_branch_count(), 1, "round 1 must not fold");
+        assert!(mfcheck::all_uses_initialized(&one_round.functions[0]));
+
+        let mut optimized = p;
+        Pipeline::standard().run(&mut optimized);
+        assert_eq!(optimized.static_branch_count(), 0, "round 2 folds");
+        // The branch on 0 went to its not-taken arm: the emitting arm is
+        // gone.
+        let blocks = &optimized.functions[0].blocks;
+        assert!(
+            blocks
+                .iter()
+                .all(|b| !b.instrs.iter().any(|i| matches!(i, Instr::Emit { .. }))),
+            "{}",
+            optimized.functions[0]
+        );
+    }
+
+    /// A broken custom pass: copies the entry block's first definition, a
+    /// constant, into a fresh register *before* that definition, and
+    /// emits the copy at the end of the block. It fires while the block
+    /// emits once, so only once.
+    fn read_before_def(func: &mut Function) -> bool {
+        let entry = &func.blocks[0];
+        let emits = entry
+            .instrs
+            .iter()
+            .filter(|i| matches!(i, Instr::Emit { .. }))
+            .count();
+        let (1, Some(&Instr::Const { dst: src, .. })) = (emits, entry.instrs.first()) else {
+            return false;
+        };
+        let copy = func.new_reg();
+        let entry = &mut func.blocks[0];
+        entry.instrs.insert(0, Instr::Mov { dst: copy, src });
+        entry.instrs.push(Instr::Emit { src: copy });
+        true
+    }
+
+    #[test]
+    fn a_custom_pass_that_breaks_definite_init_stops_the_fold() {
+        // The function passes the check before the custom pass runs in
+        // round 1. Trusting it in round 2 would fold the early read of
+        // `k` into `const 5`; the VM reads 0 there.
+        let src = "fn main() { var k: int = 5; emit(k); }";
+        let pipeline = Pipeline::standard().with_pass("read-before-def", read_before_def);
+        let mut p = mflang::compile(src).unwrap();
+        pipeline.run(&mut p);
+        assert!(!mfcheck::all_uses_initialized(&p.functions[0]));
+        let run = trace_vm::Vm::new(&p).run(&[]).unwrap();
+        assert_eq!(
+            run.output_ints(),
+            vec![5, 0],
+            "the read before the definition must stay a read:\n{}",
+            p.functions[0]
+        );
+
+        let mut checked = mflang::compile(src).unwrap();
+        let defect = pipeline.run_checked(&mut checked).unwrap_err();
+        assert_eq!(defect.pass, "read-before-def");
+        assert_eq!(defect.round, 1);
+        assert!(defect
+            .diagnostics
+            .iter()
+            .any(|d| d.code == "use-before-def"));
     }
 
     #[test]

@@ -239,7 +239,6 @@ pub struct ProfileStore {
     /// that carried them (last writer wins per branch id). Fingerprints
     /// describe the *program*, not a dataset, so one map serves all.
     fps: FpFold,
-    salvaged_records: u64,
 }
 
 impl ProfileStore {
@@ -263,7 +262,6 @@ impl ProfileStore {
             records: Vec::with_capacity(salvaged.len()),
             fold: RawFold::new(),
             fps: FpFold::new(),
-            salvaged_records: salvaged.len() as u64,
         };
         for record in salvaged {
             store.ingest(record);
@@ -290,10 +288,7 @@ impl ProfileStore {
 
     /// Lifetime counters.
     pub fn counters(&self) -> StoreCounters {
-        StoreCounters {
-            salvaged_records: self.salvaged_records,
-            ..self.log.counters()
-        }
+        self.log.counters()
     }
 
     /// The database directory.

@@ -144,7 +144,7 @@ impl SegmentLog {
     ) -> Result<Self, DbError> {
         let mut log = SegmentLog::unscanned(vfs, dir.into(), retry)?;
         if log.is_persistent() {
-            log.rescan(false, |_| {})?;
+            log.scan_at_open(false, |_| {})?;
         }
         Ok(log)
     }
@@ -169,7 +169,7 @@ impl SegmentLog {
         match log.acquire_lock(lock)? {
             LockOutcome::Acquired => {
                 log.holding = true;
-                log.rescan(true, visit)?;
+                log.scan_at_open(true, visit)?;
                 log.tail_valid = log.persist.is_some();
             }
             LockOutcome::Contended(reason) | LockOutcome::Broken(reason) => {
@@ -690,6 +690,23 @@ impl SegmentLog {
         }
         self.rescan(true, |_| {})?;
         self.tail_valid = self.persist.is_some();
+        Ok(())
+    }
+
+    /// The scan that opens the log: [`SegmentLog::rescan`], counting the
+    /// records it recovers as `salvaged_records`. Later rescans (a commit
+    /// that finds another writer's appends) do not count them again.
+    fn scan_at_open(
+        &mut self,
+        repair: bool,
+        mut visit: impl FnMut(Vec<ProfileRecord>),
+    ) -> Result<(), DbError> {
+        let mut salvaged = 0u64;
+        self.rescan(repair, |batch| {
+            salvaged += batch.len() as u64;
+            visit(batch);
+        })?;
+        self.counters.salvaged_records = salvaged;
         Ok(())
     }
 

@@ -690,6 +690,31 @@ mod tests {
     }
 
     #[test]
+    fn reopening_counts_the_records_it_recovers() {
+        let mem: Arc<dyn Vfs> = Arc::new(MemVfs::new());
+        let committed = {
+            let svc = ProfileService::open(Arc::clone(&mem), DIR, opts(4)).unwrap();
+            svc.submit("train", &counts(&[(0, 10, 4), (1, 6, 6), (2, 9, 1)]))
+                .unwrap();
+            svc.submit("ref", &counts(&[(3, 7, 0)])).unwrap();
+            let c = svc.counters().store;
+            assert_eq!(c.salvaged_records, 0, "a fresh database recovers nothing");
+            c.committed_appends
+        };
+        assert!(committed >= 2, "{committed}");
+        let svc = ProfileService::open(Arc::clone(&mem), DIR, opts(4)).unwrap();
+        assert_eq!(svc.counters().store.salvaged_records, committed);
+
+        // A second writer appends to every shard, so the next commit of
+        // the first one rescans under its lock; that is not recovery.
+        let other = ProfileService::open(Arc::clone(&mem), DIR, opts(4)).unwrap();
+        let all_shards = counts(&[(0, 1, 1), (1, 1, 1), (2, 1, 1), (3, 1, 1)]);
+        other.submit("ref", &all_shards).unwrap();
+        svc.submit("ref", &all_shards).unwrap();
+        assert_eq!(svc.counters().store.salvaged_records, committed);
+    }
+
+    #[test]
     fn manifest_wins_over_options() {
         let mem: Arc<dyn Vfs> = Arc::new(MemVfs::new());
         drop(ProfileService::open(Arc::clone(&mem), DIR, opts(16)).unwrap());

@@ -1,5 +1,6 @@
 //! Determinism: the whole experiment regenerates bit-identically.
 
+use fisher92::opt::{Inliner, Pipeline};
 use fisher92::vm::Input;
 use fisher92::workloads::suite;
 
@@ -74,6 +75,40 @@ fn generated_suite_matches_its_pinned_digest() {
         suite_digest(),
         0x73c8_e6cf_a34a_ebd8,
         "the generated suite changed"
+    );
+}
+
+/// The digest of what the optimizer makes of the suite: per workload, in
+/// suite order, its `Pipeline::standard` build and its `Inliner` build.
+/// Each program is rendered with `{:?}`, which covers every field (the
+/// constant arrays and the branch table included); `Display` leaves some
+/// out.
+fn optimized_suite_digest() -> u64 {
+    let mut h = Fnv64(0xcbf2_9ce4_8422_2325);
+    for w in suite() {
+        let program = w.compile().expect("compiles");
+        let mut optimized = program.clone();
+        Pipeline::standard().run(&mut optimized);
+        let mut inlined = program;
+        Inliner::default().run(&mut inlined);
+        h.str(w.name);
+        for build in [&optimized, &inlined] {
+            h.str(&format!("{build:?}"));
+        }
+    }
+    h.0
+}
+
+/// The optimizer's output is pinned: a change to any pass, or to the
+/// analyses they consult, that moves one instruction of one build fails
+/// here. Update the constant only for a deliberate change to what the
+/// optimizer produces.
+#[test]
+fn optimized_suite_matches_its_pinned_digest() {
+    let digest = optimized_suite_digest();
+    assert_eq!(
+        digest, 0xb143_3ace_a22d_9823,
+        "the optimized suite changed: {digest:#018x}"
     );
 }
 
