@@ -20,8 +20,8 @@
 //!   diagnostics (use-before-def, dead stores, unreachable blocks,
 //!   degenerate terminators) on top of the IR's structural validation,
 //!   each locatable to function/block/instruction. The optimizer's
-//!   `verify_each` mode runs it between passes to attribute regressions
-//!   to the pass that introduced them.
+//!   `Pipeline::run_checked` runs it between passes to attribute
+//!   regressions to the pass that introduced them.
 //! * **Profile checks** — [`check_entries`] / [`check_against_program`] /
 //!   [`check_weighted`] validate branch-counter databases (`taken ≤
 //!   executed`, known branch ids, monotone combined weights), and

@@ -5,7 +5,7 @@
 //! verifier checks properties that need analysis to decide — reads of
 //! registers no definition is guaranteed to reach, stores whose value can
 //! never be observed, blocks no path executes, and degenerate control
-//! transfers. The optimizer's `verify_each` mode runs these checks
+//! transfers. The optimizer's `Pipeline::run_checked` runs these checks
 //! between passes to attribute any regression to the pass that
 //! introduced it.
 

@@ -220,12 +220,9 @@ fn main() -> ExitCode {
         harness_options.verify = true;
         mfbench::set_verify_each(true);
     }
-    if options.io_retries.is_some() {
-        harness_options.io_retries = options.io_retries;
-    }
-    if options.fault_seed.is_some() {
-        harness_options.fault_seed = options.fault_seed;
-    }
+    // No environment variable sets these two.
+    harness_options.io_retries = options.io_retries;
+    harness_options.fault_seed = options.fault_seed;
     let store = options
         .profile_db
         .as_ref()

@@ -19,22 +19,26 @@
 //! tearing garbage onto every live segment tail, and recovery is the
 //! wall time from reopen to the first durable group commit.
 //!
-//! The single-log baseline drives `mfprofdb::ProfileStore` behind one
-//! mutex — one append+sync per record, the pre-sharding architecture,
-//! on the same segment-log engine as every shard. The service rows
-//! drive `mfprofsvc::ProfileService` — concurrent per-shard commits with
+//! The single-log baseline is one root-level `mfprofdb::SegmentLog`
+//! behind one mutex: each record commits as its own batch with the log's
+//! lock held across commits, so every record pays one append and one
+//! sync — the pre-sharding architecture, on the engine every shard runs.
+//! Its recovery probe is the log's open plus its first commit, the same
+//! open-then-repair a shard pays. The service rows drive
+//! `mfprofsvc::ProfileService` — concurrent per-shard commits with
 //! batched group commit.
 //!
 //! Exit status: 0 on success, 1 when a `--gate` ratio is not met, 2 on
 //! usage or I/O errors.
 
+use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 use std::sync::{Arc, Barrier, Mutex};
 use std::time::{Duration, Instant};
 
-use mffault::{RealVfs, Vfs};
-use mfprofdb::{OpenOptions, ProfileStore};
+use mffault::{RealVfs, RetryPolicy, Vfs};
+use mfprofdb::{DbError, LockCfg, Persistence, ProfileRecord, SegmentLog};
 use mfprofsvc::{ProfileService, ServiceOptions};
 use mfreport::json::Json;
 use trace_ir::BranchId;
@@ -196,7 +200,8 @@ fn parse_args(args: &[String]) -> Result<Option<Options>, String> {
 /// One measured configuration at one scale.
 struct Row {
     sites: u64,
-    /// 0 = the single-log `ProfileStore` baseline.
+    /// 0 = the single-log baseline: one root-level `SegmentLog` behind
+    /// one mutex.
     shards: u32,
     ops: u64,
     wall_secs: f64,
@@ -285,6 +290,17 @@ fn percentile_us(sorted: &[f64], p: f64) -> f64 {
     sorted[rank.min(sorted.len()) - 1]
 }
 
+/// Commits one run to the single-log baseline as its own batch, keeping
+/// the log's lock held across commits: one append and one sync.
+fn commit_single(
+    log: &mut SegmentLog,
+    dataset: &str,
+    counts: &BranchCounts,
+) -> Result<Persistence, DbError> {
+    let record = ProfileRecord::from_run(dataset, counts, &BTreeMap::new());
+    log.commit_batch_keep(&[record], &LockCfg::default(), true)
+}
+
 fn svc_options(shards: u32) -> ServiceOptions {
     ServiceOptions {
         shards,
@@ -308,14 +324,13 @@ fn warm_db(root: &Path, sites: u64, shards: u32) -> Result<(PathBuf, f64), Strin
     let records = sites.div_ceil(WARM_RECORD_SITES);
     let vfs: Arc<dyn Vfs> = Arc::new(RealVfs);
     if shards == 0 {
-        let mut store = ProfileStore::open(vfs, &dir, OpenOptions::default())
+        let mut log = SegmentLog::open(vfs, &dir, RetryPolicy::default())
             .map_err(|e| format!("open baseline {}: {e}", dir.display()))?;
         for r in 0..records {
-            store
-                .append(&format!("warm/{}", r % 7), &warm_counts(r, sites))
+            commit_single(&mut log, &format!("warm/{}", r % 7), &warm_counts(r, sites))
                 .map_err(|e| format!("warm baseline: {e}"))?;
         }
-        if !store.is_persistent() {
+        if !log.is_persistent() {
             return Err(format!("baseline warmup degraded at {}", dir.display()));
         }
     } else {
@@ -433,8 +448,8 @@ fn bench_service(
 }
 
 /// Measured phase for the single-log baseline: the same submission
-/// stream through one `ProfileStore` behind one mutex — one append+sync
-/// per record, fully serialized.
+/// stream through one root-level `SegmentLog` behind one mutex — one
+/// append+sync per record, fully serialized.
 fn bench_single_log(
     dir: &Path,
     sites: u64,
@@ -443,13 +458,13 @@ fn bench_single_log(
     probe_timeout: Duration,
 ) -> Result<(f64, Vec<f64>, f64), String> {
     let vfs: Arc<dyn Vfs> = Arc::new(RealVfs);
-    let store = ProfileStore::open(Arc::clone(&vfs), dir, OpenOptions::default())
+    let log = SegmentLog::open(Arc::clone(&vfs), dir, RetryPolicy::default())
         .map_err(|e| format!("open: {e}"))?;
-    let store = Arc::new(Mutex::new(store));
+    let log = Arc::new(Mutex::new(log));
     let barrier = Arc::new(Barrier::new(writers + 1));
     let mut handles = Vec::new();
     for w in 0..writers {
-        let store = Arc::clone(&store);
+        let log = Arc::clone(&log);
         let barrier = Arc::clone(&barrier);
         handles.push(std::thread::spawn(move || -> Result<Vec<f64>, String> {
             let dataset = format!("bench/w{w}");
@@ -458,10 +473,7 @@ fn bench_single_log(
             for op in 0..ops_per_writer {
                 let counts = one_site(site_of(w, op, sites));
                 let t = Instant::now();
-                store
-                    .lock()
-                    .expect("store lock")
-                    .append(&dataset, &counts)
+                commit_single(&mut log.lock().expect("log lock"), &dataset, &counts)
                     .map_err(|e| format!("append: {e}"))?;
                 lat.push(t.elapsed().as_secs_f64() * 1e6);
             }
@@ -475,24 +487,20 @@ fn bench_single_log(
         latencies.extend(h.join().map_err(|_| "writer panicked".to_string())??);
     }
     let wall_secs = wall_start.elapsed().as_secs_f64();
-    {
-        let store = store.lock().expect("store lock");
-        if !store.is_persistent() {
-            return Err("baseline degraded during the measured phase".to_string());
-        }
+    if !log.lock().expect("log lock").is_persistent() {
+        return Err("baseline degraded during the measured phase".to_string());
     }
-    drop(store);
+    drop(log);
 
     tear_segments(dir, 4096).map_err(|e| format!("tear: {e}"))?;
     let dir = dir.to_path_buf();
     let recovery_ms = with_watchdog(probe_timeout, "single-log recovery probe", move || {
         let t = Instant::now();
-        let mut store = ProfileStore::open(vfs, &dir, OpenOptions::default())
+        let mut log = SegmentLog::open(vfs, &dir, RetryPolicy::default())
             .map_err(|e| format!("reopen: {e}"))?;
-        store
-            .append("bench/recovery-probe", &one_site(0))
+        commit_single(&mut log, "bench/recovery-probe", &one_site(0))
             .map_err(|e| format!("recovery probe: {e}"))?;
-        if !store.is_persistent() {
+        if !log.is_persistent() {
             return Err("baseline degraded during recovery".to_string());
         }
         Ok(t.elapsed().as_secs_f64() * 1000.0)

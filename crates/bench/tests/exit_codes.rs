@@ -533,6 +533,70 @@ fn chaos_json_report_lands_on_disk() {
     let _ = std::fs::remove_file(out_path);
 }
 
+fn svcbench(args: &[&str]) -> Output {
+    Command::new(env!("CARGO_BIN_EXE_svcbench"))
+        .args(args)
+        .output()
+        .expect("svcbench runs")
+}
+
+#[test]
+fn svcbench_usage_errors_exit_two() {
+    for args in [
+        &["--shards", "0"][..],
+        &["--writers", "0"][..],
+        &["--frobnicate"][..],
+    ] {
+        let out = svcbench(args);
+        assert_eq!(
+            out.status.code(),
+            Some(2),
+            "svcbench {args:?}: {}",
+            stderr(&out)
+        );
+        assert!(stderr(&out).contains("usage"), "{}", stderr(&out));
+    }
+}
+
+#[test]
+fn svcbench_tiny_run_writes_the_single_log_and_sharded_rows() {
+    let root = temp_path("svcbench-root");
+    let out_path = temp_path("svcbench.json");
+    let _ = std::fs::remove_dir_all(&root);
+    let out = svcbench(&[
+        "--sites",
+        "1k",
+        "--shards",
+        "1",
+        "--writers",
+        "2",
+        "--ops",
+        "2",
+        "--root",
+        root.to_str().unwrap(),
+        "--out",
+        out_path.to_str().unwrap(),
+    ]);
+    assert_eq!(out.status.code(), Some(0), "stderr: {}", stderr(&out));
+    let body = std::fs::read_to_string(&out_path).expect("report written");
+    let rows: Vec<&str> = body.lines().filter(|l| l.contains("\"config\"")).collect();
+    assert_eq!(
+        rows.len(),
+        2,
+        "one baseline row and one sharded row: {body}"
+    );
+    assert!(
+        rows[0].contains("\"config\": \"single-log\", \"shards\": 0,"),
+        "{body}"
+    );
+    assert!(
+        rows[1].contains("\"config\": \"shards-1\", \"shards\": 1,"),
+        "{body}"
+    );
+    let _ = std::fs::remove_dir_all(&root);
+    let _ = std::fs::remove_file(out_path);
+}
+
 #[test]
 fn mflint_warns_on_version_skewed_profiles() {
     // A profile whose fingerprint comments prove it was recorded against

@@ -22,7 +22,7 @@
 //!   must stay inside the convex hull of the inputs' taken-fractions and
 //!   never claim more taken weight than executed weight.
 //! * **profdb-roundtrip** — persisting the per-dataset profiles through
-//!   the on-disk database (on the in-memory VFS) and reopening must
+//!   a segment log (on the in-memory VFS) and reopening must
 //!   reproduce every raw count bit for bit, before and after compaction;
 //!   a corrupted tail frame must be salvaged away, never accepted.
 //! * **profsvc-groupcommit** — pushing the same profiles through the
@@ -71,7 +71,7 @@ use ifprob::{combine, CombineRule};
 use mfdyn::{golden, BranchDirs, DynSpec, Zoo};
 use mffault::{FaultPlan, FaultVfs, MemVfs, RetryPolicy, Vfs};
 use mfopt::Pipeline;
-use mfprofdb::{OpenOptions, Persistence, ProfileStore};
+use mfprofdb::{fold_record, LockCfg, Persistence, ProfileRecord, RawFold, SegmentLog};
 use mfprofsvc::{ProfileService, ServiceOptions};
 use trace_ir::{BranchId, Program};
 use trace_vm::{
@@ -493,11 +493,11 @@ pub fn check_combine_convexity(
     }
 }
 
-/// Persisting per-dataset profiles through the on-disk database and
-/// reading them back must be lossless, before and after compaction; a
-/// corrupted tail frame must be salvaged away, never folded in. Runs
-/// entirely on the in-memory VFS, so it is deterministic and touches no
-/// real filesystem.
+/// Persisting per-dataset profiles through a segment log and reading
+/// them back must be lossless, before and after compaction; a corrupted
+/// tail frame must be salvaged away, never folded in. Runs entirely on
+/// the in-memory VFS, so it is deterministic and touches no real
+/// filesystem.
 pub fn check_profdb_roundtrip(
     profiles: &[BranchCounts],
     findings: &mut Vec<(&'static str, String)>,
@@ -506,49 +506,57 @@ pub fn check_profdb_roundtrip(
         return;
     }
     let dataset = |i: usize| format!("ds{i:02}");
-    let expected: BTreeMap<String, Vec<(u32, u64, u64)>> = profiles
+    let records: Vec<ProfileRecord> = profiles
         .iter()
         .enumerate()
-        .map(|(i, p)| {
-            (
-                dataset(i),
-                p.iter().map(|(id, e, t)| (id.0, e, t)).collect(),
-            )
-        })
+        .map(|(i, p)| ProfileRecord::from_run(&dataset(i), p, &BTreeMap::new()))
         .collect();
-    let fill = |store: &mut ProfileStore| -> bool {
-        for (i, p) in profiles.iter().enumerate() {
-            let landed = store
-                .append(&dataset(i), p)
-                .expect("no fault plan, so appends cannot crash");
+    let mut expected = RawFold::new();
+    records.iter().for_each(|r| fold_record(&mut expected, r));
+    let open = |vfs: &Arc<dyn Vfs>| {
+        SegmentLog::open(Arc::clone(vfs), "/oracle-db", RetryPolicy::default())
+            .expect("no fault plan, so open cannot crash")
+    };
+    let totals = |log: &mut SegmentLog| {
+        let mut fold = RawFold::new();
+        let batches = log
+            .read_batches()
+            .expect("no fault plan, so reads cannot crash");
+        batches
+            .iter()
+            .flatten()
+            .for_each(|r| fold_record(&mut fold, r));
+        fold
+    };
+    // One writer commits every dataset as its own batch, holding the
+    // lock until the log drops; its warnings when a commit degraded.
+    let fill = |vfs: &Arc<dyn Vfs>| -> Result<SegmentLog, Vec<String>> {
+        let mut log = open(vfs);
+        for record in &records {
+            let landed = log
+                .commit_batch_keep(std::slice::from_ref(record), &LockCfg::default(), true)
+                .expect("no fault plan, so commits cannot crash");
             if landed != Persistence::Committed {
-                return false;
+                return Err(log.warnings().to_vec());
             }
         }
-        true
+        Ok(log)
     };
 
-    // Round trip: append every dataset, reopen, compact, reopen again.
+    // Round trip: commit every dataset, reopen, compact, reopen again.
     // Each view must reproduce the raw per-branch counts exactly.
     let vfs: Arc<dyn Vfs> = Arc::new(MemVfs::new());
-    let mut store = ProfileStore::open(Arc::clone(&vfs), "/oracle-db", OpenOptions::default())
-        .expect("no fault plan, so open cannot crash");
-    if !fill(&mut store) {
+    if let Err(warnings) = fill(&vfs) {
         findings.push((
             "profdb-roundtrip",
-            format!(
-                "append degraded on a fault-free vfs: {:?}",
-                store.warnings()
-            ),
+            format!("append degraded on a fault-free vfs: {warnings:?}"),
         ));
         return;
     }
-    drop(store);
     for compacted in [false, true] {
-        let mut reopened =
-            ProfileStore::open(Arc::clone(&vfs), "/oracle-db", OpenOptions::default())
-                .expect("no fault plan, so open cannot crash");
-        if reopened.raw_totals() != expected {
+        let mut reopened = open(&vfs);
+        let recovered = totals(&mut reopened);
+        if recovered != expected {
             findings.push((
                 "profdb-roundtrip",
                 format!(
@@ -558,7 +566,7 @@ pub fn check_profdb_roundtrip(
                     } else {
                         "after append"
                     },
-                    reopened.datasets(),
+                    recovered.keys().collect::<Vec<_>>(),
                     expected.keys().collect::<Vec<_>>()
                 ),
             ));
@@ -568,9 +576,9 @@ pub fn check_profdb_roundtrip(
             break;
         }
         reopened
-            .compact()
+            .compact(&LockCfg::default())
             .expect("no fault plan, so compaction cannot crash");
-        if reopened.raw_totals() != expected {
+        if totals(&mut reopened) != expected {
             findings.push((
                 "profdb-roundtrip",
                 "compaction changed the folded profile".to_string(),
@@ -586,33 +594,30 @@ pub fn check_profdb_roundtrip(
         return; // no trailing count word to corrupt
     }
     let vfs: Arc<dyn Vfs> = Arc::new(MemVfs::new());
-    let mut store = ProfileStore::open(Arc::clone(&vfs), "/oracle-db", OpenOptions::default())
-        .expect("no fault plan, so open cannot crash");
-    if !fill(&mut store) {
-        return; // already reported above on an identical store
-    }
-    let segment = store
+    let Ok(log) = fill(&vfs) else {
+        return; // already reported above on an identical log
+    };
+    let segment = log
         .active_segment()
-        .expect("persistent store has a segment")
+        .expect("persistent log has a segment")
         .to_path_buf();
-    drop(store);
+    drop(log);
     let mut bytes = vfs.read(&segment).expect("in-memory segment is readable");
     let flip = bytes.len() - 9; // MSB of the little-endian taken u64, just before the checksum
     bytes[flip] ^= 0x80;
     vfs.write(&segment, &bytes)
         .expect("in-memory segment is writable");
 
-    let salvaged = ProfileStore::open(Arc::clone(&vfs), "/oracle-db", OpenOptions::default())
-        .expect("no fault plan, so open cannot crash");
+    let salvaged = totals(&mut open(&vfs));
     let mut pruned = expected;
     pruned.remove(&dataset(profiles.len() - 1));
-    if salvaged.raw_totals() != pruned {
+    if salvaged != pruned {
         findings.push((
             "profdb-roundtrip",
             format!(
                 "corrupted tail frame was not salvaged away: recovered datasets {:?}, \
                  expected the uncorrupted prefix {:?}",
-                salvaged.datasets(),
+                salvaged.keys().collect::<Vec<_>>(),
                 pruned.keys().collect::<Vec<_>>()
             ),
         ));

@@ -85,7 +85,7 @@ pub struct HarnessOptions {
 
 impl HarnessOptions {
     /// Reads `MFHARNESS_JOBS`, `MFHARNESS_CACHE`, and `MFHARNESS_VERIFY`
-    /// from the environment.
+    /// from the environment; every other option keeps its default.
     pub fn from_env() -> Self {
         let jobs = std::env::var("MFHARNESS_JOBS")
             .ok()
@@ -100,18 +100,11 @@ impl HarnessOptions {
             Err(_) => false,
             Ok(v) => !matches!(v.trim(), "" | "0" | "off"),
         };
-        let io_retries = std::env::var("MFHARNESS_IO_RETRIES")
-            .ok()
-            .and_then(|v| v.trim().parse::<u32>().ok());
-        let fault_seed = std::env::var("MFHARNESS_FAULT_SEED")
-            .ok()
-            .and_then(|v| v.trim().parse::<u64>().ok());
         HarnessOptions {
             jobs,
             disk_cache,
             verify,
-            io_retries,
-            fault_seed,
+            ..HarnessOptions::default()
         }
     }
 }

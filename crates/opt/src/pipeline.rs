@@ -1,14 +1,13 @@
 //! The pass manager.
 //!
-//! Passes are held as a named list so the pipeline can be inspected,
-//! extended with custom passes in tests, and — in `verify_each` mode —
-//! sanitized: the semantic verifier runs after every pass that changed
-//! anything, so a defect is attributed to the exact pass (and round) that
-//! introduced it.
+//! Passes are held as a named list so the pipeline can be extended with
+//! custom passes in tests and sanitized by [`Pipeline::run_checked`]: the
+//! semantic verifier runs after every pass that changed anything, so a
+//! defect is attributed to the exact pass (and round) that introduced it.
 
 use std::fmt;
 
-use trace_ir::{Function, Program};
+use trace_ir::{FuncId, Function, Program};
 
 use mfcheck::{all_uses_initialized, Diagnostic, Severity};
 
@@ -119,26 +118,7 @@ impl Pass {
 pub struct Pipeline {
     rounds: u32,
     passes: Vec<(&'static str, Pass)>,
-    verify_each: bool,
 }
-
-// Manual: comparing the function pointers themselves is both unreliable
-// (rustc may unify or duplicate them across codegen units) and
-// unnecessary — the name identifies the pass.
-impl PartialEq for Pipeline {
-    fn eq(&self, other: &Self) -> bool {
-        self.rounds == other.rounds
-            && self.verify_each == other.verify_each
-            && self.passes.len() == other.passes.len()
-            && self
-                .passes
-                .iter()
-                .zip(&other.passes)
-                .all(|((a, _), (b, _))| a == b)
-    }
-}
-
-impl Eq for Pipeline {}
 
 impl Default for Pipeline {
     fn default() -> Self {
@@ -162,7 +142,6 @@ impl Pipeline {
                 ("remove-unreachable", Pass::Standard(remove_unreachable)),
                 ("dead-code", Pass::Standard(dead_code)),
             ],
-            verify_each: false,
         }
     }
 
@@ -172,18 +151,7 @@ impl Pipeline {
         Pipeline {
             rounds: 0,
             passes: Vec::new(),
-            verify_each: false,
         }
-    }
-
-    /// Standard pipeline without dead-code elimination or branch folding —
-    /// cleanups only. Useful for isolating how much of Table 1's dead code
-    /// comes from DCE proper.
-    pub fn without_dce() -> Self {
-        let mut p = Pipeline::standard();
-        p.passes
-            .retain(|&(name, _)| name != "fold-constants" && name != "dead-code");
-        p
     }
 
     /// Sets the round limit.
@@ -202,35 +170,14 @@ impl Pipeline {
         self
     }
 
-    /// Enables (or disables) verify-each mode: [`Pipeline::run`] will
-    /// verify the program after every pass that changed anything and
-    /// panic with the offending pass's name on a defect. Prefer
-    /// [`Pipeline::run_checked`] to handle defects as values.
-    pub fn verify_each(mut self, on: bool) -> Self {
-        self.verify_each = on;
-        self
-    }
-
-    /// The names of the passes each round runs, in order.
-    pub fn pass_names(&self) -> Vec<&'static str> {
-        self.passes.iter().map(|&(name, _)| name).collect()
-    }
-
     /// Runs the pipeline over every function. Returns true if any pass
     /// changed anything.
     ///
     /// # Panics
     ///
-    /// In verify-each mode, panics if the verifier attributes a semantic
-    /// defect to a pass. Debug builds always assert the program still
-    /// validates afterwards; the passes preserve structural validity by
-    /// construction.
+    /// Debug builds assert the program still validates afterwards; the
+    /// passes preserve structural validity by construction.
     pub fn run(&self, program: &mut Program) -> bool {
-        if self.verify_each {
-            return self
-                .run_checked(program)
-                .unwrap_or_else(|defect| panic!("{defect}"));
-        }
         let mut initialized = vec![false; program.functions.len()];
         let mut any = false;
         for _ in 0..self.rounds {
@@ -250,10 +197,14 @@ impl Pipeline {
     }
 
     /// Runs the pipeline with the semantic verifier interleaved: the
-    /// input is verified once, and then again after every pass that
-    /// reports a change. The transformation sequence is identical to
-    /// [`Pipeline::run`] — only observation is added — so the optimized
-    /// program (and any content-addressed cache key over it) is the same.
+    /// whole input is verified once, and then, after every pass that
+    /// reports a change to a function, the program's structure and that
+    /// function. A pass is a `fn(&mut Function)`, so only the function it
+    /// changed can gain an error, and the diagnostics equal what
+    /// [`mfcheck::verify_program`] would report. The transformation
+    /// sequence is identical to [`Pipeline::run`] — only observation is
+    /// added — so the optimized program (and any content-addressed cache
+    /// key over it) is the same.
     ///
     /// # Errors
     ///
@@ -261,13 +212,21 @@ impl Pipeline {
     /// after which error-severity diagnostics first appeared, or the
     /// `"<input>"` stage when the program was defective to begin with.
     pub fn run_checked(&self, program: &mut Program) -> Result<bool, PassDefect> {
-        let errors = |program: &Program| -> Vec<Diagnostic> {
-            mfcheck::verify_program(program)
+        // With `changed`, only that function's diagnostics, unless the
+        // structure broke: `verify_program` then reports just that.
+        let errors = |program: &Program, changed: Option<usize>| -> Vec<Diagnostic> {
+            let diagnostics = match changed {
+                Some(fi) if program.validate().is_ok() => {
+                    mfcheck::verify_function(program, FuncId::from_index(fi))
+                }
+                _ => mfcheck::verify_program(program),
+            };
+            diagnostics
                 .into_iter()
                 .filter(|d| d.severity == Severity::Error)
                 .collect()
         };
-        let input_errors = errors(program);
+        let input_errors = errors(program, None);
         if !input_errors.is_empty() {
             return Err(PassDefect {
                 pass: INPUT_STAGE,
@@ -286,7 +245,7 @@ impl Pipeline {
                         continue;
                     }
                     changed = true;
-                    let found = errors(program);
+                    let found = errors(program, Some(fi));
                     if !found.is_empty() {
                         return Err(PassDefect {
                             pass: name,
@@ -390,6 +349,31 @@ mod tests {
         assert!(rendered.contains("pass `clobber`"), "{rendered}");
     }
 
+    /// Breaks only the function named `helper`, as [`clobber_first_def`].
+    fn clobber_helper(func: &mut Function) -> bool {
+        func.name == "helper" && clobber_first_def(func)
+    }
+
+    #[test]
+    fn run_checked_reports_what_verify_program_reports() {
+        let src = "fn main() { var y: int = 2; emit(helper(y) + y); } \
+                   fn helper(a: int) -> int { var x: int = a * 3; return x + 1; }";
+        let mut p = mflang::compile(src).unwrap();
+        assert_eq!(p.functions[1].name, "helper");
+        let pipeline = Pipeline::none()
+            .rounds(1)
+            .with_pass("clobber-helper", clobber_helper);
+        let defect = pipeline.run_checked(&mut p).unwrap_err();
+        assert_eq!((defect.pass, defect.round), ("clobber-helper", 1));
+        assert_eq!(defect.func, "helper");
+        let errors: Vec<Diagnostic> = mfcheck::verify_program(&p)
+            .into_iter()
+            .filter(|d| d.severity == Severity::Error)
+            .collect();
+        assert!(!errors.is_empty());
+        assert_eq!(defect.diagnostics, errors);
+    }
+
     #[test]
     fn run_checked_rejects_defective_input() {
         let mut p = mflang::compile("fn main() { emit(7); }").unwrap();
@@ -399,18 +383,6 @@ mod tests {
         let defect = Pipeline::standard().run_checked(&mut p).unwrap_err();
         assert_eq!(defect.pass, "<input>");
         assert_eq!(defect.round, 0);
-    }
-
-    #[test]
-    fn verify_each_mode_panics_with_the_pass_name() {
-        let mut p = mflang::compile("fn main() { var x: int = 3; emit(x + 1); }").unwrap();
-        let pipeline = Pipeline::none()
-            .rounds(1)
-            .with_pass("clobber", clobber_first_def)
-            .verify_each(true);
-        let err = std::panic::catch_unwind(move || pipeline.run(&mut p)).unwrap_err();
-        let msg = err.downcast_ref::<String>().cloned().unwrap_or_default();
-        assert!(msg.contains("clobber"), "{msg}");
     }
 
     #[test]
@@ -503,21 +475,5 @@ mod tests {
             .diagnostics
             .iter()
             .any(|d| d.code == "use-before-def"));
-    }
-
-    #[test]
-    fn pipelines_compare_by_shape() {
-        assert_eq!(Pipeline::standard(), Pipeline::standard());
-        assert_ne!(Pipeline::standard(), Pipeline::without_dce());
-        assert_ne!(Pipeline::standard(), Pipeline::standard().verify_each(true));
-        assert_eq!(
-            Pipeline::without_dce().pass_names(),
-            vec![
-                "copy-propagate",
-                "local-cse",
-                "jump-thread",
-                "remove-unreachable"
-            ]
-        );
     }
 }

@@ -2,9 +2,9 @@
 //!
 //! A segment is a checksummed header followed by length-prefixed,
 //! individually checksummed frames. Every writer appends *batch* frames
-//! (one per committed chunk of run profiles; a `ProfileStore` append is
-//! a one-record batch). Single-run frames come from older single-log
-//! databases: they stay readable, and no writer produces them:
+//! (one per committed chunk of run profiles). Single-run frames come
+//! from older single-log databases: they stay readable, and no writer
+//! produces them:
 //!
 //! ```text
 //! header  = "MFPD" version:u8 generation:u64 folds_through:u64
@@ -37,10 +37,14 @@
 //! batch granularity — a torn group commit can never resurface as a
 //! partial batch.
 //!
-//! The codec is public. Every log, the single-writer store's and each
-//! `mfprofsvc` shard's, is written by the one [`crate::SegmentLog`]
-//! engine, so any shard directory is also a readable `mfprofdb`
-//! database.
+//! The codec is public. Every log, each `mfprofsvc` shard's and a
+//! single-log database's, is written by the one [`crate::SegmentLog`]
+//! engine, so any shard directory is also a readable segment log.
+
+use std::collections::BTreeMap;
+
+use trace_ir::BranchId;
+use trace_vm::BranchCounts;
 
 /// Segment-header magic.
 pub const MAGIC: &[u8; 4] = b"MFPD";
@@ -82,6 +86,19 @@ pub struct ProfileRecord {
     /// Empty for legacy records (and for writers that do not fingerprint);
     /// such records encode as v1 frames byte-for-byte.
     pub fps: Vec<(u32, u64)>,
+}
+
+impl ProfileRecord {
+    /// One run's counters under `dataset`, with the structural site
+    /// fingerprints of the program they were gathered on (an empty map
+    /// for a fingerprint-free writer).
+    pub fn from_run(dataset: &str, counts: &BranchCounts, fps: &BTreeMap<BranchId, u64>) -> Self {
+        ProfileRecord {
+            dataset: dataset.to_string(),
+            entries: counts.iter().map(|(id, e, t)| (id.0, e, t)).collect(),
+            fps: fps.iter().map(|(&id, &fp)| (id.0, fp)).collect(),
+        }
+    }
 }
 
 /// A decoded segment header.

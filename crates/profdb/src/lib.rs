@@ -1,11 +1,14 @@
 #![warn(missing_docs)]
 
-//! # mfprofdb — the crash-safe cross-run profile database
+//! # mfprofdb — the profile database's codec and engine
 //!
 //! The paper's IFPROBBER accumulated `(executed, taken)` counter pairs
-//! "into a database across runs"; this crate is that database, built to
-//! survive what real databases survive: torn writes, `ENOSPC`, crashes
-//! mid-append, crashes mid-compaction, and concurrent writers.
+//! "into a database across runs". This crate is the storage under that
+//! database, built to survive what real databases survive: torn writes,
+//! `ENOSPC`, crashes mid-append, crashes mid-compaction, and concurrent
+//! writers. `mfprofsvc` is the database itself: it runs one log per
+//! shard, and serves a single-log database (a root-level log, the layout
+//! earlier versions' single-writer store wrote) in place as one shard.
 //!
 //! Layout: a directory of segment files (`seg-<generation>.mfdb`), each
 //! an append-only log of checksummed frames (see [`format`]). One engine,
@@ -17,15 +20,9 @@
 //! whose header supersedes (`folds_through`) every older generation —
 //! written to a temp name, synced, then renamed, and validated by a
 //! committed-length field so a torn copy can never masquerade as a
-//! complete compaction. `mfprofsvc` runs one log per shard.
-//!
-//! [`ProfileStore`] is the single-writer database on that engine: it
-//! takes the log's `LOCK` file for its whole lifetime (a dead holder's
-//! lock is stolen), commits each appended run as a one-record batch
-//! frame, and keeps the accumulated views in memory. Every failure that
-//! is not a crash degrades the store to in-memory accumulation with a
-//! surfaced warning — opening or appending never panics and never loses
-//! the current process's data.
+//! complete compaction. Every failure that is not a crash degrades the
+//! log to in-memory acknowledgment with a surfaced warning — opening or
+//! committing never panics and never loses the current process's data.
 //!
 //! All I/O goes through [`mffault::Vfs`], so the crash battery can
 //! enumerate every crash-point deterministically on an in-memory
@@ -37,32 +34,18 @@ mod log;
 use std::collections::BTreeMap;
 use std::fmt;
 use std::io;
-use std::path::{Path, PathBuf};
-use std::sync::Arc;
-
-use mffault::{RetryPolicy, Vfs};
-use trace_ir::BranchId;
-use trace_vm::BranchCounts;
 
 pub use format::ProfileRecord;
 use log::MAX_FRAME_BYTES;
 pub use log::{LockCfg, SegmentLog};
 
-/// Open-time knobs.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct OpenOptions {
-    /// How the store takes its writer lock.
-    pub lock: LockCfg,
-    /// Bounded retry for transient I/O faults.
-    pub retry: RetryPolicy,
-}
-
-/// Where an append landed.
+/// Where a commit landed.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Persistence {
     /// Durable in the segment log (append + sync acknowledged).
     Committed,
-    /// In memory only — the store is (now) degraded.
+    /// In memory only — the log is (now) degraded, or its lock was held
+    /// by a live peer.
     Degraded,
 }
 
@@ -98,7 +81,7 @@ pub fn crash_check<T>(op: &'static str, result: io::Result<T>) -> Result<io::Res
     }
 }
 
-/// Observability counters for one store's lifetime.
+/// Observability counters for one log's lifetime.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct StoreCounters {
     /// Appends acknowledged durable.
@@ -107,7 +90,7 @@ pub struct StoreCounters {
     pub degraded_appends: u64,
     /// Records recovered from disk at open.
     pub salvaged_records: u64,
-    /// Torn-tail bytes truncated at open.
+    /// Torn-tail bytes truncated by recovery.
     pub truncated_bytes: u64,
     /// Transient I/O faults absorbed by retry.
     pub io_retries: u64,
@@ -126,7 +109,7 @@ pub type RawFold = BTreeMap<String, BTreeMap<u32, (u64, u64)>>;
 /// branch id — fingerprints describe a program, not a dataset's counts).
 pub type FpFold = BTreeMap<u32, u64>;
 
-/// Fingerprints folded per dataset label. A store can hold several
+/// Fingerprints folded per dataset label. A log can hold several
 /// distinct *programs* (each numbering its branches from zero), so folds
 /// that feed back into stored records must never mix labels.
 type FpFoldByDataset = BTreeMap<String, FpFold>;
@@ -226,315 +209,146 @@ fn chunk_records(records: &[ProfileRecord]) -> Vec<Vec<ProfileRecord>> {
     chunks
 }
 
-// -- the store -------------------------------------------------------------
-
-/// The crash-safe single-writer profile store. See the crate docs.
-#[derive(Debug)]
-pub struct ProfileStore {
-    log: SegmentLog,
-    lock: LockCfg,
-    records: Vec<ProfileRecord>,
-    fold: RawFold,
-    /// Program-wide structural fingerprints folded across every record
-    /// that carried them (last writer wins per branch id). Fingerprints
-    /// describe the *program*, not a dataset, so one map serves all.
-    fps: FpFold,
-}
-
-impl ProfileStore {
-    /// Opens (or creates) the database at `dir`: takes the log's writer
-    /// lock for the store's lifetime, scans and repairs the log under
-    /// that lock and loads what it salvaged. Returns `Err` only on an injected
-    /// crash; every real failure yields a degraded, in-memory store with
-    /// a warning in [`ProfileStore::warnings`].
-    pub fn open(
-        vfs: Arc<dyn Vfs>,
-        dir: impl Into<PathBuf>,
-        options: OpenOptions,
-    ) -> Result<Self, DbError> {
-        let mut salvaged = Vec::new();
-        let log = SegmentLog::open_held(vfs, dir, options.retry, &options.lock, |batch| {
-            salvaged.extend(batch)
-        })?;
-        let mut store = ProfileStore {
-            log,
-            lock: options.lock,
-            records: Vec::with_capacity(salvaged.len()),
-            fold: RawFold::new(),
-            fps: FpFold::new(),
-        };
-        for record in salvaged {
-            store.ingest(record);
-        }
-        Ok(store)
-    }
-
-    // -- public accessors ------------------------------------------------
-
-    /// False once the store fell back to in-memory accumulation.
-    pub fn is_persistent(&self) -> bool {
-        self.log.is_persistent()
-    }
-
-    /// True when appends no longer reach disk.
-    pub fn is_degraded(&self) -> bool {
-        !self.is_persistent()
-    }
-
-    /// Everything that went wrong so far, in order, human-readable.
-    pub fn warnings(&self) -> &[String] {
-        self.log.warnings()
-    }
-
-    /// Lifetime counters.
-    pub fn counters(&self) -> StoreCounters {
-        self.log.counters()
-    }
-
-    /// The database directory.
-    pub fn dir(&self) -> &Path {
-        self.log.dir()
-    }
-
-    /// The active segment file, when persistent.
-    pub fn active_segment(&self) -> Option<&Path> {
-        self.log.active_segment()
-    }
-
-    /// Every record currently in the store (recovered + appended), in
-    /// log order. After a compaction this is one folded record per
-    /// dataset (cut into frame-sized parts when larger) followed by any
-    /// later appends.
-    pub fn records(&self) -> &[ProfileRecord] {
-        &self.records
-    }
-
-    /// Dataset names present, sorted.
-    pub fn datasets(&self) -> Vec<&str> {
-        self.fold.keys().map(String::as_str).collect()
-    }
-
-    /// Raw accumulated `(branch, executed, taken)` rows for one dataset.
-    pub fn raw_profile(&self, dataset: &str) -> Option<Vec<(u32, u64, u64)>> {
-        self.fold
-            .get(dataset)
-            .map(|m| m.iter().map(|(&id, &(e, t))| (id, e, t)).collect())
-    }
-
-    /// Raw accumulated totals for every dataset — the comparison currency
-    /// of the crash battery and the fuzz oracle (no counter invariants
-    /// are asserted on the way out).
-    pub fn raw_totals(&self) -> BTreeMap<String, Vec<(u32, u64, u64)>> {
-        self.fold
-            .iter()
-            .map(|(ds, m)| {
-                (
-                    ds.clone(),
-                    m.iter().map(|(&id, &(e, t))| (id, e, t)).collect(),
-                )
-            })
-            .collect()
-    }
-
-    /// Structural site fingerprints folded across every record that
-    /// carried them, keyed by branch id. Empty for a database written
-    /// entirely by legacy (fingerprint-free) writers.
-    pub fn fingerprints(&self) -> &BTreeMap<u32, u64> {
-        &self.fps
-    }
-
-    /// The accumulated database as the in-memory [`ifprob::ProfileDb`]
-    /// every downstream predictor consumes.
-    pub fn snapshot(&self) -> ifprob::ProfileDb {
-        let mut db = ifprob::ProfileDb::new();
-        for (dataset, entries) in &self.fold {
-            let counts: BranchCounts = entries
-                .iter()
-                .map(|(&id, &(e, t))| (BranchId(id), e, t))
-                .collect();
-            db.record(dataset, &counts);
-        }
-        db
-    }
-
-    // -- the write path --------------------------------------------------
-
-    /// Appends one run's counters under `dataset`. Returns where the
-    /// record landed; `Err` only on an injected crash.
-    pub fn append(&mut self, dataset: &str, counts: &BranchCounts) -> Result<Persistence, DbError> {
-        self.append_with_fps(dataset, counts, &BTreeMap::new())
-    }
-
-    /// [`ProfileStore::append`] carrying the structural site fingerprints
-    /// of the program the counts were gathered on. The record commits as
-    /// a one-record batch frame: v2 when it carries fingerprints, v1
-    /// byte-for-byte when the map is empty.
-    pub fn append_with_fps(
-        &mut self,
-        dataset: &str,
-        counts: &BranchCounts,
-        fps: &BTreeMap<BranchId, u64>,
-    ) -> Result<Persistence, DbError> {
-        let record = ProfileRecord {
-            dataset: dataset.to_string(),
-            entries: counts.iter().map(|(id, e, t)| (id.0, e, t)).collect(),
-            fps: fps.iter().map(|(&id, &fp)| (id.0, fp)).collect(),
-        };
-        let persistence =
-            self.log
-                .commit_batch_keep(std::slice::from_ref(&record), &self.lock, true)?;
-        self.ingest(record);
-        Ok(persistence)
-    }
-
-    /// Folds every record into one per dataset inside a fresh segment
-    /// that supersedes all current generations. On any real failure the
-    /// store keeps running on the current segment.
-    pub fn compact(&mut self) -> Result<(), DbError> {
-        if let Some(batches) = self.log.compact(&self.lock)? {
-            self.records = batches.into_iter().flatten().collect();
-        }
-        Ok(())
-    }
-
-    fn ingest(&mut self, record: ProfileRecord) {
-        fold_record(&mut self.fold, &record);
-        fold_fps(&mut self.fps, &record); // log order ⇒ last writer wins
-        self.records.push(record);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mffault::MemVfs;
+    use mffault::{MemVfs, RetryPolicy, Vfs};
+    use std::path::Path;
+    use std::sync::Arc;
     use std::time::Duration;
-    use trace_ir::BranchId;
 
-    fn counts(rows: &[(u32, u64, u64)]) -> BranchCounts {
-        rows.iter()
-            .map(|&(id, e, t)| (BranchId(id), e, t))
-            .collect()
-    }
+    const DIR: &str = "/profdb";
 
-    fn steal_opts() -> OpenOptions {
-        OpenOptions {
-            lock: LockCfg {
-                steal: true,
-                ..LockCfg::default()
-            },
-            retry: RetryPolicy::none(),
+    fn record(dataset: &str, entries: &[(u32, u64, u64)]) -> ProfileRecord {
+        ProfileRecord {
+            dataset: dataset.into(),
+            entries: entries.to_vec(),
+            ..Default::default()
         }
     }
 
-    const DIR: &str = "/profdb";
+    fn open(vfs: &Arc<dyn Vfs>) -> SegmentLog {
+        SegmentLog::open(Arc::clone(vfs), DIR, RetryPolicy::none()).unwrap()
+    }
+
+    /// Commits `record` as a one-record batch under a per-commit lock.
+    fn commit(log: &mut SegmentLog, record: &ProfileRecord) -> Persistence {
+        log.commit_batch(std::slice::from_ref(record), &LockCfg::default())
+            .unwrap()
+    }
+
+    /// Every committed batch plus every record acknowledged in memory.
+    fn totals(log: &mut SegmentLog) -> RawFold {
+        let mut fold = RawFold::new();
+        for batch in log.read_batches().unwrap() {
+            batch.iter().for_each(|r| fold_record(&mut fold, r));
+        }
+        log.memory_records()
+            .iter()
+            .for_each(|r| fold_record(&mut fold, r));
+        fold
+    }
+
+    fn fingerprints(log: &mut SegmentLog) -> FpFold {
+        let mut fps = FpFold::new();
+        for batch in log.read_batches().unwrap() {
+            batch.iter().for_each(|r| fold_fps(&mut fps, r));
+        }
+        fps
+    }
+
+    fn rows(fold: &RawFold, dataset: &str) -> Option<Vec<(u32, u64, u64)>> {
+        fold.get(dataset)
+            .map(|m| m.iter().map(|(&id, &(e, t))| (id, e, t)).collect())
+    }
 
     #[test]
     fn append_reopen_accumulate() {
         let mem: Arc<dyn Vfs> = Arc::new(MemVfs::new());
+        let runs = [
+            record("train", &[(0, 10, 4), (2, 6, 6)]),
+            record("train", &[(0, 5, 1)]),
+            record("ref", &[(1, 7, 0)]),
+        ];
         {
-            let mut store = ProfileStore::open(Arc::clone(&mem), DIR, steal_opts()).unwrap();
-            assert!(store.is_persistent());
-            assert!(store.warnings().is_empty());
-            assert_eq!(
-                store
-                    .append("train", &counts(&[(0, 10, 4), (2, 6, 6)]))
-                    .unwrap(),
-                Persistence::Committed
-            );
-            assert_eq!(
-                store.append("train", &counts(&[(0, 5, 1)])).unwrap(),
-                Persistence::Committed
-            );
-            assert_eq!(
-                store.append("ref", &counts(&[(1, 7, 0)])).unwrap(),
-                Persistence::Committed
-            );
+            let mut log = open(&mem);
+            assert!(log.is_persistent());
+            for run in &runs {
+                assert_eq!(commit(&mut log, run), Persistence::Committed);
+            }
+            assert!(log.warnings().is_empty(), "{:?}", log.warnings());
         }
-        let store = ProfileStore::open(Arc::clone(&mem), DIR, steal_opts()).unwrap();
-        assert_eq!(store.counters().salvaged_records, 3);
-        assert_eq!(store.records().len(), 3);
-        assert_eq!(
-            store.raw_profile("train").unwrap(),
-            vec![(0, 15, 5), (2, 6, 6)]
-        );
-        assert_eq!(store.raw_profile("ref").unwrap(), vec![(1, 7, 0)]);
-
-        // The snapshot equals the same runs folded through the in-memory
-        // accumulation path.
-        let mut expected = ifprob::ProfileDb::new();
-        expected.record("train", &counts(&[(0, 10, 4), (2, 6, 6)]));
-        expected.record("train", &counts(&[(0, 5, 1)]));
-        expected.record("ref", &counts(&[(1, 7, 0)]));
-        assert_eq!(store.snapshot(), expected);
+        let mut log = open(&mem);
+        assert_eq!(log.counters().salvaged_records, 3);
+        let batches: Vec<Vec<ProfileRecord>> = runs.iter().map(|r| vec![r.clone()]).collect();
+        assert_eq!(log.read_batches().unwrap(), batches, "one batch per commit");
+        let fold = totals(&mut log);
+        assert_eq!(rows(&fold, "train").unwrap(), vec![(0, 15, 5), (2, 6, 6)]);
+        assert_eq!(rows(&fold, "ref").unwrap(), vec![(1, 7, 0)]);
     }
 
     #[test]
     fn fingerprints_survive_reopen_and_compaction() {
         let mem: Arc<dyn Vfs> = Arc::new(MemVfs::new());
-        let fps: BTreeMap<BranchId, u64> = [(BranchId(0), 111), (BranchId(2), 222)]
-            .into_iter()
-            .collect();
+        let fps: FpFold = [(0, 111), (2, 222)].into_iter().collect();
         {
-            let mut store = ProfileStore::open(Arc::clone(&mem), DIR, steal_opts()).unwrap();
-            // Legacy append first: a fingerprint-free record coexists.
-            store.append("train", &counts(&[(0, 10, 4)])).unwrap();
-            store
-                .append_with_fps("train", &counts(&[(0, 5, 1), (2, 6, 6)]), &fps)
-                .unwrap();
+            let mut log = open(&mem);
+            // A fingerprint-free record first: the two kinds coexist.
+            commit(&mut log, &record("train", &[(0, 10, 4)]));
+            let with_fps = ProfileRecord {
+                fps: fps.iter().map(|(&id, &fp)| (id, fp)).collect(),
+                ..record("train", &[(0, 5, 1), (2, 6, 6)])
+            };
+            commit(&mut log, &with_fps);
         }
-        let mut store = ProfileStore::open(Arc::clone(&mem), DIR, steal_opts()).unwrap();
-        assert_eq!(
-            store
-                .fingerprints()
-                .iter()
-                .map(|(&i, &f)| (i, f))
-                .collect::<Vec<_>>(),
-            vec![(0, 111), (2, 222)]
-        );
-        let before = store.raw_totals();
-        store.compact().unwrap();
-        assert_eq!(store.raw_totals(), before);
-        drop(store);
-        let reopened = ProfileStore::open(mem, DIR, steal_opts()).unwrap();
-        assert_eq!(reopened.raw_totals(), before);
-        assert_eq!(reopened.fingerprints().get(&0), Some(&111));
-        assert_eq!(reopened.fingerprints().get(&2), Some(&222));
+        let mut log = open(&mem);
+        assert_eq!(fingerprints(&mut log), fps);
+        let before = totals(&mut log);
+        log.compact(&LockCfg::default())
+            .unwrap()
+            .expect("compaction published");
+        assert_eq!(totals(&mut log), before);
+        drop(log);
+        let mut reopened = open(&mem);
+        assert_eq!(totals(&mut reopened), before);
+        assert_eq!(fingerprints(&mut reopened), fps);
     }
 
     #[test]
     fn compaction_folds_and_supersedes() {
         let mem: Arc<dyn Vfs> = Arc::new(MemVfs::new());
-        let mut store = ProfileStore::open(Arc::clone(&mem), DIR, steal_opts()).unwrap();
+        let mut log = open(&mem);
         for i in 0..5u64 {
-            store
-                .append(
-                    if i % 2 == 0 { "a" } else { "b" },
-                    &counts(&[(0, i + 1, 1)]),
-                )
-                .unwrap();
+            let dataset = if i % 2 == 0 { "a" } else { "b" };
+            commit(&mut log, &record(dataset, &[(0, i + 1, 1)]));
         }
-        let before = store.raw_totals();
-        store.compact().unwrap();
-        assert_eq!(store.counters().compactions, 1);
-        assert_eq!(store.records().len(), 2, "one folded record per dataset");
-        assert_eq!(store.raw_totals(), before);
+        let before = totals(&mut log);
+        let published = log
+            .compact(&LockCfg::default())
+            .unwrap()
+            .expect("compaction published");
+        assert_eq!(log.counters().compactions, 1);
+        assert_eq!(published.len(), 1, "one folded batch");
+        assert_eq!(published[0].len(), 2, "one folded record per dataset");
+        assert_eq!(log.read_batches().unwrap(), published);
+        assert_eq!(totals(&mut log), before);
 
         // Exactly one segment remains on disk, the new generation.
-        let seg = store.active_segment().unwrap().to_path_buf();
+        let seg = log.active_segment().unwrap().to_path_buf();
         assert!(seg.to_string_lossy().contains("seg-00000002"));
-        drop(store);
-        let reopened = ProfileStore::open(Arc::clone(&mem), DIR, steal_opts()).unwrap();
-        assert_eq!(reopened.raw_totals(), before);
-        assert_eq!(reopened.records().len(), 2);
+        assert_eq!(mem.read_dir(Path::new(DIR)).unwrap(), vec![seg]);
+        drop(log);
+        let mut reopened = open(&mem);
+        assert_eq!(totals(&mut reopened), before);
+        assert_eq!(reopened.read_batches().unwrap(), published);
 
-        // Appends after compaction keep accumulating.
-        let mut store = reopened;
-        store.append("a", &counts(&[(9, 3, 2)])).unwrap();
-        assert_eq!(store.records().len(), 3);
-        drop(store);
-        let reopened = ProfileStore::open(Arc::clone(&mem), DIR, steal_opts()).unwrap();
-        assert_eq!(reopened.raw_profile("a").unwrap().last(), Some(&(9, 3, 2)));
+        // Commits after compaction keep accumulating.
+        commit(&mut reopened, &record("a", &[(9, 3, 2)]));
+        assert_eq!(reopened.read_batches().unwrap().len(), 2);
+        drop(reopened);
+        let mut reopened = open(&mem);
+        let a = rows(&totals(&mut reopened), "a").unwrap();
+        assert_eq!(a.last(), Some(&(9, 3, 2)));
     }
 
     #[test]
@@ -543,13 +357,11 @@ mod tests {
         let vfs: Arc<dyn Vfs> = mem.clone();
         let seg;
         {
-            let mut store = ProfileStore::open(Arc::clone(&vfs), DIR, steal_opts()).unwrap();
+            let mut log = open(&vfs);
             for i in 0..4u64 {
-                store
-                    .append(&format!("ds{i}"), &counts(&[(0, 10 + i, i)]))
-                    .unwrap();
+                commit(&mut log, &record(&format!("ds{i}"), &[(0, 10 + i, i)]));
             }
-            seg = store.active_segment().unwrap().to_path_buf();
+            seg = log.active_segment().unwrap().to_path_buf();
         }
         // Flip a byte inside the last frame's payload.
         let mut bytes = mem.read(&seg).unwrap();
@@ -557,102 +369,109 @@ mod tests {
         bytes[n - 9] ^= 0x40;
         mem.write(&seg, &bytes).unwrap();
 
-        let store = ProfileStore::open(Arc::clone(&vfs), DIR, steal_opts()).unwrap();
-        assert_eq!(store.records().len(), 3, "last frame dropped");
-        assert!(store.raw_profile("ds3").is_none());
-        assert!(store.counters().truncated_bytes > 0);
+        // Opening is a read-only scan: it salvages the prefix in memory.
+        let mut log = open(&vfs);
+        assert_eq!(log.counters().salvaged_records, 3);
+        assert_eq!(log.read_batches().unwrap().len(), 3, "last frame dropped");
+        assert!(!totals(&mut log).contains_key("ds3"));
+        assert_eq!(mem.read(&seg).unwrap(), bytes, "a read never repairs");
+
+        // The first commit repairs under the lock: the torn tail goes.
+        commit(&mut log, &record("ds4", &[(0, 1, 1)]));
+        assert!(log.counters().truncated_bytes > 0);
         assert!(
-            store.warnings().iter().any(|w| w.contains("torn tail")),
+            log.warnings().iter().any(|w| w.contains("torn tail")),
             "warnings: {:?}",
-            store.warnings()
+            log.warnings()
         );
-        // The truncation repaired the file: a further reopen is clean.
-        assert!(store.is_persistent());
-        drop(store);
-        let clean = ProfileStore::open(vfs, DIR, steal_opts()).unwrap();
+        assert!(log.is_persistent());
+        drop(log);
+
+        // The truncation repaired the file: the next commit cuts nothing.
+        let mut clean = open(&vfs);
+        commit(&mut clean, &record("ds5", &[(0, 1, 1)]));
+        assert_eq!(clean.counters().truncated_bytes, 0);
         assert!(clean.warnings().is_empty(), "{:?}", clean.warnings());
-        assert_eq!(clean.records().len(), 3);
+        let fold = totals(&mut clean);
+        assert_eq!(
+            fold.keys().collect::<Vec<_>>(),
+            ["ds0", "ds1", "ds2", "ds4", "ds5"]
+        );
     }
 
     #[test]
     fn lock_contention_degrades_and_releases() {
         let mem: Arc<dyn Vfs> = Arc::new(MemVfs::new());
-        let acquire = OpenOptions {
-            lock: LockCfg {
-                attempts: 2,
-                base: Duration::ZERO,
-                steal: false,
-            },
-            retry: RetryPolicy::none(),
+        let lock = LockCfg {
+            attempts: 2,
+            base: Duration::ZERO,
+            steal: false,
         };
-        let holder = ProfileStore::open(Arc::clone(&mem), DIR, acquire).unwrap();
-        assert!(holder.is_persistent());
-
-        let mut second = ProfileStore::open(Arc::clone(&mem), DIR, acquire).unwrap();
-        assert!(second.is_degraded(), "{:?}", second.warnings());
-        assert!(second.warnings()[0].contains("locked by a live writer"));
+        // A writer that keeps the lock after its commit, as a burst does.
+        let mut holder = open(&mem);
+        let held = record("held", &[(0, 1, 1)]);
         assert_eq!(
-            second.append("x", &counts(&[(0, 1, 0)])).unwrap(),
+            holder.commit_batch_keep(&[held], &lock, true).unwrap(),
+            Persistence::Committed
+        );
+
+        let mut second = open(&mem);
+        let x = record("x", &[(0, 1, 0)]);
+        assert_eq!(
+            second
+                .commit_batch(std::slice::from_ref(&x), &lock)
+                .unwrap(),
             Persistence::Degraded
         );
-        assert_eq!(second.raw_profile("x").unwrap(), vec![(0, 1, 0)]);
+        assert!(
+            second.warnings()[0].contains("locked by a live writer"),
+            "{:?}",
+            second.warnings()
+        );
+        // Contention costs the batch its durability, not the log: the
+        // record stays readable in memory, and the next commit retries.
+        assert_eq!(second.memory_records(), std::slice::from_ref(&x));
+        assert_eq!(rows(&totals(&mut second), "x").unwrap(), vec![(0, 1, 0)]);
+        assert!(second.is_persistent());
 
         drop(holder); // releases the lock
+        let y = record("y", &[(1, 2, 2)]);
+        assert_eq!(
+            second
+                .commit_batch(std::slice::from_ref(&y), &lock)
+                .unwrap(),
+            Persistence::Committed
+        );
         drop(second);
-        let third = ProfileStore::open(mem, DIR, acquire).unwrap();
-        assert!(third.is_persistent(), "{:?}", third.warnings());
-    }
-
-    #[test]
-    fn a_degraded_store_holds_each_record_once() {
-        let fv: Arc<dyn Vfs> = Arc::new(mffault::FaultVfs::new(
-            Arc::new(MemVfs::new()),
-            mffault::FaultPlan::deny_writes(),
-        ));
-        let mut store = ProfileStore::open(fv, DIR, steal_opts()).unwrap();
-        assert!(store.is_degraded());
-        for i in 0..4u32 {
-            let ds = format!("ds{i}");
-            assert_eq!(
-                store.append(&ds, &counts(&[(i, 5, 2)])).unwrap(),
-                Persistence::Degraded
-            );
-        }
-        for i in 0..4u32 {
-            let copies = store
-                .records()
-                .iter()
-                .chain(store.log.memory_records())
-                .filter(|r| r.dataset == format!("ds{i}"))
-                .count();
-            assert_eq!(copies, 1, "record ds{i} is held {copies} times");
-        }
+        let mut third = open(&mem);
+        let fold = totals(&mut third);
+        assert_eq!(fold.keys().collect::<Vec<_>>(), ["held", "y"]);
     }
 
     #[test]
     fn stale_lock_from_dead_writer_is_stolen() {
         let mem = Arc::new(MemVfs::new());
         mem.create_dir_all(Path::new(DIR)).unwrap();
+        let vfs: Arc<dyn Vfs> = mem.clone();
+        let lock = LockCfg {
+            attempts: 1,
+            base: Duration::ZERO,
+            steal: false,
+        };
         // A pid far above any live one on this machine, and a torn lock.
         for lock_content in [&b"999999999"[..], &b"\xFF\xFEgarbage"[..]] {
             let _ = mem.remove_file(&Path::new(DIR).join("LOCK"));
             mem.create_new(&Path::new(DIR).join("LOCK"), lock_content)
                 .unwrap();
-            let store = ProfileStore::open(
-                mem.clone() as Arc<dyn Vfs>,
-                DIR,
-                OpenOptions {
-                    lock: LockCfg {
-                        attempts: 1,
-                        base: Duration::ZERO,
-                        steal: false,
-                    },
-                    retry: RetryPolicy::none(),
-                },
-            )
-            .unwrap();
-            assert!(store.is_persistent(), "{:?}", store.warnings());
-            assert!(store.warnings().iter().any(|w| w.contains("dead writer")));
+            let mut log = open(&vfs);
+            let landed = log.commit_batch(&[record("x", &[(0, 1, 1)])], &lock);
+            assert_eq!(
+                landed.unwrap(),
+                Persistence::Committed,
+                "{:?}",
+                log.warnings()
+            );
+            assert!(log.warnings().iter().any(|w| w.contains("dead writer")));
         }
     }
 

@@ -9,10 +9,9 @@
 //! generation — written to a temp name, synced, then renamed.
 //!
 //! Writers serialize on a pid-stamped `LOCK` file (bounded deterministic
-//! backoff; a dead or torn holder's lock is stolen). A log may take it
-//! per commit and drop it when idle (the service's shards, so two live
-//! writers interleave), or hold it for its lifetime
-//! ([`SegmentLog::open_held`], the single-writer [`crate::ProfileStore`]).
+//! backoff; a dead or torn holder's lock is stolen). A log takes it per
+//! commit, or keeps it across a burst of commits and drops it once idle
+//! ([`SegmentLog::commit_batch_keep`]), so two live writers interleave.
 //!
 //! Opening a log is a read-only scan: recovery repair (torn-tail
 //! truncation, removal of superseded and torn segments, creating the
@@ -103,9 +102,6 @@ pub struct SegmentLog {
     dead: Option<String>,
     /// Records acknowledged `Degraded` — kept so reads still see them.
     memory: Vec<ProfileRecord>,
-    /// False for a log held for its owner's lifetime: that owner keeps
-    /// every record it commits, so `memory` stays empty.
-    keep_degraded: bool,
     warnings: Vec<String>,
     counters: StoreCounters,
 }
@@ -134,76 +130,38 @@ fn pid_alive(pid: u32) -> bool {
 type Segment = (format::SegmentHeader, PathBuf, Vec<u8>);
 
 impl SegmentLog {
-    /// Opens the log at `dir` with a read-only scan. Returns `Err` only
-    /// on an injected crash; a missing or unreadable directory yields a
-    /// degraded log with a warning.
+    /// Opens the log at `dir` with a read-only scan, counting the records
+    /// it recovers as `salvaged_records` (later rescans, by a commit that
+    /// finds another writer's appends, do not count them again). Returns
+    /// `Err` only on an injected crash; a directory that cannot be created
+    /// yields a degraded log with a warning.
     pub fn open(
         vfs: Arc<dyn Vfs>,
         dir: impl Into<PathBuf>,
         retry: RetryPolicy,
     ) -> Result<Self, DbError> {
-        let mut log = SegmentLog::unscanned(vfs, dir.into(), retry)?;
-        if log.is_persistent() {
-            log.scan_at_open(false, |_| {})?;
-        }
-        Ok(log)
-    }
-
-    /// Opens the log at `dir` holding its lock until the log is dropped
-    /// — the single-writer discipline — then scans and repairs it under
-    /// that lock, handing every salvaged batch to `visit` in log order.
-    /// A lock that cannot be taken degrades the log and nothing is read.
-    /// Returns `Err` only on an injected crash.
-    pub fn open_held(
-        vfs: Arc<dyn Vfs>,
-        dir: impl Into<PathBuf>,
-        retry: RetryPolicy,
-        lock: &LockCfg,
-        visit: impl FnMut(Vec<ProfileRecord>),
-    ) -> Result<Self, DbError> {
-        let mut log = SegmentLog::unscanned(vfs, dir.into(), retry)?;
-        log.keep_degraded = false;
-        if !log.is_persistent() {
-            return Ok(log);
-        }
-        match log.acquire_lock(lock)? {
-            LockOutcome::Acquired => {
-                log.holding = true;
-                log.scan_at_open(true, visit)?;
-                log.tail_valid = log.persist.is_some();
-            }
-            LockOutcome::Contended(reason) | LockOutcome::Broken(reason) => {
-                log.degrade(format!(
-                    "could not lock {} ({reason}); accumulating in memory only",
-                    log.dir.display()
-                ));
-            }
-        }
-        Ok(log)
-    }
-
-    /// A log whose directory exists, not yet scanned; degraded when the
-    /// directory cannot be created.
-    fn unscanned(vfs: Arc<dyn Vfs>, dir: PathBuf, retry: RetryPolicy) -> Result<Self, DbError> {
         let mut log = SegmentLog {
             vfs,
-            dir,
+            dir: dir.into(),
             retry,
             persist: None,
             holding: false,
             tail_valid: false,
             dead: None,
             memory: Vec::new(),
-            keep_degraded: true,
             warnings: Vec::new(),
             counters: StoreCounters::default(),
         };
-        let made = log.io("create db directory", |vfs, dir| vfs.create_dir_all(dir))?;
-        if let Err(e) = made {
-            log.degrade(format!(
+        match log.io("create db directory", |vfs, dir| vfs.create_dir_all(dir))? {
+            Ok(()) => {
+                let mut salvaged = 0u64;
+                log.rescan(false, |batch| salvaged += batch.len() as u64)?;
+                log.counters.salvaged_records = salvaged;
+            }
+            Err(e) => log.degrade(format!(
                 "profile db directory {} unavailable ({e}); accumulating in memory only",
                 log.dir.display()
-            ));
+            )),
         }
         Ok(log)
     }
@@ -236,8 +194,6 @@ impl SegmentLog {
     }
 
     /// Records acknowledged `Degraded` (memory only), in commit order.
-    /// Always empty for a log opened with [`SegmentLog::open_held`],
-    /// whose owner keeps its own copy.
     pub fn memory_records(&self) -> &[ProfileRecord] {
         &self.memory
     }
@@ -370,9 +326,7 @@ impl SegmentLog {
 
     fn ack_degraded(&mut self, records: &[ProfileRecord]) -> Result<Persistence, DbError> {
         self.counters.degraded_appends += records.len() as u64;
-        if self.keep_degraded {
-            self.memory.extend(records.iter().cloned());
-        }
+        self.memory.extend(records.iter().cloned());
         Ok(Persistence::Degraded)
     }
 
@@ -462,8 +416,7 @@ impl SegmentLog {
             return Ok(None);
         }
         if self.holding {
-            // Mid-burst (or lifetime-held) compaction stays under the
-            // already-held lock.
+            // Mid-burst compaction stays under the already-held lock.
             return self.compact_locked();
         }
         match self.acquire_lock(lock)? {
@@ -690,23 +643,6 @@ impl SegmentLog {
         }
         self.rescan(true, |_| {})?;
         self.tail_valid = self.persist.is_some();
-        Ok(())
-    }
-
-    /// The scan that opens the log: [`SegmentLog::rescan`], counting the
-    /// records it recovers as `salvaged_records`. Later rescans (a commit
-    /// that finds another writer's appends) do not count them again.
-    fn scan_at_open(
-        &mut self,
-        repair: bool,
-        mut visit: impl FnMut(Vec<ProfileRecord>),
-    ) -> Result<(), DbError> {
-        let mut salvaged = 0u64;
-        self.rescan(repair, |batch| {
-            salvaged += batch.len() as u64;
-            visit(batch);
-        })?;
-        self.counters.salvaged_records = salvaged;
         Ok(())
     }
 

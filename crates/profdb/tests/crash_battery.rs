@@ -2,30 +2,28 @@
 //! fault-free to count its mutating operations, then re-executed with a
 //! hard crash injected at *every* operation index. After each crash the
 //! surviving in-memory filesystem is reopened with a clean accessor and
-//! the recovered database must equal the fold of an exact prefix of the
-//! script's runs — bounded below by the appends whose sync was
-//! acknowledged and above by the append in flight at the crash.
+//! the recovered log must equal the fold of an exact prefix of the
+//! script's runs — bounded below by the commits whose sync was
+//! acknowledged and above by the commit in flight at the crash — and
+//! the next commit must repair it and land.
 //!
 //! A second pass storms the same script with seeded mixed fault plans
 //! (short writes, `ENOSPC`, transients, torn renames) and asserts the
-//! degrade-never-die contract: the script always completes, the
-//! in-memory view is always complete, and whatever reached disk is still
-//! an exact prefix.
+//! degrade-never-die contract: the script always completes, the log's
+//! committed prefix plus its in-memory records always hold every run,
+//! and whatever reached disk is still an exact prefix.
 
-use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use mffault::{FaultPlan, FaultVfs, MemVfs, RetryPolicy, Vfs};
-use mfprofdb::{LockCfg, OpenOptions, Persistence, ProfileStore};
-use trace_ir::BranchId;
-use trace_vm::BranchCounts;
+use mfprofdb::{fold_record, LockCfg, Persistence, ProfileRecord, RawFold, SegmentLog};
 
 const DIR: &str = "/db";
 
-/// One scripted append: dataset name plus raw `(branch, executed, taken)` rows.
+/// One scripted commit: dataset name plus raw `(branch, executed, taken)` rows.
 type ScriptedRun = (&'static str, &'static [(u32, u64, u64)]);
 
-/// The committed-run script: seven appends across three datasets, with a
+/// The committed-run script: seven commits across three datasets, with a
 /// compaction injected between runs 3 and 4 so crash points land inside
 /// the compaction protocol too.
 const RUNS: &[ScriptedRun] = &[
@@ -39,88 +37,80 @@ const RUNS: &[ScriptedRun] = &[
 ];
 const COMPACT_AFTER: usize = 4;
 
-fn counts(rows: &[(u32, u64, u64)]) -> BranchCounts {
-    rows.iter()
-        .map(|&(id, e, t)| (BranchId(id), e, t))
-        .collect()
+fn record(&(dataset, rows): &ScriptedRun) -> ProfileRecord {
+    ProfileRecord {
+        dataset: dataset.to_string(),
+        entries: rows.to_vec(),
+        ..Default::default()
+    }
 }
 
-fn steal_opts() -> OpenOptions {
-    OpenOptions {
-        lock: LockCfg {
-            steal: true,
-            ..LockCfg::default()
-        },
-        retry: RetryPolicy::none(),
+/// The writer's lock: it steals a lock left by a dead writer, which in
+/// this battery is always a crashed run of the same process.
+fn steal() -> LockCfg {
+    LockCfg {
+        steal: true,
+        ..LockCfg::default()
     }
 }
 
 /// The fold of the first `m` runs — what a recovered database must equal
 /// for some valid `m`.
-fn expected(m: usize) -> BTreeMap<String, Vec<(u32, u64, u64)>> {
-    let mut fold: BTreeMap<String, BTreeMap<u32, (u64, u64)>> = BTreeMap::new();
-    for &(ds, rows) in &RUNS[..m] {
-        let per = fold.entry(ds.to_string()).or_default();
-        for &(id, e, t) in rows {
-            let slot = per.entry(id).or_insert((0, 0));
-            slot.0 += e;
-            slot.1 += t;
-        }
+fn expected(m: usize) -> RawFold {
+    let mut fold = RawFold::new();
+    for run in &RUNS[..m] {
+        fold_record(&mut fold, &record(run));
     }
-    fold.into_iter()
-        .map(|(ds, m)| (ds, m.into_iter().map(|(id, (e, t))| (id, e, t)).collect()))
-        .collect()
+    fold
+}
+
+/// Every committed batch plus every record acknowledged in memory.
+fn totals(log: &mut SegmentLog) -> RawFold {
+    let mut fold = RawFold::new();
+    let batches = log
+        .read_batches()
+        .expect("reads never crash before a crash point");
+    for r in batches.iter().flatten().chain(log.memory_records()) {
+        fold_record(&mut fold, r);
+    }
+    fold
 }
 
 struct ScriptRun {
-    /// The live store, when the script completed without a crash.
-    store: Option<ProfileStore>,
-    /// Appends whose sync was acknowledged.
+    /// The live log, when the script completed without a crash.
+    log: Option<SegmentLog>,
+    /// Commits whose sync was acknowledged.
     acked: usize,
-    /// Appends attempted (includes one possibly in flight at the crash).
+    /// Commits attempted (includes one possibly in flight at the crash).
     issued: usize,
 }
 
+/// Runs the script as one writer that takes the lock at its first
+/// commit and holds it until the log drops.
 fn run_script(vfs: Arc<dyn Vfs>, retry: RetryPolicy) -> ScriptRun {
-    let options = OpenOptions {
-        lock: LockCfg {
-            steal: true,
-            ..LockCfg::default()
-        },
-        retry,
-    };
     let mut acked = 0;
     let mut issued = 0;
-    let Ok(mut store) = ProfileStore::open(vfs, DIR, options) else {
-        return ScriptRun {
-            store: None,
-            acked,
-            issued,
-        };
+    let dead = |acked, issued| ScriptRun {
+        log: None,
+        acked,
+        issued,
     };
-    for (i, &(ds, rows)) in RUNS.iter().enumerate() {
-        if i == COMPACT_AFTER && store.compact().is_err() {
-            return ScriptRun {
-                store: None,
-                acked,
-                issued,
-            };
+    let Ok(mut log) = SegmentLog::open(vfs, DIR, retry) else {
+        return dead(acked, issued);
+    };
+    for (i, run) in RUNS.iter().enumerate() {
+        if i == COMPACT_AFTER && log.compact(&steal()).is_err() {
+            return dead(acked, issued);
         }
         issued += 1;
-        match store.append(ds, &counts(rows)) {
+        match log.commit_batch_keep(&[record(run)], &steal(), true) {
             Ok(Persistence::Committed) => acked += 1,
             Ok(Persistence::Degraded) => {}
-            Err(_) => {
-                return ScriptRun {
-                    store: None,
-                    acked,
-                    issued,
-                }
-            }
+            Err(_) => return dead(acked, issued),
         }
     }
     ScriptRun {
-        store: Some(store),
+        log: Some(log),
         acked,
         issued,
     }
@@ -133,16 +123,17 @@ fn every_crash_point_recovers_an_exact_prefix() {
     let fv = Arc::new(FaultVfs::new(mem as Arc<dyn Vfs>, FaultPlan::none()));
     let clean = run_script(fv.clone() as Arc<dyn Vfs>, RetryPolicy::none());
     assert_eq!(clean.acked, RUNS.len());
-    let store = clean.store.expect("fault-free script completes");
-    assert_eq!(store.raw_totals(), expected(RUNS.len()));
-    assert_eq!(store.counters().compactions, 1);
-    drop(store);
+    let mut log = clean.log.expect("fault-free script completes");
+    assert_eq!(totals(&mut log), expected(RUNS.len()));
+    assert_eq!(log.counters().compactions, 1);
+    drop(log);
     let total_ops = fv.op_count();
     assert!(
         total_ops >= 20,
         "script too small to be an interesting battery: {total_ops} ops"
     );
 
+    let after_crash = record(&("after-crash", &[(9, 1, 1)]));
     for k in 0..total_ops {
         let mem = Arc::new(MemVfs::new());
         let fv = Arc::new(FaultVfs::new(
@@ -150,22 +141,16 @@ fn every_crash_point_recovers_an_exact_prefix() {
             FaultPlan::crash_at(k),
         ));
         let crashed = run_script(fv.clone() as Arc<dyn Vfs>, RetryPolicy::none());
-        // The final ops belong to the store's Drop (lock release), so the
-        // crash may only fire once the store is gone.
-        drop(crashed.store);
+        // The final op belongs to the log's Drop (lock release), so the
+        // crash may only fire once the log is gone.
+        drop(crashed.log);
         assert!(fv.crashed(), "op {k} of {total_ops} never fired");
 
-        // Reopen the surviving filesystem with a clean accessor — the
-        // crashed writer is dead, so its lock is stolen. The default read
-        // path checksum-verifies every salvaged frame.
-        let recovered = ProfileStore::open(mem as Arc<dyn Vfs>, DIR, steal_opts())
+        // Reopen the surviving filesystem with a clean accessor. Its
+        // read-only scan checksum-verifies every salvaged frame.
+        let mut recovered = SegmentLog::open(mem as Arc<dyn Vfs>, DIR, RetryPolicy::none())
             .unwrap_or_else(|e| panic!("clean reopen after crash at op {k} died: {e}"));
-        assert!(
-            recovered.is_persistent(),
-            "reopen after crash at op {k} degraded: {:?}",
-            recovered.warnings()
-        );
-        let got = recovered.raw_totals();
+        let got = totals(&mut recovered);
         let matched = (crashed.acked..=crashed.issued).find(|&m| got == expected(m));
         assert!(
             matched.is_some(),
@@ -174,6 +159,21 @@ fn every_crash_point_recovers_an_exact_prefix() {
             crashed.acked,
             crashed.issued
         );
+
+        // The next commit steals the dead writer's lock, repairs the log
+        // under it, and lands on the recovered prefix.
+        let landed = recovered
+            .commit_batch(std::slice::from_ref(&after_crash), &steal())
+            .unwrap_or_else(|e| panic!("commit after crash at op {k} died: {e}"));
+        assert_eq!(
+            landed,
+            Persistence::Committed,
+            "repair after crash at op {k} degraded: {:?}",
+            recovered.warnings()
+        );
+        let mut want = got;
+        fold_record(&mut want, &after_crash);
+        assert_eq!(totals(&mut recovered), want, "crash at op {k}");
     }
 }
 
@@ -187,27 +187,28 @@ fn seeded_fault_storms_never_lose_in_memory_data() {
         ));
         let run = run_script(fv.clone() as Arc<dyn Vfs>, RetryPolicy::immediate(4));
         // No crash points in a from_seed plan: degrade, never die.
-        let store = run
-            .store
+        let mut log = run
+            .log
             .unwrap_or_else(|| panic!("seed {seed}: script died without a crash plan"));
         assert_eq!(run.issued, RUNS.len());
         assert_eq!(
-            store.raw_totals(),
+            totals(&mut log),
             expected(RUNS.len()),
-            "seed {seed}: the in-memory view must survive any I/O weather"
+            "seed {seed}: disk plus memory must hold every run in any I/O weather"
         );
-        if store.is_degraded() {
+        if !log.is_persistent() {
             assert!(
-                !store.warnings().is_empty(),
+                !log.warnings().is_empty(),
                 "seed {seed}: degradation must be surfaced"
             );
         }
         let injected = fv.counters();
-        drop(store);
+        drop(log);
 
         // Whatever reached disk is an exact committed prefix.
-        let recovered = ProfileStore::open(mem as Arc<dyn Vfs>, DIR, steal_opts()).unwrap();
-        let got = recovered.raw_totals();
+        let mut recovered =
+            SegmentLog::open(mem as Arc<dyn Vfs>, DIR, RetryPolicy::none()).unwrap();
+        let got = totals(&mut recovered);
         let matched = (0..=RUNS.len()).find(|&m| got == expected(m));
         assert!(
             matched.is_some(),
@@ -215,7 +216,7 @@ fn seeded_fault_storms_never_lose_in_memory_data() {
         );
         assert!(
             matched.unwrap() >= run.acked.min(RUNS.len()),
-            "seed {seed}: disk lost acknowledged appends (acked {}, disk holds {})",
+            "seed {seed}: disk lost acknowledged commits (acked {}, disk holds {})",
             run.acked,
             matched.unwrap()
         );

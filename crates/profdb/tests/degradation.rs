@@ -1,31 +1,45 @@
-//! Graceful-degradation contract: a profile database that cannot reach
-//! its disk keeps accumulating in memory, surfaces a warning, and never
-//! panics — a read-only filesystem, a disk that fills mid-append, or a
-//! lock that cannot be acquired all cost durability, not correctness.
+//! Graceful-degradation contract: a segment log that cannot reach its
+//! disk keeps every record it acknowledges in memory, surfaces a
+//! warning, and never panics — a read-only filesystem, a disk that fills
+//! mid-append, or a directory that cannot be created all cost
+//! durability, not correctness.
 
 use std::sync::Arc;
 
 use mffault::{FaultPlan, FaultVfs, MemVfs, RetryPolicy, Vfs};
-use mfprofdb::{LockCfg, OpenOptions, Persistence, ProfileStore};
-use trace_ir::BranchId;
-use trace_vm::BranchCounts;
+use mfprofdb::{fold_record, LockCfg, Persistence, ProfileRecord, RawFold, SegmentLog};
 
 const DIR: &str = "/db";
 
-fn counts(rows: &[(u32, u64, u64)]) -> BranchCounts {
-    rows.iter()
-        .map(|&(id, e, t)| (BranchId(id), e, t))
-        .collect()
+fn record(dataset: &str, entries: &[(u32, u64, u64)]) -> ProfileRecord {
+    ProfileRecord {
+        dataset: dataset.to_string(),
+        entries: entries.to_vec(),
+        ..Default::default()
+    }
 }
 
-fn opts() -> OpenOptions {
-    OpenOptions {
-        lock: LockCfg {
-            steal: true,
-            ..LockCfg::default()
-        },
-        retry: RetryPolicy::none(),
+/// Commits `record` as a one-record batch, keeping the lock held after
+/// the first commit so a later fault strikes the append itself.
+fn commit(log: &mut SegmentLog, record: ProfileRecord) -> Persistence {
+    let lock = LockCfg {
+        steal: true,
+        ..LockCfg::default()
+    };
+    log.commit_batch_keep(&[record], &lock, true).unwrap()
+}
+
+/// `(branch, executed, taken)` rows of `dataset` over every committed
+/// batch plus every record acknowledged in memory.
+fn rows(log: &mut SegmentLog, dataset: &str) -> Vec<(u32, u64, u64)> {
+    let mut fold = RawFold::new();
+    let batches = log.read_batches().unwrap();
+    for r in batches.iter().flatten().chain(log.memory_records()) {
+        fold_record(&mut fold, r);
     }
+    fold.get(dataset)
+        .map(|m| m.iter().map(|(&id, &(e, t))| (id, e, t)).collect())
+        .unwrap_or_default()
 }
 
 #[test]
@@ -36,24 +50,25 @@ fn read_only_filesystem_degrades_to_memory() {
         Arc::new(MemVfs::new()) as Arc<dyn Vfs>,
         FaultPlan::deny_writes(),
     ));
-    let mut store = ProfileStore::open(fv, DIR, opts()).expect("degrade, not die");
-    assert!(store.is_degraded());
+    let mut log = SegmentLog::open(fv, DIR, RetryPolicy::none()).expect("degrade, not die");
+    assert!(!log.is_persistent());
     assert!(
-        store.warnings().iter().any(|w| w.contains("in memory")),
+        log.warnings().iter().any(|w| w.contains("in memory")),
         "warnings: {:?}",
-        store.warnings()
+        log.warnings()
     );
     for i in 0..3u64 {
         assert_eq!(
-            store.append("train", &counts(&[(0, 10 + i, i)])).unwrap(),
+            commit(&mut log, record("train", &[(0, 10 + i, i)])),
             Persistence::Degraded
         );
     }
-    assert_eq!(store.counters().degraded_appends, 3);
-    assert_eq!(store.raw_profile("train").unwrap(), vec![(0, 33, 3)]);
-    // Compaction on a degraded store is a no-op, not an error.
-    store.compact().unwrap();
-    assert_eq!(store.raw_profile("train").unwrap(), vec![(0, 33, 3)]);
+    assert_eq!(log.counters().degraded_appends, 3);
+    assert_eq!(log.memory_records().len(), 3);
+    assert_eq!(rows(&mut log, "train"), vec![(0, 33, 3)]);
+    // Compaction on a degraded log is a no-op, not an error.
+    assert_eq!(log.compact(&LockCfg::default()).unwrap(), None);
+    assert_eq!(rows(&mut log, "train"), vec![(0, 33, 3)]);
 }
 
 #[test]
@@ -63,14 +78,14 @@ fn enospc_mid_append_preserves_the_committed_prefix() {
         mem.clone() as Arc<dyn Vfs>,
         FaultPlan::none(),
     ));
-    let mut store =
-        ProfileStore::open(fv.clone() as Arc<dyn Vfs>, DIR, opts()).expect("clean open");
+    let mut log =
+        SegmentLog::open(fv.clone() as Arc<dyn Vfs>, DIR, RetryPolicy::none()).expect("clean open");
     assert_eq!(
-        store.append("train", &counts(&[(0, 10, 4)])).unwrap(),
+        commit(&mut log, record("train", &[(0, 10, 4)])),
         Persistence::Committed
     );
     assert_eq!(
-        store.append("ref", &counts(&[(1, 5, 5)])).unwrap(),
+        commit(&mut log, record("ref", &[(1, 5, 5)])),
         Persistence::Committed
     );
 
@@ -81,32 +96,33 @@ fn enospc_mid_append_preserves_the_committed_prefix() {
         ..FaultPlan::none()
     });
     assert_eq!(
-        store.append("train", &counts(&[(0, 99, 99)])).unwrap(),
+        commit(&mut log, record("train", &[(0, 99, 99)])),
         Persistence::Degraded
     );
-    assert!(store.is_degraded());
+    assert!(!log.is_persistent());
     assert!(
-        store.warnings().iter().any(|w| w.contains("in memory")),
+        log.warnings().iter().any(|w| w.contains("in memory")),
         "warnings: {:?}",
-        store.warnings()
+        log.warnings()
     );
-    // Later appends stay in memory without touching the broken disk.
+    // Later commits stay in memory without touching the broken disk.
     assert_eq!(
-        store.append("ref", &counts(&[(1, 1, 0)])).unwrap(),
+        commit(&mut log, record("ref", &[(1, 1, 0)])),
         Persistence::Degraded
     );
-    // The complete view survives in memory.
-    assert_eq!(store.raw_profile("train").unwrap(), vec![(0, 109, 103)]);
-    assert_eq!(store.raw_profile("ref").unwrap(), vec![(1, 6, 5)]);
-    drop(store);
+    // The complete view survives: the committed prefix plus memory.
+    assert_eq!(log.memory_records().len(), 2);
+    assert_eq!(rows(&mut log, "train"), vec![(0, 109, 103)]);
+    assert_eq!(rows(&mut log, "ref"), vec![(1, 6, 5)]);
+    drop(log);
 
-    // On disk: exactly the two committed appends, and no torn garbage —
+    // On disk: exactly the two committed batches, and no torn garbage —
     // the failed append's partial frame was repaired away (or dropped by
     // checksum salvage if even the repair was refused).
-    let recovered = ProfileStore::open(mem as Arc<dyn Vfs>, DIR, opts()).unwrap();
-    assert_eq!(recovered.records().len(), 2);
-    assert_eq!(recovered.raw_profile("train").unwrap(), vec![(0, 10, 4)]);
-    assert_eq!(recovered.raw_profile("ref").unwrap(), vec![(1, 5, 5)]);
+    let mut recovered = SegmentLog::open(mem as Arc<dyn Vfs>, DIR, RetryPolicy::none()).unwrap();
+    assert_eq!(recovered.read_batches().unwrap().len(), 2);
+    assert_eq!(rows(&mut recovered, "train"), vec![(0, 10, 4)]);
+    assert_eq!(rows(&mut recovered, "ref"), vec![(1, 5, 5)]);
 }
 
 #[test]
@@ -116,51 +132,42 @@ fn unopenable_directory_degrades_to_memory() {
         Arc::new(MemVfs::new()) as Arc<dyn Vfs>,
         FaultPlan::deny_writes(),
     ));
-    let mut store = ProfileStore::open(fv, "/no/such/mount", opts()).unwrap();
-    assert!(store.is_degraded());
-    assert!(store.warnings()[0].contains("unavailable"));
+    let mut log = SegmentLog::open(fv, "/no/such/mount", RetryPolicy::none()).unwrap();
+    assert!(!log.is_persistent());
+    assert!(log.warnings()[0].contains("unavailable"));
     assert_eq!(
-        store.append("x", &counts(&[(0, 1, 1)])).unwrap(),
+        commit(&mut log, record("x", &[(0, 1, 1)])),
         Persistence::Degraded
     );
-    assert_eq!(store.raw_profile("x").unwrap(), vec![(0, 1, 1)]);
+    assert_eq!(rows(&mut log, "x"), vec![(0, 1, 1)]);
 }
 
 #[test]
 fn transient_faults_are_absorbed_by_retry_without_degrading() {
     // A 300‰ transient rate with four immediate retries: every operation
-    // eventually succeeds, so the store must stay fully persistent.
+    // eventually succeeds, so the log must stay fully persistent.
     let mem = Arc::new(MemVfs::new());
     let fv = Arc::new(FaultVfs::new(
         mem.clone() as Arc<dyn Vfs>,
         FaultPlan::transient(7, 300),
     ));
-    let mut store = ProfileStore::open(
-        fv.clone() as Arc<dyn Vfs>,
-        DIR,
-        OpenOptions {
-            lock: LockCfg {
-                steal: true,
-                ..LockCfg::default()
-            },
-            retry: RetryPolicy::immediate(4),
-        },
-    )
-    .unwrap();
-    assert!(store.is_persistent(), "{:?}", store.warnings());
+    let mut log =
+        SegmentLog::open(fv.clone() as Arc<dyn Vfs>, DIR, RetryPolicy::immediate(4)).unwrap();
+    assert!(log.is_persistent(), "{:?}", log.warnings());
     for i in 0..5u64 {
         assert_eq!(
-            store.append("train", &counts(&[(0, i + 1, 1)])).unwrap(),
+            commit(&mut log, record("train", &[(0, i + 1, 1)])),
             Persistence::Committed,
-            "append {i}"
+            "commit {i}: {:?}",
+            log.warnings()
         );
     }
     assert!(
-        store.counters().io_retries > 0,
+        log.counters().io_retries > 0,
         "a 300 per-mille plan over dozens of ops should have injected something"
     );
-    drop(store);
-    let recovered = ProfileStore::open(mem as Arc<dyn Vfs>, DIR, opts()).unwrap();
-    assert_eq!(recovered.records().len(), 5);
-    assert_eq!(recovered.raw_profile("train").unwrap(), vec![(0, 15, 5)]);
+    drop(log);
+    let mut recovered = SegmentLog::open(mem as Arc<dyn Vfs>, DIR, RetryPolicy::none()).unwrap();
+    assert_eq!(recovered.read_batches().unwrap().len(), 5);
+    assert_eq!(rows(&mut recovered, "train"), vec![(0, 15, 5)]);
 }

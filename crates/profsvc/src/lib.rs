@@ -1,12 +1,12 @@
 #![warn(missing_docs)]
 
-//! # mfprofsvc — the sharded multi-writer profile service
+//! # mfprofsvc — the profile database, a sharded multi-writer service
 //!
-//! [`mfprofdb`] made one writer crash-safe; this crate makes *many*
-//! writers fast without giving that up. A new database is hash-partitioned
-//! by branch id into N independent shard logs (`shard-000/ … shard-NNN/`,
-//! each a plain `mfprofdb` segment directory driven by the same
-//! [`mfprofdb::SegmentLog`] engine as the single-writer store), so
+//! [`mfprofdb`] is the database's codec and its one crash-safe storage
+//! engine, [`mfprofdb::SegmentLog`]; this crate makes *many* writers fast
+//! without giving that up. A new database is
+//! hash-partitioned by branch id into N independent shard logs
+//! (`shard-000/ … shard-NNN/`, each a `SegmentLog` directory), so
 //! writers touching different shards never contend. A shard takes its
 //! `LOCK` per group commit and drops it once idle, so two live processes
 //! interleave. Within a shard, concurrent submissions coalesce into
@@ -23,13 +23,14 @@
 //!
 //! The shard count is pinned in a checksummed `MANIFEST` at the
 //! database root. A manifest-less directory that holds a single-log
-//! database (root `seg-*.mfdb` files, as `mfprofdb::ProfileStore`
-//! writes) is served in place as one shard: the root log takes group
-//! commits and compactions under the same per-commit `LOCK` as any
-//! shard, so while a `ProfileStore` holds that lock the service's writes
-//! are acknowledged `Degraded` (kept in memory) instead of racing it. A
-//! directory that cannot be made persistent, or a fresh one whose
-//! manifest cannot be written, is one in-memory shard.
+//! database (a root-level `SegmentLog`: root `seg-*.mfdb` files, the
+//! layout earlier versions' single-writer store wrote) is served in
+//! place as one shard: the root log takes group commits and compactions
+//! under the same per-commit `LOCK` as any shard, so while another
+//! writer holds that lock the service's writes are acknowledged
+//! `Degraded` (kept in memory) instead of racing it. A directory that
+//! cannot be made persistent, or a fresh one whose manifest cannot be
+//! written, is one in-memory shard.
 //!
 //! All I/O goes through [`mffault::Vfs`]; the crash battery extends
 //! per-shard and across a crash mid-group-commit.
@@ -240,8 +241,8 @@ impl ProfileService {
     /// initialized with `options.shards` shards and a manifest pins the
     /// count thereafter; a manifest-less directory with root segments is
     /// served in place as one shard. Returns `Err` only on an injected
-    /// crash — every real failure degrades with a warning, like the base
-    /// store.
+    /// crash — every real failure degrades with a warning, like the
+    /// segment log.
     pub fn open(
         vfs: Arc<dyn Vfs>,
         dir: impl Into<PathBuf>,
@@ -358,7 +359,7 @@ impl ProfileService {
         counts: &BranchCounts,
         fps: &BTreeMap<BranchId, u64>,
     ) -> Result<Persistence, DbError> {
-        let record = record_of(dataset, counts, fps);
+        let record = ProfileRecord::from_run(dataset, counts, fps);
         let sid = self.next_sid.fetch_add(1, Ordering::Relaxed);
         let mut overall = Persistence::Committed;
         for (shard, part) in split_record(&record, self.shard_count()) {
@@ -383,7 +384,7 @@ impl ProfileService {
         counts: &BranchCounts,
         fps: &BTreeMap<BranchId, u64>,
     ) -> Result<u64, DbError> {
-        let record = record_of(dataset, counts, fps);
+        let record = ProfileRecord::from_run(dataset, counts, fps);
         let sid = self.next_sid.fetch_add(1, Ordering::Relaxed);
         for (shard, part) in split_record(&record, self.shard_count()) {
             let mut q = self.cells[shard as usize].queue.lock().expect("queue lock");
@@ -585,14 +586,6 @@ impl ProfileService {
     }
 }
 
-fn record_of(dataset: &str, counts: &BranchCounts, fps: &BTreeMap<BranchId, u64>) -> ProfileRecord {
-    ProfileRecord {
-        dataset: dataset.to_string(),
-        entries: counts.iter().map(|(id, e, t)| (id.0, e, t)).collect(),
-        fps: fps.iter().map(|(&id, &fp)| (id.0, fp)).collect(),
-    }
-}
-
 /// Splits one record into its per-shard parts (ascending shard index).
 /// An empty-entry record (dataset presence) lands in shard 0. Each
 /// fingerprint follows its branch id's shard, so per-shard keyspaces stay
@@ -744,11 +737,32 @@ mod tests {
         assert!(svc.counters().store.committed_appends >= 3);
     }
 
-    fn store_opts() -> mfprofdb::OpenOptions {
-        mfprofdb::OpenOptions {
-            retry: RetryPolicy::none(),
-            ..mfprofdb::OpenOptions::default()
+    /// The single-log database at `DIR`: a root-level segment log.
+    fn root_log(mem: &Arc<dyn Vfs>) -> SegmentLog {
+        SegmentLog::open(Arc::clone(mem), DIR, RetryPolicy::none()).unwrap()
+    }
+
+    fn run(dataset: &str, rows: &Rows, fps: &[(u32, u64)]) -> ProfileRecord {
+        ProfileRecord {
+            dataset: dataset.into(),
+            entries: rows.to_vec(),
+            fps: fps.to_vec(),
         }
+    }
+
+    /// What a segment log's committed batches hold: the folded totals and
+    /// the folded fingerprints.
+    fn read_back(log: &mut SegmentLog) -> (MergedTotals, BTreeMap<u32, u64>) {
+        let (mut fold, mut fps) = (RawFold::new(), FpFold::new());
+        for r in log.read_batches().unwrap().iter().flatten() {
+            fold_record(&mut fold, r);
+            fold_fps(&mut fps, r);
+        }
+        let totals = fold
+            .into_iter()
+            .map(|(ds, m)| (ds, m.into_iter().map(|(id, (e, t))| (id, e, t)).collect()))
+            .collect();
+        (totals, fps)
     }
 
     /// Serves the single-log database at `DIR` in place and checks it
@@ -756,7 +770,7 @@ mod tests {
     /// `enqueue`+`flush` of `train` branch 0 (one taken execution each),
     /// `after`; the same after a compaction and after a reopen; all as
     /// one shard, creating neither a manifest nor a shard directory, so
-    /// the store still reads it.
+    /// a root-level segment log still reads it.
     fn serve_in_place(
         mem: &Arc<dyn Vfs>,
         before: &MergedTotals,
@@ -796,9 +810,7 @@ mod tests {
                 "serving in place created {name}"
             );
         }
-        let store = mfprofdb::ProfileStore::open(Arc::clone(mem), DIR, store_opts()).unwrap();
-        assert_eq!(&store.raw_totals(), after);
-        assert_eq!(store.fingerprints(), fps);
+        assert_eq!(read_back(&mut root_log(mem)), (after.clone(), fps.clone()));
     }
 
     type Rows = [(u32, u64, u64)];
@@ -813,12 +825,15 @@ mod tests {
     #[test]
     fn single_log_database_is_served_in_place() {
         let mem: Arc<dyn Vfs> = Arc::new(MemVfs::new());
-        let mut store = mfprofdb::ProfileStore::open(Arc::clone(&mem), DIR, store_opts()).unwrap();
-        store
-            .append("train", &counts(&[(0, 10, 4), (9, 3, 3)]))
-            .unwrap();
-        store.append("ref", &counts(&[(2, 5, 0)])).unwrap();
-        drop(store);
+        let mut log = root_log(&mem);
+        for record in [
+            run("train", &[(0, 10, 4), (9, 3, 3)], &[]),
+            run("ref", &[(2, 5, 0)], &[]),
+        ] {
+            let landed = log.commit_batch(&[record], &LockCfg::default());
+            assert_eq!(landed.unwrap(), Persistence::Committed);
+        }
+        drop(log);
         serve_in_place(
             &mem,
             &totals(&[("ref", &[(2, 5, 0)]), ("train", &[(0, 10, 4), (9, 3, 3)])]),
@@ -830,13 +845,9 @@ mod tests {
     #[test]
     fn fingerprints_survive_serving_in_place() {
         let mem: Arc<dyn Vfs> = Arc::new(MemVfs::new());
-        let fps: BTreeMap<BranchId, u64> =
-            [(BranchId(1), 11), (BranchId(2), 22)].into_iter().collect();
-        let mut store = mfprofdb::ProfileStore::open(Arc::clone(&mem), DIR, store_opts()).unwrap();
-        store
-            .append_with_fps("train", &counts(&[(1, 4, 2), (2, 9, 9)]), &fps)
-            .unwrap();
-        drop(store);
+        let record = run("train", &[(1, 4, 2), (2, 9, 9)], &[(1, 11), (2, 22)]);
+        let landed = root_log(&mem).commit_batch(&[record], &LockCfg::default());
+        assert_eq!(landed.unwrap(), Persistence::Committed);
         serve_in_place(
             &mem,
             &totals(&[("train", &[(1, 4, 2), (2, 9, 9)])]),
@@ -848,13 +859,22 @@ mod tests {
     #[test]
     fn a_live_store_keeps_its_single_log_database() {
         let mem: Arc<dyn Vfs> = Arc::new(MemVfs::new());
-        let mut store = mfprofdb::ProfileStore::open(Arc::clone(&mem), DIR, store_opts()).unwrap();
-        store.append("train", &counts(&[(0, 10, 4)])).unwrap();
+        // A live writer on the single-log database that keeps the root's
+        // lock after each commit, as a burst does.
+        let commit = |log: &mut SegmentLog, rows: &Rows| {
+            let record = run("train", rows, &[]);
+            log.commit_batch_keep(&[record], &LockCfg::default(), true)
+        };
+        let mut store = root_log(&mem);
+        assert_eq!(
+            commit(&mut store, &[(0, 10, 4)]).unwrap(),
+            Persistence::Committed
+        );
         let segment = store.active_segment().unwrap().to_path_buf();
         let bytes = mem.read(&segment).unwrap();
 
-        // The store holds the root's lock for its lifetime: the service
-        // keeps its write in memory and leaves the store's segment alone.
+        // The writer holds the root's lock: the service keeps its write
+        // in memory and leaves the writer's segment alone.
         let svc = ProfileService::open(Arc::clone(&mem), DIR, opts(4)).unwrap();
         assert_eq!(svc.shard_count(), 1);
         assert_eq!(
@@ -862,9 +882,13 @@ mod tests {
             Persistence::Degraded
         );
         assert_eq!(svc.merged_totals().unwrap()["train"], vec![(0, 11, 5)]);
-        assert_eq!(mem.read(&segment).unwrap(), bytes, "store's segment intact");
         assert_eq!(
-            store.append("train", &counts(&[(0, 3, 3)])).unwrap(),
+            mem.read(&segment).unwrap(),
+            bytes,
+            "writer's segment intact"
+        );
+        assert_eq!(
+            commit(&mut store, &[(0, 3, 3)]).unwrap(),
             Persistence::Committed
         );
         drop(store);
@@ -996,27 +1020,27 @@ mod tests {
         .collect();
         let fps: BTreeMap<u32, u64> = [(0, 0xA0), (3, 0xA3), (7, 0xA7)].into_iter().collect();
 
-        // The store reads it, then grows and compacts it.
+        // A root-level segment log reads it, then grows and compacts it.
         let mem: Arc<dyn Vfs> = Arc::new(MemVfs::new());
         let records = single_run_frame_layout(&mem);
-        let mut store = mfprofdb::ProfileStore::open(Arc::clone(&mem), DIR, store_opts()).unwrap();
-        assert!(store.is_persistent(), "{:?}", store.warnings());
-        assert_eq!(store.records(), &records[..]);
-        assert_eq!(store.raw_totals(), totals);
-        assert_eq!(store.fingerprints(), &fps);
+        let mut log = root_log(&mem);
+        assert!(log.is_persistent(), "{:?}", log.warnings());
+        let batches: Vec<Vec<ProfileRecord>> = records.iter().map(|r| vec![r.clone()]).collect();
+        assert_eq!(log.read_batches().unwrap(), batches, "one batch per frame");
+        assert_eq!(read_back(&mut log), (totals.clone(), fps.clone()));
+        let landed = log.commit_batch(&[run("train", &[(3, 1, 1)], &[])], &LockCfg::default());
+        assert_eq!(landed.unwrap(), Persistence::Committed);
+        let folded = log.compact(&LockCfg::default()).unwrap();
+        assert_eq!(log.counters().compactions, 1);
         assert_eq!(
-            store.append("train", &counts(&[(3, 1, 1)])).unwrap(),
-            Persistence::Committed
+            folded.expect("compaction published").concat().len(),
+            2,
+            "one folded record per dataset"
         );
-        store.compact().unwrap();
-        assert_eq!(store.counters().compactions, 1);
-        assert_eq!(store.records().len(), 2, "one folded record per dataset");
-        let grown = store.raw_totals();
+        let (grown, _) = read_back(&mut log);
         assert_eq!(grown["train"], vec![(0, 12, 5), (3, 6, 6), (7, 1, 0)]);
-        drop(store);
-        let reopened = mfprofdb::ProfileStore::open(Arc::clone(&mem), DIR, store_opts()).unwrap();
-        assert_eq!(reopened.raw_totals(), grown);
-        assert_eq!(reopened.fingerprints(), &fps);
+        drop(log);
+        assert_eq!(read_back(&mut root_log(&mem)), (grown, fps.clone()));
 
         // The service serves it in place.
         let mem: Arc<dyn Vfs> = Arc::new(MemVfs::new());

@@ -10,7 +10,7 @@
 //! below by the flushes whose acks were returned. A second script
 //! starts from a single-log database, which the service serves in place
 //! as one shard, so the crash points also land inside a compaction of a
-//! log the single-writer store wrote.
+//! root-level log another writer wrote.
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -235,28 +235,23 @@ fn every_crash_point_recovers_exact_per_shard_batch_prefixes() {
     }
 }
 
-/// Builds the single-log database the in-place script starts from and
-/// returns its batches (one per append). Runs on the raw memory
+/// Builds the single-log database the in-place script starts from (a
+/// root-level segment log) and returns its batches (one per commit). Runs on the raw memory
 /// filesystem, so its operations are not part of the crash-point
 /// enumeration.
 fn prepopulate_single_log(mem: &Arc<MemVfs>) -> Vec<Vec<ProfileRecord>> {
-    let mut store = mfprofdb::ProfileStore::open(
-        mem.clone() as Arc<dyn Vfs>,
-        DIR,
-        mfprofdb::OpenOptions {
-            retry: RetryPolicy::none(),
-            ..mfprofdb::OpenOptions::default()
-        },
-    )
-    .unwrap();
+    let vfs = mem.clone() as Arc<dyn Vfs>;
+    let mut log = mfprofdb::SegmentLog::open(vfs, DIR, RetryPolicy::none()).unwrap();
     let appends: [Submission; 2] = [
         ("train", &[(0, 100, 40), (6, 30, 30)]),
         ("prior", &[(8, 9, 9)]),
     ];
-    for (ds, rows) in appends {
-        store.append(ds, &counts(rows)).unwrap();
+    let batches: Vec<Vec<ProfileRecord>> = appends.iter().map(|sub| vec![record_of(sub)]).collect();
+    for batch in &batches {
+        let landed = log.commit_batch(batch, &LockCfg::default()).unwrap();
+        assert_eq!(landed, Persistence::Committed);
     }
-    appends.iter().map(|sub| vec![record_of(sub)]).collect()
+    batches
 }
 
 fn record_of(&(ds, rows): &Submission) -> ProfileRecord {
@@ -341,7 +336,7 @@ fn every_crash_point_in_a_single_log_database_recovers_a_prefix() {
             "crash at op {k}: a manifest appeared"
         );
 
-        // The single log holds the store's batches plus an exact prefix
+        // The single log holds its stored batches plus an exact prefix
         // of the flushes, batch for batch: unfolded before the
         // compaction published, folded through it afterwards.
         let recovered = reopen(mem);
@@ -354,7 +349,7 @@ fn every_crash_point_in_a_single_log_database_recovers_a_prefix() {
         });
         assert!(
             matched,
-            "crash at op {k}: not the store's batches plus a committed \
+            "crash at op {k}: not the stored batches plus a committed \
              prefix (acked {} / issued {}): {got:?}",
             crashed.acked, crashed.issued
         );
