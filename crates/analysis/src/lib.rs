@@ -22,10 +22,10 @@
 //!   each locatable to function/block/instruction. The optimizer's
 //!   `Pipeline::run_checked` runs it between passes to attribute
 //!   regressions to the pass that introduced them.
-//! * **Profile checks** — [`check_entries`] / [`check_against_program`] /
-//!   [`check_weighted`] validate branch-counter databases (`taken ≤
-//!   executed`, known branch ids, monotone combined weights), and
-//!   [`site_diff`] explains how two profiles' branch-site sets disagree.
+//! * **Profile checks** — [`check_entries`] / [`check_against_program`]
+//!   validate raw branch counters (`taken ≤ executed`, no duplicate ids,
+//!   known branch ids), and [`parse_raw_profile`] reads the raw counter
+//!   file format they are run against.
 
 mod cfg;
 mod dataflow;
@@ -42,8 +42,7 @@ pub use dataflow::{
 pub use dom::DomTree;
 pub use loops::{LoopForest, NaturalLoop};
 pub use profile::{
-    check_against_program, check_entries, check_weighted, parse_raw_profile, site_diff,
-    ProfileIssue, RawProfileError, SiteDiff,
+    check_against_program, check_entries, parse_raw_profile, ProfileIssue, RawProfileError,
 };
 pub use verify::{
     is_clean, verify_digest, verify_function, verify_program, Diagnostic, Severity, CLEAN_DIGEST,

@@ -1,12 +1,15 @@
 //! Consistency checks for branch-profile data.
 //!
-//! Profiles flow through several representations — raw per-branch
-//! counters, `!MF! IFPROB` directive files, and weighted combinations of
-//! several runs — and each can be corrupted independently (truncated
-//! files, hand-edited directives, buggy merges). The checks here accept
-//! plain tuples so they can sit below the `ifprob` crate in the
-//! dependency graph and be reused by it, by the lint driver, and by the
-//! bench harness.
+//! Raw per-branch counters reach the workspace from places the VM did not
+//! write: raw profile files (`mflint --profile`), profile databases read
+//! back from disk, and hand-edited data. Each can be corrupted (truncated
+//! files, bit flips, hand edits). The checks here accept plain
+//! `(branch, executed, taken)` tuples so they sit below every consumer in
+//! the dependency graph: the bench collection asserts each recorded run
+//! is clean, `mfbench::suite_skew` validates every prior dataset before
+//! remapping it, the chaos battery checks what the profile service serves
+//! back, the fuzzer checks every run's counters, and the lint driver
+//! checks profile files against a program.
 
 use std::collections::BTreeSet;
 use std::fmt;
@@ -32,15 +35,6 @@ pub enum ProfileIssue {
         /// Number of branch-info entries the program has.
         known: usize,
     },
-    /// A weighted (combined) profile has a taken weight above its total.
-    NonMonotoneWeight {
-        /// The offending branch.
-        branch: BranchId,
-        /// Combined taken weight.
-        taken: f64,
-        /// Combined total weight.
-        total: f64,
-    },
     /// The same branch id appears more than once in one profile.
     DuplicateBranch {
         /// The repeated branch id.
@@ -63,14 +57,6 @@ impl fmt::Display for ProfileIssue {
                 f,
                 "{branch}: program registers only {known} branches (br0..br{})",
                 known.saturating_sub(1)
-            ),
-            ProfileIssue::NonMonotoneWeight {
-                branch,
-                taken,
-                total,
-            } => write!(
-                f,
-                "{branch}: combined taken weight {taken} exceeds total weight {total}"
             ),
             ProfileIssue::DuplicateBranch { branch } => {
                 write!(f, "{branch}: branch appears more than once in the profile")
@@ -113,76 +99,6 @@ pub fn check_against_program(
         }
     }
     issues
-}
-
-/// Checks combined `(branch, taken_weight, total_weight)` rows: weights
-/// must be finite, non-negative, and monotone (`taken ≤ total`, with a
-/// relative epsilon for float roundoff).
-pub fn check_weighted(rows: &[(BranchId, f64, f64)]) -> Vec<ProfileIssue> {
-    let mut issues = Vec::new();
-    let mut seen = BTreeSet::new();
-    for &(branch, taken, total) in rows {
-        if !seen.insert(branch) {
-            issues.push(ProfileIssue::DuplicateBranch { branch });
-        }
-        let bad = !taken.is_finite()
-            || !total.is_finite()
-            || taken < 0.0
-            || total < 0.0
-            || taken > total * (1.0 + 1e-9) + 1e-9;
-        if bad {
-            issues.push(ProfileIssue::NonMonotoneWeight {
-                branch,
-                taken,
-                total,
-            });
-        }
-    }
-    issues
-}
-
-/// How two profiles' branch-site sets differ.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct SiteDiff {
-    /// Branches present in the first profile but absent from the second.
-    pub missing: Vec<BranchId>,
-    /// Branches present in the second profile but absent from the first.
-    pub extra: Vec<BranchId>,
-}
-
-impl fmt::Display for SiteDiff {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let render = |ids: &[BranchId]| {
-            ids.iter()
-                .map(ToString::to_string)
-                .collect::<Vec<_>>()
-                .join(", ")
-        };
-        match (self.missing.is_empty(), self.extra.is_empty()) {
-            (false, true) => write!(f, "second profile lacks {}", render(&self.missing)),
-            (true, false) => write!(f, "second profile adds {}", render(&self.extra)),
-            _ => write!(
-                f,
-                "second profile lacks {} and adds {}",
-                render(&self.missing),
-                render(&self.extra)
-            ),
-        }
-    }
-}
-
-/// Compares two branch-site sets; `None` when they agree. Order and
-/// multiplicity of the inputs are irrelevant.
-pub fn site_diff(first: &[BranchId], second: &[BranchId]) -> Option<SiteDiff> {
-    let a: BTreeSet<BranchId> = first.iter().copied().collect();
-    let b: BTreeSet<BranchId> = second.iter().copied().collect();
-    if a == b {
-        return None;
-    }
-    Some(SiteDiff {
-        missing: a.difference(&b).copied().collect(),
-        extra: b.difference(&a).copied().collect(),
-    })
 }
 
 /// A parse failure in a raw profile file.
@@ -311,34 +227,6 @@ mod tests {
                 branch: BranchId(7),
                 known: 1,
             }]
-        );
-    }
-
-    #[test]
-    fn weighted_monotonicity() {
-        let ok = [(BranchId(0), 2.5, 5.0), (BranchId(1), 5.0, 5.0)];
-        assert!(check_weighted(&ok).is_empty());
-        let bad = [(BranchId(0), 5.1, 5.0)];
-        assert_eq!(check_weighted(&bad).len(), 1);
-        let nan = [(BranchId(0), f64::NAN, 5.0)];
-        assert_eq!(check_weighted(&nan).len(), 1);
-        // Float roundoff within epsilon is tolerated.
-        let round = [(BranchId(0), 0.1 + 0.2, 0.3)];
-        assert!(check_weighted(&round).is_empty());
-    }
-
-    #[test]
-    fn site_diff_reports_both_directions() {
-        let a = [BranchId(0), BranchId(1), BranchId(2)];
-        let b = [BranchId(1), BranchId(3)];
-        let d = site_diff(&a, &b).unwrap();
-        assert_eq!(d.missing, vec![BranchId(0), BranchId(2)]);
-        assert_eq!(d.extra, vec![BranchId(3)]);
-        assert!(site_diff(&a, &a).is_none());
-        let shuffled = [BranchId(2), BranchId(0), BranchId(1), BranchId(0)];
-        assert!(
-            site_diff(&a, &shuffled).is_none(),
-            "order/multiplicity ignored"
         );
     }
 

@@ -30,11 +30,11 @@ use std::process::ExitCode;
 use std::sync::Arc;
 
 use mfbench::{
-    collect, collect_subset, configure_harness, dyn_geomeans, dyn_row_json, dyn_rows, dyn_table,
-    harness, ipm_json, DynRow, SuiteRuns, DYN_COLUMNS, ML_TRAIN_MARKER,
+    collect_subset_with, collect_with, dyn_geomeans, dyn_row_json, dyn_rows, dyn_table, ipm_json,
+    DynRow, SuiteRuns, DYN_COLUMNS, ML_TRAIN_MARKER,
 };
 use mfdyn::DynSpec;
-use mfharness::{DiskCache, HarnessOptions, Observe, RunJob};
+use mfharness::{DiskCache, Harness, HarnessOptions, Observe, RunJob};
 use mfreport::json::Json;
 use mfreport::{fmt_percent, Table};
 use trace_vm::{Backend, Input, Vm, VmConfig};
@@ -154,9 +154,9 @@ struct SweepRow {
 }
 
 /// Drives a parameterized gshare family over each selected workload's
-/// first dataset through the harness (one observed run per workload, all
+/// first dataset through `harness` (one observed run per workload, all
 /// predictors riding on it).
-fn gshare_sweep(names: &[&str], specs: &[DynSpec]) -> Vec<SweepRow> {
+fn gshare_sweep(harness: &Harness, names: &[&str], specs: &[DynSpec]) -> Vec<SweepRow> {
     let all = mfwork::suite();
     let mut selected = Vec::new();
     let mut jobs = Vec::new();
@@ -173,7 +173,7 @@ fn gshare_sweep(names: &[&str], specs: &[DynSpec]) -> Vec<SweepRow> {
         ));
         selected.push((w.name.to_string(), d.name.clone()));
     }
-    let outcomes = harness().run(jobs).unwrap_or_else(|e| panic!("{e}"));
+    let outcomes = harness.run(jobs).unwrap_or_else(|e| panic!("{e}"));
     selected
         .into_iter()
         .zip(outcomes)
@@ -453,7 +453,7 @@ fn main() -> ExitCode {
     if options.no_cache {
         harness_options.disk_cache = DiskCache::Off;
     }
-    configure_harness(harness_options);
+    let harness = Harness::new(harness_options);
 
     let names: Vec<&str> = if options.quick {
         QUICK.to_vec()
@@ -465,9 +465,9 @@ fn main() -> ExitCode {
         names.len()
     );
     let s: SuiteRuns = if options.quick {
-        collect_subset(QUICK)
+        collect_subset_with(&harness, QUICK)
     } else {
-        collect()
+        collect_with(&harness)
     };
 
     let rows = dyn_rows(&s);
@@ -512,7 +512,7 @@ fn main() -> ExitCode {
             table_bits: t,
         })
         .collect();
-    let table_rows = gshare_sweep(&names, &table_specs);
+    let table_rows = gshare_sweep(&harness, &names, &table_specs);
     section("Gshare table-size/aliasing sweep (8-bit history, mispredict rate)");
     let t_cols: Vec<String> = TABLE_BITS.iter().map(|t| format!("T{t}")).collect();
     print!("{}", sweep_table(&t_cols, &table_rows).render());

@@ -23,8 +23,8 @@ use std::path::PathBuf;
 use std::process::ExitCode;
 
 use bpredict::{evaluate, BreakConfig, Direction, Predictor};
-use mfbench::{collect_with, configure_harness, harness, SuiteRuns};
-use mfharness::HarnessOptions;
+use mfbench::{collect_with, SuiteRuns};
+use mfharness::{Harness, HarnessOptions};
 use mfpredict::{
     analyze, extract, train, Model, ProgramProofs, Sample, TrainConfig, COMMITTED_MODEL_PATH,
     EVAL_WORKLOADS, TRAIN_WORKLOADS,
@@ -254,14 +254,12 @@ fn soundness_failures(s: &SuiteRuns, data: &[WorkloadData]) -> usize {
 
 fn run(options: &Options) -> Result<ExitCode, String> {
     // `--jobs` overrides `MFHARNESS_JOBS` and keeps every other
-    // `MFHARNESS_*` setting, as `harness()` would read them.
-    if let Some(jobs) = options.jobs {
-        configure_harness(HarnessOptions {
-            jobs: Some(jobs),
-            ..HarnessOptions::from_env()
-        });
+    // `MFHARNESS_*` setting.
+    let mut harness_options = HarnessOptions::from_env();
+    if options.jobs.is_some() {
+        harness_options.jobs = options.jobs;
     }
-    let s = collect_with(harness());
+    let s = collect_with(&Harness::new(harness_options));
     let data = gather(&s);
 
     if options.soundness {

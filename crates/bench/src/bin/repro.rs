@@ -19,14 +19,14 @@ use std::process::ExitCode;
 use std::sync::Arc;
 
 use mfbench::{
-    collect, combination_table, configure_harness, coverage_table, crossmode_table,
-    distribution_table, dyn_table, dyn_table_json, dynamic_table, fig1_chart, fig2_chart,
-    fig2_rows, fig3_chart, fig3_rows, harness, heuristic_table, heuristic_table_json,
-    inlining_table, percent_correct_table, percent_taken_table, record_suite_svc, selects_table,
-    skew_json, suite_skew, table1, table2, table3, SuiteRuns, SuiteSkew,
+    collect_with, combination_table, coverage_table, crossmode_table, distribution_table_with,
+    dyn_table, dyn_table_json, dynamic_table_with, fig1_chart, fig2_chart, fig2_rows, fig3_chart,
+    fig3_rows, heuristic_table, heuristic_table_json, inlining_table_with, percent_correct_table,
+    percent_taken_table, record_suite_svc, selects_table, skew_json, suite_skew, table1, table2,
+    table3, SuiteRuns, SuiteSkew,
 };
 use mffault::{FaultPlan, FaultVfs, RealVfs, RetryPolicy, Vfs};
-use mfharness::{DiskCache, HarnessOptions};
+use mfharness::{DiskCache, Harness, HarnessOptions};
 use mfprofsvc::{ProfileService, ServiceOptions};
 use mfwork::Group;
 
@@ -218,7 +218,6 @@ fn main() -> ExitCode {
     }
     if options.verify_each {
         harness_options.verify = true;
-        mfbench::set_verify_each(true);
     }
     // No environment variable sets these two.
     harness_options.io_retries = options.io_retries;
@@ -227,7 +226,7 @@ fn main() -> ExitCode {
         .profile_db
         .as_ref()
         .map(|dir| open_profile_db(dir, &options, &harness_options));
-    configure_harness(harness_options);
+    let harness = Harness::new(harness_options);
     let want =
         |flag: &str| options.sections.is_empty() || options.sections.iter().any(|s| s == flag);
 
@@ -239,7 +238,7 @@ fn main() -> ExitCode {
             // report — and a failure exit if the path is unwritable or
             // the profile database could not be made persistent.
             let db_failed = profile_db_summary(&options, store.as_ref(), None);
-            let metrics = write_json_metrics(&options, None, None);
+            let metrics = write_json_metrics(&options, &harness, None, None);
             return if db_failed {
                 ExitCode::from(2)
             } else {
@@ -250,7 +249,7 @@ fn main() -> ExitCode {
 
     eprintln!("collecting runs for the whole suite (one run per program x dataset)…");
     let start = std::time::Instant::now();
-    let s: SuiteRuns = collect();
+    let s: SuiteRuns = collect_with(&harness);
     let total: u64 = s
         .workloads
         .iter()
@@ -362,15 +361,15 @@ fn main() -> ExitCode {
     }
     if want("--dynamic") {
         section("Extension: static profile feedback vs 1-bit/2-bit hardware schemes");
-        print!("{}", dynamic_table().render());
+        print!("{}", dynamic_table_with(&harness).render());
     }
     if want("--inline") {
         section("Extension: inlining removes direct call/return breaks");
-        print!("{}", inlining_table().render());
+        print!("{}", inlining_table_with(&harness).render());
     }
     if want("--distribution") {
         section("Run lengths between mispredicted branches are not evenly spaced");
-        print!("{}", distribution_table().render());
+        print!("{}", distribution_table_with(&harness).render());
     }
     if want("--dyn") {
         section("Extension: online dynamic-predictor zoo (instrs per mispredict)");
@@ -379,17 +378,17 @@ fn main() -> ExitCode {
         println!(" profile feedback sees only a prior run's aggregate counts)");
     }
 
-    let report = harness().report();
+    let report = harness.report();
     section("Harness: scheduler and cache summary");
     print!("{}", report.summary_table().render());
-    if let Some(dir) = harness().cache_dir() {
+    if let Some(dir) = harness.cache_dir() {
         println!(
             "(persistent cache: {}; delete it or pass --no-cache for a cold run)",
             dir.display()
         );
     }
     let db_failed = profile_db_summary(&options, store.as_ref(), skew.as_ref());
-    let metrics = write_json_metrics(&options, Some(&s), skew.as_ref());
+    let metrics = write_json_metrics(&options, &harness, Some(&s), skew.as_ref());
     if db_failed {
         ExitCode::from(2)
     } else {
@@ -555,11 +554,12 @@ fn profile_db_summary(
 /// `skew` members.
 fn write_json_metrics(
     options: &Options,
+    harness: &Harness,
     s: Option<&SuiteRuns>,
     skew: Option<&SuiteSkew>,
 ) -> ExitCode {
     if let Some(path) = &options.json_metrics {
-        let mut body = harness().report().to_json();
+        let mut body = harness.report().to_json();
         if let Some(s) = s {
             body.push("heuristic_table", heuristic_table_json(s));
             body.push("dyn_table", dyn_table_json(s));

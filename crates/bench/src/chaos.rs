@@ -40,8 +40,7 @@
 //! `--jobs 8` is byte-identical to the same battery at `--jobs 1`.
 
 use std::collections::{BTreeMap, BTreeSet};
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 use mffault::{FaultPlan, FaultVfs, MemVfs, RetryPolicy, Vfs};
 use mfprofsvc::{Persistence, ProfileService, ServiceOptions};
@@ -587,34 +586,9 @@ pub fn run_seed(seed: u64, rounds: u32, edits: bool) -> SeedOutcome {
 /// pure function of the config.
 pub fn run_battery(cfg: &ChaosConfig) -> ChaosReport {
     let seeds: Vec<u64> = (0..cfg.seeds).map(|i| cfg.start_seed + i).collect();
-    let jobs = cfg.jobs.max(1).min(seeds.len().max(1));
-    let outcomes: Vec<SeedOutcome> = if jobs <= 1 {
-        seeds
-            .iter()
-            .map(|&s| run_seed(s, cfg.rounds, cfg.edits))
-            .collect()
-    } else {
-        let next = AtomicUsize::new(0);
-        let slots: Mutex<Vec<Option<SeedOutcome>>> = Mutex::new(vec![None; seeds.len()]);
-        std::thread::scope(|scope| {
-            for _ in 0..jobs {
-                scope.spawn(|| loop {
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    if i >= seeds.len() {
-                        break;
-                    }
-                    let done = run_seed(seeds[i], cfg.rounds, cfg.edits);
-                    slots.lock().expect("chaos slots lock")[i] = Some(done);
-                });
-            }
-        });
-        slots
-            .into_inner()
-            .expect("chaos slots lock")
-            .into_iter()
-            .map(|o| o.expect("every seed ran"))
-            .collect()
-    };
+    let (outcomes, _) = mfharness::run_indexed(cfg.jobs, seeds.len(), |i| {
+        run_seed(seeds[i], cfg.rounds, cfg.edits)
+    });
     ChaosReport { outcomes }
 }
 

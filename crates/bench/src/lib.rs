@@ -11,23 +11,25 @@
 //! The `repro` binary prints everything; `vmbench`, `dynbench` and
 //! `svcbench` measure the machinery behind it.
 //!
-//! All guest execution is routed through one process-global
-//! [`mfharness::Harness`]: runs are deduplicated by content key, repeats
-//! are served from the cache, and misses execute on a work-stealing pool.
-//! Results come back in submission order, so every table and figure is
-//! bit-identical to the serial reference path ([`collect_serial`]) at any
-//! worker count.
+//! All guest execution is routed through an [`mfharness::Harness`] the
+//! caller builds and passes in (`repro`, `dynbench` and `mftrain` build
+//! one from their flags over [`mfharness::HarnessOptions::from_env`]):
+//! runs are deduplicated by content key, repeats are served from the
+//! cache, and misses execute on a work-stealing pool. Results come back
+//! in submission order, so every table and figure is bit-identical to the
+//! serial reference path ([`collect_serial`]) at any worker count.
 
 pub mod chaos;
 
-use std::sync::atomic::{AtomicBool, AtomicU8, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::collections::BTreeMap;
+use std::sync::atomic::{AtomicU8, Ordering};
+use std::sync::Arc;
 
 use bpredict::experiment::{self, DatasetRun};
 use bpredict::{evaluate, evaluate_unpredicted, BreakConfig, Direction, Metrics, Predictor};
 use ifprob::CombineRule;
 use mfdyn::{DynSpec, ZooReport};
-use mfharness::{Harness, HarnessOptions, Observe, RunJob};
+use mfharness::{Harness, Observe, RunJob};
 use mfreport::json::Json;
 use mfreport::{fmt_percent, fmt_value, BarChart, Table};
 use mfwork::{suite, Group, Workload};
@@ -90,26 +92,8 @@ impl SuiteRuns {
 }
 
 // --------------------------------------------------------------------
-// The process-global execution harness
+// Collection through the execution harness
 // --------------------------------------------------------------------
-
-static HARNESS: OnceLock<Harness> = OnceLock::new();
-
-/// When set, every optimized build runs the `mfcheck` semantic verifier
-/// between passes ([`mfopt::Pipeline::run_checked`]), so a defective pass
-/// is reported by name instead of corrupting the measurement. Surfaced as
-/// `repro --verify-each`.
-static VERIFY_EACH: AtomicBool = AtomicBool::new(false);
-
-/// Turns inter-pass verification of optimized builds on or off.
-pub fn set_verify_each(on: bool) {
-    VERIFY_EACH.store(on, Ordering::Relaxed);
-}
-
-/// Whether optimized builds verify between passes.
-pub fn verify_each_enabled() -> bool {
-    VERIFY_EACH.load(Ordering::Relaxed)
-}
 
 /// The VM backend harness-scheduled measurement runs execute on. Both
 /// backends are observably identical, so this never changes a table or
@@ -159,21 +143,6 @@ fn check_run_profile(program: &Program, label: &str, dataset: &str, stats: &trac
             .collect::<Vec<_>>()
             .join("; ")
     );
-}
-
-/// Installs the process-global harness with explicit options (worker
-/// count, cache mode). Must be called before the first run executes;
-/// returns `false` if a harness was already installed (the call is then a
-/// no-op).
-pub fn configure_harness(options: HarnessOptions) -> bool {
-    HARNESS.set(Harness::new(options)).is_ok()
-}
-
-/// The process-global harness every measured run goes through. Created
-/// from the environment (`MFHARNESS_JOBS`, `MFHARNESS_CACHE`) on first
-/// use unless [`configure_harness`] installed one earlier.
-pub fn harness() -> &'static Harness {
-    HARNESS.get_or_init(Harness::from_env)
 }
 
 /// A workload with its compiled artifacts, ready to submit.
@@ -231,11 +200,14 @@ fn ml_predictor(program: &Program, analysis: &mfpredict::ProgramProofs) -> Predi
 }
 
 /// The optimized build of a workload: the standard pipeline over a copy
-/// of its profiling build `program`, so the source compiles once. Under
-/// `--verify-each` the verifier runs between passes.
-fn optimize(name: &str, program: &Program) -> Program {
+/// of its profiling build `program`, so the source compiles once. With
+/// `verify` (a verifying harness, `repro --verify-each`) the `mfcheck`
+/// verifier runs between passes ([`mfopt::Pipeline::run_checked`]), so a
+/// defective pass is reported by name instead of corrupting the
+/// measurement.
+fn optimize(name: &str, program: &Program, verify: bool) -> Program {
     let mut optimized = program.clone();
-    if verify_each_enabled() {
+    if verify {
         mfopt::Pipeline::standard()
             .run_checked(&mut optimized)
             .unwrap_or_else(|defect| panic!("{name}: {defect}"));
@@ -246,9 +218,9 @@ fn optimize(name: &str, program: &Program) -> Program {
 }
 
 impl Build {
-    fn of(workload: &Workload) -> Build {
+    fn of(workload: &Workload, verify: bool) -> Build {
         let program = Arc::new(workload.compile().expect("bundled workload compiles"));
-        let optimized = Arc::new(optimize(workload.name, &program));
+        let optimized = Arc::new(optimize(workload.name, &program, verify));
         let heuristic = Predictor::heuristic(&program);
         let btfn = Predictor::static_heuristic(&program);
         let analysis = mfpredict::analyze(&program);
@@ -267,8 +239,9 @@ impl Build {
 
 /// Prepares each workload, building every distinct source once: compress
 /// and uncompress are one guest program, so they share its builds and
-/// predictors (the `Arc`s point at one program).
-fn prepare(workloads: impl IntoIterator<Item = Workload>) -> Vec<Prepared> {
+/// predictors (the `Arc`s point at one program). `verify` checks the
+/// optimized builds between passes.
+fn prepare(workloads: impl IntoIterator<Item = Workload>, verify: bool) -> Vec<Prepared> {
     let mut prepared: Vec<Prepared> = Vec::new();
     for workload in workloads {
         let build = match prepared
@@ -276,7 +249,7 @@ fn prepare(workloads: impl IntoIterator<Item = Workload>) -> Vec<Prepared> {
             .find(|p| p.workload.source == workload.source)
         {
             Some(twin) => twin.build.clone(),
-            None => Build::of(&workload),
+            None => Build::of(&workload, verify),
         };
         prepared.push(Prepared { workload, build });
     }
@@ -344,12 +317,6 @@ fn collect_prepared(h: &Harness, prepared: Vec<Prepared>) -> SuiteRuns {
         });
     }
     SuiteRuns { workloads }
-}
-
-/// Runs every workload on every dataset (the expensive step — everything
-/// downstream is analytic) through the process-global harness.
-pub fn collect() -> SuiteRuns {
-    collect_with(harness())
 }
 
 /// Appends every collected run's branch counters to the sharded profile
@@ -460,32 +427,34 @@ pub fn skew_json(skew: Option<&SuiteSkew>) -> Json {
 
 /// Assesses how a prior profile database's counts carry over to this
 /// generation's builds — the read half of version-skew-tolerant reuse
-/// (`repro --profile-db` across a program edit).
+/// (`repro --profile-db` across a program edit), and the one place a
+/// multi-dataset prior is carried onto a build.
 ///
 /// `prior` and `prior_fps` come from
 /// [`mfprofsvc::ProfileService::merged_totals`] and
 /// [`mfprofsvc::ProfileService::merged_fingerprints_by_dataset`] *before*
 /// this generation's runs are recorded. Per workload, every prior
-/// `workload/dataset` record is remapped by structural fingerprint onto
-/// [`WorkloadRuns::program`], the build this generation measured and will
-/// record ([`ifprob::combine_skewed`]); sites no record could feed degrade
-/// to the static tier ([`mfpredict::static_tier`]) and carry no counts, so
-/// they lay out as if unprofiled. Workloads with no prior records are
-/// skipped — that is the first-generation case, not an error.
+/// `workload/dataset` record is validated and remapped by structural
+/// fingerprint onto [`WorkloadRuns::program`], the build this generation
+/// measured and will record ([`mfstale::remap_counts`]); the per-dataset
+/// reports fold into the workload's report. The records' element-wise sum
+/// is then remapped once: its counts steer the flat layout behind
+/// [`WorkloadSkew::op_count`], and its degraded sites, the ones *no*
+/// record could feed, fall to the static tier
+/// ([`mfpredict::static_tier`]) and carry no counts, so they lay out as
+/// if unprofiled. Workloads with no prior records are skipped — that is
+/// the first-generation case, not an error.
 ///
 /// # Errors
 ///
 /// [`ifprob::CombineError::Corrupt`] if a prior record is internally
-/// inconsistent (`taken > executed`) — skew tolerance does not excuse
-/// corruption. Never [`ifprob::CombineError::SiteMismatch`].
+/// inconsistent (`taken > executed`, or a branch listed twice) — skew
+/// tolerance does not excuse corruption.
 pub fn suite_skew(
     prior: &mfprofsvc::MergedTotals,
-    prior_fps: &std::collections::BTreeMap<String, std::collections::BTreeMap<u32, u64>>,
+    prior_fps: &BTreeMap<String, BTreeMap<u32, u64>>,
     s: &SuiteRuns,
 ) -> Result<SuiteSkew, ifprob::CombineError> {
-    use trace_ir::BranchId;
-    use trace_vm::FlatProgram;
-
     let mut out = SuiteSkew::default();
     for w in &s.workloads {
         let prefix = format!("{}/", w.name);
@@ -501,16 +470,14 @@ pub fn suite_skew(
         let new_fps = mfstale::site_fingerprints(program);
         // Stored fingerprints, unioned across the workload's datasets
         // (they all describe the same program; later records win).
-        let mut old_fps: std::collections::BTreeMap<BranchId, u64> = Default::default();
+        let mut old_fps: BTreeMap<BranchId, mfstale::SiteFp> = BTreeMap::new();
         for (label, _) in &datasets {
             if let Some(fps) = prior_fps.get(*label) {
                 old_fps.extend(fps.iter().map(|(&id, &fp)| (BranchId(id), fp)));
             }
         }
-        // Validate each dataset before touching BranchCounts (whose
-        // accumulation API rejects `taken > executed` outright).
-        let mut profiles: Vec<trace_vm::BranchCounts> = Vec::with_capacity(datasets.len());
-        let mut summed: std::collections::BTreeMap<BranchId, (u64, u64)> = Default::default();
+        let mut report = mfstale::SkewReport::default();
+        let mut summed: BTreeMap<BranchId, (u64, u64)> = BTreeMap::new();
         for (i, (_, rows)) in datasets.iter().enumerate() {
             let entries: Vec<(BranchId, u64, u64)> = rows
                 .iter()
@@ -520,53 +487,51 @@ pub fn suite_skew(
             if !issues.is_empty() {
                 return Err(ifprob::CombineError::Corrupt { dataset: i, issues });
             }
-            for &(id, e, t) in &entries {
+            report.merge(&mfstale::remap_counts(&entries, &old_fps, &new_fps).report);
+            for (id, e, t) in entries {
                 let slot = summed.entry(id).or_insert((0, 0));
                 slot.0 = slot.0.saturating_add(e);
                 slot.1 = slot.1.saturating_add(t);
             }
-            profiles.push(entries.into_iter().collect());
         }
-        let refs: Vec<&trace_vm::BranchCounts> = profiles.iter().collect();
-        let skewed = ifprob::combine_skewed(&refs, &old_fps, &new_fps, CombineRule::Scaled)?;
-        // The integer-count remap of the summed prior records steers block
-        // layout; a site is in `skewed.degraded` exactly when the sum feeds
-        // it nothing, so the two views agree on the degraded set.
-        let summed_entries: Vec<(BranchId, u64, u64)> =
+        // Remapping the sum degrades a site every dataset missed once,
+        // not once per dataset, and applies mfstale's zero-count
+        // structural matching across all of them: a never-executed site
+        // both program versions share is silence, not skew.
+        let summed: Vec<(BranchId, u64, u64)> =
             summed.into_iter().map(|(id, (e, t))| (id, e, t)).collect();
-        let remap = mfstale::remap_counts(&summed_entries, &old_fps, &new_fps);
-        debug_assert_eq!(remap.degraded, skewed.degraded);
+        let remap = mfstale::remap_counts(&summed, &old_fps, &new_fps);
+        report.degraded = remap.degraded.len();
         let profile: trace_vm::BranchCounts = remap.counts.into_iter().collect();
-        let compiled = FlatProgram::compile_with_profile(program, &profile);
-        let fallback = mfpredict::static_tier(program, &skewed.degraded);
-        out.total.merge(&skewed.report);
+        out.total.merge(&report);
         out.workloads.push(WorkloadSkew {
             name: w.name.clone(),
             prior_datasets: datasets.len(),
-            report: skewed.report,
-            fallback,
-            op_count: compiled.op_count(),
+            report,
+            fallback: mfpredict::static_tier(program, &remap.degraded),
+            op_count: trace_vm::FlatProgram::compile_with_profile(program, &profile).op_count(),
         });
     }
     Ok(out)
 }
 
-/// [`collect`] through an explicit harness (tests use this to pin worker
-/// counts and cache modes).
+/// Runs every workload on every dataset (the expensive step — everything
+/// downstream is analytic) through `h`. When `h` verifies
+/// ([`Harness::verify`]), the optimized builds are also checked between
+/// passes.
 pub fn collect_with(h: &Harness) -> SuiteRuns {
-    collect_prepared(h, prepare(suite()))
+    collect_prepared(h, prepare(suite(), h.verify()))
 }
 
-/// Runs a named subset (used by tests and the quick bench profile).
-pub fn collect_subset(names: &[&str]) -> SuiteRuns {
-    collect_subset_with(harness(), names)
-}
-
-/// [`collect_subset`] through an explicit harness.
+/// [`collect_with`] over a named subset (used by tests and the quick
+/// bench profile).
 pub fn collect_subset_with(h: &Harness, names: &[&str]) -> SuiteRuns {
     collect_prepared(
         h,
-        prepare(suite().into_iter().filter(|w| names.contains(&w.name))),
+        prepare(
+            suite().into_iter().filter(|w| names.contains(&w.name)),
+            h.verify(),
+        ),
     )
 }
 
@@ -578,7 +543,7 @@ pub fn collect_subset_with(h: &Harness, names: &[&str]) -> SuiteRuns {
 
 fn collect_workload_serial(w: &Workload) -> WorkloadRuns {
     let program = Arc::new(w.compile().expect("bundled workload compiles"));
-    let optimized = optimize(w.name, &program);
+    let optimized = optimize(w.name, &program, false);
     let heuristic = Predictor::heuristic(&program);
     let btfn = Predictor::static_heuristic(&program);
     let analysis = mfpredict::analyze(&program);
@@ -620,14 +585,14 @@ fn collect_workload_serial(w: &Workload) -> WorkloadRuns {
     }
 }
 
-/// [`collect`] without the harness: one thread, no cache, no dedup.
+/// [`collect_with`] without the harness: one thread, no cache, no dedup.
 pub fn collect_serial() -> SuiteRuns {
     SuiteRuns {
         workloads: suite().iter().map(collect_workload_serial).collect(),
     }
 }
 
-/// [`collect_subset`] without the harness.
+/// [`collect_subset_with`] without the harness.
 pub fn collect_subset_serial(names: &[&str]) -> SuiteRuns {
     SuiteRuns {
         workloads: suite()
@@ -1124,12 +1089,7 @@ fn site_predictor_runs(
 /// 1-bit and 2-bit per-branch schemes next to static profile feedback on
 /// the same runs — the comparison the paper frames against [Smith 81] /
 /// [Lee and Smith 84] — plus the profile-seeded 2-bit hybrid. Runs a fixed
-/// set of small program×dataset pairs.
-pub fn dynamic_table() -> Table {
-    dynamic_table_with(harness())
-}
-
-/// [`dynamic_table`] through an explicit harness.
+/// set of small program×dataset pairs, through `h`.
 pub fn dynamic_table_with(h: &Harness) -> Table {
     let pairs = [
         ("doduc", "tiny"),
@@ -1176,15 +1136,10 @@ pub fn dynamic_table_with(h: &Harness) -> Table {
 /// The run-length distribution between mispredicted branches (§3 "The
 /// distribution of runs of instructions between mispredicted branches will
 /// not be constant"): percentiles of instructions between mispredicts
-/// under self-prediction, showing how unevenly the breaks fall.
-pub fn distribution_table() -> Table {
-    distribution_table_with(harness())
-}
-
-/// [`distribution_table`] through an explicit harness. Two passes: the
-/// dynamic table's jobs supply each run's counts, then a second run per
-/// pair streams its run lengths under the self-predictor those counts
-/// define.
+/// under self-prediction, showing how unevenly the breaks fall. Two
+/// passes through `h`: the dynamic table's jobs supply each run's counts,
+/// then a second run per pair streams its run lengths under the
+/// self-predictor those counts define.
 pub fn distribution_table_with(h: &Harness) -> Table {
     let pairs = [
         ("doduc", "tiny"),
@@ -1247,14 +1202,9 @@ pub fn distribution_table_with(h: &Harness) -> Table {
 
 /// Inlining (extension): the paper argues inlining removes the two breaks
 /// per executed call. Compare instrs/break with calls counted, before and
-/// after the `mfopt` inliner, on a subset of programs.
-pub fn inlining_table() -> Table {
-    inlining_table_with(harness())
-}
-
-/// [`inlining_table`] through an explicit harness. Base and inlined
+/// after the `mfopt` inliner, on a subset of programs. Base and inlined
 /// builds are distinct IR, hence distinct run keys — both are submitted
-/// in one batch and execute in parallel.
+/// to `h` in one batch and execute in parallel.
 pub fn inlining_table_with(h: &Harness) -> Table {
     use mfopt::Inliner;
 
@@ -1577,7 +1527,8 @@ pub fn dyn_table(s: &SuiteRuns) -> Table {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mfharness::DiskCache;
+    use mfharness::{DiskCache, HarnessOptions};
+    use std::sync::OnceLock;
 
     const QUICK: &[&str] = &["doduc", "spiff", "mfcom"];
 
@@ -1746,9 +1697,18 @@ mod tests {
     #[test]
     fn verify_each_collection_matches_plain_collection() {
         let plain = collect_subset_with(&test_harness(2), &["spiff"]);
-        set_verify_each(true);
-        let checked = collect_subset_serial(&["spiff"]);
-        set_verify_each(false);
+        let verifying = Harness::new(HarnessOptions {
+            jobs: Some(2),
+            disk_cache: DiskCache::Off,
+            verify: true,
+            ..HarnessOptions::default()
+        });
+        let checked = collect_subset_with(&verifying, &["spiff"]);
+        assert!(verifying
+            .report()
+            .records
+            .iter()
+            .all(|r| r.verify_digest.is_some()));
         // The verifier must be invisible in the science: same optimized
         // instruction counts, same run statistics.
         let (a, b) = (&plain.workloads[0], &checked.workloads[0]);
@@ -1771,7 +1731,7 @@ mod tests {
         let mut builds = Vec::new();
         for w in suite() {
             let program = w.compile().unwrap();
-            let optimized = optimize(w.name, &program);
+            let optimized = optimize(w.name, &program, false);
             assert_eq!(optimized, w.compile_optimized().unwrap(), "{}", w.name);
             let mut inlined = program.clone();
             mfopt::Inliner::default().run(&mut inlined);
@@ -2035,6 +1995,88 @@ mod tests {
             assert!(w.op_count > 0, "{}", w.name);
             assert!(w.prior_datasets > 0, "{}", w.name);
         }
+    }
+
+    /// A prior database carried onto an edited build of doduc: a branchy
+    /// function inserted ahead of the others renumbers every recorded
+    /// site and adds sites no run ever fed. The renumbered sites are
+    /// salvaged with their counts, each new site degrades once however
+    /// many of doduc's three datasets miss it, and the static-tier
+    /// fallback lists exactly the degraded sites.
+    #[test]
+    fn suite_skew_salvages_renumbered_sites_and_degrades_new_ones_once() {
+        use std::collections::BTreeSet;
+
+        let svc = mem_service();
+        record_suite_svc(&svc, quick()).unwrap();
+        let prior = svc.merged_totals().unwrap();
+        let prior_fps = svc.merged_fingerprints_by_dataset().unwrap();
+
+        let mut s = quick().clone();
+        let doduc = s.workloads.iter_mut().find(|w| w.name == "doduc").unwrap();
+        let old_program = Arc::clone(&doduc.program);
+        let mut edited = suite().into_iter().find(|w| w.name == "doduc").unwrap();
+        edited.source = mfstale::edit::replace_once(
+            &edited.source,
+            "fn build_tables",
+            "fn inserted(x: int) -> int {
+    var s: int = 0;
+    for (var i: int = 0; i < x; i = i + 3) {
+        if (i > 7777) { s = s + 5; emit(s); } else { s = s - 11; }
+    }
+    return s;
+}
+fn build_tables",
+        )
+        .expect("doduc defines build_tables");
+        doduc.program = Arc::new(edited.compile().unwrap());
+        let program = Arc::clone(&doduc.program);
+
+        // The edit renumbers: every old site reappears `shift` ids later
+        // with its fingerprint, and the inserted function's sites are new.
+        let old_fps = mfstale::site_fingerprints(&old_program);
+        let new_fps = mfstale::site_fingerprints(&program);
+        let shift = (new_fps.len() - old_fps.len()) as u32;
+        assert!(shift > 0);
+        for (id, fp) in &old_fps {
+            assert_eq!(new_fps.get(&BranchId(id.0 + shift)), Some(fp), "{id}");
+        }
+        let inserted: Vec<BranchId> = program
+            .branch_info
+            .iter()
+            .enumerate()
+            .filter(|(_, info)| program.functions[info.func.index()].name == "inserted")
+            .map(|(i, _)| BranchId::from_index(i))
+            .collect();
+        assert_eq!(inserted.len(), shift as usize);
+
+        let skew = suite_skew(&prior, &prior_fps, &s).unwrap();
+        for w in &skew.workloads {
+            if w.name != "doduc" {
+                assert!(w.report.is_identity(), "{}: {}", w.name, w.report);
+            }
+        }
+        let w = skew.workloads.iter().find(|w| w.name == "doduc").unwrap();
+        assert_eq!(w.prior_datasets, 3);
+
+        // Every recorded entry is salvaged: its counts follow its
+        // fingerprint to the renumbered site; none stays in place, none is
+        // orphaned.
+        let recorded: usize = prior
+            .iter()
+            .filter(|(label, _)| label.starts_with("doduc/"))
+            .map(|(_, rows)| rows.len())
+            .sum();
+        assert_eq!(w.report.salvaged, recorded, "{}", w.report);
+        assert_eq!(w.report.matched + w.report.orphaned, 0, "{}", w.report);
+
+        // Each new site degrades once, not once per dataset that missed
+        // it; no renumbered site degrades, so each claimed its counts.
+        assert_eq!(w.report.degraded, inserted.len(), "{}", w.report);
+        let fallback: BTreeSet<BranchId> = w.fallback.iter().map(|&(id, ..)| id).collect();
+        assert_eq!(fallback.len(), w.fallback.len());
+        assert_eq!(fallback, inserted.into_iter().collect::<BTreeSet<_>>());
+        assert_eq!(skew.total.degraded, w.report.degraded);
     }
 
     /// Every recorded `program/dataset` record carries exactly the

@@ -22,7 +22,10 @@
 //!   `target/mfharness-cache/`.
 //! * `MFHARNESS_VERIFY` — any value other than `off`/`0`/empty runs the
 //!   `mfcheck` semantic verifier over every unique job's program and
-//!   stamps its digest on the run record (cache hits included).
+//!   stamps its digest on the run record (cache hits included). A
+//!   collection through a verifying harness (`mfbench::collect_with`)
+//!   also checks each optimized build between passes
+//!   (`mfopt::Pipeline::run_checked`), as `repro --verify-each` does.
 //!
 //! Observability — per-run timing, guest-instructions-per-second, cache
 //! hit/miss counters, worker utilization — accumulates in a
@@ -223,11 +226,6 @@ impl Harness {
             panics: AtomicU64::new(0),
             quarantine: Mutex::new(HashMap::new()),
         }
-    }
-
-    /// Builds a harness configured from the environment.
-    pub fn from_env() -> Self {
-        Harness::new(HarnessOptions::from_env())
     }
 
     /// A harness with no persistent tier — what tests should use.

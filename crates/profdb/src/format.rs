@@ -330,17 +330,17 @@ pub fn walk_batches(body: &[u8], mut visit: impl FnMut(Vec<ProfileRecord>)) -> u
     pos
 }
 
-/// [`walk_batches`] flattened: the salvaged records in append order plus
-/// the valid-prefix length.
-pub fn walk_frames(body: &[u8]) -> (Vec<ProfileRecord>, usize) {
-    let mut records = Vec::new();
-    let valid = walk_batches(body, |batch| records.extend(batch));
-    (records, valid)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// [`walk_batches`] flattened: the salvaged records in append order
+    /// plus the valid-prefix length.
+    fn walk_frames(body: &[u8]) -> (Vec<ProfileRecord>, usize) {
+        let mut records = Vec::new();
+        let valid = walk_batches(body, |batch| records.extend(batch));
+        (records, valid)
+    }
 
     fn sample() -> ProfileRecord {
         ProfileRecord {

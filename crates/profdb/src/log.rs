@@ -102,6 +102,12 @@ pub struct SegmentLog {
     dead: Option<String>,
     /// Records acknowledged `Degraded` — kept so reads still see them.
     memory: Vec<ProfileRecord>,
+    /// The active segment and its last acknowledged length, set when the
+    /// log degraded with a failed batch left on disk (its sync failed and
+    /// so did the truncate that should have cut it back). That batch
+    /// lives in `memory`, so reads stop at the acknowledged length
+    /// instead of counting it a second time from disk.
+    unrepaired: Option<(PathBuf, u64)>,
     warnings: Vec<String>,
     counters: StoreCounters,
 }
@@ -149,6 +155,7 @@ impl SegmentLog {
             tail_valid: false,
             dead: None,
             memory: Vec::new(),
+            unrepaired: None,
             warnings: Vec::new(),
             counters: StoreCounters::default(),
         };
@@ -216,7 +223,10 @@ impl SegmentLog {
     /// Reads a point-in-time copy of each segment and never mutates the
     /// directory, so it is safe alongside a live writer: a torn tail is
     /// salvaged away in memory, yielding always an exact committed
-    /// prefix and never a partial batch.
+    /// prefix and never a partial batch. A log that degraded without
+    /// cutting a failed batch back off its active segment reads that
+    /// segment only up to its last acknowledged byte: the batch is in
+    /// [`SegmentLog::memory_records`].
     pub fn read_batches(&mut self) -> Result<Vec<Vec<ProfileRecord>>, DbError> {
         let mut batches = Vec::new();
         self.visit_batches(|b| batches.push(b))?;
@@ -229,8 +239,14 @@ impl SegmentLog {
         &mut self,
         mut visit: impl FnMut(Vec<ProfileRecord>),
     ) -> Result<(), DbError> {
-        for (_, _, bytes) in self.scan_segments()?.0 {
-            format::walk_batches(&bytes[format::HEADER_LEN..], &mut visit);
+        for (_, path, bytes) in self.scan_segments()?.0 {
+            let end = match &self.unrepaired {
+                Some((segment, acked)) if *segment == path => bytes
+                    .len()
+                    .min(usize::try_from(*acked).unwrap_or(usize::MAX)),
+                _ => bytes.len(),
+            };
+            format::walk_batches(&bytes[format::HEADER_LEN..end], &mut visit);
         }
         Ok(())
     }
@@ -393,7 +409,10 @@ impl SegmentLog {
                 }
                 let detail = match repaired {
                     Ok(()) => String::new(),
-                    Err(re) => format!(" (tail repair also failed: {re})"),
+                    Err(re) => {
+                        self.unrepaired = Some((segment.clone(), committed_len));
+                        format!(" (tail repair also failed: {re})")
+                    }
                 };
                 self.degrade(format!(
                     "batch append to {} failed ({e}){detail}; \

@@ -4,6 +4,9 @@
 //! mid-append, or a directory that cannot be created all cost
 //! durability, not correctness.
 
+use std::io;
+use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 use mffault::{FaultPlan, FaultVfs, MemVfs, RetryPolicy, Vfs};
@@ -170,4 +173,101 @@ fn transient_faults_are_absorbed_by_retry_without_degrading() {
     let mut recovered = SegmentLog::open(mem as Arc<dyn Vfs>, DIR, RetryPolicy::none()).unwrap();
     assert_eq!(recovered.read_batches().unwrap().len(), 5);
     assert_eq!(rows(&mut recovered, "train"), vec![(0, 15, 5)]);
+}
+
+/// A `MemVfs` whose `sync` and `truncate` fail once `broken` is set.
+#[derive(Debug)]
+struct SyncAndTruncateFail {
+    mem: MemVfs,
+    broken: AtomicBool,
+}
+
+impl SyncAndTruncateFail {
+    fn fail_if_broken(&self) -> io::Result<()> {
+        if self.broken.load(Ordering::Relaxed) {
+            Err(io::Error::other("injected failure"))
+        } else {
+            Ok(())
+        }
+    }
+}
+
+impl Vfs for SyncAndTruncateFail {
+    fn read(&self, path: &Path) -> io::Result<Vec<u8>> {
+        self.mem.read(path)
+    }
+    fn len(&self, path: &Path) -> io::Result<u64> {
+        self.mem.len(path)
+    }
+    fn write(&self, path: &Path, bytes: &[u8]) -> io::Result<()> {
+        self.mem.write(path, bytes)
+    }
+    fn append(&self, path: &Path, bytes: &[u8]) -> io::Result<()> {
+        self.mem.append(path, bytes)
+    }
+    fn rename(&self, from: &Path, to: &Path) -> io::Result<()> {
+        self.mem.rename(from, to)
+    }
+    fn remove_file(&self, path: &Path) -> io::Result<()> {
+        self.mem.remove_file(path)
+    }
+    fn create_dir_all(&self, path: &Path) -> io::Result<()> {
+        self.mem.create_dir_all(path)
+    }
+    fn create_new(&self, path: &Path, bytes: &[u8]) -> io::Result<()> {
+        self.mem.create_new(path, bytes)
+    }
+    fn truncate(&self, path: &Path, len: u64) -> io::Result<()> {
+        self.fail_if_broken()?;
+        self.mem.truncate(path, len)
+    }
+    fn sync(&self, path: &Path) -> io::Result<()> {
+        self.fail_if_broken()?;
+        self.mem.sync(path)
+    }
+    fn read_dir(&self, dir: &Path) -> io::Result<Vec<PathBuf>> {
+        self.mem.read_dir(dir)
+    }
+    fn exists(&self, path: &Path) -> bool {
+        self.mem.exists(path)
+    }
+}
+
+#[test]
+fn a_failed_batch_left_on_disk_counts_once() {
+    let vfs = Arc::new(SyncAndTruncateFail {
+        mem: MemVfs::new(),
+        broken: AtomicBool::new(false),
+    });
+    let mut log = SegmentLog::open(vfs.clone() as Arc<dyn Vfs>, DIR, RetryPolicy::none()).unwrap();
+    assert_eq!(
+        commit(&mut log, record("train", &[(0, 1, 1)])),
+        Persistence::Committed
+    );
+
+    // The next append lands whole, but its sync fails and so does the
+    // truncate that should cut it back: the log degrades and keeps the
+    // batch in memory while its complete frame stays on disk.
+    vfs.broken.store(true, Ordering::Relaxed);
+    assert_eq!(
+        commit(&mut log, record("train", &[(0, 1, 1)])),
+        Persistence::Degraded
+    );
+    assert!(!log.is_persistent());
+    assert!(
+        log.warnings()
+            .iter()
+            .any(|w| w.contains("tail repair also failed")),
+        "warnings: {:?}",
+        log.warnings()
+    );
+    assert_eq!(log.memory_records().len(), 1);
+    // Each commit counts once: the first from disk, the second from
+    // memory.
+    assert_eq!(rows(&mut log, "train"), vec![(0, 2, 2)]);
+
+    // A fresh reader sees both frames on disk: the failed batch really
+    // is there, and only the degraded log that kept it must skip it.
+    let mut reader = SegmentLog::open(vfs as Arc<dyn Vfs>, DIR, RetryPolicy::none()).unwrap();
+    assert_eq!(reader.read_batches().unwrap().len(), 2);
 }

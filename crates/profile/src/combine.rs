@@ -3,7 +3,7 @@
 use std::collections::BTreeMap;
 use std::fmt;
 
-use mfcheck::{ProfileIssue, SiteDiff};
+use mfcheck::ProfileIssue;
 use trace_ir::BranchId;
 use trace_vm::BranchCounts;
 
@@ -125,168 +125,33 @@ pub fn combine(profiles: &[&BranchCounts], rule: CombineRule) -> WeightedCounts 
     WeightedCounts { counts: out }
 }
 
-/// Why [`combine_checked`] refused to merge a set of profiles.
+/// Why a prior profile could not be carried onto a build: one of its
+/// datasets is internally inconsistent (for example a taken count above
+/// its execution count, possible in data read from disk rather than
+/// recorded by the VM).
 #[derive(Clone, Debug, PartialEq)]
 pub enum CombineError {
-    /// A dataset's counters are internally inconsistent (for example a
-    /// taken count above its execution count, possible in data read from
-    /// disk rather than recorded by the VM).
+    /// A dataset's counters are internally inconsistent.
     Corrupt {
         /// Zero-based index of the offending dataset.
         dataset: usize,
         /// What the consistency checker found.
         issues: Vec<ProfileIssue>,
     },
-    /// A dataset's branch-site set disagrees with the first dataset's —
-    /// the profiles were collected from different compilations of
-    /// different programs, so summing them per-branch is meaningless.
-    SiteMismatch {
-        /// Zero-based index of the dataset that disagrees with dataset 0.
-        dataset: usize,
-        /// How the site sets differ.
-        diff: SiteDiff,
-    },
 }
 
 impl fmt::Display for CombineError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            CombineError::Corrupt { dataset, issues } => {
-                write!(f, "dataset {dataset} is corrupt:")?;
-                for issue in issues {
-                    write!(f, "\n  {issue}")?;
-                }
-                Ok(())
-            }
-            CombineError::SiteMismatch { dataset, diff } => write!(
-                f,
-                "dataset {dataset} covers different branch sites than dataset 0: {diff}"
-            ),
+        let CombineError::Corrupt { dataset, issues } = self;
+        write!(f, "dataset {dataset} is corrupt:")?;
+        for issue in issues {
+            write!(f, "\n  {issue}")?;
         }
+        Ok(())
     }
 }
 
 impl std::error::Error for CombineError {}
-
-/// [`combine`], but validated first: every dataset must be internally
-/// consistent (`taken ≤ executed`) and all datasets must cover the *same*
-/// branch-site set.
-///
-/// The site check is strict set equality, which is right for full
-/// profiles (directive files write a row for every registered branch).
-/// VM-recorded counts only contain branches that actually executed, so
-/// merging sparse per-dataset counts of one program across datasets that
-/// exercise different code should keep using the unchecked [`combine`].
-///
-/// # Errors
-///
-/// Returns the first [`CombineError`] found, identifying the dataset.
-pub fn combine_checked(
-    profiles: &[&BranchCounts],
-    rule: CombineRule,
-) -> Result<WeightedCounts, CombineError> {
-    let site_set = |p: &BranchCounts| -> Vec<BranchId> { p.iter().map(|(id, _, _)| id).collect() };
-    for (i, p) in profiles.iter().enumerate() {
-        let entries: Vec<(BranchId, u64, u64)> = p.iter().collect();
-        let issues = mfcheck::check_entries(&entries);
-        if !issues.is_empty() {
-            return Err(CombineError::Corrupt { dataset: i, issues });
-        }
-        if i > 0 {
-            if let Some(diff) = mfcheck::site_diff(&site_set(profiles[0]), &entries_ids(&entries)) {
-                return Err(CombineError::SiteMismatch { dataset: i, diff });
-            }
-        }
-    }
-    Ok(combine(profiles, rule))
-}
-
-fn entries_ids(entries: &[(BranchId, u64, u64)]) -> Vec<BranchId> {
-    entries.iter().map(|&(id, _, _)| id).collect()
-}
-
-/// The result of a version-skew-tolerant combine: the merged predictor plus
-/// a full accounting of how every recorded site mapped onto the current
-/// program.
-#[derive(Clone, Debug, PartialEq)]
-pub struct SkewedCombine {
-    /// The combined predictor, keyed by the *current* program's branch ids.
-    pub counts: WeightedCounts,
-    /// Whole-database classification: per-dataset [`mfstale::SkewReport`]s
-    /// folded together, with `degraded` set to the number of live sites no
-    /// dataset could feed (not the per-dataset sum).
-    pub report: mfstale::SkewReport,
-    /// Live sites of the current program that received no counts from any
-    /// dataset *and* have no structural ancestor in the recorded program,
-    /// sorted — callers degrade these to the static prediction tier
-    /// (interval proofs → ML model → BTFN). A never-executed site both
-    /// program versions share is not listed: the profile is silent about
-    /// it either way.
-    pub degraded: Vec<BranchId>,
-}
-
-/// [`combine_checked`]'s version-skew-tolerant sibling: instead of
-/// rejecting datasets whose branch-site set disagrees (the program was
-/// edited between accumulation and reuse), each dataset is remapped onto
-/// the current program's fingerprint set via [`mfstale::remap_counts`]
-/// before combining.
-///
-/// `old_fps` holds the fingerprints stored alongside the database (empty
-/// for a pure-legacy database: every site remaps by id, flagged
-/// `unverified`); `new_fps` comes from
-/// [`mfstale::site_fingerprints`] of the program about to run. Sites no
-/// dataset could feed are returned in `degraded` so the caller can fall
-/// back per-site instead of failing whole.
-///
-/// # Errors
-///
-/// Returns [`CombineError::Corrupt`] for internally inconsistent datasets
-/// — skew tolerance does not excuse `taken > executed`. Never returns
-/// [`CombineError::SiteMismatch`].
-pub fn combine_skewed(
-    profiles: &[&BranchCounts],
-    old_fps: &BTreeMap<BranchId, mfstale::SiteFp>,
-    new_fps: &BTreeMap<BranchId, mfstale::SiteFp>,
-    rule: CombineRule,
-) -> Result<SkewedCombine, CombineError> {
-    let mut report = mfstale::SkewReport::default();
-    let mut remapped: Vec<BranchCounts> = Vec::with_capacity(profiles.len());
-    for (i, p) in profiles.iter().enumerate() {
-        let entries: Vec<(BranchId, u64, u64)> = p.iter().collect();
-        let issues = mfcheck::check_entries(&entries);
-        if !issues.is_empty() {
-            return Err(CombineError::Corrupt { dataset: i, issues });
-        }
-        let out = mfstale::remap_counts(&entries, old_fps, new_fps);
-        report.merge(&out.report);
-        remapped.push(out.counts.into_iter().collect());
-    }
-    let refs: Vec<&BranchCounts> = remapped.iter().collect();
-    let counts = combine(&refs, rule);
-    // A site is degraded only if *no* dataset fed it (the per-dataset sum
-    // folded above would count a site once per dataset that missed it)
-    // and the old program had no structurally identical site either — a
-    // never-executed site both versions share is silence, not skew.
-    // Remapping the element-wise sum of every dataset yields exactly that
-    // set, with mfstale's zero-count structural matching applied once.
-    let mut summed: BTreeMap<BranchId, (u64, u64)> = BTreeMap::new();
-    for p in profiles {
-        for (id, e, t) in p.iter() {
-            let slot = summed.entry(id).or_insert((0, 0));
-            slot.0 = slot.0.saturating_add(e);
-            slot.1 = slot.1.saturating_add(t);
-        }
-    }
-    let summed_entries: Vec<(BranchId, u64, u64)> =
-        summed.into_iter().map(|(id, (e, t))| (id, e, t)).collect();
-    let degraded = mfstale::remap_counts(&summed_entries, old_fps, new_fps).degraded;
-    report.degraded = degraded.len();
-    Ok(SkewedCombine {
-        counts,
-        report,
-        degraded,
-    })
-}
 
 #[cfg(test)]
 mod tests {
@@ -356,96 +221,9 @@ mod tests {
     }
 
     #[test]
-    fn checked_combine_accepts_matching_sites() {
-        let a = counts(&[(0, 100, 90), (1, 50, 10)]);
-        let b = counts(&[(0, 10, 0), (1, 8, 8)]);
-        let checked = combine_checked(&[&a, &b], CombineRule::Scaled).unwrap();
-        let plain = combine(&[&a, &b], CombineRule::Scaled);
-        assert_eq!(checked, plain);
-    }
-
-    #[test]
-    fn checked_combine_rejects_site_mismatch() {
-        let a = counts(&[(0, 100, 90), (1, 50, 10)]);
-        let b = counts(&[(0, 10, 0), (2, 8, 8)]);
-        let err = combine_checked(&[&a, &b], CombineRule::Scaled).unwrap_err();
-        match &err {
-            CombineError::SiteMismatch { dataset, diff } => {
-                assert_eq!(*dataset, 1);
-                assert_eq!(diff.missing, vec![BranchId(1)]);
-                assert_eq!(diff.extra, vec![BranchId(2)]);
-            }
-            other => panic!("expected SiteMismatch, got {other:?}"),
-        }
-        assert!(err.to_string().contains("dataset 1"));
-    }
-
-    #[test]
     fn from_branch_counts() {
         let a = counts(&[(2, 8, 3)]);
         let w = WeightedCounts::from(&a);
         assert_eq!(w.get(BranchId(2)), (8.0, 3.0));
-    }
-
-    fn fps(pairs: &[(u32, u64)]) -> BTreeMap<BranchId, mfstale::SiteFp> {
-        pairs.iter().map(|&(id, fp)| (BranchId(id), fp)).collect()
-    }
-
-    #[test]
-    fn skewed_combine_is_checked_combine_on_identity() {
-        let a = counts(&[(0, 100, 90), (1, 50, 10)]);
-        let b = counts(&[(0, 10, 0), (1, 8, 8)]);
-        let same = fps(&[(0, 77), (1, 88)]);
-        let skewed = combine_skewed(&[&a, &b], &same, &same, CombineRule::Scaled).unwrap();
-        let checked = combine_checked(&[&a, &b], CombineRule::Scaled).unwrap();
-        assert_eq!(skewed.counts, checked);
-        assert!(skewed.report.is_identity(), "{}", skewed.report);
-        assert!(skewed.degraded.is_empty());
-    }
-
-    #[test]
-    fn skewed_combine_salvages_moved_sites_and_degrades_new_ones() {
-        // Old program: sites 0 and 1. New program: site 0 moved to id 5
-        // (same fingerprint), site 1 gone, brand-new site 6.
-        let a = counts(&[(0, 100, 90), (1, 50, 10)]);
-        let old = fps(&[(0, 77), (1, 88)]);
-        let new = fps(&[(5, 77), (6, 99)]);
-        let out = combine_skewed(&[&a], &old, &new, CombineRule::Unscaled).unwrap();
-        assert_eq!(out.counts.get(BranchId(5)), (100.0, 90.0));
-        assert_eq!(out.report.salvaged, 1, "{}", out.report);
-        assert_eq!(out.report.orphaned, 1, "{}", out.report);
-        assert_eq!(out.degraded, vec![BranchId(6)]);
-        assert_eq!(out.report.degraded, 1);
-        // Site mismatch would have killed combine_checked outright.
-        assert!(matches!(
-            combine_checked(
-                &[&a, &counts(&[(5, 1, 0), (6, 1, 0)])],
-                CombineRule::Unscaled
-            ),
-            Err(CombineError::SiteMismatch { .. })
-        ));
-    }
-
-    #[test]
-    fn skewed_combine_counts_degraded_sites_once_across_datasets() {
-        // Two datasets both miss new site 9: it must degrade once, not twice.
-        let a = counts(&[(0, 4, 2)]);
-        let b = counts(&[(0, 6, 6)]);
-        let old = fps(&[(0, 11)]);
-        let new = fps(&[(0, 11), (9, 22)]);
-        let out = combine_skewed(&[&a, &b], &old, &new, CombineRule::Unscaled).unwrap();
-        assert_eq!(out.report.matched, 2);
-        assert_eq!(out.degraded, vec![BranchId(9)]);
-        assert_eq!(out.report.degraded, 1);
-    }
-
-    #[test]
-    fn skewed_combine_flags_legacy_databases_as_unverified() {
-        let a = counts(&[(0, 4, 2)]);
-        let new = fps(&[(0, 11)]);
-        let out = combine_skewed(&[&a], &BTreeMap::new(), &new, CombineRule::Unscaled).unwrap();
-        assert_eq!(out.report.matched, 1);
-        assert_eq!(out.report.unverified, 1);
-        assert!(out.degraded.is_empty());
     }
 }

@@ -19,7 +19,13 @@
 //!   [`CombineRule::Polling`] — §3 "Scaled vs. unscaled summary
 //!   predictors"),
 //! * [`directives`] writes profiles out as source-level `IFPROB` directives
-//!   and parses them back, completing the feedback loop.
+//!   and parses them back, completing the feedback loop,
+//! * [`coverage`] and [`overlap`] measure whether two datasets exercise
+//!   the same branches (the paper's informal observations).
+//!
+//! Carrying a prior database onto an edited build (version skew) is
+//! `mfstale::remap_counts`, driven per workload by `mfbench::suite_skew`,
+//! which reports a corrupt prior dataset as a [`CombineError`].
 //!
 //! ```
 //! use ifprob::{combine, CombineRule, ProfileDb};
@@ -45,11 +51,7 @@ mod combine;
 pub mod directives;
 mod stats;
 
-pub use combine::{
-    combine, combine_checked, combine_skewed, CombineError, CombineRule, SkewedCombine,
-    WeightedCounts,
-};
-pub use mfstale::{SiteFp, SkewReport};
+pub use combine::{combine, CombineError, CombineRule, WeightedCounts};
 pub use stats::{coverage, overlap, Coverage};
 
 use std::collections::BTreeMap;
