@@ -15,9 +15,14 @@
 //! caller builds and passes in (`repro`, `dynbench` and `mftrain` build
 //! one from their flags over [`mfharness::HarnessOptions::from_env`]):
 //! runs are deduplicated by content key, repeats are served from the
-//! cache, and misses execute on a work-stealing pool. Results come back
-//! in submission order, so every table and figure is bit-identical to the
-//! serial reference path ([`collect_serial`]) at any worker count.
+//! cache, and misses execute on a work-stealing pool. The same workers
+//! prepare the runs: they generate only the workloads a collection or
+//! extension table runs ([`mfwork::workload`]), build each distinct
+//! program with its static predictors, and construct the run jobs with
+//! their keys; a one-worker harness does all of it on the calling thread.
+//! Results come back in submission order, so every table and figure is
+//! bit-identical to the serial reference path ([`collect_serial`]) at any
+//! worker count.
 
 pub mod chaos;
 
@@ -34,7 +39,7 @@ use mfreport::json::Json;
 use mfreport::{fmt_percent, fmt_value, BarChart, Table};
 use mfwork::{suite, Group, Workload};
 use trace_ir::{BranchId, Program};
-use trace_vm::{Backend, VmConfig};
+use trace_vm::{Backend, Input, VmConfig};
 
 /// One workload's collected experiment data: the profiling build and
 /// everything measured on it, so whatever persists or reinterprets the
@@ -145,10 +150,17 @@ fn check_run_profile(program: &Program, label: &str, dataset: &str, stats: &trac
     );
 }
 
-/// A workload with its compiled artifacts, ready to submit.
+/// A workload's builds and run jobs, ready to submit.
 struct Prepared {
-    workload: Workload,
-    build: Build,
+    name: &'static str,
+    group: Group,
+    /// The workload's dataset names, in order.
+    datasets: Vec<String>,
+    /// Shared by the workloads that run one source.
+    build: Arc<Build>,
+    /// One zoo-observed job per dataset on the profiling build, then the
+    /// optimized build on the first dataset.
+    jobs: Vec<RunJob>,
 }
 
 /// What preparing a guest program yields: its builds and static
@@ -237,73 +249,121 @@ impl Build {
     }
 }
 
-/// Prepares each workload, building every distinct source once: compress
-/// and uncompress are one guest program, so they share its builds and
-/// predictors (the `Arc`s point at one program). `verify` checks the
-/// optimized builds between passes.
-fn prepare(workloads: impl IntoIterator<Item = Workload>, verify: bool) -> Vec<Prepared> {
-    let mut prepared: Vec<Prepared> = Vec::new();
-    for workload in workloads {
-        let build = match prepared
-            .iter()
-            .find(|p| p.workload.source == workload.source)
-        {
-            Some(twin) => twin.build.clone(),
-            None => Build::of(&workload, verify),
-        };
-        prepared.push(Prepared { workload, build });
-    }
-    prepared
+/// Runs `f(i)` for every `i in 0..count` on `h`'s workers and returns the
+/// results in index order; a one-worker harness runs them on the calling
+/// thread and spawns none. A panic in `f` (the first in index order)
+/// resurfaces on the calling thread with its own message, so a failed
+/// build reads the same at any worker count.
+fn on_workers<T, F>(h: &Harness, count: usize, f: F) -> Vec<T>
+where
+    T: Send + Sync,
+    F: Fn(usize) -> T + Sync,
+{
+    mfharness::run_indexed_supervised(h.jobs(), count, f)
+        .0
+        .into_iter()
+        .map(|r| r.unwrap_or_else(|message| std::panic::resume_unwind(Box::new(message))))
+        .collect()
 }
 
-/// Submits the whole batch — every dataset of every prepared workload,
-/// plus each workload's optimized build on its first dataset — and
-/// assembles per-workload results in submission order.
-fn collect_prepared(h: &Harness, prepared: Vec<Prepared>) -> SuiteRuns {
-    let mut jobs = Vec::new();
-    for p in &prepared {
-        for d in &p.workload.datasets {
-            jobs.push(RunJob::with_observer(
-                p.workload.name,
-                d.name.clone(),
-                Arc::clone(&p.build.program),
-                d.inputs.clone(),
-                run_config(p.workload.vm_config()),
-                Observe::Zoo(mfdyn::full_zoo()),
-            ));
-        }
-        let first = &p.workload.datasets[0];
+/// Prepares each workload on `h`'s workers: builds every distinct source
+/// once, then constructs each workload's run jobs, keys included.
+/// compress and uncompress are one guest program, so they share its
+/// builds and predictors (the `Arc`s point at one program). A verifying
+/// harness also checks the optimized builds between passes.
+fn prepare(h: &Harness, workloads: Vec<Workload>) -> Vec<Prepared> {
+    // `firsts`: the first workload with each distinct source, in order;
+    // `build_of[i]`: which of them workload `i` shares its build with.
+    let mut firsts: Vec<usize> = Vec::new();
+    let build_of: Vec<usize> = workloads
+        .iter()
+        .enumerate()
+        .map(|(i, w)| {
+            firsts
+                .iter()
+                .position(|&f| workloads[f].source == w.source)
+                .unwrap_or_else(|| {
+                    firsts.push(i);
+                    firsts.len() - 1
+                })
+        })
+        .collect();
+    let verify = h.verify();
+    let builds = on_workers(h, firsts.len(), |k| {
+        Arc::new(Build::of(&workloads[firsts[k]], verify))
+    });
+    let jobs = on_workers(h, workloads.len(), |i| {
+        let (w, build) = (&workloads[i], &builds[build_of[i]]);
+        let config = run_config(w.vm_config());
+        let mut jobs: Vec<RunJob> = w
+            .datasets
+            .iter()
+            .map(|d| {
+                RunJob::with_observer(
+                    w.name,
+                    d.name.clone(),
+                    Arc::clone(&build.program),
+                    d.inputs.clone(),
+                    config,
+                    Observe::Zoo(mfdyn::full_zoo()),
+                )
+            })
+            .collect();
+        let first = &w.datasets[0];
         jobs.push(RunJob::new(
-            format!("{}:optimized", p.workload.name),
+            format!("{}:optimized", w.name),
             first.name.clone(),
-            Arc::clone(&p.build.optimized),
+            Arc::clone(&build.optimized),
             first.inputs.clone(),
-            run_config(p.workload.vm_config()),
+            config,
         ));
+        jobs
+    });
+    workloads
+        .iter()
+        .zip(jobs)
+        .zip(build_of)
+        .map(|((w, jobs), k)| Prepared {
+            name: w.name,
+            group: w.group,
+            datasets: w.datasets.iter().map(|d| d.name.clone()).collect(),
+            build: Arc::clone(&builds[k]),
+            jobs,
+        })
+        .collect()
+}
+
+/// Submits the whole batch — every prepared job, in workload order — and
+/// assembles per-workload results in submission order.
+fn collect_prepared(h: &Harness, mut prepared: Vec<Prepared>) -> SuiteRuns {
+    let mut jobs = Vec::new();
+    for p in &mut prepared {
+        jobs.append(&mut p.jobs);
     }
     let outcomes = h.run(jobs).unwrap_or_else(|e| panic!("{e}"));
     let mut outcomes = outcomes.into_iter();
     let mut workloads = Vec::with_capacity(prepared.len());
-    for Prepared { workload, build } in prepared {
-        let mut runs = Vec::with_capacity(workload.datasets.len());
-        let mut zoo = Vec::with_capacity(workload.datasets.len());
-        for d in &workload.datasets {
+    for p in prepared {
+        let mut runs = Vec::with_capacity(p.datasets.len());
+        let mut zoo = Vec::with_capacity(p.datasets.len());
+        for dataset in p.datasets {
             let outcome = outcomes.next().expect("one outcome per dataset job");
-            check_run_profile(&build.program, workload.name, &d.name, &outcome.stats);
-            runs.push(DatasetRun::new(d.name.clone(), (*outcome.stats).clone()));
+            check_run_profile(&p.build.program, p.name, &dataset, &outcome.stats);
             zoo.push(
                 outcome
                     .zoo()
                     .expect("zoo jobs always carry a report")
                     .clone(),
             );
+            runs.push(DatasetRun::new(dataset, (*outcome.stats).clone()));
         }
         let opt = outcomes.next().expect("one outcome per optimized job");
         let base_instrs_first = runs[0].stats.total_instrs;
         let select_ratio = runs[0].stats.select_ratio();
+        let build = Arc::unwrap_or_clone(p.build);
         workloads.push(WorkloadRuns {
-            name: workload.name.to_string(),
-            group: workload.group,
+            name: p.name.to_string(),
+            group: p.group,
             program: build.program,
             runs,
             opt_instrs_first: opt.stats.total_instrs,
@@ -366,9 +426,6 @@ pub struct WorkloadSkew {
     /// Live sites no prior record could feed, with their static-tier
     /// fallback prediction (interval proof → ML model → BTFN).
     pub fallback: Vec<(trace_ir::BranchId, bool, mfpredict::StaticTierSource)>,
-    /// Op count of the flat-backend compilation laid out along the
-    /// remapped profile ([`trace_vm::FlatProgram::compile_with_profile`]).
-    pub op_count: usize,
 }
 
 /// The whole suite's profile-reuse assessment against a prior database.
@@ -410,7 +467,6 @@ pub fn skew_json(skew: Option<&SuiteSkew>) -> Json {
             ("orphaned", w.report.orphaned.into()),
             ("unverified", w.report.unverified.into()),
             ("fallback_sites", w.fallback.len().into()),
-            ("op_count", w.op_count.into()),
         ])
     });
     Json::object([
@@ -438,12 +494,10 @@ pub fn skew_json(skew: Option<&SuiteSkew>) -> Json {
 /// fingerprint onto [`WorkloadRuns::program`], the build this generation
 /// measured and will record ([`mfstale::remap_counts`]); the per-dataset
 /// reports fold into the workload's report. The records' element-wise sum
-/// is then remapped once: its counts steer the flat layout behind
-/// [`WorkloadSkew::op_count`], and its degraded sites, the ones *no*
-/// record could feed, fall to the static tier
-/// ([`mfpredict::static_tier`]) and carry no counts, so they lay out as
-/// if unprofiled. Workloads with no prior records are skipped — that is
-/// the first-generation case, not an error.
+/// is then remapped once: its degraded sites, the ones *no* record could
+/// feed, fall to the static tier ([`mfpredict::static_tier`]). Workloads
+/// with no prior records are skipped — that is the first-generation case,
+/// not an error.
 ///
 /// # Errors
 ///
@@ -502,37 +556,34 @@ pub fn suite_skew(
             summed.into_iter().map(|(id, (e, t))| (id, e, t)).collect();
         let remap = mfstale::remap_counts(&summed, &old_fps, &new_fps);
         report.degraded = remap.degraded.len();
-        let profile: trace_vm::BranchCounts = remap.counts.into_iter().collect();
         out.total.merge(&report);
         out.workloads.push(WorkloadSkew {
             name: w.name.clone(),
             prior_datasets: datasets.len(),
             report,
             fallback: mfpredict::static_tier(program, &remap.degraded),
-            op_count: trace_vm::FlatProgram::compile_with_profile(program, &profile).op_count(),
         });
     }
     Ok(out)
 }
 
 /// Runs every workload on every dataset (the expensive step — everything
-/// downstream is analytic) through `h`. When `h` verifies
+/// downstream is analytic) through `h`, whose workers also generate the
+/// workloads, build the programs and key the runs. When `h` verifies
 /// ([`Harness::verify`]), the optimized builds are also checked between
 /// passes.
 pub fn collect_with(h: &Harness) -> SuiteRuns {
-    collect_prepared(h, prepare(suite(), h.verify()))
+    collect_subset_with(h, &mfwork::names().collect::<Vec<_>>())
 }
 
 /// [`collect_with`] over a named subset (used by tests and the quick
-/// bench profile).
+/// bench profile), in suite order; it generates only those workloads.
 pub fn collect_subset_with(h: &Harness, names: &[&str]) -> SuiteRuns {
-    collect_prepared(
-        h,
-        prepare(
-            suite().into_iter().filter(|w| names.contains(&w.name)),
-            h.verify(),
-        ),
-    )
+    let names: Vec<&str> = mfwork::names().filter(|n| names.contains(n)).collect();
+    let workloads = on_workers(h, names.len(), |i| {
+        mfwork::workload(names[i]).expect("names come from the suite")
+    });
+    collect_prepared(h, prepare(h, workloads))
 }
 
 // --------------------------------------------------------------------
@@ -1054,33 +1105,41 @@ pub fn crossmode_table(s: &SuiteRuns) -> Option<Table> {
     Some(t)
 }
 
+/// Generates the workload `prog` alone and takes the inputs of its dataset
+/// `dataset`; `None` when the suite has no such pair.
+fn generate_pair(prog: &str, dataset: &str) -> Option<(Workload, Vec<Input>)> {
+    let mut w = mfwork::workload(prog)?;
+    let i = w.datasets.iter().position(|d| d.name == dataset)?;
+    let inputs = w.datasets.swap_remove(i).inputs;
+    Some((w, inputs))
+}
+
 /// Runs each suite pair in `pairs` through `h` observed by its program's
-/// [`mfdyn::site_zoo`], returning each job with its outcome. The dynamic
-/// and distribution tables submit identical jobs for the pairs they share,
-/// so those run once per harness.
+/// [`mfdyn::site_zoo`], returning each job with its outcome. `h`'s workers
+/// generate, compile and key the pairs. The dynamic and distribution
+/// tables submit identical jobs for the pairs they share, so those run
+/// once per harness.
 fn site_predictor_runs(
     h: &Harness,
     pairs: &[(&'static str, &'static str)],
 ) -> Vec<(RunJob, mfharness::RunOutcome)> {
-    let all = suite();
-    let mut jobs = Vec::new();
-    for &(prog, dataset) in pairs {
-        let found = all.iter().find(|w| w.name == prog);
-        let Some((w, d)) = found.and_then(|w| Some((w, w.dataset(dataset)?))) else {
-            continue;
-        };
+    let jobs: Vec<RunJob> = on_workers(h, pairs.len(), |i| {
+        let (prog, dataset) = pairs[i];
+        let (w, inputs) = generate_pair(prog, dataset)?;
         let program = Arc::new(w.compile().expect("bundled workload compiles"));
         let specs = mfdyn::site_zoo(&program).to_vec();
-        let config = run_config(VmConfig::default());
-        jobs.push(RunJob::with_observer(
+        Some(RunJob::with_observer(
             prog,
             dataset,
             program,
-            d.inputs.clone(),
-            config,
+            inputs,
+            run_config(VmConfig::default()),
             Observe::Zoo(specs),
-        ));
-    }
+        ))
+    })
+    .into_iter()
+    .flatten()
+    .collect();
     let outcomes = h.run(jobs.clone()).unwrap_or_else(|e| panic!("{e}"));
     jobs.into_iter().zip(outcomes).collect()
 }
@@ -1202,14 +1261,14 @@ pub fn distribution_table_with(h: &Harness) -> Table {
 
 /// Inlining (extension): the paper argues inlining removes the two breaks
 /// per executed call. Compare instrs/break with calls counted, before and
-/// after the `mfopt` inliner, on a subset of programs. Base and inlined
-/// builds are distinct IR, hence distinct run keys — both are submitted
-/// to `h` in one batch and execute in parallel.
+/// after the `mfopt` inliner, on a subset of programs. `h`'s workers
+/// generate, compile and inline the pairs. Base and inlined builds are
+/// distinct IR, hence distinct run keys — both are submitted to `h` in
+/// one batch and execute in parallel.
 pub fn inlining_table_with(h: &Harness) -> Table {
     use mfopt::Inliner;
 
     let cfg = BreakConfig::fig2_with_calls();
-    let all = suite();
     let mut t = Table::new(&[
         "PROGRAM/DATASET",
         "I/B (CALLS BREAK)",
@@ -1217,48 +1276,45 @@ pub fn inlining_table_with(h: &Harness) -> Table {
         "CALLS BEFORE",
         "CALLS AFTER",
     ]);
-    let mut selected = Vec::new();
-    let mut jobs = Vec::new();
-    for (prog, dataset) in [
+    let pairs = [
         ("doduc", "tiny"),
         ("gcc", "loop_mod"),
         ("li", "kittyv"),
         ("mfcom", "c_metric"),
         ("spiff", "case1"),
-    ] {
-        let Some(w) = all.iter().find(|w| w.name == prog) else {
-            continue;
-        };
-        let Some(d) = w.dataset(dataset) else {
-            continue;
-        };
+    ];
+    let jobs: Vec<RunJob> = on_workers(h, pairs.len(), |i| {
+        let (prog, dataset) = pairs[i];
+        let (w, inputs) = generate_pair(prog, dataset)?;
         let base = Arc::new(w.compile().expect("compiles"));
         let mut inlined = (*base).clone();
         Inliner::default().run(&mut inlined);
         let config = run_config(VmConfig::default());
-        jobs.push(RunJob::new(prog, dataset, base, d.inputs.clone(), config));
-        jobs.push(RunJob::new(
-            format!("{prog}:inlined"),
-            dataset,
-            Arc::new(inlined),
-            d.inputs.clone(),
-            config,
-        ));
-        selected.push((prog, dataset));
-    }
+        Some([
+            RunJob::new(prog, dataset, base, inputs.clone(), config),
+            RunJob::new(
+                format!("{prog}:inlined"),
+                dataset,
+                Arc::new(inlined),
+                inputs,
+                config,
+            ),
+        ])
+    })
+    .into_iter()
+    .flatten()
+    .flatten()
+    .collect();
     let outcomes = h.run(jobs).unwrap_or_else(|e| panic!("{e}"));
-    let mut outcomes = outcomes.into_iter();
-    for (prog, dataset) in selected {
-        let base_run = outcomes.next().expect("base outcome");
-        let in_run = outcomes.next().expect("inlined outcome");
-        let (base_run, in_run) = (&base_run.run, &in_run.run);
-        assert_eq!(base_run.output, in_run.output, "{prog}: inlining broke it");
+    for pair in outcomes.chunks_exact(2) {
+        let (label, base_run, in_run) = (&pair[0].label, &pair[0].run, &pair[1].run);
+        assert_eq!(base_run.output, in_run.output, "{label}: inlining broke it");
         let m = |stats: &trace_vm::RunStats| {
             let p = Predictor::from_counts(&stats.branches, bpredict::Direction::NotTaken);
             evaluate(stats, &p, cfg)
         };
         t.row_owned(vec![
-            format!("{prog}/{dataset}"),
+            label.clone(),
             fmt_value(m(&base_run.stats).instrs_per_break),
             fmt_value(m(&in_run.stats).instrs_per_break),
             base_run.stats.events.direct_calls.to_string(),
@@ -1798,6 +1854,39 @@ mod tests {
         }
     }
 
+    /// A build that panics on a worker thread resurfaces on the calling
+    /// thread with its own message — the one `Build::of` panics with and
+    /// a one-worker harness gives — not as a failed worker.
+    #[test]
+    fn a_failed_build_keeps_its_message_at_any_worker_count() {
+        fn message(payload: Box<dyn std::any::Any + Send>) -> String {
+            match payload.downcast::<String>() {
+                Ok(text) => *text,
+                Err(payload) => payload
+                    .downcast_ref::<&str>()
+                    .expect("a text payload")
+                    .to_string(),
+            }
+        }
+        let mut broken = mfwork::workload("spiff").unwrap();
+        broken.source.push_str("\nfn (");
+        let direct = std::panic::catch_unwind(|| Build::of(&broken, false))
+            .map(|_| ())
+            .expect_err("the source does not compile");
+        let direct = message(direct);
+        assert!(direct.starts_with("bundled workload compiles"), "{direct}");
+        for jobs in [1, 2] {
+            // Two distinct sources, so two workers spawn two threads.
+            let workloads = vec![broken.clone(), mfwork::workload("doduc").unwrap()];
+            let payload = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                prepare(&test_harness(jobs), workloads)
+            }))
+            .map(|_| ())
+            .expect_err("preparing a source that does not compile panics");
+            assert_eq!(message(payload), direct, "jobs = {jobs}");
+        }
+    }
+
     #[test]
     fn charts_render() {
         let s = quick();
@@ -1992,7 +2081,6 @@ mod tests {
         for w in &skew.workloads {
             assert!(w.report.is_identity(), "{}: {}", w.name, w.report);
             assert!(w.fallback.is_empty(), "{}", w.name);
-            assert!(w.op_count > 0, "{}", w.name);
             assert!(w.prior_datasets > 0, "{}", w.name);
         }
     }

@@ -14,12 +14,18 @@
 //! module-selection behaviour across datasets) is genuine. See DESIGN.md §2
 //! for the substitution argument.
 //!
+//! [`suite`] generates every row; [`workload`] generates one row by name,
+//! so a table that runs a few programs does not generate the rest.
+//! `mfbench`'s harness workers generate the rows a collection or extension
+//! table runs, build their programs and key their runs.
+//!
 //! ```
-//! use mfwork::suite;
+//! use mfwork::{suite, workload};
 //!
 //! let programs = suite();
 //! assert!(programs.len() >= 14);
-//! let doduc = programs.iter().find(|w| w.name == "doduc").unwrap();
+//! let doduc = workload("doduc").unwrap();
+//! assert_eq!(doduc.datasets, programs[1].datasets);
 //! assert_eq!(doduc.datasets.len(), 3);
 //! let program = doduc.compile().unwrap();
 //! let run = doduc.run(&program, &doduc.datasets[0]).unwrap();
@@ -138,25 +144,48 @@ impl Workload {
     }
 }
 
+/// Generates one workload's source and datasets.
+type Generate = fn() -> Workload;
+
+/// Table 2's rows in order (FORTRAN/FP first): each program's name and
+/// its generator.
+const ROWS: [(&str, Generate); 15] = [
+    ("spice2g6", programs::spice::workload),
+    ("doduc", programs::doduc::workload),
+    ("nasa7", programs::numeric::nasa7),
+    ("matrix300", programs::numeric::matrix300),
+    ("fpppp", programs::fpppp::workload),
+    ("tomcatv", programs::numeric::tomcatv),
+    ("lfk", programs::numeric::lfk),
+    ("gcc", programs::gcc::workload),
+    ("espresso", programs::espresso::workload),
+    ("li", programs::li::workload),
+    ("eqntott", programs::eqntott::workload),
+    ("compress", programs::compress::compress),
+    ("uncompress", programs::compress::uncompress),
+    ("mfcom", programs::mfcom::workload),
+    ("spiff", programs::spiff::workload),
+];
+
+/// The program names of the sample base, in Table 2 order.
+pub fn names() -> impl Iterator<Item = &'static str> {
+    ROWS.iter().map(|&(name, _)| name)
+}
+
+/// Generates the one Table 2 row named `name`, or `None` for a name
+/// outside the suite. Generating a row builds its datasets, so a caller
+/// that needs a few programs pays for those alone.
+pub fn workload(name: &str) -> Option<Workload> {
+    ROWS.iter()
+        .find(|&&(row, _)| row == name)
+        .map(|&(_, generate)| generate())
+}
+
 /// The full program sample base, in Table 2 order (FORTRAN/FP first).
 pub fn suite() -> Vec<Workload> {
-    vec![
-        programs::spice::workload(),
-        programs::doduc::workload(),
-        programs::numeric::nasa7(),
-        programs::numeric::matrix300(),
-        programs::fpppp::workload(),
-        programs::numeric::tomcatv(),
-        programs::numeric::lfk(),
-        programs::gcc::workload(),
-        programs::espresso::workload(),
-        programs::li::workload(),
-        programs::eqntott::workload(),
-        programs::compress::compress(),
-        programs::compress::uncompress(),
-        programs::mfcom::workload(),
-        programs::spiff::workload(),
-    ]
+    names()
+        .map(|name| workload(name).expect("every row's name finds its row"))
+        .collect()
 }
 
 #[cfg(test)]
@@ -223,6 +252,25 @@ mod tests {
         let c = s.iter().filter(|w| w.group == Group::CInteger).count();
         assert_eq!(fortran, 7);
         assert_eq!(c, 8);
+    }
+
+    #[test]
+    fn workload_generates_the_suite_row_of_its_name() {
+        for row in suite() {
+            let w = workload(row.name).unwrap_or_else(|| panic!("{} has no row", row.name));
+            assert_eq!(w.name, row.name);
+            assert_eq!(w.description, row.description, "{}", row.name);
+            assert_eq!(w.group, row.group, "{}", row.name);
+            assert_eq!(w.source, row.source, "{}", row.name);
+            assert_eq!(w.datasets.len(), row.datasets.len(), "{}", row.name);
+            for (d, e) in w.datasets.iter().zip(&row.datasets) {
+                assert_eq!(d.name, e.name, "{}", row.name);
+                assert_eq!(d.description, e.description, "{}/{}", row.name, e.name);
+                assert_eq!(d.inputs, e.inputs, "{}/{}", row.name, e.name);
+            }
+        }
+        assert!(workload("no-such-program").is_none());
+        assert!(workload("").is_none());
     }
 
     #[test]
