@@ -16,10 +16,12 @@
 //! one from their flags over [`mfharness::HarnessOptions::from_env`]):
 //! runs are deduplicated by content key, repeats are served from the
 //! cache, and misses execute on a work-stealing pool. The same workers
-//! prepare the runs: they generate only the workloads a collection or
-//! extension table runs ([`mfwork::workload`]), build each distinct
-//! program with its static predictors, and construct the run jobs with
-//! their keys; a one-worker harness does all of it on the calling thread.
+//! prepare the runs: they generate only the workloads a collection runs
+//! ([`mfwork::workload`]) and only the datasets an extension table runs
+//! ([`mfwork::DatasetRow`]), build each distinct program with its static
+//! predictors, and construct the run jobs with their keys; a one-worker
+//! harness does all of it on the calling thread. Table 2 renders from
+//! the suite's static metadata and generates nothing.
 //! Results come back in submission order, so every table and figure is
 //! bit-identical to the serial reference path ([`collect_serial`]) at any
 //! worker count.
@@ -681,16 +683,17 @@ pub fn table1(s: &SuiteRuns) -> Table {
 // Table 2: the program/dataset inventory
 // --------------------------------------------------------------------
 
-/// Table 2: the programs tested and their datasets.
+/// Table 2: the programs tested and their datasets, rendered from the
+/// suite's static metadata ([`mfwork::rows`]): no input is generated.
 pub fn table2() -> Table {
     let mut t = Table::new(&["GROUP", "PROGRAM", "DATASET", "DESCRIPTION"]);
-    for w in suite() {
-        let group = match w.group {
+    for row in mfwork::rows() {
+        let group = match row.group {
             Group::FortranFp => "FORTRAN/FP",
             Group::CInteger => "C/Integer",
         };
-        for d in &w.datasets {
-            t.row(&[group, w.name, &d.name, &d.description]);
+        for d in row.datasets {
+            t.row(&[group, row.name, d.name, d.description]);
         }
     }
     t
@@ -1105,13 +1108,13 @@ pub fn crossmode_table(s: &SuiteRuns) -> Option<Table> {
     Some(t)
 }
 
-/// Generates the workload `prog` alone and takes the inputs of its dataset
-/// `dataset`; `None` when the suite has no such pair.
-fn generate_pair(prog: &str, dataset: &str) -> Option<(Workload, Vec<Input>)> {
-    let mut w = mfwork::workload(prog)?;
-    let i = w.datasets.iter().position(|d| d.name == dataset)?;
-    let inputs = w.datasets.swap_remove(i).inputs;
-    Some((w, inputs))
+/// Compiles the program `prog` (optimization off) and generates the inputs
+/// of its dataset `dataset` alone; `None` when the suite has no such pair.
+fn generate_pair(prog: &str, dataset: &str) -> Option<(Program, Vec<Input>)> {
+    let row = mfwork::row(prog)?;
+    let inputs = (row.dataset(dataset)?.inputs)();
+    let program = mflang::compile(&(row.source)()).expect("bundled workload compiles");
+    Some((program, inputs))
 }
 
 /// Runs each suite pair in `pairs` through `h` observed by its program's
@@ -1125,8 +1128,8 @@ fn site_predictor_runs(
 ) -> Vec<(RunJob, mfharness::RunOutcome)> {
     let jobs: Vec<RunJob> = on_workers(h, pairs.len(), |i| {
         let (prog, dataset) = pairs[i];
-        let (w, inputs) = generate_pair(prog, dataset)?;
-        let program = Arc::new(w.compile().expect("bundled workload compiles"));
+        let (program, inputs) = generate_pair(prog, dataset)?;
+        let program = Arc::new(program);
         let specs = mfdyn::site_zoo(&program).to_vec();
         Some(RunJob::with_observer(
             prog,
@@ -1285,13 +1288,12 @@ pub fn inlining_table_with(h: &Harness) -> Table {
     ];
     let jobs: Vec<RunJob> = on_workers(h, pairs.len(), |i| {
         let (prog, dataset) = pairs[i];
-        let (w, inputs) = generate_pair(prog, dataset)?;
-        let base = Arc::new(w.compile().expect("compiles"));
-        let mut inlined = (*base).clone();
+        let (base, inputs) = generate_pair(prog, dataset)?;
+        let mut inlined = base.clone();
         Inliner::default().run(&mut inlined);
         let config = run_config(VmConfig::default());
         Some([
-            RunJob::new(prog, dataset, base, inputs.clone(), config),
+            RunJob::new(prog, dataset, Arc::new(base), inputs.clone(), config),
             RunJob::new(
                 format!("{prog}:inlined"),
                 dataset,
@@ -2276,6 +2278,11 @@ fn build_tables",
             .expect("golden digests")
             .lines()
             .any(|l| l == line)
+    }
+
+    #[test]
+    fn table2_renders() {
+        assert!(matches_golden(&table2(), "table2"));
     }
 
     // The extension tables execute additional observed/inlined runs; they

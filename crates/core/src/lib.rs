@@ -15,7 +15,8 @@
 //!    branch statistics of earlier runs ([`Predictor::from_counts`]), from
 //!    combined multi-dataset profiles ([`Predictor::from_weighted`]), or
 //!    from the naive loop heuristic the paper uses as a baseline
-//!    ([`Predictor::heuristic`]).
+//!    ([`Predictor::heuristic`]). It holds one slot per branch-site id,
+//!    so evaluating a run is one indexed lookup per branch counter.
 //! 2. **Instructions per mispredicted branch** (more generally *per break in
 //!    control*) as the right measure — percent-correct ignores branch
 //!    density (the paper's fpppp-vs-li anecdote). [`evaluate`] computes it

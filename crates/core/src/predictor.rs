@@ -1,7 +1,5 @@
 //! Static branch predictors.
 
-use std::collections::BTreeMap;
-
 use ifprob::WeightedCounts;
 use trace_ir::{BranchId, BranchKind, Program, Terminator};
 use trace_vm::BranchCounts;
@@ -29,9 +27,13 @@ impl Direction {
 
 /// A static branch predictor: one direction per conditional branch, fixed
 /// before the program runs.
+///
+/// Predictions sit in one slot per branch-site id, so a lookup is an
+/// index. The last slot always holds a prediction, which makes derived
+/// equality independent of insertion order.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct Predictor {
-    map: BTreeMap<BranchId, Direction>,
+    dirs: Vec<Option<Direction>>,
     default: Direction,
 }
 
@@ -41,37 +43,36 @@ impl Predictor {
     /// self-prediction upper bound). Ties predict taken. Branches the counts
     /// never saw fall back to `default`.
     pub fn from_counts(counts: &BranchCounts, default: Direction) -> Self {
-        let map = counts
-            .iter()
-            .filter(|(_, e, _)| *e > 0)
-            .map(|(id, e, t)| {
+        Predictor::from_directions(
+            counts.iter().filter(|(_, e, _)| *e > 0).map(|(id, e, t)| {
                 let dir = if t * 2 >= e {
                     Direction::Taken
                 } else {
                     Direction::NotTaken
                 };
                 (id, dir)
-            })
-            .collect();
-        Predictor { map, default }
+            }),
+            default,
+        )
     }
 
     /// Majority-direction predictor from combined (weighted) multi-dataset
     /// counts.
     pub fn from_weighted(counts: &WeightedCounts, default: Direction) -> Self {
-        let map = counts
-            .iter()
-            .filter(|&(_id, e, _t)| e > 0.0)
-            .map(|(id, e, t)| {
-                let dir = if t / e >= 0.5 {
-                    Direction::Taken
-                } else {
-                    Direction::NotTaken
-                };
-                (id, dir)
-            })
-            .collect();
-        Predictor { map, default }
+        Predictor::from_directions(
+            counts
+                .iter()
+                .filter(|&(_id, e, _t)| e > 0.0)
+                .map(|(id, e, t)| {
+                    let dir = if t / e >= 0.5 {
+                        Direction::Taken
+                    } else {
+                        Direction::NotTaken
+                    };
+                    (id, dir)
+                }),
+            default,
+        )
     }
 
     /// The paper's "simple opcode heuristics" baseline: loop back-edges
@@ -80,7 +81,7 @@ impl Predictor {
     /// compiler has with no profile at all. The paper reports this gives up
     /// about a factor of two in instructions per break.
     pub fn heuristic(program: &Program) -> Self {
-        let mut map = BTreeMap::new();
+        let mut dirs = Vec::new();
         for func in &program.functions {
             for (bi, block) in func.iter_blocks() {
                 if let Terminator::Branch { id, taken, .. } = block.term {
@@ -89,14 +90,11 @@ impl Predictor {
                     } else {
                         Direction::NotTaken
                     };
-                    map.insert(id, dir);
+                    dirs.push((id, dir));
                 }
             }
         }
-        Predictor {
-            map,
-            default: Direction::NotTaken,
-        }
+        Predictor::from_directions(dirs, Direction::NotTaken)
     }
 
     /// A source-level variant of the heuristic keyed on what construct each
@@ -104,23 +102,15 @@ impl Predictor {
     /// [`Predictor::heuristic`] on `mflang` output; exists so the
     /// equivalence is testable.
     pub fn heuristic_by_kind(program: &Program) -> Self {
-        let map = program
-            .branch_info
-            .iter()
-            .enumerate()
-            .map(|(i, info)| {
-                let dir = if info.kind == BranchKind::LoopBack {
-                    Direction::Taken
-                } else {
-                    Direction::NotTaken
-                };
-                (BranchId::from_index(i), dir)
-            })
-            .collect();
-        Predictor {
-            map,
-            default: Direction::NotTaken,
-        }
+        let dirs = program.branch_info.iter().enumerate().map(|(i, info)| {
+            let dir = if info.kind == BranchKind::LoopBack {
+                Direction::Taken
+            } else {
+                Direction::NotTaken
+            };
+            (BranchId::from_index(i), dir)
+        });
+        Predictor::from_directions(dirs, Direction::NotTaken)
     }
 
     /// "Backward taken, forward not taken" decided *structurally*: a
@@ -135,7 +125,7 @@ impl Predictor {
     /// regions no natural-loop back edge exists and the branch falls back
     /// to not-taken — the conservative choice.
     pub fn static_heuristic(program: &Program) -> Self {
-        let mut map = BTreeMap::new();
+        let mut dirs = Vec::new();
         for func in &program.functions {
             let cfg = mfcheck::Cfg::new(func);
             let dom = mfcheck::DomTree::compute(&cfg);
@@ -147,20 +137,17 @@ impl Predictor {
                     } else {
                         Direction::NotTaken
                     };
-                    map.insert(id, dir);
+                    dirs.push((id, dir));
                 }
             }
         }
-        Predictor {
-            map,
-            default: Direction::NotTaken,
-        }
+        Predictor::from_directions(dirs, Direction::NotTaken)
     }
 
     /// Predicts every branch in one fixed direction.
     pub fn always(direction: Direction) -> Self {
         Predictor {
-            map: BTreeMap::new(),
+            dirs: Vec::new(),
             default: direction,
         }
     }
@@ -172,30 +159,42 @@ impl Predictor {
         directions: impl IntoIterator<Item = (BranchId, Direction)>,
         default: Direction,
     ) -> Self {
-        Predictor {
-            map: directions.into_iter().collect(),
-            default,
+        let mut dirs = Vec::new();
+        for (id, dir) in directions {
+            let i = id.index();
+            if i >= dirs.len() {
+                dirs.resize(i + 1, None);
+            }
+            dirs[i] = Some(dir);
         }
+        Predictor { dirs, default }
     }
 
     /// The predicted direction for a branch.
     pub fn predict(&self, id: BranchId) -> Direction {
-        self.map.get(&id).copied().unwrap_or(self.default)
+        self.dirs
+            .get(id.index())
+            .copied()
+            .flatten()
+            .unwrap_or(self.default)
     }
 
     /// Number of branches with explicit predictions.
     pub fn len(&self) -> usize {
-        self.map.len()
+        self.dirs.iter().filter(|d| d.is_some()).count()
     }
 
     /// True if no branch has an explicit prediction.
     pub fn is_empty(&self) -> bool {
-        self.map.is_empty()
+        self.dirs.is_empty()
     }
 
     /// Iterates explicit `(id, direction)` pairs in id order.
     pub fn iter(&self) -> impl Iterator<Item = (BranchId, Direction)> + '_ {
-        self.map.iter().map(|(&id, &d)| (id, d))
+        self.dirs
+            .iter()
+            .enumerate()
+            .filter_map(|(i, d)| d.map(|d| (BranchId::from_index(i), d)))
     }
 }
 

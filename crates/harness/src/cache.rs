@@ -17,6 +17,7 @@
 //! miss — the cache never takes a run (or the process) down with it.
 
 use std::collections::{BTreeMap, HashMap};
+use std::hash::Hasher;
 use std::io;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -28,17 +29,19 @@ use trace_ir::{BranchId, FuncId};
 use trace_vm::{BranchCounts, BreakEvents, GuestValue, PixieCounts, Run, RunStats};
 
 use crate::job::{CacheSource, Observe, Observed, RunJob};
-use crate::key::{fnv64, RunKey};
+use crate::key::{Fingerprint, RunKey};
 
 const MAGIC: &[u8; 4] = b"MFHC";
 
 /// The entry layout's version. Version 2 stores a job's whole outcome —
 /// output, result and observer product beside the stats that were all of
-/// version 1. Bump it whenever the layout changes *or an observer's
-/// semantics do* (what `mfdyn`'s zoo or run-length histogram counts): the
-/// run key names an observer, not what it computes, so only this version
-/// keeps an entry written under the old meaning from being served.
-const FORMAT_VERSION: u8 = 2;
+/// version 1; version 3 checksums an entry word by word ([`checksum`])
+/// instead of FNV-1a byte by byte. Bump it whenever the layout changes
+/// *or an observer's semantics do* (what `mfdyn`'s zoo or run-length
+/// histogram counts): the run key names an observer, not what it
+/// computes, so only this version keeps an entry written under the old
+/// meaning from being served.
+const FORMAT_VERSION: u8 = 3;
 
 /// A stored outcome: the run and its observer's product, which always
 /// answers the observer of the job stored under the same key.
@@ -161,7 +164,8 @@ impl RunCache {
         }
         if let Some(dir) = &self.disk {
             let path = entry_path(dir, job.key);
-            if let Some(entry) = self.load(&path, job.key, job.observe.as_ref()) {
+            let sites = job.program.branch_info.len();
+            if let Some(entry) = self.load(&path, job.key, job.observe.as_ref(), sites) {
                 self.disk_hits.fetch_add(1, Ordering::Relaxed);
                 let hit = entry.hit(CacheSource::Disk);
                 self.mem
@@ -263,14 +267,21 @@ impl RunCache {
         result
     }
 
-    /// Loads and validates the entry of the job keyed `key` and observed by
-    /// `observe`; any defect (missing file, bad magic or version, key
-    /// mismatch, truncation, checksum failure, a length the file cannot
-    /// hold, inconsistent counters, a product of the wrong observer) yields
-    /// `None` — a miss, never a panic.
-    fn load(&self, path: &Path, key: RunKey, observe: Option<&Observe>) -> Option<Entry> {
+    /// Loads and validates the entry of the job keyed `key`, observed by
+    /// `observe`, whose program has `sites` branch sites; any defect
+    /// (missing file, bad magic or version, key mismatch, truncation,
+    /// checksum failure, a length the file cannot hold, inconsistent
+    /// counters, a site the program lacks, a product of the wrong
+    /// observer) yields `None` — a miss, never a panic.
+    fn load(
+        &self,
+        path: &Path,
+        key: RunKey,
+        observe: Option<&Observe>,
+        sites: usize,
+    ) -> Option<Entry> {
         let bytes = self.io(|| self.vfs.read(path)).ok()?;
-        let decoded = decode(&bytes, key, observe);
+        let decoded = decode(&bytes, key, observe, sites);
         if decoded.is_none() {
             self.corrupt_misses.fetch_add(1, Ordering::Relaxed);
         }
@@ -285,7 +296,9 @@ fn entry_path(dir: &Path, key: RunKey) -> PathBuf {
 // ---------------------------------------------------------------------
 // The on-disk codec: little-endian, length-prefixed, checksummed.
 //
-//   MFHC <version:u8> <key:16B> <payload> <fnv64-of-everything-before:8B>
+//   MFHC <version:u8> <key:16B> <payload> <checksum-of-everything-before:8B>
+//
+// The checksum is the word-wise `Fingerprint` of the bytes before it.
 //
 // Payload: total_instrs, branch table, break events, pixie block counts,
 // the output values, the result, then the observer's product — a tag and,
@@ -357,18 +370,28 @@ fn encode(key: RunKey, entry: &Entry) -> Vec<u8> {
             }
         }
     }
-    let checksum = fnv64(&buf);
-    put_u64(&mut buf, checksum);
+    let sum = checksum(&buf);
+    put_u64(&mut buf, sum);
     buf
 }
 
-fn decode(bytes: &[u8], key: RunKey, observe: Option<&Observe>) -> Option<Entry> {
+/// An entry's checksum: the first lane of the word-wise [`Fingerprint`]
+/// of `bytes`, eight bytes per step where FNV-1a takes one.
+fn checksum(bytes: &[u8]) -> u64 {
+    let mut fp = Fingerprint::new();
+    fp.write(bytes);
+    fp.finish()
+}
+
+/// What [`encode`] wrote for the job keyed `key`, observed by `observe`,
+/// whose program has `sites` branch sites.
+fn decode(bytes: &[u8], key: RunKey, observe: Option<&Observe>, sites: usize) -> Option<Entry> {
     if bytes.len() < MAGIC.len() + 1 + 16 + 8 {
         return None;
     }
     let (body, tail) = bytes.split_at(bytes.len() - 8);
     let stored_sum = u64::from_le_bytes(tail.try_into().ok()?);
-    if fnv64(body) != stored_sum {
+    if checksum(body) != stored_sum {
         return None;
     }
     let mut r = Reader {
@@ -389,8 +412,9 @@ fn decode(bytes: &[u8], key: RunKey, observe: Option<&Observe>) -> Option<Entry>
         let id = u32::try_from(r.u64()?).ok()?;
         let executed = r.u64()?;
         let taken = r.u64()?;
-        // Ids ascend strictly, as the encoder writes them.
-        if taken > executed || last_id.is_some_and(|last| last >= id) {
+        // Ids ascend strictly, as the encoder writes them, and name sites
+        // of the job's program: a foreign site would skew its profile.
+        if taken > executed || last_id.is_some_and(|last| last >= id) || id as usize >= sites {
             return None;
         }
         last_id = Some(id);
@@ -546,7 +570,11 @@ mod tests {
     use super::*;
     use mfdyn::DynSpec;
     use mffault::{FaultPlan, FaultVfs, MemVfs};
-    use trace_vm::{Observer, VmConfig};
+    use trace_vm::{Input, Observer, VmConfig};
+
+    /// Branch sites of the programs the sample entries stand for: more
+    /// than the highest id in [`sample_stats`].
+    const SITES: usize = 8;
 
     fn sample_stats() -> RunStats {
         let mut branches = BranchCounts::new();
@@ -661,7 +689,12 @@ mod tests {
             let key = RunKey(42 + k as u128);
             cache.store(Path::new("/cache"), key, &entry).unwrap();
             let loaded = cache
-                .load(&entry_path(Path::new("/cache"), key), key, observe.as_ref())
+                .load(
+                    &entry_path(Path::new("/cache"), key),
+                    key,
+                    observe.as_ref(),
+                    SITES,
+                )
                 .unwrap();
             assert_eq!(loaded, entry);
         }
@@ -675,11 +708,11 @@ mod tests {
             let full = stored(key, &entry);
             for len in 0..full.len() {
                 assert!(
-                    decode(&full[..len], key, observe.as_ref()).is_none(),
+                    decode(&full[..len], key, observe.as_ref(), SITES).is_none(),
                     "len {len}"
                 );
             }
-            assert!(decode(&full, key, observe.as_ref()).is_some());
+            assert!(decode(&full, key, observe.as_ref(), SITES).is_some());
         }
     }
 
@@ -692,16 +725,19 @@ mod tests {
             for b in 0..full.len() {
                 let mut bad = full.clone();
                 bad[b] ^= 0x41;
-                assert!(decode(&bad, key, observe.as_ref()).is_none(), "byte {b}");
+                assert!(
+                    decode(&bad, key, observe.as_ref(), SITES).is_none(),
+                    "byte {b}"
+                );
             }
             assert!(
-                decode(&full, RunKey(78), observe.as_ref()).is_none(),
+                decode(&full, RunKey(78), observe.as_ref(), SITES).is_none(),
                 "wrong key"
             );
             // Another observer's job never reads this product as its own.
             for (j, (other, _)) in samples.iter().enumerate() {
                 assert_eq!(
-                    decode(&full, key, other.as_ref()).is_some(),
+                    decode(&full, key, other.as_ref(), SITES).is_some(),
                     i == j,
                     "{i} as {j}"
                 );
@@ -721,11 +757,11 @@ mod tests {
         let n = bytes.len();
         bytes[n / 2] ^= 0xFF;
         mem.write(&path, &bytes).unwrap();
-        assert!(cache.load(&path, key, None).is_none());
+        assert!(cache.load(&path, key, None, SITES).is_none());
         assert_eq!(cache.robustness().corrupt_misses, 1);
         // A missing file is a plain miss, not corruption.
         assert!(cache
-            .load(Path::new("/cache/nope.bin"), key, None)
+            .load(Path::new("/cache/nope.bin"), key, None, SITES)
             .is_none());
         assert_eq!(cache.robustness().corrupt_misses, 1);
     }
@@ -775,8 +811,8 @@ mod tests {
                 bytes.push(FORMAT_VERSION);
                 bytes.extend_from_slice(&job.key.0.to_le_bytes());
                 bytes.extend_from_slice(&payload);
-                let checksum = fnv64(&bytes);
-                put_u64(&mut bytes, checksum);
+                let sum = checksum(&bytes);
+                put_u64(&mut bytes, sum);
                 mem.write(&entry_path(Path::new("/cache"), job.key), &bytes)
                     .unwrap();
                 assert!(cache.lookup(job).is_none(), "{huge} in case {forged}");
@@ -785,6 +821,62 @@ mod tests {
                 assert_eq!(cache.robustness().corrupt_misses, forged);
             }
         }
+    }
+
+    /// A checksum-valid entry whose counters name a site the job's
+    /// program lacks (forged, or a key collision) is a counted miss, and
+    /// the job recomputes in its place.
+    #[test]
+    fn entries_naming_a_site_the_program_lacks_are_counted_misses() {
+        let program = Arc::new(
+            mflang::compile(
+                "fn main(n: int) { var i: int = 0; \
+                 while (i < n) { if (i % 2 == 0) { emit(i); } i = i + 1; } }",
+            )
+            .unwrap(),
+        );
+        let sites = program.branch_info.len();
+        let job = RunJob::new(
+            "foreign",
+            "d0",
+            Arc::clone(&program),
+            vec![Input::Int(10)],
+            VmConfig::default(),
+        );
+        let clean = trace_vm::Vm::new(&program).run(&job.inputs).unwrap();
+        let mut forged = clean.clone();
+        forged.stats.branches.add(BranchId::from_index(sites), 1, 0);
+        let entry = |run: Run| Entry {
+            run: Arc::new(run),
+            observed: Observed::Nothing,
+        };
+        let dir = std::env::temp_dir().join(format!("mfharness-foreign-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = entry_path(&dir, job.key);
+        // The last site the program has is served ...
+        let mut last = clean.clone();
+        last.stats
+            .branches
+            .add(BranchId::from_index(sites - 1), 1, 0);
+        assert!(decode(&encode(job.key, &entry(last)), job.key, None, sites).is_some());
+        // ... one past it is not.
+        std::fs::write(&path, encode(job.key, &entry(forged))).unwrap();
+        let harness = crate::Harness::new(crate::HarnessOptions {
+            jobs: Some(1),
+            disk_cache: crate::DiskCache::Dir(dir.clone()),
+            ..crate::HarnessOptions::default()
+        });
+        let outcome = harness.run_one(job.clone()).unwrap();
+        assert_eq!(outcome.source, CacheSource::Computed);
+        assert_eq!(*outcome.run, clean);
+        let report = harness.report();
+        assert_eq!(report.cache.misses, 1);
+        assert_eq!(report.robustness.cache_corrupt_misses, 1);
+        // The recomputation replaced the forged entry.
+        let hit = RunCache::with_disk(dir.clone()).lookup(&job).unwrap();
+        assert_eq!((hit.source, &*hit.run), (CacheSource::Disk, &clean));
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
@@ -819,7 +911,12 @@ mod tests {
                 .store(Path::new("/cache"), RunKey(k), &unobserved())
                 .unwrap_or_else(|e| panic!("store {k} failed: {e}"));
             assert!(cache
-                .load(&entry_path(Path::new("/cache"), RunKey(k)), RunKey(k), None)
+                .load(
+                    &entry_path(Path::new("/cache"), RunKey(k)),
+                    RunKey(k),
+                    None,
+                    SITES
+                )
                 .is_some());
         }
         assert!(
@@ -875,7 +972,7 @@ mod tests {
             for base in [0u128, 1000] {
                 let key = RunKey(base + i);
                 assert_eq!(
-                    a.load(&entry_path(Path::new("/cache"), key), key, None),
+                    a.load(&entry_path(Path::new("/cache"), key), key, None, SITES),
                     Some(entry.clone()),
                     "entry {key:?} torn or lost"
                 );

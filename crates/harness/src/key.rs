@@ -116,8 +116,8 @@ impl fmt::Display for RunKey {
 /// is taken eight bytes per word, zero-padded, followed by its length.
 /// Without the length `"abc"` and `"abc\0"` would collide, because std
 /// hashes a `str` as its bytes plus `0xff`. Dependency-free and plenty for
-/// content addressing a few hundred cache entries; it is no defence
-/// against crafted collisions.
+/// content addressing a few hundred cache entries and checksumming them;
+/// it is no defence against crafted collisions.
 pub struct Fingerprint {
     a: u64,
     b: u64,
@@ -207,7 +207,9 @@ impl Default for Fingerprint {
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
 
-/// FNV-1a 64 over a byte slice — used as the cache file checksum.
+/// FNV-1a 64 over a byte slice: the digest of a rendered report section
+/// in the golden files and of a fuzz corpus entry's source. Cache entries
+/// are checksummed with the word-wise [`Fingerprint`] instead.
 pub fn fnv64(bytes: &[u8]) -> u64 {
     let mut h = FNV_OFFSET;
     for &b in bytes {

@@ -1,6 +1,5 @@
 //! Combining several datasets' profiles into one summary predictor.
 
-use std::collections::BTreeMap;
 use std::fmt;
 
 use mfcheck::ProfileIssue;
@@ -25,15 +24,23 @@ pub enum CombineRule {
 }
 
 /// Fractional per-branch counts produced by combining datasets.
+///
+/// The counts sit in one slot per branch-site id, so a lookup is an
+/// index. The last slot always holds counts, which makes derived equality
+/// independent of how the slots were filled.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct WeightedCounts {
-    counts: BTreeMap<BranchId, (f64, f64)>,
+    counts: Vec<Option<(f64, f64)>>,
 }
 
 impl WeightedCounts {
     /// `(weight_executed, weight_taken)` for a branch; `(0, 0)` if unseen.
     pub fn get(&self, id: BranchId) -> (f64, f64) {
-        self.counts.get(&id).copied().unwrap_or((0.0, 0.0))
+        self.counts
+            .get(id.index())
+            .copied()
+            .flatten()
+            .unwrap_or((0.0, 0.0))
     }
 
     /// The fraction of weighted executions that were taken, or `None` if the
@@ -51,39 +58,52 @@ impl WeightedCounts {
 
     /// Iterates `(id, weighted_executed, weighted_taken)` in id order.
     pub fn iter(&self) -> impl Iterator<Item = (BranchId, f64, f64)> + '_ {
-        self.counts.iter().map(|(&id, &(e, t))| (id, e, t))
+        self.counts
+            .iter()
+            .enumerate()
+            .filter_map(|(i, c)| c.map(|(e, t)| (BranchId::from_index(i), e, t)))
     }
 
     /// Number of branches with any weight.
     pub fn len(&self) -> usize {
-        self.counts.len()
+        self.counts.iter().filter(|c| c.is_some()).count()
     }
 
     /// True when no branch has weight.
     pub fn is_empty(&self) -> bool {
         self.counts.is_empty()
     }
+
+    /// The slot of `id`, created as `(0, 0)` when the branch is first seen.
+    fn slot(&mut self, id: BranchId) -> &mut (f64, f64) {
+        let i = id.index();
+        if i >= self.counts.len() {
+            self.counts.resize(i + 1, None);
+        }
+        self.counts[i].get_or_insert((0.0, 0.0))
+    }
 }
 
 impl From<&BranchCounts> for WeightedCounts {
     fn from(c: &BranchCounts) -> Self {
-        let mut counts = BTreeMap::new();
+        let mut out = WeightedCounts::default();
         for (id, e, t) in c.iter() {
-            counts.insert(id, (e as f64, t as f64));
+            *out.slot(id) = (e as f64, t as f64);
         }
-        WeightedCounts { counts }
+        out
     }
 }
 
 /// Combines dataset profiles under `rule`. An empty input produces an empty
-/// result (every branch unseen).
+/// result (every branch unseen). Each branch's weights are summed in
+/// profile order.
 pub fn combine(profiles: &[&BranchCounts], rule: CombineRule) -> WeightedCounts {
-    let mut out: BTreeMap<BranchId, (f64, f64)> = BTreeMap::new();
+    let mut out = WeightedCounts::default();
     for p in profiles {
         match rule {
             CombineRule::Unscaled => {
                 for (id, e, t) in p.iter() {
-                    let slot = out.entry(id).or_insert((0.0, 0.0));
+                    let slot = out.slot(id);
                     slot.0 += e as f64;
                     slot.1 += t as f64;
                 }
@@ -103,7 +123,7 @@ pub fn combine(profiles: &[&BranchCounts], rule: CombineRule) -> WeightedCounts 
                 #[cfg(not(feature = "seeded-defects"))]
                 let tw = w;
                 for (id, e, t) in p.iter() {
-                    let slot = out.entry(id).or_insert((0.0, 0.0));
+                    let slot = out.slot(id);
                     slot.0 += e as f64 * w;
                     slot.1 += t as f64 * tw;
                 }
@@ -113,7 +133,7 @@ pub fn combine(profiles: &[&BranchCounts], rule: CombineRule) -> WeightedCounts 
                     if e == 0 {
                         continue;
                     }
-                    let slot = out.entry(id).or_insert((0.0, 0.0));
+                    let slot = out.slot(id);
                     slot.0 += 1.0;
                     if t * 2 >= e {
                         slot.1 += 1.0;
@@ -122,7 +142,7 @@ pub fn combine(profiles: &[&BranchCounts], rule: CombineRule) -> WeightedCounts 
             }
         }
     }
-    WeightedCounts { counts: out }
+    out
 }
 
 /// Why a prior profile could not be carried onto a build: one of its

@@ -17,7 +17,8 @@
 //! * [`combine`] merges datasets into one predictor profile under the
 //!   paper's three rules ([`CombineRule::Scaled`], [`CombineRule::Unscaled`],
 //!   [`CombineRule::Polling`] — §3 "Scaled vs. unscaled summary
-//!   predictors"),
+//!   predictors"): a [`WeightedCounts`] with one slot per branch-site id,
+//!   each summed in profile order,
 //! * [`directives`] writes profiles out as source-level `IFPROB` directives
 //!   and parses them back, completing the feedback loop,
 //! * [`coverage`] and [`overlap`] measure whether two datasets exercise

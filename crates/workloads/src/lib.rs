@@ -14,19 +14,25 @@
 //! module-selection behaviour across datasets) is genuine. See DESIGN.md §2
 //! for the substitution argument.
 //!
-//! [`suite`] generates every row; [`workload`] generates one row by name,
-//! so a table that runs a few programs does not generate the rest.
-//! `mfbench`'s harness workers generate the rows a collection or extension
-//! table runs, build their programs and key their runs.
+//! Each row is static data ([`rows`]): the program's name, description,
+//! group and source generator, and per dataset its name, description and
+//! input generator ([`DatasetRow`]). Table 2 prints the metadata and
+//! generates nothing. [`suite`] generates every row, [`workload`] one row
+//! by name, and [`DatasetRow::generate`] one dataset, so a table that runs
+//! a few program×dataset pairs generates those alone. `mfbench`'s harness
+//! workers generate the rows a collection runs, build their programs and
+//! key their runs.
 //!
 //! ```
-//! use mfwork::{suite, workload};
+//! use mfwork::{row, suite, workload};
 //!
 //! let programs = suite();
 //! assert!(programs.len() >= 14);
 //! let doduc = workload("doduc").unwrap();
 //! assert_eq!(doduc.datasets, programs[1].datasets);
 //! assert_eq!(doduc.datasets.len(), 3);
+//! let tiny = row("doduc").unwrap().dataset("tiny").unwrap();
+//! assert_eq!(tiny.generate(), doduc.datasets[0]);
 //! let program = doduc.compile().unwrap();
 //! let run = doduc.run(&program, &doduc.datasets[0]).unwrap();
 //! assert!(run.stats.total_instrs > 0);
@@ -144,48 +150,103 @@ impl Workload {
     }
 }
 
-/// Generates one workload's source and datasets.
-type Generate = fn() -> Workload;
+/// One dataset of a Table 2 row as static data: what Table 2 prints
+/// about it, and the generator of its inputs.
+#[derive(Clone, Copy, Debug)]
+pub struct DatasetRow {
+    /// The dataset name used throughout the experiment tables.
+    pub name: &'static str,
+    /// What the dataset is (Table 2's description column).
+    pub description: &'static str,
+    /// Generates the inputs handed to the guest `main`.
+    pub inputs: fn() -> Vec<Input>,
+}
 
-/// Table 2's rows in order (FORTRAN/FP first): each program's name and
-/// its generator.
-const ROWS: [(&str, Generate); 15] = [
-    ("spice2g6", programs::spice::workload),
-    ("doduc", programs::doduc::workload),
-    ("nasa7", programs::numeric::nasa7),
-    ("matrix300", programs::numeric::matrix300),
-    ("fpppp", programs::fpppp::workload),
-    ("tomcatv", programs::numeric::tomcatv),
-    ("lfk", programs::numeric::lfk),
-    ("gcc", programs::gcc::workload),
-    ("espresso", programs::espresso::workload),
-    ("li", programs::li::workload),
-    ("eqntott", programs::eqntott::workload),
-    ("compress", programs::compress::compress),
-    ("uncompress", programs::compress::uncompress),
-    ("mfcom", programs::mfcom::workload),
-    ("spiff", programs::spiff::workload),
+impl DatasetRow {
+    /// Generates this dataset alone.
+    pub fn generate(&self) -> Dataset {
+        Dataset::new(self.name, self.description, (self.inputs)())
+    }
+}
+
+/// One Table 2 row as static data: the program's metadata and the
+/// generators of its source and datasets.
+#[derive(Clone, Copy, Debug)]
+pub struct Row {
+    /// Program name (`li`, `compress`, `spice2g6`, …).
+    pub name: &'static str,
+    /// Table 2's description.
+    pub description: &'static str,
+    /// FORTRAN/FP or C/integer.
+    pub group: Group,
+    /// Generates the guest source text.
+    pub source: fn() -> String,
+    /// The datasets, in canonical order.
+    pub datasets: &'static [DatasetRow],
+}
+
+impl Row {
+    /// Generates the whole row: its source and every dataset.
+    pub fn generate(&self) -> Workload {
+        Workload {
+            name: self.name,
+            description: self.description,
+            group: self.group,
+            source: (self.source)(),
+            datasets: self.datasets.iter().map(DatasetRow::generate).collect(),
+        }
+    }
+
+    /// Finds a dataset by name without generating any.
+    pub fn dataset(&self, name: &str) -> Option<&'static DatasetRow> {
+        self.datasets.iter().find(|d| d.name == name)
+    }
+}
+
+/// Table 2's rows in order (FORTRAN/FP first).
+static ROWS: [Row; 15] = [
+    spice::ROW,
+    doduc::ROW,
+    numeric::NASA7_ROW,
+    numeric::MATRIX300_ROW,
+    fpppp::ROW,
+    numeric::TOMCATV_ROW,
+    numeric::LFK_ROW,
+    gcc::ROW,
+    espresso::ROW,
+    li::ROW,
+    eqntott::ROW,
+    compress::COMPRESS_ROW,
+    compress::UNCOMPRESS_ROW,
+    mfcom::ROW,
+    spiff::ROW,
 ];
+
+/// Table 2's rows in order (FORTRAN/FP first), as static data.
+pub fn rows() -> &'static [Row] {
+    &ROWS
+}
+
+/// The Table 2 row named `name`, or `None` for a name outside the suite.
+pub fn row(name: &str) -> Option<&'static Row> {
+    ROWS.iter().find(|r| r.name == name)
+}
 
 /// The program names of the sample base, in Table 2 order.
 pub fn names() -> impl Iterator<Item = &'static str> {
-    ROWS.iter().map(|&(name, _)| name)
+    ROWS.iter().map(|r| r.name)
 }
 
 /// Generates the one Table 2 row named `name`, or `None` for a name
 /// outside the suite. Generating a row builds its datasets, so a caller
 /// that needs a few programs pays for those alone.
 pub fn workload(name: &str) -> Option<Workload> {
-    ROWS.iter()
-        .find(|&&(row, _)| row == name)
-        .map(|&(_, generate)| generate())
+    row(name).map(Row::generate)
 }
 
 /// The full program sample base, in Table 2 order (FORTRAN/FP first).
 pub fn suite() -> Vec<Workload> {
-    names()
-        .map(|name| workload(name).expect("every row's name finds its row"))
-        .collect()
+    ROWS.iter().map(Row::generate).collect()
 }
 
 #[cfg(test)]
@@ -256,21 +317,32 @@ mod tests {
 
     #[test]
     fn workload_generates_the_suite_row_of_its_name() {
-        for row in suite() {
-            let w = workload(row.name).unwrap_or_else(|| panic!("{} has no row", row.name));
-            assert_eq!(w.name, row.name);
-            assert_eq!(w.description, row.description, "{}", row.name);
-            assert_eq!(w.group, row.group, "{}", row.name);
-            assert_eq!(w.source, row.source, "{}", row.name);
-            assert_eq!(w.datasets.len(), row.datasets.len(), "{}", row.name);
-            for (d, e) in w.datasets.iter().zip(&row.datasets) {
-                assert_eq!(d.name, e.name, "{}", row.name);
-                assert_eq!(d.description, e.description, "{}/{}", row.name, e.name);
-                assert_eq!(d.inputs, e.inputs, "{}/{}", row.name, e.name);
+        for r in rows() {
+            assert!(std::ptr::eq(row(r.name).unwrap(), r), "{}", r.name);
+            let w = workload(r.name).unwrap_or_else(|| panic!("{} has no row", r.name));
+            // The static metadata is what the generator builds.
+            assert_eq!(w.name, r.name);
+            assert_eq!(w.description, r.description, "{}", r.name);
+            assert_eq!(w.group, r.group, "{}", r.name);
+            assert_eq!(w.source, (r.source)(), "{}", r.name);
+            assert_eq!(w.datasets.len(), r.datasets.len(), "{}", r.name);
+            for (spec, d) in r.datasets.iter().zip(&w.datasets) {
+                assert_eq!(spec.name, d.name, "{}", r.name);
+                assert_eq!(spec.description, d.description, "{}/{}", r.name, d.name);
+                assert!(std::ptr::eq(r.dataset(spec.name).unwrap(), spec));
+                // One dataset generated alone equals that dataset of the
+                // generated row.
+                let alone = spec.generate();
+                assert_eq!(alone.name, d.name, "{}", r.name);
+                assert_eq!(alone.description, d.description, "{}/{}", r.name, d.name);
+                assert_eq!(alone.inputs, d.inputs, "{}/{}", r.name, d.name);
             }
         }
-        assert!(workload("no-such-program").is_none());
-        assert!(workload("").is_none());
+        for name in ["no-such-program", ""] {
+            assert!(workload(name).is_none());
+            assert!(row(name).is_none());
+        }
+        assert!(row("doduc").unwrap().dataset("no-such-dataset").is_none());
     }
 
     #[test]

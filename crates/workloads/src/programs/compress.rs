@@ -17,7 +17,7 @@ use std::sync::OnceLock;
 use trace_vm::{Input, Vm};
 
 use crate::datagen::Lcg;
-use crate::{Dataset, Group, Workload};
+use crate::{DatasetRow, Group, Row};
 
 const COMPRESS: &str = r#"
 // LZW with 12-bit codes. Codes 0..255 are literals, 256 is CLEAR, first
@@ -352,55 +352,54 @@ pub fn gen_long_text(seed: u64, words: usize) -> String {
     out
 }
 
-fn compress_datasets() -> Vec<Dataset> {
-    let pack = |text: String| -> Vec<Input> {
-        let bytes: Vec<i64> = text.bytes().map(i64::from).collect();
-        let n = bytes.len() as i64;
-        vec![Input::Ints(bytes), Input::Int(n), Input::Int(0)]
-    };
-    let pack_bin = |bytes: Vec<i64>| -> Vec<Input> {
-        let n = bytes.len() as i64;
-        vec![Input::Ints(bytes), Input::Int(n), Input::Int(0)]
-    };
-    vec![
-        Dataset::new(
-            "cmprssc",
-            "C source for SPEC 3.0 compress",
-            pack(gen_c_source(101, 40)),
-        ),
-        Dataset::new(
-            "cmprss",
-            "Multiflow compiled image for SPEC 3.0 compress",
-            pack_bin(gen_binary(102, 14_000)),
-        ),
-        Dataset::new(
-            "long",
-            "The SPEC 3.0 reference data",
-            pack(gen_long_text(103, 6_000)),
-        ),
-        Dataset::new(
-            "spicef",
-            "FORTRAN source for spice",
-            pack(gen_fortran_source(104, 30)),
-        ),
-        Dataset::new(
-            "spice",
-            "Compiled image for spice",
-            pack_bin(gen_binary(105, 18_000)),
-        ),
-    ]
+/// Text as guest inputs in compression mode.
+fn pack(text: String) -> Vec<Input> {
+    pack_bin(text.bytes().map(i64::from).collect())
 }
 
-/// The `compress` workload.
-pub fn compress() -> Workload {
-    Workload {
-        name: "compress",
-        description: "UNIX file compression, SPEC 3.0",
-        group: Group::CInteger,
-        source: COMPRESS.to_string(),
-        datasets: compress_datasets(),
-    }
+/// Bytes as guest inputs in compression mode.
+fn pack_bin(bytes: Vec<i64>) -> Vec<Input> {
+    let n = bytes.len() as i64;
+    vec![Input::Ints(bytes), Input::Int(n), Input::Int(0)]
 }
+
+/// The datasets compress reads, and uncompress reads compressed.
+const COMPRESS_DATASETS: [DatasetRow; 5] = [
+    DatasetRow {
+        name: "cmprssc",
+        description: "C source for SPEC 3.0 compress",
+        inputs: || pack(gen_c_source(101, 40)),
+    },
+    DatasetRow {
+        name: "cmprss",
+        description: "Multiflow compiled image for SPEC 3.0 compress",
+        inputs: || pack_bin(gen_binary(102, 14_000)),
+    },
+    DatasetRow {
+        name: "long",
+        description: "The SPEC 3.0 reference data",
+        inputs: || pack(gen_long_text(103, 6_000)),
+    },
+    DatasetRow {
+        name: "spicef",
+        description: "FORTRAN source for spice",
+        inputs: || pack(gen_fortran_source(104, 30)),
+    },
+    DatasetRow {
+        name: "spice",
+        description: "Compiled image for spice",
+        inputs: || pack_bin(gen_binary(105, 18_000)),
+    },
+];
+
+/// The `compress` row.
+pub const COMPRESS_ROW: Row = Row {
+    name: "compress",
+    description: "UNIX file compression, SPEC 3.0",
+    group: Group::CInteger,
+    source: || COMPRESS.to_string(),
+    datasets: &COMPRESS_DATASETS,
+};
 
 /// Runs the compress guest to produce a dataset's compressed codes.
 fn compress_codes(inputs: &[Input]) -> Vec<i64> {
@@ -413,32 +412,56 @@ fn compress_codes(inputs: &[Input]) -> Vec<i64> {
         .output_ints()
 }
 
-/// The `uncompress` workload: the same guest program with the mode switch
-/// set for decompression, fed the compressed images of the same datasets.
-pub fn uncompress() -> Workload {
-    static DATASETS: OnceLock<Vec<Dataset>> = OnceLock::new();
-    let datasets = DATASETS.get_or_init(|| {
-        compress_datasets()
-            .into_iter()
-            .map(|d| {
-                let codes = compress_codes(&d.inputs);
-                let n = codes.len() as i64;
-                Dataset::new(
-                    d.name,
-                    "Compressed image of the compress dataset",
-                    vec![Input::Ints(codes), Input::Int(n), Input::Int(1)],
-                )
-            })
-            .collect()
-    });
-    Workload {
-        name: "uncompress",
-        description: "compress with switch set for decompression",
-        group: Group::CInteger,
-        source: COMPRESS.to_string(),
-        datasets: datasets.clone(),
-    }
+/// The inputs of uncompress's dataset `i`: the compressed image of
+/// compress's dataset `i` in decompression mode. Compressing runs the
+/// guest, so each image is made once per process.
+fn compressed(i: usize) -> Vec<Input> {
+    static IMAGES: [OnceLock<Vec<Input>>; COMPRESS_DATASETS.len()] =
+        [const { OnceLock::new() }; COMPRESS_DATASETS.len()];
+    IMAGES[i]
+        .get_or_init(|| {
+            let codes = compress_codes(&(COMPRESS_DATASETS[i].inputs)());
+            let n = codes.len() as i64;
+            vec![Input::Ints(codes), Input::Int(n), Input::Int(1)]
+        })
+        .clone()
 }
+
+/// The `uncompress` row: the same guest program with the mode switch set
+/// for decompression, fed the compressed images of compress's datasets.
+pub const UNCOMPRESS_ROW: Row = Row {
+    name: "uncompress",
+    description: "compress with switch set for decompression",
+    group: Group::CInteger,
+    source: || COMPRESS.to_string(),
+    datasets: &[
+        DatasetRow {
+            name: "cmprssc",
+            description: "Compressed image of the compress dataset",
+            inputs: || compressed(0),
+        },
+        DatasetRow {
+            name: "cmprss",
+            description: "Compressed image of the compress dataset",
+            inputs: || compressed(1),
+        },
+        DatasetRow {
+            name: "long",
+            description: "Compressed image of the compress dataset",
+            inputs: || compressed(2),
+        },
+        DatasetRow {
+            name: "spicef",
+            description: "Compressed image of the compress dataset",
+            inputs: || compressed(3),
+        },
+        DatasetRow {
+            name: "spice",
+            description: "Compressed image of the compress dataset",
+            inputs: || compressed(4),
+        },
+    ],
+};
 
 #[cfg(test)]
 mod tests {
@@ -505,7 +528,7 @@ mod tests {
 
     #[test]
     fn uncompress_datasets_are_real_compressed_images() {
-        let u = uncompress();
+        let u = UNCOMPRESS_ROW.generate();
         assert_eq!(u.datasets.len(), 5);
         for d in &u.datasets {
             assert!(d.inputs[0].len() > 10, "{} too small", d.name);

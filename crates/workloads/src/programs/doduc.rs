@@ -10,7 +10,7 @@
 
 use trace_vm::Input;
 
-use crate::{Dataset, Group, Workload};
+use crate::{DatasetRow, Group, Row};
 
 const DODUC: &str = r#"
 global table_t: [float];   // property table: temperature grid
@@ -96,20 +96,30 @@ fn main(steps: int) {
 }
 "#;
 
-/// The `doduc` workload with its three SPEC-style datasets.
-pub fn workload() -> Workload {
-    Workload {
-        name: "doduc",
-        description: "Nuclear reactor modeling",
-        group: Group::FortranFp,
-        source: DODUC.to_string(),
-        datasets: vec![
-            Dataset::new("tiny", "Shortest SPEC-style run", vec![Input::Int(3_000)]),
-            Dataset::new("small", "Medium SPEC-style run", vec![Input::Int(8_000)]),
-            Dataset::new("ref", "Reference SPEC-style run", vec![Input::Int(20_000)]),
-        ],
-    }
-}
+/// The `doduc` row with its three SPEC-style datasets.
+pub const ROW: Row = Row {
+    name: "doduc",
+    description: "Nuclear reactor modeling",
+    group: Group::FortranFp,
+    source: || DODUC.to_string(),
+    datasets: &[
+        DatasetRow {
+            name: "tiny",
+            description: "Shortest SPEC-style run",
+            inputs: || vec![Input::Int(3_000)],
+        },
+        DatasetRow {
+            name: "small",
+            description: "Medium SPEC-style run",
+            inputs: || vec![Input::Int(8_000)],
+        },
+        DatasetRow {
+            name: "ref",
+            description: "Reference SPEC-style run",
+            inputs: || vec![Input::Int(20_000)],
+        },
+    ],
+};
 
 #[cfg(test)]
 mod tests {
@@ -119,7 +129,7 @@ mod tests {
 
     #[test]
     fn stabilizes_and_counts_lookups() {
-        let w = workload();
+        let w = ROW.generate();
         let p = w.compile().unwrap();
         let out = Vm::new(&p).run(&[Input::Int(2000)]).unwrap().output_ints();
         let temp = out[0] as f64 / 1000.0;
@@ -134,7 +144,7 @@ mod tests {
 
     #[test]
     fn datasets_differ_only_in_length() {
-        let w = workload();
+        let w = ROW.generate();
         assert_eq!(w.datasets.len(), 3);
         let p = w.compile().unwrap();
         let tiny = Vm::new(&p).run(&w.datasets[0].inputs).unwrap();

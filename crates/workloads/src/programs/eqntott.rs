@@ -10,7 +10,7 @@ use std::fmt::Write as _;
 
 use trace_vm::Input;
 
-use crate::{Dataset, Group, Workload};
+use crate::{DatasetRow, Group, Row};
 
 const EQNTOTT: &str = r#"
 // Equation text syntax (one output per line):
@@ -278,42 +278,44 @@ pub fn gen_priority(lines: usize) -> String {
     out
 }
 
-/// The `eqntott` workload.
-pub fn workload() -> Workload {
-    let pack = |text: String| -> Vec<Input> { vec![Input::from_text(&text), Input::Int(0)] };
-    Workload {
-        name: "eqntott",
-        description: "Converts boolean equations to truth tables",
-        group: Group::CInteger,
-        source: EQNTOTT.to_string(),
-        // The naive sum-of-products expansion doubles in term count per
-        // adder bit; widths are scaled one bit down from the paper's
-        // add4/add5/add6 so the largest dataset stays tractable on the
-        // interpreted substrate (same policy as matrix300's 60x60).
-        datasets: vec![
-            Dataset::new(
-                "add4",
-                "Naive adder equations (scaled: 3 bits)",
-                pack(gen_adder(3)),
-            ),
-            Dataset::new(
-                "add5",
-                "Naive adder equations (scaled: 4 bits)",
-                pack(gen_adder(4)),
-            ),
-            Dataset::new(
-                "add6",
-                "Naive adder equations (scaled: 5 bits)",
-                pack(gen_adder(5)),
-            ),
-            Dataset::new(
-                "intpri",
-                "Priority circuit, from SPEC",
-                pack(gen_priority(13)),
-            ),
-        ],
-    }
+/// An equation file as guest inputs.
+fn pack(text: String) -> Vec<Input> {
+    vec![Input::from_text(&text), Input::Int(0)]
 }
+
+/// The `eqntott` row.
+pub const ROW: Row = Row {
+    name: "eqntott",
+    description: "Converts boolean equations to truth tables",
+    group: Group::CInteger,
+    source: || EQNTOTT.to_string(),
+    // The naive sum-of-products expansion doubles in term count per
+    // adder bit; widths are scaled one bit down from the paper's
+    // add4/add5/add6 so the largest dataset stays tractable on the
+    // interpreted substrate (same policy as matrix300's 60x60).
+    datasets: &[
+        DatasetRow {
+            name: "add4",
+            description: "Naive adder equations (scaled: 3 bits)",
+            inputs: || pack(gen_adder(3)),
+        },
+        DatasetRow {
+            name: "add5",
+            description: "Naive adder equations (scaled: 4 bits)",
+            inputs: || pack(gen_adder(4)),
+        },
+        DatasetRow {
+            name: "add6",
+            description: "Naive adder equations (scaled: 5 bits)",
+            inputs: || pack(gen_adder(5)),
+        },
+        DatasetRow {
+            name: "intpri",
+            description: "Priority circuit, from SPEC",
+            inputs: || pack(gen_priority(13)),
+        },
+    ],
+};
 
 #[cfg(test)]
 mod tests {
@@ -398,7 +400,7 @@ mod tests {
     fn smallest_dataset_runs() {
         // The larger datasets run in the release-mode harness; debug tests
         // exercise only add4 to stay fast.
-        let w = workload();
+        let w = ROW.generate();
         let p = w.compile().unwrap();
         let d = w.dataset("add4").unwrap();
         let run = Vm::new(&p).run(&d.inputs).unwrap();

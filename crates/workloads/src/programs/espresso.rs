@@ -11,7 +11,7 @@
 use trace_vm::Input;
 
 use crate::datagen::Lcg;
-use crate::{Dataset, Group, Workload};
+use crate::{DatasetRow, Group, Row};
 
 const ESPRESSO: &str = r#"
 // Cubes are (mask, val) pairs: mask bit set = variable specified, val bit
@@ -222,30 +222,40 @@ fn gen_pla(seed: u64, nvars: u32, n_on: usize, n_off: usize) -> Vec<i64> {
     data
 }
 
-/// The `espresso` workload.
-pub fn workload() -> Workload {
-    let pack = |data: Vec<i64>, tag: i64| vec![Input::Ints(data), Input::Int(tag)];
-    Workload {
-        name: "espresso",
-        description: "PLA optimizer",
-        group: Group::CInteger,
-        source: ESPRESSO.to_string(),
-        datasets: vec![
-            Dataset::new(
-                "bca",
-                "Dense control PLA",
-                pack(gen_pla(301, 10, 90, 220), 1),
-            ),
-            Dataset::new("cps", "Wide sparse PLA", pack(gen_pla(302, 12, 60, 320), 2)),
-            Dataset::new("ti", "Narrow deep PLA", pack(gen_pla(303, 9, 130, 160), 3)),
-            Dataset::new(
-                "tial",
-                "Large mixed PLA",
-                pack(gen_pla(304, 12, 140, 300), 4),
-            ),
-        ],
-    }
+/// A PLA and its tag as guest inputs.
+fn pack(data: Vec<i64>, tag: i64) -> Vec<Input> {
+    vec![Input::Ints(data), Input::Int(tag)]
 }
+
+/// The `espresso` row.
+pub const ROW: Row = Row {
+    name: "espresso",
+    description: "PLA optimizer",
+    group: Group::CInteger,
+    source: || ESPRESSO.to_string(),
+    datasets: &[
+        DatasetRow {
+            name: "bca",
+            description: "Dense control PLA",
+            inputs: || pack(gen_pla(301, 10, 90, 220), 1),
+        },
+        DatasetRow {
+            name: "cps",
+            description: "Wide sparse PLA",
+            inputs: || pack(gen_pla(302, 12, 60, 320), 2),
+        },
+        DatasetRow {
+            name: "ti",
+            description: "Narrow deep PLA",
+            inputs: || pack(gen_pla(303, 9, 130, 160), 3),
+        },
+        DatasetRow {
+            name: "tial",
+            description: "Large mixed PLA",
+            inputs: || pack(gen_pla(304, 12, 140, 300), 4),
+        },
+    ],
+};
 
 #[cfg(test)]
 mod tests {

@@ -11,7 +11,7 @@ use std::fmt::Write as _;
 
 use trace_vm::Input;
 
-use crate::{Dataset, Group, Workload};
+use crate::{DatasetRow, Group, Row};
 
 /// Number of chained operation groups in the giant basic block. Each group
 /// is ~8 straight-line float operations.
@@ -106,27 +106,25 @@ fn main(natoms: int, sweeps: int) {{
     )
 }
 
-/// The `fpppp` workload with its two SPEC datasets (different atom counts).
-pub fn workload() -> Workload {
-    Workload {
-        name: "fpppp",
-        description: "Quantum chemistry",
-        group: Group::FortranFp,
-        source: generate_source(),
-        datasets: vec![
-            Dataset::new(
-                "4atoms",
-                "Smaller parameter setting from SPEC",
-                vec![Input::Int(4), Input::Int(14)],
-            ),
-            Dataset::new(
-                "8atoms",
-                "Larger parameter setting from SPEC",
-                vec![Input::Int(8), Input::Int(2)],
-            ),
-        ],
-    }
-}
+/// The `fpppp` row with its two SPEC datasets (different atom counts).
+pub const ROW: Row = Row {
+    name: "fpppp",
+    description: "Quantum chemistry",
+    group: Group::FortranFp,
+    source: generate_source,
+    datasets: &[
+        DatasetRow {
+            name: "4atoms",
+            description: "Smaller parameter setting from SPEC",
+            inputs: || vec![Input::Int(4), Input::Int(14)],
+        },
+        DatasetRow {
+            name: "8atoms",
+            description: "Larger parameter setting from SPEC",
+            inputs: || vec![Input::Int(8), Input::Int(2)],
+        },
+    ],
+};
 
 #[cfg(test)]
 mod tests {
@@ -136,7 +134,7 @@ mod tests {
 
     #[test]
     fn giant_block_dominates() {
-        let w = workload();
+        let w = ROW.generate();
         let p = w.compile().unwrap();
         let run = Vm::new(&p).run(&[Input::Int(4), Input::Int(2)]).unwrap();
         // The defining property: enormous instructions-per-branch ratio
@@ -147,7 +145,7 @@ mod tests {
 
     #[test]
     fn output_finite_and_deterministic() {
-        let w = workload();
+        let w = ROW.generate();
         let p = w.compile().unwrap();
         let a = Vm::new(&p).run(&[Input::Int(4), Input::Int(1)]).unwrap();
         let b = Vm::new(&p).run(&[Input::Int(4), Input::Int(1)]).unwrap();
@@ -158,7 +156,7 @@ mod tests {
 
     #[test]
     fn datasets_present() {
-        let w = workload();
+        let w = ROW.generate();
         assert_eq!(w.datasets.len(), 2);
         assert_eq!(w.datasets[0].name, "4atoms");
         assert_eq!(w.datasets[1].name, "8atoms");

@@ -14,7 +14,7 @@ use std::fmt::Write as _;
 use trace_vm::Input;
 
 use crate::datagen::Lcg;
-use crate::{Dataset, Group, Workload};
+use crate::{DatasetRow, Group, Row};
 
 const GCC: &str = r#"
 // ---- lexer ----------------------------------------------------------
@@ -570,93 +570,119 @@ fn gen_module(seed: u64, functions: usize, profile: Profile) -> String {
     out
 }
 
-/// The `gcc` workload with six module datasets.
-pub fn workload() -> Workload {
-    let pack = |text: String| vec![Input::from_text(&text), Input::Int(0)];
-    let mk = |name: &'static str, desc: &str, seed: u64, profile: Profile| {
-        Dataset::new(name, desc, pack(gen_module(seed, 26, profile)))
-    };
-    Workload {
-        name: "gcc",
-        description: "GNU C compiler (front-end core over 6 modules)",
-        group: Group::CInteger,
-        source: GCC.to_string(),
-        datasets: vec![
-            mk(
-                "loop_mod",
-                "Loop-heavy module",
-                401,
-                Profile {
-                    loops: 6,
-                    exprs: 2,
-                    decls: 1,
-                    calls: 1,
-                    strings: 0,
-                },
-            ),
-            mk(
-                "expr_mod",
-                "Expression-heavy module",
-                402,
-                Profile {
-                    loops: 1,
-                    exprs: 7,
-                    decls: 1,
-                    calls: 1,
-                    strings: 0,
-                },
-            ),
-            mk(
-                "decl_mod",
-                "Declaration-heavy module",
-                403,
-                Profile {
-                    loops: 1,
-                    exprs: 1,
-                    decls: 7,
-                    calls: 0,
-                    strings: 1,
-                },
-            ),
-            mk(
-                "call_mod",
-                "Call-heavy module",
-                404,
-                Profile {
-                    loops: 1,
-                    exprs: 2,
-                    decls: 1,
-                    calls: 6,
-                    strings: 0,
-                },
-            ),
-            mk(
-                "string_mod",
-                "Diagnostic/string-heavy module",
-                405,
-                Profile {
-                    loops: 1,
-                    exprs: 2,
-                    decls: 1,
-                    calls: 1,
-                    strings: 5,
-                },
-            ),
-            mk(
-                "mixed_mod",
-                "Balanced module",
-                406,
-                Profile {
-                    loops: 2,
-                    exprs: 2,
-                    decls: 2,
-                    calls: 2,
-                    strings: 2,
-                },
-            ),
-        ],
-    }
+/// A generated module of 26 functions as guest inputs.
+fn module(seed: u64, profile: Profile) -> Vec<Input> {
+    vec![
+        Input::from_text(&gen_module(seed, 26, profile)),
+        Input::Int(0),
+    ]
 }
+
+/// The `gcc` row with six module datasets.
+pub const ROW: Row = Row {
+    name: "gcc",
+    description: "GNU C compiler (front-end core over 6 modules)",
+    group: Group::CInteger,
+    source: || GCC.to_string(),
+    datasets: &[
+        DatasetRow {
+            name: "loop_mod",
+            description: "Loop-heavy module",
+            inputs: || {
+                module(
+                    401,
+                    Profile {
+                        loops: 6,
+                        exprs: 2,
+                        decls: 1,
+                        calls: 1,
+                        strings: 0,
+                    },
+                )
+            },
+        },
+        DatasetRow {
+            name: "expr_mod",
+            description: "Expression-heavy module",
+            inputs: || {
+                module(
+                    402,
+                    Profile {
+                        loops: 1,
+                        exprs: 7,
+                        decls: 1,
+                        calls: 1,
+                        strings: 0,
+                    },
+                )
+            },
+        },
+        DatasetRow {
+            name: "decl_mod",
+            description: "Declaration-heavy module",
+            inputs: || {
+                module(
+                    403,
+                    Profile {
+                        loops: 1,
+                        exprs: 1,
+                        decls: 7,
+                        calls: 0,
+                        strings: 1,
+                    },
+                )
+            },
+        },
+        DatasetRow {
+            name: "call_mod",
+            description: "Call-heavy module",
+            inputs: || {
+                module(
+                    404,
+                    Profile {
+                        loops: 1,
+                        exprs: 2,
+                        decls: 1,
+                        calls: 6,
+                        strings: 0,
+                    },
+                )
+            },
+        },
+        DatasetRow {
+            name: "string_mod",
+            description: "Diagnostic/string-heavy module",
+            inputs: || {
+                module(
+                    405,
+                    Profile {
+                        loops: 1,
+                        exprs: 2,
+                        decls: 1,
+                        calls: 1,
+                        strings: 5,
+                    },
+                )
+            },
+        },
+        DatasetRow {
+            name: "mixed_mod",
+            description: "Balanced module",
+            inputs: || {
+                module(
+                    406,
+                    Profile {
+                        loops: 2,
+                        exprs: 2,
+                        decls: 2,
+                        calls: 2,
+                        strings: 2,
+                    },
+                )
+            },
+        },
+    ],
+};
 
 #[cfg(test)]
 mod tests {
@@ -712,7 +738,7 @@ mod tests {
 
     #[test]
     fn all_modules_parse_cleanly() {
-        let w = workload();
+        let w = ROW.generate();
         let p = w.compile().unwrap();
         for d in &w.datasets {
             let out = Vm::new(&p).run(&d.inputs).unwrap().output_ints();
@@ -727,7 +753,7 @@ mod tests {
 
     #[test]
     fn modules_have_distinct_characters() {
-        let w = workload();
+        let w = ROW.generate();
         let p = w.compile().unwrap();
         let runs: Vec<_> = w
             .datasets

@@ -16,7 +16,7 @@ use std::fmt::Write as _;
 
 use trace_vm::Input;
 
-use crate::{Dataset, Group, Workload};
+use crate::{DatasetRow, Group, Row};
 
 const LI: &str = r#"
 // ---- heap and values --------------------------------------------------
@@ -529,38 +529,40 @@ fn sieve_program(limit: u32) -> String {
     out
 }
 
-/// The `li` workload.
-pub fn workload() -> Workload {
-    let pack = |program: String, cells: i64| vec![Input::from_text(&program), Input::Int(cells)];
-    Workload {
-        name: "li",
-        description: "XLISP 1.6 public domain lisp interpreter",
-        group: Group::CInteger,
-        source: LI.to_string(),
-        datasets: vec![
-            Dataset::new(
-                "8queens",
-                "SPEC input, placing 8 queens on a chessboard",
-                pack(queens_program(8), 1_500_000),
-            ),
-            Dataset::new(
-                "9queens",
-                "SPEC input, placing 9 queens on a chessboard",
-                pack(queens_program(9), 6_000_000),
-            ),
-            Dataset::new(
-                "kittyv",
-                "SPEC tomcatv rewritten in XLISP",
-                pack(kittyv_program(60, 40), 2_000_000),
-            ),
-            Dataset::new(
-                "sieve1",
-                "Prime number sieve, output of machine lang to lisp simulator",
-                pack(sieve_program(600), 1_000_000),
-            ),
-        ],
-    }
+/// A Lisp program and its cell budget as guest inputs.
+fn pack(program: String, cells: i64) -> Vec<Input> {
+    vec![Input::from_text(&program), Input::Int(cells)]
 }
+
+/// The `li` row.
+pub const ROW: Row = Row {
+    name: "li",
+    description: "XLISP 1.6 public domain lisp interpreter",
+    group: Group::CInteger,
+    source: || LI.to_string(),
+    datasets: &[
+        DatasetRow {
+            name: "8queens",
+            description: "SPEC input, placing 8 queens on a chessboard",
+            inputs: || pack(queens_program(8), 1_500_000),
+        },
+        DatasetRow {
+            name: "9queens",
+            description: "SPEC input, placing 9 queens on a chessboard",
+            inputs: || pack(queens_program(9), 6_000_000),
+        },
+        DatasetRow {
+            name: "kittyv",
+            description: "SPEC tomcatv rewritten in XLISP",
+            inputs: || pack(kittyv_program(60, 40), 2_000_000),
+        },
+        DatasetRow {
+            name: "sieve1",
+            description: "Prime number sieve, output of machine lang to lisp simulator",
+            inputs: || pack(sieve_program(600), 1_000_000),
+        },
+    ],
+};
 
 #[cfg(test)]
 mod tests {
@@ -655,7 +657,7 @@ mod tests {
 
     #[test]
     fn datasets_are_registered() {
-        let w = workload();
+        let w = ROW.generate();
         assert_eq!(w.datasets.len(), 4);
         assert_eq!(w.datasets[0].name, "8queens");
     }
@@ -663,7 +665,7 @@ mod tests {
     #[test]
     fn eight_queens_has_ninety_two_solutions() {
         // The canonical answer for the actual SPEC-named dataset.
-        let w = workload();
+        let w = ROW.generate();
         let p = w.compile().unwrap();
         let run = Vm::new(&p)
             .run(&w.dataset("8queens").unwrap().inputs)

@@ -15,7 +15,7 @@ use std::fmt::Write as _;
 use trace_vm::Input;
 
 use crate::datagen::Lcg;
-use crate::{Dataset, Group, Workload};
+use crate::{DatasetRow, Group, Row};
 
 const MFCOM: &str = r#"
 // Stack-code ops: 1 PUSH_CONST v, 2 LOAD var, 3 STORE var, 4 ADD, 5 SUB,
@@ -344,30 +344,30 @@ pub fn gen_fortran_metric(seed: u64, lines: usize) -> String {
     out
 }
 
-/// The `mfcom` workload.
-pub fn workload() -> Workload {
-    Workload {
-        name: "mfcom",
-        description: "The Multiflow C & FORTRAN compiler (common optimizer and backend)",
-        group: Group::CInteger,
-        source: MFCOM.to_string(),
-        datasets: vec![
-            Dataset::new(
-                "c_metric",
-                "C-flavoured source (cat, cpp, diff, make, maze, whetstone stand-in)",
-                vec![Input::from_text(&gen_c_metric(501, 900)), Input::Int(0)],
-            ),
-            Dataset::new(
-                "fortran_metric",
-                "Scientific FORTRAN subroutine source stand-in",
+/// The `mfcom` row.
+pub const ROW: Row = Row {
+    name: "mfcom",
+    description: "The Multiflow C & FORTRAN compiler (common optimizer and backend)",
+    group: Group::CInteger,
+    source: || MFCOM.to_string(),
+    datasets: &[
+        DatasetRow {
+            name: "c_metric",
+            description: "C-flavoured source (cat, cpp, diff, make, maze, whetstone stand-in)",
+            inputs: || vec![Input::from_text(&gen_c_metric(501, 900)), Input::Int(0)],
+        },
+        DatasetRow {
+            name: "fortran_metric",
+            description: "Scientific FORTRAN subroutine source stand-in",
+            inputs: || {
                 vec![
                     Input::from_text(&gen_fortran_metric(502, 1000)),
                     Input::Int(1),
-                ],
-            ),
-        ],
-    }
-}
+                ]
+            },
+        },
+    ],
+};
 
 #[cfg(test)]
 mod tests {
@@ -435,7 +435,7 @@ mod tests {
 
     #[test]
     fn both_datasets_run() {
-        let w = workload();
+        let w = ROW.generate();
         let p = w.compile().unwrap();
         for d in &w.datasets {
             let out = Vm::new(&p).run(&d.inputs).unwrap().output_ints();

@@ -9,7 +9,7 @@
 
 use trace_vm::Input;
 
-use crate::{Dataset, Group, Workload};
+use crate::{DatasetRow, Group, Row};
 
 const TOMCATV: &str = r#"
 // tomcatv: mesh generation with Thompson's solver, reduced to its
@@ -404,65 +404,57 @@ fn main(n: int, reps: int) {
 }
 "#;
 
-/// The `tomcatv` workload.
-pub fn tomcatv() -> Workload {
-    Workload {
-        name: "tomcatv",
-        description: "Mesh generation and solver",
-        group: Group::FortranFp,
-        source: TOMCATV.to_string(),
-        datasets: vec![Dataset::new(
-            "ref",
-            "Program does not read a dataset",
-            vec![Input::Int(48), Input::Int(40)],
-        )],
-    }
-}
+/// The `tomcatv` row.
+pub const TOMCATV_ROW: Row = Row {
+    name: "tomcatv",
+    description: "Mesh generation and solver",
+    group: Group::FortranFp,
+    source: || TOMCATV.to_string(),
+    datasets: &[DatasetRow {
+        name: "ref",
+        description: "Program does not read a dataset",
+        inputs: || vec![Input::Int(48), Input::Int(40)],
+    }],
+};
 
-/// The `matrix300` workload.
-pub fn matrix300() -> Workload {
-    Workload {
-        name: "matrix300",
-        description: "300x300 linear matrix solver (scaled to 60x60)",
-        group: Group::FortranFp,
-        source: MATRIX300.to_string(),
-        datasets: vec![Dataset::new(
-            "ref",
-            "Program does not read a dataset",
-            vec![Input::Int(60)],
-        )],
-    }
-}
+/// The `matrix300` row.
+pub const MATRIX300_ROW: Row = Row {
+    name: "matrix300",
+    description: "300x300 linear matrix solver (scaled to 60x60)",
+    group: Group::FortranFp,
+    source: || MATRIX300.to_string(),
+    datasets: &[DatasetRow {
+        name: "ref",
+        description: "Program does not read a dataset",
+        inputs: || vec![Input::Int(60)],
+    }],
+};
 
-/// The `nasa7` workload.
-pub fn nasa7() -> Workload {
-    Workload {
-        name: "nasa7",
-        description: "7 synthetic kernels",
-        group: Group::FortranFp,
-        source: NASA7.to_string(),
-        datasets: vec![Dataset::new(
-            "ref",
-            "Program does not read a dataset",
-            vec![Input::Int(3)],
-        )],
-    }
-}
+/// The `nasa7` row.
+pub const NASA7_ROW: Row = Row {
+    name: "nasa7",
+    description: "7 synthetic kernels",
+    group: Group::FortranFp,
+    source: || NASA7.to_string(),
+    datasets: &[DatasetRow {
+        name: "ref",
+        description: "Program does not read a dataset",
+        inputs: || vec![Input::Int(3)],
+    }],
+};
 
-/// The Livermore FORTRAN Kernels workload.
-pub fn lfk() -> Workload {
-    Workload {
-        name: "lfk",
-        description: "Livermore FORTRAN Kernels (subset, subr KERNEL only)",
-        group: Group::FortranFp,
-        source: LFK.to_string(),
-        datasets: vec![Dataset::new(
-            "ref",
-            "Program does not read a dataset",
-            vec![Input::Int(120), Input::Int(40)],
-        )],
-    }
-}
+/// The Livermore FORTRAN Kernels row.
+pub const LFK_ROW: Row = Row {
+    name: "lfk",
+    description: "Livermore FORTRAN Kernels (subset, subr KERNEL only)",
+    group: Group::FortranFp,
+    source: || LFK.to_string(),
+    datasets: &[DatasetRow {
+        name: "ref",
+        description: "Program does not read a dataset",
+        inputs: || vec![Input::Int(120), Input::Int(40)],
+    }],
+};
 
 #[cfg(test)]
 mod tests {
@@ -470,14 +462,14 @@ mod tests {
 
     use super::*;
 
-    fn run(w: &Workload, inputs: &[Input]) -> Vec<i64> {
-        let p = w.compile().unwrap();
+    fn run(source: &str, inputs: &[Input]) -> Vec<i64> {
+        let p = mflang::compile(source).unwrap();
         Vm::new(&p).run(inputs).unwrap().output_ints()
     }
 
     #[test]
     fn tomcatv_converges() {
-        let out = run(&tomcatv(), &[Input::Int(12), Input::Int(30)]);
+        let out = run(TOMCATV, &[Input::Int(12), Input::Int(30)]);
         // Residual (scaled by 1e6) shrinks to near zero after relaxation.
         assert!(out[0] < 20_000, "residual too large: {}", out[0]);
         // Center of the unit-square mesh is near (0.5, 0.5) ± distortion.
@@ -487,24 +479,24 @@ mod tests {
 
     #[test]
     fn matrix300_solves_accurately() {
-        let out = run(&matrix300(), &[Input::Int(20)]);
+        let out = run(MATRIX300, &[Input::Int(20)]);
         // Residual scaled by 1e9: the solve must be accurate.
         assert!(out[0].abs() < 100_000, "residual {} too large", out[0]);
     }
 
     #[test]
     fn nasa7_checksum_deterministic() {
-        let a = run(&nasa7(), &[Input::Int(1)]);
-        let b = run(&nasa7(), &[Input::Int(1)]);
+        let a = run(NASA7, &[Input::Int(1)]);
+        let b = run(NASA7, &[Input::Int(1)]);
         assert_eq!(a, b);
         assert_ne!(a[0], 0);
-        let c = run(&nasa7(), &[Input::Int(2)]);
+        let c = run(NASA7, &[Input::Int(2)]);
         assert_ne!(a[0], c[0], "scale must change the checksum");
     }
 
     #[test]
     fn lfk_deterministic_nonzero() {
-        let a = run(&lfk(), &[Input::Int(40), Input::Int(3)]);
+        let a = run(LFK, &[Input::Int(40), Input::Int(3)]);
         assert_eq!(a.len(), 1);
         assert_ne!(a[0], 0);
     }
@@ -513,8 +505,7 @@ mod tests {
     fn numeric_codes_are_branch_sparse() {
         // The FORTRAN/FP side of Figure 1: numeric codes run many
         // instructions per conditional branch.
-        let w = matrix300();
-        let p = w.compile().unwrap();
+        let p = mflang::compile(MATRIX300).unwrap();
         let run = Vm::new(&p).run(&[Input::Int(24)]).unwrap();
         let ipb = run.stats.total_instrs as f64 / run.stats.branches.total_executed() as f64;
         assert!(ipb > 8.0, "matrix300 instrs/branch = {ipb}");

@@ -17,7 +17,7 @@
 use trace_vm::Input;
 
 use crate::datagen::Lcg;
-use crate::{Dataset, Group, Workload};
+use crate::{DatasetRow, Group, Row};
 
 const SPICE: &str = r#"
 global g_mat: [float];     // dense conductance matrix
@@ -355,68 +355,70 @@ fn greycode(stages: i64) -> Netlist {
     n
 }
 
-/// The `spice2g6` workload with its nine datasets.
-pub fn workload() -> Workload {
-    Workload {
-        name: "spice2g6",
-        description: "Electronic design simulator",
-        group: Group::FortranFp,
-        source: SPICE.to_string(),
-        datasets: vec![
-            Dataset::new(
-                "circuit1",
-                "Spice 2G User's Guide appendix example (RC, linear)",
-                rc_ladder(10, 0.01).inputs(120, 6),
-            ),
-            Dataset::new(
-                "circuit2",
-                "Appendix example (very short run)",
-                diode_mixer(601, 6).inputs(4, 6),
-            ),
-            Dataset::new(
-                "circuit3",
-                "Appendix example (diode mixer)",
-                diode_mixer(602, 10).inputs(90, 8),
-            ),
-            Dataset::new("circuit4", "Appendix example (mixed RC + junctions)", {
+/// The `spice2g6` row with its nine datasets.
+pub const ROW: Row = Row {
+    name: "spice2g6",
+    description: "Electronic design simulator",
+    group: Group::FortranFp,
+    source: || SPICE.to_string(),
+    datasets: &[
+        DatasetRow {
+            name: "circuit1",
+            description: "Spice 2G User's Guide appendix example (RC, linear)",
+            inputs: || rc_ladder(10, 0.01).inputs(120, 6),
+        },
+        DatasetRow {
+            name: "circuit2",
+            description: "Appendix example (very short run)",
+            inputs: || diode_mixer(601, 6).inputs(4, 6),
+        },
+        DatasetRow {
+            name: "circuit3",
+            description: "Appendix example (diode mixer)",
+            inputs: || diode_mixer(602, 10).inputs(90, 8),
+        },
+        DatasetRow {
+            name: "circuit4",
+            description: "Appendix example (mixed RC + junctions)",
+            inputs: || {
                 let mut n = diode_mixer(603, 8);
                 n.bjt(3, 0, 1e-13, 60.0);
                 n.bjt(5, 2, 1e-13, 75.0);
                 n.inputs(110, 8)
-            }),
-            Dataset::new(
-                "circuit5",
-                "Appendix example (larger linear + diode mix)",
-                {
-                    let mut n = rc_ladder(14, 0.012);
-                    n.diode(7, 0, 1e-12);
-                    n.diode(11, 0, 1e-12);
-                    n.inputs(140, 6)
-                },
-            ),
-            Dataset::new(
-                "add_bjt",
-                "4-bit all-NAND adder, TTL gates",
-                nand_adder(604, 18, false).inputs(60, 8),
-            ),
-            Dataset::new(
-                "add_fet",
-                "4-bit all-NAND adder, MOSFET gates",
-                nand_adder(605, 18, true).inputs(60, 8),
-            ),
-            Dataset::new(
-                "greysmall",
-                "Greycode counter, smaller SPEC input",
-                greycode(8).inputs(100, 4),
-            ),
-            Dataset::new(
-                "greybig",
-                "Greycode counter, larger SPEC input",
-                greycode(8).inputs(1500, 4),
-            ),
-        ],
-    }
-}
+            },
+        },
+        DatasetRow {
+            name: "circuit5",
+            description: "Appendix example (larger linear + diode mix)",
+            inputs: || {
+                let mut n = rc_ladder(14, 0.012);
+                n.diode(7, 0, 1e-12);
+                n.diode(11, 0, 1e-12);
+                n.inputs(140, 6)
+            },
+        },
+        DatasetRow {
+            name: "add_bjt",
+            description: "4-bit all-NAND adder, TTL gates",
+            inputs: || nand_adder(604, 18, false).inputs(60, 8),
+        },
+        DatasetRow {
+            name: "add_fet",
+            description: "4-bit all-NAND adder, MOSFET gates",
+            inputs: || nand_adder(605, 18, true).inputs(60, 8),
+        },
+        DatasetRow {
+            name: "greysmall",
+            description: "Greycode counter, smaller SPEC input",
+            inputs: || greycode(8).inputs(100, 4),
+        },
+        DatasetRow {
+            name: "greybig",
+            description: "Greycode counter, larger SPEC input",
+            inputs: || greycode(8).inputs(1500, 4),
+        },
+    ],
+};
 
 #[cfg(test)]
 mod tests {
@@ -495,7 +497,7 @@ mod tests {
 
     #[test]
     fn datasets_use_different_model_modules() {
-        let w = workload();
+        let w = ROW.generate();
         let p = w.compile().unwrap();
         // Linear circuits never evaluate a nonlinear model.
         let grey = Vm::new(&p)
@@ -513,7 +515,7 @@ mod tests {
 
     #[test]
     fn greybig_runs_much_longer_than_greysmall() {
-        let w = workload();
+        let w = ROW.generate();
         let p = w.compile().unwrap();
         let small = Vm::new(&p)
             .run(&w.dataset("greysmall").unwrap().inputs)

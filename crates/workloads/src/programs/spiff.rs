@@ -12,7 +12,7 @@ use std::fmt::Write as _;
 use trace_vm::Input;
 
 use crate::datagen::Lcg;
-use crate::{Dataset, Group, Workload};
+use crate::{DatasetRow, Group, Row};
 
 const SPIFF: &str = r#"
 // Inputs: two files as byte arrays, plus a tolerance in millionths.
@@ -236,46 +236,53 @@ fn gen_listing(seed: u64, n: usize) -> String {
     out
 }
 
-/// The `spiff` workload.
-pub fn workload() -> Workload {
-    let pack = |a: String, b: String, tol: i64| -> Vec<Input> {
-        vec![Input::from_text(&a), Input::from_text(&b), Input::Int(tol)]
-    };
-    let base1 = gen_float_file(201, 60, 4);
-    let case1 = perturb(&base1, 211, 25, 3);
-    let base2 = gen_float_file(202, 60, 4);
-    let case2 = perturb(&base2, 212, 40, 8);
+/// Two files and the numeric tolerance as guest inputs.
+fn pack(a: String, b: String, tol: i64) -> Vec<Input> {
+    vec![Input::from_text(&a), Input::from_text(&b), Input::Int(tol)]
+}
+
+/// A float file and its perturbed copy, compared under tolerance 10.
+fn float_files(seed: u64, perturb_seed: u64, nudged: usize, changed: usize) -> Vec<Input> {
+    let base = gen_float_file(seed, 60, 4);
+    let case = perturb(&base, perturb_seed, nudged, changed);
+    pack(base, case, 10)
+}
+
+/// A 28-line directory listing and a copy whose last two lines differ.
+fn listings() -> Vec<Input> {
     let list_a = gen_listing(203, 28);
     let mut list_b_lines: Vec<String> = list_a.lines().map(String::from).collect();
     let n = list_b_lines.len();
     list_b_lines[n - 2] = "-rw-r--r-- 1 user staff    999 Feb  1 09:00 newfile".to_string();
     list_b_lines[n - 1] = "-rw-r--r-- 1 user staff   1234 Feb  2 09:30 another".to_string();
     let list_b = list_b_lines.join("\n") + "\n";
-
-    Workload {
-        name: "spiff",
-        description: "File comparison tool included in SPEC",
-        group: Group::CInteger,
-        source: SPIFF.to_string(),
-        datasets: vec![
-            Dataset::new(
-                "case1",
-                "Float files, some within-tolerance differences",
-                pack(base1, case1, 10),
-            ),
-            Dataset::new(
-                "case2",
-                "Float files, more differences",
-                pack(base2, case2, 10),
-            ),
-            Dataset::new(
-                "case3",
-                "26/28 line directory listings, last lines differ",
-                pack(list_a, list_b, 10),
-            ),
-        ],
-    }
+    pack(list_a, list_b, 10)
 }
+
+/// The `spiff` row.
+pub const ROW: Row = Row {
+    name: "spiff",
+    description: "File comparison tool included in SPEC",
+    group: Group::CInteger,
+    source: || SPIFF.to_string(),
+    datasets: &[
+        DatasetRow {
+            name: "case1",
+            description: "Float files, some within-tolerance differences",
+            inputs: || float_files(201, 211, 25, 3),
+        },
+        DatasetRow {
+            name: "case2",
+            description: "Float files, more differences",
+            inputs: || float_files(202, 212, 40, 8),
+        },
+        DatasetRow {
+            name: "case3",
+            description: "26/28 line directory listings, last lines differ",
+            inputs: listings,
+        },
+    ],
+};
 
 #[cfg(test)]
 mod tests {
@@ -328,7 +335,7 @@ mod tests {
 
     #[test]
     fn case3_sees_exactly_the_tail_changes() {
-        let w = workload();
+        let w = ROW.generate();
         let p = w.compile().unwrap();
         let d = w.dataset("case3").unwrap();
         let out = Vm::new(&p).run(&d.inputs).unwrap().output_ints();
@@ -341,7 +348,7 @@ mod tests {
 
     #[test]
     fn case1_edit_counts_bounded() {
-        let w = workload();
+        let w = ROW.generate();
         let p = w.compile().unwrap();
         let d = w.dataset("case1").unwrap();
         let out = Vm::new(&p).run(&d.inputs).unwrap().output_ints();

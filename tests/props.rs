@@ -143,9 +143,8 @@ proptest! {
 
     #[test]
     fn lzw_roundtrips_arbitrary_bytes(data in prop::collection::vec(0i64..256, 1..600)) {
-        let all = fisher92::workloads::suite();
-        let w = all.iter().find(|w| w.name == "compress").expect("compress");
-        let program = compile(&w.source).expect("compiles");
+        let source = (fisher92::workloads::row("compress").expect("compress").source)();
+        let program = compile(&source).expect("compiles");
         let n = data.len() as i64;
         let codes = Vm::new(&program)
             .run(&[Input::Ints(data.clone()), Input::Int(n), Input::Int(0)])
@@ -264,5 +263,189 @@ proptest! {
         let text = directives::write_directives(&program, &counts);
         let parsed = directives::parse_directives(&program, &text).expect("parses");
         prop_assert_eq!(parsed, counts);
+    }
+}
+
+// ---------------------------------------------------------------------
+// The per-site arrays behind `Predictor` and `combine` against the
+// `BTreeMap` model they replaced.
+// ---------------------------------------------------------------------
+
+mod map_model {
+    use std::collections::BTreeMap;
+
+    use fisher92::ir::BranchId;
+    use fisher92::predict::Direction;
+    use fisher92::profile::CombineRule;
+    use fisher92::vm::BranchCounts;
+
+    /// A predictor as one map entry per predicted site.
+    pub struct Predictor {
+        pub map: BTreeMap<BranchId, Direction>,
+        pub default: Direction,
+    }
+
+    impl Predictor {
+        pub fn from_counts(counts: &BranchCounts, default: Direction) -> Self {
+            let map = counts
+                .iter()
+                .filter(|(_, e, _)| *e > 0)
+                .map(|(id, e, t)| {
+                    let dir = if t * 2 >= e {
+                        Direction::Taken
+                    } else {
+                        Direction::NotTaken
+                    };
+                    (id, dir)
+                })
+                .collect();
+            Predictor { map, default }
+        }
+
+        pub fn from_weighted(counts: &BTreeMap<BranchId, (f64, f64)>, default: Direction) -> Self {
+            let map = counts
+                .iter()
+                .filter(|&(_, &(e, _))| e > 0.0)
+                .map(|(&id, &(e, t))| {
+                    let dir = if t / e >= 0.5 {
+                        Direction::Taken
+                    } else {
+                        Direction::NotTaken
+                    };
+                    (id, dir)
+                })
+                .collect();
+            Predictor { map, default }
+        }
+
+        pub fn predict(&self, id: BranchId) -> Direction {
+            self.map.get(&id).copied().unwrap_or(self.default)
+        }
+    }
+
+    /// Combines profiles into one map entry per seen site.
+    pub fn combine(
+        profiles: &[&BranchCounts],
+        rule: CombineRule,
+    ) -> BTreeMap<BranchId, (f64, f64)> {
+        let mut out: BTreeMap<BranchId, (f64, f64)> = BTreeMap::new();
+        for p in profiles {
+            match rule {
+                CombineRule::Unscaled => {
+                    for (id, e, t) in p.iter() {
+                        let slot = out.entry(id).or_insert((0.0, 0.0));
+                        slot.0 += e as f64;
+                        slot.1 += t as f64;
+                    }
+                }
+                CombineRule::Scaled => {
+                    let total = p.total_executed();
+                    if total == 0 {
+                        continue;
+                    }
+                    let w = 1.0 / total as f64;
+                    for (id, e, t) in p.iter() {
+                        let slot = out.entry(id).or_insert((0.0, 0.0));
+                        slot.0 += e as f64 * w;
+                        slot.1 += t as f64 * w;
+                    }
+                }
+                CombineRule::Polling => {
+                    for (id, e, t) in p.iter() {
+                        if e == 0 {
+                            continue;
+                        }
+                        let slot = out.entry(id).or_insert((0.0, 0.0));
+                        slot.0 += 1.0;
+                        if t * 2 >= e {
+                            slot.1 += 1.0;
+                        }
+                    }
+                }
+            }
+        }
+        out
+    }
+}
+
+fn direction(taken: u8) -> Direction {
+    if taken == 1 {
+        Direction::Taken
+    } else {
+        Direction::NotTaken
+    }
+}
+
+/// Every site the generated profiles can name, and a few beyond.
+fn probe_ids() -> impl Iterator<Item = fisher92::ir::BranchId> {
+    (0u32..48).map(fisher92::ir::BranchId)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    #[test]
+    fn dense_predictors_match_the_map_model(
+        counts in arb_counts(),
+        dirs in prop::collection::vec((0u32..40, 0u8..2), 0..30),
+        default in 0u8..2,
+    ) {
+        let default = direction(default);
+        let pairs: Vec<_> = dirs
+            .iter()
+            .map(|&(id, taken)| (fisher92::ir::BranchId(id), direction(taken)))
+            .collect();
+        let model = map_model::Predictor {
+            map: pairs.iter().copied().collect(),
+            default,
+        };
+        let dense = Predictor::from_directions(pairs.iter().copied(), default);
+        let from_counts = Predictor::from_counts(&counts, default);
+        let counts_model = map_model::Predictor::from_counts(&counts, default);
+        for (dense, model) in [(&dense, &model), (&from_counts, &counts_model)] {
+            for id in probe_ids() {
+                prop_assert_eq!(dense.predict(id), model.predict(id), "{:?}", id);
+            }
+            let entries: Vec<_> = model.map.iter().map(|(&id, &d)| (id, d)).collect();
+            prop_assert_eq!(dense.iter().collect::<Vec<_>>(), entries.clone());
+            prop_assert_eq!(dense.len(), model.map.len());
+            prop_assert_eq!(dense.is_empty(), model.map.is_empty());
+            // Any insertion order of the same predictions is the same
+            // predictor.
+            let reversed = Predictor::from_directions(entries.into_iter().rev(), model.default);
+            prop_assert_eq!(&reversed, dense);
+        }
+    }
+
+    #[test]
+    fn dense_combine_matches_the_map_model(
+        a in arb_counts(),
+        b in arb_counts(),
+        c in arb_counts(),
+    ) {
+        let bits = |(e, t): (f64, f64)| (e.to_bits(), t.to_bits());
+        for rule in [CombineRule::Scaled, CombineRule::Unscaled, CombineRule::Polling] {
+            for profiles in [vec![&a, &b, &c], vec![&c, &a], vec![&b]] {
+                let dense = combine(&profiles, rule);
+                let model = map_model::combine(&profiles, rule);
+                // Every weight is the same sum in the same order: equal to
+                // the bit.
+                let got: Vec<_> = dense.iter().map(|(id, e, t)| (id, bits((e, t)))).collect();
+                let want: Vec<_> = model.iter().map(|(&id, &w)| (id, bits(w))).collect();
+                prop_assert_eq!(got, want, "{:?}", rule);
+                prop_assert_eq!(dense.len(), model.len());
+                prop_assert_eq!(dense.is_empty(), model.is_empty());
+                for id in probe_ids() {
+                    let unseen = (0.0, 0.0);
+                    let w = model.get(&id).copied().unwrap_or(unseen);
+                    prop_assert_eq!(bits(dense.get(id)), bits(w), "{:?} {:?}", rule, id);
+                }
+                let predictor = Predictor::from_weighted(&dense, Direction::NotTaken);
+                let expected = map_model::Predictor::from_weighted(&model, Direction::NotTaken);
+                for id in probe_ids() {
+                    prop_assert_eq!(predictor.predict(id), expected.predict(id), "{:?}", id);
+                }
+            }
+        }
     }
 }
