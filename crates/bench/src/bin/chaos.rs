@@ -1,8 +1,8 @@
 //! `chaos` — the full-pipeline chaos battery (see `mfbench::chaos`).
 //!
 //! Runs seeded filesystem fault storms through the whole stack — profile
-//! service, version-skew remap, profile-laid-out flat backend, dynamic
-//! predictor zoo — with program edits injected between rounds, and
+//! service, version-skew remap, flat backend against the reference,
+//! dynamic predictor zoo — with program edits injected between rounds, and
 //! reports every invariant violation.
 //!
 //! Exit status: 0 = clean battery, 1 = findings, 2 = usage or I/O error.

@@ -30,8 +30,8 @@ use std::process::ExitCode;
 use std::sync::Arc;
 
 use mfbench::{
-    collect_subset_with, collect_with, dyn_geomeans, dyn_row_json, dyn_rows, dyn_table, ipm_json,
-    DynRow, SuiteRuns, DYN_COLUMNS, ML_TRAIN_MARKER,
+    collect_subset_with, dyn_geomeans, dyn_row_json, dyn_rows, dyn_table, ipm_json, DynRow,
+    SuiteRuns, DYN_COLUMNS, ML_TRAIN_MARKER,
 };
 use mfdyn::DynSpec;
 use mfharness::{DiskCache, Harness, HarnessOptions, Observe, RunJob};
@@ -153,25 +153,25 @@ struct SweepRow {
     rates: Vec<f64>,
 }
 
-/// Drives a parameterized gshare family over each selected workload's
+/// Drives a parameterized gshare family over each collected workload's
 /// first dataset through `harness` (one observed run per workload, all
-/// predictors riding on it).
-fn gshare_sweep(harness: &Harness, names: &[&str], specs: &[DynSpec]) -> Vec<SweepRow> {
-    let all = mfwork::suite();
+/// predictors riding on it). Each run takes its program from the
+/// collection and generates only that dataset.
+fn gshare_sweep(harness: &Harness, s: &SuiteRuns, specs: &[DynSpec]) -> Vec<SweepRow> {
     let mut selected = Vec::new();
     let mut jobs = Vec::new();
-    for w in all.iter().filter(|w| names.contains(&w.name)) {
-        let d = &w.datasets[0];
-        let program = Arc::new(w.compile().expect("bundled workload compiles"));
+    for w in &s.workloads {
+        let row = mfwork::row(&w.name).expect("collected workloads are suite rows");
+        let d = row.datasets[0].generate();
         jobs.push(RunJob::with_observer(
-            w.name,
+            w.name.clone(),
             d.name.clone(),
-            program,
-            d.inputs.clone(),
-            sweep_config(w.vm_config()),
+            Arc::clone(&w.program),
+            d.inputs,
+            sweep_config(mfwork::vm_config()),
             Observe::Zoo(specs.to_vec()),
         ));
-        selected.push((w.name.to_string(), d.name.clone()));
+        selected.push((w.name.clone(), d.name));
     }
     let outcomes = harness.run(jobs).unwrap_or_else(|e| panic!("{e}"));
     selected
@@ -458,17 +458,13 @@ fn main() -> ExitCode {
     let names: Vec<&str> = if options.quick {
         QUICK.to_vec()
     } else {
-        mfwork::suite().iter().map(|w| w.name).collect()
+        mfwork::names().collect()
     };
     eprintln!(
         "dynbench: collecting {} workloads with the online predictor zoo…",
         names.len()
     );
-    let s: SuiteRuns = if options.quick {
-        collect_subset_with(&harness, QUICK)
-    } else {
-        collect_with(&harness)
-    };
+    let s: SuiteRuns = collect_subset_with(&harness, &names);
 
     let rows = dyn_rows(&s);
     let geomeans = dyn_geomeans(&rows);
@@ -512,7 +508,7 @@ fn main() -> ExitCode {
             table_bits: t,
         })
         .collect();
-    let table_rows = gshare_sweep(&harness, &names, &table_specs);
+    let table_rows = gshare_sweep(&harness, &s, &table_specs);
     section("Gshare table-size/aliasing sweep (8-bit history, mispredict rate)");
     let t_cols: Vec<String> = TABLE_BITS.iter().map(|t| format!("T{t}")).collect();
     print!("{}", sweep_table(&t_cols, &table_rows).render());

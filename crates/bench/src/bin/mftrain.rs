@@ -1,10 +1,11 @@
 //! mftrain — offline trainer for the `mfpredict` static branch model.
 //!
-//! Collects profiles for the whole workload suite through the harness
-//! (so collection is cached, parallel, and jobs-invariant), extracts
-//! static feature vectors for the *training half* of the suite
-//! ([`mfpredict::TRAIN_WORKLOADS`]), trains the deterministic softsign
-//! model, and writes the versioned byte-stable artifact. Two consecutive
+//! Collects profiles for the *training half* of the suite
+//! ([`mfpredict::TRAIN_WORKLOADS`]) through the harness (so collection is
+//! cached, parallel, and jobs-invariant), extracts their static feature
+//! vectors, trains the deterministic softsign model, and writes the
+//! versioned byte-stable artifact. `--eval` and `--soundness` read the
+//! held-out half too, so they collect the whole suite. Two consecutive
 //! runs — at any `--jobs` — produce byte-identical artifacts; CI
 //! retrains and compares against the committed file.
 //!
@@ -22,8 +23,8 @@
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-use bpredict::{evaluate, BreakConfig, Direction, Predictor};
-use mfbench::{collect_with, SuiteRuns};
+use bpredict::{evaluate, experiment, BreakConfig, Direction, Metrics, Predictor};
+use mfbench::{collect_subset_with, collect_with, SuiteRuns};
 use mfharness::{Harness, HarnessOptions};
 use mfpredict::{
     analyze, extract, train, Model, ProgramProofs, Sample, TrainConfig, COMMITTED_MODEL_PATH,
@@ -46,7 +47,8 @@ usage: mftrain [options]
                     contradiction
   --features PATH   dump the training feature matrix as TSV (exact f64
                     debug formatting; used by the determinism tests)
-  --jobs N          harness worker threads (default: MFHARNESS_JOBS or 1)
+  --jobs N          harness worker threads (default: MFHARNESS_JOBS, else
+                    the available parallelism clamped to 8)
   -h, --help        this message
 ";
 
@@ -97,24 +99,23 @@ fn parse_args(args: &[String]) -> Result<Option<Options>, String> {
     Ok(Some(options))
 }
 
-/// One workload's compiled program, analysis, and aggregated counters.
-struct WorkloadData {
-    name: &'static str,
-    program: Program,
+/// One collected workload's analysis and aggregated counters.
+struct WorkloadData<'s> {
+    name: &'s str,
+    /// The profiling build the workload's runs executed.
+    program: &'s Program,
     analysis: ProgramProofs,
     /// Per-site `(executed, taken)` summed over every dataset.
     totals: std::collections::BTreeMap<BranchId, (u64, u64)>,
 }
 
-fn gather(s: &SuiteRuns) -> Vec<WorkloadData> {
-    mfwork::suite()
-        .into_iter()
+fn gather(s: &SuiteRuns) -> Vec<WorkloadData<'_>> {
+    s.workloads
+        .iter()
         .map(|w| {
-            let program = w.compile().expect("bundled workload compiles");
-            let analysis = analyze(&program);
-            let runs = &s.workload(w.name).expect("collected workload").runs;
+            let analysis = analyze(&w.program);
             let mut totals: std::collections::BTreeMap<BranchId, (u64, u64)> = Default::default();
-            for r in runs {
+            for r in &w.runs {
                 for (id, e, t) in r.stats.branches.iter() {
                     let slot = totals.entry(id).or_insert((0, 0));
                     slot.0 += e;
@@ -122,8 +123,8 @@ fn gather(s: &SuiteRuns) -> Vec<WorkloadData> {
                 }
             }
             WorkloadData {
-                name: w.name,
-                program,
+                name: &w.name,
+                program: &w.program,
                 analysis,
                 totals,
             }
@@ -149,7 +150,7 @@ fn build_samples(data: &[WorkloadData]) -> (Vec<Sample>, Vec<SampleMeta>) {
         if !TRAIN_WORKLOADS.contains(&wd.name) {
             continue;
         }
-        let features = extract(&wd.program, &wd.analysis);
+        let features = extract(wd.program, &wd.analysis);
         for f in &features {
             let Some(&(executed, taken)) = wd.totals.get(&f.id) else {
                 continue; // never executed: no label
@@ -206,30 +207,24 @@ fn eval_table(s: &SuiteRuns, data: &[WorkloadData], model: &Model) -> Table {
             continue;
         }
         let w = s.workload(wd.name).expect("collected workload");
-        let features = extract(&wd.program, &wd.analysis);
+        let features = extract(wd.program, &wd.analysis);
         let ml = Predictor::from_directions(
             model
                 .predict_branches(&features)
                 .map(|(id, taken)| (id, direction(taken))),
             Direction::NotTaken,
         );
-        let mut proof_dirs: std::collections::BTreeMap<_, _> = w.btfn.iter().collect();
-        for (id, taken) in wd.analysis.proven_directions() {
-            proof_dirs.insert(id, direction(taken));
-        }
-        let proof = Predictor::from_directions(proof_dirs, Direction::NotTaken);
         for run in &w.runs {
-            let rate =
-                |p: &Predictor| fmt_percent(1.0 - evaluate(&run.stats, p, cfg).correct_fraction());
-            let self_p = Predictor::from_counts(&run.stats.branches, Direction::NotTaken);
+            let rate = |m: Metrics| fmt_percent(1.0 - m.correct_fraction());
+            let eval = |p: &Predictor| rate(evaluate(&run.stats, p, cfg));
             t.row_owned(vec![
                 wd.name.to_string(),
                 run.dataset.clone(),
                 run.stats.branches.total_executed().to_string(),
-                rate(&w.btfn),
-                rate(&proof),
-                rate(&ml),
-                rate(&self_p),
+                eval(&w.btfn),
+                eval(&w.proof),
+                eval(&ml),
+                rate(experiment::self_metrics(&run.stats, cfg)),
             ]);
         }
     }
@@ -259,7 +254,14 @@ fn run(options: &Options) -> Result<ExitCode, String> {
     if options.jobs.is_some() {
         harness_options.jobs = options.jobs;
     }
-    let s = collect_with(&Harness::new(harness_options));
+    // Training reads only its half of the suite; the held-out table and
+    // the proof check read every workload.
+    let harness = Harness::new(harness_options);
+    let s = if options.eval || options.soundness {
+        collect_with(&harness)
+    } else {
+        collect_subset_with(&harness, &TRAIN_WORKLOADS)
+    };
     let data = gather(&s);
 
     if options.soundness {

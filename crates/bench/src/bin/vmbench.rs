@@ -1,11 +1,8 @@
 //! `vmbench`: guest-instrs/sec for both VM backends over the workload
 //! suite, written as `BENCH_vm.json` so the interpreter's performance
-//! trajectory is tracked in-repo. Each workload is additionally measured
-//! under two profile-guided flat layouts — one fed the *real* branch
-//! profile of a reference run, one fed the committed `mfpredict` model's
-//! pseudo-profile (free prediction: no profiling run required) — so the
-//! report quantifies how much of the profile-layout win static
-//! prediction recovers.
+//! trajectory is tracked in-repo. The flat backend runs its one block
+//! layout, the code [`trace_vm::FlatProgram::compile`] emits; DESIGN.md
+//! §14 records the profile-steered layouts that were measured and deleted.
 //!
 //! ```text
 //! vmbench                        # full suite, calibrated batches
@@ -13,13 +10,13 @@
 //! vmbench --gate 2.0             # fail unless flat >= 2x reference
 //! ```
 //!
-//! Each workload's first dataset runs on the reference (tree-walking) and
-//! flat (pre-compiled bytecode) backends. A measurement is a calibrated
-//! batch: iterations double until the batch takes long enough to time
-//! reliably, and throughput is `guest instructions x iterations / batch
-//! seconds`. The flat backend's one-time flatten cost is paid during
-//! warmup, matching how the harness amortizes it (one `Vm` per program,
-//! many runs).
+//! Each selected workload's first dataset (the only one generated) runs
+//! on the reference (tree-walking) and flat (pre-compiled bytecode)
+//! backends. A measurement is a calibrated batch: iterations double until
+//! the batch takes long enough to time reliably, and throughput is
+//! `guest instructions x iterations / batch seconds`. The flat backend's
+//! one-time flatten cost is paid during warmup, matching how the harness
+//! amortizes it (one `Vm` per program, many runs).
 //!
 //! Exit status: 0 on success, 1 when a `--gate` ratio is not met, 2 on
 //! usage or I/O errors.
@@ -28,9 +25,10 @@ use std::path::PathBuf;
 use std::process::ExitCode;
 use std::time::Instant;
 
+use bpredict::{experiment, BreakConfig};
 use mfreport::json::Json;
-use mfwork::{suite, Workload};
-use trace_vm::{Backend, BranchCounts, FlatProgram, Input, Vm, VmConfig};
+use trace_ir::Program;
+use trace_vm::{Backend, Input, Vm, VmConfig};
 
 const USAGE: &str = "\
 usage: vmbench [OPTION...]
@@ -98,19 +96,13 @@ fn parse_args(args: &[String]) -> Result<Option<Options>, String> {
     Ok(Some(options))
 }
 
-/// One workload's measurement on both backends and both profile-guided
-/// flat layouts.
+/// One workload's measurement on both backends.
 struct Row {
     name: String,
     dataset: String,
     guest_instrs: u64,
     reference_ips: f64,
     flat_ips: f64,
-    /// Flat backend, blocks laid out along a real profile of this run.
-    profile_flat_ips: f64,
-    /// Flat backend, blocks laid out along the static model's
-    /// pseudo-profile — prediction for free, no profiling run.
-    ml_flat_ips: f64,
     /// Mispredicted conditional branches under perfect static profile
     /// prediction (the paper's measure): each branch contributes its
     /// minority direction count, `min(taken, executed - taken)`.
@@ -122,18 +114,6 @@ impl Row {
         self.flat_ips / self.reference_ips
     }
 
-    /// Layout speedup of the real-profile flat build over the unprofiled
-    /// block-order layout.
-    fn profile_layout_speedup(&self) -> f64 {
-        self.profile_flat_ips / self.flat_ips
-    }
-
-    /// Layout speedup of the ML pseudo-profile flat build over the
-    /// unprofiled block-order layout.
-    fn ml_layout_speedup(&self) -> f64 {
-        self.ml_flat_ips / self.flat_ips
-    }
-
     /// Guest instructions retired per profile-predicted mispredict — the
     /// paper's run-length measure. Branch-free workloads report the whole
     /// run as one gap.
@@ -142,127 +122,69 @@ impl Row {
     }
 }
 
-/// Measures guest-instrs/sec for one workload on both backends and both
-/// profile-guided flat layouts:
-/// `(guest_instrs, profile_mispredicts, reference_ips, flat_ips,
-/// profile_flat_ips, ml_flat_ips)`.
+/// Measures guest-instrs/sec for `program` on both backends:
+/// `(guest_instrs, profile_mispredicts, reference_ips, flat_ips)`.
 ///
 /// The warmup runs pay one-time costs (the flat backend's flatten pass) and
 /// pin the per-run instruction count. A shared batch size is calibrated on
-/// the reference backend, then every engine runs in *interleaved* rounds
+/// the reference backend, then both engines run in *interleaved* rounds
 /// with each engine's best round reported: machine-speed drift (frequency
-/// scaling, competing load) hits all engines alike instead of biasing
+/// scaling, competing load) hits both engines alike instead of biasing
 /// whichever happened to run last, and best-of samples each engine at
 /// the machine's fast state.
-///
-/// The real-profile layout is fed the branch counters of the reference
-/// warmup run — a self-profile, the best case for layout. The ML layout
-/// is fed the committed static model's pseudo-profile: what layout gets
-/// without any profiling run at all.
 fn measure_engines(
-    w: &Workload,
+    name: &str,
+    program: &Program,
     inputs: &[Input],
     max_batch_secs: f64,
-) -> (u64, u64, f64, f64, f64, f64) {
-    let program = w.compile().expect("bundled workload compiles");
+) -> (u64, u64, f64, f64) {
     let vms = [Backend::Reference, Backend::Flat].map(|backend| {
         Vm::with_config(
-            &program,
+            program,
             VmConfig {
                 backend,
-                ..w.vm_config()
+                ..mfwork::vm_config()
             },
         )
     });
     let warmup = vms
         .each_ref()
-        .map(|vm| vm.run(inputs).unwrap_or_else(|e| panic!("{}: {e}", w.name)));
+        .map(|vm| vm.run(inputs).unwrap_or_else(|e| panic!("{name}: {e}")));
     assert_eq!(
         warmup[0].stats.total_instrs, warmup[1].stats.total_instrs,
-        "{}: backends disagree on instruction count",
-        w.name
+        "{name}: backends disagree on instruction count"
     );
     let instrs = warmup[0].stats.total_instrs;
     // Perfect static profile prediction mispredicts exactly the minority
     // direction of every branch (Fisher & Freudenberger's bound).
-    let mispredicts: u64 = warmup[0]
-        .stats
-        .branches
-        .iter()
-        .map(|(_, executed, taken)| taken.min(executed - taken))
-        .sum();
+    let mispredicts = experiment::self_metrics(&warmup[0].stats, BreakConfig::fig2()).mispredicted;
 
-    let flat_config = VmConfig {
-        backend: Backend::Flat,
-        ..w.vm_config()
-    };
-    let profile_flat = FlatProgram::compile_with_profile(&program, &warmup[0].stats.branches);
-    let ml_profile: BranchCounts = mfpredict::pseudo_profile(mfpredict::ml_directions(&program))
-        .into_iter()
-        .collect();
-    let ml_flat = FlatProgram::compile_with_profile(&program, &ml_profile);
-
-    type Engine<'a> = Box<dyn Fn(&[Input]) -> trace_vm::Run + 'a>;
-    let engines: [Engine; 4] = [
-        Box::new(|inputs| {
-            vms[0]
-                .run(inputs)
-                .unwrap_or_else(|e| panic!("{}: {e}", w.name))
-        }),
-        Box::new(|inputs| {
-            vms[1]
-                .run(inputs)
-                .unwrap_or_else(|e| panic!("{}: {e}", w.name))
-        }),
-        Box::new(|inputs| {
-            profile_flat
-                .run(flat_config, inputs)
-                .unwrap_or_else(|e| panic!("{}: {e}", w.name))
-        }),
-        Box::new(|inputs| {
-            ml_flat
-                .run(flat_config, inputs)
-                .unwrap_or_else(|e| panic!("{}: {e}", w.name))
-        }),
-    ];
-    // Layout must be invisible in the semantics: every engine retires the
-    // same guest instruction count.
-    for engine in &engines {
-        assert_eq!(
-            engine(inputs).stats.total_instrs,
-            instrs,
-            "{}: engines disagree on instruction count",
-            w.name
-        );
-    }
-
-    let batch = |engine: &Engine, iters: u64| -> f64 {
+    let batch = |vm: &Vm, iters: u64| -> f64 {
         let start = Instant::now();
         for _ in 0..iters {
-            let run = engine(inputs);
+            let run = vm.run(inputs).unwrap_or_else(|e| panic!("{name}: {e}"));
             // Consuming the result keeps the run from being optimized out
             // and re-checks determinism while we are here.
             assert_eq!(
                 run.stats.total_instrs, instrs,
-                "{}: nondeterministic run",
-                w.name
+                "{name}: nondeterministic run"
             );
         }
         start.elapsed().as_secs_f64().max(1e-9)
     };
 
     let mut iters: u64 = 1;
-    while batch(&engines[0], iters) < max_batch_secs / 4.0 && iters < 4096 {
+    while batch(&vms[0], iters) < max_batch_secs / 4.0 && iters < 4096 {
         iters *= 2;
     }
-    let mut best = [0.0f64; 4];
+    let mut best = [0.0f64; 2];
     for _ in 0..3 {
-        for (k, engine) in engines.iter().enumerate() {
-            let ips = (instrs as f64 * iters as f64) / batch(engine, iters);
+        for (k, vm) in vms.iter().enumerate() {
+            let ips = (instrs as f64 * iters as f64) / batch(vm, iters);
             best[k] = best[k].max(ips);
         }
     }
-    (instrs, mispredicts, best[0], best[1], best[2], best[3])
+    (instrs, mispredicts, best[0], best[1])
 }
 
 fn geomean(values: impl Iterator<Item = f64>) -> f64 {
@@ -287,13 +209,6 @@ fn json_report(rows: &[Row], mode: &str) -> Json {
             ("reference_ips", Json::Fixed(r.reference_ips, 0)),
             ("flat_ips", Json::Fixed(r.flat_ips, 0)),
             ("speedup", Json::Fixed(r.speedup(), 3)),
-            ("profile_flat_ips", Json::Fixed(r.profile_flat_ips, 0)),
-            ("ml_flat_ips", Json::Fixed(r.ml_flat_ips, 0)),
-            (
-                "profile_layout_speedup",
-                Json::Fixed(r.profile_layout_speedup(), 3),
-            ),
-            ("ml_layout_speedup", Json::Fixed(r.ml_layout_speedup(), 3)),
             ("profile_mispredicts", r.profile_mispredicts.into()),
             (
                 "instrs_per_mispredict",
@@ -302,21 +217,15 @@ fn json_report(rows: &[Row], mode: &str) -> Json {
         ])
     });
     let min = rows.iter().map(Row::speedup).fold(f64::INFINITY, f64::min);
-    let geomean_of = |f: fn(&Row) -> f64| Json::Fixed(geomean(rows.iter().map(f)), 3);
     Json::object([
         ("benchmark", "vm-backends".into()),
         ("mode", mode.into()),
         ("unit", "guest_instrs_per_sec".into()),
         ("workloads", Json::array(workloads)),
         (
-            "geomean_profile_layout_speedup",
-            geomean_of(Row::profile_layout_speedup),
+            "geomean_speedup",
+            Json::Fixed(geomean(rows.iter().map(Row::speedup)), 3),
         ),
-        (
-            "geomean_ml_layout_speedup",
-            geomean_of(Row::ml_layout_speedup),
-        ),
-        ("geomean_speedup", geomean_of(Row::speedup)),
         (
             "min_speedup",
             Json::Fixed(if min.is_finite() { min } else { 0.0 }, 3),
@@ -339,13 +248,13 @@ fn main() -> ExitCode {
     };
 
     let max_batch_secs = if options.quick { 0.1 } else { 1.0 };
-    let selected: Vec<Workload> = suite()
-        .into_iter()
-        .filter(|w| {
+    let selected: Vec<&mfwork::Row> = mfwork::rows()
+        .iter()
+        .filter(|r| {
             if !options.workloads.is_empty() {
-                options.workloads.iter().any(|n| n == w.name)
+                options.workloads.iter().any(|n| n == r.name)
             } else {
-                !options.quick || QUICK.contains(&w.name)
+                !options.quick || QUICK.contains(&r.name)
             }
         })
         .collect();
@@ -355,31 +264,27 @@ fn main() -> ExitCode {
     }
 
     let mut rows = Vec::with_capacity(selected.len());
-    for w in &selected {
-        let d = &w.datasets[0];
-        let (instrs, profile_mispredicts, reference_ips, flat_ips, profile_flat_ips, ml_flat_ips) =
-            measure_engines(w, &d.inputs, max_batch_secs);
+    for r in selected {
+        let program = mflang::compile(&(r.source)()).expect("bundled workload compiles");
+        let d = r.datasets[0].generate();
+        let (instrs, profile_mispredicts, reference_ips, flat_ips) =
+            measure_engines(r.name, &program, &d.inputs, max_batch_secs);
         let row = Row {
-            name: w.name.to_string(),
-            dataset: d.name.clone(),
+            name: r.name.to_string(),
+            dataset: d.name,
             guest_instrs: instrs,
             reference_ips,
             flat_ips,
-            profile_flat_ips,
-            ml_flat_ips,
             profile_mispredicts,
         };
         eprintln!(
-            "{:<12} {:<10} {:>12} instrs  reference {:>12.0}/s  flat {:>12.0}/s  \
-             {:>5.2}x  layout: profile {:>5.2}x  ml {:>5.2}x",
+            "{:<12} {:<10} {:>12} instrs  reference {:>12.0}/s  flat {:>12.0}/s  {:>5.2}x",
             row.name,
             row.dataset,
             row.guest_instrs,
             row.reference_ips,
             row.flat_ips,
-            row.speedup(),
-            row.profile_layout_speedup(),
-            row.ml_layout_speedup()
+            row.speedup()
         );
         rows.push(row);
     }

@@ -1,27 +1,26 @@
 //! Full-pipeline chaos battery: profile collection → sharded profile
 //! service under a seeded filesystem fault storm → version-skew remap →
-//! profile-laid-out flat backend → dynamic-predictor zoo, with program edits
-//! injected between accumulation rounds.
+//! flat backend against the reference → dynamic-predictor zoo, with
+//! program edits injected between accumulation rounds.
 //!
 //! Each seed gets a private in-memory filesystem wrapped in a
 //! [`mffault::FaultVfs`] whose [`mffault::FaultPlan`] is derived entirely
 //! from the seed (short writes, `ENOSPC`, transients, torn renames — no
 //! hard crashes, so one accessor lives through the whole storm). Rounds
-//! alternate running the guest program, remapping whatever profile
-//! survived onto the *current* program text, steering flat block layout
-//! with it, and recording the fresh run back through the service. Between
-//! rounds the battery may edit the program (rename a function, delete
-//! dead code, flip a comparison, append a function), which is exactly the
-//! version skew `mfstale` exists to absorb.
+//! alternate remapping whatever profile survived onto the *current*
+//! program text, running that program on both backends, and recording the
+//! fresh run back through the service. Between rounds the battery may
+//! edit the program (rename a function, delete dead code, flip a
+//! comparison, append a function), which is exactly the version skew
+//! `mfstale` exists to absorb.
 //!
 //! A violation of any invariant below is a **finding**; the battery (and
 //! the `chaos` binary) reports it and exits non-zero:
 //!
-//! 1. **Science is fault-free.** Every round, the flat backend — blocks
-//!    laid out along the storm-surviving profile, degraded sites carrying
-//!    no counts — must be bit-identical (output, result, every counter) to the
-//!    reference backend on the same program and inputs, and the online
-//!    predictor zoo must tally identically over both backends.
+//! 1. **Science is fault-free.** Every round, the flat backend must be
+//!    bit-identical (output, result, every counter) to the reference
+//!    backend on the current program and inputs, and the online predictor
+//!    zoo must tally identically over both backends.
 //! 2. **Every degradation is attributed.** Each recorded dataset is
 //!    acknowledged `Committed` or `Degraded` (or failed with a visible
 //!    error). After the storm, a *clean* reopen of the underlying
@@ -138,8 +137,8 @@ pub struct RoundStats {
     pub degraded: usize,
     /// Merged unverified tally.
     pub unverified: usize,
-    /// Sites degraded in *every* prior dataset this round: no record feeds
-    /// them, so they lay out as if unprofiled.
+    /// Sites degraded in *every* prior dataset this round: no surviving
+    /// record carries counts for them.
     pub low_confidence: usize,
 }
 
@@ -369,7 +368,6 @@ pub fn run_seed(seed: u64, rounds: u32, edits: bool) -> SeedOutcome {
                 None
             }
         };
-        let mut combined: BTreeMap<BranchId, (u64, u64)> = BTreeMap::new();
         let mut low: Option<BTreeSet<BranchId>> = None;
         if let Some((totals, fps_by_ds)) = &prior {
             stats.prior_datasets = totals.len();
@@ -415,11 +413,6 @@ pub fn run_seed(seed: u64, rounds: u32, edits: bool) -> SeedOutcome {
                 stats.orphaned += r.orphaned;
                 stats.degraded += r.degraded;
                 stats.unverified += r.unverified;
-                for &(id, e, t) in &remapped.counts {
-                    let slot = combined.entry(id).or_insert((0, 0));
-                    slot.0 = slot.0.saturating_add(e);
-                    slot.1 = slot.1.saturating_add(t);
-                }
                 let dset: BTreeSet<BranchId> = remapped.degraded.iter().copied().collect();
                 low = Some(match low.take() {
                     None => dset,
@@ -428,14 +421,9 @@ pub fn run_seed(seed: u64, rounds: u32, edits: bool) -> SeedOutcome {
             }
         }
         stats.low_confidence = low.map_or(0, |s| s.len());
-        // An empty profile (nothing survived) lays out as `compile` does.
-        let profile: trace_vm::BranchCounts = combined
-            .into_iter()
-            .map(|(id, (e, t))| (id, e, t))
-            .collect();
 
-        // ----- science: flat (profile-steered) vs reference, zoo'd -----
-        let flat = FlatProgram::compile_with_profile(&program, &profile);
+        // ----- science: flat vs reference, zoo'd -----
+        let flat = FlatProgram::compile(&program);
         let inputs = [Input::Int(4 + (mix(&mut rng) % 9) as i64)];
         let mut ref_zoo = mfdyn::Zoo::for_program(&mfdyn::full_zoo(), &program);
         let reference = Vm::with_config(&program, VmConfig::default())
@@ -447,8 +435,7 @@ pub fn run_seed(seed: u64, rounds: u32, edits: bool) -> SeedOutcome {
             .expect("flat run succeeds");
         if reference != flat_run {
             out.findings.push(format!(
-                "round {round}: flat backend diverged from reference under reused \
-                 profile (inputs {inputs:?})"
+                "round {round}: flat backend diverged from reference (inputs {inputs:?})"
             ));
         }
         if ref_zoo.report() != flat_zoo.report() {

@@ -715,7 +715,7 @@ pub fn table3(s: &SuiteRuns) -> Table {
     for name in TABLE3_PROGRAMS {
         let Some(w) = s.workload(name) else { continue };
         for run in &w.runs {
-            let m = experiment::self_metrics(run, cfg);
+            let m = experiment::self_metrics(&run.stats, cfg);
             let ds = if run.dataset == "ref" && w.runs.len() == 1 {
                 ""
             } else {
@@ -810,7 +810,7 @@ pub fn fig2_rows(s: &SuiteRuns, spice_only: bool) -> Vec<Fig2Row> {
             continue;
         }
         for (i, run) in w.runs.iter().enumerate() {
-            let self_m = experiment::self_metrics(run, cfg);
+            let self_m = experiment::self_metrics(&run.stats, cfg);
             let others = if w.runs.len() > 1 {
                 experiment::loo_metrics(&w.runs, i, CombineRule::Scaled, cfg).instrs_per_break
             } else {
@@ -1005,7 +1005,7 @@ pub fn heuristic_rows(s: &SuiteRuns) -> Vec<Vec<String>> {
             let loo = if w.runs.len() > 1 {
                 experiment::loo_metrics(&w.runs, i, CombineRule::Scaled, cfg)
             } else {
-                experiment::self_metrics(run, cfg)
+                experiment::self_metrics(&run.stats, cfg)
             };
             let ml = if mfpredict::is_train_workload(&w.name) {
                 ML_TRAIN_MARKER.to_string()
@@ -1029,7 +1029,7 @@ pub fn heuristic_rows(s: &SuiteRuns) -> Vec<Vec<String>> {
                 of(&w.proof),
                 ml,
                 rate(loo),
-                rate(experiment::self_metrics(run, cfg)),
+                rate(experiment::self_metrics(&run.stats, cfg)),
                 dyn_rate(TWO_BIT_SPEC),
                 dyn_rate(GSHARE_SPEC),
             ]);
@@ -1090,7 +1090,7 @@ pub fn crossmode_table(s: &SuiteRuns) -> Option<Table> {
     let unc_profile = combined(unc);
     for (target, other_profile) in [(comp, &unc_profile), (unc, &comp_profile)] {
         for run in &target.runs {
-            let self_m = experiment::self_metrics(run, cfg).instrs_per_break;
+            let self_m = experiment::self_metrics(&run.stats, cfg).instrs_per_break;
             let cross = evaluate(
                 &run.stats,
                 &Predictor::from_weighted(other_profile, Default::default()),
@@ -1174,8 +1174,7 @@ pub fn dynamic_table_with(h: &Harness) -> Table {
     ]);
     for (job, outcome) in site_predictor_runs(h, &pairs) {
         let stats = &outcome.stats;
-        let self_pred = Predictor::from_counts(&stats.branches, bpredict::Direction::NotTaken);
-        let static_m = evaluate(stats, &self_pred, cfg);
+        let static_m = experiment::self_metrics(stats, cfg);
         let zoo = outcome.zoo().expect("site jobs carry a zoo report");
         let [one, two, seeded] =
             mfdyn::site_zoo(&job.program).map(|spec| zoo.get(spec).expect("spec in its zoo"));
@@ -1311,14 +1310,11 @@ pub fn inlining_table_with(h: &Harness) -> Table {
     for pair in outcomes.chunks_exact(2) {
         let (label, base_run, in_run) = (&pair[0].label, &pair[0].run, &pair[1].run);
         assert_eq!(base_run.output, in_run.output, "{label}: inlining broke it");
-        let m = |stats: &trace_vm::RunStats| {
-            let p = Predictor::from_counts(&stats.branches, bpredict::Direction::NotTaken);
-            evaluate(stats, &p, cfg)
-        };
+        let ipb = |stats| experiment::self_metrics(stats, cfg).instrs_per_break;
         t.row_owned(vec![
             label.clone(),
-            fmt_value(m(&base_run.stats).instrs_per_break),
-            fmt_value(m(&in_run.stats).instrs_per_break),
+            fmt_value(ipb(&base_run.stats)),
+            fmt_value(ipb(&in_run.stats)),
             base_run.stats.events.direct_calls.to_string(),
             in_run.stats.events.direct_calls.to_string(),
         ]);
@@ -1379,7 +1375,7 @@ pub fn percent_correct_table(s: &SuiteRuns) -> Table {
     let mut t = Table::new(&["PROGRAM", "DATASET", "% CORRECT", "INSTRS/BREAK"]);
     for w in &s.workloads {
         for run in &w.runs {
-            let m: Metrics = experiment::self_metrics(run, cfg);
+            let m: Metrics = experiment::self_metrics(&run.stats, cfg);
             t.row_owned(vec![
                 w.name.clone(),
                 run.dataset.clone(),
@@ -1479,7 +1475,7 @@ pub fn dyn_rows(s: &SuiteRuns) -> Vec<DynRow> {
             let loo = if w.runs.len() > 1 {
                 experiment::loo_metrics(&w.runs, i, CombineRule::Scaled, cfg)
             } else {
-                experiment::self_metrics(run, cfg)
+                experiment::self_metrics(&run.stats, cfg)
             };
             let ml = if mfpredict::is_train_workload(&w.name) {
                 None

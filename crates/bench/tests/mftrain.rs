@@ -6,7 +6,8 @@
 //!
 //! Each test gives its runs a private run cache, so its time does not
 //! depend on what earlier commands left in the shared one: its first run
-//! collects the whole suite, and its second is served from disk.
+//! collects the suite's training half (all that training reads), and its
+//! second is served from disk.
 
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output};

@@ -19,7 +19,7 @@ use ifprob::{combine, CombineRule};
 use trace_vm::{BranchCounts, RunStats};
 
 use crate::breaks::BreakConfig;
-use crate::metrics::{evaluate, Metrics};
+use crate::metrics::{evaluate, finish, Metrics};
 use crate::predictor::{Direction, Predictor};
 
 /// One profiled run of a program on one dataset.
@@ -47,12 +47,21 @@ impl DatasetRun {
     }
 }
 
-/// Self-prediction: the target dataset predicts itself — the upper bound,
-/// since every branch is predicted in what turns out to be its majority
-/// direction (Figure 2's black bars).
-pub fn self_metrics(run: &DatasetRun, config: BreakConfig) -> Metrics {
-    let p = Predictor::from_counts(&run.stats.branches, Direction::NotTaken);
-    evaluate(&run.stats, &p, config)
+/// Self-prediction: the run predicts itself — the upper bound, since every
+/// branch is predicted in what turns out to be its majority direction
+/// (Figure 2's black bars).
+///
+/// Counted straight from the counters: each site mispredicts its minority
+/// direction, `min(taken, executed − taken)`. That is what
+/// [`Predictor::from_counts`] over the run itself gives (majority
+/// direction, ties predicted taken), without building the predictor.
+pub fn self_metrics(stats: &RunStats, config: BreakConfig) -> Metrics {
+    let mispredicted = if config.predict {
+        stats.branches.iter().map(|(_, e, t)| t.min(e - t)).sum()
+    } else {
+        stats.branches.total_executed()
+    };
+    finish(stats, config, mispredicted)
 }
 
 /// Cross-prediction: `predictor_profile` (another dataset, or an accumulated
@@ -116,7 +125,7 @@ pub fn best_worst(
         return None;
     }
     let target = &runs[target_index];
-    let self_ipb = self_metrics(target, config).instrs_per_break;
+    let self_ipb = self_metrics(&target.stats, config).instrs_per_break;
     let mut best: Option<(String, f64)> = None;
     let mut worst: Option<(String, f64)> = None;
     for (i, other) in runs.iter().enumerate() {
@@ -185,7 +194,7 @@ mod tests {
         ];
         let cfg = BreakConfig::fig2();
         for i in 0..runs.len() {
-            let s = self_metrics(&runs[i], cfg).instrs_per_break;
+            let s = self_metrics(&runs[i].stats, cfg).instrs_per_break;
             for j in 0..runs.len() {
                 let c = cross_metrics(&runs[i], &runs[j].stats.branches, cfg).instrs_per_break;
                 assert!(

@@ -37,7 +37,8 @@ impl Metrics {
     }
 }
 
-fn finish(stats: &RunStats, config: BreakConfig, mispredicted: u64) -> Metrics {
+/// The metrics of a run with `mispredicted` mispredicted branch executions.
+pub(crate) fn finish(stats: &RunStats, config: BreakConfig, mispredicted: u64) -> Metrics {
     let events = &stats.events;
     let mut breaks = mispredicted + events.unavoidable();
     if config.direct_calls {

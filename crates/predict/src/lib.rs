@@ -21,9 +21,9 @@
 //!    ([`EVAL_WORKLOADS`]).
 //!
 //! The [`pseudo_profile`] bridge turns either engine's predictions into
-//! synthetic branch counters, so everything downstream that consumes a
-//! real profile (the `bpredict` predictor, the flat backend's
-//! profile-guided layout) can run on free static predictions unchanged.
+//! synthetic branch counters, so whatever consumes a real profile (the
+//! `bpredict` majority predictor, a combined profile's degraded sites via
+//! [`static_tier_profile`]) can run on free static predictions unchanged.
 
 pub mod analyze;
 pub mod features;
@@ -71,9 +71,8 @@ pub fn is_train_workload(name: &str) -> bool {
 }
 
 /// Turns `(site, taken)` direction predictions into synthetic branch
-/// counters — `(site, executed=2, taken∈{0,2})` — the exact shape both
-/// `bpredict::Predictor::from_counts` (majority vote) and the flat
-/// backend's profile-guided layout (`2·taken > executed`) interpret as a
+/// counters — `(site, executed=2, taken∈{0,2})` — the shape
+/// `bpredict::Predictor::from_counts` (majority vote) interprets as a
 /// pure direction with no magnitude information.
 pub fn pseudo_profile(
     directions: impl IntoIterator<Item = (BranchId, bool)>,
@@ -82,14 +81,6 @@ pub fn pseudo_profile(
         .into_iter()
         .map(|(id, taken)| (id, 2, if taken { 2 } else { 0 }))
         .collect()
-}
-
-/// Convenience: the committed model's `(site, taken)` predictions for
-/// every branch of `program`, computed from a fresh analysis.
-pub fn ml_directions(program: &Program) -> Vec<(BranchId, bool)> {
-    let proofs = analyze(program);
-    let feats = extract(program, &proofs);
-    model::Model::committed().predict_branches(&feats).collect()
 }
 
 /// Which engine produced a [`static_tier`] prediction.

@@ -517,21 +517,14 @@ impl ProfileService {
             .collect())
     }
 
-    /// Structural site fingerprints merged across every shard (last
-    /// record in log order wins per branch id). Empty for a database
-    /// written entirely by fingerprint-free writers.
-    pub fn merged_fingerprints(&self) -> Result<BTreeMap<u32, u64>, DbError> {
-        let mut fps = FpFold::new();
-        self.visit_all(|r| fold_fps(&mut fps, r))?;
-        Ok(fps)
-    }
-
-    /// Like [`ProfileService::merged_fingerprints`] but keyed per dataset
-    /// label. Stores that accumulate several distinct *programs* (the
-    /// benchmark harness records `"workload/dataset"` labels, and every
-    /// program numbers its branches from zero) must read fingerprints
-    /// through this and union per program — the global fold would let one
-    /// program's sites shadow another's.
+    /// Structural site fingerprints merged across every shard, per dataset
+    /// label (last record in log order wins per branch id); a dataset
+    /// whose writers recorded no fingerprints is omitted. Fingerprints are
+    /// kept per label because a store may accumulate several distinct
+    /// *programs* (the benchmark harness records `"workload/dataset"`
+    /// labels, and every program numbers its branches from zero): one
+    /// fold over every label would let one program's sites shadow
+    /// another's.
     pub fn merged_fingerprints_by_dataset(
         &self,
     ) -> Result<BTreeMap<String, BTreeMap<u32, u64>>, DbError> {
@@ -737,6 +730,16 @@ mod tests {
         assert!(svc.counters().store.committed_appends >= 3);
     }
 
+    /// Fingerprints per dataset label, as
+    /// [`ProfileService::merged_fingerprints_by_dataset`] returns them.
+    type FpsByDataset = BTreeMap<String, BTreeMap<u32, u64>>;
+
+    fn fps_by_dataset(rows: &[(&str, &[(u32, u64)])]) -> FpsByDataset {
+        rows.iter()
+            .map(|&(ds, fps)| (ds.to_string(), fps.iter().copied().collect()))
+            .collect()
+    }
+
     /// The single-log database at `DIR`: a root-level segment log.
     fn root_log(mem: &Arc<dyn Vfs>) -> SegmentLog {
         SegmentLog::open(Arc::clone(mem), DIR, RetryPolicy::none()).unwrap()
@@ -751,13 +754,14 @@ mod tests {
     }
 
     /// What a segment log's committed batches hold: the folded totals and
-    /// the folded fingerprints.
-    fn read_back(log: &mut SegmentLog) -> (MergedTotals, BTreeMap<u32, u64>) {
-        let (mut fold, mut fps) = (RawFold::new(), FpFold::new());
+    /// the fingerprints folded per dataset.
+    fn read_back(log: &mut SegmentLog) -> (MergedTotals, FpsByDataset) {
+        let (mut fold, mut fps) = (RawFold::new(), FpsByDataset::new());
         for r in log.read_batches().unwrap().iter().flatten() {
             fold_record(&mut fold, r);
-            fold_fps(&mut fps, r);
+            fold_fps(fps.entry(r.dataset.clone()).or_default(), r);
         }
+        fps.retain(|_, f| !f.is_empty());
         let totals = fold
             .into_iter()
             .map(|(ds, m)| (ds, m.into_iter().map(|(id, (e, t))| (id, e, t)).collect()))
@@ -775,32 +779,32 @@ mod tests {
         mem: &Arc<dyn Vfs>,
         before: &MergedTotals,
         after: &MergedTotals,
-        fps: &BTreeMap<u32, u64>,
+        fps: &FpsByDataset,
     ) {
         let svc = ProfileService::open(Arc::clone(mem), DIR, opts(4)).unwrap();
         assert_eq!(svc.shard_count(), 1, "served in place as one shard");
         assert!(svc.is_persistent(), "{:?}", svc.warnings());
         assert_eq!(&svc.merged_totals().unwrap(), before);
-        assert_eq!(&svc.merged_fingerprints().unwrap(), fps);
+        assert_eq!(&svc.merged_fingerprints_by_dataset().unwrap(), fps);
 
         let one = counts(&[(0, 1, 1)]);
         assert_eq!(svc.submit("train", &one).unwrap(), Persistence::Committed);
         let sid = svc.enqueue("train", &one).unwrap();
         assert_eq!(svc.flush().unwrap()[&sid], Persistence::Committed);
         assert_eq!(&svc.merged_totals().unwrap(), after);
-        assert_eq!(&svc.merged_fingerprints().unwrap(), fps);
+        assert_eq!(&svc.merged_fingerprints_by_dataset().unwrap(), fps);
 
         svc.compact().unwrap();
         assert_eq!(svc.counters().store.compactions, 1);
         assert_eq!(svc.shard_batches(0).unwrap().len(), 1, "one folded batch");
         assert_eq!(&svc.merged_totals().unwrap(), after);
-        assert_eq!(&svc.merged_fingerprints().unwrap(), fps);
+        assert_eq!(&svc.merged_fingerprints_by_dataset().unwrap(), fps);
 
         drop(svc);
         let svc = ProfileService::open(Arc::clone(mem), DIR, opts(4)).unwrap();
         assert_eq!(svc.shard_count(), 1);
         assert_eq!(&svc.merged_totals().unwrap(), after);
-        assert_eq!(&svc.merged_fingerprints().unwrap(), fps);
+        assert_eq!(&svc.merged_fingerprints_by_dataset().unwrap(), fps);
         drop(svc);
 
         for path in mem.read_dir(Path::new(DIR)).unwrap() {
@@ -838,7 +842,7 @@ mod tests {
             &mem,
             &totals(&[("ref", &[(2, 5, 0)]), ("train", &[(0, 10, 4), (9, 3, 3)])]),
             &totals(&[("ref", &[(2, 5, 0)]), ("train", &[(0, 12, 6), (9, 3, 3)])]),
-            &BTreeMap::new(),
+            &FpsByDataset::new(),
         );
     }
 
@@ -852,7 +856,7 @@ mod tests {
             &mem,
             &totals(&[("train", &[(1, 4, 2), (2, 9, 9)])]),
             &totals(&[("train", &[(0, 2, 2), (1, 4, 2), (2, 9, 9)])]),
-            &[(1, 11), (2, 22)].into_iter().collect(),
+            &fps_by_dataset(&[("train", &[(1, 11), (2, 22)])]),
         );
     }
 
@@ -945,16 +949,21 @@ mod tests {
             svc.submit("ref", &counts(&[(5, 7, 0)])).unwrap();
         }
         let svc = ProfileService::open(Arc::clone(&mem), DIR, opts(4)).unwrap();
-        let merged = svc.merged_fingerprints().unwrap();
-        assert_eq!(merged.len(), 20);
+        let merged = svc.merged_fingerprints_by_dataset().unwrap();
+        assert_eq!(merged.len(), 1, "fp-free datasets are omitted: {merged:?}");
+        assert_eq!(merged["train"].len(), 20);
         for i in 0..20u32 {
-            assert_eq!(merged.get(&i), Some(&(1000 + u64::from(i))), "branch {i}");
+            assert_eq!(
+                merged["train"].get(&i),
+                Some(&(1000 + u64::from(i))),
+                "branch {i}"
+            );
         }
         svc.compact().unwrap();
-        assert_eq!(svc.merged_fingerprints().unwrap(), merged);
+        assert_eq!(svc.merged_fingerprints_by_dataset().unwrap(), merged);
         drop(svc);
         let reopened = ProfileService::open(Arc::clone(&mem), DIR, opts(4)).unwrap();
-        assert_eq!(reopened.merged_fingerprints().unwrap(), merged);
+        assert_eq!(reopened.merged_fingerprints_by_dataset().unwrap(), merged);
     }
 
     #[test]
@@ -1018,7 +1027,7 @@ mod tests {
         ]
         .into_iter()
         .collect();
-        let fps: BTreeMap<u32, u64> = [(0, 0xA0), (3, 0xA3), (7, 0xA7)].into_iter().collect();
+        let fps = fps_by_dataset(&[("ref", &[(3, 0xA3)]), ("train", &[(0, 0xA0), (7, 0xA7)])]);
 
         // A root-level segment log reads it, then grows and compacts it.
         let mem: Arc<dyn Vfs> = Arc::new(MemVfs::new());

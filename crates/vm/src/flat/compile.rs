@@ -12,12 +12,10 @@ use super::ops::{
     NONE,
 };
 use super::{FlatFunc, FlatProgram, TableData};
-use crate::counters::BranchCounts;
 use crate::value::GuestValue;
 
 pub(super) struct Flattener<'p> {
     program: &'p Program,
-    profile: Option<&'p BranchCounts>,
     code: Vec<FlatOp>,
     heads: Vec<EdgeHead>,
     consts: Vec<GuestValue>,
@@ -30,10 +28,9 @@ pub(super) struct Flattener<'p> {
 }
 
 impl<'p> Flattener<'p> {
-    pub(super) fn new(program: &'p Program, profile: Option<&'p BranchCounts>) -> Self {
+    pub(super) fn new(program: &'p Program) -> Self {
         Flattener {
             program,
-            profile,
             code: Vec::new(),
             heads: Vec::new(),
             consts: Vec::new(),
@@ -123,7 +120,7 @@ impl<'p> Flattener<'p> {
                 cost: 0,
             }));
         let mut entry_pc = 0u32;
-        for bi in block_order(func, self.profile) {
+        for bi in block_order(func) {
             if bi == 0 {
                 entry_pc = self.code.len() as u32;
             }

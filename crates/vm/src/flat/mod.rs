@@ -13,9 +13,9 @@
 //!   coordinates, and bulk fuel cost — so dispatch is `code[pc]` with no
 //!   pointer chasing and landing on a block is a single table read.
 //! * **Block layout.** Each function's blocks are emitted once, in greedy
-//!   fall-through chains: in block order, or along the profile's majority
-//!   arms when compiled with [`FlatProgram::compile_with_profile`]. Layout
-//!   never changes observable behavior.
+//!   fall-through chains that follow a branch's not-taken arm, a jump's
+//!   target and a jump table's default. There is one layout and it reads
+//!   no profile; layout never changes observable behavior.
 //! * **Fused superinstructions.** A comparison `Binop` feeding the block's
 //!   conditional branch becomes one `CmpBranch` op, and `Const` + `Binop`
 //!   (the constant on the right-hand side) becomes one `ConstBinop`. The
@@ -90,7 +90,7 @@ struct FlatFunc {
 /// A [`Program`] pre-compiled for the flat backend.
 ///
 /// Compile once, run many times: compilation is deterministic for a given
-/// program and profile, and running never mutates the compiled artifact.
+/// program, and running never mutates the compiled artifact.
 #[derive(Debug)]
 pub struct FlatProgram {
     code: Vec<FlatOp>,
@@ -117,19 +117,19 @@ pub struct FlatProgram {
 }
 
 impl FlatProgram {
-    /// Compiles `program` with no profile: each function's blocks are laid
-    /// out in block order, every conditional branch falling through to its
-    /// not-taken arm.
+    /// Compiles `program`: each function's blocks are laid out in block
+    /// order as fall-through chains, every conditional branch falling
+    /// through to its not-taken arm.
     pub fn compile(program: &Program) -> Self {
-        Flattener::new(program, None).build()
+        Flattener::new(program).build()
     }
 
-    /// Compiles `program` laying blocks out along the profile's likelier
-    /// branch arms: an arm is predicted taken when `profile` saw it taken
-    /// on a strict majority of the site's executions. Layout never changes
-    /// observable behavior.
-    pub fn compile_with_profile(program: &Program, profile: &BranchCounts) -> Self {
-        Flattener::new(program, Some(profile)).build()
+    /// The former profile-steered layout, now [`FlatProgram::compile`]:
+    /// `profile` is ignored. Its one caller is the end-to-end benchmark's
+    /// `e2e/src/edit.rs`; this forward goes with the next change to the
+    /// benchmark.
+    pub fn compile_with_profile(program: &Program, _profile: &BranchCounts) -> Self {
+        Self::compile(program)
     }
 
     /// Number of ops in the compiled code stream (diagnostics and benchmark

@@ -1,21 +1,16 @@
-//! Layout boundary tests: flat code must be observably identical to the
-//! reference backend at every fuel limit under either block layout,
-//! including runtime faults that fire inside a loop's merge block.
-//!
-//! Every check runs against two compilations of the same program:
-//! [`FlatProgram::compile`] (blocks in order, every branch falling through
-//! to its not-taken arm) and [`FlatProgram::compile_with_profile`] with a
-//! profile that reverses both branches' chain order. The deterministic
-//! tests pin the interesting boundaries; the property test sweeps
-//! generated diamond-loop programs across arbitrary fuel limits.
+//! Fuel and fault boundary tests: flat code ([`FlatProgram::compile`],
+//! blocks chained in order, every branch falling through to its not-taken
+//! arm) must be observably identical to the reference backend at every
+//! fuel limit, including runtime faults that fire inside a loop's merge
+//! block. The deterministic tests pin the interesting boundaries; the
+//! property test sweeps generated diamond-loop programs across arbitrary
+//! fuel limits.
 
 use proptest::prelude::*;
 
 use trace_ir::builder::{FunctionBuilder, ProgramBuilder};
-use trace_ir::{BinOp, BranchId, BranchKind, Program};
-use trace_vm::{
-    Backend, BranchCounts, FlatProgram, Input, Recorder, Run, RuntimeError, Vm, VmConfig,
-};
+use trace_ir::{BinOp, BranchKind, Program};
+use trace_vm::{Backend, FlatProgram, Input, Recorder, Run, RuntimeError, Vm, VmConfig};
 
 /// A run's result, with the edge and branch streams it reported.
 type Observed = (Result<Run, RuntimeError>, Recorder);
@@ -116,35 +111,19 @@ fn diamond_loop_program(pads: u32, den_base: i64) -> Program {
     pb.finish("main").unwrap()
 }
 
-/// The program under both layouts. Unprofiled, the chains are
-/// `entry head b join exit` and `a`; the profile takes both branches
-/// (the diamond to `a`, the loop back to `head`), which chains
-/// `entry head a join`, then `b`, then `exit`.
-fn layouts(program: &Program) -> [(&'static str, FlatProgram); 2] {
-    let mut reversed = BranchCounts::new();
-    reversed.add(BranchId(0), 100, 100);
-    reversed.add(BranchId(1), 100, 99);
-    [
-        ("block order", FlatProgram::compile(program)),
-        (
-            "reversed profile",
-            FlatProgram::compile_with_profile(program, &reversed),
-        ),
-    ]
-}
-
-/// Sweeps every fuel limit in `0..=upper` under both layouts and asserts
-/// both backends return the same `Result` and recorded streams — identical
-/// `Run`s on success, identical errors on faults.
+/// Sweeps every fuel limit in `0..=upper` and asserts both backends
+/// return the same `Result` and recorded streams — identical `Run`s on
+/// success, identical errors on faults. The flat code chains
+/// `entry head b join exit`, then `a`, so both the diamond's taken arm and
+/// the loop's back edge jump out of line.
 fn assert_sweep_identical(program: &Program, input: i64, upper: u64, what: &str) {
-    for (layout, flat) in layouts(program) {
-        for fuel in 0..=upper {
-            assert_eq!(
-                run_reference(program, fuel, input),
-                run_flat(&flat, fuel, input),
-                "{what}: results differ at fuel {fuel}, {layout}"
-            );
-        }
+    let flat = FlatProgram::compile(program);
+    for fuel in 0..=upper {
+        assert_eq!(
+            run_reference(program, fuel, input),
+            run_flat(&flat, fuel, input),
+            "{what}: results differ at fuel {fuel}"
+        );
     }
 }
 
@@ -158,14 +137,12 @@ fn fuel_sweep_identical_through_diamond_merge() {
         .stats
         .total_instrs;
     assert_sweep_identical(&program, 6, full + 1, "diamond_clean");
-    for (layout, flat) in layouts(&program) {
-        assert!(run_flat(&flat, full, 6).0.is_ok(), "{layout}");
-        assert_eq!(
-            run_flat(&flat, full - 1, 6).0,
-            Err(RuntimeError::OutOfFuel { limit: full - 1 }),
-            "{layout}"
-        );
-    }
+    let flat = FlatProgram::compile(&program);
+    assert!(run_flat(&flat, full, 6).0.is_ok());
+    assert_eq!(
+        run_flat(&flat, full - 1, 6).0,
+        Err(RuntimeError::OutOfFuel { limit: full - 1 })
+    );
 }
 
 #[test]
@@ -173,47 +150,25 @@ fn divide_by_zero_mid_trace_outranks_nothing_and_races_fuel() {
     // The 4th iteration (i == 3, an odd iteration through arm `a`) divides
     // by zero inside the merge block. Low fuel limits must fault
     // OutOfFuel first; ample limits must surface the division fault —
-    // identically on both backends, under both layouts.
+    // identically on both backends.
     let program = diamond_loop_program(2, 3);
     assert_eq!(
         run_reference(&program, u64::MAX, 10).0,
         Err(RuntimeError::DivideByZero)
     );
-    for (layout, flat) in layouts(&program) {
-        assert_eq!(
-            run_flat(&flat, u64::MAX, 10).0,
-            Err(RuntimeError::DivideByZero),
-            "{layout}"
-        );
-    }
-    // The faulting run is short; 120 comfortably covers it, so the sweep
-    // crosses the fuel-vs-division precedence boundary under both layouts.
-    assert_sweep_identical(&program, 10, 120, "diamond_div_fault");
-}
-
-#[test]
-fn near_max_profile_counts_lay_out_without_overflow() {
-    // A profile database accepts counts up to u64::MAX; the layout's
-    // majority test must not overflow on them (a debug build would panic)
-    // and must still predict the majority arm.
-    let program = diamond_loop_program(3, 1_000);
-    let mut profile = BranchCounts::new();
-    profile.add(BranchId(0), u64::MAX, u64::MAX - 1);
-    profile.add(BranchId(1), u64::MAX, u64::MAX - 1);
-    let flat = FlatProgram::compile_with_profile(&program, &profile);
-    let [(_, unprofiled), (_, reversed)] = layouts(&program);
-    assert_eq!(format!("{flat:?}"), format!("{reversed:?}"));
-    assert_ne!(format!("{flat:?}"), format!("{unprofiled:?}"));
     assert_eq!(
-        run_flat(&flat, u64::MAX, 9),
-        run_reference(&program, u64::MAX, 9)
+        run_flat(&FlatProgram::compile(&program), u64::MAX, 10).0,
+        Err(RuntimeError::DivideByZero)
     );
+    // The faulting run is short; 120 comfortably covers it, so the sweep
+    // crosses the fuel-vs-division precedence boundary.
+    assert_sweep_identical(&program, 10, 120, "diamond_div_fault");
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// Either layout preserves the full observable `Run` — output, result,
+    /// The flat code preserves the full observable `Run` — output, result,
     /// `RunStats`, the edge and branch streams — at *any* fuel budget, for
     /// clean runs, mid-run division faults, and fuel faults alike.
     #[test]
@@ -232,9 +187,8 @@ proptest! {
         };
         let fuel = (spent / fuel_divisor).max(1);
         let limited = run_reference(&program, fuel, input);
-        for (_, flat) in layouts(&program) {
-            prop_assert_eq!(&reference, &run_flat(&flat, u64::MAX, input));
-            prop_assert_eq!(&limited, &run_flat(&flat, fuel, input));
-        }
+        let flat = FlatProgram::compile(&program);
+        prop_assert_eq!(&reference, &run_flat(&flat, u64::MAX, input));
+        prop_assert_eq!(&limited, &run_flat(&flat, fuel, input));
     }
 }

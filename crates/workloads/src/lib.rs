@@ -122,16 +122,12 @@ impl Workload {
         Ok(p)
     }
 
-    /// The canonical VM configuration for measured runs of this workload.
-    /// External runners (e.g. the mfharness scheduler) must use this so
-    /// their statistics are bit-identical to [`Workload::run`].
+    /// The canonical VM configuration for measured runs of this workload
+    /// (every workload has the same one, [`vm_config`]). External runners
+    /// (e.g. the mfharness scheduler) must use this so their statistics
+    /// are bit-identical to [`Workload::run`].
     pub fn vm_config(&self) -> VmConfig {
-        // Generous but bounded: a workload stuck in a loop fails the run
-        // instead of hanging the harness.
-        VmConfig {
-            fuel: 4_000_000_000,
-            ..VmConfig::default()
-        }
+        vm_config()
     }
 
     /// Runs `program` (a compilation of this workload) on `dataset`.
@@ -221,6 +217,17 @@ static ROWS: [Row; 15] = [
     mfcom::ROW,
     spiff::ROW,
 ];
+
+/// The canonical VM configuration for measured runs of any workload, for
+/// callers that run a row without generating its [`Workload`].
+pub fn vm_config() -> VmConfig {
+    // Generous but bounded: a workload stuck in a loop fails the run
+    // instead of hanging the harness.
+    VmConfig {
+        fuel: 4_000_000_000,
+        ..VmConfig::default()
+    }
+}
 
 /// Table 2's rows in order (FORTRAN/FP first), as static data.
 pub fn rows() -> &'static [Row] {

@@ -54,7 +54,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         "% TAKEN",
     ]);
     for i in 0..runs.len() {
-        let self_m = experiment::self_metrics(&runs[i], cfg);
+        let self_m = experiment::self_metrics(&runs[i].stats, cfg);
         let others = if runs.len() > 1 {
             format!(
                 "{:.1}",

@@ -30,7 +30,7 @@ fn cross_dataset_prediction_pipeline_on_spiff() {
     let cfg = BreakConfig::fig2();
 
     for i in 0..runs.len() {
-        let self_m = experiment::self_metrics(&runs[i], cfg);
+        let self_m = experiment::self_metrics(&runs[i].stats, cfg);
         // Self prediction is the bound for every other predictor.
         let loo = experiment::loo_metrics(&runs, i, CombineRule::Scaled, cfg);
         assert!(loo.instrs_per_break <= self_m.instrs_per_break + 1e-9);
@@ -112,8 +112,8 @@ fn unavoidable_breaks_floor_the_metric() {
     // fig2_with_calls the ipb must drop (calls become breaks).
     let runs = runs_for("mfcom");
     for r in &runs {
-        let without = experiment::self_metrics(r, BreakConfig::fig2());
-        let with = experiment::self_metrics(r, BreakConfig::fig2_with_calls());
+        let without = experiment::self_metrics(&r.stats, BreakConfig::fig2());
+        let with = experiment::self_metrics(&r.stats, BreakConfig::fig2_with_calls());
         assert!(with.instrs_per_break < without.instrs_per_break);
         assert!(with.breaks > without.breaks);
     }

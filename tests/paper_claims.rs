@@ -109,7 +109,7 @@ fn feedback_recovers_most_of_the_bound() {
             continue;
         }
         for i in 0..c.runs.len() {
-            let self_m = experiment::self_metrics(&c.runs[i], cfg);
+            let self_m = experiment::self_metrics(&c.runs[i].stats, cfg);
             let loo = experiment::loo_metrics(&c.runs, i, CombineRule::Scaled, cfg);
             let ratio = loo.instrs_per_break / self_m.instrs_per_break;
             assert!(
@@ -140,7 +140,7 @@ fn prediction_is_a_large_multiplier() {
         let c = find(name);
         for r in &c.runs {
             let none = evaluate_unpredicted(&r.stats, BreakConfig::fig1()).instrs_per_break;
-            let with = experiment::self_metrics(r, cfg).instrs_per_break;
+            let with = experiment::self_metrics(&r.stats, cfg).instrs_per_break;
             assert!(
                 with > 4.0 * none,
                 "{name}/{}: {none} -> {with} is too small a gain",
@@ -162,7 +162,7 @@ fn heuristic_loses_roughly_2x() {
             let p = if c.runs.len() > 1 {
                 experiment::loo_metrics(&c.runs, i, CombineRule::Scaled, cfg).instrs_per_break
             } else {
-                experiment::self_metrics(r, cfg).instrs_per_break
+                experiment::self_metrics(&r.stats, cfg).instrs_per_break
             };
             ratios.push(p / h);
         }
@@ -208,8 +208,8 @@ fn scaled_and_unscaled_are_close_on_average() {
 #[test]
 fn percent_correct_hides_branch_density() {
     let cfg = BreakConfig::fig2();
-    let doduc = experiment::self_metrics(&find("doduc").runs[0], cfg);
-    let fpppp = experiment::self_metrics(&find("fpppp").runs[0], cfg);
+    let doduc = experiment::self_metrics(&find("doduc").runs[0].stats, cfg);
+    let fpppp = experiment::self_metrics(&find("fpppp").runs[0].stats, cfg);
     let pc_gap = (doduc.correct_fraction() - fpppp.correct_fraction()).abs();
     assert!(
         pc_gap < 0.15,

@@ -6,7 +6,7 @@ use proptest::prelude::*;
 
 use fisher92::lang::compile;
 use fisher92::opt::Pipeline;
-use fisher92::predict::{evaluate, BreakConfig, Direction, Predictor};
+use fisher92::predict::{evaluate, experiment, BreakConfig, Direction, Predictor};
 use fisher92::profile::{combine, CombineRule};
 use fisher92::vm::{BranchCounts, Input, RunStats, Vm};
 
@@ -202,6 +202,19 @@ proptest! {
         // And equals the sum of minority sides.
         let expected: u64 = counts.iter().map(|(_, e, t)| t.min(e - t)).sum();
         prop_assert_eq!(self_m.mispredicted, expected);
+        // `self_metrics` counts exactly that without building the
+        // predictor, under every break convention.
+        for cfg in [
+            BreakConfig::fig1(),
+            BreakConfig::fig1_with_calls(),
+            BreakConfig::fig2(),
+            BreakConfig::fig2_with_calls(),
+        ] {
+            prop_assert_eq!(
+                experiment::self_metrics(&stats, cfg),
+                evaluate(&stats, &self_p, cfg)
+            );
+        }
     }
 
     #[test]
