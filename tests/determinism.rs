@@ -1,5 +1,8 @@
 //! Determinism: the whole experiment regenerates bit-identically.
 
+use std::path::Path;
+
+use fisher92::lang::{compile_with, CompileOptions, SwitchMode};
 use fisher92::opt::{Inliner, Pipeline};
 use fisher92::vm::Input;
 use fisher92::workloads::suite;
@@ -109,6 +112,66 @@ fn optimized_suite_matches_its_pinned_digest() {
     assert_eq!(
         digest, 0xb143_3ace_a22d_9823,
         "the optimized suite changed: {digest:#018x}"
+    );
+}
+
+/// The digest of what the front end alone makes of every source in the
+/// repository: each suite workload in suite order, then each `corpus/*.mf`
+/// and `examples/*.mf` file in path order, compiled under three option
+/// sets (the default, jump-table switches, and if-conversion off). Each
+/// result is rendered with `{:?}`, so a source that stops compiling
+/// changes the digest too.
+fn profiling_suite_digest() -> u64 {
+    let options = [
+        CompileOptions::default(),
+        CompileOptions {
+            switch_mode: SwitchMode::JumpTable,
+            ..CompileOptions::default()
+        },
+        CompileOptions {
+            if_conversion: false,
+            ..CompileOptions::default()
+        },
+    ];
+    let mut sources: Vec<(String, String)> = suite()
+        .into_iter()
+        .map(|w| (w.name.to_string(), w.source))
+        .collect();
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    for dir in ["corpus", "examples"] {
+        let mut files: Vec<_> = std::fs::read_dir(root.join(dir))
+            .expect("source directory readable")
+            .map(|entry| entry.expect("directory entry").path())
+            .filter(|path| path.extension().is_some_and(|ext| ext == "mf"))
+            .collect();
+        files.sort();
+        for path in files {
+            let source = std::fs::read_to_string(&path).expect("source readable");
+            let name = path.strip_prefix(root).expect("under the root");
+            sources.push((name.display().to_string(), source));
+        }
+    }
+    let mut h = Fnv64(0xcbf2_9ce4_8422_2325);
+    for (name, source) in &sources {
+        h.str(name);
+        for opts in &options {
+            h.str(&format!("{:?}", compile_with(source, opts)));
+        }
+    }
+    h.0
+}
+
+/// The front end's output is pinned: a change to the lexer, parser or
+/// lowering that moves one instruction, register, block or name of one
+/// profiling build fails here, even where a later pass would hide it.
+/// Update the constant only for a deliberate change to what the front end
+/// produces.
+#[test]
+fn profiling_suite_matches_its_pinned_digest() {
+    let digest = profiling_suite_digest();
+    assert_eq!(
+        digest, 0x142d_97fe_e1c6_16fc,
+        "the profiling builds changed: {digest:#018x}"
     );
 }
 
