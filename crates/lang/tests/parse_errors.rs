@@ -199,6 +199,440 @@ fn parser_expected_an_expression() {
     expect_msg("fn main() { emit(;); }", "expected an expression");
 }
 
+// ---------------------------------------------------------- every message --
+
+/// One malformed source per distinct diagnostic the lexer, parser and
+/// lowering raise, each with the exact `Display` it must print: the line
+/// and the whole message, including any name, type or token it quotes.
+/// Sites that print the same text from different code (the two
+/// assignment-target checks, the three `cannot assign` checks of
+/// if-conversion and assignment) each get their own entry, and a message
+/// that quotes a token gets one entry per kind of token it can quote.
+/// The two unreachable lexer diagnostics (see the module doc) and the
+/// validator's "internal: generated invalid IR" have none.
+const DIAGNOSTICS: &[(&str, &str)] = &[
+    // Lexer.
+    (
+        "fn main() { }\n/* trails\n off",
+        "line 2: unterminated block comment",
+    ),
+    ("fn main() { emit(0x); }", "line 1: invalid hex literal"),
+    (
+        "fn main() {\n emit(99999999999999999999); }",
+        "line 2: integer literal out of range",
+    ),
+    (
+        "fn main() { emit(\"a\\qb\"); }",
+        "line 1: invalid escape sequence",
+    ),
+    (
+        "fn main() {\n emit(\"open\n\"); }",
+        "line 2: unterminated string literal",
+    ),
+    ("fn main() { emit(''); }", "line 1: empty char literal"),
+    (
+        "fn main() { emit('ab'); }",
+        "line 1: unterminated char literal",
+    ),
+    ("fn main() { emit($); }", "line 1: unexpected character '$'"),
+    (
+        "fn main() { emit(1 . 2); }",
+        "line 1: unexpected character '.'",
+    ),
+    (
+        "fn main() { emit(\u{e9}); }",
+        "line 1: unexpected character '\u{c3}'",
+    ),
+    // Parser: a missing punctuation mark, once per kind of token found.
+    (
+        "fn main() { var x: int = 1 }",
+        "line 1: expected `;`, found `}`",
+    ),
+    (
+        "fn main() { var x: int = 1 y = 2; }",
+        "line 1: expected `;`, found `y`",
+    ),
+    (
+        "fn main() {\n var x: int = 1\n return; }",
+        "line 3: expected `;`, found `return`",
+    ),
+    (
+        "fn main(x: int) { emit(x 7); }",
+        "line 1: expected `,`, found integer literal 7",
+    ),
+    (
+        "fn main(x: int) { emit(x 2.50); }",
+        "line 1: expected `,`, found float literal 2.5",
+    ),
+    (
+        "fn main(x: int) { emit(x \"s\\n\"); }",
+        "line 1: expected `,`, found string literal \"s\\n\"",
+    ),
+    (
+        "fn main() -> int",
+        "line 1: expected `{`, found end of input",
+    ),
+    ("fn main() { if (1 { } }", "line 1: expected `)`, found `{`"),
+    // Parser: keywords, identifiers, types and the top level.
+    (
+        "fn main() { do { } until (0); }",
+        "line 1: expected `while`, found `until`",
+    ),
+    (
+        "fn 1() { }",
+        "line 1: expected identifier, found integer literal 1",
+    ),
+    (
+        "fn main() { var if: int = 1; }",
+        "line 1: expected identifier, found `if`",
+    ),
+    (
+        "fn main(",
+        "line 1: expected identifier, found end of input",
+    ),
+    (
+        "fn main() { emit(@\"f\"); }",
+        "line 1: expected identifier, found string literal \"f\"",
+    ),
+    (
+        "xyzzy",
+        "line 1: expected `fn` or `global` at top level, found `xyzzy`",
+    ),
+    (
+        "fn main() { }\nvar x: int = 1;",
+        "line 2: expected `fn` or `global` at top level, found `var`",
+    ),
+    (
+        "global g: [[int]];",
+        "line 1: arrays of [int] are not supported",
+    ),
+    (
+        "global g: [fn(int, float) -> int];",
+        "line 1: arrays of fn(int, float) -> int are not supported",
+    ),
+    (
+        "fn main(x: 5) { }",
+        "line 1: expected a type, found integer literal 5",
+    ),
+    (
+        "fn main(x: while) { }",
+        "line 1: expected a type, found `while`",
+    ),
+    (
+        "fn main() {\n while (1) {\n emit(1);",
+        "line 3: unexpected end of input inside block",
+    ),
+    // Parser: switch arms, assignment targets and expressions.
+    (
+        "fn main(x: int) {\n switch (x) {\n case y: { } } }",
+        "line 2: expected integer case label, found `y`",
+    ),
+    (
+        "fn main(x: int) {\n switch (x) {\n case -y: { } } }",
+        "line 2: expected integer case label, found `y`",
+    ),
+    (
+        "fn main(x: int) { switch (x) { case 1.5: { } } }",
+        "line 1: expected integer case label, found float literal 1.5",
+    ),
+    (
+        "fn main(x: int) { switch (x) {\n case 1: { }\n case 1\n : { } } }",
+        "line 4: duplicate case label 1",
+    ),
+    (
+        "fn main(x: int) { switch (x) { case -2: { } case -2: { } } }",
+        "line 1: duplicate case label -2",
+    ),
+    (
+        "fn main(x: int) { switch (x) {\n default: { }\n default: { } } }",
+        "line 3: duplicate default arm",
+    ),
+    (
+        "fn main(x: int) { switch (x) { what: { } } }",
+        "line 1: expected `case` or `default`, found `what`",
+    ),
+    (
+        "fn main() {\n (1 + 2) = 3; }",
+        "line 2: assignment target must be a variable or element",
+    ),
+    (
+        "fn main() { f()[\n 0] = 1; }",
+        "line 2: assignment target must be a variable or element",
+    ),
+    (
+        "fn main() { emit(1 + ); }",
+        "line 1: expected an expression, found `)`",
+    ),
+    (
+        "fn main() { emit(int); }",
+        "line 1: expected an expression, found `int`",
+    ),
+    (
+        "fn main() { emit(",
+        "line 1: expected an expression, found end of input",
+    ),
+    // Lowering: items.
+    (
+        "global len: int;\nfn main() { }",
+        "line 1: `len` is a builtin and cannot be redefined",
+    ),
+    (
+        "global g: int;\nglobal g: float;\nfn main() { }",
+        "line 2: duplicate global `g`",
+    ),
+    (
+        "fn main() { }\nfn emit(x: int) { }",
+        "line 2: `emit` is a builtin and cannot be redefined",
+    ),
+    (
+        "fn f() { }\nfn main() { }\nfn f() { }",
+        "line 3: duplicate function `f`",
+    ),
+    (
+        "fn f() { }\nglobal main: int;",
+        "no `main` function defined",
+    ),
+    (
+        "fn main() { }\nfn f(a: int,\n a: float) { }",
+        "line 2: duplicate parameter `a`",
+    ),
+    // Lowering: statements.
+    (
+        "fn main() { var x: fn(int) -> int = 1; }",
+        "line 1: cannot initialize `x: fn(int) -> int` with a value of type int",
+    ),
+    (
+        "fn main() { var x: int = 0;\n x = 1.5; }",
+        "line 2: cannot assign float to `x: int`",
+    ),
+    (
+        "global g: [int];\nfn main() { g = 1; }",
+        "line 2: cannot assign int to global `g: [int]`",
+    ),
+    ("fn main() { y = 1; }", "line 1: unknown name `y`"),
+    ("fn main() { zz[0] = 1; }", "line 1: unknown name `zz`"),
+    (
+        "fn main() { var x: int = 0; x[0] = 1; }",
+        "line 1: `x` has type int, which is not indexable",
+    ),
+    (
+        "fn main() { var a: [int] = new_int(2); a[1.5] = 1; }",
+        "line 1: array index must be int",
+    ),
+    (
+        "fn main() { var a: [float] = new_float(2); a[0] = 1; }",
+        "line 1: cannot store int into [float]",
+    ),
+    (
+        "fn main() {\n break; }",
+        "line 2: `break` outside of a loop",
+    ),
+    (
+        "fn main() { continue; }",
+        "line 1: `continue` outside of a loop",
+    ),
+    (
+        "fn main() { return 1; }",
+        "line 1: void function returns a value",
+    ),
+    (
+        "fn main() { }\nfn f() -> int { return 1.5; }",
+        "line 2: return type mismatch: expected int, found float",
+    ),
+    (
+        "fn main() { }\nfn f() -> [float] { return; }",
+        "line 2: function must return a value of type [float]",
+    ),
+    (
+        "fn main() { switch (1.5) { } }",
+        "line 1: switch scrutinee must be int",
+    ),
+    // Lowering: if-conversion's checks, then the branching forms.
+    (
+        "fn main() { var x: int = 0;\n if (\n 1.5) { x = 1; } }",
+        "line 3: condition must be int, found float",
+    ),
+    (
+        "fn main() { var x: int = 0;\n if (1) {\n x = 1.5; } }",
+        "line 2: cannot assign float to `x: int`",
+    ),
+    (
+        "fn main() { var x: float = 0.0;\n if (1) { x = 1.0; }\n else { x = 2; } }",
+        "line 2: cannot assign int to `x: float`",
+    ),
+    (
+        "fn main() { if (1.5) { emit(1); } }",
+        "line 1: condition must be int, found float",
+    ),
+    (
+        "fn main(a: [int]) { while (a) { } }",
+        "line 1: condition must be int, found [int]",
+    ),
+    // Lowering: expressions.
+    (
+        "fn main() { var f: int = 0; emit(f); }\nfn g() { emit(@nope); }",
+        "line 2: unknown function `nope` in `@nope`",
+    ),
+    (
+        "fn f() { }\nfn main() { var x: int = f; }",
+        "line 2: unknown name `f`",
+    ),
+    (
+        "fn main() { var x: int = 0; emit(x[0]); }",
+        "line 1: type int is not indexable",
+    ),
+    (
+        "fn main(a: [int]) { emit(a[1.5]); }",
+        "line 1: array index must be int",
+    ),
+    (
+        "fn main() { emit(-new_int(1)); }",
+        "line 1: unary operator not defined for [int]",
+    ),
+    (
+        "fn main() { emit(~1.5); }",
+        "line 1: unary operator not defined for float",
+    ),
+    (
+        "fn f() { }\nfn main() { emit(f()); }",
+        "line 2: void call to `f` used as a value",
+    ),
+    (
+        "fn main() { var x: int = emit(1); }",
+        "line 1: void call to `emit` used as a value",
+    ),
+    (
+        "fn main() { emit(1 +\n 1.5); }",
+        "line 1: operand type mismatch: int vs float",
+    ),
+    (
+        "fn main() { emit(1.5 % 2.5); }",
+        "line 1: operator not defined for operands of type float",
+    ),
+    // Lowering: calls.
+    (
+        "fn main() { var x: int = 0; x(1); }",
+        "line 1: `x` has non-function type int and cannot be called",
+    ),
+    (
+        "global g: float;\nfn main() { g(); }",
+        "line 2: `g` has non-function type float and cannot be called",
+    ),
+    (
+        "fn f(a: int) { }\nfn main() { var h: fn(int) = @f; h(); }",
+        "line 2: `h` expects 1 arguments, got 0",
+    ),
+    (
+        "fn f(a: int) { }\nfn main() { var h: fn(int) = @f; h(\n 1.5); }",
+        "line 3: argument type mismatch: expected int, found float",
+    ),
+    ("fn main() { nope(); }", "line 1: unknown function `nope`"),
+    (
+        "fn f(a: int, b: float) { }\nfn main() { f(1); }",
+        "line 2: `f` expects 2 arguments, got 1",
+    ),
+    (
+        "fn f(a: int, b: [float]) { }\nfn main() { f(1,\n 2.5); }",
+        "line 3: argument type mismatch: expected [float], found float",
+    ),
+    // Lowering: builtins (each builtin's arity and argument checks).
+    (
+        "fn main() { emit(len()); }",
+        "line 1: `len` expects 1 argument(s)",
+    ),
+    (
+        "fn main() { emit(len(1)); }",
+        "line 1: `len`: argument must be an array",
+    ),
+    (
+        "fn main() { var a: [int] = new_int(1.5); }",
+        "line 1: `new_int`: length must be int",
+    ),
+    (
+        "fn main() { var a: [float] = new_float(1, 2); }",
+        "line 1: `new_float` expects 1 argument(s)",
+    ),
+    (
+        "fn main() { emit(); }",
+        "line 1: `emit` expects 1 argument(s)",
+    ),
+    (
+        "fn main() { emit(new_int(1)); }",
+        "line 1: `emit`: argument must be a scalar",
+    ),
+    (
+        "fn main() { emit(int(1)); }",
+        "line 1: `int`: argument must be float",
+    ),
+    (
+        "fn main() { emit(int(1.5, 2.5)); }",
+        "line 1: `int` expects 1 argument(s)",
+    ),
+    (
+        "fn main() { emit(float(1.5)); }",
+        "line 1: `float`: argument must be int",
+    ),
+    (
+        "fn main() { emit(float()); }",
+        "line 1: `float` expects 1 argument(s)",
+    ),
+    (
+        "fn main() { emit(sqrt(1)); }",
+        "line 1: `sqrt`: argument must be float",
+    ),
+    (
+        "fn main() { emit(cos()); }",
+        "line 1: `cos` expects 1 argument(s)",
+    ),
+    (
+        "fn main() { emit(iabs(1.5)); }",
+        "line 1: `iabs`: argument must be int",
+    ),
+    (
+        "fn main() { emit(iabs()); }",
+        "line 1: `iabs` expects 1 argument(s)",
+    ),
+    (
+        "fn main() { emit(fmin(1.5)); }",
+        "line 1: `fmin` expects 2 argument(s)",
+    ),
+    (
+        "fn main() { emit(fmax(1, 2.5)); }",
+        "line 1: `fmax`: arguments must be float",
+    ),
+    (
+        "fn main() { emit(select(1, 2)); }",
+        "line 1: `select` expects 3 argument(s)",
+    ),
+    (
+        "fn main() { emit(select(1.5, 1, 2)); }",
+        "line 1: `select`: condition must be int",
+    ),
+    (
+        "fn main() { emit(select(1, 1, 2.5)); }",
+        "line 1: `select`: value operands must be scalars of one type",
+    ),
+    ("fn main() { emit(len(zz)); }", "line 1: unknown name `zz`"),
+];
+
+#[test]
+fn every_diagnostic_prints_its_pinned_line_and_message() {
+    let wrong: Vec<String> = DIAGNOSTICS
+        .iter()
+        .filter_map(|&(source, expected)| {
+            let got = diag(source).to_string();
+            (got != expected)
+                .then(|| format!("{source:?}\n  expected {expected:?}\n       got {got:?}"))
+        })
+        .collect();
+    assert!(
+        wrong.is_empty(),
+        "{} diagnostics moved:\n{}",
+        wrong.len(),
+        wrong.join("\n")
+    );
+}
+
 // ----------------------------------------------------------- line numbers --
 
 #[test]
