@@ -1,7 +1,20 @@
 //! The lexer.
 
 use crate::error::CompileError;
-use crate::token::{Punct, Token, TokenKind};
+use crate::intern::Interner;
+use crate::token::{Keyword, Punct, Token, TokenKind};
+
+/// What the lexer makes of one source: its tokens, the contents of its
+/// string literals (indexed by [`TokenKind::Str`]), and the interner
+/// holding its names.
+pub(crate) struct Lexed<'s> {
+    /// The token stream, ending with [`TokenKind::Eof`].
+    pub(crate) tokens: Vec<Token>,
+    /// Each string literal's unescaped contents, in source order.
+    pub(crate) strings: Vec<String>,
+    /// Every name the source uses.
+    pub(crate) names: Interner<'s>,
+}
 
 /// Lexes `source` into a token stream ending with [`TokenKind::Eof`].
 ///
@@ -9,24 +22,36 @@ use crate::token::{Punct, Token, TokenKind};
 ///
 /// Returns a [`CompileError`] on malformed literals, unterminated comments or
 /// strings, and unexpected characters.
-pub fn lex(source: &str) -> Result<Vec<Token>, CompileError> {
-    Lexer {
+pub(crate) fn lex(source: &str) -> Result<Lexed<'_>, CompileError> {
+    let mut lexer = Lexer {
+        source,
         bytes: source.as_bytes(),
         pos: 0,
         line: 1,
-    }
-    .run()
+        strings: Vec::new(),
+        names: Interner::new(),
+    };
+    let tokens = lexer.run()?;
+    Ok(Lexed {
+        tokens,
+        strings: lexer.strings,
+        names: lexer.names,
+    })
 }
 
 struct Lexer<'s> {
+    source: &'s str,
     bytes: &'s [u8],
     pos: usize,
     line: u32,
+    strings: Vec<String>,
+    names: Interner<'s>,
 }
 
 impl<'s> Lexer<'s> {
-    fn run(mut self) -> Result<Vec<Token>, CompileError> {
-        let mut tokens = Vec::new();
+    fn run(&mut self) -> Result<Vec<Token>, CompileError> {
+        // Suite sources average about four bytes per token.
+        let mut tokens = Vec::with_capacity(self.bytes.len() / 4 + 1);
         loop {
             self.skip_trivia()?;
             let line = self.line;
@@ -38,8 +63,8 @@ impl<'s> Lexer<'s> {
                 return Ok(tokens);
             };
             let kind = match c {
+                b'a'..=b'z' | b'A'..=b'Z' | b'_' => self.word(),
                 b'0'..=b'9' => self.number()?,
-                b'a'..=b'z' | b'A'..=b'Z' | b'_' => self.ident(),
                 b'"' => self.string()?,
                 b'\'' => self.char_literal()?,
                 _ => self.punct()?,
@@ -65,70 +90,57 @@ impl<'s> Lexer<'s> {
         Some(c)
     }
 
+    /// Advances past the bytes from the current one on that satisfy `p`.
+    /// None of them may be a newline.
+    fn skip_while(&mut self, p: impl Fn(u8) -> bool) {
+        let rest = &self.bytes[self.pos..];
+        self.pos += rest.iter().position(|&c| !p(c)).unwrap_or(rest.len());
+    }
+
     fn skip_trivia(&mut self) -> Result<(), CompileError> {
-        loop {
-            match (self.peek(), self.peek2()) {
-                (Some(c), _) if c.is_ascii_whitespace() => {
-                    self.bump();
+        while let Some(&c) = self.bytes.get(self.pos) {
+            match c {
+                b'\n' => {
+                    self.pos += 1;
+                    self.line += 1;
                 }
-                (Some(b'/'), Some(b'/')) => {
-                    while let Some(c) = self.peek() {
-                        if c == b'\n' {
-                            break;
-                        }
-                        self.bump();
+                // The rest of `u8::is_ascii_whitespace`.
+                b' ' | b'\t' | b'\r' | b'\x0c' => self.pos += 1,
+                b'/' => match self.peek2() {
+                    Some(b'/') => self.skip_while(|c| c != b'\n'),
+                    Some(b'*') => {
+                        let body = &self.bytes[self.pos + 2..];
+                        let Some(len) = body.windows(2).position(|w| w == b"*/") else {
+                            return Err(CompileError::new(self.line, "unterminated block comment"));
+                        };
+                        self.line += body[..len].iter().filter(|&&c| c == b'\n').count() as u32;
+                        self.pos += 2 + len + 2;
                     }
-                }
-                (Some(b'/'), Some(b'*')) => {
-                    let start = self.line;
-                    self.bump();
-                    self.bump();
-                    loop {
-                        match (self.peek(), self.peek2()) {
-                            (Some(b'*'), Some(b'/')) => {
-                                self.bump();
-                                self.bump();
-                                break;
-                            }
-                            (Some(_), _) => {
-                                self.bump();
-                            }
-                            (None, _) => {
-                                return Err(CompileError::new(start, "unterminated block comment"))
-                            }
-                        }
-                    }
-                }
+                    _ => return Ok(()),
+                },
                 _ => return Ok(()),
             }
         }
+        Ok(())
     }
 
     fn number(&mut self) -> Result<TokenKind, CompileError> {
         let start = self.pos;
         let line = self.line;
         if self.peek() == Some(b'0') && matches!(self.peek2(), Some(b'x') | Some(b'X')) {
-            self.bump();
-            self.bump();
+            self.pos += 2;
             let hex_start = self.pos;
-            while matches!(self.peek(), Some(c) if c.is_ascii_hexdigit()) {
-                self.bump();
-            }
-            let text = std::str::from_utf8(&self.bytes[hex_start..self.pos]).expect("ascii");
-            return i64::from_str_radix(text, 16)
+            self.skip_while(|c| c.is_ascii_hexdigit());
+            return i64::from_str_radix(&self.source[hex_start..self.pos], 16)
                 .map(TokenKind::Int)
                 .map_err(|_| CompileError::new(line, "invalid hex literal"));
         }
-        while matches!(self.peek(), Some(c) if c.is_ascii_digit()) {
-            self.bump();
-        }
+        self.skip_while(|c| c.is_ascii_digit());
         let mut is_float = false;
         if self.peek() == Some(b'.') && matches!(self.peek2(), Some(c) if c.is_ascii_digit()) {
             is_float = true;
-            self.bump();
-            while matches!(self.peek(), Some(c) if c.is_ascii_digit()) {
-                self.bump();
-            }
+            self.pos += 1;
+            self.skip_while(|c| c.is_ascii_digit());
         }
         if matches!(self.peek(), Some(b'e') | Some(b'E')) {
             let mut ahead = self.pos + 1;
@@ -137,16 +149,11 @@ impl<'s> Lexer<'s> {
             }
             if matches!(self.bytes.get(ahead), Some(c) if c.is_ascii_digit()) {
                 is_float = true;
-                self.bump(); // e
-                if matches!(self.peek(), Some(b'+') | Some(b'-')) {
-                    self.bump();
-                }
-                while matches!(self.peek(), Some(c) if c.is_ascii_digit()) {
-                    self.bump();
-                }
+                self.pos = ahead;
+                self.skip_while(|c| c.is_ascii_digit());
             }
         }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos]).expect("ascii");
+        let text = &self.source[start..self.pos];
         if is_float {
             text.parse::<f64>()
                 .map(TokenKind::Float)
@@ -158,13 +165,16 @@ impl<'s> Lexer<'s> {
         }
     }
 
-    fn ident(&mut self) -> TokenKind {
+    /// An identifier or keyword: interned, so a name the source repeats
+    /// costs one table probe and no allocation.
+    fn word(&mut self) -> TokenKind {
         let start = self.pos;
-        while matches!(self.peek(), Some(c) if c.is_ascii_alphanumeric() || c == b'_') {
-            self.bump();
+        self.skip_while(|c| c.is_ascii_alphanumeric() || c == b'_');
+        let sym = self.names.intern(&self.source[start..self.pos]);
+        match Keyword::of(sym) {
+            Some(k) => TokenKind::Keyword(k),
+            None => TokenKind::Ident(sym),
         }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos]).expect("ascii");
-        TokenKind::Ident(text.to_string())
     }
 
     fn escape(&mut self, line: u32) -> Result<u8, CompileError> {
@@ -194,9 +204,10 @@ impl<'s> Lexer<'s> {
                 Some(c) => out.push(c),
             }
         }
-        Ok(TokenKind::Str(String::from_utf8(out).map_err(|_| {
-            CompileError::new(line, "non-UTF-8 string literal")
-        })?))
+        let s = String::from_utf8(out)
+            .map_err(|_| CompileError::new(line, "non-UTF-8 string literal"))?;
+        self.strings.push(s);
+        Ok(TokenKind::Str(self.strings.len() as u32 - 1))
     }
 
     fn char_literal(&mut self) -> Result<TokenKind, CompileError> {
@@ -216,9 +227,10 @@ impl<'s> Lexer<'s> {
     fn punct(&mut self) -> Result<TokenKind, CompileError> {
         let line = self.line;
         let c = self.bump().expect("caller checked peek");
+        // The second byte of a two-byte operator is never a newline.
         let two = |lexer: &mut Self, next: u8, a: Punct, b: Punct| {
             if lexer.peek() == Some(next) {
-                lexer.bump();
+                lexer.pos += 1;
                 a
             } else {
                 b
@@ -246,28 +258,10 @@ impl<'s> Lexer<'s> {
             b'!' => two(self, b'=', Punct::NotEq, Punct::Bang),
             b'&' => two(self, b'&', Punct::AndAnd, Punct::Amp),
             b'|' => two(self, b'|', Punct::OrOr, Punct::Pipe),
-            b'<' => {
-                if self.peek() == Some(b'=') {
-                    self.bump();
-                    Punct::Le
-                } else if self.peek() == Some(b'<') {
-                    self.bump();
-                    Punct::Shl
-                } else {
-                    Punct::Lt
-                }
-            }
-            b'>' => {
-                if self.peek() == Some(b'=') {
-                    self.bump();
-                    Punct::Ge
-                } else if self.peek() == Some(b'>') {
-                    self.bump();
-                    Punct::Shr
-                } else {
-                    Punct::Gt
-                }
-            }
+            b'<' if self.peek() == Some(b'=') => two(self, b'=', Punct::Le, Punct::Lt),
+            b'<' => two(self, b'<', Punct::Shl, Punct::Lt),
+            b'>' if self.peek() == Some(b'=') => two(self, b'=', Punct::Ge, Punct::Gt),
+            b'>' => two(self, b'>', Punct::Shr, Punct::Gt),
             other => {
                 return Err(CompileError::new(
                     line,
@@ -284,18 +278,40 @@ mod tests {
     use super::*;
 
     fn kinds(src: &str) -> Vec<TokenKind> {
-        lex(src).unwrap().into_iter().map(|t| t.kind).collect()
+        lex(src)
+            .unwrap()
+            .tokens
+            .into_iter()
+            .map(|t| t.kind)
+            .collect()
     }
 
     #[test]
     fn basic_tokens() {
-        let k = kinds("fn main() -> int { return 42; }");
-        assert_eq!(k[0], TokenKind::Ident("fn".to_string()));
-        assert_eq!(k[1], TokenKind::Ident("main".to_string()));
+        let lexed = lex("fn main() -> int { return 42; }").unwrap();
+        let k: Vec<TokenKind> = lexed.tokens.iter().map(|t| t.kind).collect();
+        assert_eq!(k[0], TokenKind::Keyword(Keyword::Fn));
+        let TokenKind::Ident(main) = k[1] else {
+            panic!("expected an identifier, got {:?}", k[1]);
+        };
+        assert_eq!(lexed.names.name(main), "main");
         assert_eq!(k[2], TokenKind::Punct(Punct::LParen));
         assert_eq!(k[4], TokenKind::Punct(Punct::Arrow));
+        assert_eq!(k[5], TokenKind::Keyword(Keyword::Int));
         assert!(k.contains(&TokenKind::Int(42)));
         assert_eq!(*k.last().unwrap(), TokenKind::Eof);
+    }
+
+    #[test]
+    fn repeated_names_share_a_symbol() {
+        let lexed = lex("x y x whilex").unwrap();
+        let k: Vec<TokenKind> = lexed.tokens.iter().map(|t| t.kind).collect();
+        assert_eq!(k[0], k[2]);
+        assert_ne!(k[0], k[1]);
+        let TokenKind::Ident(s) = k[3] else {
+            panic!("a keyword prefix is still an identifier: {:?}", k[3]);
+        };
+        assert_eq!(lexed.names.name(s), "whilex");
     }
 
     #[test]
@@ -319,17 +335,23 @@ mod tests {
         assert_eq!(kinds("'a'")[0], TokenKind::Int(97));
         assert_eq!(kinds("'\\n'")[0], TokenKind::Int(10));
         assert_eq!(kinds("'\\0'")[0], TokenKind::Int(0));
-        assert_eq!(
-            kinds("\"hi\\tthere\"")[0],
-            TokenKind::Str("hi\tthere".to_string())
-        );
+        let lexed = lex("\"hi\\tthere\" \"again\"").unwrap();
+        assert_eq!(lexed.tokens[0].kind, TokenKind::Str(0));
+        assert_eq!(lexed.tokens[1].kind, TokenKind::Str(1));
+        assert_eq!(lexed.strings, ["hi\tthere", "again"]);
     }
 
     #[test]
     fn comments_are_skipped_and_lines_tracked() {
-        let toks = lex("// one\n/* two\nthree */ x").unwrap();
-        assert_eq!(toks[0].kind, TokenKind::Ident("x".to_string()));
-        assert_eq!(toks[0].line, 3);
+        let lexed = lex("// one\n/* two\nthree */ x\n'\n' y").unwrap();
+        let TokenKind::Ident(x) = lexed.tokens[0].kind else {
+            panic!("expected `x`");
+        };
+        assert_eq!(lexed.names.name(x), "x");
+        assert_eq!(lexed.tokens[0].line, 3);
+        // A raw newline inside a char literal still counts as a line.
+        assert_eq!(lexed.tokens[1].kind, TokenKind::Int(10));
+        assert_eq!(lexed.tokens[2].line, 5);
     }
 
     #[test]
@@ -344,7 +366,7 @@ mod tests {
 
     #[test]
     fn errors_carry_line() {
-        let err = lex("x\n$").unwrap_err();
+        let err = lex("x\n$").err().unwrap();
         assert_eq!(err.line, 2);
         assert!(lex("\"abc").is_err());
         assert!(lex("/* nope").is_err());

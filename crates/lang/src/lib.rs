@@ -23,6 +23,11 @@
 //! [`trace_ir::BranchId`] assigned in source order, plus its line and
 //! construct kind — the hook the IFPROBBER-style profiling machinery keys on.
 //!
+//! The public API is [`compile`], [`compile_with`], [`CompileOptions`],
+//! [`SwitchMode`] and [`CompileError`]. The tokens and syntax tree stay
+//! inside the crate: their names are symbols of an interner that lives for
+//! one [`compile_with`] call and means nothing outside it.
+//!
 //! ```
 //! use mflang::compile;
 //! use trace_vm::{Vm, Input};
@@ -46,8 +51,9 @@
 //! # }
 //! ```
 
-pub mod ast;
+mod ast;
 mod error;
+mod intern;
 mod lexer;
 mod lower;
 mod parser;
@@ -76,7 +82,11 @@ pub fn compile(source: &str) -> Result<Program, CompileError> {
 /// Returns a [`CompileError`] with a line number for lexical, syntactic, or
 /// type errors.
 pub fn compile_with(source: &str, options: &CompileOptions) -> Result<Program, CompileError> {
-    let tokens = lexer::lex(source)?;
-    let items = parser::parse(tokens)?;
-    lower::lower(&items, options)
+    let lexer::Lexed {
+        tokens,
+        strings,
+        names,
+    } = lexer::lex(source)?;
+    let ast = parser::parse(tokens, strings, &names)?;
+    lower::lower(&ast, &names, options)
 }

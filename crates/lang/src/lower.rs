@@ -12,14 +12,23 @@
 //!   branch per case) exactly as the Multiflow compiler did for the paper,
 //!   or to a branch-target table (an indirect jump) under
 //!   [`SwitchMode::JumpTable`].
-
-use std::collections::HashMap;
+//!
+//! Names resolve through per-symbol tables: the global, the function and
+//! the innermost local binding of each [`Sym`] sit at the symbol's index,
+//! and leaving a scope restores the bindings its declarations shadowed.
+//! No name is hashed or compared as text here; lowering builds a `String`
+//! only for the names the IR keeps (globals and functions) and for
+//! diagnostics.
 
 use trace_ir::builder::{FunctionBuilder, ProgramBuilder};
 use trace_ir::{BinOp, BlockId, BranchKind, FuncId, GlobalId, Program, Reg, UnOp};
 
-use crate::ast::{BinaryOp, Expr, ExprKind, Item, LValue, Stmt, StmtKind, Type, UnaryOp};
+use crate::ast::{
+    Ast, BinaryOp, Block, Expr, ExprId, ExprKind, Item, LValue, Stmt, StmtKind, Type, UnaryOp,
+};
 use crate::error::CompileError;
+use crate::intern::{Interner, Sym, SEEDED};
+use crate::token::Keyword;
 
 /// How `switch` statements are lowered.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -62,77 +71,72 @@ struct FnSig {
     ret: Option<Type>,
 }
 
-/// Lowers parsed items to a validated program. The entry function must be
-/// named `main`.
+/// Lowers a syntax tree to a validated program. The entry function must be
+/// named `main`. `names` is the interner the tree's symbols belong to.
 ///
 /// # Errors
 ///
 /// Returns a [`CompileError`] for semantic errors (unknown names, type
 /// mismatches, bad arity, missing `main`, …).
-pub fn lower(items: &[Item], options: &CompileOptions) -> Result<Program, CompileError> {
+pub(crate) fn lower(
+    ast: &Ast,
+    names: &Interner<'_>,
+    options: &CompileOptions,
+) -> Result<Program, CompileError> {
     let mut pb = ProgramBuilder::new();
-    let mut globals: HashMap<String, (GlobalId, Type)> = HashMap::new();
-    let mut funcs: HashMap<String, (FuncId, FnSig)> = HashMap::new();
+    let mut globals: Vec<Option<(GlobalId, Type)>> = vec![None; names.len()];
+    let mut funcs: Vec<Option<(FuncId, FnSig)>> = vec![None; names.len()];
 
     // Pass 1: collect globals and function signatures.
-    for item in items {
-        match item {
-            Item::Global { name, ty, line } => {
-                if is_builtin(name) {
-                    return Err(CompileError::new(
-                        *line,
-                        format!("`{name}` is a builtin and cannot be redefined"),
-                    ));
-                }
-                if globals.contains_key(name) {
-                    return Err(CompileError::new(
-                        *line,
-                        format!("duplicate global `{name}`"),
-                    ));
-                }
-                let id = pb.add_global(name.clone());
-                globals.insert(name.clone(), (id, ty.clone()));
-            }
-            Item::Function {
-                name,
-                params,
-                ret,
+    for item in &ast.items {
+        let (name, line, kind) = match item {
+            Item::Global { name, line, .. } => (*name, *line, "global"),
+            Item::Function { name, line, .. } => (*name, *line, "function"),
+        };
+        let text = names.name(name);
+        if Builtin::of(name).is_some() {
+            return Err(CompileError::new(
                 line,
-                ..
-            } => {
-                if is_builtin(name) {
-                    return Err(CompileError::new(
-                        *line,
-                        format!("`{name}` is a builtin and cannot be redefined"),
-                    ));
-                }
-                if funcs.contains_key(name) {
-                    return Err(CompileError::new(
-                        *line,
-                        format!("duplicate function `{name}`"),
-                    ));
-                }
-                let id = pb.declare_function(name.clone());
-                funcs.insert(
-                    name.clone(),
-                    (
-                        id,
-                        FnSig {
-                            params: params.iter().map(|p| p.ty.clone()).collect(),
-                            ret: ret.clone(),
-                        },
-                    ),
-                );
+                format!("`{text}` is a builtin and cannot be redefined"),
+            ));
+        }
+        let duplicate = match item {
+            Item::Global { .. } => globals[name.index()].is_some(),
+            Item::Function { .. } => funcs[name.index()].is_some(),
+        };
+        if duplicate {
+            return Err(CompileError::new(
+                line,
+                format!("duplicate {kind} `{text}`"),
+            ));
+        }
+        match item {
+            Item::Global { ty, .. } => {
+                globals[name.index()] = Some((pb.add_global(text), ty.clone()));
+            }
+            Item::Function { params, ret, .. } => {
+                let sig = FnSig {
+                    params: params.iter().map(|p| p.ty.clone()).collect(),
+                    ret: ret.clone(),
+                };
+                funcs[name.index()] = Some((pb.declare_function(text), sig));
             }
         }
     }
 
-    if !funcs.contains_key("main") {
+    if names
+        .get("main")
+        .is_none_or(|main| funcs[main.index()].is_none())
+    {
         return Err(CompileError::new(0, "no `main` function defined"));
     }
 
     // Pass 2: lower each function body.
-    for item in items {
+    let mut locals = Locals {
+        bound: vec![None; names.len()],
+        shadowed: Vec::new(),
+    };
+    for item in &ast.items {
         let Item::Function {
             name,
             params,
@@ -143,55 +147,139 @@ pub fn lower(items: &[Item], options: &CompileOptions) -> Result<Program, Compil
         else {
             continue;
         };
-        let mut fb = FunctionBuilder::new(name.clone(), params.len() as u32);
+        let mut fb = FunctionBuilder::new(names.name(*name), params.len() as u32);
         let mut lowerer = Lowerer {
+            ast,
             pb: &mut pb,
             fb: &mut fb,
+            names,
             globals: &globals,
             funcs: &funcs,
-            scopes: vec![HashMap::new()],
+            locals: &mut locals,
             loops: Vec::new(),
             ret: ret.clone(),
             options: *options,
         };
+        let scope = lowerer.locals.enter();
         for (i, p) in params.iter().enumerate() {
-            if lowerer.scopes[0].contains_key(&p.name) {
+            if lowerer.locals.get(p.name).is_some() {
                 return Err(CompileError::new(
                     *line,
-                    format!("duplicate parameter `{}`", p.name),
+                    format!("duplicate parameter `{}`", names.name(p.name)),
                 ));
             }
-            lowerer.scopes[0].insert(p.name.clone(), (Reg(i as u32), p.ty.clone()));
+            lowerer.locals.declare(p.name, Reg(i as u32), p.ty.clone());
         }
-        lowerer.lower_body(body)?;
-        let (id, _) = &funcs[name];
+        lowerer.lower_body(*body)?;
+        lowerer.locals.exit(scope);
+        let (id, _) = funcs[name.index()].as_ref().expect("declared in pass 1");
         pb.define_function(*id, fb.finish());
     }
 
     Ok(pb.finish("main")?)
 }
 
-fn is_builtin(name: &str) -> bool {
-    matches!(
-        name,
-        "len"
-            | "new_int"
-            | "new_float"
-            | "emit"
-            | "int"
-            | "float"
-            | "sqrt"
-            | "sin"
-            | "cos"
-            | "exp"
-            | "log"
-            | "floor"
-            | "iabs"
-            | "fabs"
-            | "fmin"
-            | "fmax"
-            | "select"
-    )
+/// A builtin function. Each one's interned symbol is fixed (see
+/// [`SEEDED`]): `int` and `float` are the last two keywords, and the rest
+/// follow them in this order.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum Builtin {
+    Int,
+    Float,
+    Len,
+    NewInt,
+    NewFloat,
+    Emit,
+    Sqrt,
+    Sin,
+    Cos,
+    Exp,
+    Log,
+    Floor,
+    Iabs,
+    Fabs,
+    Fmin,
+    Fmax,
+    Select,
+}
+
+impl Builtin {
+    const ALL: [Builtin; 17] = [
+        Builtin::Int,
+        Builtin::Float,
+        Builtin::Len,
+        Builtin::NewInt,
+        Builtin::NewFloat,
+        Builtin::Emit,
+        Builtin::Sqrt,
+        Builtin::Sin,
+        Builtin::Cos,
+        Builtin::Exp,
+        Builtin::Log,
+        Builtin::Floor,
+        Builtin::Iabs,
+        Builtin::Fabs,
+        Builtin::Fmin,
+        Builtin::Fmax,
+        Builtin::Select,
+    ];
+
+    /// The symbol of the first builtin, `int`.
+    const FIRST: usize = Keyword::Int as usize;
+
+    /// The builtin named by `sym`, if any.
+    fn of(sym: Sym) -> Option<Builtin> {
+        let i = sym.index().checked_sub(Builtin::FIRST)?;
+        Builtin::ALL.get(i).copied()
+    }
+
+    fn name(self) -> &'static str {
+        SEEDED[Builtin::FIRST + self as usize]
+    }
+}
+
+/// The local bindings in scope: the innermost binding of each symbol at
+/// the symbol's index, and a log of the bindings each declaration
+/// shadowed, unwound when its scope ends.
+struct Locals {
+    bound: Vec<Option<(Reg, Type)>>,
+    shadowed: Vec<(Sym, Option<(Reg, Type)>)>,
+}
+
+impl Locals {
+    /// Opens a scope; pass the result to [`Locals::exit`] to close it.
+    fn enter(&self) -> usize {
+        self.shadowed.len()
+    }
+
+    /// Closes `scope`, restoring every binding declared in it.
+    fn exit(&mut self, scope: usize) {
+        for (sym, old) in self.shadowed.drain(scope..).rev() {
+            self.bound[sym.index()] = old;
+        }
+    }
+
+    fn declare(&mut self, sym: Sym, reg: Reg, ty: Type) {
+        let old = self.bound[sym.index()].replace((reg, ty));
+        self.shadowed.push((sym, old));
+    }
+
+    fn get(&self, sym: Sym) -> Option<&(Reg, Type)> {
+        self.bound[sym.index()].as_ref()
+    }
+}
+
+/// The single scalar assignment `x = value;` an if-convertible arm holds.
+fn single_assignment(body: &[Stmt]) -> Option<(Sym, ExprId)> {
+    let [stmt] = body else { return None };
+    let StmtKind::Assign {
+        target: LValue::Name(name),
+        value,
+    } = stmt.kind
+    else {
+        return None;
+    };
+    Some((name, value))
 }
 
 struct LoopCtx {
@@ -200,18 +288,20 @@ struct LoopCtx {
 }
 
 struct Lowerer<'a> {
+    ast: &'a Ast,
     pb: &'a mut ProgramBuilder,
     fb: &'a mut FunctionBuilder,
-    globals: &'a HashMap<String, (GlobalId, Type)>,
-    funcs: &'a HashMap<String, (FuncId, FnSig)>,
-    scopes: Vec<HashMap<String, (Reg, Type)>>,
+    names: &'a Interner<'a>,
+    globals: &'a [Option<(GlobalId, Type)>],
+    funcs: &'a [Option<(FuncId, FnSig)>],
+    locals: &'a mut Locals,
     loops: Vec<LoopCtx>,
     ret: Option<Type>,
     options: CompileOptions,
 }
 
 impl<'a> Lowerer<'a> {
-    fn lower_body(&mut self, body: &[Stmt]) -> Result<(), CompileError> {
+    fn lower_body(&mut self, body: Block) -> Result<(), CompileError> {
         self.lower_stmts(body)?;
         // Implicit return at the end of the function: void functions return
         // nothing; value functions return zero of their type (reachable only
@@ -232,15 +322,27 @@ impl<'a> Lowerer<'a> {
         Ok(())
     }
 
-    fn lookup_var(&self, name: &str) -> Option<(Reg, Type)> {
-        self.scopes.iter().rev().find_map(|s| s.get(name)).cloned()
+    fn expr(&self, id: ExprId) -> &'a Expr {
+        self.ast.expr(id)
     }
 
-    fn lower_stmts(&mut self, stmts: &[Stmt]) -> Result<(), CompileError> {
-        self.scopes.push(HashMap::new());
-        let result = stmts.iter().try_for_each(|s| self.lower_stmt(s));
-        self.scopes.pop();
-        result
+    /// The text of `sym`, for a diagnostic.
+    fn name(&self, sym: Sym) -> &'a str {
+        self.names.name(sym)
+    }
+
+    fn lookup_var(&self, sym: Sym) -> Option<(Reg, Type)> {
+        self.locals.get(sym).cloned()
+    }
+
+    fn lower_stmts(&mut self, block: Block) -> Result<(), CompileError> {
+        let scope = self.locals.enter();
+        let ast = self.ast;
+        ast.block(block)
+            .iter()
+            .try_for_each(|s| self.lower_stmt(s))?;
+        self.locals.exit(scope);
+        Ok(())
     }
 
     /// After a `return`/`break`/`continue`, subsequent statements in the
@@ -257,56 +359,66 @@ impl<'a> Lowerer<'a> {
         let line = stmt.line;
         match &stmt.kind {
             StmtKind::Var { name, ty, init } => {
-                let (r, ity) = self.lower_expr(init)?;
+                let (r, ity) = self.lower_expr(self.expr(*init))?;
                 if ity != *ty {
                     return Err(CompileError::new(
                         line,
-                        format!("cannot initialize `{name}: {ty}` with a value of type {ity}"),
+                        format!(
+                            "cannot initialize `{}: {ty}` with a value of type {ity}",
+                            self.name(*name)
+                        ),
                     ));
                 }
                 let var_reg = self.fb.new_reg();
                 self.fb.mov_to(var_reg, r);
-                self.scopes
-                    .last_mut()
-                    .expect("scope stack never empty")
-                    .insert(name.clone(), (var_reg, ty.clone()));
+                self.locals.declare(*name, var_reg, ty.clone());
             }
             StmtKind::Assign { target, value } => match target {
                 LValue::Name(name) => {
-                    let (r, vty) = self.lower_expr(value)?;
-                    if let Some((reg, ty)) = self.lookup_var(name) {
-                        if vty != ty {
-                            return Err(CompileError::new(
-                                line,
-                                format!("cannot assign {vty} to `{name}: {ty}`"),
-                            ));
-                        }
-                        self.fb.mov_to(reg, r);
-                    } else if let Some((gid, ty)) = self.globals.get(name) {
+                    let (r, vty) = self.lower_expr(self.expr(*value))?;
+                    if let Some((reg, ty)) = self.locals.get(*name) {
                         if vty != *ty {
                             return Err(CompileError::new(
                                 line,
-                                format!("cannot assign {vty} to global `{name}: {ty}`"),
+                                format!("cannot assign {vty} to `{}: {ty}`", self.name(*name)),
+                            ));
+                        }
+                        let reg = *reg;
+                        self.fb.mov_to(reg, r);
+                    } else if let Some((gid, ty)) = &self.globals[name.index()] {
+                        if vty != *ty {
+                            return Err(CompileError::new(
+                                line,
+                                format!(
+                                    "cannot assign {vty} to global `{}: {ty}`",
+                                    self.name(*name)
+                                ),
                             ));
                         }
                         self.fb.global_set(*gid, r);
                     } else {
-                        return Err(CompileError::new(line, format!("unknown name `{name}`")));
+                        return Err(CompileError::new(
+                            line,
+                            format!("unknown name `{}`", self.name(*name)),
+                        ));
                     }
                 }
                 LValue::Index { base, index } => {
-                    let (arr, aty) = self.lower_name(base, line)?;
+                    let (arr, aty) = self.lower_name(*base, line)?;
                     let Some(elem) = aty.element() else {
                         return Err(CompileError::new(
                             line,
-                            format!("`{base}` has type {aty}, which is not indexable"),
+                            format!(
+                                "`{}` has type {aty}, which is not indexable",
+                                self.name(*base)
+                            ),
                         ));
                     };
-                    let (idx, idx_ty) = self.lower_expr(index)?;
+                    let (idx, idx_ty) = self.lower_expr(self.expr(*index))?;
                     if idx_ty != Type::Int {
                         return Err(CompileError::new(line, "array index must be int"));
                     }
-                    let (val, vty) = self.lower_expr(value)?;
+                    let (val, vty) = self.lower_expr(self.expr(*value))?;
                     if vty != elem {
                         return Err(CompileError::new(
                             line,
@@ -321,6 +433,7 @@ impl<'a> Lowerer<'a> {
                 then_body,
                 else_body,
             } => {
+                let (cond, then_body, else_body) = (self.expr(*cond), *then_body, *else_body);
                 if self.options.if_conversion
                     && self.try_if_conversion(cond, then_body, else_body)?
                 {
@@ -343,6 +456,7 @@ impl<'a> Lowerer<'a> {
                 self.fb.switch_to(join);
             }
             StmtKind::While { cond, body } => {
+                let (cond, body) = (self.expr(*cond), *body);
                 // Rotated loop: guard at entry, test at bottom.
                 let body_blk = self.fb.new_block();
                 let test_blk = self.fb.new_block();
@@ -363,6 +477,7 @@ impl<'a> Lowerer<'a> {
                 self.fb.switch_to(exit);
             }
             StmtKind::DoWhile { body, cond } => {
+                let (cond, body) = (self.expr(*cond), *body);
                 let body_blk = self.fb.new_block();
                 let test_blk = self.fb.new_block();
                 let exit = self.fb.new_block();
@@ -387,9 +502,11 @@ impl<'a> Lowerer<'a> {
                 step,
                 body,
             } => {
-                self.scopes.push(HashMap::new());
+                let ast = self.ast;
+                let cond = cond.map(|c| ast.expr(c));
+                let scope = self.locals.enter();
                 if let Some(init) = init {
-                    self.lower_stmt(init)?;
+                    self.lower_stmt(ast.stmt(*init))?;
                 }
                 let body_blk = self.fb.new_block();
                 let step_blk = self.fb.new_block();
@@ -403,20 +520,20 @@ impl<'a> Lowerer<'a> {
                     break_target: exit,
                 });
                 self.fb.switch_to(body_blk);
-                self.lower_stmts(body)?;
+                self.lower_stmts(*body)?;
                 if !self.fb.current_terminated() {
                     self.fb.jump(step_blk);
                 }
                 self.fb.switch_to(step_blk);
                 if let Some(step) = step {
-                    self.lower_stmt(step)?;
+                    self.lower_stmt(ast.stmt(*step))?;
                 }
                 match cond {
                     Some(c) => self.lower_cond(c, body_blk, exit, BranchKind::LoopBack)?,
                     None => self.fb.jump(body_blk),
                 }
                 self.loops.pop();
-                self.scopes.pop();
+                self.locals.exit(scope);
                 self.fb.switch_to(exit);
             }
             StmtKind::Switch {
@@ -424,7 +541,9 @@ impl<'a> Lowerer<'a> {
                 cases,
                 default,
             } => {
-                self.lower_switch(scrutinee, cases, default, line)?;
+                let ast = self.ast;
+                let scrutinee = ast.expr(*scrutinee);
+                self.lower_switch(scrutinee, ast.cases(*cases), *default, line)?;
             }
             StmtKind::Break => {
                 let Some(ctx) = self.loops.last() else {
@@ -441,14 +560,14 @@ impl<'a> Lowerer<'a> {
                 self.start_dead_block();
             }
             StmtKind::Return(value) => {
-                let ret_ty = self.ret.clone();
-                match (&ret_ty, value) {
+                match (&self.ret, value) {
                     (None, None) => self.fb.ret(None),
                     (None, Some(_)) => {
                         return Err(CompileError::new(line, "void function returns a value"))
                     }
-                    (Some(expected), Some(e)) => {
-                        let (r, ty) = self.lower_expr(e)?;
+                    (Some(_), Some(e)) => {
+                        let (r, ty) = self.lower_expr(self.expr(*e))?;
+                        let expected = self.ret.as_ref().expect("matched a value function");
                         if ty != *expected {
                             return Err(CompileError::new(
                                 line,
@@ -467,9 +586,10 @@ impl<'a> Lowerer<'a> {
                 self.start_dead_block();
             }
             StmtKind::Expr(e) => {
-                if let ExprKind::Call { callee, args } = &e.kind {
+                let e = self.expr(*e);
+                if let ExprKind::Call { callee, args } = e.kind {
                     // Statement position: void calls are allowed.
-                    self.lower_call(callee, args, e.line)?;
+                    self.lower_call(callee, self.ast.args(args), e.line)?;
                 } else {
                     self.lower_expr(e)?;
                 }
@@ -481,8 +601,8 @@ impl<'a> Lowerer<'a> {
     fn lower_switch(
         &mut self,
         scrutinee: &Expr,
-        cases: &[(i64, Vec<Stmt>)],
-        default: &[Stmt],
+        cases: &[(i64, Block)],
+        default: Block,
         line: u32,
     ) -> Result<(), CompileError> {
         let (scrut, ty) = self.lower_expr(scrutinee)?;
@@ -501,19 +621,21 @@ impl<'a> Lowerer<'a> {
             let min = cases.iter().map(|(v, _)| *v).min().expect("nonempty");
             let max = cases.iter().map(|(v, _)| *v).max().expect("nonempty");
             let default_blk = self.fb.new_block();
-            let mut case_blks = HashMap::new();
+            // One slot per value in `min..=max`; the parser rejects
+            // duplicate labels, so each case fills its own.
+            let mut case_blks = vec![None; (max - min) as usize + 1];
             for (v, _) in cases {
-                case_blks.insert(*v, self.fb.new_block());
+                case_blks[(v - min) as usize] = Some(self.fb.new_block());
             }
-            let targets: Vec<BlockId> = (min..=max)
-                .map(|v| case_blks.get(&v).copied().unwrap_or(default_blk))
-                .collect();
+            let targets: Vec<BlockId> =
+                case_blks.iter().map(|b| b.unwrap_or(default_blk)).collect();
             let min_reg = self.fb.const_int(min);
             let idx = self.fb.binop(BinOp::Sub, scrut, min_reg);
             self.fb.jump_table(idx, targets, default_blk);
             for (v, body) in cases {
-                self.fb.switch_to(case_blks[v]);
-                self.lower_stmts(body)?;
+                let case_blk = case_blks[(v - min) as usize].expect("allocated above");
+                self.fb.switch_to(case_blk);
+                self.lower_stmts(*body)?;
                 if !self.fb.current_terminated() {
                     self.fb.jump(join);
                 }
@@ -541,7 +663,7 @@ impl<'a> Lowerer<'a> {
                 self.fb
                     .branch(eq, case_blk, next_test, line, BranchKind::SwitchArm);
                 self.fb.switch_to(case_blk);
-                self.lower_stmts(body)?;
+                self.lower_stmts(*body)?;
                 if !self.fb.current_terminated() {
                     self.fb.jump(join);
                 }
@@ -563,43 +685,35 @@ impl<'a> Lowerer<'a> {
     fn try_if_conversion(
         &mut self,
         cond: &Expr,
-        then_body: &[Stmt],
-        else_body: &[Stmt],
+        then_body: Block,
+        else_body: Block,
     ) -> Result<bool, CompileError> {
         // Shape check: one simple scalar assignment per arm, same target.
-        let arm = |body: &[Stmt]| -> Option<(String, Expr)> {
-            let [stmt] = body else { return None };
-            let StmtKind::Assign {
-                target: LValue::Name(name),
-                value,
-            } = &stmt.kind
-            else {
-                return None;
-            };
-            Some((name.clone(), value.clone()))
-        };
-        let Some((name, then_value)) = arm(then_body) else {
+        let ast = self.ast;
+        let Some((name, then_value)) = single_assignment(ast.block(then_body)) else {
             return Ok(false);
         };
+        let then_value = ast.expr(then_value);
+        let else_body = ast.block(else_body);
         let else_value = if else_body.is_empty() {
             None
         } else {
-            match arm(else_body) {
-                Some((else_name, v)) if else_name == name => Some(v),
+            match single_assignment(else_body) {
+                Some((else_name, v)) if else_name == name => Some(ast.expr(v)),
                 _ => return Ok(false),
             }
         };
         // Target must be a local scalar (globals keep the branch so stores
         // stay conditional in program order).
-        let Some((target_reg, target_ty)) = self.lookup_var(&name) else {
+        let Some((target_reg, target_ty)) = self.lookup_var(name) else {
             return Ok(false);
         };
         if !target_ty.is_scalar() {
             return Ok(false);
         }
-        if !Self::is_selectable(cond)
-            || !Self::is_selectable(&then_value)
-            || !else_value.as_ref().is_none_or(Self::is_selectable)
+        if !self.is_selectable(cond)
+            || !self.is_selectable(then_value)
+            || !else_value.is_none_or(|e| self.is_selectable(e))
         {
             return Ok(false);
         }
@@ -611,20 +725,20 @@ impl<'a> Lowerer<'a> {
                 format!("condition must be int, found {cty}"),
             ));
         }
-        let (tv, tty) = self.lower_expr(&then_value)?;
+        let (tv, tty) = self.lower_expr(then_value)?;
         if tty != target_ty {
             return Err(CompileError::new(
                 cond.line,
-                format!("cannot assign {tty} to `{name}: {target_ty}`"),
+                format!("cannot assign {tty} to `{}: {target_ty}`", self.name(name)),
             ));
         }
         let ev = match else_value {
             Some(e) => {
-                let (ev, ety) = self.lower_expr(&e)?;
+                let (ev, ety) = self.lower_expr(e)?;
                 if ety != target_ty {
                     return Err(CompileError::new(
                         cond.line,
-                        format!("cannot assign {ety} to `{name}: {target_ty}`"),
+                        format!("cannot assign {ety} to `{}: {target_ty}`", self.name(name)),
                     ));
                 }
                 ev
@@ -639,16 +753,16 @@ impl<'a> Lowerer<'a> {
     /// True for pure, trap-free scalar expressions: literals, scalar
     /// names, unary operators, and binary operators other than division,
     /// remainder and the short-circuit forms. No calls, no indexing.
-    fn is_selectable(e: &Expr) -> bool {
-        match &e.kind {
+    fn is_selectable(&self, e: &Expr) -> bool {
+        match e.kind {
             ExprKind::Int(_) | ExprKind::Float(_) | ExprKind::Name(_) => true,
-            ExprKind::Unary { operand, .. } => Self::is_selectable(operand),
+            ExprKind::Unary { operand, .. } => self.is_selectable(self.expr(operand)),
             ExprKind::Binary { op, lhs, rhs } => {
                 !matches!(
                     op,
                     BinaryOp::Div | BinaryOp::Rem | BinaryOp::And | BinaryOp::Or
-                ) && Self::is_selectable(lhs)
-                    && Self::is_selectable(rhs)
+                ) && self.is_selectable(self.expr(lhs))
+                    && self.is_selectable(self.expr(rhs))
             }
             _ => false,
         }
@@ -665,31 +779,19 @@ impl<'a> Lowerer<'a> {
         false_blk: BlockId,
         kind: BranchKind,
     ) -> Result<(), CompileError> {
-        match &cond.kind {
+        match cond.kind {
             ExprKind::Binary {
-                op: BinaryOp::And,
+                op: op @ (BinaryOp::And | BinaryOp::Or),
                 lhs,
                 rhs,
             } => {
-                let mid = self.fb.new_block();
-                self.lower_cond(lhs, mid, false_blk, BranchKind::ShortCircuit)?;
-                self.fb.switch_to(mid);
-                self.lower_cond(rhs, true_blk, false_blk, kind)
-            }
-            ExprKind::Binary {
-                op: BinaryOp::Or,
-                lhs,
-                rhs,
-            } => {
-                let mid = self.fb.new_block();
-                self.lower_cond(lhs, true_blk, mid, BranchKind::ShortCircuit)?;
-                self.fb.switch_to(mid);
-                self.lower_cond(rhs, true_blk, false_blk, kind)
+                let (lhs, rhs) = (self.expr(lhs), self.expr(rhs));
+                self.lower_short_circuit(op, lhs, rhs, true_blk, false_blk, kind)
             }
             ExprKind::Unary {
                 op: UnaryOp::Not,
                 operand,
-            } => self.lower_cond(operand, false_blk, true_blk, kind),
+            } => self.lower_cond(self.expr(operand), false_blk, true_blk, kind),
             _ => {
                 let (r, ty) = self.lower_expr(cond)?;
                 if ty != Type::Int {
@@ -704,31 +806,56 @@ impl<'a> Lowerer<'a> {
         }
     }
 
+    /// `lhs && rhs` or `lhs || rhs` as control flow: the left test is a
+    /// `ShortCircuit` branch and the right one takes `kind`.
+    fn lower_short_circuit(
+        &mut self,
+        op: BinaryOp,
+        lhs: &Expr,
+        rhs: &Expr,
+        true_blk: BlockId,
+        false_blk: BlockId,
+        kind: BranchKind,
+    ) -> Result<(), CompileError> {
+        let mid = self.fb.new_block();
+        if op == BinaryOp::And {
+            self.lower_cond(lhs, mid, false_blk, BranchKind::ShortCircuit)?;
+        } else {
+            self.lower_cond(lhs, true_blk, mid, BranchKind::ShortCircuit)?;
+        }
+        self.fb.switch_to(mid);
+        self.lower_cond(rhs, true_blk, false_blk, kind)
+    }
+
     /// Resolves a bare name (local variable, then global) to a value
     /// register.
-    fn lower_name(&mut self, name: &str, line: u32) -> Result<(Reg, Type), CompileError> {
-        if let Some((reg, ty)) = self.lookup_var(name) {
-            return Ok((reg, ty));
+    fn lower_name(&mut self, name: Sym, line: u32) -> Result<(Reg, Type), CompileError> {
+        if let Some(binding) = self.lookup_var(name) {
+            return Ok(binding);
         }
-        if let Some((gid, ty)) = self.globals.get(name) {
+        if let Some((gid, ty)) = &self.globals[name.index()] {
             let r = self.fb.global_get(*gid);
             return Ok((r, ty.clone()));
         }
-        Err(CompileError::new(line, format!("unknown name `{name}`")))
+        Err(CompileError::new(
+            line,
+            format!("unknown name `{}`", self.name(name)),
+        ))
     }
 
     fn lower_expr(&mut self, e: &Expr) -> Result<(Reg, Type), CompileError> {
         let line = e.line;
-        match &e.kind {
-            ExprKind::Int(v) => Ok((self.fb.const_int(*v), Type::Int)),
-            ExprKind::Float(v) => Ok((self.fb.const_float(*v), Type::Float)),
-            ExprKind::Str(s) => {
-                let idx = self.pb.intern_str(s);
+        match e.kind {
+            ExprKind::Int(v) => Ok((self.fb.const_int(v), Type::Int)),
+            ExprKind::Float(v) => Ok((self.fb.const_float(v), Type::Float)),
+            ExprKind::Str(i) => {
+                let idx = self.pb.intern_str(&self.ast.strings[i as usize]);
                 Ok((self.fb.const_array(idx), Type::IntArray))
             }
             ExprKind::Name(name) => self.lower_name(name, line),
             ExprKind::FuncRef(name) => {
-                let Some((id, sig)) = self.funcs.get(name) else {
+                let Some((id, sig)) = &self.funcs[name.index()] else {
+                    let name = self.name(name);
                     return Err(CompileError::new(
                         line,
                         format!("unknown function `{name}` in `@{name}`"),
@@ -744,21 +871,21 @@ impl<'a> Lowerer<'a> {
                 ))
             }
             ExprKind::Index { base, index } => {
-                let (arr, aty) = self.lower_expr(base)?;
+                let (arr, aty) = self.lower_expr(self.expr(base))?;
                 let Some(elem) = aty.element() else {
                     return Err(CompileError::new(
                         line,
                         format!("type {aty} is not indexable"),
                     ));
                 };
-                let (idx, ity) = self.lower_expr(index)?;
+                let (idx, ity) = self.lower_expr(self.expr(index))?;
                 if ity != Type::Int {
                     return Err(CompileError::new(line, "array index must be int"));
                 }
                 Ok((self.fb.load(arr, idx), elem))
             }
             ExprKind::Unary { op, operand } => {
-                let (r, ty) = self.lower_expr(operand)?;
+                let (r, ty) = self.lower_expr(self.expr(operand))?;
                 match (op, &ty) {
                     (UnaryOp::Neg, Type::Int) => Ok((self.fb.unop(UnOp::Neg, r), Type::Int)),
                     (UnaryOp::Neg, Type::Float) => Ok((self.fb.unop(UnOp::FNeg, r), Type::Float)),
@@ -770,14 +897,18 @@ impl<'a> Lowerer<'a> {
                     )),
                 }
             }
-            ExprKind::Binary { op, lhs, rhs } => self.lower_binary(*op, lhs, rhs, line),
-            ExprKind::Call { callee, args } => match self.lower_call(callee, args, line)? {
-                Some(rt) => Ok(rt),
-                None => Err(CompileError::new(
-                    line,
-                    format!("void call to `{callee}` used as a value"),
-                )),
-            },
+            ExprKind::Binary { op, lhs, rhs } => {
+                self.lower_binary(op, self.expr(lhs), self.expr(rhs), line)
+            }
+            ExprKind::Call { callee, args } => {
+                match self.lower_call(callee, self.ast.args(args), line)? {
+                    Some(rt) => Ok(rt),
+                    None => Err(CompileError::new(
+                        line,
+                        format!("void call to `{}` used as a value", self.name(callee)),
+                    )),
+                }
+            }
         }
     }
 
@@ -795,15 +926,7 @@ impl<'a> Lowerer<'a> {
             let t_blk = self.fb.new_block();
             let f_blk = self.fb.new_block();
             let join = self.fb.new_block();
-            let whole = Expr {
-                kind: ExprKind::Binary {
-                    op,
-                    lhs: Box::new(lhs.clone()),
-                    rhs: Box::new(rhs.clone()),
-                },
-                line,
-            };
-            self.lower_cond(&whole, t_blk, f_blk, BranchKind::ShortCircuit)?;
+            self.lower_short_circuit(op, lhs, rhs, t_blk, f_blk, BranchKind::ShortCircuit)?;
             self.fb.switch_to(t_blk);
             let one = self.fb.const_int(1);
             self.fb.mov_to(result, one);
@@ -866,78 +989,83 @@ impl<'a> Lowerer<'a> {
     /// direct. Returns `None` for void calls.
     fn lower_call(
         &mut self,
-        callee: &str,
-        args: &[Expr],
+        callee: Sym,
+        args: &[ExprId],
         line: u32,
     ) -> Result<Option<(Reg, Type)>, CompileError> {
-        if is_builtin(callee) {
-            return self.lower_builtin(callee, args, line);
+        if let Some(builtin) = Builtin::of(callee) {
+            return self.lower_builtin(builtin, args, line);
         }
 
         // A local or global of fn type shadows a function of the same name.
         // For globals the register is resolved after argument lowering.
-        let indirect = self.lookup_var(callee).map(|vt| (vt, false)).or_else(|| {
-            self.globals
-                .get(callee)
-                .map(|(_, ty)| ((Reg(0), ty.clone()), true))
-        });
+        let global = &self.globals[callee.index()];
+        let indirect = self
+            .lookup_var(callee)
+            .map(|vt| (vt, false))
+            .or_else(|| global.as_ref().map(|(_, ty)| ((Reg(0), ty.clone()), true)));
         if let Some(((reg, ty), is_global)) = indirect {
             let Type::FnRef { params, ret } = ty else {
                 return Err(CompileError::new(
                     line,
-                    format!("`{callee}` has non-function type {ty} and cannot be called"),
-                ));
-            };
-            if args.len() != params.len() {
-                return Err(CompileError::new(
-                    line,
                     format!(
-                        "`{callee}` expects {} arguments, got {}",
-                        params.len(),
-                        args.len()
+                        "`{}` has non-function type {ty} and cannot be called",
+                        self.name(callee)
                     ),
                 ));
-            }
-            let mut arg_regs = Vec::with_capacity(args.len());
-            for (a, pty) in args.iter().zip(&params) {
-                let (r, ty) = self.lower_expr(a)?;
-                if ty != *pty {
-                    return Err(CompileError::new(
-                        a.line,
-                        format!("argument type mismatch: expected {pty}, found {ty}"),
-                    ));
-                }
-                arg_regs.push(r);
-            }
-            let target = if is_global {
-                let (gid, _) = &self.globals[callee];
-                self.fb.global_get(*gid)
-            } else {
-                reg
+            };
+            let arg_regs = self.lower_args(callee, args, &params, line)?;
+            let target = match global {
+                Some((gid, _)) if is_global => self.fb.global_get(*gid),
+                _ => reg,
             };
             let dst = self.fb.call_indirect(target, arg_regs);
             return Ok(ret.map(|t| (dst, *t)));
         }
 
-        let Some((id, sig)) = self.funcs.get(callee) else {
+        let funcs = self.funcs;
+        let Some((id, sig)) = &funcs[callee.index()] else {
             return Err(CompileError::new(
                 line,
-                format!("unknown function `{callee}`"),
+                format!("unknown function `{}`", self.name(callee)),
             ));
         };
-        let (id, sig) = (*id, sig.clone());
-        if args.len() != sig.params.len() {
+        let arg_regs = self.lower_args(callee, args, &sig.params, line)?;
+        match &sig.ret {
+            Some(ret) => {
+                let dst = self.fb.call(*id, arg_regs);
+                Ok(Some((dst, ret.clone())))
+            }
+            None => {
+                self.fb.call_void(*id, arg_regs);
+                Ok(None)
+            }
+        }
+    }
+
+    /// Checks a call's arity against `params`, then lowers and type-checks
+    /// its arguments in order.
+    fn lower_args(
+        &mut self,
+        callee: Sym,
+        args: &[ExprId],
+        params: &[Type],
+        line: u32,
+    ) -> Result<Vec<Reg>, CompileError> {
+        if args.len() != params.len() {
             return Err(CompileError::new(
                 line,
                 format!(
-                    "`{callee}` expects {} arguments, got {}",
-                    sig.params.len(),
+                    "`{}` expects {} arguments, got {}",
+                    self.name(callee),
+                    params.len(),
                     args.len()
                 ),
             ));
         }
         let mut arg_regs = Vec::with_capacity(args.len());
-        for (a, pty) in args.iter().zip(&sig.params) {
+        for (&a, pty) in args.iter().zip(params) {
+            let a = self.expr(a);
             let (r, ty) = self.lower_expr(a)?;
             if ty != *pty {
                 return Err(CompileError::new(
@@ -947,28 +1075,20 @@ impl<'a> Lowerer<'a> {
             }
             arg_regs.push(r);
         }
-        match sig.ret {
-            Some(ret) => {
-                let dst = self.fb.call(id, arg_regs);
-                Ok(Some((dst, ret)))
-            }
-            None => {
-                self.fb.call_void(id, arg_regs);
-                Ok(None)
-            }
-        }
+        Ok(arg_regs)
     }
 
     fn lower_builtin(
         &mut self,
-        name: &str,
-        args: &[Expr],
+        builtin: Builtin,
+        args: &[ExprId],
         line: u32,
     ) -> Result<Option<(Reg, Type)>, CompileError> {
         let mut lowered = Vec::with_capacity(args.len());
-        for a in args {
-            lowered.push(self.lower_expr(a)?);
+        for &a in args {
+            lowered.push(self.lower_expr(self.expr(a))?);
         }
+        let name = builtin.name();
         let arity_err =
             |n: usize| CompileError::new(line, format!("`{name}` expects {n} argument(s)"));
         let type_err = |msg: &str| CompileError::new(line, format!("`{name}`: {msg}"));
@@ -984,8 +1104,8 @@ impl<'a> Lowerer<'a> {
                 Ok(Some((this.fb.unop(op, r), Type::Float)))
             };
 
-        match name {
-            "len" => {
+        match builtin {
+            Builtin::Len => {
                 let [(r, ref ty)] = lowered[..] else {
                     return Err(arity_err(1));
                 };
@@ -994,20 +1114,20 @@ impl<'a> Lowerer<'a> {
                 }
                 Ok(Some((self.fb.array_len(r), Type::Int)))
             }
-            "new_int" | "new_float" => {
+            Builtin::NewInt | Builtin::NewFloat => {
                 let [(r, ref ty)] = lowered[..] else {
                     return Err(arity_err(1));
                 };
                 if *ty != Type::Int {
                     return Err(type_err("length must be int"));
                 }
-                if name == "new_int" {
+                if builtin == Builtin::NewInt {
                     Ok(Some((self.fb.new_int_array(r), Type::IntArray)))
                 } else {
                     Ok(Some((self.fb.new_float_array(r), Type::FloatArray)))
                 }
             }
-            "emit" => {
+            Builtin::Emit => {
                 let [(r, ref ty)] = lowered[..] else {
                     return Err(arity_err(1));
                 };
@@ -1017,7 +1137,7 @@ impl<'a> Lowerer<'a> {
                 self.fb.emit_value(r);
                 Ok(None)
             }
-            "int" => {
+            Builtin::Int => {
                 let [(r, ref ty)] = lowered[..] else {
                     return Err(arity_err(1));
                 };
@@ -1026,7 +1146,7 @@ impl<'a> Lowerer<'a> {
                 }
                 Ok(Some((self.fb.unop(UnOp::FloatToInt, r), Type::Int)))
             }
-            "float" => {
+            Builtin::Float => {
                 let [(r, ref ty)] = lowered[..] else {
                     return Err(arity_err(1));
                 };
@@ -1035,14 +1155,14 @@ impl<'a> Lowerer<'a> {
                 }
                 Ok(Some((self.fb.unop(UnOp::IntToFloat, r), Type::Float)))
             }
-            "sqrt" => unary_float(self, UnOp::Sqrt),
-            "sin" => unary_float(self, UnOp::Sin),
-            "cos" => unary_float(self, UnOp::Cos),
-            "exp" => unary_float(self, UnOp::Exp),
-            "log" => unary_float(self, UnOp::Log),
-            "floor" => unary_float(self, UnOp::Floor),
-            "fabs" => unary_float(self, UnOp::FAbs),
-            "iabs" => {
+            Builtin::Sqrt => unary_float(self, UnOp::Sqrt),
+            Builtin::Sin => unary_float(self, UnOp::Sin),
+            Builtin::Cos => unary_float(self, UnOp::Cos),
+            Builtin::Exp => unary_float(self, UnOp::Exp),
+            Builtin::Log => unary_float(self, UnOp::Log),
+            Builtin::Floor => unary_float(self, UnOp::Floor),
+            Builtin::Fabs => unary_float(self, UnOp::FAbs),
+            Builtin::Iabs => {
                 let [(r, ref ty)] = lowered[..] else {
                     return Err(arity_err(1));
                 };
@@ -1051,21 +1171,21 @@ impl<'a> Lowerer<'a> {
                 }
                 Ok(Some((self.fb.unop(UnOp::Abs, r), Type::Int)))
             }
-            "fmin" | "fmax" => {
+            Builtin::Fmin | Builtin::Fmax => {
                 let [(a, ref t1), (b, ref t2)] = lowered[..] else {
                     return Err(arity_err(2));
                 };
                 if *t1 != Type::Float || *t2 != Type::Float {
                     return Err(type_err("arguments must be float"));
                 }
-                let op = if name == "fmin" {
+                let op = if builtin == Builtin::Fmin {
                     BinOp::FMin
                 } else {
                     BinOp::FMax
                 };
                 Ok(Some((self.fb.binop(op, a, b), Type::Float)))
             }
-            "select" => {
+            Builtin::Select => {
                 let [(c, ref ct), (a, ref at), (b, ref bt)] = lowered[..] else {
                     return Err(arity_err(3));
                 };
@@ -1077,7 +1197,24 @@ impl<'a> Lowerer<'a> {
                 }
                 Ok(Some((self.fb.select(c, a, b), at.clone())))
             }
-            _ => unreachable!("is_builtin and lower_builtin disagree on `{name}`"),
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn builtins_are_their_seeded_symbols() {
+        let names = Interner::new();
+        for (i, b) in Builtin::ALL.iter().enumerate() {
+            assert_eq!(*b as usize, i);
+            let sym = names.get(b.name()).expect("builtins are seeded");
+            assert_eq!(Builtin::of(sym), Some(*b));
+        }
+        assert_eq!(Builtin::of(Keyword::Return.sym()), None);
+        assert_eq!(Builtin::name(Builtin::Int), "int");
+        assert_eq!(Builtin::name(Builtin::Select), "select");
     }
 }
