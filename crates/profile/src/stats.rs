@@ -5,6 +5,7 @@
 //! different part of the program* than the target, not because branches
 //! changed direction. These statistics quantify that.
 
+use trace_ir::BranchId;
 use trace_vm::BranchCounts;
 
 /// How well a predictor profile covers a target profile.
@@ -29,13 +30,12 @@ pub fn coverage(predictor: &BranchCounts, target: &BranchCounts) -> Coverage {
     let mut covered_static = 0usize;
     let mut total_static = 0usize;
     let mut agree_dyn = 0u64;
-    for (id, e, t) in target.iter() {
+    for (_, e, t, (pe, pt)) in beside(target, predictor) {
         if e == 0 {
             continue;
         }
         total_dyn += e;
         total_static += 1;
-        let (pe, pt) = predictor.get(id);
         if pe > 0 {
             covered_dyn += e;
             covered_static += 1;
@@ -64,10 +64,11 @@ pub fn overlap(a: &BranchCounts, b: &BranchCounts) -> f64 {
     }
     let mut dot = 0.0;
     let mut na = 0.0;
-    for (id, e, _) in a.iter() {
+    // A site `b` lacks adds `wa * 0.0`, so the sums take the same terms in
+    // the same order as a per-site lookup would.
+    for (_, e, _, (eb, _)) in beside(a, b) {
         let wa = e as f64 / ta as f64;
         na += wa * wa;
-        let (eb, _) = b.get(id);
         let wb = eb as f64 / tb as f64;
         dot += wa * wb;
     }
@@ -83,6 +84,23 @@ pub fn overlap(a: &BranchCounts, b: &BranchCounts) -> f64 {
     }
 }
 
+/// Each `(id, executed, taken)` of `a` in id order, with `b`'s
+/// `(executed, taken)` for the same site (`(0, 0)` where `b` has none):
+/// one walk of both id-ordered profiles instead of a map lookup per site.
+fn beside<'a>(
+    a: &'a BranchCounts,
+    b: &'a BranchCounts,
+) -> impl Iterator<Item = (BranchId, u64, u64, (u64, u64))> + 'a {
+    let mut rest = b.iter().peekable();
+    a.iter().map(move |(id, e, t)| {
+        while rest.next_if(|&(other, _, _)| other < id).is_some() {}
+        let found = rest
+            .next_if(|&(other, _, _)| other == id)
+            .map_or((0, 0), |(_, be, bt)| (be, bt));
+        (id, e, t, found)
+    })
+}
+
 fn ratio(num: u64, den: u64) -> f64 {
     if den == 0 {
         0.0
@@ -94,7 +112,6 @@ fn ratio(num: u64, den: u64) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use trace_ir::BranchId;
 
     fn counts(entries: &[(u32, u64, u64)]) -> BranchCounts {
         entries
@@ -139,6 +156,21 @@ mod tests {
         assert!((overlap(&a, &a) - 1.0).abs() < 1e-12);
         let empty = BranchCounts::new();
         assert_eq!(overlap(&a, &empty), 0.0);
+    }
+
+    #[test]
+    fn beside_pairs_each_site_with_the_other_profile() {
+        let a = counts(&[(1, 5, 2), (3, 7, 7), (8, 2, 0)]);
+        let b = counts(&[(0, 9, 9), (3, 4, 1), (5, 6, 6), (8, 1, 1), (9, 3, 0)]);
+        let got: Vec<_> = beside(&a, &b)
+            .map(|(id, e, t, o)| (id.0, e, t, o))
+            .collect();
+        assert_eq!(
+            got,
+            [(1, 5, 2, (0, 0)), (3, 7, 7, (4, 1)), (8, 2, 0, (1, 1))]
+        );
+        assert_eq!(beside(&BranchCounts::new(), &b).count(), 0);
+        assert!(beside(&b, &BranchCounts::new()).all(|(.., o)| o == (0, 0)));
     }
 
     #[test]

@@ -7,7 +7,7 @@ use proptest::prelude::*;
 use fisher92::lang::compile;
 use fisher92::opt::Pipeline;
 use fisher92::predict::{evaluate, experiment, BreakConfig, Direction, Predictor};
-use fisher92::profile::{combine, CombineRule};
+use fisher92::profile::{combine, coverage, overlap, CombineRule, Coverage};
 use fisher92::vm::{BranchCounts, Input, RunStats, Vm};
 
 // ---------------------------------------------------------------------
@@ -379,6 +379,59 @@ mod map_model {
         }
         out
     }
+
+    /// `ifprob::coverage` as one map lookup per target site.
+    pub fn coverage(predictor: &BranchCounts, target: &BranchCounts) -> (u64, u64, u64, u64, u64) {
+        let (mut covered_dyn, mut total_dyn, mut agree_dyn) = (0, 0, 0);
+        let (mut covered_static, mut total_static) = (0, 0);
+        for (id, e, t) in target.iter() {
+            if e == 0 {
+                continue;
+            }
+            total_dyn += e;
+            total_static += 1;
+            let (pe, pt) = predictor.get(id);
+            if pe > 0 {
+                covered_dyn += e;
+                covered_static += 1;
+                if (t * 2 >= e) == (pt * 2 >= pe) {
+                    agree_dyn += e;
+                }
+            }
+        }
+        (
+            covered_dyn,
+            total_dyn,
+            covered_static,
+            total_static,
+            agree_dyn,
+        )
+    }
+
+    /// `ifprob::overlap` as one map lookup per site of `a`.
+    pub fn overlap(a: &BranchCounts, b: &BranchCounts) -> f64 {
+        let ta = a.total_executed();
+        let tb = b.total_executed();
+        if ta == 0 || tb == 0 {
+            return 0.0;
+        }
+        let (mut dot, mut na, mut nb) = (0.0, 0.0, 0.0);
+        for (id, e, _) in a.iter() {
+            let wa = e as f64 / ta as f64;
+            na += wa * wa;
+            let (eb, _) = b.get(id);
+            dot += wa * (eb as f64 / tb as f64);
+        }
+        for (_, e, _) in b.iter() {
+            let wb = e as f64 / tb as f64;
+            nb += wb * wb;
+        }
+        if na == 0.0 || nb == 0.0 {
+            0.0
+        } else {
+            dot / (na.sqrt() * nb.sqrt())
+        }
+    }
 }
 
 fn direction(taken: u8) -> Direction {
@@ -427,6 +480,26 @@ proptest! {
             // predictor.
             let reversed = Predictor::from_directions(entries.into_iter().rev(), model.default);
             prop_assert_eq!(&reversed, dense);
+        }
+    }
+
+    #[test]
+    fn merged_coverage_and_overlap_match_the_lookup_model(a in arb_counts(), b in arb_counts()) {
+        let ratio = |num: u64, den: u64| if den == 0 { 0.0 } else { num as f64 / den as f64 };
+        for (x, y) in [(&a, &b), (&b, &a), (&a, &a)] {
+            let (covered_dyn, total_dyn, covered_static, total_static, agree_dyn) =
+                map_model::coverage(x, y);
+            let want = Coverage {
+                dynamic: ratio(covered_dyn, total_dyn),
+                static_: ratio(covered_static, total_static),
+                agreement: ratio(agree_dyn, covered_dyn),
+            };
+            let got = coverage(x, y);
+            let bits = |c: Coverage| (c.dynamic.to_bits(), c.static_.to_bits(), c.agreement.to_bits());
+            prop_assert_eq!(bits(got), bits(want));
+            // Every sum takes the same terms in the same order: equal to
+            // the bit.
+            prop_assert_eq!(overlap(x, y).to_bits(), map_model::overlap(x, y).to_bits());
         }
     }
 
