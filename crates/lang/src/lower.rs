@@ -89,9 +89,8 @@ pub(crate) fn lower(
 
     // Pass 1: collect globals and function signatures.
     for item in &ast.items {
-        let (name, line, kind) = match item {
-            Item::Global { name, line, .. } => (*name, *line, "global"),
-            Item::Function { name, line, .. } => (*name, *line, "function"),
+        let (name, line) = match item {
+            Item::Global { name, line, .. } | Item::Function { name, line, .. } => (*name, *line),
         };
         let text = names.name(name);
         if Builtin::of(name).is_some() {
@@ -100,26 +99,30 @@ pub(crate) fn lower(
                 format!("`{text}` is a builtin and cannot be redefined"),
             ));
         }
-        let duplicate = match item {
-            Item::Global { .. } => globals[name.index()].is_some(),
-            Item::Function { .. } => funcs[name.index()].is_some(),
-        };
-        if duplicate {
-            return Err(CompileError::new(
-                line,
-                format!("duplicate {kind} `{text}`"),
-            ));
-        }
         match item {
             Item::Global { ty, .. } => {
-                globals[name.index()] = Some((pb.add_global(text), ty.clone()));
+                let slot = &mut globals[name.index()];
+                if slot.is_some() {
+                    return Err(CompileError::new(
+                        line,
+                        format!("duplicate global `{text}`"),
+                    ));
+                }
+                *slot = Some((pb.add_global(text), ty.clone()));
             }
             Item::Function { params, ret, .. } => {
+                let slot = &mut funcs[name.index()];
+                if slot.is_some() {
+                    return Err(CompileError::new(
+                        line,
+                        format!("duplicate function `{text}`"),
+                    ));
+                }
                 let sig = FnSig {
                     params: params.iter().map(|p| p.ty.clone()).collect(),
                     ret: ret.clone(),
                 };
-                funcs[name.index()] = Some((pb.declare_function(text), sig));
+                *slot = Some((pb.declare_function(text), sig));
             }
         }
     }
@@ -560,14 +563,14 @@ impl<'a> Lowerer<'a> {
                 self.start_dead_block();
             }
             StmtKind::Return(value) => {
-                match (&self.ret, value) {
+                let ret_ty = self.ret.clone();
+                match (&ret_ty, value) {
                     (None, None) => self.fb.ret(None),
                     (None, Some(_)) => {
                         return Err(CompileError::new(line, "void function returns a value"))
                     }
-                    (Some(_), Some(e)) => {
+                    (Some(expected), Some(e)) => {
                         let (r, ty) = self.lower_expr(self.expr(*e))?;
-                        let expected = self.ret.as_ref().expect("matched a value function");
                         if ty != *expected {
                             return Err(CompileError::new(
                                 line,

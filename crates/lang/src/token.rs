@@ -37,7 +37,6 @@ pub(crate) enum TokenKind {
 /// The reserved words. Each one's interned symbol is its discriminant
 /// (see [`SEEDED`]).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-#[allow(missing_docs)] // variant names mirror the keyword itself
 pub(crate) enum Keyword {
     Fn,
     Global,
@@ -96,7 +95,6 @@ impl fmt::Display for Keyword {
 
 /// Punctuation and operator tokens.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-#[allow(missing_docs)] // field/variant names mirror the construct itself
 pub(crate) enum Punct {
     LParen,
     RParen,
