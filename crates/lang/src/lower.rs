@@ -614,19 +614,20 @@ impl<'a> Lowerer<'a> {
         }
         let join = self.fb.new_block();
 
-        let use_table = self.options.switch_mode == SwitchMode::JumpTable && !cases.is_empty() && {
-            let min = cases.iter().map(|(v, _)| *v).min().expect("nonempty");
-            let max = cases.iter().map(|(v, _)| *v).max().expect("nonempty");
-            (max - min) < 1024
-        };
+        // A table covers `min..=max`, so it is taken only when that span is
+        // small, and representable: labels further apart than `i64::MAX`
+        // fall back to the cascade.
+        let jump_table = self.options.switch_mode == SwitchMode::JumpTable;
+        let labels = || cases.iter().map(|&(v, _)| v);
+        let table = (labels().min().zip(labels().max()))
+            .and_then(|(min, max)| Some((min, max.checked_sub(min)?)))
+            .filter(|&(_, span)| jump_table && span < 1024);
 
-        if use_table {
-            let min = cases.iter().map(|(v, _)| *v).min().expect("nonempty");
-            let max = cases.iter().map(|(v, _)| *v).max().expect("nonempty");
+        if let Some((min, span)) = table {
             let default_blk = self.fb.new_block();
             // One slot per value in `min..=max`; the parser rejects
             // duplicate labels, so each case fills its own.
-            let mut case_blks = vec![None; (max - min) as usize + 1];
+            let mut case_blks = vec![None; span as usize + 1];
             for (v, _) in cases {
                 case_blks[(v - min) as usize] = Some(self.fb.new_block());
             }

@@ -184,6 +184,35 @@ fn switch_cascade_and_default() {
 }
 
 #[test]
+fn jump_table_labels_further_apart_than_i64_max_fall_back_to_the_cascade() {
+    let src = r#"
+        fn main(x: int) {
+            switch (x) {
+                case -9223372036854775807: { emit(1); }
+                case 9223372036854775807: { emit(2); }
+                default: { emit(3); }
+            }
+        }
+    "#;
+    let cascade = compile(src).unwrap();
+    let table = compile_with(
+        src,
+        &CompileOptions {
+            switch_mode: SwitchMode::JumpTable,
+            ..CompileOptions::default()
+        },
+    )
+    .expect("a span past i64::MAX compiles");
+    for (x, want) in [(-i64::MAX, 1), (i64::MAX, 2), (0, 3), (i64::MIN, 3)] {
+        let inputs = [Input::Int(x)];
+        let run = Vm::new(&table).run(&inputs).unwrap();
+        assert_eq!(run.output_ints(), vec![want], "x = {x}");
+        assert_eq!(run, Vm::new(&cascade).run(&inputs).unwrap(), "x = {x}");
+        assert_eq!(run.stats.events.indirect_jumps, 0, "x = {x}");
+    }
+}
+
+#[test]
 fn switch_cascade_produces_switch_arm_branches() {
     let src = r#"
         fn main(x: int) {
