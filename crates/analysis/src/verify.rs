@@ -11,7 +11,7 @@
 
 use std::fmt;
 
-use trace_ir::{BlockId, FuncId, Program, Terminator};
+use trace_ir::{BlockId, Fnv64, FuncId, Program, Terminator};
 
 use crate::cfg::Cfg;
 use crate::dataflow::{liveness, uninitialized_uses, BitSet};
@@ -204,21 +204,19 @@ pub fn verify_program(program: &Program) -> Vec<Diagnostic> {
 }
 
 /// FNV-1a offset basis — the digest of a diagnostic-free program.
-pub const CLEAN_DIGEST: u64 = 0xcbf2_9ce4_8422_2325;
+pub const CLEAN_DIGEST: u64 = Fnv64::new().finish();
 
 /// A stable fingerprint of a program's verification result: FNV-1a over
 /// the rendered diagnostics. [`CLEAN_DIGEST`] for a clean program; equal
 /// digests mean equal findings, so the harness can cache-compare
 /// verification outcomes across runs.
 pub fn verify_digest(program: &Program) -> u64 {
-    let mut hash = CLEAN_DIGEST;
+    let mut hash = Fnv64::new();
     for d in verify_program(program) {
-        for byte in d.to_string().bytes().chain([b'\n']) {
-            hash ^= u64::from(byte);
-            hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-        }
+        hash.write(d.to_string().as_bytes());
+        hash.write(b"\n");
     }
-    hash
+    hash.finish()
 }
 
 #[cfg(test)]

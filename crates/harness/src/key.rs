@@ -204,20 +204,6 @@ impl Default for Fingerprint {
     }
 }
 
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-
-/// FNV-1a 64 over a byte slice: the digest of a rendered report section
-/// in the golden files and of a fuzz corpus entry's source. Cache entries
-/// are checksummed with the word-wise [`Fingerprint`] instead.
-pub fn fnv64(bytes: &[u8]) -> u64 {
-    let mut h = FNV_OFFSET;
-    for &b in bytes {
-        h = (h ^ u64::from(b)).wrapping_mul(FNV_PRIME);
-    }
-    h
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -49,9 +49,13 @@ use trace_vm::{Run, RuntimeError};
 
 pub use cache::{CacheCounters, CacheHit, CacheRobustness, RunCache};
 pub use job::{CacheSource, Observe, Observed, RunJob, RunOutcome};
-pub use key::{fnv64, Fingerprint, RunKey};
+pub use key::{Fingerprint, RunKey};
 pub use pool::{default_workers, run_indexed, run_indexed_supervised, PoolStats};
 pub use report::{HarnessReport, RobustnessReport, RunRecord};
+/// The digest of a rendered report section in the golden files and of a
+/// fuzz corpus entry's source. Cache entries are checksummed with the
+/// word-wise [`Fingerprint`] instead.
+pub use trace_ir::fnv64;
 
 /// Persistent-cache configuration.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]

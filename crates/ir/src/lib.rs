@@ -22,7 +22,9 @@
 //! * [`BranchId`] — the *stable, source-level identity* of each conditional
 //!   branch. Profiles are keyed by `BranchId`, which mirrors how the paper's
 //!   IFPROBBER tool attached counters to source branches so that profile data
-//!   survives recompilation and optimization.
+//!   survives recompilation and optimization,
+//! * [`fnv64`] / [`Fnv64`] — the 64-bit FNV-1a every crate above this one
+//!   digests and checksums bytes with.
 //!
 //! Programs are usually produced by the `mflang` compiler and executed by the
 //! `trace-vm` interpreter, but the [`builder`] module lets tests and examples
@@ -49,11 +51,13 @@
 
 pub mod builder;
 mod display;
+mod fnv;
 mod id;
 mod instr;
 mod program;
 mod validate;
 
+pub use fnv::{fnv64, Fnv64};
 pub use id::{BlockId, BranchId, FuncId, GlobalId, Reg};
 pub use instr::{BinOp, Instr, Terminator, UnOp, Value};
 pub use program::{Block, BranchInfo, BranchKind, Function, Program};

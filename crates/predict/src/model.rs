@@ -22,7 +22,7 @@
 use std::sync::OnceLock;
 
 use crate::features::{BranchFeatures, FEATURE_VERSION, NUM_FEATURES};
-use trace_ir::BranchId;
+use trace_ir::{fnv64, BranchId};
 
 /// Bumped on any change to the artifact layout or training procedure.
 pub const MODEL_VERSION: u32 = 1;
@@ -73,18 +73,6 @@ impl std::fmt::Display for ModelError {
 }
 
 impl std::error::Error for ModelError {}
-
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-
-fn fnv64(bytes: &[u8]) -> u64 {
-    let mut h = FNV_OFFSET;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(FNV_PRIME);
-    }
-    h
-}
 
 impl Model {
     /// The all-zero model: scores everything 0, predicts not-taken.

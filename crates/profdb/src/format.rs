@@ -61,15 +61,8 @@ const KIND_BATCH: u8 = 2;
 const KIND_RUN_V2: u8 = 3;
 const KIND_BATCH_V2: u8 = 4;
 
-/// 64-bit FNV-1a — same checksum the harness cache uses.
-pub fn fnv64(bytes: &[u8]) -> u64 {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        hash ^= u64::from(b);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    hash
-}
+/// The frame and `MANIFEST` checksum.
+pub use trace_ir::fnv64;
 
 /// One appended run profile: a dataset name plus raw
 /// `(branch, executed, taken)` entries. Kept raw (not `BranchCounts`) so

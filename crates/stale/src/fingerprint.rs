@@ -16,36 +16,29 @@
 
 use std::collections::BTreeMap;
 
-use trace_ir::{BinOp, Block, BranchId, Function, Instr, Program, Terminator};
+use trace_ir::{BinOp, Block, BranchId, Fnv64, Function, Instr, Program, Terminator};
 
 /// A 64-bit structural site fingerprint.
 pub type SiteFp = u64;
 
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-
 /// Running FNV-1a over little-endian words.
-struct H(u64);
+struct H(Fnv64);
 
 impl H {
     fn new(seed: u64) -> Self {
-        let mut h = H(FNV_OFFSET);
+        let mut h = H(Fnv64::new());
         h.u64(seed);
         h
     }
     fn u64(&mut self, v: u64) {
-        for b in v.to_le_bytes() {
-            self.0 = (self.0 ^ u64::from(b)).wrapping_mul(FNV_PRIME);
-        }
+        self.0.write(&v.to_le_bytes());
     }
     fn str(&mut self, s: &str) {
         self.u64(s.len() as u64);
-        for b in s.as_bytes() {
-            self.0 = (self.0 ^ u64::from(*b)).wrapping_mul(FNV_PRIME);
-        }
+        self.0.write(s.as_bytes());
     }
     fn finish(self) -> u64 {
-        self.0
+        self.0.finish()
     }
 }
 
