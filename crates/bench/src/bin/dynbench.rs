@@ -270,7 +270,7 @@ fn padding_experiment() -> Vec<PaddingRow> {
         .map(|&pad| {
             let source = padding_source(pad);
             let program = mflang::compile(&source).expect("synthetic program compiles");
-            let mut zoo = mfdyn::Zoo::for_program(&specs, &program);
+            let mut zoo = mfdyn::Zoo::new(&specs);
             Vm::with_config(&program, sweep_config(VmConfig::default()))
                 .run_observed(&[Input::Int(PADDING_ITERS)], &mut zoo)
                 .expect("synthetic program runs");

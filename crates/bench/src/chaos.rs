@@ -425,11 +425,11 @@ pub fn run_seed(seed: u64, rounds: u32, edits: bool) -> SeedOutcome {
         // ----- science: flat vs reference, zoo'd -----
         let flat = FlatProgram::compile(&program);
         let inputs = [Input::Int(4 + (mix(&mut rng) % 9) as i64)];
-        let mut ref_zoo = mfdyn::Zoo::for_program(&mfdyn::full_zoo(), &program);
+        let mut ref_zoo = mfdyn::Zoo::new(&mfdyn::full_zoo());
         let reference = Vm::with_config(&program, VmConfig::default())
             .run_observed(&inputs, &mut ref_zoo)
             .expect("reference run succeeds");
-        let mut flat_zoo = mfdyn::Zoo::for_program(&mfdyn::full_zoo(), &program);
+        let mut flat_zoo = mfdyn::Zoo::new(&mfdyn::full_zoo());
         let flat_run = flat
             .run_observed(VmConfig::default(), &inputs, &mut flat_zoo)
             .expect("flat run succeeds");

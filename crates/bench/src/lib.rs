@@ -608,7 +608,7 @@ fn collect_workload_serial(w: &Workload) -> WorkloadRuns {
         // Observed by the predictor roster, whose tallies are
         // backend-invariant, so they must match the harness path bit for
         // bit.
-        let mut observers = mfdyn::Zoo::for_program(&mfdyn::full_zoo(), &program);
+        let mut observers = mfdyn::Zoo::new(&mfdyn::full_zoo());
         let run = trace_vm::Vm::with_config(&program, w.vm_config())
             .run_observed(&d.inputs, &mut observers)
             .unwrap_or_else(|e| panic!("{}/{}: {e}", w.name, d.name));
@@ -2025,6 +2025,17 @@ mod tests {
             assert_eq!(items(row, "ipm").len(), columns);
         }
         assert_eq!(items(&dyn_json, "geomean").len(), columns);
+    }
+
+    /// Every predictor the zoo runs beside a collected run has a reader:
+    /// the headline's online columns (whose gshare specs are also
+    /// `dynbench`'s history sweep) and the heuristic table's `2-BIT` and
+    /// `GSHARE` columns.
+    #[test]
+    fn full_zoo_is_what_the_tables_read() {
+        let zoo: std::collections::HashSet<DynSpec> = mfdyn::full_zoo().into_iter().collect();
+        let read = DYN_ZOO_SPECS.into_iter().chain([TWO_BIT_SPEC, GSHARE_SPEC]);
+        assert_eq!(zoo, read.collect());
     }
 
     #[test]

@@ -5,12 +5,14 @@
 //! The 1992 paper's headline claim is that per-branch profiles from
 //! *previous* runs rival hardware dynamic prediction. This crate supplies
 //! the hardware side of that comparison: a family of online conditional
-//! branch predictors driven by the VM's [`Observer`] event stream —
-//! always-taken and BTFN static baselines, local 1-bit and 2-bit counter
-//! tables, a self-seeded 2-bit table (the profile/hardware hybrid), gshare
-//! with configurable history length and table size, and a perceptron
-//! predictor. [`RunLengths`] streams the paper's other trace-order
-//! measure, the instruction run lengths between mispredicted branches.
+//! branch predictors driven by the VM's [`Observer`] event stream — local
+//! 1-bit and 2-bit counter tables, a self-seeded 2-bit table (the
+//! profile/hardware hybrid), gshare with configurable history length and
+//! table size, and a perceptron predictor. The paper's static baselines,
+//! always-taken and BTFN, need no trace order: `bpredict` scores them from
+//! a run's per-branch counters. [`RunLengths`] streams the paper's other
+//! trace-order measure, the instruction run lengths between mispredicted
+//! branches.
 //!
 //! Everything is deterministic and allocation-bounded: a [`Zoo`]
 //! allocates once at construction — each predictor's tables (sized by
@@ -43,9 +45,8 @@
 mod gaps;
 
 use std::sync::mpsc::{self, Receiver, SyncSender};
-use std::sync::Arc;
 
-use trace_ir::{BranchId, Program, Terminator};
+use trace_ir::{BranchId, Program};
 use trace_vm::Observer;
 
 pub use gaps::{GapDistribution, RunLengths};
@@ -69,11 +70,6 @@ pub const WEIGHT_LIMIT: i32 = 127;
 /// observed by different zoos never share a cache entry.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum DynSpec {
-    /// Predict every branch taken.
-    AlwaysTaken,
-    /// Backward-taken / forward-not-taken, from static layout (needs
-    /// [`BranchDirs`]; without them every branch counts as forward).
-    Btfn,
     /// Local 1-bit last-outcome table, indexed by branch id.
     OneBit {
         /// log2 of the table size.
@@ -111,14 +107,11 @@ pub enum DynSpec {
 }
 
 impl DynSpec {
-    /// The canonical spelling: `always-taken`, `btfn`, `1bit/t12`,
-    /// `2bit/t12`, `2bit-self/t12`, `gshare/h8/t12`, `perceptron/h12/t8`.
-    /// Stable — used in harness run keys, `BENCH_dynpred.json`, and report
-    /// tables.
+    /// The canonical spelling: `1bit/t12`, `2bit/t12`, `2bit-self/t12`,
+    /// `gshare/h8/t12`, `perceptron/h12/t8`. Stable — used in harness run
+    /// keys, `BENCH_dynpred.json`, and report tables.
     pub fn name(self) -> String {
         match self {
-            DynSpec::AlwaysTaken => "always-taken".to_string(),
-            DynSpec::Btfn => "btfn".to_string(),
             DynSpec::OneBit { table_bits } => format!("1bit/t{table_bits}"),
             DynSpec::TwoBit { table_bits } => format!("2bit/t{table_bits}"),
             DynSpec::SelfSeededTwoBit { table_bits } => format!("2bit-self/t{table_bits}"),
@@ -133,14 +126,12 @@ impl DynSpec {
         }
     }
 
-    /// Validates the configuration bounds.
-    ///
-    /// # Errors
-    ///
-    /// Returns a description of the violated bound.
-    pub fn validate(self) -> Result<(), String> {
+    /// Panics unless `table_bits` lies in
+    /// [`MIN_TABLE_BITS`]`..=`[`MAX_TABLE_BITS`] and a history in
+    /// `1..=`[`MAX_HISTORY`], the bounds the tables and history masks are
+    /// sized by.
+    fn assert_in_bounds(self) {
         let (history, table_bits) = match self {
-            DynSpec::AlwaysTaken | DynSpec::Btfn => return Ok(()),
             DynSpec::OneBit { table_bits }
             | DynSpec::TwoBit { table_bits }
             | DynSpec::SelfSeededTwoBit { table_bits } => (1, table_bits),
@@ -153,15 +144,14 @@ impl DynSpec {
                 table_bits,
             } => (history, table_bits),
         };
-        if !(MIN_TABLE_BITS..=MAX_TABLE_BITS).contains(&table_bits) {
-            return Err(format!(
-                "table_bits {table_bits} outside {MIN_TABLE_BITS}..={MAX_TABLE_BITS}"
-            ));
-        }
-        if !(1..=MAX_HISTORY).contains(&history) {
-            return Err(format!("history {history} outside 1..={MAX_HISTORY}"));
-        }
-        Ok(())
+        assert!(
+            (MIN_TABLE_BITS..=MAX_TABLE_BITS).contains(&table_bits),
+            "{self}: table_bits {table_bits} outside {MIN_TABLE_BITS}..={MAX_TABLE_BITS}"
+        );
+        assert!(
+            (1..=MAX_HISTORY).contains(&history),
+            "{self}: history {history} outside 1..={MAX_HISTORY}"
+        );
     }
 }
 
@@ -171,58 +161,10 @@ impl std::fmt::Display for DynSpec {
     }
 }
 
-impl std::str::FromStr for DynSpec {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        let spec = match s {
-            "always-taken" => DynSpec::AlwaysTaken,
-            "btfn" => DynSpec::Btfn,
-            _ => {
-                let mut parts = s.split('/');
-                let kind = parts.next().unwrap_or_default();
-                let mut history = None;
-                let mut table_bits = None;
-                for p in parts {
-                    let (tag, num) = p.split_at(1.min(p.len()));
-                    let v: u32 = num
-                        .parse()
-                        .map_err(|_| format!("bad predictor component '{p}' in '{s}'"))?;
-                    match tag {
-                        "h" => history = Some(v),
-                        "t" => table_bits = Some(v),
-                        _ => return Err(format!("bad predictor component '{p}' in '{s}'")),
-                    }
-                }
-                let t = || table_bits.ok_or(format!("'{s}' is missing its /tN table size"));
-                let h = || history.ok_or(format!("'{s}' is missing its /hN history length"));
-                match kind {
-                    "1bit" => DynSpec::OneBit { table_bits: t()? },
-                    "2bit" => DynSpec::TwoBit { table_bits: t()? },
-                    "2bit-self" => DynSpec::SelfSeededTwoBit { table_bits: t()? },
-                    "gshare" => DynSpec::Gshare {
-                        history: h()?,
-                        table_bits: t()?,
-                    },
-                    "perceptron" => DynSpec::Perceptron {
-                        history: h()?,
-                        table_bits: t()?,
-                    },
-                    other => return Err(format!("unknown predictor '{other}' in '{s}'")),
-                }
-            }
-        };
-        spec.validate()?;
-        Ok(spec)
-    }
-}
-
-/// The full headline zoo `dynbench` evaluates: the static baselines, both
-/// local counter tables, the gshare history sweep, and the perceptron.
+/// The full headline zoo `dynbench` evaluates: both local counter tables,
+/// the gshare history sweep, and the perceptron.
 pub fn full_zoo() -> Vec<DynSpec> {
     vec![
-        DynSpec::AlwaysTaken,
-        DynSpec::Btfn,
         DynSpec::OneBit { table_bits: 12 },
         DynSpec::TwoBit { table_bits: 12 },
         DynSpec::Gshare {
@@ -264,45 +206,6 @@ pub fn site_zoo(program: &Program) -> [DynSpec; 3] {
     ]
 }
 
-/// Static branch directions extracted from a program's layout — the
-/// information the BTFN baseline predicts from (backward ⇒ taken).
-#[derive(Clone, Debug, Default)]
-pub struct BranchDirs {
-    backward: Arc<Vec<bool>>,
-}
-
-impl BranchDirs {
-    /// No layout information: every branch counts as forward (BTFN
-    /// predicts not-taken everywhere).
-    pub fn none() -> Self {
-        BranchDirs::default()
-    }
-
-    /// Extracts per-branch backwardness from `program` layout, by the same
-    /// rule as [`Program::is_backward_branch`]: a branch is backward when
-    /// its taken target does not come after the block it ends.
-    pub fn of(program: &Program) -> Self {
-        let mut backward = vec![false; program.branch_info.len()];
-        for f in &program.functions {
-            for (bi, b) in f.blocks.iter().enumerate() {
-                if let Terminator::Branch { id, taken, .. } = b.term {
-                    if taken.index() <= bi {
-                        backward[id.0 as usize] = true;
-                    }
-                }
-            }
-        }
-        BranchDirs {
-            backward: Arc::new(backward),
-        }
-    }
-
-    /// Whether `id` is a backward (loop-style) branch.
-    pub fn is_backward(&self, id: BranchId) -> bool {
-        self.backward.get(id.0 as usize).copied().unwrap_or(false)
-    }
-}
-
 /// Executed/mispredicted tallies for one predictor over one run.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct ZooCounts {
@@ -326,12 +229,6 @@ impl ZooCounts {
     pub fn percent_correct(self) -> f64 {
         100.0 * (1.0 - self.mispredict_rate())
     }
-
-    /// Folds another run's tallies into this one.
-    pub fn merge(&mut self, other: ZooCounts) {
-        self.executed += other.executed;
-        self.mispredicted += other.mispredicted;
-    }
 }
 
 /// Per-spec tallies for one run, in the zoo's construction order.
@@ -348,27 +245,6 @@ impl ZooReport {
             .iter()
             .find(|(s, _)| *s == spec)
             .map(|&(_, c)| c)
-    }
-
-    /// Folds another report (same specs, same order) into this one.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the spec lists differ.
-    pub fn merge(&mut self, other: &ZooReport) {
-        if self.entries.is_empty() {
-            self.entries = other.entries.clone();
-            return;
-        }
-        assert_eq!(
-            self.entries.len(),
-            other.entries.len(),
-            "merging reports from different zoos"
-        );
-        for ((sa, ca), (sb, cb)) in self.entries.iter_mut().zip(&other.entries) {
-            assert_eq!(sa, sb, "merging reports from different zoos");
-            ca.merge(*cb);
-        }
     }
 }
 
@@ -448,8 +324,6 @@ fn unpack(ev: u32) -> (usize, bool) {
 
 /// Every predictor but gshare, with its misprediction tally.
 enum Pred {
-    AlwaysTaken { missed: u64 },
-    Btfn { missed: u64 },
     OneBit { table: Vec<u8>, missed: u64 },
     TwoBit { table: Vec<u8>, missed: u64 },
     SelfSeededTwoBit { table: Vec<SeededEntry> },
@@ -459,8 +333,6 @@ enum Pred {
 impl Pred {
     fn new(spec: DynSpec) -> Self {
         match spec {
-            DynSpec::AlwaysTaken => Pred::AlwaysTaken { missed: 0 },
-            DynSpec::Btfn => Pred::Btfn { missed: 0 },
             DynSpec::OneBit { table_bits } => Pred::OneBit {
                 table: vec![0; 1 << table_bits],
                 missed: 0,
@@ -491,23 +363,8 @@ impl Pred {
     /// Predicts, tallies, and trains on a block of events, in order. This
     /// is the hot path: one loop per predictor, its table and tally in
     /// locals, no allocation, no hashing.
-    fn run(&mut self, block: &[u32], dirs: &BranchDirs) {
+    fn run(&mut self, block: &[u32]) {
         match self {
-            Pred::AlwaysTaken { missed } => {
-                *missed += block
-                    .iter()
-                    .map(|&ev| u64::from(!unpack(ev).1))
-                    .sum::<u64>();
-            }
-            Pred::Btfn { missed } => {
-                let backward = &dirs.backward[..];
-                *missed += (block.iter())
-                    .map(|&ev| {
-                        let (id, taken) = unpack(ev);
-                        u64::from(backward.get(id).copied().unwrap_or(false) != taken)
-                    })
-                    .sum::<u64>();
-            }
             Pred::OneBit { table, missed } => {
                 let (mask, mut m) = (table.len() - 1, 0);
                 let table = &mut table[..];
@@ -553,10 +410,7 @@ impl Pred {
     /// The mispredictions so far.
     fn missed(&self) -> u64 {
         match self {
-            Pred::AlwaysTaken { missed }
-            | Pred::Btfn { missed }
-            | Pred::OneBit { missed, .. }
-            | Pred::TwoBit { missed, .. } => *missed,
+            Pred::OneBit { missed, .. } | Pred::TwoBit { missed, .. } => *missed,
             // Each entry counts the start its own majority picks.
             Pred::SelfSeededTwoBit { table } => (table.iter())
                 .map(|e| e.missed[usize::from(2 * e.taken >= e.executed)])
@@ -740,7 +594,6 @@ enum Slot {
 /// that a run of events updates, and all that the helper thread of
 /// [`Zoo::observe_beside`] borrows.
 struct Predictors {
-    dirs: BranchDirs,
     executed: u64,
     preds: Vec<Pred>,
     gshares: Gshares,
@@ -752,7 +605,7 @@ impl Predictors {
     fn run(&mut self, events: &[u32]) {
         for block in events.chunks(BLOCK) {
             for p in &mut self.preds {
-                p.run(block, &self.dirs);
+                p.run(block);
             }
             if !self.gshares.tables.is_empty() {
                 self.gshares.run(block);
@@ -781,26 +634,19 @@ pub struct Zoo {
 }
 
 impl Zoo {
-    /// A zoo with no layout information (BTFN predicts not-taken
-    /// everywhere).
-    pub fn new(specs: &[DynSpec]) -> Self {
-        Zoo::with_dirs(specs, BranchDirs::none())
-    }
-
-    /// A zoo with BTFN directions extracted from `program`.
-    pub fn for_program(specs: &[DynSpec], program: &Program) -> Self {
-        Zoo::with_dirs(specs, BranchDirs::of(program))
-    }
-
-    /// A zoo with explicit [`BranchDirs`]. Specs that compute the same
+    /// A zoo of `specs`, all starting cold. Specs that compute the same
     /// tallies share one predictor: a gshare whose history exceeds its
     /// `table_bits` is the one whose history equals them.
-    pub fn with_dirs(specs: &[DynSpec], dirs: BranchDirs) -> Self {
+    ///
+    /// # Panics
+    ///
+    /// Panics if a spec's `table_bits` or history is out of bounds
+    /// ([`MIN_TABLE_BITS`], [`MAX_TABLE_BITS`], [`MAX_HISTORY`]).
+    pub fn new(specs: &[DynSpec]) -> Self {
         let mut zoo = Zoo {
             block: Vec::with_capacity(BLOCK),
             specs: Vec::with_capacity(specs.len()),
             predictors: Predictors {
-                dirs,
                 executed: 0,
                 preds: Vec::new(),
                 gshares: Gshares::default(),
@@ -808,6 +654,7 @@ impl Zoo {
         };
         let p = &mut zoo.predictors;
         for &spec in specs {
+            spec.assert_in_bounds();
             let same = zoo
                 .specs
                 .iter()
@@ -827,6 +674,12 @@ impl Zoo {
             zoo.specs.push((spec, slot));
         }
         zoo
+    }
+
+    /// [`Zoo::new`]; no predictor reads the program. Kept only for the
+    /// end-to-end benchmark's `e2e/src/replay.rs`.
+    pub fn for_program(specs: &[DynSpec], _program: &Program) -> Self {
+        Zoo::new(specs)
     }
 
     /// Runs every predictor over the pending events. Out of line, so what
@@ -973,14 +826,14 @@ pub mod golden {
     //! style (sparse maps instead of dense tables, no shared update
     //! helpers, no seeded-defect hooks) so a bug in the online path cannot
     //! hide by being mirrored here. On a clean build
-    //! `golden::replay(spec, dirs, &recorder.branches)` must equal the
+    //! `golden::replay(spec, &recorder.branches)` must equal the
     //! online [`Zoo`](crate::Zoo)'s counts for `spec` bit for bit.
 
     use std::collections::HashMap;
 
     use trace_vm::BranchEvent;
 
-    use crate::{BranchDirs, DynSpec, ZooCounts, ZooReport};
+    use crate::{DynSpec, ZooCounts, ZooReport};
 
     fn saturate(c: i64, taken: bool) -> i64 {
         let next = if taken { c + 1 } else { c - 1 };
@@ -989,25 +842,9 @@ pub mod golden {
 
     /// Replays `spec` over `trace` from a cold start and returns its
     /// tallies.
-    pub fn replay(spec: DynSpec, dirs: &BranchDirs, trace: &[BranchEvent]) -> ZooCounts {
+    pub fn replay(spec: DynSpec, trace: &[BranchEvent]) -> ZooCounts {
         let mut counts = ZooCounts::default();
         match spec {
-            DynSpec::AlwaysTaken => {
-                for ev in trace {
-                    counts.executed += 1;
-                    if !ev.taken {
-                        counts.mispredicted += 1;
-                    }
-                }
-            }
-            DynSpec::Btfn => {
-                for ev in trace {
-                    counts.executed += 1;
-                    if dirs.is_backward(ev.id) != ev.taken {
-                        counts.mispredicted += 1;
-                    }
-                }
-            }
             DynSpec::OneBit { table_bits } => {
                 let mask = (1u64 << table_bits) - 1;
                 let mut last: HashMap<u64, bool> = HashMap::new();
@@ -1109,9 +946,9 @@ pub mod golden {
     }
 
     /// [`replay`] for a whole spec list, shaped like a zoo report.
-    pub fn replay_zoo(specs: &[DynSpec], dirs: &BranchDirs, trace: &[BranchEvent]) -> ZooReport {
+    pub fn replay_zoo(specs: &[DynSpec], trace: &[BranchEvent]) -> ZooReport {
         ZooReport {
-            entries: specs.iter().map(|&s| (s, replay(s, dirs, trace))).collect(),
+            entries: specs.iter().map(|&s| (s, replay(s, trace))).collect(),
         }
     }
 }
@@ -1206,19 +1043,18 @@ mod tests {
         let program = compile(MIXED);
         let mut specs = full_zoo();
         specs.push(SELF_SEEDED);
-        let dirs = BranchDirs::of(&program);
         for backend in trace_vm::Backend::ALL {
             let config = VmConfig {
                 backend,
                 ..test_config()
             };
-            let mut observers = (Zoo::for_program(&specs, &program), Recorder::default());
+            let mut observers = (Zoo::new(&specs), Recorder::default());
             Vm::with_config(&program, config)
                 .run_observed(&[trace_vm::Input::Int(40)], &mut observers)
                 .expect("clean run");
             let (mut zoo, recorder) = observers;
             assert!(!recorder.branches.is_empty());
-            let golden = golden::replay_zoo(&specs, &dirs, &recorder.branches);
+            let golden = golden::replay_zoo(&specs, &recorder.branches);
             assert_eq!(zoo.report(), golden, "backend {backend}");
         }
     }
@@ -1230,7 +1066,7 @@ mod tests {
         let plain = Vm::with_config(&program, config)
             .run(&[trace_vm::Input::Int(25)])
             .expect("clean run");
-        let mut zoo = Zoo::for_program(&full_zoo(), &program);
+        let mut zoo = Zoo::new(&full_zoo());
         let observed = Vm::with_config(&program, config)
             .run_observed(&[trace_vm::Input::Int(25)], &mut zoo)
             .expect("clean run");
@@ -1251,7 +1087,7 @@ mod tests {
         // complement and approach perfect.
         let program =
             compile("fn main(n: int) { var i: int = 0; while (i < n) { i = i + 1; } emit(i); }");
-        let mut zoo = Zoo::for_program(&full_zoo(), &program);
+        let mut zoo = Zoo::new(&full_zoo());
         Vm::with_config(&program, test_config())
             .run_observed(&[trace_vm::Input::Int(500)], &mut zoo)
             .expect("clean run");
@@ -1285,16 +1121,13 @@ mod tests {
                 emit(acc);
             }",
         );
-        let mut zoo = Zoo::for_program(
-            &[
-                DynSpec::TwoBit { table_bits: 12 },
-                DynSpec::Gshare {
-                    history: 8,
-                    table_bits: 12,
-                },
-            ],
-            &program,
-        );
+        let mut zoo = Zoo::new(&[
+            DynSpec::TwoBit { table_bits: 12 },
+            DynSpec::Gshare {
+                history: 8,
+                table_bits: 12,
+            },
+        ]);
         Vm::with_config(&program, test_config())
             .run_observed(&[trace_vm::Input::Int(400)], &mut zoo)
             .expect("clean run");
@@ -1317,39 +1150,40 @@ mod tests {
     }
 
     #[test]
-    fn spec_names_round_trip() {
-        for spec in full_zoo().into_iter().chain([SELF_SEEDED]) {
-            let name = spec.name();
-            assert_eq!(name.parse::<DynSpec>().unwrap(), spec, "{name}");
-        }
-        assert!("gshare/h0/t12".parse::<DynSpec>().is_err());
-        assert!("gshare/h8".parse::<DynSpec>().is_err());
-        assert!("gshare/h8/t99".parse::<DynSpec>().is_err());
-        assert!("tage/h8/t8".parse::<DynSpec>().is_err());
-        assert!("1bit".parse::<DynSpec>().is_err());
-        assert!("1bit/x4".parse::<DynSpec>().is_err());
+    fn spec_names_are_canonical() {
+        let names: Vec<String> = (full_zoo().into_iter().chain([SELF_SEEDED]))
+            .map(DynSpec::name)
+            .collect();
+        assert_eq!(
+            names,
+            [
+                "1bit/t12",
+                "2bit/t12",
+                "gshare/h4/t12",
+                "gshare/h8/t12",
+                "gshare/h12/t12",
+                "gshare/h16/t12",
+                "perceptron/h12/t8",
+                "2bit-self/t4",
+            ]
+        );
     }
 
     #[test]
-    fn btfn_uses_layout_directions() {
-        // The while-loop branch is backward (taken target at or before its
-        // block), so online BTFN with program dirs predicts it taken and
-        // its percent-correct is high; with no dirs it predicts not-taken.
-        let program =
-            compile("fn main(n: int) { var i: int = 0; while (i < n) { i = i + 1; } emit(i); }");
-        let spec = [DynSpec::Btfn];
-        let mut with = Zoo::for_program(&spec, &program);
-        Vm::with_config(&program, test_config())
-            .run_observed(&[trace_vm::Input::Int(100)], &mut with)
-            .expect("clean run");
-        let mut without = Zoo::new(&spec);
-        Vm::with_config(&program, test_config())
-            .run_observed(&[trace_vm::Input::Int(100)], &mut without)
-            .expect("clean run");
-        let w = with.report().entries[0].1;
-        let wo = without.report().entries[0].1;
-        assert!(w.mispredict_rate() < 0.1, "{w:?}");
-        assert!(wo.mispredict_rate() > 0.9, "{wo:?}");
+    #[should_panic(expected = "gshare/h64/t12: history 64 outside 1..=63")]
+    fn a_zoo_rejects_a_history_past_the_register() {
+        Zoo::new(&[DynSpec::Gshare {
+            history: MAX_HISTORY + 1,
+            table_bits: 12,
+        }]);
+    }
+
+    #[test]
+    #[should_panic(expected = "2bit/t25: table_bits 25 outside 1..=24")]
+    fn a_zoo_rejects_an_oversized_table() {
+        Zoo::new(&[DynSpec::TwoBit {
+            table_bits: MAX_TABLE_BITS + 1,
+        }]);
     }
 
     fn arb_bool() -> impl Strategy<Value = bool> {
@@ -1424,12 +1258,11 @@ mod tests {
                 .collect();
             let mut specs = full_zoo();
             specs.push(DynSpec::SelfSeededTwoBit { table_bits: 3 });
-            let dirs = BranchDirs::none();
             let mut zoo = Zoo::new(&specs);
             for ev in &trace {
                 zoo.branch(ev.id, ev.taken, ev.instrs);
             }
-            prop_assert_eq!(zoo.report(), golden::replay_zoo(&specs, &dirs, &trace));
+            prop_assert_eq!(zoo.report(), golden::replay_zoo(&specs, &trace));
         }
 
         /// The golden model keeps only `table_bits` of a gshare's history,
@@ -1445,11 +1278,10 @@ mod tests {
                 .iter()
                 .map(|&(id, taken)| BranchEvent { id: BranchId(id), taken, instrs: 0 })
                 .collect();
-            let dirs = BranchDirs::none();
             let history = (table_bits + extra).min(MAX_HISTORY);
             prop_assert_eq!(
-                golden::replay(DynSpec::Gshare { history, table_bits }, &dirs, &trace),
-                golden::replay(DynSpec::Gshare { history: table_bits, table_bits }, &dirs, &trace),
+                golden::replay(DynSpec::Gshare { history, table_bits }, &trace),
+                golden::replay(DynSpec::Gshare { history: table_bits, table_bits }, &trace),
             );
         }
     }
@@ -1478,7 +1310,7 @@ mod tests {
     /// `len` events over 40 branch sites from a SplitMix64 stream: each
     /// site is a biased coin, a counted loop, or a copy of the previous
     /// outcome, so the history predictors have something to learn.
-    fn synthetic_trace(seed: u64, len: usize) -> (BranchDirs, Vec<BranchEvent>) {
+    fn synthetic_trace(seed: u64, len: usize) -> Vec<BranchEvent> {
         let mut state = seed;
         let mut next = move || {
             state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
@@ -1488,10 +1320,9 @@ mod tests {
             z ^ (z >> 31)
         };
         let sites: Vec<(u64, u64)> = (0..40).map(|_| (next() % 3, next() % 9)).collect();
-        let backward = (0..40).map(|_| next() % 2 == 0).collect();
         let mut trips = [0u64; 40];
         let mut last = false;
-        let trace = (0..len)
+        (0..len)
             .map(|_| {
                 let id = (next() % 40) as usize;
                 let (kind, k) = sites[id];
@@ -1510,13 +1341,7 @@ mod tests {
                     instrs: 0,
                 }
             })
-            .collect();
-        (
-            BranchDirs {
-                backward: Arc::new(backward),
-            },
-            trace,
-        )
+            .collect()
     }
 
     proptest! {
@@ -1531,18 +1356,18 @@ mod tests {
             len in 0..4 * BLOCK,
             cut in 0..4 * BLOCK,
         ) {
-            let (dirs, trace) = synthetic_trace(seed, len);
+            let trace = synthetic_trace(seed, len);
             let cut = cut.min(len);
             let specs = block_roster();
-            let mut zoo = Zoo::with_dirs(&specs, dirs.clone());
+            let mut zoo = Zoo::new(&specs);
             for ev in &trace[..cut] {
                 zoo.branch(ev.id, ev.taken, ev.instrs);
             }
-            prop_assert_eq!(zoo.report(), golden::replay_zoo(&specs, &dirs, &trace[..cut]));
+            prop_assert_eq!(zoo.report(), golden::replay_zoo(&specs, &trace[..cut]));
             for ev in &trace[cut..] {
                 zoo.branch(ev.id, ev.taken, ev.instrs);
             }
-            prop_assert_eq!(zoo.report(), golden::replay_zoo(&specs, &dirs, &trace));
+            prop_assert_eq!(zoo.report(), golden::replay_zoo(&specs, &trace));
         }
     }
 
@@ -1568,10 +1393,10 @@ mod tests {
             suffix in 0..BLOCK,
             seed in 0..u64::MAX,
         ) {
-            let (dirs, trace) = synthetic_trace(seed, prefix + middle + suffix);
+            let trace = synthetic_trace(seed, prefix + middle + suffix);
             let seen = prefix + middle;
             let specs = block_roster();
-            let mut zoo = Zoo::with_dirs(&specs, dirs.clone());
+            let mut zoo = Zoo::new(&specs);
             for ev in &trace[..prefix] {
                 zoo.branch(ev.id, ev.taken, ev.instrs);
             }
@@ -1580,17 +1405,17 @@ mod tests {
                     feed.branch(ev.id, ev.taken, ev.instrs);
                 }
             });
-            prop_assert_eq!(zoo.report(), golden::replay_zoo(&specs, &dirs, &trace[..seen]));
+            prop_assert_eq!(zoo.report(), golden::replay_zoo(&specs, &trace[..seen]));
             for ev in &trace[seen..] {
                 zoo.branch(ev.id, ev.taken, ev.instrs);
             }
-            prop_assert_eq!(zoo.report(), golden::replay_zoo(&specs, &dirs, &trace));
+            prop_assert_eq!(zoo.report(), golden::replay_zoo(&specs, &trace));
         }
     }
 
     /// Feeds two and a half handoff blocks of a synthetic trace.
     fn feed_some(feed: &mut Feed) {
-        let (_, trace) = synthetic_trace(7, 5 * HANDOFF / 2);
+        let trace = synthetic_trace(7, 5 * HANDOFF / 2);
         for ev in &trace {
             feed.branch(ev.id, ev.taken, ev.instrs);
         }

@@ -68,7 +68,7 @@ use std::sync::Arc;
 
 use ifprob::directives::{parse_directives, write_directives};
 use ifprob::{combine, CombineRule};
-use mfdyn::{golden, BranchDirs, DynSpec, Zoo};
+use mfdyn::{golden, DynSpec, Zoo};
 use mffault::{FaultPlan, FaultVfs, MemVfs, RetryPolicy, Vfs};
 use mfopt::Pipeline;
 use mfprofdb::{fold_record, LockCfg, Persistence, ProfileRecord, RawFold, SegmentLog};
@@ -194,8 +194,7 @@ fn run_guarded<O: Observer>(
 /// perceptron are the history-bearing members — the ones whose online
 /// state can silently drift from the golden replay's; the self-seeded
 /// 2-bit table is the one whose tallies settle only at the end of the run.
-const DYNPRED_SPECS: [DynSpec; 6] = [
-    DynSpec::Btfn,
+const DYNPRED_SPECS: [DynSpec; 5] = [
     DynSpec::OneBit { table_bits: 8 },
     DynSpec::TwoBit { table_bits: 8 },
     DynSpec::SelfSeededTwoBit { table_bits: 8 },
@@ -209,15 +208,15 @@ const DYNPRED_SPECS: [DynSpec; 6] = [
     },
 ];
 
-/// A fresh online zoo over [`DYNPRED_SPECS`] for `program`.
-fn dynpred_zoo(program: &Program) -> Zoo {
-    Zoo::with_dirs(&DYNPRED_SPECS, BranchDirs::of(program))
+/// A fresh online zoo over [`DYNPRED_SPECS`].
+fn dynpred_zoo() -> Zoo {
+    Zoo::new(&DYNPRED_SPECS)
 }
 
 /// O13: the dynamic-predictor consistency oracle. `zoo` (a
-/// [`dynpred_zoo`]) watched a completed run of `program` on `be` beside
-/// `recorded`; replaying those branch events through the independently
-/// written golden predictor models must reproduce every predictor's
+/// [`dynpred_zoo`]) watched a completed run on `be` beside `recorded`;
+/// replaying those branch events through the independently written golden
+/// predictor models must reproduce every predictor's
 /// `(executed, mispredicted)` tallies exactly. A divergence means online
 /// predictor state drifted (e.g. a skipped global-history update), never a
 /// legitimate behavioural difference. Each input set's primary run and
@@ -225,13 +224,12 @@ fn dynpred_zoo(program: &Program) -> Zoo {
 /// delivering events: the primary run's zoo observes inline, the twin's
 /// through a helper thread ([`Zoo::observe_beside`]).
 fn check_dynpred_consistency(
-    program: &Program,
     be: Backend,
     recorded: &Recorder,
     zoo: &mut Zoo,
     findings: &mut Vec<(&'static str, String)>,
 ) {
-    let replayed = golden::replay_zoo(&DYNPRED_SPECS, &BranchDirs::of(program), &recorded.branches);
+    let replayed = golden::replay_zoo(&DYNPRED_SPECS, &recorded.branches);
     for ((spec, on), (_, gold)) in zoo.report().entries.iter().zip(&replayed.entries) {
         if on != gold {
             findings.push((
@@ -264,7 +262,7 @@ fn check_flat_diff(
     let mut config = fuzz_vm_config();
     config.backend = other_backend(config.backend);
     let vm = Vm::with_config(program, config);
-    let (mut recorder, mut zoo) = (Recorder::default(), dynpred_zoo(program));
+    let (mut recorder, mut zoo) = (Recorder::default(), dynpred_zoo());
     let outcome = catch_unwind(AssertUnwindSafe(|| {
         zoo.observe_beside(|feed| vm.run_observed(inputs, &mut (&mut recorder, feed)))
     }));
@@ -276,7 +274,7 @@ fn check_flat_diff(
         }
     };
     if secondary.is_ok() {
-        check_dynpred_consistency(program, config.backend, &recorder, &mut zoo, findings);
+        check_dynpred_consistency(config.backend, &recorder, &mut zoo, findings);
     }
     match (primary, &secondary) {
         (Ok(p), Ok(s)) => {
@@ -909,7 +907,7 @@ pub fn check_source(source: &str, input_sets: &[Vec<i64>], case_hash: u64) -> Or
         let inputs = to_inputs(set);
         let mut observers = (
             Collector::new(case_hash),
-            (Recorder::default(), dynpred_zoo(&program)),
+            (Recorder::default(), dynpred_zoo()),
         );
         let Some(unopt) = run_guarded(&program, &inputs, &mut observers, &mut out.findings) else {
             return out;
@@ -919,7 +917,7 @@ pub fn check_source(source: &str, input_sets: &[Vec<i64>], case_hash: u64) -> Or
             out.edges = collector.into_edges();
         }
         if unopt.is_ok() {
-            check_dynpred_consistency(&program, backend(), &recorded, &mut zoo, &mut out.findings);
+            check_dynpred_consistency(backend(), &recorded, &mut zoo, &mut out.findings);
         }
         check_flat_diff(&program, &inputs, si, &unopt, &recorded, &mut out.findings);
         let Some(opt) = run_guarded(&optimized, &inputs, &mut (), &mut out.findings) else {

@@ -84,15 +84,11 @@ fn predictor_zoo_agrees_on_both_backends_across_corpus() {
     for entry in &entries {
         let program =
             mflang::compile(&entry.source).unwrap_or_else(|e| panic!("{}: {e:?}", entry.name));
-        let dirs = mfdyn::BranchDirs::of(&program);
         for (si, set) in entry.input_sets.iter().enumerate() {
             let inputs: Vec<Input> = set.iter().map(|&v| Input::Int(v)).collect();
             let what = format!("{} input set {si}", entry.name);
             let reports = Backend::ALL.map(|backend| {
-                let mut observers = (
-                    mfdyn::Zoo::with_dirs(&specs, dirs.clone()),
-                    Recorder::default(),
-                );
+                let mut observers = (mfdyn::Zoo::new(&specs), Recorder::default());
                 let vm = Vm::with_config(&program, config(backend));
                 vm.run_observed(&inputs, &mut observers)
                     .expect("corpus entry runs");
@@ -103,7 +99,7 @@ fn predictor_zoo_agrees_on_both_backends_across_corpus() {
                 reference, flat,
                 "{what}: zoo reports differ between backends"
             );
-            let replayed = mfdyn::golden::replay_zoo(&specs, &dirs, &recorded.branches);
+            let replayed = mfdyn::golden::replay_zoo(&specs, &recorded.branches);
             assert_eq!(reference, replayed, "{what}: online zoo vs golden replay");
         }
     }

@@ -620,7 +620,10 @@ mod tests {
     }
 
     fn zoo_specs() -> Vec<DynSpec> {
-        vec![DynSpec::AlwaysTaken, DynSpec::TwoBit { table_bits: 4 }]
+        vec![
+            DynSpec::OneBit { table_bits: 4 },
+            DynSpec::TwoBit { table_bits: 4 },
+        ]
     }
 
     fn predictions() -> Arc<Vec<bool>> {
@@ -634,9 +637,9 @@ mod tests {
             executed,
             mispredicted,
         };
-        let [always, two_bit] = [zoo_specs()[0], zoo_specs()[1]];
+        let [one_bit, two_bit] = [zoo_specs()[0], zoo_specs()[1]];
         let report = ZooReport {
-            entries: vec![(always, counts(105, 60)), (two_bit, counts(105, 9))],
+            entries: vec![(one_bit, counts(105, 60)), (two_bit, counts(105, 9))],
         };
         let mut lengths = RunLengths::new(&predictions());
         for (i, taken) in [true, true, false, true, false, false]

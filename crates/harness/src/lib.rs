@@ -139,7 +139,7 @@ fn exec_default(job: &RunJob) -> Result<(Run, Observed), RuntimeError> {
     Ok(match &job.observe {
         None => (vm.run(&job.inputs)?, Observed::Nothing),
         Some(Observe::Zoo(specs)) => {
-            let mut zoo = mfdyn::Zoo::for_program(specs, &job.program);
+            let mut zoo = mfdyn::Zoo::new(specs);
             let run = zoo.observe_beside(|feed| vm.run_observed(&job.inputs, feed))?;
             (run, Observed::Zoo(Arc::new(zoo.report())))
         }
@@ -681,7 +681,7 @@ mod tests {
                 // The run completes, its blocks reach the helper, and then
                 // the executor panics before the zoo's tail is handed over.
                 let vm = trace_vm::Vm::with_config(&j.program, j.config);
-                let mut zoo = mfdyn::Zoo::for_program(&mfdyn::full_zoo(), &j.program);
+                let mut zoo = mfdyn::Zoo::new(&mfdyn::full_zoo());
                 zoo.observe_beside(|feed| {
                     vm.run_observed(&j.inputs, feed).expect("clean run");
                     panic!("injected poison beside the zoo");
@@ -699,7 +699,7 @@ mod tests {
         let next = zooed(20_000);
         let outcome = harness.run_one(next.clone()).unwrap();
         assert_eq!(outcome.source, CacheSource::Computed);
-        let mut inline = mfdyn::Zoo::for_program(&mfdyn::full_zoo(), &next.program);
+        let mut inline = mfdyn::Zoo::new(&mfdyn::full_zoo());
         trace_vm::Vm::with_config(&next.program, next.config)
             .run_observed(&next.inputs, &mut inline)
             .unwrap();
