@@ -231,10 +231,18 @@ fn optimize(name: &str, program: &Program, verify: bool) -> Program {
     optimized
 }
 
+/// The profiling build (optimization off) of a bundled source.
+fn compile_workload(source: &str) -> Program {
+    mflang::compile(source).expect("bundled workload compiles")
+}
+
 impl Build {
-    fn of(workload: &Workload, verify: bool) -> Build {
-        let program = Arc::new(workload.compile().expect("bundled workload compiles"));
-        let optimized = Arc::new(optimize(workload.name, &program, verify));
+    /// The builds and predictors of `workload`, whose profiling build
+    /// comes from `h`'s program store. A verifying `h` checks the
+    /// optimized build between passes.
+    fn of(h: &Harness, workload: &Workload) -> Build {
+        let program = h.program(&workload.source, compile_workload);
+        let optimized = Arc::new(optimize(workload.name, &program, h.verify()));
         let heuristic = Predictor::heuristic(&program);
         let btfn = Predictor::static_heuristic(&program);
         let analysis = mfpredict::analyze(&program);
@@ -290,9 +298,8 @@ fn prepare(h: &Harness, workloads: Vec<Workload>) -> Vec<Prepared> {
                 })
         })
         .collect();
-    let verify = h.verify();
     let builds = on_workers(h, firsts.len(), |k| {
-        Arc::new(Build::of(&workloads[firsts[k]], verify))
+        Arc::new(Build::of(h, &workloads[firsts[k]]))
     });
     let jobs = on_workers(h, workloads.len(), |i| {
         let (w, build) = (&workloads[i], &builds[build_of[i]]);
@@ -1108,28 +1115,52 @@ pub fn crossmode_table(s: &SuiteRuns) -> Option<Table> {
     Some(t)
 }
 
-/// Compiles the program `prog` (optimization off) and generates the inputs
-/// of its dataset `dataset` alone; `None` when the suite has no such pair.
-fn generate_pair(prog: &str, dataset: &str) -> Option<(Program, Vec<Input>)> {
+/// The profiling build of the program `prog`, from `h`'s program store,
+/// and the inputs of its dataset `dataset` alone; `None` when the suite has
+/// no such pair.
+fn generate_pair(h: &Harness, prog: &str, dataset: &str) -> Option<(Arc<Program>, Vec<Input>)> {
     let row = mfwork::row(prog)?;
     let inputs = (row.dataset(dataset)?.inputs)();
-    let program = mflang::compile(&(row.source)()).expect("bundled workload compiles");
-    Some((program, inputs))
+    Some((h.program(&(row.source)(), compile_workload), inputs))
 }
 
-/// Runs each suite pair in `pairs` through `h` observed by its program's
-/// [`mfdyn::site_zoo`], returning each job with its outcome. `h`'s workers
-/// generate, compile and key the pairs. The dynamic and distribution
-/// tables submit identical jobs for the pairs they share, so those run
-/// once per harness.
-fn site_predictor_runs(
-    h: &Harness,
-    pairs: &[(&'static str, &'static str)],
-) -> Vec<(RunJob, mfharness::RunOutcome)> {
-    let jobs: Vec<RunJob> = on_workers(h, pairs.len(), |i| {
+/// The program×dataset pairs of the dynamic-predictor table.
+const DYNAMIC_PAIRS: [(&str, &str); 7] = [
+    ("doduc", "tiny"),
+    ("gcc", "loop_mod"),
+    ("espresso", "ti"),
+    ("li", "kittyv"),
+    ("compress", "cmprssc"),
+    ("spiff", "case1"),
+    ("mfcom", "c_metric"),
+];
+
+/// The pairs of the run-length distribution table.
+const DISTRIBUTION_PAIRS: [(&str, &str); 6] = [
+    ("doduc", "tiny"),
+    ("gcc", "loop_mod"),
+    ("li", "kittyv"),
+    ("compress", "cmprssc"),
+    ("spiff", "case1"),
+    ("espresso", "ti"),
+];
+
+/// The pairs of the inlining table.
+const INLINING_PAIRS: [(&str, &str); 5] = [
+    ("doduc", "tiny"),
+    ("gcc", "loop_mod"),
+    ("li", "kittyv"),
+    ("mfcom", "c_metric"),
+    ("spiff", "case1"),
+];
+
+/// One job per suite pair in `pairs`, observed by its program's
+/// [`mfdyn::site_zoo`]. `h`'s workers generate and key the pairs, taking
+/// their programs from `h`'s store.
+fn site_predictor_jobs(h: &Harness, pairs: &[(&'static str, &'static str)]) -> Vec<RunJob> {
+    on_workers(h, pairs.len(), |i| {
         let (prog, dataset) = pairs[i];
-        let (program, inputs) = generate_pair(prog, dataset)?;
-        let program = Arc::new(program);
+        let (program, inputs) = generate_pair(h, prog, dataset)?;
         let specs = mfdyn::site_zoo(&program).to_vec();
         Some(RunJob::with_observer(
             prog,
@@ -1142,7 +1173,17 @@ fn site_predictor_runs(
     })
     .into_iter()
     .flatten()
-    .collect();
+    .collect()
+}
+
+/// Runs [`site_predictor_jobs`] through `h`, returning each job with its
+/// outcome. The dynamic and distribution tables submit identical jobs for
+/// the pairs they share, so those run once per harness.
+fn site_predictor_runs(
+    h: &Harness,
+    pairs: &[(&'static str, &'static str)],
+) -> Vec<(RunJob, mfharness::RunOutcome)> {
+    let jobs = site_predictor_jobs(h, pairs);
     let outcomes = h.run(jobs.clone()).unwrap_or_else(|e| panic!("{e}"));
     jobs.into_iter().zip(outcomes).collect()
 }
@@ -1153,15 +1194,6 @@ fn site_predictor_runs(
 /// [Lee and Smith 84] — plus the profile-seeded 2-bit hybrid. Runs a fixed
 /// set of small program×dataset pairs, through `h`.
 pub fn dynamic_table_with(h: &Harness) -> Table {
-    let pairs = [
-        ("doduc", "tiny"),
-        ("gcc", "loop_mod"),
-        ("espresso", "ti"),
-        ("li", "kittyv"),
-        ("compress", "cmprssc"),
-        ("spiff", "case1"),
-        ("mfcom", "c_metric"),
-    ];
     let cfg = BreakConfig::fig2();
     let mut t = Table::new(&[
         "PROGRAM/DATASET",
@@ -1172,7 +1204,7 @@ pub fn dynamic_table_with(h: &Harness) -> Table {
         "I/B STATIC",
         "I/B 2-BIT",
     ]);
-    for (job, outcome) in site_predictor_runs(h, &pairs) {
+    for (job, outcome) in site_predictor_runs(h, &DYNAMIC_PAIRS) {
         let stats = &outcome.stats;
         let static_m = experiment::self_metrics(stats, cfg);
         let zoo = outcome.zoo().expect("site jobs carry a zoo report");
@@ -1202,15 +1234,7 @@ pub fn dynamic_table_with(h: &Harness) -> Table {
 /// then a second run per pair streams its run lengths under the
 /// self-predictor those counts define.
 pub fn distribution_table_with(h: &Harness) -> Table {
-    let pairs = [
-        ("doduc", "tiny"),
-        ("gcc", "loop_mod"),
-        ("li", "kittyv"),
-        ("compress", "cmprssc"),
-        ("spiff", "case1"),
-        ("espresso", "ti"),
-    ];
-    let counted = site_predictor_runs(h, &pairs);
+    let counted = site_predictor_runs(h, &DISTRIBUTION_PAIRS);
     let jobs: Vec<RunJob> = counted
         .iter()
         .map(|(job, outcome)| {
@@ -1264,12 +1288,12 @@ pub fn distribution_table_with(h: &Harness) -> Table {
 /// Inlining (extension): the paper argues inlining removes the two breaks
 /// per executed call. Compare instrs/break with calls counted, before and
 /// after the `mfopt` inliner, on a subset of programs. `h`'s workers
-/// generate, compile and inline the pairs. Base and inlined builds are
-/// distinct IR, hence distinct run keys — both are submitted to `h` in
-/// one batch and execute in parallel.
+/// generate and inline the pairs, taking the base builds from `h`'s
+/// store. Base and inlined builds are distinct IR, hence distinct run
+/// keys — both are submitted to `h` in one batch and execute in parallel.
+/// A base run that the dynamic table already observed through `h` is
+/// answered from memory.
 pub fn inlining_table_with(h: &Harness) -> Table {
-    use mfopt::Inliner;
-
     let cfg = BreakConfig::fig2_with_calls();
     let mut t = Table::new(&[
         "PROGRAM/DATASET",
@@ -1278,35 +1302,7 @@ pub fn inlining_table_with(h: &Harness) -> Table {
         "CALLS BEFORE",
         "CALLS AFTER",
     ]);
-    let pairs = [
-        ("doduc", "tiny"),
-        ("gcc", "loop_mod"),
-        ("li", "kittyv"),
-        ("mfcom", "c_metric"),
-        ("spiff", "case1"),
-    ];
-    let jobs: Vec<RunJob> = on_workers(h, pairs.len(), |i| {
-        let (prog, dataset) = pairs[i];
-        let (base, inputs) = generate_pair(prog, dataset)?;
-        let mut inlined = base.clone();
-        Inliner::default().run(&mut inlined);
-        let config = run_config(VmConfig::default());
-        Some([
-            RunJob::new(prog, dataset, Arc::new(base), inputs.clone(), config),
-            RunJob::new(
-                format!("{prog}:inlined"),
-                dataset,
-                Arc::new(inlined),
-                inputs,
-                config,
-            ),
-        ])
-    })
-    .into_iter()
-    .flatten()
-    .flatten()
-    .collect();
-    let outcomes = h.run(jobs).unwrap_or_else(|e| panic!("{e}"));
+    let outcomes = h.run(inlining_jobs(h)).unwrap_or_else(|e| panic!("{e}"));
     for pair in outcomes.chunks_exact(2) {
         let (label, base_run, in_run) = (&pair[0].label, &pair[0].run, &pair[1].run);
         assert_eq!(base_run.output, in_run.output, "{label}: inlining broke it");
@@ -1320,6 +1316,32 @@ pub fn inlining_table_with(h: &Harness) -> Table {
         ]);
     }
     t
+}
+
+/// The inlining table's jobs: each pair's base build, from `h`'s store,
+/// then its inlined build, which `h`'s workers make.
+fn inlining_jobs(h: &Harness) -> Vec<RunJob> {
+    on_workers(h, INLINING_PAIRS.len(), |i| {
+        let (prog, dataset) = INLINING_PAIRS[i];
+        let (base, inputs) = generate_pair(h, prog, dataset)?;
+        let mut inlined = (*base).clone();
+        mfopt::Inliner::default().run(&mut inlined);
+        let config = run_config(VmConfig::default());
+        Some([
+            RunJob::new(prog, dataset, base, inputs.clone(), config),
+            RunJob::new(
+                format!("{prog}:inlined"),
+                dataset,
+                Arc::new(inlined),
+                inputs,
+                config,
+            ),
+        ])
+    })
+    .into_iter()
+    .flatten()
+    .flatten()
+    .collect()
 }
 
 /// The paper's "coverage" hunt (§3 informal): the authors suspected poor
@@ -1852,6 +1874,42 @@ mod tests {
         }
     }
 
+    /// One harness compiles each distinct source once: the collection
+    /// builds its programs, and the three extension tables take theirs,
+    /// the collected ones included, from the same store.
+    #[test]
+    fn one_harness_compiles_each_source_once() {
+        let h = test_harness(2);
+        let s = collect_subset_with(&h, QUICK);
+        assert_eq!(h.programs_compiled(), QUICK.len());
+        let jobs = [
+            site_predictor_jobs(&h, &DYNAMIC_PAIRS),
+            site_predictor_jobs(&h, &DISTRIBUTION_PAIRS),
+            inlining_jobs(&h),
+        ]
+        .concat();
+        let names: std::collections::BTreeSet<&str> = QUICK
+            .iter()
+            .chain(DYNAMIC_PAIRS.iter().map(|(p, _)| p))
+            .chain(DISTRIBUTION_PAIRS.iter().map(|(p, _)| p))
+            .chain(INLINING_PAIRS.iter().map(|(p, _)| p))
+            .copied()
+            .collect();
+        assert_eq!(h.programs_compiled(), names.len());
+        for job in jobs
+            .iter()
+            .filter(|j| !j.program_name.ends_with(":inlined"))
+        {
+            let name = job.program_name.as_str();
+            let source = (mfwork::row(name).unwrap().source)();
+            let stored = h.program(&source, |_| panic!("{name} compiled twice"));
+            assert!(Arc::ptr_eq(&job.program, &stored), "{}", job.label());
+            if let Some(w) = s.workload(name) {
+                assert!(Arc::ptr_eq(&job.program, &w.program), "{}", job.label());
+            }
+        }
+    }
+
     /// A build that panics on a worker thread resurfaces on the calling
     /// thread with its own message — the one `Build::of` panics with and
     /// a one-worker harness gives — not as a failed worker.
@@ -1868,7 +1926,7 @@ mod tests {
         }
         let mut broken = mfwork::workload("spiff").unwrap();
         broken.source.push_str("\nfn (");
-        let direct = std::panic::catch_unwind(|| Build::of(&broken, false))
+        let direct = std::panic::catch_unwind(|| Build::of(&test_harness(1), &broken))
             .map(|_| ())
             .expect_err("the source does not compile");
         let direct = message(direct);

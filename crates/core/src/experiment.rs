@@ -66,13 +66,40 @@ pub fn self_metrics(stats: &RunStats, config: BreakConfig) -> Metrics {
 
 /// Cross-prediction: `predictor_profile` (another dataset, or an accumulated
 /// database entry) predicts the target run.
+///
+/// Counted in one walk of both id-ordered counter sets: a site the profile
+/// saw taken at least half the times it ran is predicted taken and
+/// mispredicts the target's not-taken executions; any other site, one the
+/// profile never ran included, is predicted not taken and mispredicts the
+/// taken ones. That is what [`Predictor::from_counts`] over the profile
+/// (default not taken) gives, without building the predictor.
 pub fn cross_metrics(
     target: &DatasetRun,
     predictor_profile: &BranchCounts,
     config: BreakConfig,
 ) -> Metrics {
-    let p = Predictor::from_counts(predictor_profile, Direction::NotTaken);
-    evaluate(&target.stats, &p, config)
+    let stats = &target.stats;
+    let mispredicted = if config.predict {
+        let mut profile = predictor_profile.iter().peekable();
+        stats
+            .branches
+            .iter()
+            .map(|(id, e, t)| {
+                while profile.next_if(|&(other, _, _)| other < id).is_some() {}
+                let taken = profile
+                    .next_if(|&(other, _, _)| other == id)
+                    .is_some_and(|(_, pe, pt)| pe > 0 && pt * 2 >= pe);
+                if taken {
+                    e - t
+                } else {
+                    t
+                }
+            })
+            .sum()
+    } else {
+        stats.branches.total_executed()
+    };
+    finish(stats, config, mispredicted)
 }
 
 /// The leave-one-out predictor: all runs except `target_index`, combined

@@ -205,6 +205,21 @@ impl RunCache {
         self.mem.lock().expect("cache lock").insert(job.key, entry);
     }
 
+    /// Answers `key`, the unobserved key of an observed job,
+    /// with that job's `run` — in the memory tier only, and only where
+    /// the key has no entry yet. Observing changes nothing a [`Run`]
+    /// reports, so the unobserved job would compute the same run.
+    pub(crate) fn insert_unobserved(&self, key: RunKey, run: &Arc<Run>) {
+        self.mem
+            .lock()
+            .expect("cache lock")
+            .entry(key)
+            .or_insert_with(|| Entry {
+                run: Arc::clone(run),
+                observed: Observed::Nothing,
+            });
+    }
+
     /// Counter snapshot.
     pub fn counters(&self) -> CacheCounters {
         CacheCounters {

@@ -63,6 +63,10 @@ pub struct RunJob {
     pub observe: Option<Observe>,
     /// The content-addressed identity of this work.
     pub key: RunKey,
+    /// The key of the same run with no observer ([`RunKey::of`]); equal
+    /// to `key` for an unobserved job. Observing changes nothing a
+    /// [`Run`] reports, so an observed outcome also answers this key.
+    pub(crate) unobserved_key: RunKey,
 }
 
 impl RunJob {
@@ -83,12 +87,14 @@ impl RunJob {
             config,
             observe: None,
             key,
+            unobserved_key: key,
         }
     }
 
     /// Builds a job with `observe` riding along, keyed once by the
     /// observer's tags as well: the zoo's spec names, or the predicted
-    /// directions spelled out.
+    /// directions spelled out. The fingerprint is forked before the tags,
+    /// so the job also knows the key of its run with no observer.
     pub fn with_observer(
         program_name: impl Into<String>,
         dataset: impl Into<String>,
@@ -104,7 +110,7 @@ impl RunJob {
                 vec![format!("run-lengths/{bits}")]
             }
         };
-        let key = RunKey::of_tagged(&program, &inputs, &config, &tags);
+        let (key, unobserved_key) = RunKey::of_tagged_and_plain(&program, &inputs, &config, &tags);
         RunJob {
             program_name: program_name.into(),
             dataset: dataset.into(),
@@ -113,6 +119,7 @@ impl RunJob {
             config,
             observe: Some(observe),
             key,
+            unobserved_key,
         }
     }
 

@@ -54,6 +54,28 @@ impl RunKey {
         config: &VmConfig,
         tags: &[String],
     ) -> Self {
+        RunKey::finish(RunKey::content(program, inputs, config), tags)
+    }
+
+    /// [`RunKey::of_tagged`] together with [`RunKey::of`] for the same run:
+    /// the fingerprint of `(program, inputs, config)` is taken once and
+    /// forked before the tags, so an observed job also knows the key of
+    /// its run with no observer.
+    pub(crate) fn of_tagged_and_plain(
+        program: &Program,
+        inputs: &[Input],
+        config: &VmConfig,
+        tags: &[String],
+    ) -> (Self, Self) {
+        let content = RunKey::content(program, inputs, config);
+        (
+            RunKey::finish(content.clone(), tags),
+            RunKey::finish(content, &[]),
+        )
+    }
+
+    /// The fingerprint of everything but the observation tags.
+    fn content(program: &Program, inputs: &[Input], config: &VmConfig) -> Fingerprint {
         let mut fp = Fingerprint::new();
         fp.write_u64(KEY_FORMAT_VERSION);
         program.hash(&mut fp);
@@ -91,6 +113,10 @@ impl RunKey {
         // still record which engine produced them — a backend-semantics bug
         // must not be able to hide behind a stale cache entry.
         config.backend.name().hash(&mut fp);
+        fp
+    }
+
+    fn finish(mut fp: Fingerprint, tags: &[String]) -> Self {
         tags.hash(&mut fp);
         RunKey(fp.finish128())
     }
@@ -118,6 +144,7 @@ impl fmt::Display for RunKey {
 /// hashes a `str` as its bytes plus `0xff`. Dependency-free and plenty for
 /// content addressing a few hundred cache entries and checksumming them;
 /// it is no defence against crafted collisions.
+#[derive(Clone)]
 pub struct Fingerprint {
     a: u64,
     b: u64,
@@ -354,6 +381,20 @@ mod tests {
         // concatenated tag (length-prefixed strings).
         assert_ne!(tag(&["ab", "c"]), tag(&["a", "bc"]));
         assert_ne!(tag(&["abc"]), tag(&["ab", "c"]));
+    }
+
+    #[test]
+    fn a_forked_fingerprint_gives_the_tagged_and_the_plain_key() {
+        let program = mflang::compile("fn main(n: int) { emit(n); }").unwrap();
+        let (cfg, inputs) = (VmConfig::default(), [Input::Int(3)]);
+        let tags = vec!["2bit/t12".to_string()];
+        let (tagged, plain) = RunKey::of_tagged_and_plain(&program, &inputs, &cfg, &tags);
+        assert_eq!(tagged, RunKey::of_tagged(&program, &inputs, &cfg, &tags));
+        assert_eq!(plain, RunKey::of(&program, &inputs, &cfg));
+        assert_eq!(
+            RunKey::of_tagged_and_plain(&program, &inputs, &cfg, &[]),
+            (plain, plain)
+        );
     }
 
     #[test]

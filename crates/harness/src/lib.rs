@@ -9,9 +9,16 @@
 //! [`trace_vm::Run`] (output, result, stats) and what its [`Observe`]
 //! observer measured, so a warm process re-runs nothing. The whole
 //! matrix takes about 1.5 MiB on disk, mostly the output streams of
-//! compress and uncompress; the directory is never evicted. Results always
-//! come back in submission order, so downstream tables and figures are
-//! bit-identical whether the matrix ran on one worker or eight.
+//! compress and uncompress; the directory is never evicted. A batch's cache
+//! lookups run on the workers too, one slot per job. Observing changes
+//! nothing a run reports, so once a batch resolves, each observed job's run
+//! also answers, from the memory tier, the same job with no observer.
+//! Results always come back in submission order, so downstream tables and
+//! figures are bit-identical whether the matrix ran on one worker or eight.
+//!
+//! A harness also holds a program store ([`Harness::program`]): one build
+//! per distinct source text for its lifetime, so a collection and the
+//! tables run after it through the same harness compile each source once.
 //!
 //! Knobs (also surfaced as `repro` flags):
 //!
@@ -39,12 +46,14 @@ mod report;
 
 use std::collections::HashMap;
 use std::fmt;
+use std::hash::Hasher;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Instant;
 
 use mffault::{FaultPlan, FaultVfs, RealVfs, RetryPolicy, Vfs};
+use trace_ir::Program;
 use trace_vm::{Run, RuntimeError};
 
 pub use cache::{CacheCounters, CacheHit, CacheRobustness, RunCache};
@@ -199,6 +208,8 @@ pub struct Harness {
     busy_ns: AtomicU64,
     panics: AtomicU64,
     quarantine: Mutex<HashMap<RunKey, (String, String)>>,
+    /// One build per distinct source text ([`Harness::program`]).
+    programs: Mutex<HashMap<u128, Arc<OnceLock<Arc<Program>>>>>,
 }
 
 impl Harness {
@@ -229,6 +240,7 @@ impl Harness {
             busy_ns: AtomicU64::new(0),
             panics: AtomicU64::new(0),
             quarantine: Mutex::new(HashMap::new()),
+            programs: Mutex::new(HashMap::new()),
         }
     }
 
@@ -298,6 +310,9 @@ impl Harness {
         }
         self.unique_jobs
             .fetch_add(unique.len() as u64, Ordering::Relaxed);
+        if unique.is_empty() {
+            return Ok(Vec::new());
+        }
 
         // Quarantined keys fail fast: a job that already panicked once is
         // not given a second chance to take a worker down.
@@ -313,12 +328,17 @@ impl Harness {
             }
         }
 
-        // Cache pass (serial, submission order — keeps counter totals and
-        // record order deterministic), then pooled execution of misses.
+        // Cache pass on the workers (a one-worker harness looks up on the
+        // calling thread). Each unique job has its own slot, so hits come
+        // back in submission order and no counter depends on the schedule.
+        // Then pooled execution of the misses.
+        let (hits, stats) =
+            pool::run_indexed(self.jobs, unique.len(), |i| self.cache.lookup(&unique[i]));
+        self.account(&stats);
         let mut resolved: Vec<Option<RunOutcome>> = Vec::with_capacity(unique.len());
         let mut to_run: Vec<usize> = Vec::new();
-        for (i, job) in unique.iter().enumerate() {
-            match self.cache.lookup(job) {
+        for (i, (job, hit)) in unique.iter().zip(hits).enumerate() {
+            match hit {
                 Some(hit) => resolved.push(Some(RunOutcome {
                     label: job.label(),
                     key: job.key,
@@ -341,14 +361,7 @@ impl Harness {
                 let t0 = Instant::now();
                 (exec(job), t0.elapsed())
             });
-            self.workers_seen
-                .fetch_max(stats.workers, Ordering::Relaxed);
-            self.wall_ns
-                .fetch_add(stats.wall.as_nanos() as u64, Ordering::Relaxed);
-            self.busy_ns.fetch_add(
-                stats.busy.iter().map(|d| d.as_nanos() as u64).sum::<u64>(),
-                Ordering::Relaxed,
-            );
+            self.account(&stats);
             // Every slot is drained before the first error is surfaced, so
             // all completed work lands in the cache and every panic of the
             // batch is quarantined — not just the first one.
@@ -403,12 +416,22 @@ impl Harness {
             .map(|o| o.expect("every unique job resolved"))
             .collect();
 
+        // An observed job's run also answers its unobserved key. That is
+        // registered once the whole batch has resolved, so an unobserved
+        // job in the same batch misses whichever worker looks it up.
+        for (job, outcome) in unique.iter().zip(&outcomes) {
+            if job.observe.is_some() && outcome.observed.answers(job.observe.as_ref()) {
+                self.cache
+                    .insert_unobserved(job.unobserved_key, &outcome.run);
+            }
+        }
+
         // Verification digests: one per distinct program (many unique jobs
         // share one `Arc<Program>` across datasets). Cache hits are
         // digested too — that is the point: a stale disk result still gets
         // checked against today's verifier.
         let digests: Vec<Option<u64>> = if self.verify {
-            let mut memo: HashMap<*const trace_ir::Program, u64> = HashMap::new();
+            let mut memo: HashMap<*const Program, u64> = HashMap::new();
             unique
                 .iter()
                 .map(|job| {
@@ -440,6 +463,48 @@ impl Harness {
         }
 
         Ok(fanout.into_iter().map(|i| outcomes[i].clone()).collect())
+    }
+
+    /// Adds one pool pass to the harness's worker count, wall and busy
+    /// time.
+    fn account(&self, stats: &PoolStats) {
+        self.workers_seen
+            .fetch_max(stats.workers, Ordering::Relaxed);
+        self.wall_ns
+            .fetch_add(stats.wall.as_nanos() as u64, Ordering::Relaxed);
+        self.busy_ns.fetch_add(
+            stats.busy.iter().map(|d| d.as_nanos() as u64).sum::<u64>(),
+            Ordering::Relaxed,
+        );
+    }
+
+    /// The program `compile` builds from `source`, from the harness's
+    /// program store: the first request for a source text compiles it,
+    /// and every later one, from any thread, shares that build for the
+    /// harness's lifetime. The store is keyed by the text's
+    /// [`Fingerprint`]; a request that arrives while its text compiles
+    /// waits for that build instead of starting another. A `compile` that
+    /// panics leaves the text uncompiled, and the panic reaches the caller.
+    pub fn program(&self, source: &str, compile: impl FnOnce(&str) -> Program) -> Arc<Program> {
+        let mut fp = Fingerprint::new();
+        fp.write(source.as_bytes());
+        let cell = Arc::clone(
+            self.programs
+                .lock()
+                .expect("program store lock")
+                .entry(fp.finish128())
+                .or_default(),
+        );
+        Arc::clone(cell.get_or_init(|| Arc::new(compile(source))))
+    }
+
+    /// How many distinct source texts the program store has compiled.
+    pub fn programs_compiled(&self) -> usize {
+        let programs = self.programs.lock().expect("program store lock");
+        programs
+            .values()
+            .filter(|cell| cell.get().is_some())
+            .count()
     }
 
     /// Convenience: submit one job.
@@ -762,6 +827,74 @@ mod tests {
         assert!(outcomes[0].run_lengths().is_none() && outcomes[1].zoo().is_none());
         let [a, b] = [1, 2].map(|i| outcomes[i].run_lengths().expect("a histogram").summary());
         assert!(a.count > 0 && b.count > 0 && a != b);
+    }
+
+    #[test]
+    fn the_program_store_compiles_each_source_once() {
+        let harness = Harness::new(HarnessOptions {
+            jobs: Some(2),
+            disk_cache: DiskCache::Off,
+            ..HarnessOptions::default()
+        });
+        let sources = [LOOPY, "fn main(n: int) { emit(n); }"];
+        let compiles = AtomicUsize::new(0);
+        let (programs, _) = run_indexed(2, 8, |i| {
+            harness.program(sources[i % 2], |source| {
+                compiles.fetch_add(1, Ordering::Relaxed);
+                mflang::compile(source).unwrap()
+            })
+        });
+        assert_eq!(compiles.load(Ordering::Relaxed), 2);
+        assert_eq!(harness.programs_compiled(), 2);
+        for (i, program) in programs.iter().enumerate() {
+            assert!(Arc::ptr_eq(program, &programs[i % 2]), "request {i}");
+            assert_eq!(**program, mflang::compile(sources[i % 2]).unwrap());
+        }
+
+        // A compile that panics leaves its text uncompiled.
+        let prev = std::panic::take_hook();
+        std::panic::set_hook(Box::new(|_| {}));
+        let failed = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            harness.program("fn main() {}", |_| panic!("no build"))
+        }));
+        std::panic::set_hook(prev);
+        assert!(failed.is_err());
+        assert_eq!(harness.programs_compiled(), 2);
+        let program = harness.program("fn main() {}", |s| mflang::compile(s).unwrap());
+        assert_eq!(program.functions.len(), 1);
+        assert_eq!(harness.programs_compiled(), 3);
+    }
+
+    #[test]
+    fn an_observed_run_answers_its_unobserved_job_in_later_batches() {
+        let observers = [
+            Observe::Zoo(mfdyn::full_zoo()),
+            Observe::RunLengths(Arc::new(vec![true; 2])),
+        ];
+        for observe in observers {
+            let observed = observed_job(LOOPY, vec![Input::Int(70)], observe);
+            let plain = job(LOOPY, vec![Input::Int(70)]);
+            assert_eq!(observed.unobserved_key, plain.key);
+            assert_ne!(observed.key, plain.key);
+
+            // In one batch, the unobserved job computes.
+            let harness = Harness::in_memory();
+            let both = harness.run(vec![observed.clone(), plain.clone()]).unwrap();
+            assert_eq!(both[1].source, CacheSource::Computed);
+            assert_eq!(harness.report().computed(), 2);
+
+            // After it, the observed run answers from memory, and the run
+            // is the one computing it gives.
+            let harness = Harness::in_memory();
+            let first = harness.run_one(observed.clone()).unwrap();
+            let hit = harness.run_one(plain.clone()).unwrap();
+            assert_eq!(hit.source, CacheSource::Memory);
+            assert_eq!(hit.run, first.run);
+            assert_eq!(hit.run, both[1].run);
+            assert_eq!(hit.observed, Observed::Nothing);
+            let report = harness.report();
+            assert_eq!((report.computed(), report.cache.mem_hits), (1, 1));
+        }
     }
 
     #[test]

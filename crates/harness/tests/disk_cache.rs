@@ -316,3 +316,114 @@ fn unwritable_cache_dir_degrades_to_recomputation() {
     );
     let _ = std::fs::remove_file(&blocker);
 }
+
+/// What a warm batch yields that must not depend on the worker count:
+/// each outcome, each record but its wall time, and every counter.
+fn warm_batch(dir: &Path, jobs: usize, batch: Vec<RunJob>) -> impl PartialEq + std::fmt::Debug {
+    let harness = Harness::new(HarnessOptions {
+        jobs: Some(jobs),
+        disk_cache: DiskCache::Dir(dir.to_path_buf()),
+        ..HarnessOptions::default()
+    });
+    let outcomes: Vec<_> = harness
+        .run(batch)
+        .unwrap()
+        .into_iter()
+        .map(|o| (o.label, o.key, o.source, o.run, o.observed))
+        .collect();
+    let report = harness.report();
+    // One miss runs on one worker, so only a cache pass on the pool puts
+    // both workers to work.
+    assert_eq!(report.workers, jobs);
+    assert_eq!(report.computed(), 1);
+    let records: Vec<_> = report
+        .records
+        .iter()
+        .map(|r| (r.label.clone(), r.key, r.source, r.guest_instrs))
+        .collect();
+    let counters = (
+        report.jobs_submitted,
+        report.unique_jobs,
+        report.cache,
+        report.robustness.cache_corrupt_misses,
+    );
+    (outcomes, records, counters)
+}
+
+#[test]
+fn a_warm_batch_is_the_same_at_one_and_two_workers() {
+    let primed = temp_dir("warm-primed");
+    let loopy = Arc::new(mflang::compile(LOOPY).unwrap());
+    let chatty = Arc::new(mflang::compile(CHATTY).unwrap());
+    let batch = || {
+        let mut jobs: Vec<RunJob> = [10, 20, 30, 40]
+            .into_iter()
+            .flat_map(|n| every_kind(if n % 20 == 0 { &loopy } else { &chatty }, n))
+            .collect();
+        jobs.push(job(&loopy, 20)); // a repeat
+        jobs
+    };
+    disk_harness(&primed).run(batch()).unwrap();
+    // One damaged entry: a counted corrupt miss on either side, and the
+    // batch's only execution.
+    let torn = primed.join(format!("{}.bin", job(&chatty, 10).key.hex()));
+    let bytes = std::fs::read(&torn).unwrap();
+    std::fs::write(&torn, &bytes[..bytes.len() / 2]).unwrap();
+
+    let mut sides = Vec::new();
+    for jobs in [1, 2] {
+        // Each side reads its own copy, so neither sees what the other
+        // stored.
+        let dir = temp_dir(&format!("warm-{jobs}"));
+        std::fs::create_dir_all(&dir).unwrap();
+        for entry in std::fs::read_dir(&primed).unwrap() {
+            let path = entry.unwrap().path();
+            std::fs::copy(&path, dir.join(path.file_name().unwrap())).unwrap();
+        }
+        sides.push(warm_batch(&dir, jobs, batch()));
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+    assert_eq!(sides[0], sides[1]);
+    let _ = std::fs::remove_dir_all(&primed);
+}
+
+#[test]
+fn a_disk_hit_observed_run_answers_its_unobserved_job_in_memory_only() {
+    let dir = temp_dir("unobserved");
+    let program = Arc::new(mflang::compile(CHATTY).unwrap());
+    let [plain, zoo, _] = <[RunJob; 3]>::try_from(every_kind(&program, 60)).unwrap();
+    disk_harness(&dir).run_one(zoo.clone()).unwrap();
+
+    let warm = disk_harness(&dir);
+    assert_eq!(warm.run_one(zoo.clone()).unwrap().source, CacheSource::Disk);
+    let hit = warm.run_one(plain.clone()).unwrap();
+    assert_eq!(hit.source, CacheSource::Memory);
+    assert!(hit.zoo().is_none());
+
+    // Nothing was stored under the unobserved key: the next process
+    // computes that job, and gets the same run.
+    let plain_entry = dir.join(format!("{}.bin", plain.key.hex()));
+    assert!(!plain_entry.exists());
+    let fresh = disk_harness(&dir).run_one(plain.clone()).unwrap();
+    assert_eq!(fresh.source, CacheSource::Computed);
+    assert_eq!(fresh.run, hit.run);
+
+    // In one batch with the disk hit, on either worker count, the
+    // unobserved job is not answered: its lookup does not wait for the
+    // observed one's.
+    std::fs::remove_file(&plain_entry).unwrap();
+    for jobs in [1, 2] {
+        let harness = Harness::new(HarnessOptions {
+            jobs: Some(jobs),
+            disk_cache: DiskCache::Dir(dir.clone()),
+            ..HarnessOptions::default()
+        });
+        let both = harness.run(vec![zoo.clone(), plain.clone()]).unwrap();
+        assert_eq!(
+            (both[0].source, both[1].source),
+            (CacheSource::Disk, CacheSource::Computed)
+        );
+        std::fs::remove_file(&plain_entry).unwrap();
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}

@@ -126,10 +126,6 @@ pub fn analyze(program: &Program) -> ProgramProofs {
     out
 }
 
-/// Abstract register file: one interval per register. Unreachable states
-/// are `None` at the block level.
-type State = Vec<Interval>;
-
 /// Join counts beyond this at a non-header block also trigger widening —
 /// a termination backstop for irreducible regions the loop forest does
 /// not cover.
@@ -140,6 +136,15 @@ const WIDEN_FALLBACK_JOINS: u32 = 8;
 /// should never fire; it bounds the cost on adversarial fuzz inputs.
 const MAX_BLOCK_VISITS: usize = 50_000;
 
+/// The fixpoint works in place. A block's entry state (one interval per
+/// register) is allocated once, when the block is first reached; a visit
+/// copies it into one scratch register file and runs the block over that,
+/// and each outgoing edge joins (and, at loop headers, widens) straight
+/// into its successor's entry state. A branch arm's refinement rides
+/// along as at most three register overrides ([`Refinement`]) instead of
+/// a copy of the state. The worklist and its order are the same as when
+/// every visit, edge and join copied a state, so the fixpoint and every
+/// proof are too.
 pub(crate) fn analyze_function(func: &Function, func_id: FuncId, out: &mut ProgramProofs) {
     let n = func.blocks.len();
     if n == 0 {
@@ -153,8 +158,14 @@ pub(crate) fn analyze_function(func: &Function, func_id: FuncId, out: &mut Progr
         is_header[l.header.index()] = true;
     }
 
-    let mut in_state: Vec<Option<State>> = vec![None; n];
-    in_state[func.entry().index()] = Some(vec![Interval::TOP; func.num_regs as usize]);
+    // An unreached block has no feasible state yet. Each state is its own
+    // allocation, not a slice of one function-wide buffer: a buffer that
+    // large is mapped afresh by the allocator on every call, where states
+    // of one block's size reuse the heap the rest of a compile frees.
+    let width = func.num_regs as usize;
+    let mut exit = vec![Interval::TOP; width];
+    let mut states: Vec<Option<Box<[Interval]>>> = vec![None; n];
+    states[func.entry().index()] = Some(exit.as_slice().into());
 
     // Worklist keyed by RPO position for a deterministic, mostly
     // topological visit order.
@@ -167,46 +178,57 @@ pub(crate) fn analyze_function(func: &Function, func_id: FuncId, out: &mut Progr
     let mut join_count = vec![0u32; n];
     let mut visits = 0usize;
     let mut gave_up = false;
+    let mut edges: Vec<(BlockId, Refinement)> = Vec::new();
 
-    while let Some(&(pos, bi)) = worklist.iter().next() {
-        worklist.remove(&(pos, bi));
+    while let Some((_, bi)) = worklist.pop_first() {
         visits += 1;
         if visits > MAX_BLOCK_VISITS {
             gave_up = true;
             break;
         }
-        let b = BlockId::from_index(bi);
-        let Some(entry) = in_state[bi].clone() else {
+        let block = func.block(BlockId::from_index(bi));
+        exit.copy_from_slice(states[bi].as_deref().expect("a queued block is reached"));
+        if !exec_instrs(block, &mut exit) {
             continue;
-        };
-        let flow = exec_block(func.block(b), entry);
-        for (succ, st) in flow.edges {
+        }
+        edges.clear();
+        exit_edges(block, &exit, &mut edges);
+        for (succ, refinement) in &mut edges {
             let si = succ.index();
-            match &in_state[si] {
-                None => {
-                    in_state[si] = Some(st);
-                    worklist.insert((rpo_pos[si], si));
-                }
-                Some(old) => {
-                    let mut joined: State =
-                        old.iter().zip(st.iter()).map(|(a, b)| a.join(b)).collect();
-                    if joined != *old {
-                        join_count[si] += 1;
-                        if (is_header[si] && join_count[si] >= 2)
-                            || join_count[si] >= WIDEN_FALLBACK_JOINS
-                        {
-                            joined = old
-                                .iter()
-                                .zip(joined.iter())
-                                .map(|(o, j)| widen(o, j))
-                                .collect();
-                        }
-                        if joined != *in_state[si].as_ref().unwrap() {
-                            in_state[si] = Some(joined);
-                            worklist.insert((rpo_pos[si], si));
-                        }
+            // The arm's state is the exit state with its overrides swapped
+            // in; the second swap restores the exit state for the next edge.
+            refinement.swap(&mut exit);
+            let changed = if let Some(entry) = states[si].as_deref_mut() {
+                if entry
+                    .iter()
+                    .zip(&exit)
+                    .all(|(old, new)| old.join(new) == *old)
+                {
+                    false
+                } else {
+                    join_count[si] += 1;
+                    let widening = (is_header[si] && join_count[si] >= 2)
+                        || join_count[si] >= WIDEN_FALLBACK_JOINS;
+                    let mut changed = false;
+                    for (old, new) in entry.iter_mut().zip(&exit) {
+                        let joined = old.join(new);
+                        let next = if widening {
+                            widen(old, &joined)
+                        } else {
+                            joined
+                        };
+                        changed |= next != *old;
+                        *old = next;
                     }
+                    changed
                 }
+            } else {
+                states[si] = Some(exit.as_slice().into());
+                true
+            };
+            refinement.swap(&mut exit);
+            if changed {
+                worklist.insert((rpo_pos[si], si));
             }
         }
     }
@@ -220,90 +242,124 @@ pub(crate) fn analyze_function(func: &Function, func_id: FuncId, out: &mut Progr
         if gave_up {
             continue;
         }
-        match &in_state[b.index()] {
-            None => {
-                if cfg.is_reachable(b) {
-                    out.dead_blocks.push((func_id, b));
-                }
+        let Some(entry) = states[b.index()].as_deref() else {
+            if cfg.is_reachable(b) {
+                out.dead_blocks.push((func_id, b));
             }
-            Some(entry) => {
-                let flow = exec_block(block, entry.clone());
-                if flow.div_by_zero {
-                    out.div_by_zero.push((func_id, b));
-                }
-                if let (Terminator::Branch { id, .. }, Some(cond)) = (&block.term, flow.cond) {
-                    let proof = if cond.excludes_zero() {
-                        Proof::AlwaysTaken
-                    } else if cond.is_zero() {
-                        Proof::NeverTaken
-                    } else {
-                        Proof::Unknown
-                    };
-                    out.proofs.insert(*id, proof);
-                }
-            }
+            continue;
+        };
+        exit.copy_from_slice(entry);
+        if !exec_instrs(block, &mut exit) {
+            out.div_by_zero.push((func_id, b));
+        } else if let Terminator::Branch { id, cond, .. } = &block.term {
+            let cond = exit[cond.index()];
+            let proof = if cond.excludes_zero() {
+                Proof::AlwaysTaken
+            } else if cond.is_zero() {
+                Proof::NeverTaken
+            } else {
+                Proof::Unknown
+            };
+            out.proofs.insert(*id, proof);
         }
     }
 }
 
-/// The result of abstractly executing one block from a given entry state.
-struct BlockFlow {
-    /// Feasible outgoing edges with their (possibly refined) states. A
-    /// successor reachable on both arms of a branch appears once, joined.
-    edges: Vec<(BlockId, State)>,
-    /// The condition interval at the terminator, for `Branch` blocks that
-    /// complete (no provable trap before the terminator).
-    cond: Option<Interval>,
-    /// The block contains a provable division by zero (and therefore
-    /// never completes — `edges` is empty).
-    div_by_zero: bool,
-}
-
-fn exec_block(block: &Block, mut st: State) -> BlockFlow {
-    // Index of the last in-block definition per register, for deciding
-    // whether comparison-operand refinement at the terminator still
-    // refers to current values.
-    let mut last_def: Vec<Option<usize>> = vec![None; st.len()];
-
-    for (i, instr) in block.instrs.iter().enumerate() {
+/// Runs `block`'s instructions over `st` in place. `false` when an
+/// instruction provably divides by zero: every execution traps there and
+/// the block never reaches its terminator.
+fn exec_instrs(block: &Block, st: &mut [Interval]) -> bool {
+    for instr in &block.instrs {
         if let Instr::Binop { op, rhs, .. } = instr {
             if op.can_trap() && st[rhs.index()].is_zero() {
-                // Every execution of this instruction traps: the block
-                // never reaches its terminator.
-                return BlockFlow {
-                    edges: Vec::new(),
-                    cond: None,
-                    div_by_zero: true,
-                };
+                return false;
             }
         }
-        transfer(instr, &mut st);
-        if let Some(dst) = instr.dst() {
-            last_def[dst.index()] = Some(i);
+        transfer(instr, st);
+    }
+    true
+}
+
+/// What one outgoing edge changes in its block's exit state: at most three
+/// registers — a branch's condition and the two operands of the
+/// comparison that defined it — each with its refined interval, one entry
+/// per register.
+#[derive(Clone, Copy)]
+struct Refinement {
+    len: usize,
+    regs: [(usize, Interval); 3],
+}
+
+impl Refinement {
+    /// The edge leaves the exit state as it is.
+    const NONE: Refinement = Refinement {
+        len: 0,
+        regs: [(0, Interval::TOP); 3],
+    };
+
+    fn overrides(&self) -> &[(usize, Interval)] {
+        &self.regs[..self.len]
+    }
+
+    /// `reg`'s value on this edge, given the exit state `exit`.
+    fn value(&self, reg: usize, exit: &[Interval]) -> Interval {
+        self.overrides()
+            .iter()
+            .find(|(r, _)| *r == reg)
+            .map_or(exit[reg], |&(_, v)| v)
+    }
+
+    /// Sets `reg` to `v`, replacing an earlier value of the same register.
+    fn set(&mut self, reg: usize, v: Interval) {
+        match self.regs[..self.len].iter_mut().find(|(r, _)| *r == reg) {
+            Some(slot) => slot.1 = v,
+            None => {
+                self.regs[self.len] = (reg, v);
+                self.len += 1;
+            }
         }
     }
 
-    let mut edges: Vec<(BlockId, State)> = Vec::new();
-    let push = |edges: &mut Vec<(BlockId, State)>, b: BlockId, s: State| {
+    /// The edge two refinements of one exit state reach one block on:
+    /// each register takes the join of its two values.
+    fn join(&self, other: &Refinement, exit: &[Interval]) -> Refinement {
+        let mut joined = Refinement::NONE;
+        for &(reg, _) in self.overrides().iter().chain(other.overrides()) {
+            let v = self.value(reg, exit).join(&other.value(reg, exit));
+            joined.set(reg, v);
+        }
+        joined
+    }
+
+    /// Exchanges the overridden registers' values with `st`'s. Swapping
+    /// twice restores both.
+    fn swap(&mut self, st: &mut [Interval]) {
+        for (reg, v) in &mut self.regs[..self.len] {
+            std::mem::swap(v, &mut st[*reg]);
+        }
+    }
+}
+
+/// The feasible outgoing edges of a block that completes with exit state
+/// `st`, each with its refinement, in the order the successors first
+/// appear; a successor reachable on two edges appears once, the two
+/// refinements joined.
+fn exit_edges(block: &Block, st: &[Interval], edges: &mut Vec<(BlockId, Refinement)>) {
+    let mut push = |b: BlockId, r: Refinement| {
         if let Some((_, old)) = edges.iter_mut().find(|(eb, _)| *eb == b) {
-            for (o, n) in old.iter_mut().zip(s.iter()) {
-                *o = o.join(n);
-            }
+            *old = old.join(&r, st);
         } else {
-            edges.push((b, s));
+            edges.push((b, r));
         }
     };
-
-    let mut cond_iv = None;
     match &block.term {
-        Terminator::Jump(t) => push(&mut edges, *t, st),
+        Terminator::Jump(t) => push(*t, Refinement::NONE),
         Terminator::JumpTable {
             targets, default, ..
         } => {
-            for t in targets {
-                push(&mut edges, *t, st.clone());
+            for t in targets.iter().chain([default]) {
+                push(*t, Refinement::NONE);
             }
-            push(&mut edges, *default, st);
         }
         Terminator::Return { .. } => {}
         Terminator::Branch {
@@ -313,15 +369,30 @@ fn exec_block(block: &Block, mut st: State) -> BlockFlow {
             ..
         } => {
             let c = st[cond.index()];
-            cond_iv = Some(c);
-            // The comparison that defined `cond` in this block, provided
-            // the condition was not overwritten afterwards.
-            let cmp = last_def[cond.index()].and_then(|i| match &block.instrs[i] {
-                Instr::Binop { op, lhs, rhs, .. } if op.is_comparison() && is_int_cmp(*op) => {
-                    Some((i, *op, *lhs, *rhs))
-                }
-                _ => None,
-            });
+            // The comparison that last defined `cond` in this block, with
+            // whether each operand still holds the compared value at the
+            // terminator (no definition of it from the comparison on).
+            let defined_from = |i: usize, reg: Reg| {
+                block.instrs[i..]
+                    .iter()
+                    .any(|instr| instr.dst() == Some(reg))
+            };
+            let cmp = block
+                .instrs
+                .iter()
+                .rposition(|instr| instr.dst() == Some(*cond))
+                .and_then(|i| match &block.instrs[i] {
+                    Instr::Binop { op, lhs, rhs, .. } if op.is_comparison() && is_int_cmp(*op) => {
+                        Some((
+                            *op,
+                            *lhs,
+                            *rhs,
+                            !defined_from(i, *lhs),
+                            !defined_from(i, *rhs),
+                        ))
+                    }
+                    _ => None,
+                });
             for (outcome, target) in [(true, *taken), (false, *not_taken)] {
                 let refined_cond = if outcome {
                     c.refine_nonzero()
@@ -331,37 +402,24 @@ fn exec_block(block: &Block, mut st: State) -> BlockFlow {
                 let Some(rc) = refined_cond else {
                     continue; // this arm is infeasible
                 };
-                let mut s = st.clone();
-                s[cond.index()] = rc;
-                let mut feasible = true;
-                if let Some((i, op, lhs, rhs)) = cmp {
-                    // Operand values at the terminator equal the compared
-                    // values only if not redefined after the comparison.
-                    let lhs_ok = last_def[lhs.index()].is_none_or(|j| j < i);
-                    let rhs_ok = last_def[rhs.index()].is_none_or(|j| j < i);
-                    match interval::refine_compare(op, outcome, &st[lhs.index()], &st[rhs.index()])
-                    {
-                        Some((l2, r2)) => {
-                            if lhs_ok {
-                                s[lhs.index()] = l2;
-                            }
-                            if rhs_ok && rhs != lhs {
-                                s[rhs.index()] = r2;
-                            }
-                        }
-                        None => feasible = false,
+                let mut r = Refinement::NONE;
+                r.set(cond.index(), rc);
+                if let Some((op, lhs, rhs, lhs_ok, rhs_ok)) = cmp {
+                    let Some((l2, r2)) =
+                        interval::refine_compare(op, outcome, &st[lhs.index()], &st[rhs.index()])
+                    else {
+                        continue; // the comparison cannot come out this way
+                    };
+                    if lhs_ok {
+                        r.set(lhs.index(), l2);
+                    }
+                    if rhs_ok && rhs != lhs {
+                        r.set(rhs.index(), r2);
                     }
                 }
-                if feasible {
-                    push(&mut edges, target, s);
-                }
+                push(target, r);
             }
         }
-    }
-    BlockFlow {
-        edges,
-        cond: cond_iv,
-        div_by_zero: false,
     }
 }
 
@@ -375,8 +433,8 @@ fn is_int_cmp(op: BinOp) -> bool {
 /// Applies one instruction's transfer function to the state. Anything
 /// that may produce a float or an unmodeled value writes ⊤ (the domain's
 /// float story: possibly-float registers are always ⊤).
-fn transfer(instr: &Instr, st: &mut State) {
-    let get = |st: &State, r: Reg| st[r.index()];
+fn transfer(instr: &Instr, st: &mut [Interval]) {
+    let get = |st: &[Interval], r: Reg| st[r.index()];
     match instr {
         Instr::Const { dst, value } => {
             st[dst.index()] = match value {

@@ -178,6 +178,17 @@ fn arb_counts() -> impl Strategy<Value = BranchCounts> {
     })
 }
 
+/// Counters small enough that ties (`2 * taken == executed`) and sites
+/// that never ran (`executed == 0`) are common.
+fn arb_small_counts() -> impl Strategy<Value = BranchCounts> {
+    prop::collection::vec((0u32..40, 0u64..5, 0u64..5), 0..30).prop_map(|entries| {
+        entries
+            .into_iter()
+            .map(|(id, e, t)| (fisher92::ir::BranchId(id), e.max(t), t))
+            .collect()
+    })
+}
+
 fn stats_from(counts: &BranchCounts, instrs: u64) -> RunStats {
     RunStats {
         total_instrs: instrs,
@@ -214,6 +225,31 @@ proptest! {
                 experiment::self_metrics(&stats, cfg),
                 evaluate(&stats, &self_p, cfg)
             );
+        }
+    }
+
+    #[test]
+    fn cross_metrics_match_the_predictor_model(
+        counts in arb_counts(),
+        other in arb_counts(),
+        small in arb_small_counts(),
+    ) {
+        // The model: the majority predictor built over the profile, as
+        // `cross_metrics` did before it counted from the counters.
+        let target = experiment::DatasetRun::new("target", stats_from(&counts, 1_000_000));
+        for profile in [&other, &small, &counts, &BranchCounts::new()] {
+            let model = Predictor::from_counts(profile, Direction::NotTaken);
+            for cfg in [
+                BreakConfig::fig1(),
+                BreakConfig::fig1_with_calls(),
+                BreakConfig::fig2(),
+                BreakConfig::fig2_with_calls(),
+            ] {
+                prop_assert_eq!(
+                    experiment::cross_metrics(&target, profile, cfg),
+                    evaluate(&target.stats, &model, cfg)
+                );
+            }
         }
     }
 
